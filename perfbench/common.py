@@ -18,6 +18,11 @@ WORKLOADS = {
     "service-closed-loop": "service job",
 }
 
+#: session.time_kernel()'s time in ms on a quiet 2-vCPU Xeon host; every
+#: timing is reported at that host speed (README.md, "Host-speed
+#: calibration").
+REFERENCE_MS = 4.0
+
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0..100), linear between closest ranks.
@@ -50,7 +55,7 @@ def log_failure(workload: str, operation: str, detail: str) -> None:
     sys.stderr.flush()
 
 
-def diff_head(expected: str, actual: str, lines: int = 10) -> str:
+def diff_head(expected: str, actual: str) -> str:
     """The first lines of a unified diff, for failure logs."""
     diff = difflib.unified_diff(
         expected.splitlines(keepends=True),
@@ -58,4 +63,4 @@ def diff_head(expected: str, actual: str, lines: int = 10) -> str:
         fromfile="golden",
         tofile="observed",
     )
-    return "".join(line for _, line in zip(range(lines), diff))
+    return "".join(line for _, line in zip(range(10), diff))

@@ -2,7 +2,7 @@
 sessions, then print its metrics.
 
     python3 perfbench/run.py --workload paper-exhibits --seed 1 \
-        --seconds 30 --trace 0
+        --seconds 20 --trace 0
 
 Each session (perfbench/session.py) sets up in a new interpreter,
 which is what ``setup_s`` times, runs one slice of the workload and
@@ -28,19 +28,18 @@ from typing import Dict, List
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
-from perfbench.common import WORKLOADS, median, percentile  # noqa: E402
+from perfbench.common import REFERENCE_MS, WORKLOADS, median, percentile  # noqa: E402
 
 SESSION = os.path.join(ROOT, "perfbench", "session.py")
 WORKDIR = os.path.join(ROOT, ".perfbench-work")
 #: the program and its oracle must be in the checkout.
 REQUIRED = ("src/repro/__init__.py", "benchmarks/results/fig01.txt")
-#: sessions per run at least (``setup_s`` is their median); a traced
-#: run needs two untraced and two traced ones.
-MIN_SESSIONS = 3
-MIN_TRACED_SESSIONS = 4
-#: the service runs fixed-length sessions (one daemon each); the serial
-#: workloads run fixed-size sessions until the run's time is used.
-SERVICE_SESSIONS = 8
+#: sessions per run: two per 6.5 s of ``--seconds`` (6 at 20 s). The
+#: count is fixed, not "until time is up", so the inputs a run measures
+#: never depend on how fast the host is; it is even, so a sweep run
+#: covers each of session.SWEEP_SEEDS equally and a traced run is whole
+#: untraced/traced pairs.
+SESSION_PAIR_S = 6.5
 #: a hung session is killed so that the whole run ends within this.
 RUN_LIMIT_S = 170.0
 #: workloads whose cold/warm op is a pass over items (exhibits, sweep
@@ -125,10 +124,10 @@ def run_session(
 ):
     """One child session -> its report dict, or None if it broke.
 
-    Each session draws its own inputs from the run's seed, so a run's
-    figures average over several inputs rather than hang on one; in a
-    traced run, each untraced/traced pair shares its inputs."""
-    seed = args.seed * 1000 + (number // 2 if args.trace else number)
+    A session's inputs come from the run's seed and its index; in a
+    traced run, each untraced/traced pair shares its index and so its
+    inputs."""
+    index = number // 2 if args.trace else number
     workdir = os.path.join(run_dir, f"session-{number}")
     os.makedirs(workdir)
     env = dict(os.environ)
@@ -142,7 +141,8 @@ def run_session(
         sys.executable,
         SESSION,
         "--workload", args.workload,
-        "--seed", str(seed),
+        "--seed", str(args.seed),
+        "--index", str(index),
         "--seconds", repr(seconds),
         "--trace", "1" if traced else "0",
         "--workdir", workdir,
@@ -173,22 +173,16 @@ def run_session(
 
 
 def run_sessions(args, run_dir: str) -> List[Dict]:
+    """A fixed number of sessions. The serial workloads' sessions are
+    fixed-size; the service's run for an equal slice of ``--seconds``."""
     reports: List[Dict] = []
     started = time.monotonic()
-    service = args.workload == "service-closed-loop"
-    minimum = MIN_TRACED_SESSIONS if args.trace else MIN_SESSIONS
-    if service:
-        minimum = max(minimum, SERVICE_SESSIONS)
-    number = 0
-    while number < minimum or (
-        not service and time.monotonic() - started < args.seconds
-    ):
+    count = 2 * max(1, round(args.seconds / SESSION_PAIR_S))
+    slice_s = args.seconds / count if args.workload == "service-closed-loop" else 0.0
+    for number in range(count):
         traced = bool(args.trace) and number % 2 == 1
-        slice_s = args.seconds / minimum if service else 0.0
         timeout = RUN_LIMIT_S - (time.monotonic() - started)
-        report = run_session(args, number, traced, slice_s, run_dir, timeout)
-        number += 1
-        reports.append(report)
+        reports.append(run_session(args, number, traced, slice_s, run_dir, timeout))
     return reports
 
 
@@ -222,7 +216,7 @@ def end_to_end(workload: str, reports: List[Dict]) -> Dict[str, float]:
     else:
         ops_per_s = median([r["ops"] / r["busy_s"] for r in reports])
     return {
-        "setup_s": median([report["setup_s"] for report in reports]),
+        "setup_s": percentile([report["setup_s"] for report in reports], 25),
         "cold_ms": cold,
         "warm_ms": warm,
         "query_ms": composed(reports, "query_ms", False),
@@ -361,6 +355,11 @@ def main(argv=None) -> int:
         f"{failed}/{attempted} operations failed "
         f"(error_rate {failed / attempted:.4f}); one op = "
         f"{WORKLOADS[args.workload]}"
+    )
+    kernel = median([ms for report in reports for ms in report["kernel_ms"]])
+    print(
+        f"host speed: kernel median {kernel:.3f} ms; timings are at the "
+        f"reference {REFERENCE_MS} ms (perfbench/README.md)"
     )
     for name, value in values.items():
         print(f"  {name:<36} {value:.6g} {units[name]}")

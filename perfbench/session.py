@@ -4,7 +4,8 @@ a workload, check every output, report.
 run.py starts this as a child process::
 
     python3 perfbench/session.py --workload paper-exhibits --seed 1 \
-        --seconds 5 --trace 0 --workdir <empty dir> --spawned-at <monotonic>
+        --index 0 --seconds 5 --trace 0 --workdir <empty dir> \
+        --spawned-at <monotonic>
 
 and reads one JSON report from the last stdout line. Failed checks are
 logged on stderr with their workload, operation and diff head; they
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import heapq
 import http.client
 import json
 import os
@@ -26,21 +28,34 @@ import struct
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from perfbench import spans  # noqa: E402
-from perfbench.common import WORKLOADS, diff_head, log_failure  # noqa: E402
+from perfbench.common import (  # noqa: E402
+    REFERENCE_MS,
+    WORKLOADS,
+    diff_head,
+    log_failure,
+    median,
+)
 
 #: query repeats per session (describe all exhibits; compare a sweep).
 QUERY_REPEATS = 20
 SWEEPS = ("arrival-rate", "fault-intensity")
+#: sweep seeds; session ``index`` of a run with ``--seed`` runs
+#: ``SWEEP_SEEDS[(seed + index) % 2]``, so every run of an even number
+#: of sessions measures the same inputs, the seed setting their order.
+SWEEP_SEEDS = (0, 1)
 #: service jobs: the paper and hostile-world exhibits a client submits,
 #: each at its canonical (scale, seed) so the golden is the oracle.
 JOB_MIX = ("fig03", "fig09", "table2", "spot-market-lenet", "churn-and-crashes")
 POLL_S = 0.010
+#: the service load runs in rounds of about this long, with the host's
+#: speed timed between them while the daemon is idle.
+ROUND_S = 1.0
 #: SO_LINGER on, 0 s: close() resets instead of entering TIME_WAIT.
 _ABORT_ON_CLOSE = struct.pack("ii", 1, 0)
 #: One job thread. Two threads (the stock QueueConfig) can return wrong
@@ -63,6 +78,27 @@ SERVER_CONFIG = {
 }
 
 
+def time_kernel() -> float:
+    """One timed run of a fixed kernel of the benchmark's own code: heap
+    and dict work like the DES core's, then small-array numpy calls like
+    the performance models'. No program code runs in it, so only the
+    host's speed moves it."""
+    import numpy as np  # after main() has pinned the CPU
+
+    started = time.perf_counter()
+    heap: List[int] = []
+    counts: Dict[int, int] = {}
+    for i in range(6000):
+        heapq.heappush(heap, (i * 7919) % 1013)
+        counts[i % 97] = counts.get(i % 97, 0) + 1
+    while heap:
+        heapq.heappop(heap)
+    values = np.arange(64.0)
+    for _ in range(600):
+        values = np.sqrt(values * 1.0001 + 1.0)
+    return 1000.0 * (time.perf_counter() - started)
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
@@ -71,9 +107,12 @@ def _read(path: str) -> str:
 class Session:
     """Samples, counts and checks of one session."""
 
-    def __init__(self, workload: str, seed: int, seconds: float, workdir: str):
+    def __init__(
+        self, workload: str, seed: int, index: int, seconds: float, workdir: str
+    ):
         self.workload = workload
         self.seed = seed
+        self.index = index
         self.seconds = seconds
         self.workdir = workdir
         self.tracer: Optional[spans.Tracer] = None
@@ -85,15 +124,15 @@ class Session:
         self.job_ms: List[float] = []
         self.queue_wait_ms: List[float] = []
         self.job_run_ms: List[float] = []
+        #: every host-speed kernel time of the session, in order.
+        self.kernel_ms: List[float] = []
         self.ops = 0
         self.busy_s = 0.0
         self.attempted = 0
         self.failed = 0
         self._lock = threading.Lock()
 
-    def check(
-        self, operation: str, ok: bool, detail: Callable[[], str] = lambda: ""
-    ) -> bool:
+    def check(self, operation: str, ok: bool, detail: Callable[[], str]) -> bool:
         """Count one attempted operation; log it when it failed."""
         with self._lock:
             self.attempted += 1
@@ -116,6 +155,36 @@ class Session:
         if self.tracer is None:
             return contextlib.nullcontext()
         return self.tracer.span(name)
+
+    def kernel(self) -> float:
+        """Time the host-speed kernel now; -> its ms."""
+        ms = time_kernel()
+        self.kernel_ms.append(ms)
+        return ms
+
+    @staticmethod
+    def scale(before: float, after: float) -> float:
+        """The factor that puts a time measured between the kernel times
+        ``before`` and ``after`` at reference speed: REFERENCE_MS over
+        their mean."""
+        return 2.0 * REFERENCE_MS / (before + after)
+
+    def steady_kernel(self) -> float:
+        """The median of three kernel times taken now, where one alone
+        would rescale many samples."""
+        return median([self.kernel() for _ in range(3)])
+
+    def timed(self, items: Dict[str, List[float]], item: str, root: str, fn):
+        """``fn()`` in a root span, its time sampled at reference speed
+        under ``item``. -> ``fn()``'s result."""
+        before = self.kernel_ms[-1]
+        started = time.perf_counter()
+        with self.root(root):
+            result = fn()
+        elapsed = time.perf_counter() - started
+        scale = self.scale(before, self.kernel())
+        self.sample(items, item, 1000.0 * elapsed * scale)
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +215,18 @@ class Exhibits:
         s = self.session
         for label, items in (("cold", s.cold_ms), ("warm", s.warm_ms)):
             gc.collect()  # each timed pass starts without inherited garbage
-            started = time.perf_counter()
-            renders = []
-            with s.root("bench.pass"):
-                for name, run in self.runs.items():
-                    begun = time.perf_counter()
-                    renders.append((name, self.golden.render_result(run.run())))
-                    s.sample(items, name, 1000.0 * (time.perf_counter() - begun))
-            elapsed = time.perf_counter() - started
-            s.busy_s += elapsed
+            renders = [
+                (
+                    name,
+                    s.timed(
+                        items,
+                        name,
+                        "bench.pass",
+                        lambda run=run: self.golden.render_result(run.run()),
+                    ),
+                )
+                for name, run in self.runs.items()
+            ]
             s.ops += len(renders)
             for name, text in renders:
                 golden = self.goldens[name]
@@ -165,13 +237,15 @@ class Exhibits:
                 )
         gc.collect()
         for _ in range(QUERY_REPEATS):
-            started = time.perf_counter()
-            with s.root("bench.query"):
-                payloads = [
+            payloads = s.timed(
+                s.query_ms,
+                "describe",
+                "bench.query",
+                lambda: [
                     self.describe(self.definitions[name], run.scale, run.seed)
                     for name, run in self.runs.items()
-                ]
-            s.sample(s.query_ms, "describe", 1000.0 * (time.perf_counter() - started))
+                ],
+            )
             empty = [p["scenario"]["name"] for p in payloads if not p["plan"]["steps"]]
             s.check(
                 "describe all exhibits", not empty, lambda e=empty: f"no steps: {e}"
@@ -198,27 +272,32 @@ class Sweeps:
         self.cache_dir = os.path.join(session.workdir, "cache")
         self.store = SweepRunStore(self.cache_dir)
         self.sweeps = [get_sweep(name) for name in SWEEPS]
+        self.seed = SWEEP_SEEDS[(session.seed + session.index) % len(SWEEP_SEEDS)]
 
     def _pass(self, items: Dict[str, List[float]]):
         s = self.session
         gc.collect()  # each timed pass starts without inherited garbage
-        started = time.perf_counter()
-        with s.root("bench.pass"):
-            outcomes = [
-                self.run_sweep(sweep, scale=1.0, seed=s.seed, cache_dir=self.cache_dir)
-                for sweep in self.sweeps
-            ]
-            for outcome in outcomes:
+        outcomes = []
+        before = s.steady_kernel()
+        for sweep in self.sweeps:
+            started = time.perf_counter()
+            with s.root("bench.pass"):
+                outcome = self.run_sweep(
+                    sweep, scale=1.0, seed=self.seed, cache_dir=self.cache_dir
+                )
                 self.store.save(outcome)
-        elapsed = time.perf_counter() - started
-        variants = [v for outcome in outcomes for v in outcome.outcomes]
-        for variant in variants:
-            s.sample(items, variant.name, 1000.0 * variant.elapsed_s)
-        # validation, fan-out and TSDB persistence around the variants
-        rest = elapsed - sum(variant.elapsed_s for variant in variants)
-        s.sample(items, "(sweep overhead)", 1000.0 * rest)
-        s.busy_s += elapsed
-        s.ops += len(variants)
+            elapsed = time.perf_counter() - started
+            # one factor for many variants: from steadier kernel times
+            after = s.steady_kernel()
+            scale = s.scale(before, after)
+            before = after
+            for variant in outcome.outcomes:
+                s.sample(items, variant.name, 1000.0 * variant.elapsed_s * scale)
+            # validation, fan-out and TSDB persistence around the variants
+            rest = elapsed - sum(variant.elapsed_s for variant in outcome.outcomes)
+            s.sample(items, f"{sweep.name} (overhead)", 1000.0 * rest * scale)
+            s.ops += len(outcome.outcomes)
+            outcomes.append(outcome)
         return outcomes
 
     @staticmethod
@@ -257,10 +336,12 @@ class Sweeps:
             )
         gc.collect()
         for sweep in self.sweeps * QUERY_REPEATS:
-            started = time.perf_counter()
-            with s.root("bench.query"):
-                comparison = self.compare(self.store, sweep.name)
-            s.sample(s.query_ms, sweep.name, 1000.0 * (time.perf_counter() - started))
+            comparison = s.timed(
+                s.query_ms,
+                sweep.name,
+                "bench.query",
+                lambda sweep=sweep: self.compare(self.store, sweep.name),
+            )
             s.check(
                 f"sweep compare {sweep.name}",
                 comparison["identical"],
@@ -283,6 +364,7 @@ class Client:
         self.tenant = tenant
         self.order = order
         self.requests = 0
+        self.jobs_started = 0
 
     def request(self, method: str, path: str, body=None):
         """-> (status, envelope, seconds); status 0 on a transport error.
@@ -323,11 +405,12 @@ class Client:
         )
 
     def loop(self, deadline: float) -> None:
-        index = 0
+        """Jobs until ``deadline``; the next round goes on where this
+        one stopped in the job mix and the cache off/on alternation."""
         while time.monotonic() < deadline:
-            name = self.order[index % len(self.order)]
-            self.job(name, cache=index % 2 == 1)
-            index += 1
+            index = self.jobs_started
+            self.jobs_started += 1
+            self.job(self.order[index % len(self.order)], cache=index % 2 == 1)
 
     def job(self, name: str, cache: bool) -> None:
         service, s = self.service, self.service.session
@@ -351,7 +434,7 @@ class Client:
                 if status != 200:
                     self.refused(f"status {job_id}", status, payload)
                     return
-                s.sample(s.query_ms, "status", 1000.0 * took)
+                service.queries.append(("status", 1000.0 * took))
                 view = payload["data"]
                 if view["status"] in ("queued", "running"):
                     continue
@@ -379,8 +462,7 @@ class Client:
         if ok:
             hits = view["cache"]["hits"] or 0
             misses = view["cache"]["misses"] or 0
-            s.sample(s.warm_ms if hits and not misses else s.cold_ms, name, latency_ms)
-            s.append("job_ms", latency_ms)
+            service.jobs.append((hits and not misses, name, latency_ms))
             started, finished = view["started_at"], view["finished_at"]
             s.append("queue_wait_ms", 1000.0 * (started - view["submitted_at"]))
             s.append("job_run_ms", 1000.0 * (finished - started))
@@ -390,7 +472,7 @@ class Client:
             status == 200 and payload.get("ok"),
             lambda: f"HTTP {status}: {payload}",
         ):
-            s.sample(s.query_ms, "catalogue", 1000.0 * took)
+            service.queries.append(("catalogue", 1000.0 * took))
 
 
 class Service:
@@ -419,6 +501,11 @@ class Service:
                 middleware.stream = self.access_log
         self.address = server.server_address[:2]
         self.requests = 0
+        #: this round's samples from both clients, in wall ms: (served
+        #: from cache, scenario, latency) of each checked job, and (kind,
+        #: latency) of each status or catalogue GET.
+        self.jobs: List[Tuple[bool, str, float]] = []
+        self.queries: List[Tuple[str, float]] = []
         probe = Client(self, "setup", [])
         status, payload, _ = probe.request("GET", "/v1/health")
         self.requests += probe.requests
@@ -430,20 +517,11 @@ class Service:
         clients = []
         for number in range(2):
             order = list(JOB_MIX)
-            random.Random(f"{s.seed}-{number}").shuffle(order)
+            random.Random(f"{s.seed}-{s.index}-{number}").shuffle(order)
             clients.append(Client(self, f"tenant-{number}", order))
-        started = time.monotonic()
-        deadline = started + s.seconds
-        threads = [
-            threading.Thread(target=client.loop, args=(deadline,), name=client.tenant)
-            for client in clients
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        s.busy_s += time.monotonic() - started
-        s.ops += len(s.job_ms)
+        before = s.steady_kernel()
+        for _ in range(max(1, round(s.seconds / ROUND_S))):
+            before = self._round(clients, before)
         self._exit.close()  # stops the daemon and closes the access log
         sent = self.requests + sum(client.requests for client in clients)
         with open(self.access_log.name, "r", encoding="utf-8") as handle:
@@ -453,6 +531,45 @@ class Service:
             logged == sent,
             lambda: f"{logged} access-log lines for {sent} requests sent",
         )
+
+    def _round(self, clients: List[Client], before: float) -> float:
+        """One round of both clients' closed loops; its samples go in at
+        reference speed. -> the kernel time that ends it."""
+        s = self.session
+        started = time.monotonic()
+        deadline = started + ROUND_S
+        threads = [
+            threading.Thread(target=client.loop, args=(deadline,), name=client.tenant)
+            for client in clients
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        busy_s = time.monotonic() - started
+        # The clients sampled wall time. The daemon is idle again, so the
+        # kernel now and before the round put it at reference speed. A
+        # job's first poll waits POLL_S even for a job done at once, at
+        # any speed, so that wait stays as it is; later polls wait for
+        # CPU work, the job's own or the one queued before it.
+        after = s.steady_kernel()
+        scale = s.scale(before, after)
+        raw_ms = at_reference_ms = 0.0
+        first_poll_ms = 1000.0 * POLL_S
+        for warm, name, ms in self.jobs:
+            job_ms = first_poll_ms + (ms - first_poll_ms) * scale
+            s.sample(s.warm_ms if warm else s.cold_ms, name, job_ms)
+            s.job_ms.append(job_ms)
+            raw_ms += ms
+            at_reference_ms += job_ms
+        for kind, ms in self.queries:
+            s.sample(s.query_ms, kind, ms * scale)
+        # each client is inside a job nearly all of the time
+        s.busy_s += busy_s * (at_reference_ms / raw_ms if raw_ms else scale)
+        s.ops += len(self.jobs)
+        self.jobs.clear()
+        self.queries.clear()
+        return after
 
 
 WORKLOAD_CLASSES = {
@@ -487,6 +604,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--index", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workdir", required=True)
@@ -497,9 +615,12 @@ def main(argv=None) -> int:
     # thread wake-ups across CPUs add milliseconds of noise.
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-    session = Session(args.workload, args.seed, args.seconds, args.workdir)
+    session = Session(
+        args.workload, args.seed, args.index, args.seconds, args.workdir
+    )
     workload = WORKLOAD_CLASSES[args.workload](session)
     setup_s = time.monotonic() - args.spawned_at
+    setup_s *= REFERENCE_MS / session.steady_kernel()
     trace = None
     if args.trace:
         session.tracer = spans.Tracer()
@@ -523,6 +644,7 @@ def main(argv=None) -> int:
         "job_run_ms",
         "ops",
         "busy_s",
+        "kernel_ms",
         "attempted",
         "failed",
     ):

@@ -133,9 +133,9 @@ class Tracer:
                 self._states.append(state)
         return state
 
-    def count(self, name: str, amount: int = 1) -> None:
+    def count(self, name: str) -> None:
         counters = self._state()[2]
-        counters[name] = counters.get(name, 0) + amount
+        counters[name] = counters.get(name, 0) + 1
 
     def _enter(self, state, name: str):
         frame = [name, 0.0, self.clock()]
@@ -262,7 +262,7 @@ def _repro_modules() -> List[object]:
     ]
 
 
-def install(tracer: Tracer, targets=TARGETS) -> Installation:
+def install(tracer: Tracer) -> Installation:
     """Wrap every target; returns what to undo."""
     importlib.import_module("repro")
     done = Installation()
@@ -272,7 +272,7 @@ def install(tracer: Tracer, targets=TARGETS) -> Installation:
         done.patches.append((owner, attr, original))
         done.wrappers[id(wrapper)] = (wrapper, original)
 
-    for name, module_name, attr, mode in targets:
+    for name, module_name, attr, mode in TARGETS:
         module = importlib.import_module(module_name)
         if "." in attr:
             class_name, method = attr.split(".")
@@ -304,9 +304,9 @@ def uninstall(done: Installation) -> None:
 
 
 @contextlib.contextmanager
-def tracing(tracer: Tracer, targets=TARGETS):
+def tracing(tracer: Tracer):
     """Targets wrapped for the duration of the block."""
-    done = install(tracer, targets)
+    done = install(tracer)
     try:
         yield tracer
     finally:

@@ -1,5 +1,6 @@
 """Self-tests of the benchmark harness: percentiles, span self-time
-arithmetic, and that a traced run restores every wrapped entry point."""
+arithmetic, host-speed rescaling, and that a traced run restores every
+wrapped entry point."""
 
 import importlib
 import threading
@@ -7,7 +8,8 @@ import threading
 import pytest
 
 from perfbench import spans
-from perfbench.common import median, percentile
+from perfbench import session as bench_session
+from perfbench.common import REFERENCE_MS, median, percentile
 
 
 class ManualClock:
@@ -35,6 +37,23 @@ def test_percentile_known_inputs():
     with pytest.raises(ValueError):
         percentile([1.0], 101)
     assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 25) == 2.0
+
+
+def test_timings_are_rescaled_to_reference_speed(monkeypatch):
+    assert bench_session.time_kernel() > 0.0
+    # the host ran at half speed on both sides: times count half
+    assert bench_session.Session.scale(
+        2 * REFERENCE_MS, 2 * REFERENCE_MS
+    ) == pytest.approx(0.5)
+    # half speed before, full speed after: the mean kernel time counts
+    assert bench_session.Session.scale(
+        2 * REFERENCE_MS, REFERENCE_MS
+    ) == pytest.approx(2.0 / 3.0)
+    kernels = iter([3.0, 9.0, 5.0])
+    monkeypatch.setattr(bench_session, "time_kernel", lambda: next(kernels))
+    session = bench_session.Session("paper-exhibits", 1, 0, 0.0, "unused")
+    assert session.steady_kernel() == 5.0
+    assert session.kernel_ms == [3.0, 9.0, 5.0]
 
 
 def test_self_time_of_nested_spans():
