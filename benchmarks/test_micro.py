@@ -124,9 +124,9 @@ def test_epoch_time_model(benchmark):
 )
 def test_rng_construction(benchmark, constructor):
     """Per-stream derivation cost: legacy SeedSequence->PCG64 spin-up
-    vs the pooled counter-keyed Philox adapter. 200 fresh streams with
-    one draw each — the shape of the simulator's hot path, where
-    construction (not drawing) dominates."""
+    vs the keyed Philox adapter (one fresh core per call, no shared
+    state). 200 fresh streams with one draw each — the shape of the
+    simulator's hot path, where construction (not drawing) dominates."""
 
     def run():
         total = 0.0

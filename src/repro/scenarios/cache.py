@@ -54,8 +54,11 @@ from .runner import AnalysisStep, ScenarioPlan, Step
 #: the code-version salt mixed into every chain key. Bump it whenever
 #: a change alters what any step computes (new stream layout, changed
 #: collector inputs, re-baselined goldens) — every stale entry then
-#: misses at once instead of replaying old bytes.
-CODE_VERSION = "noise-block-v2"
+#: misses at once instead of replaying old bytes — and whenever stored
+#: entries may be wrong. "stateless-rng-v3" is such a bump: the goldens
+#: are unchanged, but a daemon running two jobs at once could cache
+#: outcomes corrupted by the (since fixed) noise-block growth race.
+CODE_VERSION = "stateless-rng-v3"
 
 _MAGIC = b"repro-outcome-cache\n"
 _ENTRY_SUFFIX = ".outcome"

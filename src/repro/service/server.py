@@ -48,6 +48,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         headers = {key.lower(): value for key, value in self.headers.items()}
         body = None
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up
+            raise ValueError(f"negative Content-Length {length}")
         if length:
             raw = self.rfile.read(length)
             body = json.loads(raw.decode("utf-8")) if raw.strip() else None

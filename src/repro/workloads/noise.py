@@ -2,9 +2,8 @@
 
 Before this layer, every per-epoch noise value cost one fresh Philox
 stream: ``rng_for(name, "epoch-noise", hp, sp, epoch)`` built a
-generator (~2-3µs after the PR 3 pooled adapter) for a *single* normal
-draw. The one-generator-per-draw call shape — not construction cost —
-was the remaining floor (ROADMAP, "Batched draw-ahead").
+generator for a *single* normal draw. The one-generator-per-draw call
+shape was the remaining floor (ROADMAP, "Batched draw-ahead").
 
 :class:`NoiseBlock` collapses it: all of a trial's draws for one noise
 *kind* come from **one** counter-keyed stream,
@@ -19,12 +18,20 @@ make this exact rather than approximate:
 
 * numpy Generators fill batched draws sequentially, so
   ``normal(size=n)`` is bit-identical to ``n`` scalar ``normal()``
-  calls on the same stream — and a block that grows later (``normal``
-  again on the *same* generator) extends the identical sequence.
-  ``tests/test_noise_block.py`` holds numpy to both properties.
+  calls on the same stream, and its first ``m`` values are exactly
+  ``normal(size=m)``. ``tests/test_noise_block.py`` holds numpy to
+  both properties.
 * a block's values are a pure function of (key parts, sigma, index):
   evicting and rebuilding a block replays the same stream from the
   key, so the bounded cache below can never change a number.
+
+Blocks grow by atomic swap: a block that must cover more draws
+redraws the whole longer prefix from a fresh ``rng_for`` stream,
+installs the new array in one assignment, and serves the read from
+that local array. A cached array is never changed in place and no
+generator is shared, so threads reading one block concurrently (the
+service runs serial jobs on several threads) can at worst both redraw
+and install an equally correct prefix.
 
 The stream key deliberately ends in the literal ``"block"`` and never
 contains an epoch index — the epoch is a *position* in the stream, not
@@ -40,11 +47,6 @@ import numpy as np
 
 from .spec import rng_for
 
-#: initial draw-ahead depth; covers every paper trial budget (epochs
-#: <= 100) after one doubling, while keeping throwaway blocks (single
-#: epoch-0 probes) at one cheap 32-draw fill.
-_INITIAL_DRAWS = 32
-
 #: bounded block cache. Eviction is a full clear, like the stable_seed
 #: digest cache: blocks are pure in their key, so a rebuilt block
 #: replays identical values — eviction costs a redraw, never a
@@ -53,40 +55,59 @@ _BLOCK_CACHE: Dict[Tuple, "NoiseBlock"] = {}
 _BLOCK_CACHE_MAX = 1024
 
 
-class NoiseBlock:
+class _DrawAhead:
+    """The first draws of ``rng_for(*key_parts, "block")``, each of
+    shape ``shape``, grown by swap as the module docstring describes."""
+
+    __slots__ = ("_key_parts", "_sigma", "_shape", "_draws")
+
+    #: draws materialised by the first growth step.
+    _INITIAL = 1
+
+    def __init__(self, sigma: float, key_parts: Tuple, shape: Tuple = ()):
+        self._key_parts = tuple(key_parts)
+        self._sigma = float(sigma)
+        self._shape = shape
+        self._draws = np.empty((0, *shape), dtype=np.float64)
+
+    def _ensure(self, count: int) -> np.ndarray:
+        """An array of at least ``count`` draws; callers index this
+        return value, never ``self._draws``, which another thread may
+        replace at any time."""
+        draws = self._draws
+        if count <= len(draws):
+            return draws
+        grow_to = max(count, 2 * len(draws), self._INITIAL)
+        stream = rng_for(*self._key_parts, "block")
+        draws = stream.normal(0.0, self._sigma, size=(grow_to, *self._shape))
+        self._draws = draws
+        return draws
+
+
+class NoiseBlock(_DrawAhead):
     """All draws of one noise kind for one trial, from one stream.
 
     ``key_parts`` identify the stream exactly as a ``rng_for`` call
     would (stable identities only — spec reprs, trial seeds, kind
     literals); ``sigma`` is the normal scale applied to every draw.
-    Draws are materialised ahead in geometrically-growing batches and
+    Draws are materialised ahead in geometrically-growing prefixes and
     served by index: ``value(epoch)`` is bit-identical to what the
     ``epoch``-th sequential ``normal(0.0, sigma)`` call on the stream
     would return, however the block grew to cover it.
     """
 
-    __slots__ = ("_rng", "_sigma", "_values")
+    __slots__ = ()
 
-    def __init__(self, sigma: float, key_parts: Tuple):
-        self._rng = rng_for(*key_parts, "block")
-        self._sigma = float(sigma)
-        self._values = np.empty(0, dtype=np.float64)
-
-    def _ensure(self, count: int) -> None:
-        """Draw ahead so at least ``count`` values are materialised."""
-        have = len(self._values)
-        if count <= have:
-            return
-        grow_to = max(count, 2 * have, _INITIAL_DRAWS)
-        fresh = self._rng.normal(0.0, self._sigma, size=grow_to - have)
-        self._values = np.concatenate((self._values, fresh))
+    #: covers every paper trial budget (epochs <= 100) after one
+    #: doubling, while keeping throwaway blocks (single epoch-0 probes)
+    #: at one cheap 32-draw fill.
+    _INITIAL = 32
 
     def value(self, index: int) -> float:
         """The ``index``-th draw of the stream (0-based), as a float."""
         if index < 0:
             raise ValueError("noise index must be >= 0")
-        self._ensure(index + 1)
-        return float(self._values[index])
+        return float(self._ensure(index + 1)[index])
 
     def take(self, indices: np.ndarray) -> np.ndarray:
         """The draws at ``indices``, as one float64 vector."""
@@ -95,11 +116,10 @@ class NoiseBlock:
             return np.empty(0, dtype=np.float64)
         if indices.min() < 0:
             raise ValueError("noise index must be >= 0")
-        self._ensure(int(indices.max()) + 1)
-        return self._values[indices]
+        return self._ensure(int(indices.max()) + 1)[indices]
 
 
-class NoiseMatrix:
+class NoiseMatrix(_DrawAhead):
     """Draw-ahead noise *rows*: one stream, fixed-width vector draws.
 
     The vector analogue of :class:`NoiseBlock` for consumers that draw a
@@ -113,36 +133,23 @@ class NoiseMatrix:
     the matrix materialises every row up to the largest index asked for.
     """
 
-    __slots__ = ("_rng", "_sigma", "_width", "_rows")
+    __slots__ = ()
+
+    #: rows are wide (one value per PMU event), so start smaller than
+    #: the scalar blocks.
+    _INITIAL = 8
 
     def __init__(self, sigma: float, width: int, key_parts: Tuple):
         if width <= 0:
             raise ValueError("row width must be positive")
-        self._rng = rng_for(*key_parts, "block")
-        self._sigma = float(sigma)
-        self._width = int(width)
-        self._rows = np.empty((0, width), dtype=np.float64)
-
-    def _ensure(self, count: int) -> None:
-        """Draw ahead so at least ``count`` rows are materialised."""
-        have = len(self._rows)
-        if count <= have:
-            return
-        grow_to = max(count, 2 * have, _INITIAL_ROWS)
-        fresh = self._rng.normal(0.0, self._sigma, size=(grow_to - have, self._width))
-        self._rows = np.concatenate((self._rows, fresh))
+        super().__init__(sigma, key_parts, (int(width),))
 
     def row(self, index: int) -> np.ndarray:
         """The ``index``-th vector draw of the stream (0-based)."""
         if index < 0:
             raise ValueError("noise index must be >= 0")
-        self._ensure(index + 1)
-        return self._rows[index].copy()
+        return self._ensure(index + 1)[index].copy()
 
-
-#: initial row-count for matrices; rows are wide (one value per PMU
-#: event), so start smaller than the scalar blocks.
-_INITIAL_ROWS = 8
 
 _MATRIX_CACHE: Dict[Tuple, "NoiseMatrix"] = {}
 _MATRIX_CACHE_MAX = 1024

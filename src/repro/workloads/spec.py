@@ -9,7 +9,6 @@ machine the trial runs on (cores, memory).
 from __future__ import annotations
 
 import hashlib
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
@@ -80,44 +79,41 @@ def _cache_repr(cls):
 #
 # Why not ``np.random.default_rng(seed)``: constructing PCG64 spins up a
 # SeedSequence per call (~9µs), and the simulator derives a fresh
-# stream per (workload, purpose, epoch) tuple — construction, not
-# drawing, dominated the per-epoch cost after PR 2. ``Philox.__init__``
-# still pays for an entropy-gathering SeedSequence it then discards, so
-# the fast path avoids ``__init__`` entirely:
+# stream per (workload, purpose, trial) tuple, so construction cost
+# shows up in every exhibit. ``Philox(key=...)`` still pays for an
+# entropy-gathering SeedSequence it then discards; the adapter instead
+# builds ``Philox(seed=_KeyedSeed(key))``, where ``_KeyedSeed`` is a
+# minimal ISeedSequence stand-in whose ``generate_state`` hands back
+# the two key words verbatim (no entropy, no hashing).
 #
-# * pool miss — build ``Philox(seed=_KeyedSeed)`` where ``_KeyedSeed``
-#   is a minimal ISeedSequence stand-in whose ``generate_state`` hands
-#   back the key words verbatim (no entropy, no hashing);
-# * pool hit — take a previously-built Philox core from the freelist
-#   and overwrite its full state (key, counter, buffer) through the
-#   public ``.state`` setter, which copies values into the C struct.
-#
-# :class:`PhiloxGenerator` returns its core to the freelist on garbage
-# collection, so steady-state stream derivation costs one state reset
-# plus one Generator wrapper (~2µs) instead of a full construction.
-# The subsystem is self-verifying: at import, both build paths are
-# compared word-for-word against the reference constructor and the
-# fast path is disabled wholesale on any mismatch (future numpy
+# Thread-safety rule: a stream is a pure function of its key. Every
+# call builds its own ``_KeyedSeed`` and its own Philox core, and no
+# state is shared between callers, so concurrent ``rng_for`` calls (the
+# service runs serial jobs on several threads) cannot see each other.
+# The only module-level writes on this path are the pure memo dicts
+# (``_SEED_CACHE`` here, the noise-block caches in ``noise.py``) and
+# the construction counter. The subsystem is self-verifying: at
+# import, the keyed build is compared word-for-word against the
+# reference constructor and disabled on any mismatch (future numpy
 # versions degrade to slow-but-correct, never to different streams).
-# Like the rest of the simulator, the freelist is not thread-safe.
 
 _MASK64 = (1 << 64) - 1
 _PHILOX_KEY_MAX = (1 << 128) - 1
 
 
 class _KeyedSeed:
-    """ISeedSequence stand-in that delivers a preset Philox key.
+    """ISeedSequence stand-in that delivers one preset Philox key.
 
     ``Philox(seed=...)`` asks its seed sequence for exactly the two
     64-bit key words; handing them back verbatim makes ``Philox(seed=
-    _KeyedSeed)`` construct the same state as ``Philox(key=...)``
+    _KeyedSeed(key))`` construct the same state as ``Philox(key=key)``
     without the SeedSequence entropy/hash stage.
     """
 
     __slots__ = ("words",)
 
-    def __init__(self):
-        self.words = np.zeros(2, dtype=np.uint64)
+    def __init__(self, key: int):
+        self.words = np.array((key & _MASK64, key >> 64), dtype=np.uint64)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or dtype is not np.uint64:
@@ -132,48 +128,13 @@ class _KeyedSeed:
 
 np.random.bit_generator.ISpawnableSeedSequence.register(_KeyedSeed)
 
-_KEYED_SEED = _KeyedSeed()
-#: freelist of Philox cores recycled by PhiloxGenerator.__del__; kept
-#: small — depth only grows with simultaneously-live generators.
-_PHILOX_POOL: list = []
-_PHILOX_POOL_MAX = 64
-#: template state dict reused for pool-hit resets (the ``.state``
-#: setter copies every word out of it, so sharing one dict is safe).
-_STATE_TEMPLATE = np.random.Philox(key=0).state
-_TEMPLATE_KEY = _STATE_TEMPLATE["state"]["key"]
-_TEMPLATE_COUNTER = _STATE_TEMPLATE["state"]["counter"]
-
-
-class PhiloxGenerator(np.random.Generator):
-    """Generator whose Philox core is recycled through the freelist."""
-
-    __slots__ = ()
-
-    def __del__(self):
-        pool = _PHILOX_POOL
-        if pool is None or len(pool) >= _PHILOX_POOL_MAX:
-            return
-        try:
-            core = self.bit_generator
-            # Recycle only when this generator held the last reference.
-            # A caller that kept ``.bit_generator`` alive beyond the
-            # Generator must retain its stream — pooling it would let a
-            # later rng_for silently re-key it in place. Sole ownership
-            # is exactly three references here: the dying generator's
-            # slot, the ``core`` local, and getrefcount's argument.
-            if sys.getrefcount(core) <= 3:
-                pool.append(core)
-        except Exception:
-            # interpreter shutdown: globals may already be torn down
-            pass
-
 
 def _reference_philox_generator(key: int) -> np.random.Generator:
     """The defining construction: Generator(Philox(key=stable_seed))."""
     return np.random.Generator(np.random.Philox(key=key))
 
 
-#: total stream constructions since import (pool hits, misses and
+#: total stream constructions since import (keyed builds and
 #: reference fallbacks alike). Instrumentation for the batched
 #: draw-ahead contract: the per-run construction count is the metric
 #: the NoiseBlock layer optimises, so it stays measurable
@@ -192,7 +153,7 @@ def philox_generator(key: int) -> np.random.Generator:
 
     Streams are bit-identical to :func:`_reference_philox_generator`
     for every key in [0, 2**128); the import-time self-check falls back
-    to the reference constructor if the fast path ever diverges.
+    to the reference constructor if the keyed build ever diverges.
     """
     global _CONSTRUCTION_COUNT
     if not 0 <= key <= _PHILOX_KEY_MAX:
@@ -200,51 +161,29 @@ def philox_generator(key: int) -> np.random.Generator:
     _CONSTRUCTION_COUNT += 1
     if not _FAST_CONSTRUCTION:
         return _reference_philox_generator(key)
-    if _PHILOX_POOL:
-        bg = _PHILOX_POOL.pop()
-        _TEMPLATE_KEY[0] = key & _MASK64
-        _TEMPLATE_KEY[1] = key >> 64
-        _TEMPLATE_COUNTER[:] = 0
-        bg.state = _STATE_TEMPLATE
-    else:
-        _KEYED_SEED.words[0] = key & _MASK64
-        _KEYED_SEED.words[1] = key >> 64
-        bg = np.random.Philox(seed=_KEYED_SEED)
-    return PhiloxGenerator(bg)
+    return np.random.Generator(np.random.Philox(seed=_KeyedSeed(key)))
 
 
 def _philox_fast_path_ok() -> bool:
-    """Verify both fast build paths against the reference, word-for-word."""
+    """Verify the keyed build against the reference, word-for-word."""
     try:
         for key in (0, 1, 0x0123456789ABCDEF, (1 << 127) + 12345):
-            reference = _reference_philox_generator(key).bit_generator.state
-            # pool-miss path (freshly drained pool), then pool-hit path
-            _PHILOX_POOL.clear()
-            for _ in range(2):
-                generator = philox_generator(key)
-                state = generator.bit_generator.state
-                if state["bit_generator"] != reference["bit_generator"]:
-                    return False
-                for field_name in ("key", "counter"):
-                    if not np.array_equal(
-                        state["state"][field_name], reference["state"][field_name]
-                    ):
-                        return False
-                if (
-                    not np.array_equal(state["buffer"], reference["buffer"])
-                    or state["buffer_pos"] != reference["buffer_pos"]
-                    or state["has_uint32"] != reference["has_uint32"]
-                    or state["uinteger"] != reference["uinteger"]
-                ):
-                    return False
-                del generator  # recycles the core: next lap is a pool hit
-        _PHILOX_POOL.clear()
+            ours = np.random.Philox(seed=_KeyedSeed(key)).state
+            ref = _reference_philox_generator(key).bit_generator.state
+            if ours["bit_generator"] != ref["bit_generator"]:
+                return False
+            pairs = [(ours["state"][f], ref["state"][f]) for f in ("key", "counter")]
+            pairs += [
+                (ours[f], ref[f])
+                for f in ("buffer", "buffer_pos", "has_uint32", "uinteger")
+            ]
+            if not all(np.array_equal(a, b) for a, b in pairs):
+                return False
         return True
     except Exception:
         return False
 
 
-_FAST_CONSTRUCTION = True
 _FAST_CONSTRUCTION = _philox_fast_path_ok()
 
 

@@ -8,8 +8,13 @@ both properties across the key domain (hypothesis), then hold the
 repro models to the equivalences built on them: scalar ``epoch_cost``
 vs ``epoch_cost_batch``, scalar ``accuracy_at_epoch`` vs
 ``accuracy_curve``, matrix rows vs sequential vector draws, and the
-construction-count bound the whole layer exists to enforce.
+construction-count bound the whole layer exists to enforce, and
+finally that threads sharing one cached block or matrix all read the
+keyed stream while it grows under them.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -126,6 +131,65 @@ class TestNoiseMatrix:
         a = noise_matrix(0.03, 3, "width-test")
         b = noise_matrix(0.03, 5, "width-test")
         assert a is not b
+
+
+class TestConcurrentGrowth:
+    """The service runs serial jobs on several threads, so one cached
+    block can grow under concurrent readers. Every read must still be
+    the keyed stream: a growth step that shares a generator or edits
+    the cached array in place hands some reader values from the wrong
+    stream positions (or an IndexError on a half-grown array)."""
+
+    THREADS = 4
+    ROUNDS = 60
+    LENGTHS = (40, 150, 600, 2000, 5000)
+    ROWS = (8, 30, 120, 400)
+    WIDTH = 9
+    SIGMA = 0.05
+
+    def test_concurrent_readers_see_the_stream(self):
+        errors, wrong = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(self.ROUNDS):
+                self._round(("race", round_index), errors, wrong)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_noise_blocks()
+        assert not errors, errors[:3]
+        assert not wrong, f"{len(wrong)} wrong reads, first: {wrong[:3]}"
+
+    def _round(self, key, errors, wrong):
+        expected = rng_for(*key, "block").normal(0.0, self.SIGMA, size=self.LENGTHS[-1])
+        expected_rows = rng_for(*key, "block").normal(
+            0.0, self.SIGMA, size=(self.ROWS[-1], self.WIDTH)
+        )
+        block = noise_block(self.SIGMA, *key)
+        matrix = noise_matrix(self.SIGMA, self.WIDTH, *key)
+        barrier = threading.Barrier(self.THREADS, timeout=30)
+
+        def reader():
+            try:
+                barrier.wait()
+                for length, rows in zip(self.LENGTHS, self.ROWS + (None,)):
+                    if (block.take(np.arange(length)) != expected[:length]).any():
+                        wrong.append(("take", key, length))
+                    if block.value(length - 1) != expected[length - 1]:
+                        wrong.append(("value", key, length))
+                    if rows is None:
+                        continue
+                    if (matrix.row(rows - 1) != expected_rows[rows - 1]).any():
+                        wrong.append(("row", key, rows))
+            except Exception as error:
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=reader) for _ in range(self.THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
 
 
 class TestModelEquivalence:

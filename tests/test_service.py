@@ -9,6 +9,7 @@ over HTTP returns a result trace byte-identical to the committed
 golden render, including under concurrent in-flight jobs.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -72,6 +73,34 @@ def service():
     config = quiet_config(queue={"workers": 4, "capacity": 32})
     with serve_background(config) as (server, url):
         yield server, ServiceClient(url, tenant="tests")
+
+
+@contextlib.contextmanager
+def held_scenario(name):
+    """Register ``name`` as a one-step scenario whose step blocks until
+    the yielded event is set, so a test can observe its job unfinished
+    (a real exhibit may finish before the next request arrives)."""
+    release = threading.Event()
+
+    def hold(scale, seed):
+        from repro.scenarios.result import ExperimentResult
+
+        release.wait(timeout=30)
+        return ExperimentResult(exhibit="hold", title="hold", columns=["v"])
+
+    def plan_fn(scenario, scale, seed):
+        return [AnalysisStep(name="hold", fn=hold)]
+
+    register(
+        Scenario.builder(name).kind("analysis").build(),
+        plan_fn=plan_fn,
+        replace=True,
+    )
+    try:
+        yield name, release
+    finally:
+        release.set()
+        SCENARIO_REGISTRY.pop(name, None)
 
 
 def committed_trace(golden, name):
@@ -184,13 +213,13 @@ class TestGoldenOverHttp:
 class TestJobLifecycle:
     def test_result_before_finish_is_409(self, service):
         _, client = service
-        job = client.submit_scenario("fig08", scale=0.3)
-        try:
+        with held_scenario("service-unfinished-probe") as (name, release):
+            job = client.submit_scenario(name)
             with pytest.raises(ServiceError) as excinfo:
                 client.result(job["id"])
             assert excinfo.value.status == 409
             assert excinfo.value.error_type == "JobNotFinished"
-        finally:
+            release.set()
             client.wait(job["id"], timeout_s=300)
 
     def test_unknown_job_is_404(self, service):
@@ -686,12 +715,40 @@ class TestServerLifecycle:
             assert response.headers["X-Request-Id"].startswith("req-")
             assert float(response.headers["X-Elapsed-Ms"]) >= 0.0
 
+    def test_negative_content_length_is_400(self, service):
+        # A negative length used to reach rfile.read(-1), which holds
+        # the handler thread until the client disconnects; the socket
+        # timeout turns that hang into a failure here.
+        import socket
+
+        server, _ = service
+        host, port = server.server_address[:2]
+        request = (
+            "POST /v1/jobs HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            "Content-Length: -1\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request.encode("ascii"))
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        envelope = json.loads(body)
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == "BadRequest"
+        assert "Content-Length" in envelope["error"]["message"]
+
     def test_wait_times_out(self, service):
         _, client = service
-        job = client.submit_scenario("fig08", scale=0.3)
-        with pytest.raises(TimeoutError):
-            client.wait(job["id"], timeout_s=0.0, poll_s=0.01)
-        client.wait(job["id"], timeout_s=300)
+        with held_scenario("service-wait-probe") as (name, release):
+            job = client.submit_scenario(name)
+            with pytest.raises(TimeoutError):
+                client.wait(job["id"], timeout_s=0.0, poll_s=0.01)
+            release.set()
+            client.wait(job["id"], timeout_s=300)
 
     def test_elapsed_is_tracked(self, service):
         _, client = service
