@@ -12,12 +12,18 @@ PMU observes each event only for its share of the interval, and the
 rescaling estimate adds a small blind-spot error (the paper's §5.3
 caveat). The three fixed-counter events are measured continuously and
 exactly.
+
+Every read goes through one vector kernel over a run of consecutive
+intervals, one row per interval: interval ``k`` of a run that starts at
+noise row ``r`` draws noise row ``r + k``. A single-interval read is
+the one-row case, so a profiled epoch and a lone read share one code
+path and the same IEEE operations per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -29,13 +35,31 @@ from .events import (
     FIXED_COUNTER_EVENTS,
     MISSY_MASK,
     NUM_EVENTS,
-    event_index,
     workload_signature,
 )
 
 #: hardware counter inventory of the simulated CPU (paper §5.3).
 NUM_FIXED_COUNTERS = 3
 NUM_GENERIC_COUNTERS = 2
+
+_FIXED_EVENTS = frozenset(e for e in FIXED_COUNTER_EVENTS if e in EVENT_NAMES)
+if len(_FIXED_EVENTS) > NUM_FIXED_COUNTERS:
+    raise ValueError("more fixed events than fixed counters")
+
+#: positions (in EVENT_NAMES order) of the events multiplexed over the
+#: generic counters.
+_GENERIC_IDX = np.array(
+    [i for i, e in enumerate(EVENT_NAMES) if e not in _FIXED_EVENTS]
+)
+
+#: fraction of wall time each multiplexed event is measured.
+_GENERIC_SHARE = NUM_GENERIC_COUNTERS / len(_GENERIC_IDX)
+
+#: per-event share of the interval the PMU observes: ``_GENERIC_SHARE``
+#: for multiplexed events, exactly 1.0 for fixed-counter ones (so a
+#: product with it leaves fixed events' values bit-for-bit unchanged).
+_OBSERVED_SHARE = np.ones(NUM_EVENTS)
+_OBSERVED_SHARE[_GENERIC_IDX] = _GENERIC_SHARE
 
 
 @dataclass(frozen=True)
@@ -70,9 +94,39 @@ def _modifier_vector(config: TrialConfig) -> np.ndarray:
     return np.where(MISSY_MASK, missy_modifier, 1.0)
 
 
-def _event_modifier(config: TrialConfig, event: str) -> float:
-    """Single-event view of :func:`_modifier_vector`."""
-    return float(_modifier_vector(config)[event_index(event)])
+def _spans_array(spans) -> np.ndarray:
+    """``spans`` as a validated float64 vector of interval durations."""
+    spans = np.asarray(spans, dtype=np.float64)
+    if spans.ndim != 1 or spans.size == 0:
+        raise ValueError("spans must be a non-empty vector of durations")
+    if spans.min() < 0:
+        raise ValueError("duration must be non-negative")
+    return spans
+
+
+def _true_count_rows(
+    config: TrialConfig,
+    spans: np.ndarray,
+    busy_cores: float,
+    first_row: int,
+    noisy: bool,
+) -> np.ndarray:
+    """:func:`true_counts` for consecutive intervals, shape
+    ``(len(spans), NUM_EVENTS)``; ``spans`` is already validated."""
+    core_seconds = spans * max(0.0, busy_cores)
+    signature = workload_signature(config.workload)
+    counts = signature * core_seconds[:, None] * _modifier_vector(config)
+    if noisy:
+        block = noise_matrix(
+            0.03,
+            NUM_EVENTS,
+            config.workload.name,
+            "pmu-noise",
+            config.hyper,
+            config.system,
+        )
+        counts *= np.exp(block.rows(first_row, len(spans)))
+    return counts
 
 
 def true_counts(
@@ -89,22 +143,8 @@ def true_counts(
     because the signature is static and only small per-epoch noise is
     added.
     """
-    if duration_s < 0:
-        raise ValueError("duration must be non-negative")
-    signature = workload_signature(config.workload)
-    core_seconds = duration_s * max(0.0, busy_cores)
-    counts = signature * core_seconds * _modifier_vector(config)
-    if noisy:
-        block = noise_matrix(
-            0.03,
-            NUM_EVENTS,
-            config.workload.name,
-            "pmu-noise",
-            config.hyper,
-            config.system,
-        )
-        counts *= np.exp(block.row(epoch))
-    return counts
+    spans = _spans_array([duration_s])
+    return _true_count_rows(config, spans, busy_cores, epoch, noisy)[0]
 
 
 class Pmu:
@@ -112,61 +152,72 @@ class Pmu:
 
     def __init__(self, seed: int = 0):
         self._seed = seed
-        fixed = [e for e in FIXED_COUNTER_EVENTS if e in EVENT_NAMES]
-        if len(fixed) > NUM_FIXED_COUNTERS:
-            raise ValueError("more fixed events than fixed counters")
-        self._fixed = frozenset(fixed)
-        self._generic_events = [e for e in EVENT_NAMES if e not in self._fixed]
-        self._generic_idx = np.array(
-            [i for i, e in enumerate(EVENT_NAMES) if e not in self._fixed]
-        )
 
     @property
     def generic_share(self) -> float:
         """Fraction of wall time each multiplexed event is measured."""
-        return NUM_GENERIC_COUNTERS / len(self._generic_events)
+        return _GENERIC_SHARE
 
     def _observe(
         self,
         config: TrialConfig,
-        duration_s: float,
+        spans: np.ndarray,
         busy_cores: float,
-        epoch: int,
+        first_row: int,
         noisy: bool,
     ):
-        """Vector kernel shared by :meth:`read_interval` and
-        :meth:`final_counts`: returns ``(raw, time_running)`` arrays in
-        :data:`EVENT_NAMES` order (``time_enabled`` is ``duration_s``
-        for every event).
+        """The PMU kernel: one read per interval of ``spans``.
+
+        Returns ``(raw, time_running)`` arrays of shape
+        ``(len(spans), NUM_EVENTS)`` in :data:`EVENT_NAMES` order
+        (``time_enabled`` is the row's span for every event). Row ``k``
+        draws noise row ``first_row + k`` of both noise matrices.
 
         Multiplexed events observe only ``generic_share`` of the
         interval; their raw counts carry extra sampling error because
         the unobserved windows may not look like the observed ones
         (blind spots, §5.3). The nth generic event consumes the nth
-        blind-spot draw, so the noise stream matches the historical
-        per-event loop draw for draw.
+        blind-spot draw of its row.
         """
-        truth = true_counts(config, duration_s, busy_cores, epoch=epoch, noisy=noisy)
-        share = self.generic_share
-        generic = self._generic_idx
-        raw = truth.copy()
-        raw[generic] = truth[generic] * share
+        raw = _true_count_rows(config, spans, busy_cores, first_row, noisy)
+        raw *= _OBSERVED_SHARE
         if noisy:
             block = noise_matrix(
                 # Blind-spot error shrinks with the observed share.
-                0.02 * (1.0 - share),
-                len(generic),
+                0.02 * (1.0 - _GENERIC_SHARE),
+                len(_GENERIC_IDX),
                 "pmu-mux",
                 self._seed,
                 config.workload.name,
                 config.hyper,
                 config.system,
             )
-            blind = block.row(epoch)
-            raw[generic] = raw[generic] * np.maximum(0.0, 1.0 + blind)
-        running = np.full(NUM_EVENTS, duration_s)
-        running[generic] = duration_s * share
+            blind = block.rows(first_row, len(spans))
+            raw[:, _GENERIC_IDX] *= np.maximum(0.0, 1.0 + blind)
+        running = spans[:, None] * _OBSERVED_SHARE
         return raw, running
+
+    def final_counts_batch(
+        self,
+        config: TrialConfig,
+        spans,
+        busy_cores: float,
+        first_row: int = 0,
+        noisy: bool = True,
+    ) -> np.ndarray:
+        """Rescaled (``final_count``) rows for consecutive intervals.
+
+        Row ``k`` is bit-identical to ``final_counts(config, spans[k],
+        busy_cores, epoch=first_row + k, noisy=noisy)``.
+        """
+        spans = _spans_array(spans)
+        raw, running = self._observe(config, spans, busy_cores, first_row, noisy)
+        observed = running > 0.0
+        # Same operand order as CounterReading.final_count
+        # ((raw * enabled) / running) so results stay bit-identical.
+        final = raw * spans[:, None] / np.where(observed, running, 1.0)
+        final[~observed] = 0.0
+        return final
 
     def read_interval(
         self,
@@ -182,15 +233,16 @@ class Pmu:
         only need the rescaled vector should use :meth:`final_counts`,
         which shares the same kernel without materializing readings.
         """
-        raw, running = self._observe(config, duration_s, busy_cores, epoch, noisy)
+        spans = _spans_array([duration_s])
+        raw, running = self._observe(config, spans, busy_cores, epoch, noisy)
         return {
             event: CounterReading(
                 event=event,
-                raw_count=raw[i],
+                raw_count=raw_count,
                 time_enabled=duration_s,
-                time_running=running[i],
+                time_running=time_running,
             )
-            for i, event in enumerate(EVENT_NAMES)
+            for event, raw_count, time_running in zip(EVENT_NAMES, raw[0], running[0])
         }
 
     def final_counts(
@@ -206,10 +258,5 @@ class Pmu:
         Fast path equivalent to collecting ``final_count`` from
         :meth:`read_interval`, without building 58 dataclasses.
         """
-        raw, running = self._observe(config, duration_s, busy_cores, epoch, noisy)
-        observed = running > 0.0
-        # Same operand order as CounterReading.final_count
-        # ((raw * enabled) / running) so results stay bit-identical.
-        final = raw * duration_s / np.where(observed, running, 1.0)
-        final[~observed] = 0.0
-        return final
+        rows = self.final_counts_batch(config, [duration_s], busy_cores, epoch, noisy)
+        return rows[0]

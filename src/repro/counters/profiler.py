@@ -5,9 +5,10 @@ during an epoch and stores the per-epoch average — that average vector
 is the workload's fingerprint used by the ground-truth phase.
 
 :class:`EpochProfiler` reproduces that: it divides an epoch into 1 s
-sampling windows, reads the PMU per window, averages, and produces an
-:class:`EpochProfile` whose :meth:`~EpochProfile.feature_vector` is the
-log-scaled representation consumed by the clustering similarity
+sampling windows, groups them into at most :data:`MAX_STRATA` strata,
+reads all strata through one batched PMU call, averages, and produces
+an :class:`EpochProfile` whose :meth:`~EpochProfile.feature_vector` is
+the log-scaled representation consumed by the clustering similarity
 function.
 """
 
@@ -30,8 +31,10 @@ SAMPLE_PERIOD_S = 1.0
 #: (perf's sampling cost; kept small — §7.3 "profiling overhead").
 PROFILING_OVERHEAD = 0.015
 
-#: upper bound on sampling strata per epoch; also the stride that maps
-#: (epoch, stratum) onto a dense PMU noise-row index.
+#: upper bound on sampling strata per epoch, i.e. on the rows of the
+#: one batched PMU read per profiled epoch. Also the stride of the PMU
+#: noise rows: epoch ``e`` reads rows ``e * MAX_STRATA`` onwards, one
+#: per stratum, so the rows stay dense and never overlap across epochs.
 MAX_STRATA = 8
 
 
@@ -100,32 +103,29 @@ class EpochProfiler:
         """Profile one epoch of a trial.
 
         The epoch is split into ceil(duration) one-second windows (the
-        last one possibly fractional); each window is one PMU read with
-        multiplexing; the profile stores the average rate.
+        last one possibly fractional). Sampling every simulated second
+        individually would dominate run time for minute-long epochs;
+        counts are linear in window length, so the windows are grouped
+        into at most :data:`MAX_STRATA` equal strata, each keeping its
+        own multiplexing noise. All strata are read in one PMU call
+        (one row per stratum), summed stratum by stratum, and the
+        profile stores the average rate.
         """
         if duration_s <= 0:
             raise ValueError("epoch duration must be positive")
         windows = max(1, math.ceil(duration_s / SAMPLE_PERIOD_S))
-        # Sampling every simulated second individually would dominate
-        # run time for minute-long epochs; counts are linear in window
-        # length, so we batch the windows into a handful of strata and
-        # keep per-stratum multiplexing noise.
         strata = min(windows, MAX_STRATA)
-        total = np.zeros(NUM_EVENTS)
+        spans = np.empty(strata)
         remaining = duration_s
         for s in range(strata):
-            span = remaining / (strata - s)
+            spans[s] = span = remaining / (strata - s)
             remaining -= span
-            total += self.pmu.final_counts(
-                config,
-                span,
-                busy_cores,
-                # Stratum index into the trial's PMU noise rows; dense
-                # (MAX_STRATA-strided) because rows up to the largest
-                # index are materialised by the draw-ahead matrix.
-                epoch=epoch * MAX_STRATA + s,
-                noisy=noisy,
-            )
+        counts = self.pmu.final_counts_batch(
+            config, spans, busy_cores, epoch * MAX_STRATA, noisy
+        )
+        total = np.zeros(NUM_EVENTS)
+        for row in counts:
+            total += row
         return EpochProfile(
             workload=config.workload.name,
             epoch=epoch,

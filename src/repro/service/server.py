@@ -36,6 +36,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """One HTTP exchange -> Request -> app -> JSON envelope."""
 
     protocol_version = "HTTP/1.1"
+    # _write sends headers and body in separate writes; with Nagle's
+    # algorithm on, a kept-alive connection holds each body until the
+    # client's delayed ACK arrives (~40 ms per request).
+    disable_nagle_algorithm = True
     server: "ServiceHTTPServer"
 
     # the access_log middleware is the logging surface; the default

@@ -125,7 +125,8 @@ class NoiseMatrix(_DrawAhead):
     The vector analogue of :class:`NoiseBlock` for consumers that draw a
     fixed-width normal vector per epoch (the PMU draws one value per
     hardware event). ``row(i)`` is bit-identical to the ``i``-th
-    sequential ``normal(0.0, sigma, size=width)`` call on the stream:
+    sequential ``normal(0.0, sigma, size=width)`` call on the stream
+    (and :meth:`rows` serves a run of consecutive rows in one slice):
     numpy fills multi-dimensional draws in C order from the same
     underlying double sequence, so growing by whole rows extends the
     stream exactly like the scalar case. Row indices are positions, not
@@ -146,9 +147,16 @@ class NoiseMatrix(_DrawAhead):
 
     def row(self, index: int) -> np.ndarray:
         """The ``index``-th vector draw of the stream (0-based)."""
-        if index < 0:
+        return self.rows(index, 1)[0]
+
+    def rows(self, start: int, count: int) -> np.ndarray:
+        """Rows ``start .. start + count - 1`` as one ``(count, width)``
+        copy; row ``k`` of the result equals ``row(start + k)``."""
+        if start < 0:
             raise ValueError("noise index must be >= 0")
-        return self._ensure(index + 1)[index].copy()
+        if count < 1:
+            raise ValueError("row count must be >= 1")
+        return self._ensure(start + count)[start : start + count].copy()
 
 
 _MATRIX_CACHE: Dict[Tuple, "NoiseMatrix"] = {}

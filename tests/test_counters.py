@@ -302,11 +302,116 @@ class TestVectorizedFastPath:
             a[0] = 1.0
 
     def test_modifier_vector_matches_scalar_modifier(self):
-        from repro.counters.pmu import _event_modifier, _modifier_vector
+        from repro.counters.events import MISSY_MASK
+        from repro.counters.pmu import _modifier_vector
+        from repro.workloads.perfmodel import memory_penalty
 
         starved = config(batch=1024, memory=4.0)
-        vector = _modifier_vector(starved)
+        penalty = memory_penalty(starved.workload, starved.hyper, starved.system)
+        missy = penalty**1.5 * (32.0 / max(32, starved.hyper.batch_size)) ** 0.1
         scalars = np.array(
-            [_event_modifier(starved, e) for e in EVENT_NAMES]
+            [missy if MISSY_MASK[event_index(e)] else 1.0 for e in EVENT_NAMES]
         )
-        np.testing.assert_array_equal(vector, scalars)
+        np.testing.assert_array_equal(_modifier_vector(starved), scalars)
+
+
+def _reference_final_counts(pmu, c, duration_s, busy_cores, row, noisy):
+    """The one-interval PMU read as a 58-vector kernel, written out
+    independently of the batched one: the same IEEE operations in the
+    same order, reading one noise row at a time."""
+    from repro.counters.pmu import _modifier_vector
+    from repro.workloads.noise import noise_matrix
+
+    truth = workload_signature(c.workload) * (duration_s * max(0.0, busy_cores))
+    truth = truth * _modifier_vector(c)
+    if noisy:
+        noise = noise_matrix(
+            0.03, NUM_EVENTS, c.workload.name, "pmu-noise", c.hyper, c.system
+        )
+        truth *= np.exp(noise.row(row))
+    share = pmu.generic_share
+    generic = np.array(
+        [i for i, e in enumerate(EVENT_NAMES) if e not in FIXED_COUNTER_EVENTS]
+    )
+    raw = truth.copy()
+    raw[generic] = truth[generic] * share
+    if noisy:
+        blind = noise_matrix(
+            0.02 * (1.0 - share),
+            len(generic),
+            "pmu-mux",
+            pmu._seed,
+            c.workload.name,
+            c.hyper,
+            c.system,
+        ).row(row)
+        raw[generic] = raw[generic] * np.maximum(0.0, 1.0 + blind)
+    running = np.full(NUM_EVENTS, duration_s)
+    running[generic] = duration_s * share
+    observed = running > 0.0
+    final = raw * duration_s / np.where(observed, running, 1.0)
+    final[~observed] = 0.0
+    return final
+
+
+def _reference_profile(pmu, c, epoch, duration_s, busy_cores, noisy):
+    """The per-stratum loop profile_epoch replaced: one read per
+    stratum, summed in stratum order, averaged over the epoch."""
+    from repro.counters.profiler import MAX_STRATA
+
+    strata = min(max(1, math.ceil(duration_s)), MAX_STRATA)
+    total = np.zeros(NUM_EVENTS)
+    remaining = duration_s
+    for s in range(strata):
+        span = remaining / (strata - s)
+        remaining -= span
+        total += _reference_final_counts(
+            pmu, c, span, busy_cores, epoch * MAX_STRATA + s, noisy
+        )
+    return total / duration_s, strata
+
+
+class TestBatchedKernelBitIdentity:
+    """One batched PMU read per profiled epoch must give exactly the
+    numbers of one read per stratum (assert_array_equal, not approx)."""
+
+    @pytest.mark.parametrize("workload", [LENET_MNIST, CNN_NEWS20])
+    @pytest.mark.parametrize("duration_s", [0.4, 2.5, 7.5, 60.0])
+    @pytest.mark.parametrize("noisy", [True, False])
+    @pytest.mark.parametrize("epoch", [0, 5])
+    @pytest.mark.parametrize("busy", [6.0, 0.0])
+    def test_profile_epoch_matches_per_stratum_loop(
+        self, workload, duration_s, noisy, epoch, busy
+    ):
+        c = config(workload)
+        pmu = Pmu()
+        expected, strata = _reference_profile(pmu, c, epoch, duration_s, busy, noisy)
+        profile = EpochProfiler(pmu).profile_epoch(c, epoch, duration_s, busy, noisy)
+        np.testing.assert_array_equal(profile.avg_events_per_s, expected)
+        assert profile.samples == math.ceil(duration_s)
+        assert strata == {0.4: 1, 2.5: 3}.get(duration_s, 8)
+
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_final_counts_matches_reference(self, noisy):
+        c = config(CNN_NEWS20, batch=256, memory=4.0)
+        pmu = Pmu(seed=3)
+        for row, duration_s in ((0, 0.4), (7, 2.5), (41, 60.0)):
+            np.testing.assert_array_equal(
+                pmu.final_counts(c, duration_s, 4.0, epoch=row, noisy=noisy),
+                _reference_final_counts(pmu, c, duration_s, 4.0, row, noisy),
+            )
+
+    def test_batch_rows_match_single_reads(self):
+        c = config(LENET_FASHION)
+        pmu = Pmu()
+        spans = [0.5, 1.25, 3.0]
+        rows = pmu.final_counts_batch(c, spans, 6.0, first_row=16)
+        for k, span in enumerate(spans):
+            np.testing.assert_array_equal(
+                rows[k], pmu.final_counts(c, span, 6.0, epoch=16 + k)
+            )
+
+    @pytest.mark.parametrize("spans", [[], [1.0, -0.5], [[1.0]]])
+    def test_bad_spans_rejected(self, spans):
+        with pytest.raises(ValueError):
+            Pmu().final_counts_batch(config(), spans, 4.0)

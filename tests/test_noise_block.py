@@ -127,6 +127,26 @@ class TestNoiseMatrix:
         row[:] = 0.0
         assert (matrix.row(1) != 0.0).any()
 
+    def test_rows_match_single_row_reads(self):
+        matrix = noise_matrix(0.03, 58, "rows-test")
+        for start, count in ((0, 1), (0, 8), (3, 5), (40, 8)):
+            np.testing.assert_array_equal(
+                matrix.rows(start, count),
+                np.stack([matrix.row(i) for i in range(start, start + count)]),
+            )
+
+    def test_rows_returns_a_copy(self):
+        matrix = noise_matrix(0.03, 4, "rows-copy-test")
+        before = matrix.rows(2, 3)
+        block = matrix.rows(2, 3)
+        block[:] = 0.0
+        np.testing.assert_array_equal(matrix.rows(2, 3), before)
+
+    @pytest.mark.parametrize("start, count", [(-1, 2), (0, 0), (4, -1)])
+    def test_rows_rejects_bad_range(self, start, count):
+        with pytest.raises(ValueError):
+            noise_matrix(0.03, 4, "rows-range-test").rows(start, count)
+
     def test_width_in_cache_key(self):
         a = noise_matrix(0.03, 3, "width-test")
         b = noise_matrix(0.03, 5, "width-test")

@@ -741,6 +741,30 @@ class TestServerLifecycle:
         assert envelope["error"]["type"] == "BadRequest"
         assert "Content-Length" in envelope["error"]["message"]
 
+    def test_keep_alive_requests_do_not_stall(self, service):
+        # Headers and body go out in two writes; with Nagle's algorithm
+        # on, each body on a kept-alive connection waited for the
+        # client's delayed ACK (about 40 ms).
+        import http.client
+        import statistics
+
+        server, _ = service
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        elapsed = []
+        try:
+            for _ in range(5):
+                start = time.perf_counter()
+                connection.request("GET", "/v1/scenarios")
+                response = connection.getresponse()
+                body = response.read()
+                elapsed.append(time.perf_counter() - start)
+                assert response.status == 200
+                assert json.loads(body)["ok"] is True
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
+
     def test_wait_times_out(self, service):
         _, client = service
         with held_scenario("service-wait-probe") as (name, release):
