@@ -1,7 +1,8 @@
 """Shared helpers for the per-exhibit benchmark suite.
 
-Each benchmark module regenerates one table/figure of the paper via
-``repro.experiments``; the rendered table is written to
+Each benchmark module regenerates one table/figure of the paper
+through its registered scenario (``repro.experiments.EXHIBIT_RUNS``
+runs it via ``repro.scenarios``); the rendered table is written to
 ``benchmarks/results/<exhibit>.txt`` so a full ``pytest benchmarks/
 --benchmark-only`` run leaves the reproduced exhibits on disk.
 

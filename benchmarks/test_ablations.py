@@ -11,7 +11,7 @@ mechanism disabled and reports the cost of losing it:
 
 from repro.core.pipetune import PipeTuneConfig
 from repro.core.probing import ProbeSample, ProbingController
-from repro.experiments.harness import (
+from repro.scenarios import (
     execute_job,
     make_pipetune_session,
     make_pipetune_spec,

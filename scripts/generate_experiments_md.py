@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md from a full-scale run of every exhibit.
 
-Runs each module in ``repro.experiments`` at scale 1.0 (a few minutes
-total), renders the measured tables, and records them side by side
-with the paper's reported claims.
+Runs every paper scenario of the registry (``scenario_names("paper")``)
+at scale 1.0 (a few minutes total), renders the measured tables, and
+records them side by side with the paper's reported claims.
 
 Usage::
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.experiments import EXHIBITS
+from repro.scenarios import run_scenario, scenario_names
 
 #: (exhibit, paper claim, shape check description)
 PAPER_CLAIMS = {
@@ -116,11 +116,11 @@ Summary of fidelity:
 
 def main(path: str = "EXPERIMENTS.md") -> None:
     sections = [HEADER]
-    for key, module in EXHIBITS.items():
+    for key in scenario_names("paper"):
         claim, shape = PAPER_CLAIMS[key]
         print(f"running {key} ...", flush=True)
         started = time.time()
-        result = module.run(scale=1.0, seed=0)
+        result = run_scenario(key, scale=1.0, seed=0)
         elapsed = time.time() - started
         print(f"  done in {elapsed:.1f}s ({len(result.rows)} rows)")
         sections.append(f"## {result.exhibit}: {result.title}\n")

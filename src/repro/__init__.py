@@ -34,7 +34,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.scenarios` — declarative scenario API + registry (the
   front door: every paper exhibit and novel experiment is a declared
   scenario run by the ScenarioRunner)
-* :mod:`repro.experiments` — exhibit shims + golden-trace harness
+* :mod:`repro.experiments` — canonical exhibit parameters + golden
+  traces
 """
 
 from .core import (

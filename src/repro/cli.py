@@ -21,19 +21,16 @@ drives it (see README, "Running as a service")::
     python -m repro.cli client submit fig09 --wait
     python -m repro.cli client scenarios
 
-Legacy entry points stay available (``run`` is a deprecated alias of
-``scenario run`` kept for scripts; prefer the scenario API)::
+One workload can also be tuned directly, outside any scenario::
 
-    python -m repro.cli list
-    python -m repro.cli run table2 --scale 0.5 --seed 1
     python -m repro.cli tune lenet-mnist --system pipetune
 
 Every subcommand accepts ``--json`` and then emits the shared envelope
 ``{"ok": bool, "data": ..., "error": ...}`` on stdout — errors exit
 non-zero with a machine-readable body instead of prose on stderr.
-``run ... --out`` writes tables through the golden-trace serializer
-and refuses (without ``--force``) to write files named like the
-committed exhibits at non-canonical parameters.
+``scenario run ... --out`` writes tables through the golden-trace
+serializer and refuses (without ``--force``) to write files named like
+the committed exhibits at non-canonical parameters.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .experiments import EXHIBIT_RUNS, EXHIBITS, golden
+from .experiments import EXHIBIT_RUNS, golden
 from .scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
@@ -54,6 +51,7 @@ from .scenarios import (
     NoSweepRuns,
     OutcomeCache,
     ScenarioError,
+    SerialBackend,
     StepExecutionError,
     SweepError,
     SweepRunStore,
@@ -70,7 +68,6 @@ from .scenarios import (
     resolve_cache_dir,
     run_sweep,
 )
-from .scenarios.backends import ContainedSerialBackend
 from .scenarios.views import (
     failure_view,
     jsonify,
@@ -120,109 +117,8 @@ def _cache_opts(args):
 
 
 # ---------------------------------------------------------------------------
-# Legacy exhibit commands
+# One-off tuning
 # ---------------------------------------------------------------------------
-
-
-def _cmd_list(args) -> int:
-    entries = [
-        {
-            "exhibit": key,
-            "title": (module.__doc__ or "").strip().splitlines()[0],
-        }
-        for key, module in EXHIBITS.items()
-    ]
-    if args.json:
-        return _emit_ok(entries)
-    width = max(len(entry["exhibit"]) for entry in entries)
-    for entry in entries:
-        print(f"{entry['exhibit']:<{width}}  {entry['title']}")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    print(
-        "note: `repro run` is deprecated; use `repro scenario run` "
-        "(same exhibits, richer output)",
-        file=sys.stderr,
-    )
-    keys: List[str]
-    if args.exhibit == "all":
-        keys = list(EXHIBITS)
-    elif args.exhibit in EXHIBITS:
-        keys = [args.exhibit]
-    else:
-        return _fail(
-            args,
-            "UnknownExhibit",
-            f"unknown exhibit {args.exhibit!r}; choose from: "
-            f"{', '.join(EXHIBITS)} or 'all'",
-        )
-    # Unspecified --scale/--seed resolve per exhibit: the canonical
-    # golden-trace parameters when writing --out (so `run all --out`
-    # reproduces the committed files exactly), 1.0/0 otherwise.
-    def resolve(key):
-        canonical = EXHIBIT_RUNS[key]
-        scale = args.scale
-        if scale is None:
-            scale = canonical.scale if args.out else 1.0
-        seed = args.seed
-        if seed is None:
-            seed = canonical.seed if args.out else 0
-        return scale, seed
-
-    if args.out:
-        # the committed exhibits regenerate only at their canonical
-        # parameters; refuse to write identically-named files from an
-        # explicitly different (scale, seed) unless the user forces it.
-        mismatched = [
-            key
-            for key in keys
-            if resolve(key) != (EXHIBIT_RUNS[key].scale, EXHIBIT_RUNS[key].seed)
-        ]
-        if mismatched and not args.force:
-            canonical = ", ".join(
-                f"{k}=(scale {EXHIBIT_RUNS[k].scale}, seed {EXHIBIT_RUNS[k].seed})"
-                for k in mismatched
-            )
-            return _fail(
-                args,
-                "NonCanonicalOut",
-                f"refusing --out at non-canonical parameters for {mismatched} "
-                f"(canonical: {canonical}); files under --out are named like "
-                "the committed golden traces. Re-run with --force to write "
-                "anyway, or drop --scale/--seed overrides.",
-            )
-        if mismatched:
-            print(
-                f"warning: writing {mismatched} at non-canonical parameters "
-                "(--force)",
-                file=sys.stderr,
-            )
-    rendered = []
-    for key in keys:
-        scale, seed = resolve(key)
-        started = time.time()  # repro: allow[DET001] -- CLI elapsed timing
-        result = EXHIBITS[key].run(scale=scale, seed=seed)
-        elapsed = time.time() - started  # repro: allow[DET001] -- CLI elapsed timing
-        if args.json:
-            rendered.append(
-                {
-                    "exhibit": key,
-                    "scale": scale,
-                    "seed": seed,
-                    "elapsed_s": round(elapsed, 3),
-                    "result": result.as_dict(),
-                }
-            )
-        else:
-            print(result.format_table())
-            print(f"[{key}: {elapsed:.1f}s]\n")
-        if args.out:
-            golden.write_trace(key, golden.render_result(result), args.out)
-    if args.json:
-        return _emit_ok(rendered)
-    return 0
 
 
 def _cmd_tune(args) -> int:
@@ -393,7 +289,7 @@ def _cmd_scenario_run(args) -> int:
         # as a traceback: serial runs swap in the containing backend
         # (pool semantics) so failures arrive as structured outcomes.
         backend = (
-            ContainedSerialBackend()
+            SerialBackend(contain=True)
             if args.json and (args.workers is None or args.workers <= 1)
             else None
         )
@@ -797,37 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="PipeTune reproduction command line"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    lst = sub.add_parser("list", help="list reproducible exhibits")
-    lst.add_argument("--json", action="store_true", help="structured output")
-    lst.set_defaults(func=_cmd_list)
-
-    run = sub.add_parser(
-        "run",
-        help="regenerate one exhibit (or 'all') [deprecated: use scenario run]",
-    )
-    run.add_argument("exhibit", help="fig01..fig14, table2 or 'all'")
-    run.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="fidelity factor (default 1.0; with --out, each exhibit's "
-        "canonical scale)",
-    )
-    run.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="base seed (default 0; with --out, each exhibit's canonical seed)",
-    )
-    run.add_argument("--json", action="store_true", help="structured output")
-    run.add_argument("--out", help="directory to write rendered tables to")
-    run.add_argument(
-        "--force",
-        action="store_true",
-        help="allow --out at non-canonical --scale/--seed",
-    )
-    run.set_defaults(func=_cmd_run)
 
     tune = sub.add_parser("tune", help="tune one workload with one system")
     tune.add_argument(

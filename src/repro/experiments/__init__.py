@@ -1,44 +1,21 @@
-"""Experiment harness: one module per table/figure of the paper's §7.
+"""Committed exhibits: canonical run parameters + golden-trace harness.
 
-Every module exposes ``run(scale=1.0, seed=0) -> ExperimentResult``;
-``scale < 1`` shrinks seeds/repetitions for fast benchmark runs.
+Every exhibit is a registered scenario (:mod:`repro.scenarios`);
+this package only records the (scale, seed) each committed trace
+under ``benchmarks/results/`` is regenerated at
+(:data:`EXHIBIT_RUNS`) and byte-diffs the result
+(:mod:`repro.experiments.golden`).
 """
 
-from typing import Optional
+from __future__ import annotations
 
-from . import (
-    fig01_cost,
-    fig02_heatmap,
-    fig03_impact,
-    fig05_contention,
-    fig08_clusters,
-    fig09_convergence,
-    fig10_trialtime,
-    fig11_single_tenancy,
-    fig12_type3,
-    fig13_mt_type12,
-    fig14_mt_type3,
-    table2,
-)
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
-from .harness import ExperimentResult
+from ..scenarios import run_scenario
 
-#: registry of every reproduced exhibit, in paper order.
-EXHIBITS = {
-    "fig01": fig01_cost,
-    "fig02": fig02_heatmap,
-    "fig03": fig03_impact,
-    "fig05": fig05_contention,
-    "table2": table2,
-    "fig08": fig08_clusters,
-    "fig09": fig09_convergence,
-    "fig10": fig10_trialtime,
-    "fig11": fig11_single_tenancy,
-    "fig12": fig12_type3,
-    "fig13": fig13_mt_type12,
-    "fig14": fig14_mt_type3,
-}
+if TYPE_CHECKING:
+    from ..scenarios.result import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -55,28 +32,11 @@ class ExhibitRun:
     scale: float
     seed: int = 0
 
-    @property
-    def module(self):
-        return EXHIBITS[self.name]
-
-    def run(
-        self, workers: Optional[int] = None, backend=None
-    ) -> ExperimentResult:
-        """Regenerate at the canonical parameters. ``workers > 1``
-        executes the underlying scenario on a process pool — the
-        rendered bytes are identical for any worker count.
-
-        A name without a paper-exhibit module resolves through the
-        scenario registry instead — the hostile-world pack commits its
-        goldens through the same manifest as the paper figures. When a
-        ``backend`` override is given (e.g. a caching backend), every
-        name routes through the registry: the paper-exhibit shims are
-        thin wrappers over the same registered scenarios, so the bytes
-        match (tests/test_scenarios_parallel.py proves it)."""
-        if backend is None and self.name in EXHIBITS:
-            return self.module.run(scale=self.scale, seed=self.seed, workers=workers)
-        from ..scenarios import run_scenario  # late: scenarios import us
-
+    def run(self, workers: Optional[int] = None, backend=None) -> ExperimentResult:
+        """Regenerate at the canonical parameters through the scenario
+        registry. ``workers > 1`` executes on a process pool and
+        ``backend`` overrides the backend outright (e.g. a caching
+        one); the rendered bytes are identical either way."""
         return run_scenario(
             self.name,
             scale=self.scale,
@@ -102,11 +62,11 @@ EXHIBIT_RUNS = {
         ExhibitRun("fig12", scale=0.67),
         ExhibitRun("fig13", scale=0.67),
         ExhibitRun("fig14", scale=0.67),
-        # hostile-world pack (PR 6): registry scenarios, no module.
+        # hostile-world pack
         ExhibitRun("spot-market-lenet", scale=1.0),
         ExhibitRun("churn-and-crashes", scale=1.0),
         ExhibitRun("hostile-storm", scale=1.0),
     )
 }
 
-__all__ = ["EXHIBITS", "EXHIBIT_RUNS", "ExhibitRun", "ExperimentResult"]
+__all__ = ["EXHIBIT_RUNS", "ExhibitRun"]

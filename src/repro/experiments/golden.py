@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..scenarios.backends import map_tasks
+from ..scenarios.cache import cached_backend
 from . import EXHIBIT_RUNS
 
 #: benchmarks/results relative to the repository root (three levels up
@@ -69,8 +71,6 @@ def _render_with_stats(
     contract extends to hits — recalled bytes == recomputed bytes."""
     if cache_dir is None:
         return render_result(EXHIBIT_RUNS[name].run(workers=workers)), None
-    from ..scenarios.cache import cached_backend  # late: heavy import
-
     backend = cached_backend(cache_dir=cache_dir, workers=workers)
     result = EXHIBIT_RUNS[name].run(backend=backend)
     return render_result(result), backend.stats
@@ -168,10 +168,6 @@ def _check_task(payload) -> ExhibitDiff:
 
 
 def _map_exhibits(task, names: List[str], workers, jobs, cache_dir=None) -> List:
-    # Late import: repro.scenarios imports repro.experiments pieces via
-    # the shims' harness re-export; keep golden importable standalone.
-    from ..scenarios.backends import map_tasks
-
     return map_tasks(
         task, [(name, workers, cache_dir) for name in names], workers=jobs
     )

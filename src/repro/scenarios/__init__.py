@@ -63,7 +63,6 @@ from .runner import (
 )
 from .backends import (
     ChainExecutor,
-    ContainedSerialBackend,
     ProcessPoolBackend,
     SerialBackend,
     backend_for,
@@ -143,7 +142,6 @@ __all__ = [
     "ChainExecutor",
     "ChainFailure",
     "ClusterSpec",
-    "ContainedSerialBackend",
     "ExecutionChain",
     "ExperimentResult",
     "FailureSpec",

@@ -2,16 +2,17 @@
 
 The scenario *declaration* never changes; *where and how* its steps
 execute is a backend decision (the RAFDA separation of application
-logic from distribution policy). Two backends ship:
+logic from distribution policy). Both backends split the plan into
+execution chains (:func:`~repro.scenarios.planner.partition`) and
+merge the outcomes back in plan order
+(:func:`~repro.scenarios.merge.merge_outcomes`):
 
-* :class:`SerialBackend` — today's behaviour, steps in plan order in
-  this process; the PipeTune sessions it built stay inspectable via
+* :class:`SerialBackend` — chains in order, in this process; the
+  PipeTune sessions it built stay inspectable via
   :attr:`~repro.scenarios.runner.ScenarioRunner.sessions`;
-* :class:`ProcessPoolBackend` — fans the plan's execution chains
-  (:func:`~repro.scenarios.planner.partition`) out over a
+* :class:`ProcessPoolBackend` — chains fanned out over a
   multiprocessing pool: session-sharing chains run in order on one
-  worker, independent chains concurrently, and outcomes merge back in
-  plan order (:func:`~repro.scenarios.merge.merge_outcomes`).
+  worker, independent chains concurrently.
 
 Both produce bit-identical outcomes: every step runs on a fresh
 :class:`~repro.simulation.des.Environment`, sessions are rebuilt in
@@ -25,12 +26,13 @@ Step execution itself lives in :class:`ChainExecutor` — the single
 implementation both backends (and the sweep subsystem's workers)
 drive; its inputs are plain picklable declarations.
 
-Both backends also survive their own failures (PR 6). A step that
-raises is wrapped in :class:`~repro.scenarios.containment.
+Whether a failure is contained is a setting, not a second backend. A
+step that raises is wrapped in :class:`~repro.scenarios.containment.
 StepExecutionError` so the error names its scenario, plan position and
-chain; under the pool the failure is *contained* in the worker and
-comes back as :class:`~repro.scenarios.containment.ChainFailure`
-outcomes instead of poisoning the pool, and a worker that dies outright
+chain; with ``SerialBackend(contain=True)`` and always under the pool
+the failure is *contained* and comes back as
+:class:`~repro.scenarios.containment.ChainFailure` outcomes instead of
+poisoning the run, and a pool worker that dies outright
 (segfault, OOM-kill) triggers bounded isolated retries before the
 affected chain is reported as failed — all other chains still complete.
 """
@@ -54,7 +56,7 @@ from ..workloads.spec import WorkloadSpec
 from .containment import ChainFailure, StepExecutionError, format_traceback
 from .jobs import session_for_cluster
 from .merge import merge_outcomes
-from .planner import ExecutionChain, chain_of_step, partition
+from .planner import ExecutionChain, partition
 from .runner import (
     AnalysisStep,
     FixedTrialStep,
@@ -122,7 +124,8 @@ class ChainExecutor:
 
         With ``contain=False`` (default) the first raising step
         escapes as a :class:`StepExecutionError` carrying its
-        execution context. With ``contain=True`` the failure is turned
+        execution context (one the step itself raised escapes as is).
+        With ``contain=True`` the failure is turned
         into outcomes instead: the raising position becomes a
         :class:`ChainFailure` with the error and traceback, every
         later position of the same chain a skipped one (its session
@@ -158,6 +161,8 @@ class ChainExecutor:
                 outcomes.append(self.run_step(step))
             except Exception as error:
                 if not contain:
+                    if isinstance(error, StepExecutionError):
+                        raise
                     raise StepExecutionError(
                         self.scenario.name,
                         chain.index,
@@ -286,70 +291,32 @@ class ChainExecutor:
 
 
 class SerialBackend:
-    """Steps in plan order, in-process — the historical behaviour.
+    """Chains in order, in this process; outcomes merged into plan order.
 
-    Errors are not contained here (an interactive run wants the
-    traceback), but they are contextualised: any raising step escapes
-    as a :class:`StepExecutionError` naming the scenario, plan
-    position, step and chain, with the original chained as its cause.
-    """
+    The PipeTune sessions it built stay inspectable via
+    :attr:`~repro.scenarios.runner.ScenarioRunner.sessions`.
 
-    workers = 1
-
-    def run(self, plan: ScenarioPlan) -> Tuple[List, Dict[SystemPolicySpec, object]]:
-        executor = ChainExecutor.for_plan(plan)
-        lookup = chain_of_step(partition(plan))
-        outcomes = []
-        for position, step in enumerate(plan.steps):
-            try:
-                outcomes.append(executor.run_step(step))
-            except StepExecutionError:
-                raise
-            except Exception as error:
-                chain = lookup[position]
-                raise StepExecutionError(
-                    plan.scenario.name, chain.index, position, step.describe(), error
-                ) from error
-        return outcomes, executor.sessions
-
-    def run_chains(
-        self, plan: ScenarioPlan, chains: Sequence[ExecutionChain]
-    ) -> Tuple[List[List], Dict[SystemPolicySpec, object]]:
-        """Run a chain subset in order; errors escape with context.
-
-        The chain-granular entry point the caching layer drives: one
-        outcome list per requested chain, sessions shared across the
-        given chains exactly as :meth:`run` shares them (each
-        session-sharing policy's steps live inside a single chain by
-        construction, so the subset cannot split a session).
-        """
-        executor = ChainExecutor.for_plan(plan)
-        return [
-            executor.run_chain(chain, contain=False) for chain in chains
-        ], executor.sessions
-
-    def __repr__(self) -> str:
-        return "SerialBackend()"
-
-
-class ContainedSerialBackend:
-    """Serial execution with pool-style containment, in this process.
-
-    The service layer's default backend: chains run in order on the
-    calling thread, but a raising step is *contained* as
+    ``contain=False`` (default — an interactive run wants the
+    traceback) lets the first raising step escape as a
+    :class:`StepExecutionError` naming the scenario, plan position,
+    step and chain, with the original chained as its cause; a
+    :class:`StepExecutionError` raised *inside* a step propagates
+    unwrapped. ``contain=True`` instead contains it as
     :class:`~repro.scenarios.containment.ChainFailure` outcomes (pool
-    semantics) instead of escaping — a submitted job that hits a bad
-    step degrades to a partial table, it never kills the serving
-    worker. ``stop`` adds cooperative cancellation: it is polled
-    between steps and turns every step not yet started into a skipped
-    ``JobCancelled`` failure, so a cancelled job still collects the
-    work it finished. Results for surviving steps are bit-identical to
-    :class:`SerialBackend` (same executor, same streams).
+    semantics): a service job that hits a bad step degrades to a
+    partial table and never kills the serving worker. ``stop`` adds
+    cooperative cancellation: it is polled between steps and turns
+    every step not yet started into a skipped ``JobCancelled`` failure.
+    Results for surviving steps are identical either way (same
+    executor, same streams).
     """
 
     workers = 1
 
-    def __init__(self, stop: Optional[Callable[[], bool]] = None):
+    def __init__(
+        self, contain: bool = False, stop: Optional[Callable[[], bool]] = None
+    ):
+        self.contain = contain
         self.stop = stop
 
     def run(self, plan: ScenarioPlan) -> Tuple[List, Dict[SystemPolicySpec, object]]:
@@ -360,15 +327,21 @@ class ContainedSerialBackend:
     def run_chains(
         self, plan: ScenarioPlan, chains: Sequence[ExecutionChain]
     ) -> Tuple[List[List], Dict[SystemPolicySpec, object]]:
-        """Run a chain subset with containment + the stop hook."""
+        """Run a chain subset in order, one outcome list per chain.
+
+        The chain-granular entry point :meth:`run` and the caching
+        layer drive. Sessions are shared across the given chains (each
+        session-sharing policy's steps live inside a single chain by
+        construction, so a subset cannot split a session).
+        """
         executor = ChainExecutor.for_plan(plan)
         return [
-            executor.run_chain(chain, contain=True, stop=self.stop)
+            executor.run_chain(chain, contain=self.contain, stop=self.stop)
             for chain in chains
         ], executor.sessions
 
     def __repr__(self) -> str:
-        return "ContainedSerialBackend()"
+        return f"SerialBackend(contain={self.contain})"
 
 
 def _run_chain_task(payload) -> List:
@@ -457,16 +430,14 @@ class ProcessPoolBackend:
       is reported as :class:`ChainFailure` outcomes in plan order —
       ``run`` returns results for every surviving step either way.
 
-    ``stop`` adds cooperative cancellation at chain granularity (the
-    service's cancel endpoint for pooled jobs): the shared round then
-    submits at most ``workers`` chains at a time and polls the hook
-    between completions, so once it returns True every chain not yet
-    handed to a worker is cancelled into skipped ``JobCancelled``
-    outcomes while running chains finish and keep their results —
-    mirroring the serial executor's between-step semantics one level
-    up. (Bulk submission cannot honour that promise: the pool stages
-    queued items beyond the running set where ``Future.cancel()``
-    silently fails.)
+    The shared round submits at most ``workers`` chains at a time,
+    topping up as each finishes. ``stop`` adds cooperative
+    cancellation at chain granularity (the service's cancel endpoint
+    for pooled jobs): the hook is polled between completions, and once
+    it returns True every chain not yet handed to a worker is
+    cancelled into skipped ``JobCancelled`` outcomes while running
+    chains finish and keep their results — the serial executor's
+    between-step semantics one level up.
     """
 
     #: seconds between stop-hook polls while futures are in flight.
@@ -521,13 +492,6 @@ class ProcessPoolBackend:
         return [results[chain.index] for chain in chains], {}
 
     # -- execution rounds ---------------------------------------------------
-    def _wait(self, all_futures) -> set:
-        """One bounded wait for the bulk round's futures (the
-        stop-less path; stop-aware rounds go through
-        :meth:`_throttled_round` instead)."""
-        finished, _ = futures.wait(set(all_futures), timeout=self.chain_timeout_s)
-        return finished
-
     def _throttled_round(
         self,
         executor: futures.ProcessPoolExecutor,
@@ -535,18 +499,15 @@ class ProcessPoolBackend:
         chains: Sequence[ExecutionChain],
         processes: int,
     ):
-        """Stop-aware submission: at most ``processes`` chains in
-        flight, topped up as futures finish, polling the stop hook in
-        between.
+        """At most ``processes`` chains in flight, topped up as soon as
+        any one finishes, polling the stop hook in between.
 
-        Bulk submission hands every chain to the pool upfront, and
-        ``ProcessPoolExecutor`` eagerly stages items beyond the
-        running set into its internal call queue, where
-        ``Future.cancel()`` silently fails — a cancel request could be
-        ignored wholesale. Throttling keeps unstarted chains on this
-        side of the pool, so a stop deterministically cancels every
-        chain not yet submitted while running chains finish and keep
-        their results.
+        ``ProcessPoolExecutor`` eagerly stages submitted items beyond
+        the running set into its internal call queue, where
+        ``Future.cancel()`` silently fails. Throttling keeps unstarted
+        chains on this side of the pool, so a stop deterministically
+        cancels every chain not yet submitted while running chains
+        finish and keep their results.
 
         Returns ``(future_of, done, halt)`` where ``halt`` explains an
         early exit (``"stop"``, ``"timeout"`` or ``"broken"``); chains
@@ -583,9 +544,11 @@ class ProcessPoolBackend:
                     halt = halt or "timeout"
                     break
                 timeout = min(timeout, slack)
-            finished, waiting = futures.wait(waiting, timeout=timeout)
+            finished, waiting = futures.wait(
+                waiting, timeout=timeout, return_when=futures.FIRST_COMPLETED
+            )
             done |= finished
-            if halt is None and self.stop():
+            if halt is None and self._stopped():
                 halt = "stop"
                 for future in waiting:
                     future.cancel()  # best effort on staged futures
@@ -607,17 +570,9 @@ class ProcessPoolBackend:
             max_workers=processes, mp_context=context
         )
         try:
-            if self.stop is None:
-                future_of = {
-                    chain.index: executor.submit(_run_chain_task, _payload(plan, chain))
-                    for chain in chains
-                }
-                done = self._wait(future_of.values())
-                halt = None
-            else:
-                future_of, done, halt = self._throttled_round(
-                    executor, plan, chains, processes
-                )
+            future_of, done, halt = self._throttled_round(
+                executor, plan, chains, processes
+            )
             for chain in chains:
                 future = future_of.get(chain.index)
                 if future is None:

@@ -1,14 +1,13 @@
 """Canonical baseline/job builders shared by every scenario.
 
 This module is the single implementation of "build the paper's Tune V1
-/ Tune V2 / PipeTune job specs and run them on a dedicated cluster" —
-the machinery that used to live in ``repro.experiments.harness`` (which
-now re-exports it unchanged). The :class:`~repro.scenarios.runner.
-ScenarioRunner` composes these builders from declarative
-:class:`~repro.scenarios.spec.Scenario` objects; the exhibit shims and
-examples reach them through the same front door, so every caller
-constructs byte-identical specs (same spec names, same search spaces,
-same seeds — hence the same random streams).
+/ Tune V2 / PipeTune job specs and run them on a dedicated cluster".
+The :class:`~repro.scenarios.runner.ScenarioRunner` composes these
+builders from declarative :class:`~repro.scenarios.spec.Scenario`
+objects; the CLI's ``tune`` command and the examples reach them
+through the same front door, so every caller constructs
+byte-identical specs (same spec names, same search spaces, same
+seeds — hence the same random streams).
 """
 
 from __future__ import annotations

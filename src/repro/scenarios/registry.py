@@ -4,8 +4,8 @@ Every runnable experiment — the 12 paper exhibits and any number of
 novel scenarios — registers here as a :class:`ScenarioDefinition`:
 a declarative :class:`~repro.scenarios.spec.Scenario` plus (optionally)
 a custom collector and plan function. The CLI (``repro scenario
-list|describe|run``), the exhibit shims in ``repro.experiments`` and
-the golden-trace harness all resolve scenarios through this registry.
+list|describe|run``), the service and the golden-trace harness
+(``repro.experiments``) all resolve scenarios through this registry.
 
 Downstream code extends the catalogue the same way the built-ins do::
 

@@ -1,9 +1,8 @@
 """Uniform result table produced by every scenario and exhibit.
 
-Canonical home of :class:`ExperimentResult` (historically defined in
-``repro.experiments.harness``, which still re-exports it): one table of
-rows per scenario run, rendered exactly as the committed golden traces
-under ``benchmarks/results/``.
+:class:`ExperimentResult`: one table of rows per scenario run,
+rendered exactly as the committed golden traces under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -8,13 +8,12 @@ into work, in four explicit phases:
   a :class:`ScenarioPlan` of typed steps, in a deterministic order;
 * **validate** — the scenario's declarative validation plus plan-level
   checks, all failures reported at once;
-* **execute** — run the steps through a pluggable *execution backend*
-  (:mod:`~repro.scenarios.backends`): the default
-  :class:`~repro.scenarios.backends.SerialBackend` runs them in plan
-  order in this process, while
-  :class:`~repro.scenarios.backends.ProcessPoolBackend` (``workers >
-  1``) fans the plan's dependency chains
-  (:mod:`~repro.scenarios.planner`) out over a worker pool. Either
+* **execute** — run the plan's dependency chains
+  (:mod:`~repro.scenarios.planner`) through a pluggable *execution
+  backend* (:mod:`~repro.scenarios.backends`): the default
+  :class:`~repro.scenarios.backends.SerialBackend` runs them in this
+  process, while :class:`~repro.scenarios.backends.ProcessPoolBackend`
+  (``workers > 1``) fans them out over a worker pool. Either
   way each step gets a freshly built cluster, and PipeTune policies
   share one long-lived session per policy across all of their
   dedicated-tenancy steps (the ground-truth database is the whole
@@ -23,10 +22,10 @@ into work, in four explicit phases:
   whatever the backend did — into one
   :class:`~repro.scenarios.result.ExperimentResult` table.
 
-Execution reproduces the historical exhibit modules byte-for-byte:
-the spec builders, spec names, session warm-starts and step order are
-exactly the ones ``repro.experiments.harness`` used, so the random
-streams (counter-keyed on spec reprs and trial ids) are unchanged —
+Execution reproduces the committed golden traces byte-for-byte: the
+spec builders, spec names and session warm-starts come from
+:mod:`~repro.scenarios.jobs`, and the random streams are
+counter-keyed on spec reprs and trial ids, so they are unchanged
 under any backend and any worker count.
 """
 

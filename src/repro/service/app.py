@@ -28,6 +28,7 @@ Routes (all under ``/v1``)::
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from ..scenarios.registry import SCENARIO_REGISTRY, get_definition
@@ -52,8 +53,24 @@ def _not_found(message: str) -> Response:
     return Response(404, error_envelope("NotFound", message))
 
 
-#: body fields a run submission accepts (plus "scenario" on /v1/runs).
-_RUN_FIELDS = ("scale", "seed", "workers", "cache", "cache_dir")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_scale(value) -> bool:
+    number = _is_int(value) or isinstance(value, float)
+    return number and math.isfinite(value) and value > 0
+
+
+#: body fields a run submission accepts (plus "scenario" on /v1/runs):
+#: name -> (default, type check, the expectation a 400 names).
+_RUN_FIELDS = {
+    "scale": (1.0, _is_scale, "a finite positive number"),
+    "seed": (0, _is_int, "an integer"),
+    "workers": (1, _is_int, "an integer"),
+    "cache": (False, lambda v: isinstance(v, bool), "a JSON bool"),
+    "cache_dir": (None, lambda v: v is None or isinstance(v, str), "a string path"),
+}
 
 
 class ServiceApp:
@@ -185,22 +202,19 @@ class ServiceApp:
         body = request.body or {}
         if not isinstance(body, dict):
             raise ValueError("request body must be a JSON object")
-        allowed = _RUN_FIELDS + extra
+        allowed = tuple(_RUN_FIELDS) + extra
         unknown = [key for key in body if key not in allowed]
         if unknown:
             raise ValueError(
                 f"unknown run field(s) {unknown}; known: {list(allowed)}"
             )
-        cache_dir = body.get("cache_dir")
-        if cache_dir is not None and not isinstance(cache_dir, str):
-            raise ValueError("cache_dir must be a string path")
-        return {
-            "scale": float(body.get("scale", 1.0)),
-            "seed": int(body.get("seed", 0)),
-            "workers": int(body.get("workers", 1)),
-            "cache": bool(body.get("cache", False)),
-            "cache_dir": cache_dir,
-        }
+        params = {}
+        for key, (default, check, expected) in _RUN_FIELDS.items():
+            params[key] = body.get(key, default)
+            if not check(params[key]):
+                raise ValueError(f"{key} must be {expected}, got {params[key]!r}")
+        params["scale"] = float(params["scale"])
+        return params
 
     def _submit(self, submit, **kwargs) -> Response:
         try:

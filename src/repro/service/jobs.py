@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..scenarios.backends import ContainedSerialBackend, ProcessPoolBackend
+from ..scenarios.backends import ProcessPoolBackend, SerialBackend
 from ..scenarios.cache import CachingBackend, OutcomeCache, resolve_cache_dir
 from ..scenarios.containment import is_failure
 from ..scenarios.registry import get_definition
@@ -403,7 +403,7 @@ class JobManager:
         if job.workers > 1:
             backend = ProcessPoolBackend(workers=job.workers, stop=stop)
         else:
-            backend = ContainedSerialBackend(stop=stop)
+            backend = SerialBackend(contain=True, stop=stop)
         if job.cache:
             backend = CachingBackend(
                 backend, OutcomeCache(resolve_cache_dir(job.cache_dir))

@@ -32,10 +32,22 @@ from .envelope import error_envelope
 from .middleware import Request
 
 
+#: largest request body the daemon reads; larger declarations get 413.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _PayloadTooLarge(ValueError):
+    pass
+
+
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """One HTTP exchange -> Request -> app -> JSON envelope."""
 
     protocol_version = "HTTP/1.1"
+    # socket read timeout (seconds): a client that declares N body bytes
+    # and sends fewer would otherwise hold a handler thread forever; on
+    # expiry the stdlib handler drops the connection.
+    timeout = 30
     # _write sends headers and body in separate writes; with Nagle's
     # algorithm on, a kept-alive connection holds each body until the
     # client's delayed ACK arrives (~40 ms per request).
@@ -52,9 +64,15 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         headers = {key.lower(): value for key, value in self.headers.items()}
         body = None
         length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            # rfile.read(-1) would block until the client hangs up
-            raise ValueError(f"negative Content-Length {length}")
+        if length < 0 or length > MAX_BODY_BYTES:
+            # the body stays unread, so the connection cannot be reused
+            # (and rfile.read(-1) would block until the client hangs up)
+            self.close_connection = True
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            raise _PayloadTooLarge(
+                f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes"
+            )
         if length:
             raw = self.rfile.read(length)
             body = json.loads(raw.decode("utf-8")) if raw.strip() else None
@@ -70,9 +88,13 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             request = self._parse_request()
         except (ValueError, UnicodeDecodeError) as error:
-            self._write(
-                400, error_envelope("BadRequest", f"unreadable body: {error}"), {}
-            )
+            headers = {"Connection": "close"} if self.close_connection else {}
+            if isinstance(error, _PayloadTooLarge):
+                envelope = error_envelope("PayloadTooLarge", str(error))
+                self._write(413, envelope, headers)
+            else:
+                envelope = error_envelope("BadRequest", f"unreadable body: {error}")
+                self._write(400, envelope, headers)
             return
         response = self.server.app.handle(request)
         self._write(response.status, response.payload, response.headers)

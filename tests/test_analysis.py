@@ -578,8 +578,8 @@ class TestTreeIsClean:
         assert result.findings == (), "\n".join(
             f.render() for f in result.findings
         )
-        assert result.files > 90
-        assert result.suppressed >= 13  # the audited wall-clock allowlist
+        assert result.files > 80
+        assert result.suppressed >= 11  # the audited wall-clock allowlist
 
     def test_rule_subset_also_clean(self):
         for rule_id in ALL_RULE_IDS:

@@ -33,7 +33,7 @@ from repro.scenarios import (
     run_scenario,
     run_sweep,
 )
-from repro.scenarios.backends import ContainedSerialBackend, SerialBackend
+from repro.scenarios.backends import SerialBackend
 from repro.scenarios.cache import (
     _ENTRY_SUFFIX,
     _MAGIC,
@@ -280,9 +280,9 @@ class TestCachingBackend:
 
     def test_contained_backend_also_caches(self, tmp_path):
         cache = OutcomeCache(str(tmp_path))
-        cold = CachingBackend(ContainedSerialBackend(), cache)
+        cold = CachingBackend(SerialBackend(contain=True), cache)
         result_cold = run_scenario("fig08", scale=0.3, backend=cold)
-        warm = CachingBackend(ContainedSerialBackend(), cache)
+        warm = CachingBackend(SerialBackend(contain=True), cache)
         result_warm = run_scenario("fig08", scale=0.3, backend=warm)
         assert warm.stats.misses == 0 and warm.stats.hits == cold.stats.misses
         assert result_warm.format_table() == result_cold.format_table()

@@ -12,13 +12,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_defaults(self):
+    def test_scenario_run_defaults(self):
         # None means "resolve per exhibit": 1.0/0 when printing,
         # the exhibit's canonical parameters when writing --out.
-        args = build_parser().parse_args(["run", "fig01"])
-        assert args.exhibit == "fig01"
+        args = build_parser().parse_args(["scenario", "run", "fig01"])
+        assert args.name == "fig01"
         assert args.scale is None
         assert args.seed is None
+
+    def test_legacy_commands_are_gone(self):
+        for argv in (["run", "fig01"], ["list"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_tune_system_choices(self):
         with pytest.raises(SystemExit):
@@ -26,30 +31,20 @@ class TestParser:
 
 
 class TestCommands:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig01" in out and "table2" in out and "fig14" in out
-
     def test_run_single_exhibit(self, capsys):
-        assert main(["run", "fig01", "--scale", "0.5"]) == 0
+        assert main(["scenario", "run", "fig01", "--scale", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out
 
     def test_run_unknown_exhibit(self, capsys):
-        assert main(["run", "fig99"]) == 2
-        assert "unknown exhibit" in capsys.readouterr().err
-
-    def test_run_writes_output_dir(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "tables")
-        assert main(["run", "fig01", "--out", out_dir]) == 0
-        assert (tmp_path / "tables" / "fig01.txt").exists()
+        assert main(["scenario", "run", "fig99"]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_run_out_written_through_golden_serializer(self, tmp_path, capsys):
         from repro.experiments import golden
 
         out_dir = str(tmp_path / "tables")
-        assert main(["run", "fig01", "--out", out_dir]) == 0
+        assert main(["scenario", "run", "fig01", "--out", out_dir]) == 0
         written = (tmp_path / "tables" / "fig01.txt").read_text()
         with open(golden.committed_path("fig01"), encoding="utf-8") as handle:
             assert written == handle.read()
@@ -60,24 +55,25 @@ class TestCommands:
         from repro.experiments import golden
 
         out_dir = str(tmp_path / "tables")
-        assert main(["run", "fig05", "--out", out_dir]) == 0
+        assert main(["scenario", "run", "fig05", "--out", out_dir]) == 0
         written = (tmp_path / "tables" / "fig05.txt").read_text()
         with open(golden.committed_path("fig05"), encoding="utf-8") as handle:
             assert written == handle.read()
 
     def test_run_out_refuses_non_canonical_params(self, tmp_path, capsys):
         out_dir = str(tmp_path / "tables")
-        assert main(["run", "fig01", "--scale", "0.5", "--out", out_dir]) == 2
+        assert (
+            main(["scenario", "run", "fig01", "--scale", "0.5", "--out", out_dir])
+            == 2
+        )
         err = capsys.readouterr().err
-        assert "non-canonical" in err and "--force" in err
+        assert "refusing --out" in err and "--force" in err
         assert not (tmp_path / "tables" / "fig01.txt").exists()
 
     def test_run_out_force_overrides_with_warning(self, tmp_path, capsys):
         out_dir = str(tmp_path / "tables")
-        assert (
-            main(["run", "fig01", "--scale", "0.5", "--out", out_dir, "--force"])
-            == 0
-        )
+        argv = ["scenario", "run", "fig01", "--scale", "0.5", "--out", out_dir]
+        assert main(argv + ["--force"]) == 0
         assert "warning" in capsys.readouterr().err
         assert (tmp_path / "tables" / "fig01.txt").exists()
 
@@ -164,14 +160,6 @@ class TestScenarioCommands:
     def test_run_check_requires_golden(self, capsys):
         assert main(["scenario", "run", "asha-distributed-cnn", "--check"]) == 2
         assert "no committed golden trace" in capsys.readouterr().err
-
-    def test_run_out_guard_for_paper_scenarios(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "tables")
-        assert (
-            main(["scenario", "run", "fig01", "--scale", "0.5", "--out", out_dir])
-            == 2
-        )
-        assert "--force" in capsys.readouterr().err
 
     def test_run_novel_scenario_writes_out(self, tmp_path, capsys):
         out_dir = str(tmp_path / "tables")
@@ -271,25 +259,6 @@ class TestSweepCommands:
 class TestEnvelope:
     """Every subcommand's --json output is the shared envelope."""
 
-    def test_list_json_envelope(self, capsys):
-        assert main(["list", "--json"]) == 0
-        envelope = json.loads(capsys.readouterr().out)
-        assert envelope["ok"] is True and envelope["error"] is None
-        exhibits = [entry["exhibit"] for entry in envelope["data"]]
-        assert "fig01" in exhibits and "table2" in exhibits
-
-    def test_legacy_run_json_envelope(self, capsys):
-        assert main(["run", "fig01", "--scale", "0.5", "--json"]) == 0
-        captured = capsys.readouterr()
-        envelope = json.loads(captured.out)
-        assert envelope["ok"] is True
-        assert envelope["data"][0]["result"]["rows"]
-
-    def test_legacy_run_warns_deprecated(self, capsys):
-        assert main(["run", "fig01", "--scale", "0.5"]) == 0
-        err = capsys.readouterr().err
-        assert "deprecated" in err and "scenario run" in err
-
     def test_tune_json_envelope(self, capsys):
         assert main(["tune", "lenet-mnist", "--system", "v1", "--json"]) == 0
         envelope = json.loads(capsys.readouterr().out)
@@ -360,7 +329,7 @@ class TestLint:
         assert envelope["ok"] is True
         assert envelope["error"] is None
         assert envelope["data"]["findings"] == []
-        assert envelope["data"]["suppressed"] >= 13
+        assert envelope["data"]["suppressed"] >= 11
 
     def test_lint_unknown_rule_typed_error(self, capsys):
         assert main(["lint", "--rule", "BOGUS", "--json"]) == 2

@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.experiments import EXHIBIT_RUNS, EXHIBITS
+from repro.experiments import EXHIBIT_RUNS
+from repro.scenarios import scenario_names
 
 #: exhibits cheap enough to render twice for cross-run stability.
 FAST_SUBSET = ("fig01", "fig08", "fig09")
@@ -21,12 +22,12 @@ FAST_SUBSET = ("fig01", "fig08", "fig09")
 
 class TestManifest:
     def test_manifest_covers_every_exhibit(self):
-        assert set(EXHIBITS) <= set(EXHIBIT_RUNS)
+        assert set(scenario_names("paper")) <= set(EXHIBIT_RUNS)
 
     def test_extra_manifest_entries_are_registered_scenarios(self):
         from repro.scenarios import SCENARIO_REGISTRY
 
-        extras = set(EXHIBIT_RUNS) - set(EXHIBITS)
+        extras = set(EXHIBIT_RUNS) - set(scenario_names("paper"))
         assert extras <= set(SCENARIO_REGISTRY)
 
     def test_no_orphan_golden_traces(self, golden_exhibits):

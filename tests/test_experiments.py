@@ -1,30 +1,32 @@
 """Integration tests: every paper exhibit regenerates with the right shape.
 
-These run the experiment harness at reduced scale and assert the
+These run the registered paper scenarios at reduced scale and assert the
 qualitative claims the paper makes — who wins, in which direction —
 rather than absolute numbers (EXPERIMENTS.md records those).
 """
 
 import pytest
 
-from repro.experiments import EXHIBITS
-from repro.experiments.fig01_cost import exponential_growth_ratio
-from repro.experiments.fig02_heatmap import max_training_cv
-from repro.experiments.fig08_clusters import cluster_purity
-from repro.experiments.fig09_convergence import time_to_accuracy
-from repro.experiments.fig10_trialtime import mean_trial_time
-from repro.experiments.fig11_single_tenancy import metric_by_system
+from repro.scenarios import SCENARIO_REGISTRY, run_scenario, scenario_names
+from repro.scenarios.paper import (
+    cluster_purity,
+    exponential_growth_ratio,
+    max_training_cv,
+    mean_trial_time,
+    metric_by_system,
+    time_to_accuracy,
+)
 
 
 @pytest.fixture(scope="module")
 def results():
     """Run the cheap exhibits once and share across assertions."""
     return {
-        "fig01": EXHIBITS["fig01"].run(scale=1.0),
-        "fig02": EXHIBITS["fig02"].run(scale=1.0),
-        "fig03": EXHIBITS["fig03"].run(scale=1.0),
-        "fig08": EXHIBITS["fig08"].run(scale=1.0),
-        "table2": EXHIBITS["table2"].run(scale=0.34),
+        "fig01": run_scenario("fig01", scale=1.0),
+        "fig02": run_scenario("fig02", scale=1.0),
+        "fig03": run_scenario("fig03", scale=1.0),
+        "fig08": run_scenario("fig08", scale=1.0),
+        "table2": run_scenario("table2", scale=0.34),
     }
 
 
@@ -38,23 +40,38 @@ def heavy_results():
     # keeps every assertion below. The full-scale committed exhibits
     # remain seed 0.
     return {
-        "fig09": EXHIBITS["fig09"].run(scale=0.34, seed=3),
-        "fig10": EXHIBITS["fig10"].run(scale=0.34, seed=3),
-        "fig11": EXHIBITS["fig11"].run(scale=0.34, seed=3),
-        "fig12": EXHIBITS["fig12"].run(scale=0.34, seed=3),
+        "fig09": run_scenario("fig09", scale=0.34, seed=3),
+        "fig10": run_scenario("fig10", scale=0.34, seed=3),
+        "fig11": run_scenario("fig11", scale=0.34, seed=3),
+        "fig12": run_scenario("fig12", scale=0.34, seed=3),
     }
 
 
 class TestRegistry:
     def test_every_exhibit_registered(self):
-        assert set(EXHIBITS) == {
+        assert set(scenario_names("paper")) == {
             "fig01", "fig02", "fig03", "fig05", "table2", "fig08",
             "fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
         }
 
+    def test_experiments_md_generator_covers_the_registry(self):
+        # load the script by path without running it
+        import importlib.util
+        import pathlib
+
+        path = (
+            pathlib.Path(__file__).resolve().parents[1]
+            / "scripts"
+            / "generate_experiments_md.py"
+        )
+        spec = importlib.util.spec_from_file_location("generate_experiments_md", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert set(module.PAPER_CLAIMS) == set(scenario_names("paper"))
+
     def test_every_exhibit_has_run(self):
-        for module in EXHIBITS.values():
-            assert callable(module.run)
+        for name in scenario_names("paper"):
+            assert callable(SCENARIO_REGISTRY[name].runner)
 
 
 class TestFig01(object):
@@ -111,7 +128,7 @@ class TestFig03:
 
 class TestFig05:
     def test_contention_hurts(self):
-        result = EXHIBITS["fig05"].run(scale=0.5)
+        result = run_scenario("fig05", scale=0.5)
         assert len(result.rows) == 12
         by_key = {(r["cores"], r["jobs"]): r for r in result.rows}
         # more co-located jobs -> worse runtime improvement at any cores
@@ -199,13 +216,13 @@ class TestFig12:
 
 class TestMultiTenancy:
     def test_fig13_pipetune_lowest_response(self):
-        result = EXHIBITS["fig13"].run(scale=0.34)
+        result = run_scenario("fig13", scale=0.34)
         by_system = {r["system"]: r["all_s"] for r in result.rows}
         assert by_system["pipetune"] < by_system["tune-v1"]
         assert by_system["pipetune"] < by_system["tune-v2"]
 
     def test_fig14_pipetune_lowest_response(self):
-        result = EXHIBITS["fig14"].run(scale=0.34)
+        result = run_scenario("fig14", scale=0.34)
         by_system = {r["system"]: r["all_s"] for r in result.rows}
         assert by_system["pipetune"] < by_system["tune-v1"]
         assert by_system["pipetune"] < by_system["tune-v2"]

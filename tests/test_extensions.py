@@ -13,7 +13,7 @@ from repro.core.clustering import KMeans
 from repro.core.groundtruth import GroundTruth, GroundTruthEntry
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
 from repro.core.probing import ProbeSample, ProbingController
-from repro.experiments.harness import make_pipetune_session
+from repro.scenarios import make_pipetune_session
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.tsdb.store import TimeSeriesStore

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.harness import (
+from repro.scenarios import (
     TRIAL_INIT_S,
     V2_TRIAL_SETUP_S,
     ExperimentResult,

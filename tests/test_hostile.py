@@ -30,6 +30,7 @@ from repro.scenarios import (
     ProcessPoolBackend,
     Scenario,
     ScenarioRunner,
+    SerialBackend,
     StepExecutionError,
     Sweep,
     SweepAxis,
@@ -321,6 +322,48 @@ class TestContainment:
         assert err.value.step_label == "analysis step1"
         assert isinstance(err.value.original, RuntimeError)
         assert "deliberate chain crash" in str(err.value)
+
+    def test_serial_step_execution_error_propagates_unwrapped(self):
+        inner = StepExecutionError(
+            "nested", 0, 3, "analysis inner", RuntimeError("inner crash")
+        )
+
+        def _nested_failure(scale, seed):
+            raise inner
+
+        runner = analysis_runner(_ok_analysis, _nested_failure)
+        with pytest.raises(StepExecutionError) as err:
+            runner.execute(runner.plan())
+        assert err.value is inner
+
+    def test_serial_contain_turns_failure_into_outcomes(self):
+        runner = analysis_runner(_boom_analysis, _ok_analysis)
+        outcomes = runner.execute(runner.plan(), backend=SerialBackend(contain=True))
+        assert isinstance(outcomes[0], ChainFailure)
+        assert outcomes[0].error_type == "RuntimeError"
+        assert isinstance(outcomes[1], ExperimentResult)
+
+    def test_unsubmitted_chain_completes_on_isolated_retry(self):
+        # two sleepers fill both workers, so the shared round times out
+        # before the third chain is ever submitted; the isolated retry
+        # then runs it to a result while both sleepers time out again.
+        shared_pending = []
+
+        class Recording(ProcessPoolBackend):
+            def _shared_round(self, plan, chains, results):
+                pending = super()._shared_round(plan, chains, results)
+                shared_pending.extend(pending)
+                return pending
+
+        runner = analysis_runner(_sleep_analysis, _sleep_analysis, _ok_analysis)
+        backend = Recording(workers=2, chain_timeout_s=2.0, chain_retries=1)
+        outcomes, _ = backend.run(runner.plan())
+        reasons = {chain.index: reason for chain, _, reason in shared_pending}
+        assert "not submitted" in reasons[2]
+        assert isinstance(outcomes[2], ExperimentResult)
+        for failure in outcomes[:2]:
+            assert isinstance(failure, ChainFailure)
+            assert failure.error_type == "TimeoutError"
 
     def test_raising_chain_contained_in_pool(self):
         runner = analysis_runner(_ok_analysis, _boom_analysis, _ok_analysis)

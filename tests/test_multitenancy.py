@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from repro.experiments.harness import fresh_cluster, make_v1_spec
+from repro.scenarios import fresh_cluster, make_v1_spec
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.space import Choice, SearchSpace
 from repro.multitenancy.arrivals import generate_arrivals

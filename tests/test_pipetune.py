@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
-from repro.experiments.harness import (
+from repro.scenarios import (
     execute_job,
     make_pipetune_session,
     make_pipetune_spec,

@@ -40,10 +40,6 @@ from repro.service import (
     serve_background,
 )
 
-#: exhibits cheap enough to render over HTTP in tier 1 (the same
-#: subset tests/test_determinism.py renders twice).
-FAST_EXHIBITS = ("fig01", "fig08", "fig09")
-
 
 def quiet_config(**overrides):
     """Default chain minus access_log (keeps pytest stderr readable).
@@ -236,6 +232,39 @@ class TestJobLifecycle:
             )
         assert excinfo.value.status == 400
         assert "scael" in excinfo.value.error["message"]
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"scale": None}, "scale"),
+            ({"workers": [1]}, "workers"),
+            ({"cache": "false"}, "cache"),
+            ({"seed": 1.5}, "seed"),
+            ({"scale": float("nan")}, "scale"),
+            ({"scale": -1}, "scale"),
+        ],
+    )
+    def test_malformed_run_field_is_typed_400(self, body, field):
+        from repro.service.app import ServiceApp
+        from repro.service.middleware import Request
+
+        app = ServiceApp(quiet_config())
+        try:
+            response = app.handle(
+                Request(
+                    method="POST",
+                    path="/v1/scenarios/fig01/runs",
+                    headers={},
+                    body=body,
+                    query={},
+                )
+            )
+            assert response.status == 400
+            assert response.payload["error"]["type"] == "BadRequest"
+            assert field in response.payload["error"]["message"]
+            assert app.manager.jobs() == []
+        finally:
+            app.close()
 
     def test_invalid_inline_scenario_is_400(self, service):
         _, client = service
@@ -740,6 +769,51 @@ class TestServerLifecycle:
         assert envelope["ok"] is False
         assert envelope["error"]["type"] == "BadRequest"
         assert "Content-Length" in envelope["error"]["message"]
+
+    def test_oversized_body_is_413_before_reading(self, service):
+        # only the headers are sent: the 413 must come back without the
+        # server waiting for the 2 MiB it was promised.
+        import socket
+
+        server, _ = service
+        host, port = server.server_address[:2]
+        request = (
+            "POST /v1/runs HTTP/1.1\r\n"
+            f"Host: {host}\r\n"
+            f"Content-Length: {2 << 20}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request.encode("ascii"))
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert b"Connection: close" in head
+        envelope = json.loads(body)
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == "PayloadTooLarge"
+
+    def test_short_body_times_out_and_closes(self, monkeypatch):
+        import socket
+
+        from repro.service.server import _ServiceRequestHandler
+
+        monkeypatch.setattr(_ServiceRequestHandler, "timeout", 0.5)
+        with serve_background(quiet_config()) as (server, _):
+            host, port = server.server_address[:2]
+            request = (
+                "POST /v1/runs HTTP/1.1\r\n"
+                f"Host: {host}\r\n"
+                "Content-Length: 100\r\n\r\n"
+                '{"scale": 1'
+            )
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(request.encode("ascii"))
+                started = time.monotonic()
+                # EOF with no response: the handler gave up on the body
+                assert sock.recv(4096) == b""
+                assert time.monotonic() - started < 5.0
 
     def test_keep_alive_requests_do_not_stall(self, service):
         # Headers and body go out in two writes; with Nagle's algorithm
