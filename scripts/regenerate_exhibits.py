@@ -99,7 +99,7 @@ def main() -> None:
     wall_started = time.perf_counter()
 
     if args.update:
-        for name, content, elapsed in golden.render_many(
+        for name, content, elapsed, _ in golden.render_many(
             names, jobs=args.jobs, cache_dir=args.cache_dir
         ):
             path = golden.write_trace(name, content)

@@ -22,10 +22,11 @@ if TYPE_CHECKING:
 class ExhibitRun:
     """Canonical (scale, seed) under which an exhibit is committed.
 
-    ``benchmarks/results/*.txt`` are regenerated and byte-diffed at
-    exactly these parameters — by the benchmark suite, by
-    ``scripts/regenerate_exhibits.py`` and by CI's exhibits job — so
-    they live in one place.
+    ``benchmarks/results/*.txt`` are byte-diffed at exactly these
+    parameters — by ``tests/test_determinism.py``, by
+    ``scripts/regenerate_exhibits.py --check`` and by CI's exhibits
+    job — and rewritten only by ``regenerate_exhibits.py --update``,
+    so they live in one place.
     """
 
     name: str

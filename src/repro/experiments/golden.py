@@ -8,12 +8,13 @@ any machine, any run. This module is the single implementation of
 the committed copy; it backs
 
 * ``scripts/regenerate_exhibits.py`` (the operator entry point),
-* the ``golden_exhibits`` test fixture (``tests/conftest.py``), and
+* ``tests/test_determinism.py`` (the tier-1 byte-diff), and
 * CI's exhibits job (``--check`` over all exhibits).
 
-Any PR that touches random streams reruns this harness once in
-``--update`` mode and commits the new traces together with the change
-that explains them (see benchmarks/README.md, "Determinism contract &
+Checking never writes: the goldens change only through
+``regenerate_exhibits.py --update``, rerun once by any change that
+touches random streams and committed together with the change that
+explains them (see benchmarks/README.md, "Determinism contract &
 re-baseline procedure").
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..scenarios.backends import map_tasks
-from ..scenarios.cache import cached_backend
+from ..scenarios.cache import CacheStats, cached_backend
 from . import EXHIBIT_RUNS
 
 #: benchmarks/results relative to the repository root (three levels up
@@ -45,14 +46,18 @@ def render_result(result) -> str:
     """Serialize an ExperimentResult exactly as committed on disk.
 
     The single definition of the trace format (rendered table plus one
-    trailing newline) — the benchmark suite's ``record_exhibit``
-    fixture and every writer below go through it.
+    trailing newline): every renderer below, the CLI's ``--out`` and
+    the service's job traces go through it.
     """
     return result.format_table() + "\n"
 
 
 def write_trace(name: str, content: str, results_dir: Optional[str] = None) -> str:
-    """Write one exhibit's trace bytes verbatim; returns the path."""
+    """Write one exhibit's trace bytes verbatim; returns the path.
+
+    The one file writer: ``regenerate_exhibits.py --update`` (into
+    :data:`RESULTS_DIR`) and ``repro scenario run --out DIR`` call it.
+    """
     results_dir = results_dir or RESULTS_DIR
     os.makedirs(results_dir, exist_ok=True)
     path = os.path.join(results_dir, f"{name}.txt")
@@ -61,19 +66,22 @@ def write_trace(name: str, content: str, results_dir: Optional[str] = None) -> s
     return path
 
 
-def _render_with_stats(
-    name: str, workers: Optional[int] = None, cache_dir: Optional[str] = None
-):
-    """Render one exhibit -> (bytes, CacheStats-or-None).
+def _render_task(payload) -> Tuple[str, str, float, Optional[CacheStats]]:
+    """Render and time one exhibit (picklable pool task).
 
-    With a ``cache_dir`` the run goes through the content-addressed
-    outcome cache (:mod:`repro.scenarios.cache`); the determinism
-    contract extends to hits — recalled bytes == recomputed bytes."""
-    if cache_dir is None:
-        return render_result(EXHIBIT_RUNS[name].run(workers=workers)), None
-    backend = cached_backend(cache_dir=cache_dir, workers=workers)
-    result = EXHIBIT_RUNS[name].run(backend=backend)
-    return render_result(result), backend.stats
+    Returns (name, bytes, render seconds, CacheStats-or-None). With a
+    ``cache_dir`` the run goes through the content-addressed outcome
+    cache (:mod:`repro.scenarios.cache`); the determinism contract
+    extends to hits — recalled bytes == recomputed bytes."""
+    name, workers, cache_dir = payload
+    started = time.perf_counter()
+    backend = None
+    if cache_dir is not None:
+        backend = cached_backend(cache_dir=cache_dir, workers=workers)
+    result = EXHIBIT_RUNS[name].run(workers=workers, backend=backend)
+    content = render_result(result)
+    stats = backend.stats if backend is not None else None
+    return name, content, time.perf_counter() - started, stats
 
 
 def render(
@@ -88,24 +96,7 @@ def render(
     any worker count (tests/test_scenarios_parallel.py proves it).
     ``cache_dir`` additionally memoizes chain outcomes on disk — same
     bytes, cold or warm."""
-    content, _ = _render_with_stats(name, workers=workers, cache_dir=cache_dir)
-    return content
-
-
-def _resolve_parallelism(
-    workers: Optional[int], jobs: Optional[int]
-) -> Tuple[Optional[int], Optional[int]]:
-    """Guard the two parallelism levels against nesting.
-
-    ``jobs`` fans whole exhibits out over a pool; ``workers``
-    parallelises inside one exhibit. Pool workers are daemonic and
-    cannot open nested pools, so combining both is an error."""
-    if jobs is not None and jobs > 1 and workers is not None and workers > 1:
-        raise ValueError(
-            "choose one parallelism level: jobs (across exhibits) or "
-            "workers (within one exhibit), not both"
-        )
-    return workers, jobs
+    return _render_task((name, workers, cache_dir))[1]
 
 
 def resolve_names(names: Optional[Iterable[str]] = None) -> List[str]:
@@ -142,35 +133,27 @@ class ExhibitDiff:
         return "ok" if self.matches else "DIFF"
 
 
-def _check_task(payload) -> ExhibitDiff:
-    """Regenerate one exhibit and byte-diff it (picklable pool task)."""
-    name, workers, cache_dir = payload
-    started = time.perf_counter()
-    regenerated, stats = _render_with_stats(
-        name, workers=workers, cache_dir=cache_dir
-    )
-    elapsed = time.perf_counter() - started
-    path = committed_path(name)
-    exists = os.path.exists(path)
-    committed = None
-    if exists:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            committed = handle.read()
-    return ExhibitDiff(
-        name=name,
-        matches=committed == regenerated,
-        committed_exists=exists,
-        regenerated=regenerated,
-        elapsed_s=elapsed,
-        cache_hits=stats.hits if stats is not None else None,
-        cache_misses=stats.misses if stats is not None else None,
-    )
+def render_many(
+    names: Optional[Iterable[str]] = None,
+    workers: Optional[int] = None,
+    jobs: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+) -> List[Tuple[str, str, float, Optional[CacheStats]]]:
+    """Render exhibits -> [(name, bytes, render seconds, CacheStats-or-None)].
 
-
-def _map_exhibits(task, names: List[str], workers, jobs, cache_dir=None) -> List:
-    return map_tasks(
-        task, [(name, workers, cache_dir) for name in names], workers=jobs
-    )
+    The one fan-out primitive behind :func:`check` and the operator
+    script, in ``names`` order: ``jobs > 1`` renders exhibits
+    concurrently, ``workers > 1`` parallelises within each exhibit
+    (never both — pool workers are daemonic). Elapsed times are
+    worker-side.
+    """
+    if jobs is not None and jobs > 1 and workers is not None and workers > 1:
+        raise ValueError(
+            "choose one parallelism level: jobs (across exhibits) or "
+            "workers (within one exhibit), not both"
+        )
+    payloads = [(name, workers, cache_dir) for name in resolve_names(names)]
+    return map_tasks(_render_task, payloads, workers=jobs)
 
 
 def check(
@@ -181,59 +164,27 @@ def check(
 ) -> Dict[str, ExhibitDiff]:
     """Regenerate exhibits and byte-diff each against the committed file.
 
-    ``jobs > 1`` regenerates exhibits concurrently on a process pool
-    (one exhibit per task); ``workers > 1`` instead parallelises
-    within each exhibit. Results are identical either way, and a
-    ``cache_dir`` run reports per-exhibit hit/miss counters on the
-    diffs without changing a byte.
+    Rendering parallelises like :func:`render_many`; the committed
+    files are read and compared in this process. Results are identical
+    for any ``jobs``/``workers``, and a ``cache_dir`` run reports
+    per-exhibit hit/miss counters on the diffs without changing a byte.
     """
-    workers, jobs = _resolve_parallelism(workers, jobs)
-    resolved = resolve_names(names)
-    diffs = _map_exhibits(_check_task, resolved, workers, jobs, cache_dir)
-    return {diff.name: diff for diff in diffs}
-
-
-def _render_task(payload) -> Tuple[str, str, float]:
-    name, workers, cache_dir = payload
-    started = time.perf_counter()
-    content = render(name, workers=workers, cache_dir=cache_dir)
-    return name, content, time.perf_counter() - started
-
-
-def render_many(
-    names: Optional[Iterable[str]] = None,
-    workers: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> List[Tuple[str, str, float]]:
-    """Render exhibits -> [(name, bytes, render seconds)], in order.
-
-    The public fan-out primitive behind :func:`regenerate` and the
-    operator script: ``jobs > 1`` renders exhibits concurrently,
-    ``workers > 1`` parallelises within each exhibit (never both —
-    pool workers are daemonic). Elapsed times are worker-side.
-    """
-    workers, jobs = _resolve_parallelism(workers, jobs)
-    return _map_exhibits(
-        _render_task, resolve_names(names), workers, jobs, cache_dir
-    )
-
-
-def regenerate(
-    names: Optional[Iterable[str]] = None,
-    results_dir: Optional[str] = None,
-    workers: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> Dict[str, str]:
-    """Regenerate exhibits onto disk; returns {name: path written}.
-
-    Rendering parallelises like :func:`check`; the writes themselves
-    always happen in this process, after every render finished.
-    """
-    return {
-        name: write_trace(name, content, results_dir)
-        for name, content, _ in render_many(
-            names, workers=workers, jobs=jobs, cache_dir=cache_dir
+    diffs = {}
+    for name, regenerated, elapsed, stats in render_many(
+        names, workers=workers, jobs=jobs, cache_dir=cache_dir
+    ):
+        path = committed_path(name)
+        committed = None
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                committed = handle.read()
+        diffs[name] = ExhibitDiff(
+            name=name,
+            matches=committed == regenerated,
+            committed_exists=committed is not None,
+            regenerated=regenerated,
+            elapsed_s=elapsed,
+            cache_hits=stats.hits if stats is not None else None,
+            cache_misses=stats.misses if stats is not None else None,
         )
-    }
+    return diffs

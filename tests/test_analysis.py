@@ -26,7 +26,6 @@ from repro.analysis import (
     UnknownRule,
     format_pragma,
     module_name_for,
-    run_lint,
     run_rules,
     select_rules,
 )
@@ -572,18 +571,35 @@ class TestSchema001:
         )
 
 
+@pytest.fixture(scope="session")
+def tree_index():
+    """The ``src/`` tree, parsed once for every whole-tree lint below.
+
+    Sharing it is safe: rules only memoize facts derived from a
+    module's AST on the module, and the engine's one write, a pragma's
+    ``used`` flag, only ever goes to True. A rule subset marks no
+    pragma the full rule set would not mark too."""
+    return ModuleIndex.default()
+
+
 class TestTreeIsClean:
-    def test_full_tree_zero_findings(self):
-        result = run_lint()
+    def test_full_tree_zero_findings(self, tree_index):
+        result = run_rules(tree_index, ALL_RULES, all_rule_ids=ALL_RULE_IDS)
         assert result.findings == (), "\n".join(
             f.render() for f in result.findings
         )
         assert result.files > 80
         assert result.suppressed >= 11  # the audited wall-clock allowlist
 
-    def test_rule_subset_also_clean(self):
+    def test_rule_subset_also_clean(self, tree_index):
         for rule_id in ALL_RULE_IDS:
-            assert run_lint(rules=[rule_id]).findings == ()
+            result = run_rules(
+                tree_index,
+                [RULES_BY_ID[rule_id]],
+                all_rule_ids=ALL_RULE_IDS,
+                check_unused_pragmas=False,
+            )
+            assert result.findings == ()
 
 
 class TestMutations:

@@ -10,10 +10,12 @@ preserving every stream or re-baselining the exhibits it moved.
 """
 
 import os
+import shutil
 
 import pytest
+from golden_guard import changed_files, digest_tree
 
-from repro.experiments import EXHIBIT_RUNS
+from repro.experiments import EXHIBIT_RUNS, golden
 from repro.scenarios import scenario_names
 
 #: exhibits cheap enough to render twice for cross-run stability.
@@ -30,22 +32,22 @@ class TestManifest:
         extras = set(EXHIBIT_RUNS) - set(scenario_names("paper"))
         assert extras <= set(SCENARIO_REGISTRY)
 
-    def test_no_orphan_golden_traces(self, golden_exhibits):
+    def test_no_orphan_golden_traces(self):
         committed = {
             name[: -len(".txt")]
-            for name in os.listdir(golden_exhibits.RESULTS_DIR)
+            for name in os.listdir(golden.RESULTS_DIR)
             if name.endswith(".txt")
         }
         assert committed == set(EXHIBIT_RUNS)
 
-    def test_unknown_exhibit_rejected(self, golden_exhibits):
+    def test_unknown_exhibit_rejected(self):
         with pytest.raises(KeyError):
-            golden_exhibits.resolve_names(["fig99"])
+            golden.resolve_names(["fig99"])
 
 
 class TestGoldenTraces:
-    def test_every_exhibit_matches_committed_bytes(self, golden_exhibits):
-        diffs = golden_exhibits.check()
+    def test_every_exhibit_matches_committed_bytes(self):
+        diffs = golden.check()
         mismatched = [d.name for d in diffs.values() if d.status != "ok"]
         assert not mismatched, (
             f"exhibits out of sync with golden traces: {mismatched}; "
@@ -54,12 +56,42 @@ class TestGoldenTraces:
         )
 
     @pytest.mark.parametrize("name", FAST_SUBSET)
-    def test_cross_run_byte_stability(self, name, golden_exhibits):
+    def test_cross_run_byte_stability(self, name):
         """Two renders in one process must agree byte-for-byte — the
         simulator may not leak state (caches, pools, module globals)
         from one run into the streams of the next."""
-        assert golden_exhibits.render(name) == golden_exhibits.render(name)
+        assert golden.render(name) == golden.render(name)
 
-    def test_render_appends_exactly_one_newline(self, golden_exhibits):
-        rendered = golden_exhibits.render("fig01")
+    def test_render_appends_exactly_one_newline(self):
+        rendered = golden.render("fig01")
         assert rendered.endswith("\n") and not rendered.endswith("\n\n")
+
+
+class TestGoldenGuard:
+    """The tier-1 guard's digest/compare, on a scratch copy of the goldens."""
+
+    @pytest.fixture
+    def copy(self, tmp_path):
+        root = tmp_path / "results"
+        shutil.copytree(golden.RESULTS_DIR, root)
+        return root
+
+    def test_untouched_copy_reports_nothing(self, copy):
+        before = digest_tree(golden.RESULTS_DIR)
+        assert changed_files(before, digest_tree(copy)) == []
+
+    def test_catches_modified_file(self, copy):
+        before = digest_tree(copy)
+        with open(copy / "fig09.txt", "ab") as handle:
+            handle.write(b" ")
+        assert changed_files(before, digest_tree(copy)) == ["fig09.txt"]
+
+    def test_catches_added_file(self, copy):
+        before = digest_tree(copy)
+        (copy / "fig99.txt").write_text("new\n", encoding="utf-8")
+        assert changed_files(before, digest_tree(copy)) == ["fig99.txt"]
+
+    def test_catches_deleted_file(self, copy):
+        before = digest_tree(copy)
+        (copy / "hostile-storm.txt").unlink()
+        assert changed_files(before, digest_tree(copy)) == ["hostile-storm.txt"]

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.experiments import EXHIBIT_RUNS
+from repro.experiments import EXHIBIT_RUNS, golden
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
@@ -99,7 +99,7 @@ def held_scenario(name):
         SCENARIO_REGISTRY.pop(name, None)
 
 
-def committed_trace(golden, name):
+def committed_trace(name):
     with open(golden.committed_path(name), encoding="utf-8", newline="") as handle:
         return handle.read()
 
@@ -140,7 +140,7 @@ class TestCatalogue:
 
 
 class TestGoldenOverHttp:
-    def test_submitted_job_trace_is_byte_identical(self, service, golden_exhibits):
+    def test_submitted_job_trace_is_byte_identical(self, service):
         _, client = service
         run = EXHIBIT_RUNS["fig01"]
         job = client.submit_scenario("fig01", scale=run.scale, seed=run.seed)
@@ -148,11 +148,11 @@ class TestGoldenOverHttp:
         finished = client.wait(job["id"], timeout_s=300)
         assert finished["status"] == JobStates.DONE
         payload = client.result(job["id"])
-        assert payload["trace"] == committed_trace(golden_exhibits, "fig01")
+        assert payload["trace"] == committed_trace("fig01")
         assert payload["failures"] == []
         assert payload["result"]["rows"]
 
-    def test_four_concurrent_jobs_all_byte_identical(self, golden_exhibits):
+    def test_four_concurrent_jobs_all_byte_identical(self):
         # the acceptance bar: byte-identical traces with 4 jobs in
         # flight at once through the *stock* middleware chain — its
         # default rate-limit budget included — on a dedicated server.
@@ -175,15 +175,13 @@ class TestGoldenOverHttp:
             for name, job in zip(names, jobs):
                 client.wait(job["id"], timeout_s=300)
                 payload = client.result(job["id"])
-                assert payload["trace"] == committed_trace(golden_exhibits, name), name
+                assert payload["trace"] == committed_trace(name), name
         records = [json.loads(line) for line in access_log.getvalue().splitlines()]
         submissions = [r for r in records if r["path"].endswith("/runs")]
         assert len(submissions) == 4
         assert all(r["tenant"] == "acceptance" for r in records)
 
-    def test_same_scenario_twice_concurrently_is_reentrant(
-        self, service, golden_exhibits
-    ):
+    def test_same_scenario_twice_concurrently_is_reentrant(self, service):
         _, client = service
         run = EXHIBIT_RUNS["fig08"]
         first = client.submit_scenario("fig08", scale=run.scale, seed=run.seed)
@@ -192,7 +190,7 @@ class TestGoldenOverHttp:
         for job in (first, second):
             client.wait(job["id"], timeout_s=300)
             traces.append(client.result(job["id"])["trace"])
-        assert traces[0] == traces[1] == committed_trace(golden_exhibits, "fig08")
+        assert traces[0] == traces[1] == committed_trace("fig08")
 
     def test_inline_scenario_submission(self, service):
         _, client = service
