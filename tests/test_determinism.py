@@ -67,6 +67,56 @@ class TestGoldenTraces:
         assert rendered.endswith("\n") and not rendered.endswith("\n\n")
 
 
+def _less(result, key, value, low, high):
+    """``result``'s ``value`` column at row ``key == low`` < at ``high``."""
+    column = {r[key]: r[value] for r in result.rows}
+    return column[low] < column[high]
+
+
+#: the paper claim each exhibit's golden carries at its canonical
+#: (scale, seed). The byte-diff pins today's bytes; these keep a
+#: ``regenerate_exhibits.py --update`` re-baseline from committing
+#: goldens that no longer show what the exhibit reproduces.
+CANONICAL_CLAIMS = {
+    # Fig 1: exponential grid-search tuning cost on EC2 instances.
+    "fig01": lambda res: res.rows[-1]["trials"] == 729,
+    # Fig 2: 58-event PMU heatmap across epochs (CNN/News20).
+    "fig02": lambda res: len(res.rows) == 58,
+    # Fig 3: small batches run longer on more cores (LeNet/MNIST).
+    "fig03": lambda res: all(
+        r["duration_diff_pct"] > 0
+        for r in res.rows
+        if r["panel"] == "b/c" and r["batch_size"] == 64
+    ),
+    # Fig 5: Tune V2 under co-located jobs vs a single V1 job.
+    "fig05": lambda res: len(res.rows) == 12,
+    # Fig 8: k-means clusters group workloads by model/dataset.
+    "fig08": lambda res: len({r["cluster"] for r in res.rows}) == 2,
+    # Fig 9: accuracy convergence of all three tuning systems.
+    "fig09": lambda res: {r["system"] for r in res.rows}
+    == {"pipetune", "tune-v1", "tune-v2"},
+    # Fig 10: training-trial time convergence.
+    "fig10": lambda res: all(r["trial_time_s"] > 0 for r in res.rows),
+    # Fig 11: single-tenancy Type-I/II over four workloads.
+    "fig11": lambda res: len({r["workload"] for r in res.rows}) == 4,
+    # Fig 12: single-node Type-III over three workloads.
+    "fig12": lambda res: len({r["workload"] for r in res.rows}) == 3,
+    # Fig 13/14: PipeTune answers multi-tenant jobs faster than Tune V1.
+    "fig13": lambda res: _less(res, "system", "all_s", "pipetune", "tune-v1"),
+    "fig14": lambda res: _less(res, "system", "all_s", "pipetune", "tune-v1"),
+    # Table 2: PipeTune tunes LeNet/MNIST faster than Tune V1.
+    "table2": lambda res: _less(
+        res, "approach", "tuning_time_s", "PipeTune", "Tune V1"
+    ),
+}
+
+
+class TestCanonicalClaims:
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CLAIMS))
+    def test_exhibit_holds_its_claim(self, name):
+        assert CANONICAL_CLAIMS[name](EXHIBIT_RUNS[name].run())
+
+
 class TestGoldenGuard:
     """The tier-1 guard's digest/compare, on a scratch copy of the goldens."""
 
