@@ -156,10 +156,10 @@ def test_epoch_noise_block(benchmark):
 
 
 def test_trainer_batched_runout(benchmark):
-    """The coalesced run-out consuming ``epoch_cost_batch`` from cold
-    caches every round: the trial-level shape of the batched draw-ahead
-    path (one stream per kind, one vector synthesis, cumsum schedule),
-    as opposed to ``test_trainer_runout``'s steady-state warm run."""
+    """A full 30-epoch trial from cold caches every round: the
+    trial-level cost of the batched draw-ahead path (one stream per
+    kind, one ``epoch_cost_batch`` per system-config segment), as
+    opposed to ``test_trainer_runout``'s steady-state warm run."""
 
     def run():
         clear_cost_caches()
@@ -208,8 +208,8 @@ def test_tsdb_write_throughput(benchmark):
 
 
 def test_trainer_runout(benchmark):
-    """A full 30-epoch trial with inert hooks: exercises allocation,
-    the coalesced run-out fast path and result synthesis end to end."""
+    """A full 30-epoch trial with the default hooks: exercises
+    allocation, the per-epoch loop and result synthesis end to end."""
 
     def run():
         env = Environment()

@@ -196,17 +196,6 @@ class PipeTuneHooks(TrialHooks):
             return self._target_system
         return None
 
-    def runout_inert(self, ctx: TrialContext, epoch: int) -> bool:
-        # Once the pipeline has settled into its run-out (state RUN with
-        # the winning system configuration applied), the remaining
-        # epochs are plain training: before_epoch returns None, no
-        # profiling or probing, zero extra delay, and after_epoch only
-        # updates clock-independent bookkeeping. The trainer may then
-        # coalesce the rest of the trial into one simulated sleep.
-        return self.state == self.RUN and (
-            self._target_system is None or ctx.system == self._target_system
-        )
-
     def after_epoch(self, ctx: TrialContext, record: EpochRecord) -> None:
         self._epochs_seen = record.epoch
         if self.state == self.PROFILE and record.profile is not None:

@@ -46,7 +46,6 @@ class Node:
         self.memory = Container(env, spec.memory_gb)
         self._active_cores = 0.0
         self._power_listeners: List = []
-        self._power_watchers = 0
 
     @property
     def active_cores(self) -> float:
@@ -58,29 +57,8 @@ class Node:
         return self.spec.idle_watts + self.spec.core_watts * self._active_cores
 
     def add_power_listener(self, listener) -> None:
-        """``listener(node, now, watts)`` fires on every power change.
-
-        Attach listeners (and :meth:`watch_power` pollers) before the
-        node runs trials: the trainer checks ``power_observed`` when a
-        trial enters its run-out, and a trial already inside a
-        coalesced sleep holds its busy level flat until it ends.
-        """
+        """``listener(node, now, watts)`` fires on every power change."""
         self._power_listeners.append(listener)
-
-    def watch_power(self) -> None:
-        """Declare an entity that polls ``power_watts`` mid-simulation
-        (e.g. a PDU sampler) without registering a listener."""
-        self._power_watchers += 1
-
-    @property
-    def power_observed(self) -> bool:
-        """Whether anything observes this node's power signal.
-
-        While True, intermediate busy-core transitions are externally
-        visible, so the trainer must not coalesce epoch steps on this
-        node (the power trace would lose its per-epoch structure).
-        """
-        return bool(self._power_listeners) or self._power_watchers > 0
 
     def _set_active_cores(self, value: float) -> None:
         self._active_cores = value

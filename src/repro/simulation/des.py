@@ -508,32 +508,6 @@ class Environment:
         else:
             self._immediate.append([seq, event, None])
 
-    def _schedule_at(self, event: Event, when: float) -> None:
-        """Schedule at an absolute time (>= now). Internal: lets a
-        caller land the clock on an exact precomputed instant instead
-        of re-rounding through ``now + delay``."""
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._queue, (when, seq, event))
-
-    def _unschedule(self, event: Event) -> bool:
-        """Remove a delayed event from the heap (rare path, O(n)).
-
-        Used when a coalesced sleep is abandoned mid-way: the clock
-        must not drain past times no live event cares about.
-        """
-        queue = self._queue
-        for index, item in enumerate(queue):
-            if item[2] is event:
-                last = queue.pop()
-                if index < len(queue):
-                    queue[index] = last
-                    heapq.heapify(queue)
-                return True
-        return False
-
     def _defer_resume(self, event: Event, process: "Process") -> list:
         """Queue a process resumption at the current instant.
 

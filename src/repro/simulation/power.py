@@ -127,10 +127,6 @@ class PduSampler:
         self.samples: List[PowerSample] = []
         self._rng = rng_for("pdu-sampler", seed)
         self._running = False
-        # The sampler polls node.power_watts without a listener; flag
-        # the nodes so the trainer keeps per-epoch power transitions.
-        for node in cluster.nodes:
-            node.watch_power()
 
     def _read(self) -> float:
         watts = sum(n.power_watts for n in self.cluster.nodes)

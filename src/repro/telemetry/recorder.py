@@ -146,12 +146,6 @@ class RecordingHooks(TrialHooks):
     def epoch_extra_delay_s(self, ctx: TrialContext, epoch: int) -> float:
         return self.inner.epoch_extra_delay_s(ctx, epoch)
 
-    def runout_inert(self, ctx: TrialContext, epoch: int) -> bool:
-        # Never inert: every epoch record is written with an env.now
-        # timestamp, so a coalesced replay would shift the series to
-        # the window's end. Telemetry-wrapped trials step per epoch.
-        return False
-
     def after_epoch(self, ctx: TrialContext, record: EpochRecord) -> None:
         self.recorder.record_epoch(ctx, record)
         self.inner.after_epoch(ctx, record)

@@ -18,18 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-import numpy as np
-
 from ..counters.profiler import EpochProfiler
 from ..simulation.cluster import Allocation, SimCluster
-from ..simulation.des import Environment, Event, SimulationError
+from ..simulation.des import Environment
 from ..workloads.accuracy import accuracy_at_epoch
-from ..workloads.perfmodel import (
-    active_cores,
-    epoch_cost,
-    epoch_cost_batch,
-    working_set_gb,
-)
+from ..workloads.perfmodel import active_cores, epoch_cost_batch, working_set_gb
 from .errors import NodeDeparted, TrialCrashed, TrialOutOfMemory, TrialPreempted
 from .faults import FaultModel
 from ..workloads.spec import (
@@ -95,22 +88,6 @@ class TrialHooks:
 
     def after_epoch(self, ctx: TrialContext, record: EpochRecord) -> None:
         """Called with the finished epoch's record."""
-
-    def runout_inert(self, ctx: TrialContext, epoch: int) -> bool:
-        """Whether the hooks promise to stay passive from ``epoch`` on.
-
-        Returning True is a contract covering every remaining epoch up
-        to ``ctx.target_epochs``: :meth:`before_epoch` returns ``None``
-        (or the unchanged current system), :meth:`wants_profiling` is
-        False, :meth:`epoch_extra_delay_s` is zero, and no hook method
-        reads the simulation clock or performs time-stamped side
-        effects. The trainer may then coalesce the remaining epochs
-        into a single simulated sleep and invoke the per-epoch hooks
-        afterwards, with arguments and records identical to per-epoch
-        stepping. The default hooks are trivially inert; subclasses
-        must opt in explicitly.
-        """
-        return type(self) is TrialHooks
 
     def on_end(self, ctx: TrialContext, result: TrialResult) -> None:
         """Called after the allocation is released."""
@@ -191,6 +168,8 @@ def run_trial(
     epochs = target_epochs if target_epochs is not None else hyper.epochs
     if epochs <= start_epoch:
         raise ValueError("target epochs must exceed start_epoch")
+    if setup_cost_s < 0:
+        raise ValueError("setup_cost_s must be >= 0")
     trial_seed = stable_seed("trial", trial_id, workload.name)
     slowdown = 1.0
     if faults is not None:
@@ -198,6 +177,7 @@ def run_trial(
 
     start_time = env.now
     allocation = yield from cluster.allocate(system.cores, system.memory_gb)
+    node = allocation.node
     ctx = TrialContext(
         trial_id=trial_id,
         env=env,
@@ -209,167 +189,17 @@ def run_trial(
         target_epochs=epochs,
         start_epoch=start_epoch,
     )
-    hooks.on_start(ctx)
-    if setup_cost_s < 0:
-        raise ValueError("setup_cost_s must be >= 0")
-    if setup_cost_s:
-        yield env.timeout(setup_cost_s)
-
     total_time = 0.0
     total_energy = 0.0
     accuracy = 0.0
 
-    def replay_epoch(k: int, duration: float, busy: float) -> None:
-        """Re-run epoch ``k``'s hook calls and accounting after a
-        coalesced sleep, exactly as per-epoch stepping would have.
-
-        Inert hooks are clock-independent by contract, so invoking them
-        once simulated time has already passed produces identical hook
-        state, records and accumulators; the contract is still verified
-        cheaply so a misdeclared hook fails loudly instead of silently
-        desynchronising the trial.
-        """
-        nonlocal total_time, total_energy, accuracy
-        desired = hooks.before_epoch(ctx, k)
-        if desired is not None and desired != ctx.system:
-            raise SimulationError(
-                f"hooks declared run-out inert but requested a reshape "
-                f"at epoch {k}"
-            )
-        if hooks.wants_profiling(ctx, k) or hooks.epoch_extra_delay_s(ctx, k) > 0:
-            raise SimulationError(
-                f"hooks declared run-out inert but were active at epoch {k}"
-            )
-        accuracy = accuracy_at_epoch(
-            workload, hyper, k, trial_seed=trial_seed, noisy=noisy
-        )
-        energy = trial_energy_j(workload, ctx.system, allocation, busy, duration)
-        total_time += duration
-        total_energy += energy
-        record = EpochRecord(
-            epoch=k,
-            duration_s=duration,
-            accuracy=accuracy,
-            system=ctx.system,
-            energy_j=energy,
-            profiled=False,
-            probed=hooks.is_probe_epoch(ctx, k),
-            profile=None,
-        )
-        ctx.records.append(record)
-        hooks.after_epoch(ctx, record)
-
     try:
-        epoch = start_epoch + 1
-        while epoch <= epochs:
-            if (
-                epochs - epoch >= 1
-                and hooks.runout_inert(ctx, epoch)
-                and not allocation.node.power_observed
-                and (faults is None or not faults.active)
-                and (
-                    oom_threshold is None
-                    or working_set_gb(workload, hyper)
-                    <= oom_threshold * ctx.system.memory_gb
-                )
-            ):
-                # ---- coalesced run-out -------------------------------
-                # No reconfiguration, profiling, probing or failure can
-                # occur for the remaining epochs and nothing observes
-                # the node's power signal: replace the per-epoch
-                # timeouts with ONE sleep to the trial's end and
-                # synthesize the per-epoch records analytically. Event
-                # count drops from 2/epoch to O(1) per trial segment.
-                # Two documented edges: (a) the sleep's FIFO counter is
-                # drawn at window start, so an unrelated event landing
-                # at the trial's exact end instant (float equality, not
-                # observed in any seeded exhibit) may tie-break the
-                # other way than per-epoch stepping; (b) the
-                # power_observed gate is sampled here — observers must
-                # attach before trials run (see Node.add_power_listener).
-                #
-                # The whole window's costs come from ONE batched
-                # synthesis: invariant terms computed once, the noise
-                # vector one draw from the trial's epoch-noise block —
-                # the same block positions the scalar stepping path
-                # reads, so the two paths are bit-identical by
-                # construction, not by re-derivation.
-                config = ctx.config
-                batch = epoch_cost_batch(
-                    config,
-                    range(epoch, epochs + 1),
-                    contention=contention,
-                    noisy=noisy,
-                )
-                durations = batch.total_s
-                # Utilisation is epoch-invariant, so every epoch of the
-                # window runs at one busy-core level (scalar stepping
-                # recomputes the identical value per epoch).
-                busy_level = active_cores(config, batch)
-                # Epoch-end instants accumulated exactly as successive
-                # timeouts would have advanced the clock (cumsum adds
-                # sequentially — same float rounding as the loop),
-                # then scheduled at the absolute end time.
-                ends = [
-                    float(t)
-                    for t in np.cumsum(np.concatenate(((env.now,), durations)))[1:]
-                ]
-                node = allocation.node
-                node.notify_busy(busy_level)
-                sleep = Event(env)
-                sleep._triggered = True
-                env._schedule_at(sleep, ends[-1])
-                try:
-                    yield sleep
-                except BaseException:
-                    # Interrupted mid-window: reconstruct the exact
-                    # per-epoch state at the interrupt instant.
-                    env._unschedule(sleep)
-                    completed = 0
-                    while completed < len(ends) and ends[completed] <= env.now:
-                        completed += 1
-                    for index in range(completed):
-                        replay_epoch(
-                            epoch + index, float(durations[index]), busy_level
-                        )
-                    if completed < len(durations):
-                        # Per-epoch stepping would have entered the next
-                        # epoch: its before-hooks ran, its busy-core
-                        # level was applied, and its (now orphaned)
-                        # timeout was pending when the interrupt hit —
-                        # plant an equivalent dead event so a draining
-                        # run() advances the clock identically.
-                        k = epoch + completed
-                        desired = hooks.before_epoch(ctx, k)
-                        if desired is not None and desired != ctx.system:
-                            raise SimulationError(
-                                "hooks declared run-out inert but "
-                                f"requested a reshape at epoch {k}"
-                            )
-                        if (
-                            hooks.wants_profiling(ctx, k)
-                            or hooks.epoch_extra_delay_s(ctx, k) > 0
-                        ):
-                            raise SimulationError(
-                                "hooks declared run-out inert but were "
-                                f"active at epoch {k}"
-                            )
-                        # The next epoch runs at the same (invariant)
-                        # busy level the window already applied, so no
-                        # busy adjustment is needed — per-epoch stepping
-                        # would have lowered and re-raised the identical
-                        # amount.
-                        orphan = Event(env)
-                        orphan._triggered = True
-                        env._schedule_at(orphan, ends[completed])
-                    else:
-                        node.notify_busy(-busy_level)
-                    raise
-                for index, k in enumerate(range(epoch, epochs + 1)):
-                    replay_epoch(k, float(durations[index]), busy_level)
-                node.notify_busy(-busy_level)
-                break
+        hooks.on_start(ctx)
+        if setup_cost_s:
+            yield env.timeout(setup_cost_s)
 
+        segment_system = None
+        for epoch in range(start_epoch + 1, epochs + 1):
             desired = hooks.before_epoch(ctx, epoch)
             if desired is not None and desired != ctx.system:
                 # Best-effort reshape: a grow the node cannot satisfy
@@ -383,26 +213,32 @@ def run_trial(
                         memory_gb=allocation.memory_gb,
                     )
 
+            if ctx.system != segment_system:
+                # One cost synthesis per system-config segment: the
+                # epoch durations of the rest of the trial at this
+                # shape, read one element per epoch below.
+                segment_system = ctx.system
+                segment_start = epoch
+                segment = epoch_cost_batch(
+                    ctx.config,
+                    range(epoch, epochs + 1),
+                    contention=contention,
+                    noisy=noisy,
+                )
+                busy = active_cores(ctx.config, segment)
+            epoch_s = float(segment.total_s[epoch - segment_start])
+
             if oom_threshold is not None:
                 working_set = working_set_gb(workload, hyper)
                 if working_set > oom_threshold * ctx.system.memory_gb:
                     # thrash for half an epoch before the OOM killer hits
-                    thrash = epoch_cost(
-                        ctx.config, epoch=epoch, contention=contention, noisy=noisy
-                    )
-                    yield env.timeout(0.5 * thrash.total_s)
-                    raise TrialOutOfMemory(
-                        trial_id, working_set, ctx.system.memory_gb
-                    )
-            cost = epoch_cost(
-                ctx.config, epoch=epoch, contention=contention, noisy=noisy
-            )
-            duration = cost.total_s * slowdown
+                    yield env.timeout(0.5 * epoch_s)
+                    raise TrialOutOfMemory(trial_id, working_set, ctx.system.memory_gb)
+            duration = epoch_s * slowdown
             profiled = hooks.wants_profiling(ctx, epoch)
             if profiled:
                 duration *= profiler.overhead_factor()
             duration += max(0.0, hooks.epoch_extra_delay_s(ctx, epoch))
-            busy = active_cores(ctx.config, cost)
 
             if faults is not None:
                 event = faults.draw_event(trial_id, attempt, epoch)
@@ -419,14 +255,14 @@ def run_trial(
                         )
                         raise TrialPreempted(trial_id, epoch, checkpoint)
                     if kind == "churn":
-                        raise NodeDeparted(
-                            trial_id, epoch, allocation.node.spec.name
-                        )
+                        raise NodeDeparted(trial_id, epoch, node.spec.name)
                     raise TrialCrashed(trial_id, epoch)
 
-            allocation.node.notify_busy(busy)
-            yield env.timeout(duration)
-            allocation.node.notify_busy(-busy)
+            node.notify_busy(busy)
+            try:
+                yield env.timeout(duration)
+            finally:
+                node.notify_busy(-busy)
 
             accuracy = accuracy_at_epoch(
                 workload, hyper, epoch, trial_seed=trial_seed, noisy=noisy
@@ -452,7 +288,6 @@ def run_trial(
             )
             ctx.records.append(record)
             hooks.after_epoch(ctx, record)
-            epoch += 1
     finally:
         allocation.release()
 

@@ -237,10 +237,9 @@ def epoch_cost_batch(
     Computes the epoch-invariant terms once and applies the epoch-noise
     vector — one batched draw from the trial's noise block — in a
     single numpy expression. ``total_s[i]`` is bit-identical to
-    ``epoch_cost(config, epochs[i], contention, noisy).total_s``, which
-    is what lets the coalesced run-out in
-    :func:`repro.tune.trainer.run_trial` consume the batch while
-    per-epoch stepping keeps calling the scalar form.
+    ``epoch_cost(config, epochs[i], contention, noisy).total_s``.
+    :func:`repro.tune.trainer.run_trial` builds one batch per
+    system-config segment of a trial and reads one element per epoch.
     """
     if contention < 1.0:
         raise ValueError("contention factor must be >= 1")

@@ -12,7 +12,6 @@ import pytest
 
 from repro.simulation.des import (
     Environment,
-    Event,
     Interrupt,
     SimulationError,
 )
@@ -240,11 +239,6 @@ class TestImmediateQueueMechanics:
         env.process(proc())
         with pytest.raises(SimulationError):
             env.run()
-
-    def test_schedule_at_rejects_past(self):
-        env = Environment(initial_time=10.0)
-        with pytest.raises(SimulationError):
-            env._schedule_at(Event(env), 9.0)
 
     def test_two_processes_waiting_same_finished_process(self):
         """A processed Process event can feed several late waiters."""

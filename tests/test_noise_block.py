@@ -247,8 +247,9 @@ class TestModelEquivalence:
                 ).total_s
 
     def test_epoch_cost_batch_arbitrary_indices(self):
-        # The coalesced run-out resumes mid-trial; pipetune probes use
-        # sparse thousand-range indices. Both must match the scalars.
+        # A trial's cost segment starts mid-trial after a reshape;
+        # pipetune probes use sparse thousand-range indices. Both must
+        # match the scalars.
         config = next(self.configs())
         indices = [7, 3, 1003, 0]
         batch = epoch_cost_batch(config, indices)
@@ -266,8 +267,8 @@ class TestModelEquivalence:
                     )
 
     def test_scalar_then_batch_then_scalar_consistent(self):
-        # Mixed access orders (per-epoch stepping before and after a
-        # coalesced run-out) all read the same stream positions.
+        # Mixed access orders (scalar reads before and after a batched
+        # segment) all read the same stream positions.
         config = next(self.configs())
         clear_cost_caches()
         early = epoch_cost(config, epoch=2).total_s

@@ -1,14 +1,18 @@
 """Tests for the trial trainer (DES training process + hooks)."""
 
+import numpy as np
 import pytest
 
 from repro.simulation.cluster import NodeSpec, SimCluster
-from repro.simulation.des import Environment
+from repro.simulation.des import Environment, Interrupt
 from repro.simulation.power import EnergyMeter
+from repro.tune.errors import TrialOutOfMemory
 from repro.tune.trainer import TrialContext, TrialHooks, run_trial, trial_energy_j
 from repro.tune.trial import EpochRecord
-from repro.workloads.registry import LENET_MNIST
-from repro.workloads.spec import HyperParams, SystemParams
+from repro.workloads.accuracy import accuracy_at_epoch
+from repro.workloads.perfmodel import epoch_cost
+from repro.workloads.registry import CNN_NEWS20, LENET_MNIST
+from repro.workloads.spec import HyperParams, SystemParams, TrialConfig, stable_seed
 
 
 def make_env(nodes=1, cores=16, memory=64.0):
@@ -20,7 +24,7 @@ def make_env(nodes=1, cores=16, memory=64.0):
     return env, cluster
 
 
-def run(env, cluster, **kwargs):
+def start_trial(env, cluster, **kwargs):
     defaults = dict(
         trial_id="t0",
         workload=LENET_MNIST,
@@ -28,9 +32,50 @@ def run(env, cluster, **kwargs):
         system=SystemParams(cores=4, memory_gb=16.0),
     )
     defaults.update(kwargs)
-    process = env.process(run_trial(env, cluster, **defaults))
+    return env.process(run_trial(env, cluster, **defaults))
+
+
+def run(env, cluster, **kwargs):
+    process = start_trial(env, cluster, **kwargs)
     env.run()
     return process.value
+
+
+def interrupt_at(env, process, at):
+    def interrupter():
+        yield env.timeout(at)
+        process.interrupt("stop")
+
+    env.process(interrupter())
+
+
+def assert_node_free(node):
+    assert node.cores.level == node.spec.cores
+    assert node.memory.level == node.spec.memory_gb
+    assert node.active_cores == 0.0
+    assert node.power_watts == node.spec.idle_watts
+
+
+class ContextCapture(TrialHooks):
+    """Default hooks that also expose the trial context."""
+
+    def __init__(self):
+        self.ctx = None
+
+    def on_start(self, ctx):
+        self.ctx = ctx
+
+
+def record_tuple(record):
+    return (
+        record.epoch,
+        record.duration_s,
+        record.accuracy,
+        record.system,
+        record.energy_j,
+        record.profiled,
+        record.probed,
+    )
 
 
 class TestBasicTraining:
@@ -61,9 +106,7 @@ class TestBasicTraining:
     def test_resources_released_at_end(self):
         env, cluster = make_env()
         run(env, cluster)
-        node = cluster.nodes[0]
-        assert node.cores.level == node.spec.cores
-        assert node.memory.level == node.spec.memory_gb
+        assert_node_free(cluster.nodes[0])
 
     def test_resume_skips_done_epochs(self):
         env, cluster = make_env()
@@ -89,6 +132,12 @@ class TestBasicTraining:
         with pytest.raises(ValueError):
             run(env, cluster, setup_cost_s=-1.0)
 
+    def test_negative_setup_cost_does_not_leak_allocation(self):
+        env, cluster = make_env()
+        with pytest.raises(ValueError):
+            run(env, cluster, setup_cost_s=-1.0)
+        assert_node_free(cluster.nodes[0])
+
     def test_deterministic_given_trial_id(self):
         env, cluster = make_env()
         a = run(env, cluster, trial_id="same")
@@ -96,6 +145,140 @@ class TestBasicTraining:
         b = run(env2, cluster2, trial_id="same")
         assert a.accuracy == b.accuracy
         assert a.training_time_s == b.training_time_s
+
+
+class TestInterrupts:
+    """An interrupted trial hands its node back whole: allocation
+    released and its busy cores no longer drawing power."""
+
+    EIGHT_CORES = SystemParams(cores=8, memory_gb=16.0)
+
+    @pytest.mark.parametrize(
+        "workload, epochs, fraction",
+        [
+            (LENET_MNIST, 8, 0.05),
+            (LENET_MNIST, 8, 0.45),
+            (LENET_MNIST, 8, 0.83),
+            (CNN_NEWS20, 6, 0.6),
+        ],
+        ids=["lenet-0.05", "lenet-0.45", "lenet-0.83", "news20-0.6"],
+    )
+    def test_interrupt_mid_trial_frees_node(self, workload, epochs, fraction):
+        kwargs = dict(
+            workload=workload,
+            hyper=HyperParams(batch_size=64, epochs=epochs),
+            system=self.EIGHT_CORES,
+        )
+        full_env, full_cluster = make_env()
+        full = run(full_env, full_cluster, **kwargs)
+        span = full.end_time - full.start_time
+
+        env, cluster = make_env()
+        process = start_trial(env, cluster, **kwargs)
+        interrupt_at(env, process, fraction * span)
+        env.run()
+        assert not process.ok
+        with pytest.raises(Interrupt):
+            _ = process.value
+        assert_node_free(cluster.nodes[0])
+
+    def test_interrupted_records_are_prefix_of_full_run(self):
+        kwargs = dict(
+            hyper=HyperParams(batch_size=64, epochs=8), system=self.EIGHT_CORES
+        )
+        full_env, full_cluster = make_env()
+        full = run(full_env, full_cluster, **kwargs)
+        span = full.end_time - full.start_time
+
+        env, cluster = make_env()
+        hooks = ContextCapture()
+        process = start_trial(env, cluster, hooks=hooks, **kwargs)
+        interrupt_at(env, process, 0.5 * span)
+        env.run()
+        records = [record_tuple(r) for r in hooks.ctx.records]
+        reference = [record_tuple(r) for r in full.records]
+        assert 0 < len(records) < len(reference)
+        assert records == reference[: len(records)]
+
+    def test_interrupt_during_setup_releases_allocation(self):
+        env, cluster = make_env()
+        process = start_trial(env, cluster, system=self.EIGHT_CORES, setup_cost_s=100.0)
+        interrupt_at(env, process, 30.0)
+        env.run()
+        assert not process.ok
+        assert_node_free(cluster.nodes[0])
+
+    def test_power_listener_attached_mid_trial_sees_every_epoch(self):
+        """A listener attached during epoch 3 of 8 sees that epoch end,
+        then a rise and a fall for each of the 5 epochs after it."""
+        kwargs = dict(
+            hyper=HyperParams(batch_size=64, epochs=8), system=self.EIGHT_CORES
+        )
+        full_env, full_cluster = make_env()
+        full = run(full_env, full_cluster, **kwargs)
+        epoch_ends = np.cumsum([r.duration_s for r in full.records])
+        attach_at = 0.5 * (epoch_ends[1] + epoch_ends[2])
+
+        env, cluster = make_env()
+        node = cluster.nodes[0]
+        watts = []
+
+        def attach():
+            yield env.timeout(attach_at)
+            node.add_power_listener(lambda _node, _now, w: watts.append(w))
+
+        env.process(attach())
+        process = start_trial(env, cluster, **kwargs)
+        env.run()
+        assert process.ok
+        assert len(watts) == 1 + 2 * 5
+        assert watts[-1] == node.spec.idle_watts
+
+
+class TestCostSegments:
+    """Epoch durations come from one ``epoch_cost_batch`` per
+    system-config segment; each must equal the scalar ``epoch_cost``
+    of its epoch at the shape it ran with."""
+
+    def test_reshaped_epochs_match_scalar_costs(self):
+        class Downsize(TrialHooks):
+            def before_epoch(self, ctx, epoch):
+                if epoch == 3:
+                    return SystemParams(cores=8, memory_gb=8.0)
+                return None
+
+        env, cluster = make_env()
+        hyper = HyperParams(batch_size=64, epochs=6)
+        result = run(env, cluster, hyper=hyper, hooks=Downsize())
+        assert [r.system.cores for r in result.records] == [4, 4, 8, 8, 8, 8]
+        for record in result.records:
+            config = TrialConfig(LENET_MNIST, hyper, record.system)
+            expected = epoch_cost(config, epoch=record.epoch).total_s
+            assert record.duration_s == expected  # bit-exact
+
+    def test_oom_thrash_is_half_the_first_epoch(self):
+        hyper = HyperParams(batch_size=1024, embedding_dim=300, epochs=3)
+        system = SystemParams(cores=4, memory_gb=4.0)
+        env, cluster = make_env()
+        process = start_trial(
+            env,
+            cluster,
+            workload=CNN_NEWS20,
+            hyper=hyper,
+            system=system,
+            oom_threshold=2.0,
+        )
+        env.run()
+        with pytest.raises(TrialOutOfMemory):
+            _ = process.value
+        config = TrialConfig(CNN_NEWS20, hyper, system)
+        assert env.now == 0.5 * epoch_cost(config, epoch=1).total_s
+        assert_node_free(cluster.nodes[0])
+
+    def test_single_epoch_trial(self):
+        env, cluster = make_env()
+        result = run(env, cluster, hyper=HyperParams(batch_size=64, epochs=1))
+        assert [r.epoch for r in result.records] == [1]
 
 
 class TestEnergyAccounting:
@@ -252,3 +435,58 @@ class TestTrialResultHelpers:
         assert result.full_training_time_estimate() == pytest.approx(
             result.mean_epoch_time_s() * 4
         )
+
+
+class TestPhiloxStreamDerivation:
+    """Prove the trainer's per-epoch noise comes from the reference
+    counter-keyed Philox streams, not merely from *some* deterministic
+    source: every record of a trial is reconstructed bit-exactly with
+    ``Generator(Philox(key=stable_seed(...)))`` built by hand,
+    replaying the exact float operations of the models.
+
+    Under the draw-ahead blocks there is ONE stream per (trial, kind) —
+    keyed with the literal ``"block"`` suffix and no epoch — and the
+    epoch selects a position in its batched normal sequence."""
+
+    @pytest.mark.parametrize(
+        "workload", [LENET_MNIST, CNN_NEWS20], ids=lambda w: w.name
+    )
+    def test_records_reconstruct_from_reference_streams(self, workload):
+        epochs = 5
+        hyper = HyperParams(batch_size=64, epochs=epochs)
+        system = SystemParams(cores=8, memory_gb=16.0)
+        env, cluster = make_env()
+        hooks = ContextCapture()
+        result = run(
+            env, cluster, workload=workload, hyper=hyper, system=system, hooks=hooks
+        )
+        trial_seed = stable_seed("trial", "t0", workload.name)
+        config = hooks.ctx.config
+
+        acc_rng = np.random.Generator(
+            np.random.Philox(
+                key=stable_seed(
+                    workload.name, "acc-noise", hyper, trial_seed, "block"
+                )
+            )
+        )
+        acc_draws = acc_rng.normal(0.0, workload.accuracy_noise, size=epochs + 1)
+        time_rng = np.random.Generator(
+            np.random.Philox(
+                key=stable_seed(workload.name, "epoch-noise", hyper, system, "block")
+            )
+        )
+        time_draws = time_rng.normal(0.0, workload.runtime_noise, size=epochs + 1)
+
+        for record in result.records:
+            noiseless = accuracy_at_epoch(
+                workload, hyper, record.epoch, trial_seed=trial_seed, noisy=False
+            )
+            expected_accuracy = min(
+                1.0, max(0.0, noiseless + acc_draws[record.epoch])
+            )
+            assert record.accuracy == expected_accuracy  # bit-exact
+
+            noiseless_s = epoch_cost(config, epoch=record.epoch, noisy=False).total_s
+            expected_duration = noiseless_s * max(0.5, 1.0 + time_draws[record.epoch])
+            assert record.duration_s == expected_duration  # bit-exact
