@@ -256,6 +256,19 @@ class TestCostSegments:
             expected = epoch_cost(config, epoch=record.epoch).total_s
             assert record.duration_s == expected  # bit-exact
 
+    def test_resumed_segment_is_offset_by_start_epoch(self):
+        hyper = HyperParams(batch_size=64, epochs=9)
+        system = SystemParams(cores=4, memory_gb=16.0)
+        env, cluster = make_env()
+        result = run(
+            env, cluster, hyper=hyper, system=system, start_epoch=3, setup_cost_s=20.0
+        )
+        assert [r.epoch for r in result.records] == list(range(4, 10))
+        config = TrialConfig(LENET_MNIST, hyper, system)
+        expected = [epoch_cost(config, epoch=e).total_s for e in range(4, 10)]
+        assert [r.duration_s for r in result.records] == expected  # bit-exact
+        assert result.wall_time_s == pytest.approx(20.0 + sum(expected))
+
     def test_oom_thrash_is_half_the_first_epoch(self):
         hyper = HyperParams(batch_size=1024, embedding_dim=300, epochs=3)
         system = SystemParams(cores=4, memory_gb=4.0)
