@@ -142,15 +142,15 @@ def test_epoch_noise_block(benchmark):
     """Cold-path cost of the draw-ahead layer: a fresh noise block plus
     one batched 30-epoch cost synthesis per round. ``clear_cost_caches``
     runs inside the timed region, so the measurement is construction +
-    the vectorized draw — the work a trial's first epoch pays — rather
-    than a cache-hit no-op."""
+    the batched draw and its prefix read — the work a trial's first
+    segment pays — rather than a cache-hit no-op."""
     config = TrialConfig(
         LENET_MNIST, HyperParams(batch_size=64), SystemParams(cores=8, memory_gb=16.0)
     )
 
     def run():
         clear_cost_caches()
-        return epoch_cost_batch(config, range(30)).total_s.sum()
+        return sum(epoch_cost_batch(config, range(30)).total_s)
 
     assert benchmark(run) > 0
 

@@ -21,7 +21,7 @@ from typing import Generator, Optional
 from ..counters.profiler import EpochProfiler
 from ..simulation.cluster import Allocation, SimCluster
 from ..simulation.des import Environment
-from ..workloads.accuracy import accuracy_at_epoch
+from ..workloads.accuracy import accuracy_curve
 from ..workloads.perfmodel import active_cores, epoch_cost_batch, working_set_gb
 from .errors import NodeDeparted, TrialCrashed, TrialOutOfMemory, TrialPreempted
 from .faults import FaultModel
@@ -52,10 +52,6 @@ class TrialContext:
     #: than ``hyper.epochs``); hooks use it to budget probing.
     target_epochs: int = 0
     start_epoch: int = 0
-
-    @property
-    def config(self) -> TrialConfig:
-        return TrialConfig(self.workload, self.hyper, self.system)
 
 
 class TrialHooks:
@@ -198,6 +194,13 @@ def run_trial(
         if setup_cost_s:
             yield env.timeout(setup_cost_s)
 
+        # Everything the epoch loop reads is precomputed as Python
+        # floats: the trial's accuracies here, and per system-config
+        # segment its config, busy level and epoch durations.
+        accuracies = accuracy_curve(
+            workload, hyper, epochs, trial_seed, noisy, start_epoch=start_epoch
+        )
+        working_set = working_set_gb(workload, hyper)
         segment_system = None
         for epoch in range(start_epoch + 1, epochs + 1):
             desired = hooks.before_epoch(ctx, epoch)
@@ -208,28 +211,25 @@ def run_trial(
                 if allocation.try_resize(desired.cores, desired.memory_gb):
                     ctx.system = desired
                 else:
-                    ctx.system = SystemParams(
-                        cores=allocation.cores,
-                        memory_gb=allocation.memory_gb,
+                    # A clock change needs no resources, so only the
+                    # shape falls back to what the node still grants.
+                    ctx.system = desired.replace(
+                        cores=allocation.cores, memory_gb=allocation.memory_gb
                     )
 
             if ctx.system != segment_system:
-                # One cost synthesis per system-config segment: the
-                # epoch durations of the rest of the trial at this
-                # shape, read one element per epoch below.
+                # The epoch durations of the rest of the trial at this
+                # shape, indexed one per epoch below.
                 segment_system = ctx.system
                 segment_start = epoch
+                config = TrialConfig(workload, hyper, segment_system)
                 segment = epoch_cost_batch(
-                    ctx.config,
-                    range(epoch, epochs + 1),
-                    contention=contention,
-                    noisy=noisy,
+                    config, range(epoch, epochs + 1), contention, noisy
                 )
-                busy = active_cores(ctx.config, segment)
-            epoch_s = float(segment.total_s[epoch - segment_start])
+                busy = active_cores(config, segment)
+            epoch_s = segment.total_s[epoch - segment_start]
 
             if oom_threshold is not None:
-                working_set = working_set_gb(workload, hyper)
                 if working_set > oom_threshold * ctx.system.memory_gb:
                     # thrash for half an epoch before the OOM killer hits
                     yield env.timeout(0.5 * epoch_s)
@@ -264,9 +264,7 @@ def run_trial(
             finally:
                 node.notify_busy(-busy)
 
-            accuracy = accuracy_at_epoch(
-                workload, hyper, epoch, trial_seed=trial_seed, noisy=noisy
-            )
+            accuracy = accuracies[epoch - start_epoch - 1]
             energy = trial_energy_j(workload, ctx.system, allocation, busy, duration)
             total_time += duration
             total_energy += energy
@@ -274,7 +272,7 @@ def run_trial(
             profile = None
             if profiled:
                 profile = profiler.profile_epoch(
-                    ctx.config, epoch, duration, busy, noisy=noisy
+                    config, epoch, duration, busy, noisy=noisy
                 )
             record = EpochRecord(
                 epoch=epoch,

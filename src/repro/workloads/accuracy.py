@@ -27,8 +27,7 @@ energy*, not the learned model.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import List
 
 from .noise import noise_block
 from .spec import HyperParams, WorkloadSpec
@@ -122,33 +121,34 @@ def accuracy_curve(
     epochs: int,
     trial_seed: int = 0,
     noisy: bool = True,
-) -> np.ndarray:
-    """Accuracies after epochs ``1..epochs``, synthesized in one pass.
+    start_epoch: int = 0,
+) -> List[float]:
+    """Accuracies after epochs ``start_epoch+1..epochs``, in one pass.
 
     The learning-curve invariants (floor, asymptote, rate) are computed
-    once instead of per epoch, and the noise is applied as one batched
-    vector from the trial's accuracy-noise block. Element ``e-1`` is
+    once, the noise is one prefix read of the trial's accuracy-noise
+    block, and one list comprehension builds the Python floats the
+    trainer indexes per epoch. Element ``e-start_epoch-1`` is
     bit-identical to ``accuracy_at_epoch(workload, hyper, e, ...)``:
-    the per-epoch exponential stays scalar ``math.exp`` (transcendental
-    vector kernels are not guaranteed to round identically) and the
-    noise block serves both forms from the same stream positions.
+    it applies the same float operations in the same order to the same
+    stream position (the noise-free curve adds ``0.0``, which leaves
+    its positive sums unchanged).
     """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    if epochs == 0:
-        return np.empty(0, dtype=np.float64)
+    if not 0 <= start_epoch <= epochs:
+        raise ValueError("need 0 <= start_epoch <= epochs")
     floor = 0.05 * workload.base_accuracy
     a_max = asymptotic_accuracy(workload, hyper)
     rate = convergence_rate(workload, hyper)
     span = a_max - floor
-    curve = np.array(
-        [floor + span * (1.0 - math.exp(-rate * e)) for e in range(1, epochs + 1)],
-        dtype=np.float64,
-    )
-    if noisy:
-        block = _acc_noise_block(workload, hyper, trial_seed)
-        curve = curve + block.take(np.arange(1, epochs + 1))
-    return np.minimum(1.0, np.maximum(0.0, curve))
+    run = range(start_epoch + 1, epochs + 1)
+    if noisy and run:
+        noise = _acc_noise_block(workload, hyper, trial_seed).prefix(epochs + 1)
+    else:
+        noise = [0.0] * (epochs + 1)
+    return [
+        min(1.0, max(0.0, floor + span * (1.0 - math.exp(-rate * e)) + noise[e]))
+        for e in run
+    ]
 
 
 def final_accuracy(
@@ -176,4 +176,4 @@ def learning_curve(
     """
     return accuracy_curve(
         workload, hyper, hyper.epochs, trial_seed=trial_seed, noisy=noisy
-    ).tolist()
+    )

@@ -13,8 +13,10 @@ stream = rng_for(*key_parts, "block")        # e.g. (name, "epoch-noise", hp, sp
 draws  = stream.normal(0.0, sigma, size=n)   # the whole trial at once
 ```
 
-and per-epoch consumers index into the drawn vector. Two properties
-make this exact rather than approximate:
+and consumers read it back: a scalar ``value(epoch)``, or one
+``prefix(n)`` of Python floats per trial segment, which the epoch loop
+then only indexes. Two properties make this exact rather than
+approximate:
 
 * numpy Generators fill batched draws sequentially, so
   ``normal(size=n)`` is bit-identical to ``n`` scalar ``normal()``
@@ -41,7 +43,7 @@ for every ``noise_block``/``NoiseBlock`` call site.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -109,14 +111,12 @@ class NoiseBlock(_DrawAhead):
             raise ValueError("noise index must be >= 0")
         return float(self._ensure(index + 1)[index])
 
-    def take(self, indices: np.ndarray) -> np.ndarray:
-        """The draws at ``indices``, as one float64 vector."""
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size == 0:
-            return np.empty(0, dtype=np.float64)
-        if indices.min() < 0:
-            raise ValueError("noise index must be >= 0")
-        return self._ensure(int(indices.max()) + 1)[indices]
+    def prefix(self, count: int) -> List[float]:
+        """The first ``count`` draws of the stream, as Python floats:
+        element ``i`` equals ``value(i)``."""
+        if count < 0:
+            raise ValueError("noise prefix length must be >= 0")
+        return self._ensure(count)[:count].tolist()
 
 
 class NoiseMatrix(_DrawAhead):

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Tuple
 
 from .noise import clear_noise_blocks, noise_block
 from .spec import (
@@ -67,11 +65,12 @@ class EpochCostBatch:
 
     The compute/sync/memory terms depend only on (workload, hyper,
     system, contention), so they are scalars shared by every epoch;
-    ``total_s`` carries the per-epoch totals — the shared base times
-    the epoch's noise factor, drawn as one vector from the trial's
-    :class:`~repro.workloads.noise.NoiseBlock`. Element ``i`` is
-    bit-identical to ``epoch_cost(config, epochs[i], ...).total_s``:
-    both read the same block position and apply the same float ops.
+    ``total_s`` carries the per-epoch totals as Python floats — the
+    shared base times the epoch's noise factor, read from one prefix
+    of the trial's :class:`~repro.workloads.noise.NoiseBlock`. Element
+    ``i`` is bit-identical to ``epoch_cost(config, epochs[i],
+    ...).total_s``: both read the same block position and apply the
+    same float ops.
     """
 
     compute_s: float
@@ -79,7 +78,7 @@ class EpochCostBatch:
     overhead_s: float
     mem_penalty: float
     utilisation: float
-    total_s: np.ndarray  # aligned with the requested epoch indices
+    total_s: List[float]  # aligned with the requested epoch indices
 
 
 def updates_per_epoch(workload: WorkloadSpec, hyper: HyperParams) -> int:
@@ -234,12 +233,14 @@ def epoch_cost_batch(
 ) -> EpochCostBatch:
     """Simulated cost of many epochs of one trial, in one pass.
 
-    Computes the epoch-invariant terms once and applies the epoch-noise
-    vector — one batched draw from the trial's noise block — in a
-    single numpy expression. ``total_s[i]`` is bit-identical to
-    ``epoch_cost(config, epochs[i], contention, noisy).total_s``.
-    :func:`repro.tune.trainer.run_trial` builds one batch per
-    system-config segment of a trial and reads one element per epoch.
+    Computes the epoch-invariant terms once, reads the epoch noise as
+    one prefix of the trial's noise block, and builds the totals as
+    Python floats in one list comprehension with the same float ops,
+    in the same order, as :func:`epoch_cost`: ``total_s[i]`` is
+    bit-identical to ``epoch_cost(config, epochs[i], contention,
+    noisy).total_s``. :func:`repro.tune.trainer.run_trial` builds one
+    batch per system-config segment of a trial and indexes it per
+    epoch.
     """
     if contention < 1.0:
         raise ValueError("contention factor must be >= 1")
@@ -249,12 +250,14 @@ def epoch_cost_batch(
         (terms.compute_s + terms.sync_s) * terms.mem_penalty * contention
         + w.epoch_overhead_s
     )
-    indices = np.asarray(epochs, dtype=np.intp)
-    if noisy:
-        block = _epoch_noise_block(w, hp, sp)
-        totals = base * np.maximum(0.5, 1.0 + block.take(indices))
+    epochs = list(epochs)
+    if noisy and epochs:
+        if min(epochs) < 0:
+            raise ValueError("noise index must be >= 0")
+        noise = _epoch_noise_block(w, hp, sp).prefix(max(epochs) + 1)
+        totals = [base * max(0.5, 1.0 + noise[e]) for e in epochs]
     else:
-        totals = np.full(indices.shape, base, dtype=np.float64)
+        totals = [base] * len(epochs)
     return EpochCostBatch(
         compute_s=terms.compute_s,
         sync_s=terms.sync_s,

@@ -21,6 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.simulation.cluster import NodeSpec, SimCluster
+from repro.simulation.des import Environment
+from repro.tune.trainer import TrialHooks, run_trial
 from repro.workloads import (
     HyperParams,
     SystemParams,
@@ -86,18 +89,20 @@ class TestNoiseBlock:
         for index in (0, 40, 3, 99, 7):
             assert block.value(index) == reference[index]
 
-    def test_take_matches_values(self):
-        block = noise_block(0.1, "take-test")
-        indices = np.array([5, 0, 17, 5])
-        taken = block.take(indices)
-        assert [block.value(i) for i in indices] == list(taken)
+    def test_prefix_matches_values(self):
+        block = noise_block(0.1, "prefix-test")
+        # 40 draws pass the 32-draw first fill.
+        prefix = block.prefix(40)
+        assert all(type(draw) is float for draw in prefix)
+        assert prefix == [block.value(i) for i in range(40)]
+        assert block.prefix(0) == []
 
     def test_negative_index_rejected(self):
         block = noise_block(0.1, "negative-test")
         with pytest.raises(ValueError):
             block.value(-1)
         with pytest.raises(ValueError):
-            block.take(np.array([0, -2]))
+            block.prefix(-1)
 
     def test_cache_key_includes_sigma(self):
         # Same key parts, different scale -> different blocks (a cache
@@ -193,8 +198,8 @@ class TestConcurrentGrowth:
             try:
                 barrier.wait()
                 for length, rows in zip(self.LENGTHS, self.ROWS + (None,)):
-                    if (block.take(np.arange(length)) != expected[:length]).any():
-                        wrong.append(("take", key, length))
+                    if block.prefix(length) != expected[:length].tolist():
+                        wrong.append(("prefix", key, length))
                     if block.value(length - 1) != expected[length - 1]:
                         wrong.append(("value", key, length))
                     if rows is None:
@@ -255,16 +260,34 @@ class TestModelEquivalence:
         batch = epoch_cost_batch(config, indices)
         for position, epoch in enumerate(indices):
             assert batch.total_s[position] == epoch_cost(config, epoch=epoch).total_s
+        with pytest.raises(ValueError):
+            epoch_cost_batch(config, [3, -1])
 
     def test_accuracy_curve_bit_matches_scalar(self):
         for config in self.configs():
             workload, hyper = config.workload, config.hyper
             for trial_seed in (0, 12345):
-                curve = accuracy_curve(workload, hyper, 12, trial_seed=trial_seed)
-                for epoch in range(1, 13):
-                    assert curve[epoch - 1] == accuracy_at_epoch(
-                        workload, hyper, epoch, trial_seed=trial_seed
+                for noisy in (True, False):
+                    curve = accuracy_curve(
+                        workload, hyper, 12, trial_seed=trial_seed, noisy=noisy
                     )
+                    for epoch in range(1, 13):
+                        assert curve[epoch - 1] == accuracy_at_epoch(
+                            workload, hyper, epoch, trial_seed=trial_seed, noisy=noisy
+                        )
+
+    def test_accuracy_curve_resumed_bit_matches_scalar(self):
+        # A resumed trial's curve starts after its checkpoint epoch.
+        config = next(self.configs())
+        workload, hyper = config.workload, config.hyper
+        curve = accuracy_curve(workload, hyper, 40, trial_seed=7, start_epoch=3)
+        assert curve == [
+            accuracy_at_epoch(workload, hyper, epoch, trial_seed=7)
+            for epoch in range(4, 41)
+        ]
+        assert accuracy_curve(workload, hyper, 5, start_epoch=5) == []
+        with pytest.raises(ValueError):
+            accuracy_curve(workload, hyper, 5, start_epoch=6)
 
     def test_scalar_then_batch_then_scalar_consistent(self):
         # Mixed access orders (scalar reads before and after a batched
@@ -288,3 +311,34 @@ class TestModelEquivalence:
             epoch_cost(config, epoch=epoch)
         built = philox_construction_count() - before
         assert built <= 4
+
+    def test_resized_trial_builds_one_stream_per_block(self):
+        # A trial reads each of its blocks once, to its epoch budget:
+        # one acc-noise block, and one epoch-noise block per
+        # system-config segment. Reading the acc block epoch by epoch
+        # would regrow it past its 32-draw first fill.
+        class ResizeAt20(TrialHooks):
+            def before_epoch(self, ctx, epoch):
+                if epoch == 20:
+                    return SystemParams(cores=12, memory_gb=24.0)
+                return None
+
+        env = Environment()
+        cluster = SimCluster(env, [NodeSpec(name="n0", cores=16, memory_gb=64.0)])
+        process = env.process(
+            run_trial(
+                env,
+                cluster,
+                trial_id="t0",
+                workload=get_workload("lenet-mnist"),
+                hyper=HyperParams(batch_size=64, epochs=40),
+                system=SystemParams(cores=8, memory_gb=16.0),
+                start_epoch=3,
+                hooks=ResizeAt20(),
+            )
+        )
+        clear_cost_caches()
+        before = philox_construction_count()
+        env.run()
+        assert {r.system.cores for r in process.value.records} == {8, 12}
+        assert philox_construction_count() - before == 3

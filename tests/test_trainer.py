@@ -378,6 +378,30 @@ class TestHooks:
         result = run(env, cluster, hooks=GrowTooBig())
         assert result.records[1].system.cores == 4  # unchanged
 
+    def test_failed_grow_keeps_cpu_clock(self):
+        # The node's other 8 cores are held elsewhere, so the grow
+        # fails; the clock needs no resources and must stay at 2.4 GHz.
+        slow = SystemParams(cores=8, memory_gb=16.0, cpu_freq_ghz=2.4)
+
+        class GrowAtSameClock(TrialHooks):
+            def before_epoch(self, ctx, epoch):
+                return slow.replace(cores=16) if epoch == 2 else None
+
+        env, cluster = make_env(cores=16)
+        assert cluster.nodes[0].cores.try_get(8)
+        result = run(
+            env,
+            cluster,
+            hyper=HyperParams(batch_size=64, epochs=3),
+            system=slow,
+            hooks=GrowAtSameClock(),
+        )
+        observed = [
+            (r.epoch, r.system.cores, r.system.cpu_freq_ghz) for r in result.records
+        ]
+        assert observed == [(1, 8, 2.4), (2, 8, 2.4), (3, 8, 2.4)]
+        assert result.final_system == slow
+
     def test_profiling_adds_overhead_and_profile(self):
         class ProfileFirst(TrialHooks):
             def wants_profiling(self, ctx, epoch):
@@ -462,34 +486,58 @@ class TestPhiloxStreamDerivation:
     epoch selects a position in its batched normal sequence."""
 
     @pytest.mark.parametrize(
-        "workload", [LENET_MNIST, CNN_NEWS20], ids=lambda w: w.name
+        "workload, epochs, start_epoch, resize_at",
+        [
+            pytest.param(LENET_MNIST, 5, 0, None, id="lenet-mnist"),
+            pytest.param(CNN_NEWS20, 5, 0, None, id="cnn-news20"),
+            # Past the blocks' 32-draw first fill, resumed from a
+            # checkpoint, with a second system-config segment.
+            pytest.param(LENET_MNIST, 40, 3, 20, id="resumed-resized-40-epochs"),
+        ],
     )
-    def test_records_reconstruct_from_reference_streams(self, workload):
-        epochs = 5
+    def test_records_reconstruct_from_reference_streams(
+        self, workload, epochs, start_epoch, resize_at
+    ):
         hyper = HyperParams(batch_size=64, epochs=epochs)
         system = SystemParams(cores=8, memory_gb=16.0)
-        env, cluster = make_env()
-        hooks = ContextCapture()
-        result = run(
-            env, cluster, workload=workload, hyper=hyper, system=system, hooks=hooks
-        )
-        trial_seed = stable_seed("trial", "t0", workload.name)
-        config = hooks.ctx.config
+        resized = SystemParams(cores=12, memory_gb=24.0)
 
-        acc_rng = np.random.Generator(
-            np.random.Philox(
-                key=stable_seed(
-                    workload.name, "acc-noise", hyper, trial_seed, "block"
-                )
-            )
+        class ResizeAt(TrialHooks):
+            def before_epoch(self, ctx, epoch):
+                return resized if epoch == resize_at else None
+
+        env, cluster = make_env()
+        result = run(
+            env,
+            cluster,
+            workload=workload,
+            hyper=hyper,
+            system=system,
+            start_epoch=start_epoch,
+            hooks=ResizeAt(),
         )
-        acc_draws = acc_rng.normal(0.0, workload.accuracy_noise, size=epochs + 1)
-        time_rng = np.random.Generator(
-            np.random.Philox(
-                key=stable_seed(workload.name, "epoch-noise", hyper, system, "block")
-            )
+        assert [r.epoch for r in result.records] == list(
+            range(start_epoch + 1, epochs + 1)
         )
-        time_draws = time_rng.normal(0.0, workload.runtime_noise, size=epochs + 1)
+        expected_systems = {system} if resize_at is None else {system, resized}
+        assert {r.system for r in result.records} == expected_systems
+        trial_seed = stable_seed("trial", "t0", workload.name)
+
+        def reference_draws(sigma, *key_parts):
+            rng = np.random.Generator(
+                np.random.Philox(key=stable_seed(*key_parts, "block"))
+            )
+            return rng.normal(0.0, sigma, size=epochs + 1)
+
+        acc_draws = reference_draws(
+            workload.accuracy_noise, workload.name, "acc-noise", hyper, trial_seed
+        )
+        time_draws = {
+            segment: reference_draws(
+                workload.runtime_noise, workload.name, "epoch-noise", hyper, segment
+            )
+            for segment in expected_systems
+        }
 
         for record in result.records:
             noiseless = accuracy_at_epoch(
@@ -500,6 +548,8 @@ class TestPhiloxStreamDerivation:
             )
             assert record.accuracy == expected_accuracy  # bit-exact
 
+            config = TrialConfig(workload, hyper, record.system)
             noiseless_s = epoch_cost(config, epoch=record.epoch, noisy=False).total_s
-            expected_duration = noiseless_s * max(0.5, 1.0 + time_draws[record.epoch])
+            noise = time_draws[record.system][record.epoch]
+            expected_duration = noiseless_s * max(0.5, 1.0 + noise)
             assert record.duration_s == expected_duration  # bit-exact
