@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for PipeTune's design choices.
 
 Each ablation runs the same LeNet/MNIST tuning job with one PipeTune
 mechanism disabled and reports the cost of losing it:

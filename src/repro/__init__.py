@@ -20,7 +20,7 @@ Quick start::
     env.run()
     print(job.value.best_hyper, job.value.best_system)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (README.md, "Layout", has the full inventory):
 
 * :mod:`repro.simulation` — discrete-event cluster/power substrate
 * :mod:`repro.counters`  — simulated PMU + epoch profiler

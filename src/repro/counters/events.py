@@ -15,6 +15,7 @@ Fig 8, §5.5).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -165,14 +166,6 @@ FAMILY_SCALE_VECTOR: np.ndarray = np.array(
 )
 FAMILY_SCALE_VECTOR.setflags(write=False)
 
-#: memoized signatures; a signature depends only on the identifying
-#: names of the workload, and every PMU read needs it, so recomputing
-#: the sha256-seeded draws per read would dominate profiling time. The
-#: cached arrays are frozen (non-writeable) — callers receive the
-#: shared instance and must copy before mutating.
-_SIGNATURE_CACHE: Dict[Tuple[str, str, str], np.ndarray] = {}
-
-
 def workload_signature(workload: WorkloadSpec) -> np.ndarray:
     """Per-event base rates (events per busy-core-second) for a workload.
 
@@ -183,13 +176,19 @@ def workload_signature(workload: WorkloadSpec) -> np.ndarray:
 
     Returns a cached, read-only array shared between calls.
     """
-    key = (workload.name, workload.model, workload.dataset)
-    cached = _SIGNATURE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    model_rng = rng_for("pmu-signature", "model", workload.model)
-    dataset_rng = rng_for("pmu-signature", "dataset", workload.dataset)
-    wobble_rng = rng_for("pmu-signature", "workload", workload.name)
+    return _signature(workload.name, workload.model, workload.dataset)
+
+
+# Memoized without a bound: a signature depends only on the workload's
+# identifying names (one key per workload), and every PMU read needs
+# it, so recomputing the sha256-seeded draws per read would dominate
+# profiling time. The arrays are frozen (non-writeable) — callers
+# receive the shared instance and must copy before mutating.
+@lru_cache(maxsize=None)
+def _signature(name: str, model: str, dataset: str) -> np.ndarray:
+    model_rng = rng_for("pmu-signature", "model", model)
+    dataset_rng = rng_for("pmu-signature", "dataset", dataset)
+    wobble_rng = rng_for("pmu-signature", "workload", name)
     compute = COMPUTE_SIDE_MASK
     memory = ~compute
     rates = np.empty(NUM_EVENTS)
@@ -204,7 +203,6 @@ def workload_signature(workload: WorkloadSpec) -> np.ndarray:
     )
     rates *= 10.0 ** wobble_rng.normal(0.0, 0.05, size=NUM_EVENTS)
     rates.setflags(write=False)
-    _SIGNATURE_CACHE[key] = rates
     return rates
 
 

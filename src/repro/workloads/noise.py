@@ -25,15 +25,17 @@ approximate:
   both properties.
 * a block's values are a pure function of (key parts, sigma, index):
   evicting and rebuilding a block replays the same stream from the
-  key, so the bounded cache below can never change a number.
+  key, so the bounded memos behind :func:`noise_block` and
+  :func:`noise_matrix` can never change a number.
 
-Blocks grow by atomic swap: a block that must cover more draws
-redraws the whole longer prefix from a fresh ``rng_for`` stream,
-installs the new array in one assignment, and serves the read from
-that local array. A cached array is never changed in place and no
-generator is shared, so threads reading one block concurrently (the
-service runs serial jobs on several threads) can at worst both redraw
-and install an equally correct prefix.
+A block digests its Philox key once, at construction. It grows by
+atomic swap: a block that must cover more draws redraws the whole
+longer prefix from a fresh stream on that key, installs the new array
+in one assignment, and serves the read from that local array. A
+drawn array is never changed in place and no generator is shared, so
+threads reading one block concurrently (the service runs serial jobs
+on several threads) can at worst both redraw and install an equally
+correct prefix.
 
 The stream key deliberately ends in the literal ``"block"`` and never
 contains an epoch index — the epoch is a *position* in the stream, not
@@ -43,34 +45,35 @@ for every ``noise_block``/``NoiseBlock`` call site.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
-from .spec import rng_for
-
-#: bounded block cache. Eviction is a full clear, like the stable_seed
-#: digest cache: blocks are pure in their key, so a rebuilt block
-#: replays identical values — eviction costs a redraw, never a
-#: different number.
-_BLOCK_CACHE: Dict[Tuple, "NoiseBlock"] = {}
-_BLOCK_CACHE_MAX = 1024
+from .spec import philox_generator, repr_seed
 
 
 class _DrawAhead:
     """The first draws of ``rng_for(*key_parts, "block")``, each of
     shape ``shape``, grown by swap as the module docstring describes."""
 
-    __slots__ = ("_key_parts", "_sigma", "_shape", "_draws")
+    __slots__ = ("_key", "_sigma", "_shape", "_draws")
 
     #: draws materialised by the first growth step.
     _INITIAL = 1
 
     def __init__(self, sigma: float, key_parts: Tuple, shape: Tuple = ()):
-        self._key_parts = tuple(key_parts)
+        self._keyed(sigma, tuple(map(repr, key_parts)), shape)
+
+    def _keyed(self, sigma: float, reprs: Tuple[str, ...], shape: Tuple):
+        """Initialise from the key parts' reprs; returns ``self``."""
+        if any(n <= 0 for n in shape):
+            raise ValueError("row width must be positive")
+        self._key = repr_seed((*reprs, repr("block")))
         self._sigma = float(sigma)
         self._shape = shape
         self._draws = np.empty((0, *shape), dtype=np.float64)
+        return self
 
     def _ensure(self, count: int) -> np.ndarray:
         """An array of at least ``count`` draws; callers index this
@@ -80,7 +83,7 @@ class _DrawAhead:
         if count <= len(draws):
             return draws
         grow_to = max(count, 2 * len(draws), self._INITIAL)
-        stream = rng_for(*self._key_parts, "block")
+        stream = philox_generator(self._key)
         draws = stream.normal(0.0, self._sigma, size=(grow_to, *self._shape))
         self._draws = draws
         return draws
@@ -141,8 +144,6 @@ class NoiseMatrix(_DrawAhead):
     _INITIAL = 8
 
     def __init__(self, sigma: float, width: int, key_parts: Tuple):
-        if width <= 0:
-            raise ValueError("row width must be positive")
         super().__init__(sigma, key_parts, (int(width),))
 
     def row(self, index: int) -> np.ndarray:
@@ -159,46 +160,43 @@ class NoiseMatrix(_DrawAhead):
         return self._ensure(start + count)[start : start + count].copy()
 
 
-_MATRIX_CACHE: Dict[Tuple, "NoiseMatrix"] = {}
-_MATRIX_CACHE_MAX = 1024
-
-
 def noise_block(sigma: float, *key_parts) -> NoiseBlock:
-    """The (cached) :class:`NoiseBlock` for ``key_parts``.
+    """The (memoized) :class:`NoiseBlock` for ``key_parts``.
 
-    The cache key is the parts' reprs plus ``sigma`` — the same
-    identity discipline as :func:`~repro.workloads.spec.stable_seed`,
-    so two calls agree on a block exactly when they would have agreed
-    on a stream.
+    The memo key is ``sigma`` plus the parts' reprs — the same identity
+    discipline as :func:`~repro.workloads.spec.stable_seed`, so two
+    calls agree on a block exactly when they would have agreed on a
+    stream (``1`` and ``1.0`` are equal and hash alike, but their
+    streams differ).
     """
-    key = (float(sigma), *map(repr, key_parts))
-    block = _BLOCK_CACHE.get(key)
-    if block is None:
-        if len(_BLOCK_CACHE) >= _BLOCK_CACHE_MAX:
-            _BLOCK_CACHE.clear()
-        block = NoiseBlock(sigma, key_parts)
-        _BLOCK_CACHE[key] = block
-    return block
+    return _block(float(sigma), tuple(map(repr, key_parts)))
 
 
 def noise_matrix(sigma: float, width: int, *key_parts) -> NoiseMatrix:
-    """The (cached) :class:`NoiseMatrix` for ``key_parts``.
+    """The (memoized) :class:`NoiseMatrix` for ``key_parts``.
 
     Same identity discipline as :func:`noise_block`; the row width is
-    part of the cache key because it is part of the draw shape.
+    part of the memo key because it is part of the draw shape.
     """
-    key = (float(sigma), int(width), *map(repr, key_parts))
-    matrix = _MATRIX_CACHE.get(key)
-    if matrix is None:
-        if len(_MATRIX_CACHE) >= _MATRIX_CACHE_MAX:
-            _MATRIX_CACHE.clear()
-        matrix = NoiseMatrix(sigma, width, key_parts)
-        _MATRIX_CACHE[key] = matrix
-    return matrix
+    return _matrix(float(sigma), int(width), tuple(map(repr, key_parts)))
+
+
+# Both memos evict least-recently-used first. Blocks are pure in their
+# key, so an evicted block is rebuilt with identical values: eviction
+# costs a redraw, never a different number. Two threads missing on one
+# key at once may both build it; either block reads the same stream.
+@lru_cache(maxsize=1024)
+def _block(sigma: float, reprs: Tuple[str, ...]) -> NoiseBlock:
+    return NoiseBlock.__new__(NoiseBlock)._keyed(sigma, reprs, ())
+
+
+@lru_cache(maxsize=1024)
+def _matrix(sigma: float, width: int, reprs: Tuple[str, ...]) -> NoiseMatrix:
+    return NoiseMatrix.__new__(NoiseMatrix)._keyed(sigma, reprs, (width,))
 
 
 def clear_noise_blocks() -> None:
-    """Drop every cached block and matrix (tests / benchmarks; values
+    """Drop every memoized block and matrix (tests / benchmarks; values
     are pure in their keys, so clearing can never change a result)."""
-    _BLOCK_CACHE.clear()
-    _MATRIX_CACHE.clear()
+    _block.cache_clear()
+    _matrix.cache_clear()

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from functools import lru_cache
+from typing import Iterable, List
 
 from .noise import clear_noise_blocks, noise_block
 from .spec import (
@@ -120,19 +121,12 @@ class _CostTerms:
     utilisation: float
 
 
-#: memoized epoch-invariant terms keyed on the specs' (cached) reprs.
-#: The terms are pure in the frozen specs, so caching cannot change a
-#: number — per-epoch stepping just stops recomputing updates/compute/
-#: sync/penalty for every single epoch of a trial.
-_TERMS_CACHE: Dict[Tuple[str, str, str], _CostTerms] = {}
-_TERMS_CACHE_MAX = 4096
-
-
+# Memoized: every segment and scalar epoch of a trial would otherwise
+# recompute updates/compute/sync/penalty. The terms are pure in the
+# frozen specs' fields, so a hit cannot change a number; specs equal
+# field by field (an int 16 and a float 16.0) give the same terms.
+@lru_cache(maxsize=4096)
 def _cost_terms(w: WorkloadSpec, hp: HyperParams, sp: SystemParams) -> _CostTerms:
-    key = (repr(w), repr(hp), repr(sp))
-    terms = _TERMS_CACHE.get(key)
-    if terms is not None:
-        return terms
     k = sp.cores
     updates = updates_per_epoch(w, hp)
 
@@ -161,13 +155,9 @@ def _cost_terms(w: WorkloadSpec, hp: HyperParams, sp: SystemParams) -> _CostTerm
 
     penalty = memory_penalty(w, hp, sp)
     busy = compute / (compute + sync) if (compute + sync) > 0 else 1.0
-    terms = _CostTerms(
+    return _CostTerms(
         compute_s=compute, sync_s=sync, mem_penalty=penalty, utilisation=busy
     )
-    if len(_TERMS_CACHE) >= _TERMS_CACHE_MAX:
-        _TERMS_CACHE.clear()
-    _TERMS_CACHE[key] = terms
-    return terms
 
 
 def _epoch_noise_block(w: WorkloadSpec, hp: HyperParams, sp: SystemParams):
@@ -178,7 +168,7 @@ def _epoch_noise_block(w: WorkloadSpec, hp: HyperParams, sp: SystemParams):
 def clear_cost_caches() -> None:
     """Drop the memoized cost terms and noise blocks (tests/benchmarks;
     both are pure in their keys, so clearing cannot change a number)."""
-    _TERMS_CACHE.clear()
+    _cost_terms.cache_clear()
     clear_noise_blocks()
 
 

@@ -10,17 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
-
-
-#: memoized sha256 digests keyed on the repr tuple of the parts. Every
-#: PMU read / epoch-noise draw re-derives its seed, so a small exhibit
-#: makes thousands of stable_seed calls with heavily repeated keys; the
-#: digest is pure in the reprs, so caching cannot change any stream.
-_SEED_CACHE: Dict[Tuple[str, ...], int] = {}
-_SEED_CACHE_MAX = 1 << 16
 
 
 def stable_seed(*parts) -> int:
@@ -29,17 +21,15 @@ def stable_seed(*parts) -> int:
     Python's builtin ``hash`` is salted per interpreter run, so every
     stochastic component in the reproduction derives its RNG from this
     digest instead — rerunning any experiment reproduces identical
-    numbers (DESIGN.md §5).
+    numbers (benchmarks/README.md, "Determinism contract").
     """
-    key = tuple(map(repr, parts))
-    seed = _SEED_CACHE.get(key)
-    if seed is None:
-        digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).digest()
-        seed = int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
-        if len(_SEED_CACHE) >= _SEED_CACHE_MAX:
-            _SEED_CACHE.clear()
-        _SEED_CACHE[key] = seed
-    return seed
+    return repr_seed(map(repr, parts))
+
+
+def repr_seed(reprs: Iterable[str]) -> int:
+    """:func:`stable_seed` of parts whose reprs are ``reprs``."""
+    digest = hashlib.sha256("\x1f".join(reprs).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") & 0x7FFFFFFFFFFFFFFF
 
 
 def _cache_repr(cls):
@@ -90,9 +80,9 @@ def _cache_repr(cls):
 # call builds its own ``_KeyedSeed`` and its own Philox core, and no
 # state is shared between callers, so concurrent ``rng_for`` calls (the
 # service runs serial jobs on several threads) cannot see each other.
-# The only module-level writes on this path are the pure memo dicts
-# (``_SEED_CACHE`` here, the noise-block caches in ``noise.py``) and
-# the construction counter. The subsystem is self-verifying: at
+# The only module-level writes on this path are the construction
+# counter and the ``functools.lru_cache`` memos of ``noise.py``, whose
+# values are pure in their keys. The subsystem is self-verifying: at
 # import, the keyed build is compared word-for-word against the
 # reference constructor and disabled on any mismatch (future numpy
 # versions degrade to slow-but-correct, never to different streams).

@@ -9,8 +9,8 @@ repro models to the equivalences built on them: scalar ``epoch_cost``
 vs ``epoch_cost_batch``, scalar ``accuracy_at_epoch`` vs
 ``accuracy_curve``, matrix rows vs sequential vector draws, and the
 construction-count bound the whole layer exists to enforce, and
-finally that threads sharing one cached block or matrix all read the
-keyed stream while it grows under them.
+finally that threads fetching one memoized block or matrix all read
+the keyed stream while they race its construction and growth.
 """
 
 import sys
@@ -104,18 +104,46 @@ class TestNoiseBlock:
         with pytest.raises(ValueError):
             block.prefix(-1)
 
-    def test_cache_key_includes_sigma(self):
-        # Same key parts, different scale -> different blocks (a cache
-        # hit across scales would serve wrongly-scaled draws).
-        a = noise_block(0.1, "sigma-test")
-        b = noise_block(0.2, "sigma-test")
+    @pytest.mark.parametrize(
+        "make, first, second",
+        [
+            # A hit across scales would serve wrongly-scaled draws.
+            pytest.param(
+                noise_block, (0.1, "memo-test"), (0.2, "memo-test"), id="sigma"
+            ),
+            # The row width is part of the draw shape.
+            pytest.param(
+                noise_matrix, (0.03, 3, "memo-test"), (0.03, 5, "memo-test"), id="width"
+            ),
+            # 1 == 1.0 and both hash alike, but their streams differ: a
+            # memo keyed on ==/hash would serve the first stream twice.
+            pytest.param(noise_block, (0.1, 1), (0.1, 1.0), id="repr"),
+        ],
+    )
+    def test_memo_key_identity(self, make, first, second):
+        a, b = make(*first), make(*second)
+        assert make(*first) is a
         assert a is not b
-        assert a.value(0) != b.value(0)
+        draw = (lambda x: x.row(1)) if make is noise_matrix else (lambda x: x.value(0))
+        assert not np.array_equal(draw(a), draw(b))
 
     def test_eviction_replays_identical_values(self):
-        before = noise_block(0.1, "evict-test").value(9)
         clear_noise_blocks()
-        assert noise_block(0.1, "evict-test").value(9) == before
+        a = noise_block(0.1, "evict-a")
+        b = noise_block(0.1, "evict-b")
+        before = b.prefix(10)
+        # More fresh blocks than the memo holds (1024); A is re-read
+        # often enough to stay among the most recently used.
+        for index in range(1100):
+            noise_block(0.1, "evict-fill", index)
+            if index % 100 == 0:
+                assert noise_block(0.1, "evict-a") is a
+        assert noise_block(0.1, "evict-a") is a
+        rebuilt = noise_block(0.1, "evict-b")
+        assert rebuilt is not b
+        assert rebuilt.prefix(10) == before
+        clear_noise_blocks()
+        assert noise_block(0.1, "evict-b").prefix(10) == before
 
 
 class TestNoiseMatrix:
@@ -152,18 +180,14 @@ class TestNoiseMatrix:
         with pytest.raises(ValueError):
             noise_matrix(0.03, 4, "rows-range-test").rows(start, count)
 
-    def test_width_in_cache_key(self):
-        a = noise_matrix(0.03, 3, "width-test")
-        b = noise_matrix(0.03, 5, "width-test")
-        assert a is not b
-
 
 class TestConcurrentGrowth:
-    """The service runs serial jobs on several threads, so one cached
-    block can grow under concurrent readers. Every read must still be
-    the keyed stream: a growth step that shares a generator or edits
-    the cached array in place hands some reader values from the wrong
-    stream positions (or an IndexError on a half-grown array)."""
+    """The service runs serial jobs on several threads, so one memoized
+    block can be built and grown under concurrent readers. Every read
+    must still be the keyed stream: a growth step that shares a
+    generator or edits the memoized array in place hands some reader
+    values from the wrong stream positions (or an IndexError on a
+    half-grown array)."""
 
     THREADS = 4
     ROUNDS = 60
@@ -190,14 +214,16 @@ class TestConcurrentGrowth:
         expected_rows = rng_for(*key, "block").normal(
             0.0, self.SIGMA, size=(self.ROWS[-1], self.WIDTH)
         )
-        block = noise_block(self.SIGMA, *key)
-        matrix = noise_matrix(self.SIGMA, self.WIDTH, *key)
         barrier = threading.Barrier(self.THREADS, timeout=30)
 
         def reader():
             try:
                 barrier.wait()
                 for length, rows in zip(self.LENGTHS, self.ROWS + (None,)):
+                    # Each read fetches through the memo, so the first
+                    # reads race the block's construction.
+                    block = noise_block(self.SIGMA, *key)
+                    matrix = noise_matrix(self.SIGMA, self.WIDTH, *key)
                     if block.prefix(length) != expected[:length].tolist():
                         wrong.append(("prefix", key, length))
                     if block.value(length - 1) != expected[length - 1]:
