@@ -10,11 +10,11 @@ This is the operator entry point around
         regenerate every exhibit in memory and byte-diff it against the
         committed copy; exit 1 on any difference (CI's exhibits job);
 
-    PYTHONPATH=src python scripts/regenerate_exhibits.py --check --jobs 4
-        same, but regenerate up to 4 exhibits concurrently on a
-        process pool — byte-identical output, wall-clock divided by
-        the core count (the total is printed so the speedup over
-        ``--jobs 1`` is measurable);
+    PYTHONPATH=src python scripts/regenerate_exhibits.py --check --workers 4
+        same, but every exhibit's execution chains share one 4-worker
+        process pool — byte-identical output, less wall-clock (the
+        total is printed so the speedup over a serial run is
+        measurable);
 
     PYTHONPATH=src python scripts/regenerate_exhibits.py --update
         rewrite the committed files in place (the one-time re-baseline
@@ -25,7 +25,7 @@ This is the operator entry point around
         restrict either mode to a subset.
 
 See benchmarks/README.md ("Determinism contract & re-baseline
-procedure") for when a re-baseline is legitimate and why worker/job
+procedure") for when a re-baseline is legitimate and why worker
 counts can never change the bytes.
 """
 
@@ -64,11 +64,11 @@ def main() -> None:
         help="restrict to these exhibits (default: all of EXHIBIT_RUNS)",
     )
     parser.add_argument(
-        "--jobs",
+        "--workers",
         type=int,
         default=1,
-        help="regenerate up to N exhibits concurrently (process pool; "
-        "the rendered bytes are identical for any N)",
+        help="run the exhibits' chains on one process pool of N workers "
+        "(the rendered bytes are identical for any N)",
     )
     parser.add_argument(
         "--diff-lines",
@@ -91,8 +91,8 @@ def main() -> None:
         "exit 1 otherwise (CI's cache job)",
     )
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     if args.expect_cache and not args.cache_dir:
         parser.error("--expect-cache requires --cache-dir")
     names = golden.resolve_names(args.only)
@@ -100,15 +100,18 @@ def main() -> None:
 
     if args.update:
         for name, content, elapsed, _ in golden.render_many(
-            names, jobs=args.jobs, cache_dir=args.cache_dir
+            names, workers=args.workers, cache_dir=args.cache_dir
         ):
             path = golden.write_trace(name, content)
             print(f"{name:8s} written {path} ({elapsed:.1f}s)")
         wall = time.perf_counter() - wall_started
-        print(f"rewrote {len(names)} exhibits in {wall:.1f}s wall (jobs={args.jobs})")
+        print(
+            f"rewrote {len(names)} exhibits in {wall:.1f}s wall "
+            f"(workers={args.workers})"
+        )
         return
 
-    diffs = golden.check(names, jobs=args.jobs, cache_dir=args.cache_dir)
+    diffs = golden.check(names, workers=args.workers, cache_dir=args.cache_dir)
     wall = time.perf_counter() - wall_started
     failed = []
     for name in names:
@@ -161,7 +164,7 @@ def main() -> None:
             )
     print(
         f"all {len(names)} exhibits byte-identical to their golden traces "
-        f"({wall:.1f}s wall, jobs={args.jobs})"
+        f"({wall:.1f}s wall, workers={args.workers})"
     )
 
 

@@ -47,11 +47,8 @@ from .experiments import EXHIBIT_RUNS, golden
 from .scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
-    CachingBackend,
     NoSweepRuns,
-    OutcomeCache,
     ScenarioError,
-    SerialBackend,
     StepExecutionError,
     SweepError,
     SweepRunStore,
@@ -286,20 +283,12 @@ def _cmd_scenario_run(args) -> int:
         plan = runner.plan(scale=scale, seed=seed)
         runner.validate(plan)
         # with --json a raising step must surface in the envelope, not
-        # as a traceback: serial runs swap in the containing backend
-        # (pool semantics) so failures arrive as structured outcomes.
-        backend = (
-            SerialBackend(contain=True)
-            if args.json and (args.workers is None or args.workers <= 1)
-            else None
-        )
-        if cache_enabled:
-            # memoize chain outcomes around whichever backend the run
-            # would have used; the bytes are identical, warm or cold.
-            backend = CachingBackend(
-                backend or backend_for(args.workers), OutcomeCache(cache_dir)
-            )
-        outcomes = runner.execute(plan, workers=args.workers, backend=backend)
+        # as a traceback: serial runs contain it (pool semantics) so
+        # failures arrive as structured outcomes. A cache memoizes chain
+        # outcomes around that backend; the bytes are identical, warm
+        # or cold.
+        backend = backend_for(args.workers, cache_dir=cache_dir, contain=args.json)
+        outcomes = runner.execute(plan, backend=backend)
         result = runner.collect(plan, outcomes)
     except ScenarioError as error:
         return _fail(args, "ScenarioError", str(error))
@@ -780,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run up to N variants concurrently on a process pool "
+        help="run every variant's chains on one process pool of N workers "
         "(default: serial; results are identical for any N)",
     )
     _add_cache_arguments(w_run)

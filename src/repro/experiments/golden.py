@@ -25,8 +25,10 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..scenarios.backends import map_tasks
-from ..scenarios.cache import CacheStats, cached_backend
+from ..scenarios.backends import backend_for
+from ..scenarios.cache import CacheStats
+from ..scenarios.merge import run_plans
+from ..scenarios.registry import get_definition
 from . import EXHIBIT_RUNS
 
 #: benchmarks/results relative to the repository root (three levels up
@@ -66,24 +68,6 @@ def write_trace(name: str, content: str, results_dir: Optional[str] = None) -> s
     return path
 
 
-def _render_task(payload) -> Tuple[str, str, float, Optional[CacheStats]]:
-    """Render and time one exhibit (picklable pool task).
-
-    Returns (name, bytes, render seconds, CacheStats-or-None). With a
-    ``cache_dir`` the run goes through the content-addressed outcome
-    cache (:mod:`repro.scenarios.cache`); the determinism contract
-    extends to hits — recalled bytes == recomputed bytes."""
-    name, workers, cache_dir = payload
-    started = time.perf_counter()
-    backend = None
-    if cache_dir is not None:
-        backend = cached_backend(cache_dir=cache_dir, workers=workers)
-    result = EXHIBIT_RUNS[name].run(workers=workers, backend=backend)
-    content = render_result(result)
-    stats = backend.stats if backend is not None else None
-    return name, content, time.perf_counter() - started, stats
-
-
 def render(
     name: str,
     workers: Optional[int] = None,
@@ -91,12 +75,12 @@ def render(
 ) -> str:
     """Regenerate one exhibit at its canonical (scale, seed) -> bytes.
 
-    ``workers > 1`` runs the exhibit's scenario on a process-pool
+    ``workers > 1`` runs the exhibit's chains on a process-pool
     backend; the determinism contract guarantees identical bytes for
     any worker count (tests/test_scenarios_parallel.py proves it).
     ``cache_dir`` additionally memoizes chain outcomes on disk — same
     bytes, cold or warm."""
-    return _render_task((name, workers, cache_dir))[1]
+    return render_many([name], workers=workers, cache_dir=cache_dir)[0][1]
 
 
 def resolve_names(names: Optional[Iterable[str]] = None) -> List[str]:
@@ -120,7 +104,8 @@ class ExhibitDiff:
     matches: bool
     committed_exists: bool
     regenerated: str
-    #: regeneration time of this exhibit (worker-side when pooled).
+    #: regeneration time of this exhibit (its share of the run's wall
+    #: time when pooled).
     elapsed_s: float = 0.0
     #: outcome-cache counters when the check ran through a cache dir.
     cache_hits: Optional[int] = None
@@ -136,42 +121,58 @@ class ExhibitDiff:
 def render_many(
     names: Optional[Iterable[str]] = None,
     workers: Optional[int] = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> List[Tuple[str, str, float, Optional[CacheStats]]]:
-    """Render exhibits -> [(name, bytes, render seconds, CacheStats-or-None)].
+    """Render exhibits -> [(name, bytes, seconds, CacheStats-or-None)].
 
-    The one fan-out primitive behind :func:`check` and the operator
-    script, in ``names`` order: ``jobs > 1`` renders exhibits
-    concurrently, ``workers > 1`` parallelises within each exhibit
-    (never both — pool workers are daemonic). Elapsed times are
-    worker-side.
+    The one fan-out behind :func:`render`, :func:`check` and the
+    operator script, in ``names`` order: every exhibit is planned at
+    its canonical (scale, seed), all of their chains run through one
+    backend (``workers > 1`` spreads them over one process pool,
+    ``cache_dir`` recalls and stores them in the outcome cache — the
+    determinism contract extends to hits), and each exhibit is
+    rendered as soon as its last chain is back. Seconds cover an
+    exhibit's planning, execution and rendering; pooled, the
+    execution part is its share of the run's wall time.
     """
-    if jobs is not None and jobs > 1 and workers is not None and workers > 1:
-        raise ValueError(
-            "choose one parallelism level: jobs (across exhibits) or "
-            "workers (within one exhibit), not both"
-        )
-    payloads = [(name, workers, cache_dir) for name in resolve_names(names)]
-    return map_tasks(_render_task, payloads, workers=jobs)
+    names = resolve_names(names)
+    backend = backend_for(workers, cache_dir=cache_dir)
+    runners, plans, seconds = [], [], []
+    for name in names:
+        started = time.perf_counter()
+        run = EXHIBIT_RUNS[name]
+        runner = get_definition(name).runner()
+        plan = runner.plan(scale=run.scale, seed=run.seed)
+        runner.validate(plan)
+        runners.append(runner)
+        plans.append(plan)
+        seconds.append(time.perf_counter() - started)
+    rendered = [None] * len(names)
+    for k, outcomes, waited in run_plans(backend, plans):
+        started = time.perf_counter()
+        content = render_result(runners[k].collect(plans[k], outcomes))
+        del outcomes  # rendered: hold none while the next plan runs
+        stats = backend.stats_for(plans[k]) if cache_dir is not None else None
+        elapsed = seconds[k] + waited + time.perf_counter() - started
+        rendered[k] = (names[k], content, elapsed, stats)
+    return rendered
 
 
 def check(
     names: Optional[Iterable[str]] = None,
     workers: Optional[int] = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, ExhibitDiff]:
     """Regenerate exhibits and byte-diff each against the committed file.
 
-    Rendering parallelises like :func:`render_many`; the committed
-    files are read and compared in this process. Results are identical
-    for any ``jobs``/``workers``, and a ``cache_dir`` run reports
-    per-exhibit hit/miss counters on the diffs without changing a byte.
+    Rendering runs like :func:`render_many`; the committed files are
+    read and compared afterwards. Results are identical for any
+    ``workers``, and a ``cache_dir`` run reports per-exhibit hit/miss
+    counters on the diffs without changing a byte.
     """
     diffs = {}
     for name, regenerated, elapsed, stats in render_many(
-        names, workers=workers, jobs=jobs, cache_dir=cache_dir
+        names, workers=workers, cache_dir=cache_dir
     ):
         path = committed_path(name)
         committed = None

@@ -66,7 +66,6 @@ from .backends import (
     ProcessPoolBackend,
     SerialBackend,
     backend_for,
-    map_tasks,
 )
 from .cache import (
     CODE_VERSION,
@@ -75,7 +74,6 @@ from .cache import (
     NoSweepRuns,
     OutcomeCache,
     SweepRunStore,
-    cached_backend,
     chain_key,
     compare_sweep_runs,
     record_sweep,
@@ -181,7 +179,6 @@ __all__ = [
     "apply_space_overrides",
     "backend_for",
     "build_job_spec",
-    "cached_backend",
     "chain_key",
     "chain_policy",
     "collect_problems",
@@ -199,7 +196,6 @@ __all__ = [
     "make_pipetune_spec",
     "make_v1_spec",
     "make_v2_spec",
-    "map_tasks",
     "mean",
     "merge_outcomes",
     "metrics_by_system_collector",

@@ -2,10 +2,11 @@
 
 The scenario *declaration* never changes; *where and how* its steps
 execute is a backend decision (the RAFDA separation of application
-logic from distribution policy). Both backends split the plan into
-execution chains (:func:`~repro.scenarios.planner.partition`) and
-merge the outcomes back in plan order
-(:func:`~repro.scenarios.merge.merge_outcomes`):
+logic from distribution policy). Every backend has one entry point,
+``run_chains(tasks)``: it takes ``(plan, chain)`` pairs
+(:func:`~repro.scenarios.planner.partition`) from any number of plans
+and hands back ``(task position, outcomes)`` as each chain completes
+(:mod:`~repro.scenarios.merge` puts them back in plan order):
 
 * :class:`SerialBackend` — chains in order, in this process; the
   PipeTune sessions it built stay inspectable via
@@ -23,8 +24,8 @@ bytes. ``tests/test_scenarios_parallel.py`` proves it against the
 committed golden traces for all 12 paper exhibits.
 
 Step execution itself lives in :class:`ChainExecutor` — the single
-implementation both backends (and the sweep subsystem's workers)
-drive; its inputs are plain picklable declarations.
+implementation both backends drive; its inputs are plain picklable
+declarations. :func:`backend_for` builds every backend.
 
 Whether a failure is contained is a setting, not a second backend. A
 step that raises is wrapped in :class:`~repro.scenarios.containment.
@@ -44,7 +45,7 @@ import time
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..multitenancy.arrivals import generate_arrivals
 from ..multitenancy.scheduler import MultiTenancyResult, run_multi_tenancy
@@ -54,9 +55,10 @@ from ..tune.trainer import run_trial
 from ..workloads.registry import get_workload, type12_workloads, workloads_of_type
 from ..workloads.spec import WorkloadSpec
 from .containment import ChainFailure, StepExecutionError, format_traceback
+from .cache import CachingBackend, OutcomeCache
 from .jobs import session_for_cluster
-from .merge import merge_outcomes
-from .planner import ExecutionChain, partition
+from .merge import run_plan
+from .planner import ExecutionChain
 from .runner import (
     AnalysisStep,
     FixedTrialStep,
@@ -67,6 +69,9 @@ from .runner import (
     build_job_spec,
 )
 from .spec import Scenario, SystemPolicySpec
+
+#: one chain of one plan — what every backend's ``run_chains`` takes.
+Task = Tuple[ScenarioPlan, ExecutionChain]
 
 
 def _resolve_warm_start(scenario: Scenario, policy: SystemPolicySpec):
@@ -97,10 +102,6 @@ class ChainExecutor:
     seed: int
     #: one long-lived PipeTune session per policy, lazily created.
     sessions: Dict[SystemPolicySpec, object] = field(default_factory=dict)
-
-    @classmethod
-    def for_plan(cls, plan: ScenarioPlan) -> "ChainExecutor":
-        return cls(scenario=plan.scenario, scale=plan.scale, seed=plan.seed)
 
     # -- step dispatch ------------------------------------------------------
     def run_step(self, step: Step):
@@ -139,24 +140,18 @@ class ChainExecutor:
         their results, so a cancelled run still collects into a
         partial table.
         """
+        name = self.scenario.name
         outcomes: List = []
         for offset, (position, step) in enumerate(zip(chain.indices, chain.steps)):
             if stop is not None and stop():
-                for pos, remaining in zip(
-                    chain.indices[offset:], chain.steps[offset:]
-                ):
-                    outcomes.append(
-                        ChainFailure(
-                            scenario=self.scenario.name,
-                            chain_index=chain.index,
-                            step_index=pos,
-                            step_label=remaining.describe(),
-                            error_type="JobCancelled",
-                            error="job cancelled before this step ran",
-                            skipped=True,
-                        )
-                    )
-                break
+                return outcomes + chain_failures(
+                    name,
+                    chain,
+                    _CANCELLED,
+                    "job cancelled before this step ran",
+                    start=offset,
+                    skipped=True,
+                )
             try:
                 outcomes.append(self.run_step(step))
             except Exception as error:
@@ -164,34 +159,17 @@ class ChainExecutor:
                     if isinstance(error, StepExecutionError):
                         raise
                     raise StepExecutionError(
-                        self.scenario.name,
-                        chain.index,
-                        position,
-                        step.describe(),
-                        error,
+                        name, chain.index, position, step.describe(), error
                     ) from error
-                trace = format_traceback(error)
-                for later, (pos, remaining) in enumerate(
-                    zip(chain.indices[offset:], chain.steps[offset:])
-                ):
-                    outcomes.append(
-                        ChainFailure(
-                            scenario=self.scenario.name,
-                            chain_index=chain.index,
-                            step_index=pos,
-                            step_label=remaining.describe(),
-                            error_type=type(error).__name__,
-                            error=(
-                                str(error)
-                                if later == 0
-                                else f"skipped: step {position} failed earlier "
-                                f"in this chain"
-                            ),
-                            traceback=trace if later == 0 else "",
-                            skipped=later > 0,
-                        )
-                    )
-                break
+                return outcomes + chain_failures(
+                    name,
+                    chain,
+                    type(error).__name__,
+                    str(error),
+                    start=offset,
+                    traceback=format_traceback(error),
+                    later=f"skipped: step {position} failed earlier in this chain",
+                )
         return outcomes
 
     # -- sessions -----------------------------------------------------------
@@ -289,12 +267,54 @@ class ChainExecutor:
 # Backends
 # ---------------------------------------------------------------------------
 
+_CANCELLED = "JobCancelled"
+
+
+def chain_failures(
+    scenario: str,
+    chain: ExecutionChain,
+    error_type: str,
+    error: str,
+    start: int = 0,
+    skipped: bool = False,
+    traceback: str = "",
+    later: Optional[str] = None,
+) -> List[ChainFailure]:
+    """One :class:`ChainFailure` per position of ``chain`` from offset
+    ``start`` on, each carrying ``error`` — or, with ``later`` set,
+    only the first (with ``traceback``); the rest are skipped with
+    ``later`` as their error (a failed step's session is suspect)."""
+    return [
+        ChainFailure(
+            scenario=scenario,
+            chain_index=chain.index,
+            step_index=position,
+            step_label=step.describe(),
+            error_type=error_type,
+            error=error if offset == 0 or later is None else later,
+            traceback=traceback if offset == 0 else "",
+            skipped=skipped or (offset > 0 and later is not None),
+        )
+        for offset, (position, step) in enumerate(
+            zip(chain.indices[start:], chain.steps[start:])
+        )
+    ]
+
+
+def _cancelled(task: Task) -> List[ChainFailure]:
+    """The outcomes of a pooled chain the stop hook kept from starting."""
+    plan, chain = task
+    message = "job cancelled before this chain started"
+    return chain_failures(plan.scenario.name, chain, _CANCELLED, message, skipped=True)
+
 
 class SerialBackend:
-    """Chains in order, in this process; outcomes merged into plan order.
+    """Chains in order, in this process, one per result asked for.
 
-    The PipeTune sessions it built stay inspectable via
-    :attr:`~repro.scenarios.runner.ScenarioRunner.sessions`.
+    A chain starts only when the caller asks for the next result, so a
+    caller that collects each finished plan first holds one plan's
+    outcomes at a time. The PipeTune sessions of the latest plan stay
+    inspectable on :attr:`sessions`.
 
     ``contain=False`` (default — an interactive run wants the
     traceback) lets the first raising step escape as a
@@ -311,34 +331,27 @@ class SerialBackend:
     executor, same streams).
     """
 
-    workers = 1
-
     def __init__(
         self, contain: bool = False, stop: Optional[Callable[[], bool]] = None
     ):
         self.contain = contain
         self.stop = stop
+        self.sessions: Dict[SystemPolicySpec, object] = {}
 
     def run(self, plan: ScenarioPlan) -> Tuple[List, Dict[SystemPolicySpec, object]]:
-        chains = partition(plan)
-        per_chain, sessions = self.run_chains(plan, chains)
-        return merge_outcomes(plan, chains, per_chain), sessions
+        return run_plan(self, plan)
 
-    def run_chains(
-        self, plan: ScenarioPlan, chains: Sequence[ExecutionChain]
-    ) -> Tuple[List[List], Dict[SystemPolicySpec, object]]:
-        """Run a chain subset in order, one outcome list per chain.
-
-        The chain-granular entry point :meth:`run` and the caching
-        layer drive. Sessions are shared across the given chains (each
-        session-sharing policy's steps live inside a single chain by
-        construction, so a subset cannot split a session).
-        """
-        executor = ChainExecutor.for_plan(plan)
-        return [
-            executor.run_chain(chain, contain=self.contain, stop=self.stop)
-            for chain in chains
-        ], executor.sessions
+    def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
+        self.sessions = {}
+        executor = current = None
+        for position, (plan, chain) in enumerate(tasks):
+            if plan is not current:
+                current = plan
+                executor = ChainExecutor(plan.scenario, plan.scale, plan.seed)
+                self.sessions = executor.sessions
+            yield position, executor.run_chain(
+                chain, contain=self.contain, stop=self.stop
+            )
 
     def __repr__(self) -> str:
         return f"SerialBackend(contain={self.contain})"
@@ -365,52 +378,21 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
-def _payload(plan: ScenarioPlan, chain: ExecutionChain):
+def _payload(task: Task):
+    plan, chain = task
     return (plan.scenario, plan.scale, plan.seed, chain)
 
 
-def harness_failures(
-    plan: ScenarioPlan, chain: ExecutionChain, error_type: str, reason: str
-) -> List[ChainFailure]:
-    """One :class:`ChainFailure` per position of a chain the harness
-    gave up on (worker death, timeout) — no worker got to report."""
-    return [
-        ChainFailure(
-            scenario=plan.scenario.name,
-            chain_index=chain.index,
-            step_index=position,
-            step_label=step.describe(),
-            error_type=error_type,
-            error=reason,
-        )
-        for position, step in zip(chain.indices, chain.steps)
-    ]
-
-
-def cancelled_failures(
-    plan: ScenarioPlan, chain: ExecutionChain
-) -> List[ChainFailure]:
-    """Skipped ``JobCancelled`` outcomes for a chain that never started
-    — the pooled analogue of the serial executor's between-step skip."""
-    return [
-        ChainFailure(
-            scenario=plan.scenario.name,
-            chain_index=chain.index,
-            step_index=position,
-            step_label=step.describe(),
-            error_type="JobCancelled",
-            error="job cancelled before this chain started",
-            skipped=True,
-        )
-        for position, step in zip(chain.indices, chain.steps)
-    ]
+#: a chain the shared round could not finish: (task position,
+#: error type, reason), retried in isolation or reported as failed.
+Pending = Tuple[int, str, str]
 
 
 class ProcessPoolBackend:
     """Chains fanned out over a process pool, with fault tolerance.
 
-    Sessions live and die inside the workers, so
-    :attr:`ScenarioRunner.sessions` is empty after a pooled execute —
+    Sessions live and die inside the workers, so :attr:`sessions` (and
+    :attr:`ScenarioRunner.sessions`) is empty after a pooled execute —
     use :class:`SerialBackend` when the session object itself is the
     thing under inspection.
 
@@ -427,17 +409,18 @@ class ProcessPoolBackend:
     * ``chain_timeout_s`` bounds each execution round; hung workers
       are terminated, their chains retried in isolation;
     * after ``chain_retries`` isolation rounds, whatever still fails
-      is reported as :class:`ChainFailure` outcomes in plan order —
-      ``run`` returns results for every surviving step either way.
+      is reported as :class:`ChainFailure` outcomes —
+      ``run_chains`` hands back every chain either way.
 
     The shared round submits at most ``workers`` chains at a time,
-    topping up as each finishes. ``stop`` adds cooperative
-    cancellation at chain granularity (the service's cancel endpoint
-    for pooled jobs): the hook is polled between completions, and once
-    it returns True every chain not yet handed to a worker is
-    cancelled into skipped ``JobCancelled`` outcomes while running
-    chains finish and keep their results — the serial executor's
-    between-step semantics one level up.
+    topping up as each finishes, and hands its results back when it
+    ends. ``stop`` adds cooperative cancellation at chain granularity
+    (the service's cancel endpoint for pooled jobs): the hook is polled
+    between completions and before each isolated retry, and once it
+    returns True every chain not yet handed to a worker is cancelled
+    into skipped ``JobCancelled`` outcomes while running chains finish
+    and keep their results — the serial executor's between-step
+    semantics one level up.
     """
 
     #: seconds between stop-hook polls while futures are in flight.
@@ -462,41 +445,38 @@ class ProcessPoolBackend:
         self.chain_timeout_s = chain_timeout_s
         self.chain_retries = chain_retries
         self.stop = stop
+        self.sessions: Dict[SystemPolicySpec, object] = {}
 
     def _stopped(self) -> bool:
         return self.stop is not None and self.stop()
 
     def run(self, plan: ScenarioPlan) -> Tuple[List, Dict[SystemPolicySpec, object]]:
-        chains = partition(plan)
-        per_chain, sessions = self.run_chains(plan, chains)
-        return merge_outcomes(plan, chains, per_chain), sessions
+        return run_plan(self, plan)
 
-    def run_chains(
-        self, plan: ScenarioPlan, chains: Sequence[ExecutionChain]
-    ) -> Tuple[List[List], Dict[SystemPolicySpec, object]]:
-        """Fan a chain subset over the pool; sessions die with the
-        workers (empty dict back), exactly as in :meth:`run`."""
+    def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
+        tasks = list(tasks)
         if self._stopped():
-            return [cancelled_failures(plan, chain) for chain in chains], {}
+            for position, task in enumerate(tasks):
+                yield position, _cancelled(task)
+            return
         results: Dict[int, List] = {}
-        pending = self._shared_round(plan, chains, results)
-        if not self._stopped():
-            for _ in range(self.chain_retries):
-                if not pending:
-                    break
-                pending = self._isolated_round(
-                    plan, [chain for chain, _, _ in pending], results
-                )
-        for chain, error_type, reason in pending:
-            results[chain.index] = harness_failures(plan, chain, error_type, reason)
-        return [results[chain.index] for chain in chains], {}
+        pending = self._shared_round(tasks, results)
+        yield from results.items()
+        for _ in range(self.chain_retries):
+            if not pending:
+                break
+            pending = yield from self._isolated_round(tasks, pending)
+        for position, error_type, reason in pending:
+            plan, chain = tasks[position]
+            yield position, chain_failures(
+                plan.scenario.name, chain, error_type, reason
+            )
 
     # -- execution rounds ---------------------------------------------------
     def _throttled_round(
         self,
         executor: futures.ProcessPoolExecutor,
-        plan: ScenarioPlan,
-        chains: Sequence[ExecutionChain],
+        tasks: List[Task],
         processes: int,
     ):
         """At most ``processes`` chains in flight, topped up as soon as
@@ -509,11 +489,12 @@ class ProcessPoolBackend:
         cancels every chain not yet submitted while running chains
         finish and keep their results.
 
-        Returns ``(future_of, done, halt)`` where ``halt`` explains an
-        early exit (``"stop"``, ``"timeout"`` or ``"broken"``); chains
-        absent from ``future_of`` were never submitted.
+        Returns ``(future_of, done, halt)`` where ``future_of`` maps
+        task positions to futures and ``halt`` explains an early exit
+        (``"stop"``, ``"timeout"`` or ``"broken"``); positions absent
+        from ``future_of`` were never submitted.
         """
-        remaining = list(chains)
+        remaining = list(range(len(tasks)))
         future_of: Dict[int, futures.Future] = {}
         waiting: set = set()
         done: set = set()
@@ -525,15 +506,15 @@ class ProcessPoolBackend:
         )
         while remaining or waiting:
             while halt is None and remaining and len(waiting) < processes:
-                chain = remaining[0]
+                position = remaining[0]
                 try:
-                    future = executor.submit(_run_chain_task, _payload(plan, chain))
+                    future = executor.submit(_run_chain_task, _payload(tasks[position]))
                 except Exception:
                     # submit refuses once a worker death broke the pool
                     halt = "broken"
                     break
                 remaining.pop(0)
-                future_of[chain.index] = future
+                future_of[position] = future
                 waiting.add(future)
             if not waiting:
                 break
@@ -555,34 +536,29 @@ class ProcessPoolBackend:
         return future_of, done, halt
 
     def _shared_round(
-        self,
-        plan: ScenarioPlan,
-        chains: Sequence[ExecutionChain],
-        results: Dict[int, List],
-    ) -> List[Tuple[ExecutionChain, str, str]]:
+        self, tasks: List[Task], results: Dict[int, List]
+    ) -> List[Pending]:
         """All chains on one shared pool; returns those needing retry."""
-        if not chains:
+        if not tasks:
             return []
-        pending: List[Tuple[ExecutionChain, str, str]] = []
+        pending: List[Pending] = []
         context = multiprocessing.get_context(self.start_method)
-        processes = max(1, min(self.workers, len(chains)))
+        processes = max(1, min(self.workers, len(tasks)))
         executor = futures.ProcessPoolExecutor(
             max_workers=processes, mp_context=context
         )
         try:
-            future_of, done, halt = self._throttled_round(
-                executor, plan, chains, processes
-            )
-            for chain in chains:
-                future = future_of.get(chain.index)
+            future_of, done, halt = self._throttled_round(executor, tasks, processes)
+            for position, task in enumerate(tasks):
+                future = future_of.get(position)
                 if future is None:
                     # never submitted: the throttled round halted first.
                     if halt == "stop":
-                        results[chain.index] = cancelled_failures(plan, chain)
+                        results[position] = _cancelled(task)
                     elif halt == "broken":
                         pending.append(
                             (
-                                chain,
+                                position,
                                 "BrokenProcessPool",
                                 "a worker process died before this chain "
                                 "was submitted",
@@ -591,7 +567,7 @@ class ProcessPoolBackend:
                     else:
                         pending.append(
                             (
-                                chain,
+                                position,
                                 "TimeoutError",
                                 f"chain was not submitted within "
                                 f"{self.chain_timeout_s:g}s",
@@ -600,73 +576,79 @@ class ProcessPoolBackend:
                     continue
                 if future.cancelled():
                     # the stop hook fired before this chain started.
-                    results[chain.index] = cancelled_failures(plan, chain)
+                    results[position] = _cancelled(task)
                     continue
                 if future not in done:
                     pending.append(
                         (
-                            chain,
+                            position,
                             "TimeoutError",
                             f"chain did not finish within {self.chain_timeout_s:g}s",
                         )
                     )
                     continue
                 try:
-                    results[chain.index] = future.result()
+                    results[position] = future.result()
                 except BrokenProcessPool:
                     # the dying worker takes the whole pool down; every
                     # unfinished chain lands here and gets an isolated
                     # retry — only the true crasher will fail again.
                     pending.append(
                         (
-                            chain,
+                            position,
                             "BrokenProcessPool",
                             "a worker process died while the pool ran this chain",
                         )
                     )
                 except Exception as error:
-                    pending.append((chain, type(error).__name__, str(error)))
+                    pending.append((position, type(error).__name__, str(error)))
         finally:
             self._teardown(executor)
         return pending
 
-    def _isolated_round(
-        self,
-        plan: ScenarioPlan,
-        chains: Sequence[ExecutionChain],
-        results: Dict[int, List],
-    ) -> List[Tuple[ExecutionChain, str, str]]:
-        """Each chain alone on a fresh single-worker pool."""
-        pending: List[Tuple[ExecutionChain, str, str]] = []
+    def _isolated_round(self, tasks: List[Task], pending: List[Pending]):
+        """Each pending chain alone on a fresh single-worker pool.
+
+        A generator: hands back each chain's outcomes as it finishes
+        and returns the chains that failed again. The stop hook is
+        polled before each chain; once it is set, a chain not yet
+        retried comes back as skipped ``JobCancelled`` outcomes.
+        """
+        failed: List[Pending] = []
         context = multiprocessing.get_context(self.start_method)
-        for chain in chains:
+        for position, _, _ in pending:
+            if self._stopped():
+                yield position, _cancelled(tasks[position])
+                continue
+            outcomes = None
             executor = futures.ProcessPoolExecutor(max_workers=1, mp_context=context)
             try:
-                future = executor.submit(_run_chain_task, _payload(plan, chain))
-                try:
-                    results[chain.index] = future.result(timeout=self.chain_timeout_s)
-                except futures.TimeoutError:
-                    pending.append(
-                        (
-                            chain,
-                            "TimeoutError",
-                            f"chain did not finish within {self.chain_timeout_s:g}s "
-                            f"on an isolated retry",
-                        )
+                future = executor.submit(_run_chain_task, _payload(tasks[position]))
+                outcomes = future.result(timeout=self.chain_timeout_s)
+            except futures.TimeoutError:
+                failed.append(
+                    (
+                        position,
+                        "TimeoutError",
+                        f"chain did not finish within {self.chain_timeout_s:g}s "
+                        f"on an isolated retry",
                     )
-                except BrokenProcessPool:
-                    pending.append(
-                        (
-                            chain,
-                            "BrokenProcessPool",
-                            "worker process died again on an isolated retry",
-                        )
+                )
+            except BrokenProcessPool:
+                failed.append(
+                    (
+                        position,
+                        "BrokenProcessPool",
+                        "worker process died again on an isolated retry",
                     )
-                except Exception as error:
-                    pending.append((chain, type(error).__name__, str(error)))
+                )
+            except Exception as error:
+                failed.append((position, type(error).__name__, str(error)))
             finally:
                 self._teardown(executor)
-        return pending
+            if outcomes is not None:
+                yield position, outcomes
+        return failed
 
     @staticmethod
     def _teardown(executor: futures.ProcessPoolExecutor) -> None:
@@ -691,27 +673,25 @@ class ProcessPoolBackend:
         )
 
 
-Backend = object  # duck-typed: anything with .run(plan) -> (outcomes, sessions)
+def backend_for(
+    workers: Optional[int] = None,
+    cache_dir: Optional[str] = None,
+    contain: bool = False,
+    stop: Optional[Callable[[], bool]] = None,
+):
+    """The one backend builder.
 
-
-def backend_for(workers: Optional[int] = None) -> object:
-    """The backend a worker count resolves to (None/0/1 -> serial)."""
-    if workers is None or workers <= 1:
-        return SerialBackend()
-    return ProcessPoolBackend(workers=workers)
-
-
-def map_tasks(fn, payloads: Sequence, workers: Optional[int] = None) -> List:
-    """Map a picklable task over payloads, pooled when ``workers > 1``.
-
-    The shared fan-out primitive for coarser-than-chain parallelism:
-    sweep variants and whole-exhibit regeneration go through it.
-    ``fn`` must be a module-level callable. Order is preserved.
+    ``workers`` None/0/1 gives the :class:`SerialBackend` (``contain``
+    decides whether a raising step escapes), more a
+    :class:`ProcessPoolBackend` of that size (always contained);
+    ``stop`` is the cooperative cancel hook of either. A ``cache_dir``
+    wraps the result in a :class:`~repro.scenarios.cache.CachingBackend`
+    over the outcome cache rooted there.
     """
-    payloads = list(payloads)
-    if workers is None or workers <= 1 or len(payloads) <= 1:
-        return [fn(payload) for payload in payloads]
-    context = multiprocessing.get_context(default_start_method())
-    processes = max(1, min(workers, len(payloads)))
-    with context.Pool(processes=processes) as pool:
-        return pool.map(fn, payloads)
+    if workers is None or workers <= 1:
+        backend = SerialBackend(contain=contain, stop=stop)
+    else:
+        backend = ProcessPoolBackend(workers=workers, stop=stop)
+    if cache_dir is None:
+        return backend
+    return CachingBackend(backend, OutcomeCache(cache_dir))

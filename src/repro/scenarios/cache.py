@@ -17,10 +17,11 @@ sha256 of those same bytes:
   cost a recompute, never a crash and never wrong bytes;
 * :class:`CachingBackend` — wraps any execution backend (serial,
   contained, pooled): cache hits skip execution entirely, misses run
-  on the wrapped backend's ``run_chains`` and are stored, and both
-  re-tile through :func:`~repro.scenarios.merge.merge_outcomes` so
-  the collect phase cannot tell a hit from a recompute. That is the
-  contract: a warm run is byte-identical to a cold run.
+  on the wrapped backend's ``run_chains`` in one call and are stored,
+  and both re-tile through :func:`~repro.scenarios.merge.
+  merge_outcomes` so the collect phase cannot tell a hit from a
+  recompute. That is the contract: a warm run is byte-identical to a
+  cold run.
 
 Failures are never cached: a chain whose outcome list contains any
 :class:`~repro.scenarios.containment.ChainFailure` (including
@@ -43,12 +44,12 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tsdb import Point, TimeSeriesStore
 from .containment import is_failure
-from .merge import merge_outcomes
-from .planner import ExecutionChain, partition
+from .merge import run_plan
+from .planner import ExecutionChain
 from .runner import AnalysisStep, ScenarioPlan, Step
 
 #: the code-version salt mixed into every chain key. Bump it whenever
@@ -213,11 +214,13 @@ class OutcomeCache:
 class CachingBackend:
     """Memoizes chain outcomes around any execution backend.
 
-    ``run`` partitions the plan, looks every chain up in the
-    :class:`OutcomeCache`, executes only the misses on the wrapped
-    backend's ``run_chains``, stores the successful recomputes, and
-    merges hits and misses back into plan order — indistinguishable
-    bytes either way. ``stats`` holds the last run's hit/miss counts.
+    ``run_chains`` looks every task's chain up in the
+    :class:`OutcomeCache` and hands a hit back as soon as it is
+    loaded; all misses then go to the wrapped backend's
+    ``run_chains`` in one call, and each successful recompute is
+    stored as it comes back. ``run`` merges hits and misses into plan
+    order — indistinguishable bytes either way. ``stats`` holds the
+    last call's hit/miss counts, :meth:`stats_for` one plan's share.
 
     Like the pooled backend, a fully cached run returns no live
     sessions (there was nothing to build them for).
@@ -226,7 +229,7 @@ class CachingBackend:
     def __init__(self, inner, cache: Optional[OutcomeCache] = None):
         if not hasattr(inner, "run_chains"):
             raise TypeError(
-                f"{type(inner).__name__} has no run_chains(plan, chains); "
+                f"{type(inner).__name__} has no run_chains(tasks); "
                 "CachingBackend needs a chain-granular backend"
             )
         self.inner = inner
@@ -235,48 +238,48 @@ class CachingBackend:
         # swap a fresh cache dir for the default root.
         self.cache = OutcomeCache() if cache is None else cache
         self.stats = CacheStats()
-
-    @property
-    def workers(self) -> int:
-        return getattr(self.inner, "workers", 1)
+        self.sessions: Dict = {}
+        self._hits: Dict[int, List[bool]] = {}
 
     def run(self, plan: ScenarioPlan) -> Tuple[List, Dict]:
-        chains = partition(plan)
-        keys = [self.cache.key(plan, chain) for chain in chains]
-        per_chain: List[Optional[List]] = [None] * len(chains)
-        miss_positions: List[int] = []
-        for position, (chain, key) in enumerate(zip(chains, keys)):
+        return run_plan(self, plan)
+
+    def stats_for(self, plan: ScenarioPlan) -> CacheStats:
+        """One plan's share of the last ``run_chains`` call's counts."""
+        hits = self._hits.get(id(plan), [])
+        return CacheStats(hits=sum(hits), misses=len(hits) - sum(hits))
+
+    def run_chains(self, tasks) -> Iterator[Tuple[int, List]]:
+        tasks = list(tasks)
+        self.sessions = {}
+        # id(plan) -> hit flags; the task list keeps every plan alive.
+        self._hits = {}
+        keys: Dict[int, str] = {}
+        for position, (plan, chain) in enumerate(tasks):
+            key = self.cache.key(plan, chain)
             cached = self.cache.load(key)
-            if cached is not None and len(cached) == len(chain.indices):
-                per_chain[position] = cached
+            hit = cached is not None and len(cached) == len(chain.indices)
+            self._hits.setdefault(id(plan), []).append(hit)
+            if hit:
+                yield position, cached
             else:
-                miss_positions.append(position)
-        sessions: Dict = {}
-        if miss_positions:
-            executed, sessions = self.inner.run_chains(
-                plan, [chains[position] for position in miss_positions]
-            )
-            for position, outcomes in zip(miss_positions, executed):
-                per_chain[position] = outcomes
+                keys[position] = key
+        # hold no outcomes while a chain runs: a serial caller's memory
+        # is one plan's outcomes at a time.
+        cached = None
+        misses = list(keys)
+        if misses:
+            executed = self.inner.run_chains([tasks[p] for p in misses])
+            for offset, outcomes in executed:
+                position = misses[offset]
                 self.cache.store(keys[position], outcomes)
-        self.stats = CacheStats(
-            hits=len(chains) - len(miss_positions), misses=len(miss_positions)
-        )
-        return merge_outcomes(plan, chains, per_chain), sessions
+                yield position, outcomes
+                del outcomes
+            self.sessions = self.inner.sessions
+        self.stats = CacheStats(hits=len(tasks) - len(misses), misses=len(misses))
 
     def __repr__(self) -> str:
         return f"CachingBackend(inner={self.inner!r}, cache={self.cache!r})"
-
-
-def cached_backend(
-    cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
-    salt: str = CODE_VERSION,
-) -> CachingBackend:
-    """A :class:`CachingBackend` over the backend ``workers`` picks."""
-    from .backends import backend_for  # late import: backends imports runner
-
-    return CachingBackend(backend_for(workers), OutcomeCache(cache_dir, salt=salt))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 Backends execute :class:`~repro.scenarios.planner.ExecutionChain`\\ s
 in whatever order and on whatever workers they like; this module puts
 every outcome back at its plan position so the collect phase (and the
-golden byte-diff behind it) cannot tell how execution was scheduled.
+golden byte-diff behind it) cannot tell how execution was scheduled:
+:func:`run_plan` for one plan (``backend.run``), :func:`run_plans` for
+many through one ``backend.run_chains`` call (sweeps, exhibits).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import time
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .planner import ExecutionChain
+from .planner import ExecutionChain, partition
 from .runner import ScenarioPlan
 
 #: placeholder distinguishing "not merged yet" from a legitimate None.
@@ -55,3 +58,42 @@ def merge_outcomes(
     if holes:
         raise ValueError(f"chains left plan positions {holes} unexecuted")
     return merged
+
+
+def run_plan(backend, plan: ScenarioPlan) -> Tuple[List, Dict]:
+    """One plan's outcomes in plan order, plus the backend's sessions."""
+    chains = partition(plan)
+    per_chain: List = [None] * len(chains)
+    for position, outcomes in backend.run_chains([(plan, c) for c in chains]):
+        per_chain[position] = outcomes
+    return merge_outcomes(plan, chains, per_chain), backend.sessions
+
+
+def run_plans(
+    backend, plans: Sequence[ScenarioPlan]
+) -> Iterator[Tuple[int, List, float]]:
+    """Every plan's chains through one ``backend.run_chains`` call.
+
+    Yields ``(k, outcomes in plan order, seconds waited on its chains)``
+    as soon as the last chain of ``plans[k]`` is back. The serial
+    backend runs a chain only when asked for the next result, so a
+    caller that collects plan ``k`` first holds one plan's outcomes at
+    a time and the seconds are that plan's execution; a pool hands back
+    whole rounds, so there they are the plan's share of the wall time.
+    """
+    chains_of = [partition(plan) for plan in plans]
+    owner = [(k, c) for k, chains in enumerate(chains_of) for c in range(len(chains))]
+    tasks = [(plans[k], chains_of[k][c]) for k, c in owner]
+    per_chain = {k: [None] * len(chains) for k, chains in enumerate(chains_of)}
+    left = [len(chains) for chains in chains_of]
+    waited = [0.0] * len(plans)
+    mark = time.perf_counter()
+    for position, outcomes in backend.run_chains(tasks):
+        k, c = owner[position]
+        waited[k] += time.perf_counter() - mark
+        per_chain[k][c] = outcomes
+        left[k] -= 1
+        del outcomes  # hold none while the next chain runs
+        if not left[k]:
+            yield k, merge_outcomes(plans[k], chains_of[k], per_chain.pop(k)), waited[k]
+        mark = time.perf_counter()

@@ -33,11 +33,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .containment import is_failure
 from .registry import SCENARIO_REGISTRY, get_definition
 from .result import ExperimentResult
-from .runner import ScenarioRunner
+from .runner import ScenarioPlan, ScenarioRunner
 from .schema import strict_from_dict
 from .spec import Scenario, ScenarioError
 
@@ -352,98 +353,107 @@ class SweepResult:
         }
 
 
-def _run_variant_task(payload):
-    """Pool task: resolve the base definition in the worker, build the
-    variant scenario, run it serially (pool workers are daemonic and
-    cannot open nested pools), return the collected table.
-
-    With a ``cache_dir`` the variant runs through a
-    :class:`~repro.scenarios.cache.CachingBackend` over the serial
-    backend — chains already in the store are recalled instead of
-    executed (byte-identical by the cache contract) and the hit/miss
-    counts ride back with the result.
-
-    Contained: a raising variant returns an error record instead of
-    propagating across the process boundary, so one bad grid cell
-    cannot take the other variants' results with it."""
-    base_name, variant_name, overrides, scale, seed, cache_dir = payload
-    started = time.perf_counter()
-    hits = misses = None
-    try:
-        definition = get_definition(base_name)
-        scenario = apply_overrides(definition.scenario, overrides, name=variant_name)
-        runner = ScenarioRunner(
-            scenario, collect=definition.collect, plan_fn=definition.plan_fn
-        )
-        backend = None
-        if cache_dir is not None:
-            from .cache import cached_backend  # late import: cycle via backends
-
-            backend = cached_backend(cache_dir=cache_dir)
-        result = runner.run(scale=scale, seed=seed, backend=backend)
-        if backend is not None:
-            hits, misses = backend.stats.hits, backend.stats.misses
-    except Exception as error:
-        elapsed = time.perf_counter() - started
-        return variant_name, None, elapsed, type(error).__name__, str(error), None, None
-    return variant_name, result, time.perf_counter() - started, None, None, hits, misses
-
-
 def run_sweep(
     sweep: Union[Sweep, str],
     scale: float = 1.0,
     seed: int = 0,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
+    stop: Optional[Callable[[], bool]] = None,
 ) -> SweepResult:
     """Expand a sweep and execute every variant, pooled when asked.
 
-    Variant results are identical for any worker count: each variant
-    is a self-contained scenario run whose streams are counter-keyed
-    on its own specs and seeds. The sweep degrades gracefully: a
-    variant that raises is reported failed (``SweepResult.failed``)
-    while every surviving variant still returns its table.
+    Every variant is planned up front and all of their chains run
+    through one contained backend, so ``workers > 1`` spreads chains,
+    not whole variants, over one pool. A variant is collected as soon
+    as its last chain is back — serially, before the next variant's
+    chains run, so only one variant's outcomes are held at a time.
+    Results are identical for any worker count: each variant's streams
+    are counter-keyed on its own specs and seeds.
+
+    The sweep degrades gracefully: a variant whose override, planning,
+    any step or collect raised is reported failed
+    (``SweepResult.failed``; its error is the exception or the first
+    non-skipped :class:`ChainFailure`) while every other variant still
+    returns its table. ``stop`` is the cooperative cancel hook: chains
+    not started once it returns True fail their variants with
+    ``JobCancelled``.
 
     ``cache_dir`` enables the content-addressed outcome cache
     (:mod:`repro.scenarios.cache`): chains shared with earlier runs
-    are recalled from disk instead of re-executed — an incremental
-    re-run of an overlapping grid touches only the new cells — and
-    the per-variant hit/miss counts land on the outcomes. Cached or
-    not, the tables are byte-identical.
+    are recalled from disk instead of re-executed and the per-variant
+    hit/miss counts land on the outcomes; the tables are
+    byte-identical either way. ``elapsed_s`` covers a variant's
+    override, planning, execution, cache reads and writes, and
+    collect; pooled, its execution part is the variant's share of the
+    run's wall time.
     """
-    from .backends import map_tasks  # late import: backends imports runner
+    from .backends import backend_for  # late import: backends imports runner
+    from .merge import run_plans
 
     if isinstance(sweep, str):
         sweep = get_sweep(sweep)
     sweep.validate()
-    payloads = [
-        (sweep.scenario, variant_name, overrides, scale, seed, cache_dir)
-        for variant_name, overrides in sweep._grid()
-    ]
-    finished = map_tasks(_run_variant_task, payloads, workers=workers)
-    outcomes = tuple(
-        VariantOutcome(
-            name=variant_name,
-            overrides=payload[2],
+    backend = backend_for(workers, cache_dir=cache_dir, contain=True, stop=stop)
+    cells = list(sweep._grid())
+    variants: List[Optional[VariantOutcome]] = [None] * len(cells)
+    planned = []  # (grid cell, runner, plan, planning seconds)
+    for k, (variant_name, overrides) in enumerate(cells):
+        started = time.perf_counter()
+        try:
+            definition = get_definition(sweep.scenario)
+            scenario = apply_overrides(
+                definition.scenario, overrides, name=variant_name
+            )
+            runner = ScenarioRunner(
+                scenario, collect=definition.collect, plan_fn=definition.plan_fn
+            )
+            plan = runner.plan(scale=scale, seed=seed)
+            runner.validate(plan)
+        except Exception as error:
+            variants[k] = VariantOutcome(
+                name=variant_name,
+                overrides=overrides,
+                result=None,
+                elapsed_s=time.perf_counter() - started,
+                error_type=type(error).__name__,
+                error=str(error),
+            )
+        else:
+            planned.append((k, runner, plan, time.perf_counter() - started))
+    plans = [plan for _, _, plan, _ in planned]
+    for index, outcomes, waited in run_plans(backend, plans):
+        k, runner, plan, seconds = planned[index]
+        started = time.perf_counter()
+        result = error_type = error = None
+        # plan order, non-skipped first: the step that raised, not the
+        # steps skipped after it or by a cancel.
+        failures = sorted(filter(is_failure, outcomes), key=lambda f: f.skipped)
+        if failures:
+            error_type, error = failures[0].error_type, failures[0].error
+        else:
+            try:
+                result = runner.collect(plan, outcomes)
+            except Exception as raised:
+                error_type, error = type(raised).__name__, str(raised)
+        del outcomes, failures  # collected: hold none while the next plan runs
+        stats = backend.stats_for(plan) if cache_dir is not None else None
+        variants[k] = VariantOutcome(
+            name=cells[k][0],
+            overrides=cells[k][1],
             result=result,
-            elapsed_s=elapsed,
+            elapsed_s=seconds + waited + time.perf_counter() - started,
             error_type=error_type,
             error=error,
-            cache_hits=hits,
-            cache_misses=misses,
+            cache_hits=stats.hits if stats else None,
+            cache_misses=stats.misses if stats else None,
         )
-        for payload, (
-            variant_name,
-            result,
-            elapsed,
-            error_type,
-            error,
-            hits,
-            misses,
-        ) in zip(payloads, finished)
-    )
     return SweepResult(
-        sweep=sweep, scale=scale, seed=seed, workers=workers or 1, outcomes=outcomes
+        sweep=sweep,
+        scale=scale,
+        seed=seed,
+        workers=workers or 1,
+        outcomes=tuple(variants),
     )
 
 

@@ -31,7 +31,7 @@ or in-process (tests, notebooks)::
 
 from .config import DEFAULT_MIDDLEWARE, QueueConfig, ServerConfig
 from .envelope import error_envelope, ok_envelope
-from .jobs import Job, JobManager, JobNotCancellable, JobQueueFull, JobStates
+from .jobs import Job, JobManager, JobQueueFull, JobStates
 from .middleware import (
     MIDDLEWARE_KINDS,
     AccessLogMiddleware,
@@ -53,7 +53,6 @@ __all__ = [
     "DEFAULT_MIDDLEWARE",
     "Job",
     "JobManager",
-    "JobNotCancellable",
     "JobQueueFull",
     "JobStates",
     "MIDDLEWARE_KINDS",

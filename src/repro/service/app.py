@@ -41,7 +41,7 @@ from ..scenarios.views import (
 )
 from .config import ServerConfig
 from .envelope import error_envelope, ok_envelope
-from .jobs import JobManager, JobNotCancellable, JobQueueFull, JobStates
+from .jobs import JobManager, JobQueueFull, JobStates
 from .middleware import Request, Response
 
 
@@ -309,15 +309,6 @@ class ServiceApp:
             job = self.manager.cancel(job_id)
         except KeyError as error:
             return _not_found(str(error.args[0]))
-        except JobNotCancellable as error:
-            return Response(
-                409,
-                error_envelope(
-                    "JobNotCancellable",
-                    str(error),
-                    data=error.job.as_dict(),
-                ),
-            )
         return Response(202, ok_envelope(job.as_dict()))
 
 

@@ -15,13 +15,11 @@ never lets a job kill the daemon:
 * cancellation is cooperative: the cancel endpoint sets an event the
   chain executor polls between steps (and the pooled backend polls
   between chains), so a cancelled job still collects a partial table
-  of the steps it finished. A job ends ``cancelled`` only when the
-  cancellation was actually *observed* — a cancel that lands after
-  the last step finished leaves the job ``done`` with its full
-  result, and cancelling an already-terminal job is a no-op. Sweep
-  jobs cannot be cancelled mid-run (``run_sweep`` is one atomic
-  call); attempting it raises :class:`JobNotCancellable` instead of
-  silently accepting the request.
+  of the steps it finished — and a cancelled sweep keeps the tables of
+  the variants whose chains all finished. A job ends ``cancelled``
+  only when the cancellation was actually *observed* — a cancel that
+  lands after the last step finished leaves the job ``done`` with its
+  full result, and cancelling an already-terminal job is a no-op.
 
 Job views are race-free: :meth:`Job.as_dict` and
 :meth:`Job.elapsed_s` snapshot the mutable fields under the manager's
@@ -43,8 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..scenarios.backends import ProcessPoolBackend, SerialBackend
-from ..scenarios.cache import CachingBackend, OutcomeCache, resolve_cache_dir
+from ..scenarios.backends import backend_for
+from ..scenarios.cache import resolve_cache_dir
 from ..scenarios.containment import is_failure
 from ..scenarios.registry import get_definition
 from ..scenarios.runner import ScenarioRunner
@@ -70,19 +68,6 @@ class JobStates:
 
 class JobQueueFull(RuntimeError):
     """The bounded queue rejected a submission (HTTP 503 upstream)."""
-
-
-class JobNotCancellable(RuntimeError):
-    """Cancel was requested for a job that cannot honour it (a sweep
-    already running — run_sweep is one atomic call); HTTP 409
-    upstream. Structured refusal beats silently ignoring the event."""
-
-    def __init__(self, job: "Job"):
-        self.job = job
-        super().__init__(
-            f"job {job.id} is a {job.kind} already {job.status}; sweeps "
-            "cannot be cancelled mid-run"
-        )
 
 
 @dataclass
@@ -324,16 +309,11 @@ class JobManager:
 
         Terminal jobs are left untouched (the event is *not* set — a
         cancel landing after completion must not relabel a finished
-        job). Cancelling a sweep that is already running raises
-        :class:`JobNotCancellable`: ``run_sweep`` is one atomic call
-        with no boundary to stop at, and a structured refusal beats
-        accepting a request that would be silently ignored."""
+        job)."""
         job = self.get(job_id)
         with self._lock:
             if job.finished:
                 return job
-            if job.kind == "sweep" and job.status == JobStates.RUNNING:
-                raise JobNotCancellable(job)
             job.cancel_event.set()
             if job.status == JobStates.QUEUED:
                 # never started: nothing partial to keep.
@@ -399,15 +379,12 @@ class JobManager:
             runner = get_definition(job.name).runner()
         plan = runner.plan(scale=job.scale, seed=job.seed)
         runner.validate(plan)
-        stop = job.cancel_event.is_set
-        if job.workers > 1:
-            backend = ProcessPoolBackend(workers=job.workers, stop=stop)
-        else:
-            backend = SerialBackend(contain=True, stop=stop)
-        if job.cache:
-            backend = CachingBackend(
-                backend, OutcomeCache(resolve_cache_dir(job.cache_dir))
-            )
+        backend = backend_for(
+            job.workers,
+            cache_dir=resolve_cache_dir(job.cache_dir) if job.cache else None,
+            contain=True,
+            stop=job.cancel_event.is_set,
+        )
         outcomes = runner.execute(plan, backend=backend)
         result = runner.collect(plan, outcomes)
         failures = [
@@ -423,15 +400,15 @@ class JobManager:
         return any(f.get("error_type") == "JobCancelled" for f in failures)
 
     def _run_sweep_job(self, job: Job) -> bool:
-        # sweeps fan out whole variants; cancellation applies only
-        # while queued (run_sweep is one atomic call) — cancel() raises
-        # JobNotCancellable once the sweep is running.
+        """Run one sweep job; returns True iff cancellation was
+        observed (some variant's chains were skipped because of it)."""
         outcome = run_sweep(
             job.name,
             scale=job.scale,
             seed=job.seed,
             workers=job.workers,
             cache_dir=resolve_cache_dir(job.cache_dir) if job.cache else None,
+            stop=job.cancel_event.is_set,
         )
         failures = [
             {
@@ -447,4 +424,4 @@ class JobManager:
             if job.cache:
                 job.cache_hits = outcome.cache_hits
                 job.cache_misses = outcome.cache_misses
-        return False
+        return any(failed.error_type == "JobCancelled" for failed in outcome.failed)

@@ -24,7 +24,6 @@ from repro.scenarios import (
     Scenario,
     SweepAxis,
     SweepRunStore,
-    cached_backend,
     chain_key,
     compare_sweep_runs,
     get_definition,
@@ -33,7 +32,7 @@ from repro.scenarios import (
     run_scenario,
     run_sweep,
 )
-from repro.scenarios.backends import SerialBackend
+from repro.scenarios.backends import SerialBackend, backend_for
 from repro.scenarios.cache import (
     _ENTRY_SUFFIX,
     _MAGIC,
@@ -212,7 +211,7 @@ class TestOutcomeCache:
         # the backend must never `or` it away into the default root.
         backend = CachingBackend(SerialBackend(), OutcomeCache(str(tmp_path)))
         assert backend.cache.root == str(tmp_path)
-        assert cached_backend(cache_dir=str(tmp_path)).cache.root == str(tmp_path)
+        assert backend_for(cache_dir=str(tmp_path)).cache.root == str(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +242,9 @@ class TestCachingBackend:
             replace=True,
         )
         try:
-            cold = run_scenario(
-                name, backend=cached_backend(cache_dir=str(tmp_path))
-            )
+            cold = run_scenario(name, backend=backend_for(cache_dir=str(tmp_path)))
             assert len(calls) == 3
-            warm_backend = cached_backend(cache_dir=str(tmp_path))
+            warm_backend = backend_for(cache_dir=str(tmp_path))
             warm = run_scenario(name, backend=warm_backend)
             assert len(calls) == 3  # nothing executed on the warm run
             assert warm_backend.stats.hits == 3
@@ -258,7 +255,7 @@ class TestCachingBackend:
 
     def test_cold_vs_warm_bytes_identical_for_an_exhibit(self, tmp_path):
         cold = golden.render("fig09", cache_dir=str(tmp_path))
-        backend = cached_backend(cache_dir=str(tmp_path))
+        backend = backend_for(cache_dir=str(tmp_path))
         warm = golden.render_result(
             run_scenario("fig09", scale=1.0, seed=0, backend=backend)
         )
@@ -270,10 +267,12 @@ class TestCachingBackend:
             assert cold == handle.read()
 
     def test_salt_change_invalidates_every_entry(self, tmp_path):
-        first = cached_backend(cache_dir=str(tmp_path))
+        first = backend_for(cache_dir=str(tmp_path))
         run_scenario("fig09", scale=0.3, backend=first)
         assert first.stats.misses > 0
-        stale = cached_backend(cache_dir=str(tmp_path), salt="outcome-cache-v2")
+        stale = CachingBackend(
+            SerialBackend(), OutcomeCache(str(tmp_path), salt="outcome-cache-v2")
+        )
         run_scenario("fig09", scale=0.3, backend=stale)
         assert stale.stats.hits == 0
         assert stale.stats.misses == first.stats.misses

@@ -17,6 +17,8 @@ Four concerns, one file:
 
 import multiprocessing
 import os
+import tempfile
+import threading
 import time
 
 import pytest
@@ -299,6 +301,22 @@ def _sleep_analysis(scale, seed):
     time.sleep(600)
 
 
+#: directory the logged crasher marks each of its runs in; process
+#: environment reaches forked and spawned pool workers alike.
+_EXIT_LOG_ENV = "REPRO_TEST_EXIT_LOG_DIR"
+
+
+def _logged_exit_analysis(scale, seed):
+    handle, _ = tempfile.mkstemp(prefix="exit-", dir=os.environ[_EXIT_LOG_ENV])
+    os.close(handle)
+    os._exit(13)
+
+
+def _slow_ok(scale, seed):
+    time.sleep(1.0)  # still running when the crasher breaks the pool
+    return _ok_analysis(scale, seed)
+
+
 def analysis_runner(*fns):
     scenario = Scenario(name="containment-probe", kind="analysis")
     steps = [
@@ -350,15 +368,15 @@ class TestContainment:
         shared_pending = []
 
         class Recording(ProcessPoolBackend):
-            def _shared_round(self, plan, chains, results):
-                pending = super()._shared_round(plan, chains, results)
+            def _shared_round(self, tasks, results):
+                pending = super()._shared_round(tasks, results)
                 shared_pending.extend(pending)
                 return pending
 
         runner = analysis_runner(_sleep_analysis, _sleep_analysis, _ok_analysis)
         backend = Recording(workers=2, chain_timeout_s=2.0, chain_retries=1)
         outcomes, _ = backend.run(runner.plan())
-        reasons = {chain.index: reason for chain, _, reason in shared_pending}
+        reasons = {position: reason for position, _, reason in shared_pending}
         assert "not submitted" in reasons[2]
         assert isinstance(outcomes[2], ExperimentResult)
         for failure in outcomes[:2]:
@@ -404,6 +422,26 @@ class TestContainment:
         assert isinstance(failure, ChainFailure)
         assert failure.error_type == "TimeoutError"
         assert isinstance(outcomes[1], ExperimentResult)
+
+    def test_stop_is_polled_between_isolated_retries(self, tmp_path, monkeypatch):
+        # The crasher breaks the shared pool, so all three chains are
+        # retried in isolation, crasher first. Its retry flips the stop
+        # hook; the two chains not yet retried must come back as
+        # skipped cancellations instead of running anyway.
+        monkeypatch.setenv(_EXIT_LOG_ENV, str(tmp_path))
+        runner = analysis_runner(_logged_exit_analysis, _slow_ok, _slow_ok)
+
+        def stop():
+            return len(list(tmp_path.glob("exit-*"))) >= 2
+
+        backend = ProcessPoolBackend(workers=3, chain_retries=1, stop=stop)
+        outcomes, _ = backend.run(runner.plan())
+        assert outcomes[0].error_type == "BrokenProcessPool"
+        assert not outcomes[0].skipped
+        for cancelled in outcomes[1:]:
+            assert isinstance(cancelled, ChainFailure)
+            assert cancelled.error_type == "JobCancelled"
+            assert cancelled.skipped
 
     def test_backend_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -503,6 +541,26 @@ def fragile_scenario():
     del SCENARIO_REGISTRY[name]
 
 
+def _crash_when_two(scenario, scale, seed):
+    fn = _exit_analysis if scenario.repetitions == 2 else _ok_analysis
+    return [AnalysisStep(name=f"reps{scenario.repetitions}", fn=fn)]
+
+
+@pytest.fixture
+def crashing_sweep():
+    name = "crash-on-two"
+    register(
+        Scenario(name=name, kind="analysis"),
+        collect=lambda plan, outcomes: outcomes[0],
+        plan_fn=_crash_when_two,
+        source="user",
+    )
+    yield Sweep(
+        name="crash-on-two", scenario=name, axes=(SweepAxis("repetitions", (1, 2, 3)),)
+    )
+    del SCENARIO_REGISTRY[name]
+
+
 class TestSweepDegradation:
     def sweep(self, name):
         return Sweep(
@@ -529,6 +587,31 @@ class TestSweepDegradation:
         )
         assert len(outcome.failed) == 1
         assert len(outcome.surviving) == 2
+
+    def test_dead_worker_does_not_hang_the_sweep(self, crashing_sweep):
+        # Pooled, one variant's only step kills its worker outright.
+        # Guarded by a thread timeout: a pool that never notices the
+        # death would block run_sweep forever.
+        box = {}
+
+        def run():
+            try:
+                box["outcome"] = run_sweep(crashing_sweep, seed=0, workers=2)
+            except BaseException as error:
+                box["error"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive(), "run_sweep hung on a dead worker"
+        assert "error" not in box, box.get("error")
+        outcome = box["outcome"]
+        assert [v.ok for v in outcome.outcomes] == [True, False, True]
+        failed = outcome.outcomes[1]
+        assert failed.result is None
+        assert failed.error_type == "BrokenProcessPool"
+        for survivor in outcome.surviving:
+            assert survivor.result.rows
 
     def test_failure_serialises(self, fragile_scenario):
         outcome = run_sweep(self.sweep(fragile_scenario), scale=1.0, seed=0)

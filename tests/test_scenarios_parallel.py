@@ -32,7 +32,6 @@ from repro.scenarios import (
     backend_for,
     chain_policy,
     fixed_trial,
-    map_tasks,
     merge_outcomes,
     partition,
     pipetune,
@@ -193,11 +192,6 @@ class TestBackends:
         with pytest.raises(ValueError, match="workers"):
             ProcessPoolBackend(workers=0)
 
-    def test_map_tasks_preserves_order(self):
-        payloads = list(range(13))
-        assert map_tasks(_double, payloads, workers=None) == [2 * p for p in payloads]
-        assert map_tasks(_double, payloads, workers=3) == [2 * p for p in payloads]
-
     def test_serial_backend_exposes_sessions_pool_does_not(self):
         scenario = (
             Scenario.builder("sessions-visibility")
@@ -212,10 +206,6 @@ class TestBackends:
         assert list(runner.sessions) == ["pipetune"]
         runner.execute(plan, workers=2)
         assert runner.sessions == {}
-
-
-def _double(value):
-    return 2 * value
 
 
 # ---------------------------------------------------------------------------

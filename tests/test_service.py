@@ -693,10 +693,10 @@ class TestJobLifecycleRaces:
             manager.close()
             SCENARIO_REGISTRY.pop(name, None)
 
-    def test_running_sweep_cancel_is_structured_409(self, service):
-        # A running sweep has no step boundary to stop at; cancelling
-        # it must be a structured refusal, not a silently ignored
-        # acceptance.
+    def test_cancel_mid_sweep_keeps_finished_variants(self, service):
+        # A running sweep stops at its next chain boundary: the variant
+        # whose chain finished keeps its table, the other reports
+        # JobCancelled, and the job ends cancelled.
         _, client = service
         name = "race-sweep-block"
         started = threading.Event()
@@ -710,25 +710,27 @@ class TestJobLifecycleRaces:
         self._register(name, [AnalysisStep(name="block", fn=block)])
         register_sweep(
             Sweep(
-                name="race-noncancellable",
+                name="race-cancellable",
                 scenario=name,
-                axes=(SweepAxis("cluster.nodes", (1,)),),
+                axes=(SweepAxis("cluster.nodes", (1, 2)),),
             ),
             replace=True,
         )
         try:
-            job = client.submit_sweep("race-noncancellable")
+            job = client.submit_sweep("race-cancellable")
             assert started.wait(timeout=60)
-            with pytest.raises(ServiceError) as excinfo:
-                client.cancel(job["id"])
-            assert excinfo.value.status == 409
-            assert excinfo.value.error_type == "JobNotCancellable"
+            cancelled = client.cancel(job["id"])
+            assert cancelled["status"] == JobStates.RUNNING
             release.set()
             finished = client.wait(job["id"], timeout_s=120)
-            assert finished["status"] == JobStates.DONE
+            assert finished["status"] == JobStates.CANCELLED
+            variants = client.result(job["id"])["result"]["variants"]
+            assert [v["ok"] for v in variants] == [True, False]
+            assert variants[0]["result"] is not None
+            assert variants[1]["error_type"] == "JobCancelled"
         finally:
             release.set()
-            SWEEP_REGISTRY.pop("race-noncancellable", None)
+            SWEEP_REGISTRY.pop("race-cancellable", None)
             SCENARIO_REGISTRY.pop(name, None)
 
 

@@ -1,17 +1,25 @@
 """The sweep subsystem: expansion, validation, execution, registry."""
 
+import functools
+
 import pytest
 
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
+    Scenario,
+    ScenarioRunner,
     Sweep,
     SweepAxis,
     SweepError,
     get_sweep,
+    partition,
+    register,
     register_sweep,
     run_sweep,
 )
+from repro.scenarios.result import ExperimentResult
+from repro.scenarios.runner import AnalysisStep
 from repro.scenarios.sweep import apply_overrides, set_override
 
 
@@ -193,3 +201,84 @@ class TestRunSweep:
                     axes=(SweepAxis("cluster.nodes", (2,)),),
                 )
             )
+
+
+# ---------------------------------------------------------------------------
+# Serial sweeps hold one variant's outcomes at a time
+# ---------------------------------------------------------------------------
+
+#: (event, variant, ...) in the order the sweep produced them.
+_EVENTS = []
+
+
+def _recorded_step(variant, index, scale, seed):
+    _EVENTS.append(("step", variant, index))
+    result = ExperimentResult(exhibit="e", title="e", columns=["v"])
+    result.add_row(v=index)
+    return result
+
+
+def _recorded_plan(scenario, scale, seed):
+    # repetitions + 1 singleton chains, named per variant so their
+    # cache keys differ.
+    return [
+        AnalysisStep(
+            name=f"{scenario.name}/step{i}",
+            fn=functools.partial(_recorded_step, scenario.name, i),
+        )
+        for i in range(scenario.repetitions + 1)
+    ]
+
+
+def _recorded_collect(plan, outcomes):
+    _EVENTS.append(("collect", plan.scenario.name))
+    result = ExperimentResult(exhibit="e", title="e", columns=["steps"])
+    result.add_row(steps=len(outcomes))
+    return result
+
+
+class TestSerialSweepMemory:
+    @pytest.fixture
+    def sweep(self):
+        name = "recorded-probe"
+        register(
+            Scenario(name=name, kind="analysis"),
+            collect=_recorded_collect,
+            plan_fn=_recorded_plan,
+            replace=True,
+        )
+        _EVENTS.clear()
+        yield Sweep(
+            name="recorded", scenario=name, axes=(SweepAxis("repetitions", (1, 2)),)
+        )
+        SCENARIO_REGISTRY.pop(name, None)
+
+    @staticmethod
+    def _chain_counts(sweep):
+        """variant name -> its plan's chain count."""
+        counts = {}
+        for variant in sweep.variants():
+            plan = ScenarioRunner(variant.scenario, plan_fn=_recorded_plan).plan()
+            counts[variant.name] = len(partition(plan))
+        return counts
+
+    def test_each_variant_is_collected_before_the_next_runs(self, sweep):
+        outcome = run_sweep(sweep, seed=0)
+        first, second = (v.name for v in outcome.outcomes)
+        collected = _EVENTS.index(("collect", first))
+        second_starts = _EVENTS.index(("step", second, 0))
+        assert collected < second_starts
+        assert _EVENTS[-1] == ("collect", second)
+
+    def test_cache_counts_are_per_variant(self, sweep, tmp_path):
+        chains = self._chain_counts(sweep)
+        assert sorted(chains.values()) == [2, 3]
+        cold = run_sweep(sweep, seed=0, cache_dir=str(tmp_path))
+        warm = run_sweep(sweep, seed=0, cache_dir=str(tmp_path))
+        for variant in cold.outcomes:
+            assert variant.cache_hits == 0
+            assert variant.cache_misses == chains[variant.name]
+        for before, after in zip(cold.outcomes, warm.outcomes):
+            assert after.cache_hits == chains[after.name]
+            assert after.cache_misses == 0
+            assert after.result.format_table() == before.result.format_table()
