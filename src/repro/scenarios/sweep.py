@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from .containment import is_failure
 from .registry import SCENARIO_REGISTRY, get_definition
 from .result import ExperimentResult
-from .runner import ScenarioPlan, ScenarioRunner
+from .runner import ScenarioRunner
 from .schema import strict_from_dict
 from .spec import Scenario, ScenarioError
 
@@ -364,12 +364,12 @@ def run_sweep(
     """Expand a sweep and execute every variant, pooled when asked.
 
     Every variant is planned up front and all of their chains run
-    through one contained backend, so ``workers > 1`` spreads chains,
-    not whole variants, over one pool. A variant is collected as soon
-    as its last chain is back — serially, before the next variant's
-    chains run, so only one variant's outcomes are held at a time.
-    Results are identical for any worker count: each variant's streams
-    are counter-keyed on its own specs and seeds.
+    through one contained backend, so ``workers > 1`` spreads the
+    chains of every variant over one pool. A variant is collected as
+    soon as its last chain is back — serially, before the next
+    variant's chains run, so only one variant's outcomes are held at a
+    time. Results are identical for any worker count: each variant's
+    streams are counter-keyed on its own specs and seeds.
 
     The sweep degrades gracefully: a variant whose override, planning,
     any step or collect raised is reported failed

@@ -597,7 +597,7 @@ class TestSweepDegradation:
         def run():
             try:
                 box["outcome"] = run_sweep(crashing_sweep, seed=0, workers=2)
-            except BaseException as error:
+            except Exception as error:
                 box["error"] = error
 
         thread = threading.Thread(target=run, daemon=True)
