@@ -104,8 +104,8 @@ class ExhibitDiff:
     matches: bool
     committed_exists: bool
     regenerated: str
-    #: regeneration time of this exhibit (its share of the run's wall
-    #: time when pooled).
+    #: regeneration time of this exhibit (when pooled, with the pool
+    #: rounds' waits charged as ``merge.run_plans`` does).
     elapsed_s: float = 0.0
     #: outcome-cache counters when the check ran through a cache dir.
     cache_hits: Optional[int] = None
@@ -133,7 +133,8 @@ def render_many(
     determinism contract extends to hits), and each exhibit is
     rendered as soon as its last chain is back. Seconds cover an
     exhibit's planning, execution and rendering; pooled, the
-    execution part is its share of the run's wall time.
+    execution part is the wait for pool rounds charged to it by
+    :func:`~repro.scenarios.merge.run_plans`.
     """
     names = resolve_names(names)
     backend = backend_for(workers, cache_dir=cache_dir)

@@ -78,8 +78,9 @@ def run_plans(
     as soon as the last chain of ``plans[k]`` is back. The serial
     backend runs a chain only when asked for the next result, so a
     caller that collects plan ``k`` first holds one plan's outcomes at
-    a time and the seconds are that plan's execution; a pool hands back
-    whole rounds, so there they are the plan's share of the wall time.
+    a time and the seconds are that plan's execution. A pool hands back
+    whole rounds: each wait is charged to the plan whose chain ended
+    it, so only the sum over plans is the run's execution time.
     """
     chains_of = [partition(plan) for plan in plans]
     owner = [(k, c) for k, chains in enumerate(chains_of) for c in range(len(chains))]

@@ -385,8 +385,8 @@ def run_sweep(
     hit/miss counts land on the outcomes; the tables are
     byte-identical either way. ``elapsed_s`` covers a variant's
     override, planning, execution, cache reads and writes, and
-    collect; pooled, its execution part is the variant's share of the
-    run's wall time.
+    collect; pooled, its execution part is the wait for pool rounds
+    charged to it by :func:`~repro.scenarios.merge.run_plans`.
     """
     from .backends import backend_for  # late import: backends imports runner
     from .merge import run_plans
