@@ -42,6 +42,7 @@ sys.path.insert(
 )
 
 from repro.experiments import golden  # noqa: E402
+from repro.scenarios import CacheStats  # noqa: E402
 
 
 def main() -> None:
@@ -116,9 +117,9 @@ def main() -> None:
     failed = []
     for name in names:
         diff = diffs[name]
-        cache_note = ""
-        if diff.cache_hits is not None:
-            cache_note = f" cache {diff.cache_hits} hit / {diff.cache_misses} miss"
+        stats, cache_note = diff.cache_stats, ""
+        if stats is not None:
+            cache_note = f" cache {stats.hits} hit / {stats.misses} miss"
         print(f"{name:8s} {diff.status:8s} ({diff.elapsed_s:.1f}s){cache_note}")
         if diff.status == "ok":
             continue
@@ -149,8 +150,8 @@ def main() -> None:
             "--update and commit the diff"
         )
     if args.cache_dir:
-        hits = sum(diffs[name].cache_hits or 0 for name in names)
-        misses = sum(diffs[name].cache_misses or 0 for name in names)
+        total = sum((diffs[name].cache_stats for name in names), CacheStats())
+        hits, misses = total.hits, total.misses
         print(f"outcome cache: {hits} hits, {misses} misses")
         if args.expect_cache == "cold" and (hits > 0 or misses == 0):
             raise SystemExit(

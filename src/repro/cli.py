@@ -47,6 +47,7 @@ from .experiments import EXHIBIT_RUNS, golden
 from .scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
+    CacheStats,
     NoSweepRuns,
     ScenarioError,
     StepExecutionError,
@@ -57,12 +58,12 @@ from .scenarios import (
     execute_job,
     get_definition,
     get_sweep,
-    is_failure,
     make_pipetune_session,
     make_pipetune_spec,
     make_v1_spec,
     make_v2_spec,
     resolve_cache_dir,
+    run_reports,
     run_sweep,
 )
 from .scenarios.views import (
@@ -97,6 +98,13 @@ def _fail(args, error_type: str, message: str, exit_code: int = 2) -> int:
         return _emit_error(error_type, message, exit_code=exit_code)
     print(message, file=sys.stderr)
     return exit_code
+
+
+def _worker_count(text: str) -> int:
+    """argparse type of ``--workers``: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _cache_opts(args):
@@ -244,7 +252,7 @@ def _cmd_scenario_run(args) -> int:
         definition = get_definition(args.name)
     except KeyError as error:
         return _fail(args, "UnknownScenario", str(error.args[0]))
-    cache_enabled, cache_dir = _cache_opts(args)
+    _, cache_dir = _cache_opts(args)
     if args.check:
         return _scenario_check(
             args.name,
@@ -288,8 +296,8 @@ def _cmd_scenario_run(args) -> int:
         # outcomes around that backend; the bytes are identical, warm
         # or cold.
         backend = backend_for(args.workers, cache_dir=cache_dir, contain=args.json)
-        outcomes = runner.execute(plan, backend=backend)
-        result = runner.collect(plan, outcomes)
+        (report,) = run_reports(backend, [(runner, plan)])
+        result = report.unwrap()
     except ScenarioError as error:
         return _fail(args, "ScenarioError", str(error))
     except StepExecutionError as error:
@@ -298,8 +306,8 @@ def _cmd_scenario_run(args) -> int:
             raise
         return _emit_error("StepExecutionError", str(error), exit_code=1)
     elapsed = time.time() - started  # repro: allow[DET001] -- CLI elapsed timing
-    failures = [failure_view(o) for o in outcomes if is_failure(o)]
-    cache_stats = backend.stats if cache_enabled else None
+    failures = [failure_view(failure) for failure in report.failures]
+    cache_stats = report.cache_stats
     if args.json:
         data = {
             "scenario": args.name,
@@ -372,12 +380,8 @@ def _scenario_check(
     diff = golden.check([name], workers=workers, cache_dir=cache_dir)[name]
     if as_json:
         data = {"scenario": name, "status": diff.status}
-        if diff.cache_hits is not None:
-            data["cache"] = {
-                "dir": cache_dir,
-                "hits": diff.cache_hits,
-                "misses": diff.cache_misses,
-            }
+        if diff.cache_stats is not None:
+            data["cache"] = {"dir": cache_dir, **diff.cache_stats.as_dict()}
         if diff.status == "ok":
             return _emit_ok(data)
         return _emit_error(
@@ -387,9 +391,9 @@ def _scenario_check(
             exit_code=1,
         )
     print(f"{name}: {diff.status}")
-    if diff.cache_hits is not None:
+    if diff.cache_stats is not None:
         print(
-            f"[cache: {diff.cache_hits} hit(s), {diff.cache_misses} "
+            f"[cache: {diff.cache_stats.hits} hit(s), {diff.cache_stats.misses} "
             f"miss(es) in {cache_dir}]"
         )
     if diff.status == "ok":
@@ -483,10 +487,10 @@ def _cmd_sweep_run(args) -> int:
         f"wall, workers={outcome.workers}]"
     )
     if cache_enabled:
+        stats = outcome.cache_stats or CacheStats()
         print(
-            f"[cache: {outcome.cache_hits} hit(s), "
-            f"{outcome.cache_misses} miss(es); run {run_id} recorded "
-            f"in {cache_dir}]"
+            f"[cache: {stats.hits} hit(s), {stats.misses} miss(es); "
+            f"run {run_id} recorded in {cache_dir}]"
         )
     return 1 if failed else 0
 
@@ -743,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s_run.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=None,
         help="execute the plan's chains on a process pool of N workers "
         "(default: serial; results are identical for any N)",
@@ -767,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     w_run.add_argument("--json", action="store_true", help="structured output")
     w_run.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=None,
         help="run every variant's chains on one process pool of N workers "
         "(default: serial; results are identical for any N)",
@@ -877,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--scale", type=float, default=1.0)
     client.add_argument("--seed", type=int, default=0)
     client.add_argument(
-        "--workers", type=int, default=1, help="per-job worker processes"
+        "--workers", type=_worker_count, default=1, help="per-job worker processes"
     )
     client.add_argument(
         "--sweep", action="store_true", help="submit a registered sweep instead"

@@ -10,7 +10,7 @@ under ``benchmarks/results/`` is regenerated at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..scenarios import run_scenario
 
@@ -33,18 +33,11 @@ class ExhibitRun:
     scale: float
     seed: int = 0
 
-    def run(self, workers: Optional[int] = None, backend=None) -> ExperimentResult:
+    def run(self) -> ExperimentResult:
         """Regenerate at the canonical parameters through the scenario
-        registry. ``workers > 1`` executes on a process pool and
-        ``backend`` overrides the backend outright (e.g. a caching
-        one); the rendered bytes are identical either way."""
-        return run_scenario(
-            self.name,
-            scale=self.scale,
-            seed=self.seed,
-            workers=workers,
-            backend=backend,
-        )
+        registry, serially (:mod:`repro.experiments.golden` runs many
+        exhibits through one backend)."""
+        return run_scenario(self.name, scale=self.scale, seed=self.seed)
 
 
 #: canonical regeneration parameters for every committed exhibit.

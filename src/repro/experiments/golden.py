@@ -21,13 +21,12 @@ re-baseline procedure").
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..scenarios.backends import backend_for
 from ..scenarios.cache import CacheStats
-from ..scenarios.merge import run_plans
+from ..scenarios.merge import run_reports
 from ..scenarios.registry import get_definition
 from . import EXHIBIT_RUNS
 
@@ -68,19 +67,11 @@ def write_trace(name: str, content: str, results_dir: Optional[str] = None) -> s
     return path
 
 
-def render(
-    name: str,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> str:
-    """Regenerate one exhibit at its canonical (scale, seed) -> bytes.
-
-    ``workers > 1`` runs the exhibit's chains on a process-pool
-    backend; the determinism contract guarantees identical bytes for
-    any worker count (tests/test_scenarios_parallel.py proves it).
-    ``cache_dir`` additionally memoizes chain outcomes on disk — same
+def render(name: str, cache_dir: Optional[str] = None) -> str:
+    """Regenerate one exhibit at its canonical (scale, seed) -> bytes,
+    serially; ``cache_dir`` memoizes chain outcomes on disk — same
     bytes, cold or warm."""
-    return render_many([name], workers=workers, cache_dir=cache_dir)[0][1]
+    return render_many([name], cache_dir=cache_dir)[0][1]
 
 
 def resolve_names(names: Optional[Iterable[str]] = None) -> List[str]:
@@ -104,12 +95,10 @@ class ExhibitDiff:
     matches: bool
     committed_exists: bool
     regenerated: str
-    #: regeneration time of this exhibit (when pooled, with the pool
-    #: rounds' waits charged as ``merge.run_plans`` does).
+    #: regeneration time of this exhibit (``RunReport.elapsed_s``).
     elapsed_s: float = 0.0
     #: outcome-cache counters when the check ran through a cache dir.
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
+    cache_stats: Optional[CacheStats] = None
 
     @property
     def status(self) -> str:
@@ -131,32 +120,23 @@ def render_many(
     backend (``workers > 1`` spreads them over one process pool,
     ``cache_dir`` recalls and stores them in the outcome cache — the
     determinism contract extends to hits), and each exhibit is
-    rendered as soon as its last chain is back. Seconds cover an
-    exhibit's planning, execution and rendering; pooled, the
-    execution part is the wait for pool rounds charged to it by
-    :func:`~repro.scenarios.merge.run_plans`.
+    collected as soon as its last chain is back
+    (:func:`~repro.scenarios.merge.run_reports`). A raising step
+    escapes. Seconds are each exhibit's ``RunReport.elapsed_s``.
     """
     names = resolve_names(names)
     backend = backend_for(workers, cache_dir=cache_dir)
-    runners, plans, seconds = [], [], []
+    pairs = []
     for name in names:
-        started = time.perf_counter()
         run = EXHIBIT_RUNS[name]
         runner = get_definition(name).runner()
         plan = runner.plan(scale=run.scale, seed=run.seed)
         runner.validate(plan)
-        runners.append(runner)
-        plans.append(plan)
-        seconds.append(time.perf_counter() - started)
-    rendered = [None] * len(names)
-    for k, outcomes, waited in run_plans(backend, plans):
-        started = time.perf_counter()
-        content = render_result(runners[k].collect(plans[k], outcomes))
-        del outcomes  # rendered: hold none while the next plan runs
-        stats = backend.stats_for(plans[k]) if cache_dir is not None else None
-        elapsed = seconds[k] + waited + time.perf_counter() - started
-        rendered[k] = (names[k], content, elapsed, stats)
-    return rendered
+        pairs.append((runner, plan))
+    return [
+        (name, render_result(report.unwrap()), report.elapsed_s, report.cache_stats)
+        for report, name in zip(run_reports(backend, pairs), names)
+    ]
 
 
 def check(
@@ -186,7 +166,6 @@ def check(
             committed_exists=committed is not None,
             regenerated=regenerated,
             elapsed_s=elapsed,
-            cache_hits=stats.hits if stats is not None else None,
-            cache_misses=stats.misses if stats is not None else None,
+            cache_stats=stats,
         )
     return diffs

@@ -80,7 +80,7 @@ from .cache import (
     resolve_cache_dir,
 )
 from .containment import ChainFailure, StepExecutionError, is_failure
-from .merge import merge_outcomes
+from .merge import RunReport, merge_outcomes, run_reports
 from .planner import ExecutionChain, chain_policy, partition
 from .schema import collect_problems, strict_from_dict
 from .views import (
@@ -153,6 +153,7 @@ __all__ = [
     "PAPER_DISTRIBUTED_CLUSTER",
     "PAPER_SINGLE_NODE",
     "ProcessPoolBackend",
+    "RunReport",
     "SCENARIO_REGISTRY",
     "SWEEP_REGISTRY",
     "Scenario",
@@ -198,6 +199,7 @@ __all__ = [
     "make_v2_spec",
     "mean",
     "merge_outcomes",
+    "run_reports",
     "metrics_by_system_collector",
     "novel",
     "paper",

@@ -21,7 +21,7 @@ the worker from the same (scenario, policy, seed) triple, and all
 random streams are counter-keyed on spec reprs and trial ids (PR 3),
 so neither process boundaries nor scheduling order can reach the
 bytes. ``tests/test_scenarios_parallel.py`` proves it against the
-committed golden traces for all 12 paper exhibits.
+committed golden traces for all 15 exhibits.
 
 Step execution itself lives in :class:`ChainExecutor` — the single
 implementation both backends drive; its inputs are plain picklable
@@ -57,7 +57,6 @@ from ..workloads.spec import WorkloadSpec
 from .containment import ChainFailure, StepExecutionError, format_traceback
 from .cache import CachingBackend, OutcomeCache
 from .jobs import session_for_cluster
-from .merge import run_plan
 from .planner import ExecutionChain
 from .runner import (
     AnalysisStep,
@@ -338,9 +337,6 @@ class SerialBackend:
         self.stop = stop
         self.sessions: Dict[SystemPolicySpec, object] = {}
 
-    def run(self, plan: ScenarioPlan) -> Tuple[List, Dict[SystemPolicySpec, object]]:
-        return run_plan(self, plan)
-
     def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
         self.sessions = {}
         executor = current = None
@@ -449,9 +445,6 @@ class ProcessPoolBackend:
 
     def _stopped(self) -> bool:
         return self.stop is not None and self.stop()
-
-    def run(self, plan: ScenarioPlan) -> Tuple[List, Dict[SystemPolicySpec, object]]:
-        return run_plan(self, plan)
 
     def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
         tasks = list(tasks)

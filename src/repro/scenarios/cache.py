@@ -48,7 +48,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tsdb import Point, TimeSeriesStore
 from .containment import is_failure
-from .merge import run_plan
 from .planner import ExecutionChain
 from .runner import AnalysisStep, ScenarioPlan, Step
 
@@ -110,10 +109,14 @@ def chain_key(
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counts of one run through a :class:`CachingBackend`."""
+    """Chain hit/miss counts through a :class:`CachingBackend`: one
+    plan's (:meth:`CachingBackend.stats_for`), or a sum of them."""
 
     hits: int = 0
     misses: int = 0
+
+    def __add__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(self.hits + other.hits, self.misses + other.misses)
 
     def as_dict(self) -> Dict:
         return {"hits": self.hits, "misses": self.misses}
@@ -218,9 +221,9 @@ class CachingBackend:
     :class:`OutcomeCache` and hands a hit back as soon as it is
     loaded; all misses then go to the wrapped backend's
     ``run_chains`` in one call, and each successful recompute is
-    stored as it comes back. ``run`` merges hits and misses into plan
-    order — indistinguishable bytes either way. ``stats`` holds the
-    last call's hit/miss counts, :meth:`stats_for` one plan's share.
+    stored as it comes back. Hits and misses merge into plan order
+    alike — indistinguishable bytes either way. :meth:`stats_for`
+    reads one plan's hit/miss counts of the last call.
 
     Like the pooled backend, a fully cached run returns no live
     sessions (there was nothing to build them for).
@@ -237,15 +240,11 @@ class CachingBackend:
         # *empty* cache is falsy and `cache or ...` would silently
         # swap a fresh cache dir for the default root.
         self.cache = OutcomeCache() if cache is None else cache
-        self.stats = CacheStats()
         self.sessions: Dict = {}
         self._hits: Dict[int, List[bool]] = {}
 
-    def run(self, plan: ScenarioPlan) -> Tuple[List, Dict]:
-        return run_plan(self, plan)
-
     def stats_for(self, plan: ScenarioPlan) -> CacheStats:
-        """One plan's share of the last ``run_chains`` call's counts."""
+        """One plan's hit/miss counts in the last ``run_chains`` call."""
         hits = self._hits.get(id(plan), [])
         return CacheStats(hits=sum(hits), misses=len(hits) - sum(hits))
 
@@ -276,7 +275,6 @@ class CachingBackend:
                 yield position, outcomes
                 del outcomes
             self.sessions = self.inner.sessions
-        self.stats = CacheStats(hits=len(tasks) - len(misses), misses=len(misses))
 
     def __repr__(self) -> str:
         return f"CachingBackend(inner={self.inner!r}, cache={self.cache!r})"
@@ -380,9 +378,7 @@ class SweepRunStore:
             "recorded_at": time.time(),
             "points": points,
             "cache": (
-                None
-                if outcome.cache_hits is None
-                else {"hits": outcome.cache_hits, "misses": outcome.cache_misses}
+                None if outcome.cache_stats is None else outcome.cache_stats.as_dict()
             ),
             "variants": [
                 {

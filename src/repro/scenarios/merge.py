@@ -1,19 +1,25 @@
-"""Merge per-chain outcomes back into plan order.
+"""Merge per-chain outcomes back into plan order; the one run path.
 
 Backends execute :class:`~repro.scenarios.planner.ExecutionChain`\\ s
 in whatever order and on whatever workers they like; this module puts
 every outcome back at its plan position so the collect phase (and the
-golden byte-diff behind it) cannot tell how execution was scheduled:
-:func:`run_plan` for one plan (``backend.run``), :func:`run_plans` for
-many through one ``backend.run_chains`` call (sweeps, exhibits).
+golden byte-diff behind it) cannot tell how execution was scheduled.
+:func:`run_plans` runs many plans' chains through one backend, and
+every front end formats the :class:`RunReport`\\ s of
+:func:`run_reports`; a single scenario is the one-plan case.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Sequence, Tuple
+import traceback
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .cache import CacheStats, CachingBackend
+from .containment import ChainFailure, is_failure
 from .planner import ExecutionChain, partition
+from .result import ExperimentResult
 from .runner import ScenarioPlan
 
 #: placeholder distinguishing "not merged yet" from a legitimate None.
@@ -60,15 +66,6 @@ def merge_outcomes(
     return merged
 
 
-def run_plan(backend, plan: ScenarioPlan) -> Tuple[List, Dict]:
-    """One plan's outcomes in plan order, plus the backend's sessions."""
-    chains = partition(plan)
-    per_chain: List = [None] * len(chains)
-    for position, outcomes in backend.run_chains([(plan, c) for c in chains]):
-        per_chain[position] = outcomes
-    return merge_outcomes(plan, chains, per_chain), backend.sessions
-
-
 def run_plans(
     backend, plans: Sequence[ScenarioPlan]
 ) -> Iterator[Tuple[int, List, float]]:
@@ -98,3 +95,65 @@ def run_plans(
         if not left[k]:
             yield k, merge_outcomes(plans[k], chains_of[k], per_chain.pop(k)), waited[k]
         mark = time.perf_counter()
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """What running one plan produced, for a front end to format.
+
+    ``result`` is the collected table, partial when steps failed; it is
+    None when collect raised, and ``error`` holds that exception.
+    ``failures`` are the contained :class:`ChainFailure` outcomes in
+    plan order, ``cache_stats`` the plan's chain-cache hits and misses
+    (None when the run is uncached), ``elapsed_s`` the wait on the
+    plan's chains plus its collect, and ``cancelled`` whether the stop
+    hook skipped any of its steps. No raw outcome is kept.
+    """
+
+    result: Optional[ExperimentResult]
+    failures: Tuple[ChainFailure, ...]
+    cache_stats: Optional[CacheStats]
+    elapsed_s: float
+    cancelled: bool
+    error: Optional[Exception] = None
+
+    def unwrap(self) -> ExperimentResult:
+        """The collected table; re-raises the exception collect raised."""
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def run_reports(backend, pairs: Sequence[Tuple]) -> Iterator[RunReport]:
+    """One :class:`RunReport` per ``(runner, plan)`` pair, in pair order.
+
+    Each plan is collected as soon as :func:`run_plans` hands back its
+    outcomes. Whether a raising step escapes or comes back as a failure
+    is the backend's ``contain`` setting; what a failure or a collect
+    error means is up to the caller.
+    """
+    cached = isinstance(backend, CachingBackend)
+    done: Dict[int, RunReport] = {}
+    ready = 0  # the next pair to yield a report for
+    for k, outcomes, waited in run_plans(backend, [plan for _, plan in pairs]):
+        started = time.perf_counter()
+        runner, plan = pairs[k]
+        result = error = None
+        try:
+            result = runner.collect(plan, outcomes)
+        except Exception as raised:
+            traceback.clear_frames(raised.__traceback__)  # keep no outcomes
+            error = raised
+        failures = tuple(filter(is_failure, outcomes))
+        del outcomes  # collected: hold none while the next plan runs
+        done[k] = RunReport(
+            result=result,
+            failures=failures,
+            cache_stats=backend.stats_for(plan) if cached else None,
+            elapsed_s=waited + time.perf_counter() - started,
+            cancelled=any(f.error_type == "JobCancelled" for f in failures),
+            error=error,
+        )
+        while ready in done:
+            yield done.pop(ready)
+            ready += 1

@@ -94,17 +94,12 @@ def run_scenario(
     name: str,
     scale: float = 1.0,
     seed: int = 0,
-    workers: Optional[int] = None,
     backend=None,
 ) -> ExperimentResult:
     """Resolve a scenario by name and run all four phases.
 
-    ``workers > 1`` executes the plan's chains on a process pool
-    (bit-identical to serial execution; see
-    :mod:`repro.scenarios.backends`). ``backend`` overrides the
-    backend outright — e.g. a :class:`~repro.scenarios.cache.
-    CachingBackend` for content-addressed reuse; the rendered result
-    is byte-identical either way."""
-    return get_definition(name).runner().run(
-        scale=scale, seed=seed, workers=workers, backend=backend
-    )
+    ``backend`` picks where the plan's chains run (default serial) —
+    e.g. a :class:`~repro.scenarios.cache.CachingBackend` for
+    content-addressed reuse; the rendered result is byte-identical
+    either way."""
+    return get_definition(name).runner().run(scale=scale, seed=seed, backend=backend)

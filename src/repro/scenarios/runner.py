@@ -451,20 +451,23 @@ class ScenarioRunner:
         workers: Optional[int] = None,
         backend=None,
     ) -> List:
-        """Run the plan through an execution backend.
+        """Run the plan through an execution backend; its raw outcomes.
 
         ``workers`` picks the backend (``None``/``0``/``1`` — serial,
         ``> 1`` — a process pool of that size); an explicit ``backend``
-        object (anything with ``run(plan) -> (outcomes, sessions)``)
-        overrides it. Outcomes always come back in plan order.
+        object (anything with ``run_chains(tasks)``) overrides it.
+        Outcomes always come back in plan order. :meth:`run` and every
+        front end collect through :func:`~repro.scenarios.merge.
+        run_reports` instead.
         """
         from .backends import backend_for  # late import: backends imports us
+        from .merge import run_plans
 
         if backend is None:
             backend = backend_for(workers)
         self._sessions = {}  # a failed run must not expose stale sessions
-        outcomes, sessions = backend.run(plan)
-        self._sessions = sessions
+        ((_, outcomes, _),) = run_plans(backend, [plan])
+        self._sessions = backend.sessions
         return outcomes
 
     @property
@@ -487,7 +490,14 @@ class ScenarioRunner:
         workers: Optional[int] = None,
         backend=None,
     ) -> ExperimentResult:
+        """All four phases: the one-plan case of :func:`~repro.scenarios.
+        merge.run_reports`, on the backend :meth:`execute` would use."""
+        from .backends import backend_for  # late import: backends imports us
+        from .merge import run_reports
+
         plan = self.plan(scale=scale, seed=seed)
         self.validate(plan)
-        outcomes = self.execute(plan, workers=workers, backend=backend)
-        return self.collect(plan, outcomes)
+        if backend is None:
+            backend = backend_for(workers)
+        (report,) = run_reports(backend, [(self, plan)])
+        return report.unwrap()

@@ -446,12 +446,6 @@ class FailureSpec:
     straggler: Optional[StragglerSpec] = None
     retry: Optional[RetryPolicy] = None
 
-    @property
-    def any_active(self) -> bool:
-        return (
-            self.oom_threshold is not None or self.fault_model() is not None
-        )
-
     def fault_model(self) -> Optional[FaultModel]:
         """The tune-layer fault model, or None when every axis is off."""
         model = FaultModel(
@@ -824,10 +818,6 @@ class ScenarioBuilder:
 
     def compare(self, *policies: SystemPolicySpec) -> "ScenarioBuilder":
         self._fields["systems"] = tuple(policies)
-        return self
-
-    def single_tenant(self) -> "ScenarioBuilder":
-        self._fields["tenancy"] = TenancySpec(mode="dedicated")
         return self
 
     def multi_tenant(self, **kwargs) -> "ScenarioBuilder":

@@ -6,11 +6,10 @@ A :class:`Sweep` names a registered scenario and a list of
 ``cluster.nodes``). Its cartesian product expands into validated
 scenario *variants* — the base definition with only the overridden
 fields changed, keeping the registered collector and plan function —
-and :func:`run_sweep` executes them, fanned out over a process pool
-when ``workers > 1``. Because variants are whole scenarios, sweep
-parallelism composes with (and sits above) the per-scenario execution
-backends: each pool worker runs its variant serially, the sweep level
-provides the fan-out.
+and :func:`run_sweep` plans every variant and runs all of their
+chains through one execution backend (with ``workers > 1``, one
+process pool for the chains of every variant), collecting each
+variant as soon as its own chains are back.
 
 Like scenarios, sweeps live in a registry (:data:`SWEEP_REGISTRY`)
 with a handful of built-ins — arrival-rate x admission matrices over
@@ -35,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .containment import is_failure
+from .cache import CacheStats
 from .registry import SCENARIO_REGISTRY, get_definition
 from .result import ExperimentResult
 from .runner import ScenarioRunner
@@ -286,8 +285,7 @@ class VariantOutcome:
     error_type: Optional[str] = None
     error: Optional[str] = None
     #: chain-cache counters; None when the run was uncached.
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
+    cache_stats: Optional[CacheStats] = None
 
     @property
     def ok(self) -> bool:
@@ -301,8 +299,8 @@ class VariantOutcome:
             "ok": self.ok,
             "error_type": self.error_type,
             "error": self.error,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            "cache_hits": self.cache_stats and self.cache_stats.hits,
+            "cache_misses": self.cache_stats and self.cache_stats.misses,
             "result": self.result.as_dict() if self.result is not None else None,
         }
 
@@ -326,17 +324,19 @@ class SweepResult:
         return tuple(outcome for outcome in self.outcomes if not outcome.ok)
 
     @property
+    def cache_stats(self) -> Optional[CacheStats]:
+        """Chain-cache counters summed over variants; None if uncached."""
+        counted = [o.cache_stats for o in self.outcomes if o.cache_stats is not None]
+        return sum(counted, CacheStats()) if counted else None
+
+    # kept while perfbench/session.py reads them instead of cache_stats
+    @property
     def cache_hits(self) -> Optional[int]:
-        """Total chain-cache hits across variants; None if uncached."""
-        counted = [o.cache_hits for o in self.outcomes if o.cache_hits is not None]
-        return sum(counted) if counted else None
+        return self.cache_stats and self.cache_stats.hits
 
     @property
     def cache_misses(self) -> Optional[int]:
-        counted = [
-            o.cache_misses for o in self.outcomes if o.cache_misses is not None
-        ]
-        return sum(counted) if counted else None
+        return self.cache_stats and self.cache_stats.misses
 
     def as_dict(self) -> Dict:
         return {
@@ -344,11 +344,7 @@ class SweepResult:
             "scale": self.scale,
             "seed": self.seed,
             "workers": self.workers,
-            "cache": (
-                None
-                if self.cache_hits is None
-                else {"hits": self.cache_hits, "misses": self.cache_misses}
-            ),
+            "cache": self.cache_stats and self.cache_stats.as_dict(),
             "variants": [outcome.as_dict() for outcome in self.outcomes],
         }
 
@@ -366,13 +362,14 @@ def run_sweep(
     Every variant is planned up front and all of their chains run
     through one contained backend, so ``workers > 1`` spreads the
     chains of every variant over one pool. A variant is collected as
-    soon as its last chain is back — serially, before the next
-    variant's chains run, so only one variant's outcomes are held at a
-    time. Results are identical for any worker count: each variant's
-    streams are counter-keyed on its own specs and seeds.
+    soon as its last chain is back (:func:`~repro.scenarios.merge.
+    run_reports`) — serially, before the next variant's chains run, so
+    only one variant's outcomes are held at a time. Results are
+    identical for any worker count: each variant's streams are
+    counter-keyed on its own specs and seeds.
 
     The sweep degrades gracefully: a variant whose override, planning,
-    any step or collect raised is reported failed
+    any step or collect raised is reported failed with no table
     (``SweepResult.failed``; its error is the exception or the first
     non-skipped :class:`ChainFailure`) while every other variant still
     returns its table. ``stop`` is the cooperative cancel hook: chains
@@ -383,13 +380,11 @@ def run_sweep(
     (:mod:`repro.scenarios.cache`): chains shared with earlier runs
     are recalled from disk instead of re-executed and the per-variant
     hit/miss counts land on the outcomes; the tables are
-    byte-identical either way. ``elapsed_s`` covers a variant's
-    override, planning, execution, cache reads and writes, and
-    collect; pooled, its execution part is the wait for pool rounds
-    charged to it by :func:`~repro.scenarios.merge.run_plans`.
+    byte-identical either way. ``elapsed_s`` is a variant's override
+    and planning time plus its ``RunReport.elapsed_s``.
     """
     from .backends import backend_for  # late import: backends imports runner
-    from .merge import run_plans
+    from .merge import run_reports
 
     if isinstance(sweep, str):
         sweep = get_sweep(sweep)
@@ -397,7 +392,7 @@ def run_sweep(
     backend = backend_for(workers, cache_dir=cache_dir, contain=True, stop=stop)
     cells = list(sweep._grid())
     variants: List[Optional[VariantOutcome]] = [None] * len(cells)
-    planned = []  # (grid cell, runner, plan, planning seconds)
+    planned, pairs = [], []  # (grid cell, planning seconds), (runner, plan)
     for k, (variant_name, overrides) in enumerate(cells):
         started = time.perf_counter()
         try:
@@ -420,33 +415,25 @@ def run_sweep(
                 error=str(error),
             )
         else:
-            planned.append((k, runner, plan, time.perf_counter() - started))
-    plans = [plan for _, _, plan, _ in planned]
-    for index, outcomes, waited in run_plans(backend, plans):
-        k, runner, plan, seconds = planned[index]
-        started = time.perf_counter()
-        result = error_type = error = None
+            planned.append((k, time.perf_counter() - started))
+            pairs.append((runner, plan))
+    for report, (k, seconds) in zip(run_reports(backend, pairs), planned):
         # plan order, non-skipped first: the step that raised, not the
         # steps skipped after it or by a cancel.
-        failures = sorted(filter(is_failure, outcomes), key=lambda f: f.skipped)
-        if failures:
-            error_type, error = failures[0].error_type, failures[0].error
-        else:
-            try:
-                result = runner.collect(plan, outcomes)
-            except Exception as raised:
-                error_type, error = type(raised).__name__, str(raised)
-        del outcomes, failures  # collected: hold none while the next plan runs
-        stats = backend.stats_for(plan) if cache_dir is not None else None
+        failure = min(report.failures, key=lambda f: f.skipped, default=None)
+        error_type = error = None
+        if failure is not None:
+            error_type, error = failure.error_type, failure.error
+        elif report.error is not None:
+            error_type, error = type(report.error).__name__, str(report.error)
         variants[k] = VariantOutcome(
             name=cells[k][0],
             overrides=cells[k][1],
-            result=result,
-            elapsed_s=seconds + waited + time.perf_counter() - started,
+            result=None if error_type else report.result,
+            elapsed_s=seconds + report.elapsed_s,
             error_type=error_type,
             error=error,
-            cache_hits=stats.hits if stats else None,
-            cache_misses=stats.misses if stats else None,
+            cache_stats=report.cache_stats,
         )
     return SweepResult(
         sweep=sweep,

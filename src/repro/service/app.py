@@ -67,7 +67,7 @@ def _is_scale(value) -> bool:
 _RUN_FIELDS = {
     "scale": (1.0, _is_scale, "a finite positive number"),
     "seed": (0, _is_int, "an integer"),
-    "workers": (1, _is_int, "an integer"),
+    "workers": (1, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "cache": (False, lambda v: isinstance(v, bool), "a JSON bool"),
     "cache_dir": (None, lambda v: v is None or isinstance(v, str), "a string path"),
 }

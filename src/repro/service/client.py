@@ -103,9 +103,6 @@ class ServiceClient:
     def sweeps(self) -> List[Dict]:
         return self._call("GET", "/v1/sweeps")
 
-    def describe_sweep(self, name: str) -> Dict:
-        return self._call("GET", f"/v1/sweeps/{name}")
-
     # -- submission ---------------------------------------------------------
     @staticmethod
     def _run_body(

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..scenarios.backends import backend_for
-from ..scenarios.cache import resolve_cache_dir
-from ..scenarios.containment import is_failure
+from ..scenarios.cache import CacheStats, resolve_cache_dir
+from ..scenarios.merge import run_reports
 from ..scenarios.registry import get_definition
 from ..scenarios.runner import ScenarioRunner
 from ..scenarios.spec import Scenario
@@ -100,8 +100,7 @@ class Job:
     cache: bool = False
     cache_dir: Optional[str] = None
     #: chain-cache counters, filled in after a cached run.
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
+    cache_stats: Optional[CacheStats] = None
     #: guards every mutable field; the manager swaps in its own lock
     #: at enqueue time so views and lifecycle commits serialise.
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
@@ -147,8 +146,8 @@ class Job:
                 "cache": {
                     "enabled": self.cache,
                     "dir": self.cache_dir,
-                    "hits": self.cache_hits,
-                    "misses": self.cache_misses,
+                    "hits": self.cache_stats and self.cache_stats.hits,
+                    "misses": self.cache_stats and self.cache_stats.misses,
                 },
             }
             if include_result:
@@ -385,19 +384,14 @@ class JobManager:
             contain=True,
             stop=job.cancel_event.is_set,
         )
-        outcomes = runner.execute(plan, backend=backend)
-        result = runner.collect(plan, outcomes)
-        failures = [
-            failure_view(outcome) for outcome in outcomes if is_failure(outcome)
-        ]
+        (report,) = run_reports(backend, [(runner, plan)])
+        result = report.unwrap()
         with self._lock:
-            job.failures = failures
+            job.failures = [failure_view(failure) for failure in report.failures]
             job.result = jsonify(result.as_dict())
             job.trace = render_result(result)
-            if job.cache:
-                job.cache_hits = backend.stats.hits
-                job.cache_misses = backend.stats.misses
-        return any(f.get("error_type") == "JobCancelled" for f in failures)
+            job.cache_stats = report.cache_stats
+        return report.cancelled
 
     def _run_sweep_job(self, job: Job) -> bool:
         """Run one sweep job; returns True iff cancellation was
@@ -421,7 +415,5 @@ class JobManager:
         with self._lock:
             job.result = jsonify(outcome.as_dict())
             job.failures = failures
-            if job.cache:
-                job.cache_hits = outcome.cache_hits
-                job.cache_misses = outcome.cache_misses
+            job.cache_stats = outcome.cache_stats
         return any(failed.error_type == "JobCancelled" for failed in outcome.failed)

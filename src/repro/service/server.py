@@ -23,7 +23,7 @@ import contextlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Optional
 from urllib.parse import parse_qsl, urlsplit
 
 from .app import ServiceApp
@@ -167,9 +167,3 @@ def serve_background(config: Optional[ServerConfig] = None):
         server.shutdown()
         server.close()
         thread.join(timeout=5.0)
-
-
-def parse_address(url: str) -> Tuple[str, int]:
-    """(host, port) of a service URL (client-side convenience)."""
-    split = urlsplit(url if "//" in url else f"//{url}")
-    return split.hostname or "127.0.0.1", split.port or 8765

@@ -29,6 +29,7 @@ from repro.scenarios import (
     get_definition,
     partition,
     register,
+    run_reports,
     run_scenario,
     run_sweep,
 )
@@ -44,6 +45,14 @@ from repro.scenarios.containment import ChainFailure
 from repro.scenarios.result import ExperimentResult
 from repro.scenarios.runner import AnalysisStep
 from repro.scenarios.sweep import Sweep
+
+
+def _cached_run(name, backend, scale=1.0, seed=0):
+    """(table, CacheStats) of one scenario run through ``backend``."""
+    runner = get_definition(name).runner()
+    plan = runner.plan(scale=scale, seed=seed)
+    (report,) = run_reports(backend, [(runner, plan)])
+    return report.unwrap(), report.cache_stats
 
 
 def _fig09_plan(scale=0.3, seed=0):
@@ -244,22 +253,19 @@ class TestCachingBackend:
         try:
             cold = run_scenario(name, backend=backend_for(cache_dir=str(tmp_path)))
             assert len(calls) == 3
-            warm_backend = backend_for(cache_dir=str(tmp_path))
-            warm = run_scenario(name, backend=warm_backend)
+            warm, stats = _cached_run(name, backend_for(cache_dir=str(tmp_path)))
             assert len(calls) == 3  # nothing executed on the warm run
-            assert warm_backend.stats.hits == 3
-            assert warm_backend.stats.misses == 0
+            assert stats.hits == 3
+            assert stats.misses == 0
             assert warm.format_table() == cold.format_table()
         finally:
             SCENARIO_REGISTRY.pop(name, None)
 
     def test_cold_vs_warm_bytes_identical_for_an_exhibit(self, tmp_path):
         cold = golden.render("fig09", cache_dir=str(tmp_path))
-        backend = backend_for(cache_dir=str(tmp_path))
-        warm = golden.render_result(
-            run_scenario("fig09", scale=1.0, seed=0, backend=backend)
-        )
-        assert backend.stats.misses == 0 and backend.stats.hits > 0
+        result, stats = _cached_run("fig09", backend_for(cache_dir=str(tmp_path)))
+        warm = golden.render_result(result)
+        assert stats.misses == 0 and stats.hits > 0
         assert warm == cold
         with open(
             golden.committed_path("fig09"), "r", encoding="utf-8", newline=""
@@ -267,23 +273,22 @@ class TestCachingBackend:
             assert cold == handle.read()
 
     def test_salt_change_invalidates_every_entry(self, tmp_path):
-        first = backend_for(cache_dir=str(tmp_path))
-        run_scenario("fig09", scale=0.3, backend=first)
-        assert first.stats.misses > 0
+        _, first = _cached_run("fig09", backend_for(cache_dir=str(tmp_path)), 0.3)
+        assert first.misses > 0
         stale = CachingBackend(
             SerialBackend(), OutcomeCache(str(tmp_path), salt="outcome-cache-v2")
         )
-        run_scenario("fig09", scale=0.3, backend=stale)
-        assert stale.stats.hits == 0
-        assert stale.stats.misses == first.stats.misses
+        _, stats = _cached_run("fig09", stale, scale=0.3)
+        assert stats.hits == 0
+        assert stats.misses == first.misses
 
     def test_contained_backend_also_caches(self, tmp_path):
         cache = OutcomeCache(str(tmp_path))
         cold = CachingBackend(SerialBackend(contain=True), cache)
-        result_cold = run_scenario("fig08", scale=0.3, backend=cold)
+        result_cold, cold_stats = _cached_run("fig08", cold, scale=0.3)
         warm = CachingBackend(SerialBackend(contain=True), cache)
-        result_warm = run_scenario("fig08", scale=0.3, backend=warm)
-        assert warm.stats.misses == 0 and warm.stats.hits == cold.stats.misses
+        result_warm, stats = _cached_run("fig08", warm, scale=0.3)
+        assert stats.misses == 0 and stats.hits == cold_stats.misses
         assert result_warm.format_table() == result_cold.format_table()
 
 
@@ -312,7 +317,7 @@ class TestSweepCache:
         assert warm.cache_hits == cold.cache_misses
         assert warm.cache_misses == per_chain
         shared_cold = {v.name: v.result.format_table() for v in cold.outcomes}
-        hit_variants = [v for v in warm.outcomes if v.cache_misses == 0]
+        hit_variants = [v for v in warm.outcomes if v.cache_stats.misses == 0]
         assert {v.name for v in hit_variants} == set(shared_cold)
         for variant in hit_variants:
             assert variant.result.format_table() == shared_cold[variant.name]
@@ -368,12 +373,13 @@ class TestSweepCache:
 class TestGoldenCachePlumbing:
     def test_check_reports_hit_miss_counters(self, tmp_path):
         cold = golden.check(["fig09"], cache_dir=str(tmp_path))["fig09"]
-        assert cold.matches and cold.cache_hits == 0 and cold.cache_misses > 0
+        assert cold.matches and cold.cache_stats.hits == 0
+        assert cold.cache_stats.misses > 0
         warm = golden.check(["fig09"], cache_dir=str(tmp_path))["fig09"]
-        assert warm.matches and warm.cache_misses == 0
-        assert warm.cache_hits == cold.cache_misses
+        assert warm.matches and warm.cache_stats.misses == 0
+        assert warm.cache_stats.hits == cold.cache_stats.misses
         uncached = golden.check(["fig09"])["fig09"]
-        assert uncached.cache_hits is None
+        assert uncached.cache_stats is None
 
     def test_cli_sweep_run_and_compare_round_trip(self, tmp_path, capsys):
         from repro.cli import main

@@ -25,6 +25,16 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize(
+        "command", [["scenario", "run", "fig01"], ["sweep", "run", "cluster-size"]]
+    )
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_rejected(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+
     def test_tune_system_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tune", "lenet-mnist", "--system", "bogus"])

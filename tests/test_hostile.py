@@ -375,7 +375,7 @@ class TestContainment:
 
         runner = analysis_runner(_sleep_analysis, _sleep_analysis, _ok_analysis)
         backend = Recording(workers=2, chain_timeout_s=2.0, chain_retries=1)
-        outcomes, _ = backend.run(runner.plan())
+        outcomes = runner.execute(runner.plan(), backend=backend)
         reasons = {position: reason for position, _, reason in shared_pending}
         assert "not submitted" in reasons[2]
         assert isinstance(outcomes[2], ExperimentResult)
@@ -401,7 +401,7 @@ class TestContainment:
         runner = analysis_runner(_exit_analysis, _ok_analysis, _ok_analysis)
         plan = runner.plan()
         backend = ProcessPoolBackend(workers=2, chain_retries=1)
-        outcomes, _ = backend.run(plan)
+        outcomes = runner.execute(plan, backend=backend)
         failure = outcomes[0]
         assert isinstance(failure, ChainFailure)
         assert failure.error_type == "BrokenProcessPool"
@@ -416,7 +416,7 @@ class TestContainment:
             workers=2, chain_timeout_s=2.0, chain_retries=0
         )
         started = time.monotonic()
-        outcomes, _ = backend.run(plan)
+        outcomes = runner.execute(plan, backend=backend)
         assert time.monotonic() - started < 60
         failure = outcomes[0]
         assert isinstance(failure, ChainFailure)
@@ -435,7 +435,7 @@ class TestContainment:
             return len(list(tmp_path.glob("exit-*"))) >= 2
 
         backend = ProcessPoolBackend(workers=3, chain_retries=1, stop=stop)
-        outcomes, _ = backend.run(runner.plan())
+        outcomes = runner.execute(runner.plan(), backend=backend)
         assert outcomes[0].error_type == "BrokenProcessPool"
         assert not outcomes[0].skipped
         for cancelled in outcomes[1:]:

@@ -6,7 +6,7 @@ Two families of guarantees:
   lands in one chain (in plan-relative order), the chains tile the
   plan exactly, and merging per-chain outcomes restores plan order;
   proven over hypothesis-generated synthetic plans;
-* **bit-identity** — all 12 registry exhibits rendered through the
+* **bit-identity** — all 15 committed exhibits rendered through the
   golden harness with ``workers=4`` byte-match the committed traces,
   and serial vs pooled execution agree on a novel scenario too. This
   is the determinism contract that makes the worker count a pure

@@ -240,6 +240,8 @@ class TestJobLifecycle:
             ({"seed": 1.5}, "seed"),
             ({"scale": float("nan")}, "scale"),
             ({"scale": -1}, "scale"),
+            ({"workers": 0}, "workers"),
+            ({"workers": -3}, "workers"),
         ],
     )
     def test_malformed_run_field_is_typed_400(self, body, field):

@@ -7,6 +7,7 @@ import pytest
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
+    CacheStats,
     Scenario,
     ScenarioRunner,
     Sweep,
@@ -276,9 +277,7 @@ class TestSerialSweepMemory:
         cold = run_sweep(sweep, seed=0, cache_dir=str(tmp_path))
         warm = run_sweep(sweep, seed=0, cache_dir=str(tmp_path))
         for variant in cold.outcomes:
-            assert variant.cache_hits == 0
-            assert variant.cache_misses == chains[variant.name]
+            assert variant.cache_stats == CacheStats(0, chains[variant.name])
         for before, after in zip(cold.outcomes, warm.outcomes):
-            assert after.cache_hits == chains[after.name]
-            assert after.cache_misses == 0
+            assert after.cache_stats == CacheStats(chains[after.name], 0)
             assert after.result.format_table() == before.result.format_table()
