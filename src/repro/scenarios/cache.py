@@ -377,9 +377,7 @@ class SweepRunStore:
             # repro: allow[DET001] -- provenance timestamp, not part of the outcome
             "recorded_at": time.time(),
             "points": points,
-            "cache": (
-                None if outcome.cache_stats is None else outcome.cache_stats.as_dict()
-            ),
+            "cache": outcome.cache_stats and outcome.cache_stats.as_dict(),
             "variants": [
                 {
                     "name": variant.name,
