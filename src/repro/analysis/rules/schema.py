@@ -3,12 +3,13 @@
 Every declarative spec in this repo (scenarios, sweeps, middleware,
 service configs) round-trips through JSON; a ``from_dict`` that accepts
 unknown keys silently drops user intent (a misspelled ``repetitons``
-becomes a default, not an error).  ``repro.scenarios.schema`` owns the
-strict plumbing — ``strict_from_dict`` rejects unknown keys by name,
-``problems()`` collects every validation issue at once.  This rule
-pins the convention: a spec-style dataclass exposing ``from_dict`` in
-the scenario/tune/service packages must route through that plumbing
-and expose ``problems()``.
+becomes a default, not an error).  ``repro.schema`` owns the codec —
+the ``Spec`` base and ``decode`` reject unknown keys and wrong shapes
+by name — and ``problems()`` collects every validation issue at once.
+This rule pins the convention in the scenario/tune/service packages:
+a hand-written ``from_dict`` on a dataclass must route through the
+codec, and a dataclass with ``from_dict`` — its own or inherited from
+``Spec`` — must expose ``problems()``.
 
 ``repro.workloads`` is deliberately out of scope: its ``from_dict``
 projections (HyperParams/SystemParams) filter joint-sample dicts down
@@ -18,7 +19,7 @@ to their own fields by design.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from ..engine import ModuleIndex, Rule, SourceModule, in_packages
 from ..report import Finding
@@ -30,11 +31,10 @@ DEFAULT_PACKAGES: Tuple[str, ...] = (
 )
 
 # Referencing any of these (lexically, in the from_dict body) counts as
-# routing through the schema plumbing.
+# routing through the codec.
 SCHEMA_PLUMBING: Set[str] = {
-    "strict_from_dict",
+    "decode",
     "unknown_field_message",
-    "unknown_fields",
 }
 
 
@@ -55,6 +55,14 @@ def _method(node: ast.ClassDef, name: str) -> ast.FunctionDef | None:
     return None
 
 
+def _inherits_codec(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(base, ast.Name) and base.id == "Spec")
+        or (isinstance(base, ast.Attribute) and base.attr == "Spec")
+        for base in node.bases
+    )
+
+
 def _references_plumbing(func: ast.FunctionDef) -> bool:
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and node.id in SCHEMA_PLUMBING:
@@ -69,7 +77,7 @@ class StrictSpecSchema(Rule):
     title = "spec dataclass bypasses the strict schema plumbing"
     rationale = (
         "a from_dict that accepts unknown keys turns typos into silent "
-        "defaults; strict_from_dict rejects them by name and problems() "
+        "defaults; repro.schema's codec rejects them by name and problems() "
         "reports every issue at once"
     )
     packages = DEFAULT_PACKAGES
@@ -81,7 +89,7 @@ class StrictSpecSchema(Rule):
             if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
                 continue
             from_dict = _method(node, "from_dict")
-            if from_dict is None:
+            if from_dict is None and not _inherits_codec(node):
                 continue
             yield from self._check_spec(module, node, from_dict)
 
@@ -89,15 +97,15 @@ class StrictSpecSchema(Rule):
         self,
         module: SourceModule,
         cls: ast.ClassDef,
-        from_dict: ast.FunctionDef,
+        from_dict: Optional[ast.FunctionDef],
     ) -> Iterator[Finding]:
-        if not _references_plumbing(from_dict):
+        if from_dict is not None and not _references_plumbing(from_dict):
             yield self.finding(
                 module,
                 from_dict,
                 f"{cls.name}.from_dict does not route through "
-                "repro.scenarios.schema.strict_from_dict — unknown keys "
-                "would be silently dropped or raise a bare TypeError",
+                "repro.schema.decode — unknown keys would be silently "
+                "dropped or raise a bare TypeError",
             )
         if _method(cls, "problems") is None:
             yield self.finding(

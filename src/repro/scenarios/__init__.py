@@ -82,7 +82,7 @@ from .cache import (
 from .containment import ChainFailure, StepExecutionError, is_failure
 from .merge import RunReport, merge_outcomes, run_reports
 from .planner import ExecutionChain, chain_policy, partition
-from .schema import collect_problems, strict_from_dict
+from .schema import collect_problems
 from .views import (
     failure_view,
     jsonify,
@@ -217,7 +217,6 @@ __all__ = [
     "seeds_for",
     "session_for_cluster",
     "shared_tenancy_collector",
-    "strict_from_dict",
     "sweep_names",
     "sweep_summary",
     "tune_v1",

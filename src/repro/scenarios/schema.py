@@ -1,73 +1,17 @@
-"""Shared strict-dict plumbing for every spec family.
+"""Multi-error validation shared by every spec family.
 
-Three spec families grew the same validation discipline by copy-paste —
-scenarios (:mod:`repro.scenarios.spec`), sweeps
-(:mod:`repro.scenarios.sweep`) and fault specs
-(:mod:`repro.tune.faults`) — and the service layer's server config
-(:mod:`repro.service.config`) makes a fourth. This module is the one
-implementation of that discipline:
-
-* ``from_dict`` must reject unknown keys *by name* (a typo'd config
-  fails loudly naming the key and the spec it does not belong to,
-  never as a bare ``TypeError`` from a dataclass constructor);
-* ``problems()`` collects *every* validation issue into one list
-  instead of raising on the first, so a bad declaration is fixed in
-  one round trip.
-
-The module deliberately imports nothing but the stdlib so every layer
-(tune, scenarios, service) can depend on it without cycles.
+Parsing is not here: :mod:`repro.schema` is the one codec between a
+spec dataclass and its dict form, and it rejects unknown keys and
+wrong-shaped values by name. What stays here is the other half of the
+discipline: ``problems()`` collects *every* validation issue into one
+list instead of raising on the first, so a bad declaration is fixed in
+one round trip. :func:`collect_problems` flattens one spec's own issues
+and its sub-specs' ``problems()`` into that list.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Type
-
-
-def known_fields(cls: Type) -> List[str]:
-    """The declared field names of a dataclass spec, sorted."""
-    if not is_dataclass(cls):
-        raise TypeError(f"{cls.__name__} is not a dataclass spec")
-    return sorted(f.name for f in fields(cls))
-
-
-def unknown_fields(cls: Type, data: Mapping) -> List[str]:
-    """Keys of ``data`` that are not fields of ``cls``, sorted."""
-    return sorted(set(data) - set(known_fields(cls)))
-
-
-def unknown_field_message(cls: Type, data: Mapping, where: str) -> Optional[str]:
-    """The standard unknown-key error message, or None when clean."""
-    unknown = unknown_fields(cls, data)
-    if not unknown:
-        return None
-    return f"unknown {where} field(s) {unknown}; known: {known_fields(cls)}"
-
-
-def strict_from_dict(
-    cls: Type,
-    data: Optional[Mapping],
-    where: str,
-    convert: Optional[Dict[str, Callable]] = None,
-):
-    """Build a dataclass spec from its dict form, rejecting unknown keys.
-
-    ``None`` passes through (an absent optional sub-spec stays absent).
-    ``convert`` maps field names to callables applied to present values
-    before construction (nested sub-spec parsing, tuple coercion).
-    Unknown keys raise ``ValueError`` naming the key(s) and ``where``
-    they do not belong.
-    """
-    if data is None:
-        return None
-    data = dict(data)
-    message = unknown_field_message(cls, data, where)
-    if message:
-        raise ValueError(message)
-    for name, fn in (convert or {}).items():
-        if name in data:
-            data[name] = fn(data[name])
-    return cls(**data)
+from typing import List, Sequence
 
 
 def collect_problems(*parts) -> List[str]:

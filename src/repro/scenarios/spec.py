@@ -24,15 +24,20 @@ Composition points:
 * :class:`ScenarioBuilder` — fluent construction
   (``Scenario.builder("name").workloads(...).compare(...).build()``).
 
-Every piece round-trips through ``as_dict``/``from_dict`` and
-``to_json``/``from_json`` so scenarios can be stored, diffed and
-shipped as data.
+Every piece is a :class:`~repro.schema.Spec`: ``as_dict``/``from_dict``
+come from its fields and type hints, not from code written per class,
+so scenarios can be stored, diffed and shipped as data
+(``to_json``/``from_json``). Decoding rejects unknown keys and
+wrong-shaped values with a :class:`ScenarioError` naming the dotted
+path (``failures.preemption``, ``systems[0]``). The dict form keeps
+field order, and a round trip keeps the repr that keys every RNG
+stream and cache entry.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..hpo.algorithms import GridSearch, RandomSearch
@@ -42,6 +47,7 @@ from ..hpo.genetic import GeneticSearch
 from ..hpo.hyperband import HyperBand
 from ..hpo.pbt import PopulationBasedTraining
 from ..hpo.space import SearchSpace, joint_space, paper_hyper_space
+from ..schema import Spec
 from ..simulation.cluster import NodeSpec, SimCluster
 from ..simulation.des import Environment
 from ..tune.faults import (
@@ -56,7 +62,6 @@ from ..tune.objectives import accuracy_objective, accuracy_per_time_objective
 from ..workloads.registry import ALL_WORKLOADS, get_workload, workloads_of_type
 from ..workloads.spec import HyperParams, SystemParams
 from .jobs import TRIAL_INIT_S, V2_SAMPLE_SCALE, V2_TRIAL_SETUP_S
-from .schema import strict_from_dict, unknown_field_message
 
 #: search algorithms a scenario can name; each builder takes
 #: ``(space, seed=..., **params)``.
@@ -111,7 +116,7 @@ def _pairs(mapping) -> Tuple[Tuple[str, object], ...]:
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Spec):
     """Homogeneous cluster topology (the paper testbeds and beyond)."""
 
     nodes: int = 4
@@ -157,19 +162,6 @@ class ClusterSpec:
             ],
         )
 
-    def as_dict(self) -> Dict:
-        return {
-            "nodes": self.nodes,
-            "cores_per_node": self.cores_per_node,
-            "memory_gb_per_node": self.memory_gb_per_node,
-            "idle_watts": self.idle_watts,
-            "core_watts": self.core_watts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClusterSpec":
-        return strict_from_dict(cls, data, "cluster")
-
 
 #: the 4-node testbed used for Type-I / Type-II experiments (§7.1.1).
 PAPER_DISTRIBUTED_CLUSTER = ClusterSpec()
@@ -180,7 +172,7 @@ PAPER_SINGLE_NODE = ClusterSpec(
 
 
 @dataclass(frozen=True)
-class AlgorithmSpec:
+class AlgorithmSpec(Spec):
     """A search algorithm by registry name plus its keyword arguments."""
 
     name: str = "hyperband"
@@ -203,16 +195,9 @@ class AlgorithmSpec:
             kwargs.setdefault("sample_scale", sample_scale)
         return ALGORITHM_BUILDERS[self.name](space, seed=seed, **kwargs)
 
-    def as_dict(self) -> Dict:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AlgorithmSpec":
-        return strict_from_dict(cls, data, "algorithm", convert={"params": _pairs})
-
 
 @dataclass(frozen=True)
-class SystemPolicySpec:
+class SystemPolicySpec(Spec):
     """One compared system: a policy plus its per-policy overrides.
 
     ``None`` fields mean "derive the paper default for this kind":
@@ -299,36 +284,6 @@ class SystemPolicySpec:
     def system_params(self) -> SystemParams:
         return SystemParams(**dict(self.system))
 
-    def as_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "name": self.name,
-            "trial_setup_s": self.trial_setup_s,
-            "sample_scale": self.sample_scale,
-            "warm_start": self.warm_start,
-            "objective": self.objective,
-            "contention": self.contention,
-            "space_overrides": {k: list(v) for k, v in self.space_overrides},
-            "hyper": dict(self.hyper),
-            "system": dict(self.system),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SystemPolicySpec":
-        return strict_from_dict(
-            cls,
-            data,
-            "system policy",
-            convert={
-                "space_overrides": lambda value: tuple(
-                    (k, tuple(v)) for k, v in dict(value).items()
-                ),
-                "hyper": _pairs,
-                "system": _pairs,
-            },
-        )
-
 
 _DEFAULT_LABELS = {
     "v1": "tune-v1",
@@ -367,7 +322,7 @@ def fixed_trial(
 
 
 @dataclass(frozen=True)
-class TenancySpec:
+class TenancySpec(Spec):
     """Dedicated cluster per job, or shared cluster with arrivals."""
 
     mode: str = "dedicated"
@@ -400,33 +355,9 @@ class TenancySpec:
                 issues.append("max_concurrent_jobs must be >= 1")
         return issues
 
-    def as_dict(self) -> Dict:
-        return {
-            "mode": self.mode,
-            "num_jobs": self.num_jobs,
-            "mean_interarrival_s": self.mean_interarrival_s,
-            "unseen_fraction": self.unseen_fraction,
-            "max_concurrent_jobs": self.max_concurrent_jobs,
-            "min_jobs": self.min_jobs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TenancySpec":
-        return strict_from_dict(cls, data, "tenancy")
-
-
-#: the nested fault specs a FailureSpec composes, by field name.
-_FAULT_SPEC_TYPES = {
-    "preemption": PreemptionSpec,
-    "churn": ChurnSpec,
-    "crash": CrashSpec,
-    "straggler": StragglerSpec,
-    "retry": RetryPolicy,
-}
-
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Spec):
     """Composable failure-injection model; every axis defaults off.
 
     ``oom_threshold`` kills memory-starved trials (the original knob);
@@ -438,6 +369,8 @@ class FailureSpec:
     from counter-keyed streams so injected chaos is bit-deterministic
     under any execution backend.
     """
+
+    PATH = "failures"
 
     oom_threshold: Optional[float] = None
     preemption: Optional[PreemptionSpec] = None
@@ -460,10 +393,10 @@ class FailureSpec:
         issues: List[str] = []
         if self.oom_threshold is not None and self.oom_threshold <= 0:
             issues.append("oom_threshold must be positive")
-        for name in ("preemption", "churn", "crash", "straggler", "retry"):
-            spec = getattr(self, name)
-            if spec is not None:
-                issues.extend(spec.problems(where=f"failures.{name}"))
+        for spec_field in fields(self):
+            spec = getattr(self, spec_field.name)
+            if isinstance(spec, Spec):
+                issues.extend(spec.problems(where=f"{self.PATH}.{spec_field.name}"))
         return issues
 
     def describe(self) -> List[str]:
@@ -502,41 +435,9 @@ class FailureSpec:
             )
         return lines
 
-    def as_dict(self) -> Dict:
-        return {
-            "oom_threshold": self.oom_threshold,
-            "preemption": None
-            if self.preemption is None
-            else self.preemption.as_dict(),
-            "churn": None if self.churn is None else self.churn.as_dict(),
-            "crash": None if self.crash is None else self.crash.as_dict(),
-            "straggler": None
-            if self.straggler is None
-            else self.straggler.as_dict(),
-            "retry": None if self.retry is None else self.retry.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FailureSpec":
-        return strict_from_dict(
-            cls,
-            data,
-            "failure",
-            convert={
-                name: (
-                    lambda value, spec_cls=spec_cls, name=name: strict_from_dict(
-                        spec_cls, value, f"failures.{name}"
-                    )
-                    if isinstance(value, Mapping)
-                    else value
-                )
-                for name, spec_cls in _FAULT_SPEC_TYPES.items()
-            },
-        )
-
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One declared experiment; see the module docstring."""
 
     name: str
@@ -712,44 +613,10 @@ class Scenario:
         return self
 
     # -- serialisation -----------------------------------------------------
-    def as_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "title": self.title,
-            "exhibit": self.exhibit,
-            "description": self.description,
-            "kind": self.kind,
-            "cluster": self.cluster.as_dict(),
-            "workloads": list(self.workloads),
-            "algorithm": self.algorithm.as_dict(),
-            "systems": [p.as_dict() for p in self.systems],
-            "tenancy": self.tenancy.as_dict(),
-            "failures": self.failures.as_dict(),
-            "repetitions": self.repetitions,
-            "max_concurrent_trials": self.max_concurrent_trials,
-        }
-
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Scenario":
-        data = dict(data)
-        message = unknown_field_message(cls, data, "scenario")
-        if message:
-            raise ScenarioError(str(data.get("name", "?")), [message])
-        if "cluster" in data:
-            data["cluster"] = ClusterSpec.from_dict(data["cluster"])
-        if "algorithm" in data:
-            data["algorithm"] = AlgorithmSpec.from_dict(data["algorithm"])
-        if "systems" in data:
-            data["systems"] = tuple(
-                SystemPolicySpec.from_dict(p) for p in data["systems"]
-            )
-        if "tenancy" in data:
-            data["tenancy"] = TenancySpec.from_dict(data["tenancy"])
-        if "failures" in data:
-            data["failures"] = FailureSpec.from_dict(data["failures"])
-        if "workloads" in data:
-            data["workloads"] = tuple(data["workloads"])
-        return cls(**data)
+    def malformed(cls, data, problem: str) -> ScenarioError:
+        name = data.get("name", "?") if isinstance(data, Mapping) else "?"
+        return ScenarioError(str(name), [problem])
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
@@ -832,34 +699,14 @@ class ScenarioBuilder:
     def inject_oom(self, threshold: float) -> "ScenarioBuilder":
         return self._merge_failures(oom_threshold=threshold)
 
-    def inject_preemption(
-        self,
-        rate_per_epoch: float,
-        checkpoint_every_epochs: int = 3,
-        restore_cost_s: Optional[float] = None,
-        max_events: int = 4,
-    ) -> "ScenarioBuilder":
+    def inject_preemption(self, rate_per_epoch: float, **params) -> "ScenarioBuilder":
         return self._merge_failures(
-            preemption=PreemptionSpec(
-                rate_per_epoch=rate_per_epoch,
-                checkpoint_every_epochs=checkpoint_every_epochs,
-                restore_cost_s=restore_cost_s,
-                max_events=max_events,
-            )
+            preemption=PreemptionSpec(rate_per_epoch=rate_per_epoch, **params)
         )
 
-    def inject_churn(
-        self,
-        rate_per_epoch: float,
-        reschedule_delay_s: float = 120.0,
-        max_events: int = 2,
-    ) -> "ScenarioBuilder":
+    def inject_churn(self, rate_per_epoch: float, **params) -> "ScenarioBuilder":
         return self._merge_failures(
-            churn=ChurnSpec(
-                rate_per_epoch=rate_per_epoch,
-                reschedule_delay_s=reschedule_delay_s,
-                max_events=max_events,
-            )
+            churn=ChurnSpec(rate_per_epoch=rate_per_epoch, **params)
         )
 
     def inject_crashes(self, rate_per_epoch: float) -> "ScenarioBuilder":
@@ -867,25 +714,14 @@ class ScenarioBuilder:
             crash=CrashSpec(rate_per_epoch=rate_per_epoch)
         )
 
-    def inject_stragglers(
-        self, fraction: float, slowdown: float = 2.0
-    ) -> "ScenarioBuilder":
+    def inject_stragglers(self, fraction: float, **params) -> "ScenarioBuilder":
         return self._merge_failures(
-            straggler=StragglerSpec(fraction=fraction, slowdown=slowdown)
+            straggler=StragglerSpec(fraction=fraction, **params)
         )
 
-    def retry_policy(
-        self,
-        max_retries: int,
-        backoff_base_s: float = 30.0,
-        backoff_factor: float = 2.0,
-    ) -> "ScenarioBuilder":
+    def retry_policy(self, max_retries: int, **params) -> "ScenarioBuilder":
         return self._merge_failures(
-            retry=RetryPolicy(
-                max_retries=max_retries,
-                backoff_base_s=backoff_base_s,
-                backoff_factor=backoff_factor,
-            )
+            retry=RetryPolicy(max_retries=max_retries, **params)
         )
 
     def repetitions(self, count: int) -> "ScenarioBuilder":

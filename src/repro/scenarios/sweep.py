@@ -34,11 +34,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..schema import Spec
 from .cache import CacheStats
 from .registry import SCENARIO_REGISTRY, get_definition
 from .result import ExperimentResult
 from .runner import ScenarioRunner
-from .schema import strict_from_dict
 from .spec import Scenario, ScenarioError
 
 
@@ -66,7 +66,7 @@ def _fmt(value) -> str:
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(Spec):
     """One swept dimension: a dotted scenario path and its values.
 
     ``path`` indexes into ``Scenario.as_dict()`` (``cluster.nodes``,
@@ -97,19 +97,6 @@ class SweepAxis:
         if len(self.labels) != len(self.values):
             issues.append(f"axis {self.path!r}: one label per value required")
         return issues
-
-    def as_dict(self) -> Dict:
-        return {
-            "path": self.path,
-            "values": list(self.values),
-            "labels": list(self.labels),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepAxis":
-        return strict_from_dict(
-            cls, data, "sweep axis", convert={"values": tuple, "labels": tuple}
-        )
 
 
 def set_override(data: Dict, path: str, value) -> None:
@@ -157,7 +144,7 @@ class SweepVariant:
 
 
 @dataclass(frozen=True)
-class Sweep:
+class Sweep(Spec):
     """A declared parameter sweep over one registered scenario."""
 
     name: str
@@ -241,27 +228,6 @@ class Sweep:
                 SweepVariant(name=variant_name, overrides=overrides, scenario=scenario)
             )
         return built
-
-    # -- serialisation ------------------------------------------------------
-    def as_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "scenario": self.scenario,
-            "axes": [axis.as_dict() for axis in self.axes],
-            "title": self.title,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Sweep":
-        return strict_from_dict(
-            cls,
-            data,
-            "sweep",
-            convert={
-                "axes": lambda axes: tuple(SweepAxis.from_dict(a) for a in axes)
-            },
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ in-process test harness consume the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..scenarios.schema import collect_problems, strict_from_dict
+from ..scenarios.schema import collect_problems
+from ..schema import Spec
 from .middleware import MiddlewareStack
 
 #: the default chain, outermost first: every request gets an id, a log
@@ -30,7 +31,7 @@ DEFAULT_MIDDLEWARE: Tuple[Dict, ...] = (
 
 
 @dataclass
-class QueueConfig:
+class QueueConfig(Spec):
     """Shape of the async job queue behind the API."""
 
     #: worker threads draining the queue; each runs one job at a time.
@@ -46,26 +47,20 @@ class QueueConfig:
             issues.append(f"{where}: capacity must be >= 1")
         return issues
 
-    def as_dict(self) -> Dict:
-        return {"workers": self.workers, "capacity": self.capacity}
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> "QueueConfig":
-        if data is None:
-            return cls()
-        return strict_from_dict(cls, data, "queue")
-
 
 @dataclass
-class ServerConfig:
+class ServerConfig(Spec):
     """Everything ``repro serve`` needs to run, as validated data."""
 
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (the test harness relies on this).
     port: int = 8765
     queue: QueueConfig = field(default_factory=QueueConfig)
+    #: the one polymorphic field (entries are keyed by ``kind``), so it
+    #: carries its own codec hook.
     middleware: MiddlewareStack = field(
-        default_factory=lambda: MiddlewareStack.from_config(DEFAULT_MIDDLEWARE)
+        default_factory=lambda: MiddlewareStack.from_config(DEFAULT_MIDDLEWARE),
+        metadata={"codec": (MiddlewareStack.as_config, MiddlewareStack.from_config)},
     )
 
     def problems(self) -> List[str]:
@@ -85,25 +80,3 @@ class ServerConfig:
                 "invalid server config:\n  - " + "\n  - ".join(issues)
             )
         return self
-
-    def as_dict(self) -> Dict:
-        return {
-            "host": self.host,
-            "port": self.port,
-            "queue": self.queue.as_dict(),
-            "middleware": self.middleware.as_config(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> "ServerConfig":
-        if data is None:
-            return cls()
-        return strict_from_dict(
-            cls,
-            data,
-            "server",
-            convert={
-                "queue": QueueConfig.from_dict,
-                "middleware": MiddlewareStack.from_config,
-            },
-        )

@@ -37,10 +37,10 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..scenarios.schema import strict_from_dict
+from ..schema import decode, encode
 from .envelope import error_envelope
 
 DEFAULT_TENANT = "anonymous"
@@ -104,10 +104,7 @@ class Middleware:
         return []
 
     def as_dict(self) -> Dict:
-        data = {"kind": self.kind}
-        for spec_field in fields(self):
-            data[spec_field.name] = getattr(self, spec_field.name)
-        return data
+        return {"kind": self.kind, **encode(self)}
 
 
 @dataclass
@@ -320,21 +317,26 @@ class MiddlewareStack:
         return [middleware.as_dict() for middleware in self.middlewares]
 
     @classmethod
-    def from_config(cls, entries: Sequence[Dict]) -> "MiddlewareStack":
+    def from_config(
+        cls, entries: Sequence[Dict], where: str = "middleware"
+    ) -> "MiddlewareStack":
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"{where}: expected a list, got {type(entries).__name__}")
         built: List[Middleware] = []
         for position, entry in enumerate(entries):
+            if not isinstance(entry, Mapping):
+                raise ValueError(
+                    f"{where}[{position}]: expected an object, "
+                    f"got {type(entry).__name__}"
+                )
             entry = dict(entry)
             kind = entry.pop("kind", None)
             if kind not in MIDDLEWARE_KINDS:
                 raise ValueError(
-                    f"middleware[{position}]: unknown kind {kind!r}; "
+                    f"{where}[{position}]: unknown kind {kind!r}; "
                     f"known: {sorted(MIDDLEWARE_KINDS)}"
                 )
-            built.append(
-                strict_from_dict(
-                    MIDDLEWARE_KINDS[kind], entry, f"middleware {kind!r}"
-                )
-            )
+            built.append(decode(MIDDLEWARE_KINDS[kind], entry, f"middleware {kind!r}"))
         return cls(built)
 
     def __repr__(self) -> str:

@@ -20,9 +20,10 @@ reschedule, retry with backoff — all in simulated time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
+from ..schema import Spec
 from ..workloads.spec import rng_for
 
 #: fixed injection precedence within one epoch: at most one fault
@@ -30,28 +31,8 @@ from ..workloads.spec import rng_for
 FAULT_KINDS = ("preemption", "churn", "crash")
 
 
-def strict_from_dict(cls: Type, data: Optional[Mapping], where: str):
-    """Build a fault spec from its dict form, rejecting unknown keys.
-
-    A bare ``cls(**data)`` raises an unhelpful ``TypeError`` naming the
-    constructor; this names the offending key(s) and the spec they do
-    not belong to, so a typo'd scenario JSON fails loudly. One shared
-    implementation serves every spec family (lazy import — the
-    scenarios package imports this module at its own import time).
-    """
-    from ..scenarios.schema import strict_from_dict as impl
-
-    return impl(cls, data, where)
-
-
-def _spec_dict(spec) -> Optional[Dict]:
-    if spec is None:
-        return None
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
-
-
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Spec):
     """Per-job recovery policy for transient trial crashes.
 
     ``backoff_s(i)`` is the simulated wait before re-running a crashed
@@ -76,16 +57,9 @@ class RetryPolicy:
             issues.append(f"{where}: backoff_factor must be >= 1")
         return issues
 
-    def as_dict(self) -> Dict:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> Optional["RetryPolicy"]:
-        return strict_from_dict(cls, data, "retry policy")
-
 
 @dataclass(frozen=True)
-class PreemptionSpec:
+class PreemptionSpec(Spec):
     """Spot-instance preemption with checkpoint/restore.
 
     Each epoch the trial survives with probability
@@ -124,16 +98,9 @@ class PreemptionSpec:
             issues.append(f"{where}: max_events must be >= 0")
         return issues
 
-    def as_dict(self) -> Dict:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> Optional["PreemptionSpec"]:
-        return strict_from_dict(cls, data, "preemption")
-
 
 @dataclass(frozen=True)
-class ChurnSpec:
+class ChurnSpec(Spec):
     """Node churn: the trial's node leaves the cluster mid-epoch.
 
     Unlike preemption there is no checkpoint to restore — the trial's
@@ -156,16 +123,9 @@ class ChurnSpec:
             issues.append(f"{where}: max_events must be >= 0")
         return issues
 
-    def as_dict(self) -> Dict:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> Optional["ChurnSpec"]:
-        return strict_from_dict(cls, data, "churn")
-
 
 @dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(Spec):
     """Transient trial crashes (OOM-killer races, executor hiccups).
 
     A crashed trial is retried from the start of its segment according
@@ -180,16 +140,9 @@ class CrashSpec:
             return [f"{where}: rate_per_epoch must be in [0, 1]"]
         return []
 
-    def as_dict(self) -> Dict:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> Optional["CrashSpec"]:
-        return strict_from_dict(cls, data, "crash")
-
 
 @dataclass(frozen=True)
-class StragglerSpec:
+class StragglerSpec(Spec):
     """Straggler placements: a fraction of trials runs slowed down.
 
     Whether a (trial, attempt) is a straggler is drawn once per
@@ -207,13 +160,6 @@ class StragglerSpec:
         if self.slowdown < 1.0:
             issues.append(f"{where}: slowdown must be >= 1")
         return issues
-
-    def as_dict(self) -> Dict:
-        return _spec_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping]) -> Optional["StragglerSpec"]:
-        return strict_from_dict(cls, data, "straggler")
 
 
 @dataclass(frozen=True)

@@ -530,14 +530,14 @@ class TestSchema001:
         )
         assert rules_fired(findings) == ["SCHEMA001"]
         messages = " | ".join(f.message for f in findings)
-        assert "strict_from_dict" in messages
+        assert "repro.schema.decode" in messages
         assert "problems()" in messages
 
     def test_strict_spec_clean(self):
         findings = lint_source(
             """
             from dataclasses import dataclass
-            from repro.scenarios.schema import strict_from_dict
+            from repro.schema import Spec, decode
 
             @dataclass
             class ThingSpec:
@@ -548,12 +548,37 @@ class TestSchema001:
 
                 @classmethod
                 def from_dict(cls, data):
-                    return strict_from_dict(cls, data, "thing")
+                    return decode(cls, data, "thing")
+
+            @dataclass(frozen=True)
+            class OtherSpec(Spec):
+                b: int = 0
+
+                def problems(self):
+                    return []
             """,
             name="repro.scenarios.fixture",
             rules=["SCHEMA001"],
         )
         assert findings == ()
+
+    def test_codec_spec_without_problems_fires(self):
+        findings = lint_source(
+            """
+            from dataclasses import dataclass
+            from repro import schema
+
+            @dataclass(frozen=True)
+            class ThingSpec(schema.Spec):
+                a: int = 0
+            """,
+            name="repro.tune.fixture",
+            rules=["SCHEMA001"],
+        )
+        assert rules_fired(findings) == ["SCHEMA001"]
+        assert len(findings) == 1
+        assert "'ThingSpec'" in findings[0].message
+        assert "problems()" in findings[0].message
 
     def test_non_dataclass_and_out_of_scope_ignored(self):
         plain = textwrap.dedent(self.LOOSE).replace("@dataclass\n", "")

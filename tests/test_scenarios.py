@@ -1,6 +1,7 @@
 """Tests for the declarative scenario API (repro.scenarios)."""
 
 import json
+import re
 
 import pytest
 
@@ -607,3 +608,68 @@ class TestStrictSpecSchemas:
         assert axis.problems() == []
         with pytest.raises(ValueError, match="no values"):
             SweepAxis("cluster.nodes", ())
+
+
+#: wrong-shaped inline payloads: (top-level field, value, dotted path the
+#: error must name).
+HOSTILE_SCENARIO_FIELDS = [
+    ("failures", {"preemption": 5}, "failures.preemption"),
+    ("failures", {"retry": [2]}, "failures.retry"),
+    ("cluster", 5, "cluster"),
+    ("systems", [5], "systems[0]"),
+    ("systems", 5, "systems"),
+    ("workloads", 5, "workloads"),
+    ("algorithm", {"name": "asha", "params": [3]}, "algorithm.params"),
+    (
+        "systems",
+        [{"kind": "v1", "space_overrides": {"batch_size": 64}}],
+        "systems[0].space_overrides.batch_size",
+    ),
+]
+
+
+def hostile_scenario(field, value):
+    data = SCENARIO_REGISTRY["fig09"].scenario.as_dict()
+    data["name"] = "hostile-inline"
+    data[field] = value
+    return data
+
+
+class TestWrongShapedSpecs:
+    """A value of the wrong shape raises a typed error naming its path."""
+
+    @pytest.mark.parametrize("field, value, path", HOSTILE_SCENARIO_FIELDS)
+    def test_scenario_names_the_path(self, field, value, path):
+        with pytest.raises(ScenarioError) as excinfo:
+            Scenario.from_dict(hostile_scenario(field, value))
+        assert f"{path}: expected" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"queue": 5}, "queue"),
+            ({"queue": [1]}, "queue"),
+            ({"middleware": 5}, "middleware"),
+            ({"middleware": [5]}, "middleware[0]"),
+        ],
+    )
+    def test_server_config_names_the_path(self, data, path):
+        from repro.service import ServerConfig
+
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: expected"):
+            ServerConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "axes, path",
+        [
+            ([5], "axes[0]"),
+            (5, "axes"),
+            ([{"path": "cluster.nodes", "values": 2}], "axes[0].values"),
+        ],
+    )
+    def test_sweep_names_the_path(self, axes, path):
+        from repro.scenarios import Sweep
+
+        data = {"name": "hostile", "scenario": "fig09", "axes": axes}
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: expected"):
+            Sweep.from_dict(data)

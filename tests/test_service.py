@@ -266,6 +266,40 @@ class TestJobLifecycle:
         finally:
             app.close()
 
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("failures", {"preemption": 5}, "failures.preemption"),
+            ("cluster", 5, "cluster"),
+            ("systems", [5], "systems[0]"),
+            ("workloads", 5, "workloads"),
+        ],
+    )
+    def test_wrong_shaped_inline_scenario_is_typed_400(self, field, value, path):
+        from repro.service.app import ServiceApp
+        from repro.service.middleware import Request
+
+        scenario = SCENARIO_REGISTRY["fig09"].scenario.as_dict()
+        scenario["name"] = "hostile-inline"
+        scenario[field] = value
+        app = ServiceApp(quiet_config())
+        try:
+            response = app.handle(
+                Request(
+                    method="POST",
+                    path="/v1/runs",
+                    headers={},
+                    body={"scenario": scenario},
+                    query={},
+                )
+            )
+            assert response.status == 400
+            assert response.payload["error"]["type"] == "ScenarioError"
+            assert f"{path}: expected" in response.payload["error"]["message"]
+            assert app.manager.jobs() == []
+        finally:
+            app.close()
+
     def test_invalid_inline_scenario_is_400(self, service):
         _, client = service
         with pytest.raises(ServiceError) as excinfo:
