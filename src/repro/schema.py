@@ -119,7 +119,6 @@ def _plan(cls: Type) -> Dict[str, Tuple[bool, Callable, Callable]]:
             *(spec_field.metadata.get("codec") or _codec(hints[spec_field.name])),
         )
         for spec_field in fields(cls)
-        if spec_field.init
     }
 
 

@@ -29,6 +29,13 @@ DEFAULT_MIDDLEWARE: Tuple[Dict, ...] = (
     {"kind": "quota"},
 )
 
+#: ``ServerConfig.middleware`` is the one polymorphic field (entries are
+#: keyed by ``kind``), so it carries its own (encode, decode) codec hook.
+_MIDDLEWARE_CODEC = (
+    MiddlewareStack.as_config,
+    lambda entries, path: MiddlewareStack.from_config(entries),
+)
+
 
 @dataclass
 class QueueConfig(Spec):
@@ -56,11 +63,9 @@ class ServerConfig(Spec):
     #: 0 binds an ephemeral port (the test harness relies on this).
     port: int = 8765
     queue: QueueConfig = field(default_factory=QueueConfig)
-    #: the one polymorphic field (entries are keyed by ``kind``), so it
-    #: carries its own codec hook.
     middleware: MiddlewareStack = field(
         default_factory=lambda: MiddlewareStack.from_config(DEFAULT_MIDDLEWARE),
-        metadata={"codec": (MiddlewareStack.as_config, MiddlewareStack.from_config)},
+        metadata={"codec": _MIDDLEWARE_CODEC},
     )
 
     def problems(self) -> List[str]:

@@ -317,23 +317,23 @@ class MiddlewareStack:
         return [middleware.as_dict() for middleware in self.middlewares]
 
     @classmethod
-    def from_config(
-        cls, entries: Sequence[Dict], where: str = "middleware"
-    ) -> "MiddlewareStack":
+    def from_config(cls, entries: Sequence[Dict]) -> "MiddlewareStack":
         if not isinstance(entries, (list, tuple)):
-            raise ValueError(f"{where}: expected a list, got {type(entries).__name__}")
+            raise ValueError(
+                f"middleware: expected a list, got {type(entries).__name__}"
+            )
         built: List[Middleware] = []
         for position, entry in enumerate(entries):
             if not isinstance(entry, Mapping):
                 raise ValueError(
-                    f"{where}[{position}]: expected an object, "
+                    f"middleware[{position}]: expected an object, "
                     f"got {type(entry).__name__}"
                 )
             entry = dict(entry)
             kind = entry.pop("kind", None)
             if kind not in MIDDLEWARE_KINDS:
                 raise ValueError(
-                    f"{where}[{position}]: unknown kind {kind!r}; "
+                    f"middleware[{position}]: unknown kind {kind!r}; "
                     f"known: {sorted(MIDDLEWARE_KINDS)}"
                 )
             built.append(decode(MIDDLEWARE_KINDS[kind], entry, f"middleware {kind!r}"))
