@@ -39,7 +39,7 @@ from ..tune.objectives import accuracy_objective, runtime_system_objective
 from ..tune.runner import DEFAULT_SYSTEM, HptJobSpec
 from ..tune.trainer import TrialContext, TrialHooks
 from ..tune.trial import EpochRecord, TrialResult
-from ..workloads.perfmodel import active_cores, epoch_cost
+from ..workloads.perfmodel import active_cores, epoch_cost, epoch_cost_batch
 from ..workloads.spec import (
     PAPER_BATCH_GRID,
     PAPER_CORE_GRID,
@@ -475,13 +475,13 @@ class PipeTuneSession:
             config = TrialConfig(workload, hyper, candidate)
             # Energy model mirrors the trainer's attribution; the idle
             # draw depends only on the candidate, not the repetition.
+            # One batch reads every repetition from one noise fill.
             idle_draw_w = 60.0 * candidate.cores / self.max_cores
-            durations, energies = [], []
-            for rep in range(max(1, repetitions)):
-                cost = epoch_cost(config, epoch=1000 + epoch_index * 10 + rep)
-                busy = active_cores(config, cost)
-                durations.append(cost.total_s)
-                energies.append((busy * 11.5 + idle_draw_w) * cost.total_s)
+            first = 1000 + epoch_index * 10
+            costs = epoch_cost_batch(config, range(first, first + max(1, repetitions)))
+            busy = active_cores(config, costs)
+            durations = costs.total_s
+            energies = [(busy * 11.5 + idle_draw_w) * total for total in durations]
             controller.record(
                 ProbeSample(
                     system=candidate,

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..schema import positional_pickle
 from ..workloads.spec import TrialConfig
 from .events import EVENT_NAMES, NUM_EVENTS
 from .pmu import Pmu
@@ -38,7 +39,8 @@ PROFILING_OVERHEAD = 0.015
 MAX_STRATA = 8
 
 
-@dataclass
+@positional_pickle
+@dataclass(slots=True)
 class EpochProfile:
     """Averaged per-epoch event profile of one trial epoch."""
 

@@ -14,9 +14,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..schema import positional_pickle
 from ..workloads.spec import WorkloadSpec, rng_for
 
 
+@positional_pickle
 @dataclass(frozen=True)
 class JobArrival:
     """One job submission: when, which workload, seen before or not."""

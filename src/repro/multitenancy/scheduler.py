@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
+from ..schema import positional_pickle
 from ..simulation.cluster import SimCluster
 from ..simulation.des import Environment, Resource
 from ..tune.runner import HptJobRunner, HptJobSpec, HptResult
@@ -41,6 +42,7 @@ def unseen_variant(workload: WorkloadSpec, index: int) -> WorkloadSpec:
     )
 
 
+@positional_pickle
 @dataclass
 class JobRecord:
     """One job's lifecycle in a multi-tenancy run."""
@@ -62,6 +64,7 @@ class JobRecord:
         return self.arrival.workload.workload_type
 
 
+@positional_pickle
 @dataclass
 class MultiTenancyResult:
     """All jobs of one multi-tenancy experiment."""

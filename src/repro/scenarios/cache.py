@@ -27,6 +27,16 @@ Failures are never cached: a chain whose outcome list contains any
 :class:`~repro.scenarios.containment.ChainFailure` (including
 cancellation skips) is recomputed next time.
 
+An entry's payload is a plain pickle of the outcome list. The outcome
+record classes (job, trial, epoch, profile, timeline, fault and table
+records) are decorated with :func:`repro.schema.positional_pickle`,
+so each record loads as one constructor call on its field values, and
+the per-trial and per-epoch ones are slotted. A cache hit therefore
+costs one call per record, not a dict of fields set one by one. An
+entry written before that change pickled each record's ``__dict__``,
+which a slotted class cannot take back: it fails to load, which is a
+miss like any other damage, and the recompute rewrites it.
+
 On top of the outcome store sits **sweep result persistence**: every
 surviving variant of a sweep run lands as one TSDB measurement (one
 point per table row, tagged by its axis values — the tagged

@@ -10,7 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..schema import positional_pickle
 
+
+@positional_pickle
 @dataclass
 class ExperimentResult:
     """Uniform result object: one table of rows per exhibit."""

@@ -13,21 +13,30 @@ fields and their resolved type hints:
   decides this, never the values. It reaches the constructor as
   ``items()`` pairs, and the spec's ``__post_init__`` canonicalises
   them (the codec never sorts, so no repr moves);
-* any other tuple is a JSON list; every other value passes unchanged;
+* any other tuple is a JSON list;
+* an ``int``, ``float``, ``str`` or ``bool`` field is type-checked,
+  never converted: ``bool`` is no ``int``, and an ``int`` passes for a
+  ``float`` as it is; every other value passes unchanged;
 * a field whose type is polymorphic (the server's middleware chain)
   carries its own ``metadata={"codec": (encode, decode)}`` hook, with
   ``decode(value, path)``.
 
-Unknown keys are rejected by name. A value of the wrong shape — a
-number where a sub-spec, a list or an object belongs — raises
-:class:`Malformed`, a ``ValueError`` naming its dotted path
-(``failures.preemption``, ``systems[0]``, ``queue``), never a bare
-``TypeError`` or ``AttributeError`` from deeper down.
+Unknown keys are rejected by name. A value of the wrong shape or type
+(a number where a sub-spec, a list or an object belongs, a string
+where a number belongs) raises :class:`Malformed`, a ``ValueError``
+naming its dotted path (``failures.preemption``, ``systems[0]``,
+``cluster.nodes``), never a bare ``TypeError`` or ``AttributeError``
+from deeper down.
 
 Each class's field plan is resolved once and cached: resolving type
-hints on every decode would cost more than the decode itself. The
-module imports nothing but the stdlib, so every layer (tune, scenarios,
-service) can use it while its own classes are being defined.
+hints on every decode would cost more than the decode itself.
+
+:func:`positional_pickle` is the other field-driven conversion: it
+pickles a dataclass as one constructor call on its field values, for
+the outcome records that the outcome cache and the process pool ship
+by the thousand. The module imports nothing but the stdlib, so every
+layer (tune, scenarios, service) can use it while its own classes are
+being defined.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import re
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 
@@ -62,14 +72,34 @@ def _expect(value, kind, path: str, what: str):
     return value
 
 
+def _scalar(kind, what: str) -> Callable:
+    """decode(value, path) for a scalar hint: a type check, no
+    conversion. ``bool`` is no ``int``; an ``int`` passes for a
+    ``float`` unchanged, so no repr and no RNG key moves."""
+    accepted = (int, float) if kind is float else kind
+
+    def decode_scalar(value, path):
+        if isinstance(value, bool) is not (kind is bool):
+            raise Malformed(f"{path}: expected {what}, got {type(value).__name__}")
+        return _expect(value, accepted, path, what)
+
+    return decode_scalar
+
+
+_SCALARS = {
+    int: _scalar(int, "an integer"),
+    float: _scalar(float, "a number"),
+    str: _scalar(str, "a string"),
+    bool: _scalar(bool, "a boolean"),
+}
+
+
 def _codec(hint) -> Tuple[Callable, Callable]:
     """(encode(value), decode(value, path)) for one resolved type hint."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union and type(None) in args:
         (inner,) = [arg for arg in args if arg is not type(None)]
         encode_inner, decode_inner = _codec(inner)
-        if encode_inner is _same:
-            return _same, _same
 
         def encode_optional(value):
             return None if value is None else encode_inner(value)
@@ -77,7 +107,12 @@ def _codec(hint) -> Tuple[Callable, Callable]:
         def decode_optional(value, path):
             return None if value is None else decode_inner(value, path)
 
-        return encode_optional, decode_optional
+        return (
+            _same if encode_inner is _same else encode_optional,
+            _same if decode_inner is _same else decode_optional,
+        )
+    if hint in _SCALARS:
+        return _same, _SCALARS[hint]
     if isinstance(hint, type) and is_dataclass(hint):
         return encode, lambda value, path: decode(hint, value, path, path)
     if origin is not tuple or len(args) != 2 or args[1] is not Ellipsis:
@@ -187,3 +222,33 @@ class Spec:
     def malformed(cls, data, problem: str) -> ValueError:
         """The error a malformed dict form of this spec raises."""
         return Malformed(problem)
+
+
+def positional_pickle(cls: Type) -> Type:
+    """Class decorator: pickle a dataclass as ``cls(*field_values)``.
+
+    By default a dataclass instance pickles its whole ``__dict__``, so
+    a load builds an empty instance, a dict of every field name and
+    value, and then sets the fields one by one. With this decorator a
+    load is one constructor call on a tuple, and ``__post_init__``
+    runs again. Apply it on top of ``@dataclass`` (slotted or not).
+    Every field must be a positional ``__init__`` parameter, so an
+    ``init=False`` or ``kw_only`` field raises ``TypeError``.
+    """
+    names = []
+    for spec_field in fields(cls):
+        if not spec_field.init or spec_field.kw_only:
+            raise TypeError(
+                f"positional_pickle: {cls.__name__}.{spec_field.name} is not "
+                "a positional __init__ parameter"
+            )
+        names.append(spec_field.name)
+    values = attrgetter(*names)
+    single = len(names) == 1
+
+    def __reduce__(self):
+        return cls, (values(self),) if single else values(self)
+
+    __reduce__.__qualname__ = f"{cls.__qualname__}.__reduce__"
+    cls.__reduce__ = __reduce__
+    return cls

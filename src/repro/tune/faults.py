@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..schema import Spec
+from ..schema import Spec, positional_pickle
 from ..workloads.spec import rng_for
 
 #: fixed injection precedence within one epoch: at most one fault
@@ -162,6 +162,7 @@ class StragglerSpec(Spec):
         return issues
 
 
+@positional_pickle
 @dataclass(frozen=True)
 class FaultEvent:
     """One injected fault and what the runner did about it."""

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from ..hpo.algorithms import Observation, SearchAlgorithm, Suggestion
 from ..hpo.space import split_config
+from ..schema import positional_pickle
 from ..simulation.cluster import SimCluster
 from ..simulation.des import Environment, Resource
 from ..workloads.spec import HyperParams, SystemParams, WorkloadSpec
@@ -32,6 +33,7 @@ from .trainer import TrialHooks, run_trial
 from .trial import TrialResult
 
 
+@positional_pickle
 @dataclass
 class TrialFailure:
     """A trial that died (e.g. OOM) instead of finishing."""
@@ -49,7 +51,8 @@ DEFAULT_SYSTEM = SystemParams(cores=8, memory_gb=32.0)
 HooksFactory = Callable[[str, WorkloadSpec, HyperParams, SystemParams], TrialHooks]
 
 
-@dataclass
+@positional_pickle
+@dataclass(slots=True)
 class TimelinePoint:
     """One completed trial on the tuning wall-clock (Figs 9 & 10)."""
 
@@ -105,6 +108,7 @@ class HptJobSpec:
             raise ValueError("max_concurrent must be >= 1")
 
 
+@positional_pickle
 @dataclass
 class HptResult:
     """Outcome of one HPT job."""

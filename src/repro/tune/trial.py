@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..counters.profiler import EpochProfile
+from ..schema import positional_pickle
 from ..workloads.spec import HyperParams, SystemParams, WorkloadSpec
 
 
-@dataclass
+@positional_pickle
+@dataclass(slots=True)
 class EpochRecord:
     """Everything observed during one training epoch."""
 
@@ -29,7 +31,8 @@ class EpochRecord:
     profile: Optional[EpochProfile] = None
 
 
-@dataclass
+@positional_pickle
+@dataclass(slots=True)
 class TrialResult:
     """Outcome of one trial segment (possibly resumed from a checkpoint)."""
 

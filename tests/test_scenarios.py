@@ -625,6 +625,18 @@ HOSTILE_SCENARIO_FIELDS = [
         [{"kind": "v1", "space_overrides": {"batch_size": 64}}],
         "systems[0].space_overrides.batch_size",
     ),
+    # wrong-typed scalars: a type check, never a bare TypeError later
+    ("cluster", {"nodes": "four"}, "cluster.nodes"),
+    ("cluster", {"nodes": True}, "cluster.nodes"),
+    ("cluster", {"nodes": 4.0}, "cluster.nodes"),
+    ("cluster", {"memory_gb_per_node": "32"}, "cluster.memory_gb_per_node"),
+    ("repetitions", "2", "repetitions"),
+    ("tenancy", {"num_jobs": 2.5}, "tenancy.num_jobs"),
+    ("failures", {"oom_threshold": "high"}, "failures.oom_threshold"),
+    ("failures", {"crash": {"rate_per_epoch": False}}, "failures.crash.rate_per_epoch"),
+    ("systems", [{"kind": 5}], "systems[0].kind"),
+    ("systems", [{"kind": "pipetune", "warm_start": 5}], "systems[0].warm_start"),
+    ("workloads", ["lenet-mnist", 5], "workloads[1]"),
 ]
 
 
@@ -651,6 +663,8 @@ class TestWrongShapedSpecs:
             ({"queue": [1]}, "queue"),
             ({"middleware": 5}, "middleware"),
             ({"middleware": [5]}, "middleware[0]"),
+            ({"port": "8080"}, "port"),
+            ({"queue": {"workers": True}}, "queue.workers"),
         ],
     )
     def test_server_config_names_the_path(self, data, path):
@@ -665,6 +679,11 @@ class TestWrongShapedSpecs:
             ([5], "axes[0]"),
             (5, "axes"),
             ([{"path": "cluster.nodes", "values": 2}], "axes[0].values"),
+            ([{"path": 5, "values": [1]}], "axes[0].path"),
+            (
+                [{"path": "cluster.nodes", "values": [1], "labels": [1]}],
+                "axes[0].labels[0]",
+            ),
         ],
     )
     def test_sweep_names_the_path(self, axes, path):
@@ -673,3 +692,33 @@ class TestWrongShapedSpecs:
         data = {"name": "hostile", "scenario": "fig09", "axes": axes}
         with pytest.raises(ValueError, match=rf"^{re.escape(path)}: expected"):
             Sweep.from_dict(data)
+
+    def test_spec_names_a_wrong_typed_field(self):
+        with pytest.raises(ValueError, match=r"^nodes: expected an integer, got str"):
+            ClusterSpec.from_dict({"nodes": "four"})
+        with pytest.raises(ValueError, match=r"^nodes: expected an integer, got bool"):
+            ClusterSpec.from_dict({"nodes": True})
+
+    def test_optional_and_bool_hints_are_checked(self):
+        from dataclasses import dataclass
+        from typing import Optional
+
+        from repro.schema import Malformed, decode
+
+        @dataclass
+        class Probe:
+            count: Optional[int] = None
+            enabled: bool = False
+
+        probe = decode(Probe, {"count": None, "enabled": True}, "probe")
+        assert probe == Probe(None, True)
+        with pytest.raises(Malformed, match=r"^count: expected an integer, got str"):
+            decode(Probe, {"count": "3"}, "probe")
+        with pytest.raises(Malformed, match=r"^enabled: expected a boolean, got int"):
+            decode(Probe, {"enabled": 1}, "probe")
+
+
+def test_an_int_passes_for_a_float_unconverted():
+    spec = ClusterSpec.from_dict({"memory_gb_per_node": 32})
+    assert type(spec.memory_gb_per_node) is int
+    assert repr(spec) == repr(ClusterSpec(memory_gb_per_node=32))

@@ -273,6 +273,7 @@ class TestJobLifecycle:
             ("cluster", 5, "cluster"),
             ("systems", [5], "systems[0]"),
             ("workloads", 5, "workloads"),
+            ("cluster", {"nodes": "four"}, "cluster.nodes"),
         ],
     )
     def test_wrong_shaped_inline_scenario_is_typed_400(self, field, value, path):
