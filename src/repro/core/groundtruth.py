@@ -128,7 +128,8 @@ class GroundTruth:
         labels = np.asarray(model.labels)
         self._cluster_idx = {}
         self._cluster_features = {}
-        for cluster in np.unique(labels):
+        # Not np.unique: its first call imports numpy.ma.
+        for cluster in sorted(set(labels.tolist())):
             idx = np.flatnonzero(labels == cluster)
             self._cluster_idx[int(cluster)] = idx
             self._cluster_features[int(cluster)] = matrix[idx]

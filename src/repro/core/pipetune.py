@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -326,7 +327,6 @@ class PipeTuneSession:
             seed=seed,
         )
         self.stats = PipeTuneStats()
-        self.profiler = EpochProfiler()
         #: per-workload cache of the configuration the session resolved
         #: most recently; used only as the *starting* shape of sibling
         #: trials (profiling + ground truth still run and refine it).
@@ -418,19 +418,28 @@ class PipeTuneSession:
         Table-3 workload under 48 system/batch configurations, twice.
         We reproduce that campaign analytically: profile each
         (workload, batch) point, evaluate the full system grid with the
-        performance model, and store the winning configuration.
+        performance model, and store the winning configuration. The
+        campaign is pure in its inputs, so it runs once per (workload,
+        batch, cluster shape) per process (:func:`offline_campaign`);
+        each session still adds its own entries and fits its own model.
         """
+        # Read now: session_for_cluster trims the grids after construction.
+        shape = (
+            repetitions,
+            self.clip_to_cluster(DEFAULT_SYSTEM),
+            tuple(c for c in self.config.cores_grid if c <= self.max_cores),
+            tuple(m for m in self.config.memory_grid_gb if m <= self.max_memory_gb),
+            self.config.system_objective,
+            self.max_cores,
+        )
         added = 0
         for workload in workloads:
             for batch in batch_sizes:
                 hyper = HyperParams(batch_size=batch)
-                features = self.augment_features(
-                    self._offline_features(workload, hyper, repetitions), hyper
-                )
-                best = self._offline_best_system(workload, hyper, repetitions)
+                features, best = offline_campaign(workload, hyper, *shape)
                 self.ground_truth.add(
                     GroundTruthEntry(
-                        features=features,
+                        features=self.augment_features(features, hyper),
                         best_system=best,
                         workload_name=workload.name,
                         created_at=0.0,
@@ -440,54 +449,63 @@ class PipeTuneSession:
         self.ground_truth.refit()
         return added
 
-    def _offline_features(
-        self, workload: WorkloadSpec, hyper: HyperParams, repetitions: int
-    ) -> np.ndarray:
-        system = self.clip_to_cluster(DEFAULT_SYSTEM)
-        config = TrialConfig(workload, hyper, system)
-        profiles = []
-        for rep in range(max(1, repetitions)):
-            cost = epoch_cost(config, epoch=rep)
-            profiles.append(
-                self.profiler.profile_epoch(
-                    config, rep, cost.total_s, active_cores(config, cost)
-                )
-            )
-        return average_profiles(profiles)
 
-    def _offline_best_system(
-        self, workload: WorkloadSpec, hyper: HyperParams, repetitions: int
-    ) -> SystemParams:
-        controller = ProbingController(
-            initial=self.clip_to_cluster(DEFAULT_SYSTEM),
-            cores_grid=[c for c in self.config.cores_grid if c <= self.max_cores],
-            memory_grid_gb=[
-                m for m in self.config.memory_grid_gb if m <= self.max_memory_gb
-            ],
-            max_probes=10**6,
-            objective=self.config.system_objective,
-        )
-        epoch_index = 0
-        while True:
-            candidate = controller.next_config()
-            if candidate is None:
-                break
-            config = TrialConfig(workload, hyper, candidate)
-            # Energy model mirrors the trainer's attribution; the idle
-            # draw depends only on the candidate, not the repetition.
-            # One batch reads every repetition from one noise fill.
-            idle_draw_w = 60.0 * candidate.cores / self.max_cores
-            first = 1000 + epoch_index * 10
-            costs = epoch_cost_batch(config, range(first, first + max(1, repetitions)))
-            busy = active_cores(config, costs)
-            durations = costs.total_s
-            energies = [(busy * 11.5 + idle_draw_w) * total for total in durations]
-            controller.record(
-                ProbeSample(
-                    system=candidate,
-                    duration_s=float(np.mean(durations)),
-                    energy_j=float(np.mean(energies)),
-                )
+def offline_campaign(
+    workload: WorkloadSpec,
+    hyper: HyperParams,
+    repetitions: int,
+    initial_system: SystemParams,
+    cores_grid: Tuple[int, ...],
+    memory_grid_gb: Tuple[float, ...],
+    system_objective: SystemObjective,
+    max_cores: int,
+) -> Tuple[np.ndarray, SystemParams]:
+    """One (workload, batch) point of the §7.2 offline campaign: the raw
+    profile features at ``initial_system`` (read-only, as sessions share
+    them) and the best system of the grid sweep. Memoized per process on
+    the arguments' reprs, which key the RNG streams it reads: ``24`` and
+    ``24.0`` are equal but key different streams."""
+    args = (workload, hyper, repetitions, initial_system)
+    args += (cores_grid, memory_grid_gb, system_objective, max_cores)
+    return _offline_campaign(repr(args), args)
+
+
+@lru_cache(maxsize=256)
+def _offline_campaign(key: str, args: tuple) -> Tuple[np.ndarray, SystemParams]:
+    workload, hyper, repetitions, initial, cores, memory, objective, max_cores = args
+    profile = EpochProfiler().profile_epoch
+    config = TrialConfig(workload, hyper, initial)
+    profiles = []
+    for rep in range(max(1, repetitions)):
+        cost = epoch_cost(config, epoch=rep)
+        profiles.append(profile(config, rep, cost.total_s, active_cores(config, cost)))
+    features = average_profiles(profiles)
+    features.setflags(write=False)
+    controller = ProbingController(
+        initial=initial,
+        cores_grid=cores,
+        memory_grid_gb=memory,
+        max_probes=10**6,
+        objective=objective,
+    )
+    epoch_index = 0
+    while (candidate := controller.next_config()) is not None:
+        config = TrialConfig(workload, hyper, candidate)
+        # Energy model mirrors the trainer's attribution; the idle
+        # draw depends only on the candidate, not the repetition.
+        # One batch reads every repetition from one noise fill.
+        idle_draw_w = 60.0 * candidate.cores / max_cores
+        first = 1000 + epoch_index * 10
+        costs = epoch_cost_batch(config, range(first, first + max(1, repetitions)))
+        busy = active_cores(config, costs)
+        durations = costs.total_s
+        energies = [(busy * 11.5 + idle_draw_w) * total for total in durations]
+        controller.record(
+            ProbeSample(
+                system=candidate,
+                duration_s=float(np.mean(durations)),
+                energy_j=float(np.mean(energies)),
             )
-            epoch_index += 1
-        return controller.best_system()
+        )
+        epoch_index += 1
+    return features, controller.best_system()

@@ -14,9 +14,9 @@ draws  = stream.normal(0.0, sigma, size=n)   # the whole trial at once
 ```
 
 and consumers read it back: a scalar ``value(epoch)``, or one
-``prefix(n)`` of Python floats per trial segment, which the epoch loop
-then only indexes. Two properties make this exact rather than
-approximate:
+``prefix(n)`` or ``window(i, j)`` of Python floats per trial segment,
+which the epoch loop then only indexes. Two properties make this
+exact rather than approximate:
 
 * numpy Generators fill batched draws sequentially, so
   ``normal(size=n)`` is bit-identical to ``n`` scalar ``normal()``
@@ -120,6 +120,12 @@ class NoiseBlock(_DrawAhead):
         if count < 0:
             raise ValueError("noise prefix length must be >= 0")
         return self._ensure(count)[:count].tolist()
+
+    def window(self, start: int, stop: int) -> List[float]:
+        """``prefix(stop)[start:]``, converting only those draws to floats."""
+        if not 0 <= start <= stop:
+            raise ValueError("noise window needs 0 <= start <= stop")
+        return self._ensure(stop)[start:stop].tolist()
 
 
 class NoiseMatrix(_DrawAhead):

@@ -67,7 +67,7 @@ class EpochCostBatch:
     The compute/sync/memory terms depend only on (workload, hyper,
     system, contention), so they are scalars shared by every epoch;
     ``total_s`` carries the per-epoch totals as Python floats — the
-    shared base times the epoch's noise factor, read from one prefix
+    shared base times the epoch's noise factor, read from one window
     of the trial's :class:`~repro.workloads.noise.NoiseBlock`. Element
     ``i`` is bit-identical to ``epoch_cost(config, epochs[i],
     ...).total_s``: both read the same block position and apply the
@@ -224,7 +224,7 @@ def epoch_cost_batch(
     """Simulated cost of many epochs of one trial, in one pass.
 
     Computes the epoch-invariant terms once, reads the epoch noise as
-    one prefix of the trial's noise block, and builds the totals as
+    one window of the trial's noise block, and builds the totals as
     Python floats in one list comprehension with the same float ops,
     in the same order, as :func:`epoch_cost`: ``total_s[i]`` is
     bit-identical to ``epoch_cost(config, epochs[i], contention,
@@ -242,10 +242,9 @@ def epoch_cost_batch(
     )
     epochs = list(epochs)
     if noisy and epochs:
-        if min(epochs) < 0:
-            raise ValueError("noise index must be >= 0")
-        noise = _epoch_noise_block(w, hp, sp).prefix(max(epochs) + 1)
-        totals = [base * max(0.5, 1.0 + noise[e]) for e in epochs]
+        first = min(epochs)  # window() rejects a negative first epoch
+        noise = _epoch_noise_block(w, hp, sp).window(first, max(epochs) + 1)
+        totals = [base * max(0.5, 1.0 + noise[e - first]) for e in epochs]
     else:
         totals = [base] * len(epochs)
     return EpochCostBatch(

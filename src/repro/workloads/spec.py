@@ -40,6 +40,7 @@ def _cache_repr(cls):
     construction a measurable share of simulated-epoch cost. The
     instances are immutable, so the exact generated string (same bytes,
     hence same digests and random streams) is computed once and cached.
+    Pickles leave the memo out; old pickles that carry it still load.
     """
     generated = cls.__repr__
 
@@ -50,8 +51,12 @@ def _cache_repr(cls):
             object.__setattr__(self, "_cached_repr", cached)
         return cached
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_cached_repr"}
+
     __repr__.__qualname__ = f"{cls.__qualname__}.__repr__"
     cls.__repr__ = __repr__
+    cls.__getstate__ = __getstate__
     return cls
 
 

@@ -1,5 +1,9 @@
 """Tests for the ground-truth profile database and similarity lookup."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,6 +43,31 @@ class TestEntries:
     def test_min_entries_validation(self):
         with pytest.raises(ValueError):
             GroundTruth(k=3, min_entries=2)
+
+    def test_refit_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, which a cold
+        # run would pay for; refit groups its labels without it.
+        code = """
+import sys
+import numpy as np
+from repro.core.groundtruth import GroundTruth, GroundTruthEntry
+from repro.workloads.spec import SystemParams
+gt = GroundTruth(k=2, min_entries=4)
+for center in (0.0, 0.0, 5.0, 5.0):
+    gt.add(GroundTruthEntry(np.full(4, center), SystemParams(4, 8.0)))
+gt.refit()
+assert sorted(gt._cluster_idx) == [0, 1], gt._cluster_idx
+print("numpy.ma" in sys.modules)
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestQueries:

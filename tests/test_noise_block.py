@@ -97,12 +97,28 @@ class TestNoiseBlock:
         assert prefix == [block.value(i) for i in range(40)]
         assert block.prefix(0) == []
 
+    def test_window_matches_prefix(self):
+        block = noise_block(0.1, "window-test")
+        prefix = block.prefix(1002)
+        for start, stop in ((0, 0), (0, 5), (3, 40), (1000, 1002), (7, 7)):
+            window = block.window(start, stop)
+            assert all(type(draw) is float for draw in window)
+            assert window == prefix[start:stop]
+        # A fresh block reaching past its first fill agrees too.
+        assert noise_block(0.1, "window-fresh").window(1000, 1002) == (
+            noise_block(0.1, "window-fresh").prefix(1002)[1000:]
+        )
+
     def test_negative_index_rejected(self):
         block = noise_block(0.1, "negative-test")
         with pytest.raises(ValueError):
             block.value(-1)
         with pytest.raises(ValueError):
             block.prefix(-1)
+        with pytest.raises(ValueError):
+            block.window(-1, 2)
+        with pytest.raises(ValueError):
+            block.window(3, 2)
 
     @pytest.mark.parametrize(
         "make, first, second",

@@ -28,7 +28,7 @@ from repro.tune.trial import EpochRecord, TrialResult
 from repro.workloads.spec import HyperParams, SystemParams, WorkloadSpec
 
 #: frozen spec values inside the records, not records: they keep the
-#: default dict state, which also carries their memoized repr. Loading
+#: default dict state, minus their memoized repr. Loading
 #: them positionally re-runs their validating ``__init__`` per
 #: instance, and it measured no faster on the sweep warm pass.
 DICT_STATE = {HyperParams, SystemParams, WorkloadSpec}

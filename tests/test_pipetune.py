@@ -1,8 +1,11 @@
 """Tests for the PipeTune session, hooks pipeline and ablations."""
 
+import numpy as np
 import pytest
 
+from repro.core import pipetune
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
+from repro.counters.profiler import EpochProfiler
 from repro.scenarios import (
     execute_job,
     make_pipetune_session,
@@ -13,6 +16,7 @@ from repro.hpo.algorithms import RandomSearch
 from repro.hpo.space import Choice, SearchSpace
 from repro.simulation.cluster import paper_distributed_cluster
 from repro.simulation.des import Environment
+from repro.tune.objectives import runtime_system_objective
 from repro.tune.runner import run_hpt_job
 from repro.workloads.registry import (
     CNN_NEWS20,
@@ -20,7 +24,7 @@ from repro.workloads.registry import (
     LENET_MNIST,
     type12_workloads,
 )
-from repro.workloads.spec import SystemParams
+from repro.workloads.spec import HyperParams, SystemParams
 
 
 def small_space(epochs=8):
@@ -65,6 +69,72 @@ class TestWarmStart:
         session.warm_start([LENET_MNIST])
         for entry in session.ground_truth.entries:
             assert entry.best_system.memory_gb >= 8.0  # working set > 4 GB
+
+
+class TestCampaignMemo:
+    """The §7.2 campaign runs once per (workload, batch, cluster shape)."""
+
+    @staticmethod
+    def snapshot(session):
+        return [
+            (e.features.tobytes(), e.best_system, e.workload_name)
+            for e in session.ground_truth.entries
+        ]
+
+    def test_hit_equals_miss(self):
+        pipetune._offline_campaign.cache_clear()
+        missed = make_pipetune_session()
+        missed.warm_start(type12_workloads())
+        hit = make_pipetune_session()
+        hit.warm_start(type12_workloads())
+        assert pipetune._offline_campaign.cache_info().hits == 16
+        pipetune._offline_campaign.cache_clear()
+        fresh = make_pipetune_session()
+        fresh.warm_start(type12_workloads())
+        assert self.snapshot(hit) == self.snapshot(missed) == self.snapshot(fresh)
+
+    def test_stored_features_are_read_only(self):
+        session = make_pipetune_session()
+        session.warm_start([LENET_MNIST])
+        with pytest.raises(ValueError):
+            session.ground_truth.entries[0].features[0] = 0.0
+
+    def test_cluster_shape_is_part_of_the_key(self):
+        pipetune._offline_campaign.cache_clear()
+        make_pipetune_session(distributed=True).warm_start([LENET_MNIST])
+        make_pipetune_session(distributed=False).warm_start([LENET_MNIST])
+        assert pipetune._offline_campaign.cache_info().misses == 8
+        session = make_pipetune_session()
+        session.config.cores_grid = (4, 8)
+        session.warm_start([LENET_MNIST])
+        assert pipetune._offline_campaign.cache_info().misses == 12
+
+    def test_int_and_float_values_do_not_share_a_point(self):
+        # 24 == 24.0, but the two key different RNG streams.
+        args = (LENET_MNIST, HyperParams(batch_size=64), 2)
+        grids = ((4, 8), (8.0, 16.0), runtime_system_objective, 8)
+        as_float = pipetune.offline_campaign(
+            *args, SystemParams(cores=8, memory_gb=24.0), *grids
+        )
+        as_int = pipetune.offline_campaign(
+            *args, SystemParams(cores=8, memory_gb=24), *grids
+        )
+        assert not np.array_equal(as_float[0], as_int[0])
+
+    def test_sessions_share_one_campaign(self, monkeypatch):
+        calls = []
+        profile_epoch = EpochProfiler.profile_epoch
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[1])
+            return profile_epoch(self, *args, **kwargs)
+
+        monkeypatch.setattr(EpochProfiler, "profile_epoch", counted)
+        pipetune._offline_campaign.cache_clear()
+        make_pipetune_session(seed=0).warm_start(type12_workloads())
+        assert len(calls) == 16 * 2  # 16 points x 2 repetitions
+        make_pipetune_session(seed=1).warm_start(type12_workloads())
+        assert len(calls) == 16 * 2
 
 
 class TestColdStart:

@@ -1,6 +1,7 @@
 """Tests for workload specs, the performance model and learning curves."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,46 @@ class TestParams:
         grid = paper_system_grid()
         assert len(grid) == 12  # 3 cores x 4 memory
         assert len(set(grid)) == 12
+
+
+SPECS = [
+    HyperParams(batch_size=64, dropout=0.1),
+    SystemParams(cores=8, memory_gb=24),
+    LENET_MNIST,
+]
+
+
+class TestSpecPickle:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    def test_pickle_leaves_the_repr_memo_out(self, spec):
+        before = pickle.dumps(spec)
+        repr(spec)
+        assert "_cached_repr" in vars(spec)
+        after = pickle.dumps(spec)
+        assert b"_cached_repr" not in after
+        assert after == before
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    def test_round_trip_keeps_repr_eq_and_hash(self, spec):
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert "_cached_repr" not in vars(loaded)
+        assert repr(loaded) == repr(spec)
+        assert loaded == spec
+        assert hash(loaded) == hash(spec)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+    def test_pickle_carrying_the_memo_loads(self, spec, monkeypatch):
+        # Without __getstate__, specs pickle their memo as they used to.
+        repr(spec)
+        monkeypatch.delattr(type(spec), "__getstate__")
+        data = pickle.dumps(spec)
+        monkeypatch.undo()
+        assert b"_cached_repr" in data
+        loaded = pickle.loads(data)
+        assert type(loaded) is type(spec)
+        assert repr(loaded) == repr(spec)
+        assert loaded == spec
+        assert hash(loaded) == hash(spec)
 
 
 class TestRegistry:
