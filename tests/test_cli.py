@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: ``repro tune <workload> --system <system> --json`` data objects at
+#: seed 0. A change that alters a tuning result on purpose rewrites
+#: them with ``REPRO_UPDATE_PINS=1 python -m pytest tests/test_cli.py``.
+TUNE_PINS = os.path.join(os.path.dirname(__file__), "data", "tune_views.json")
 
 
 class TestParser:
@@ -101,6 +107,33 @@ class TestCommands:
     def test_tune_unknown_workload(self, capsys):
         assert main(["tune", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
+
+
+class TestTuneViews:
+    """One Type-I and one Type-III workload under every system."""
+
+    @pytest.mark.parametrize("system", ["v1", "v2", "pipetune"])
+    @pytest.mark.parametrize("workload", ["lenet-mnist", "bfs-rodinia"])
+    def test_tune_json_data_is_pinned(self, workload, system, capsys):
+        argv = ["tune", workload, "--system", system, "--seed", "0", "--json"]
+        assert main(argv) == 0
+        observed = json.loads(capsys.readouterr().out)["data"]
+        key = f"{workload}/{system}"
+        pins = {}
+        if os.path.exists(TUNE_PINS):
+            with open(TUNE_PINS, encoding="utf-8") as handle:
+                pins = json.load(handle)
+        if os.environ.get("REPRO_UPDATE_PINS"):
+            pins[key] = observed
+            with open(TUNE_PINS, "w", encoding="utf-8") as handle:
+                json.dump(pins, handle, indent=1, sort_keys=True)
+                handle.write("\n")
+            return
+        assert key in pins, f"no pinned view {key!r}; see TUNE_PINS"
+        expected = pins[key]
+        assert observed.keys() == expected.keys()
+        for field in expected:
+            assert observed[field] == expected[field], f"{key}: {field} differs"
 
 
 class TestScenarioCommands:
