@@ -12,24 +12,29 @@ mechanism disabled and reports the cost of losing it:
 from repro.core.pipetune import PipeTuneConfig
 from repro.core.probing import ProbeSample, ProbingController
 from repro.scenarios import (
+    Scenario,
+    build_job_spec,
     execute_job,
-    make_pipetune_session,
-    make_pipetune_spec,
+    pipetune,
+    session_for_cluster,
 )
-from repro.simulation.cluster import paper_distributed_cluster
 from repro.simulation.des import Environment
 from repro.tune.objectives import energy_system_objective
 from repro.tune.trainer import run_trial
 from repro.workloads.registry import LENET_MNIST, type12_workloads
 from repro.workloads.spec import HyperParams, SystemParams, paper_system_grid
 
+#: PipeTune on LeNet/MNIST on the paper's 4-node testbed.
+SCENARIO = Scenario(name="ablation", workloads=("lenet-mnist",), systems=(pipetune(),))
+
 
 def pipetune_tuning_time(config=None, warm=True, seed=0):
-    session = make_pipetune_session(config=config, seed=seed)
+    session = session_for_cluster(SCENARIO.cluster, config=config, seed=seed)
     if warm:
         session.warm_start(type12_workloads())
-    result = execute_job(make_pipetune_spec(session, LENET_MNIST, seed=seed))
-    return result, session
+    (policy,) = SCENARIO.systems
+    spec = build_job_spec(SCENARIO, policy, LENET_MNIST, seed, session=session)
+    return execute_job(spec, SCENARIO.cluster), session
 
 
 def test_ablation_ground_truth(benchmark):
@@ -82,7 +87,7 @@ def test_ablation_epoch_vs_whole_trial_probing(benchmark):
 
     def offline_probe_cost():
         env = Environment()
-        cluster = paper_distributed_cluster(env)
+        cluster = SCENARIO.cluster.build(env)
         hyper = HyperParams(batch_size=64, epochs=2)
         processes = []
         for i, system in enumerate(paper_system_grid()):

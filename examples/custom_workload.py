@@ -24,8 +24,8 @@ from repro import (
     RandomSearch,
     WorkloadSpec,
 )
-from repro.scenarios import execute_job, make_pipetune_session
 from repro.hpo.space import Choice, LogUniform, SearchSpace, Uniform
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER, execute_job, session_for_cluster
 
 RESNET_CIFAR = WorkloadSpec(
     name="resnet-cifar",
@@ -60,7 +60,7 @@ SPACE = SearchSpace(
 
 
 def main(seed: int = 0) -> None:
-    session = make_pipetune_session(distributed=True, seed=seed)
+    session = session_for_cluster(PAPER_DISTRIBUTED_CLUSTER, seed=seed)
     # Cold start: the first algorithm's trials probe and seed ground
     # truth; later algorithms reuse it.
     algorithms = {
@@ -74,10 +74,8 @@ def main(seed: int = 0) -> None:
     print(header)
     print("-" * len(header))
     for name, factory in algorithms.items():
-        spec = session.job_spec(
-            RESNET_CIFAR, algorithm_factory=factory, seed=seed, name=name
-        )
-        result = execute_job(spec)
+        spec = session.job_spec(RESNET_CIFAR, factory, name=name)
+        result = execute_job(spec, PAPER_DISTRIBUTED_CLUSTER)
         print(
             f"{name:<10} {100 * result.best_accuracy:>8.2f}% "
             f"{result.tuning_time_s:>10.0f} {result.num_trials:>7d}"

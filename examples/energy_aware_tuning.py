@@ -17,24 +17,30 @@ import sys
 
 from repro import LENET_FASHION, type12_workloads
 from repro.core import PipeTuneConfig
-from repro.scenarios import (
-    fresh_cluster,
-    make_pipetune_session,
-    make_pipetune_spec,
-)
-from repro.simulation import EnergyMeter, PduSampler
+from repro.scenarios import Scenario, build_job_spec, pipetune, session_for_cluster
+from repro.simulation import EnergyMeter, Environment, PduSampler
 from repro.tune import run_hpt_job
 from repro.tune.objectives import energy_system_objective, runtime_system_objective
+
+#: one PipeTune job on LeNet/Fashion on the paper's 4-node testbed.
+SCENARIO = (
+    Scenario.builder("energy-aware-tuning")
+    .workloads(LENET_FASHION.name)
+    .compare(pipetune())
+    .build()
+)
 
 
 def run_variant(objective, label: str, seed: int):
     config = PipeTuneConfig(system_objective=objective)
-    session = make_pipetune_session(distributed=True, config=config, seed=seed)
+    session = session_for_cluster(SCENARIO.cluster, config=config, seed=seed)
     session.warm_start(type12_workloads())
-    env, cluster = fresh_cluster(distributed=True)
+    env = Environment()
+    cluster = SCENARIO.cluster.build(env)
     meter = EnergyMeter(env, cluster)
     pdu = PduSampler(env, cluster, period=5.0, precision=0.015, seed=seed)
-    spec = make_pipetune_spec(session, LENET_FASHION, seed=seed)
+    (policy,) = SCENARIO.systems
+    spec = build_job_spec(SCENARIO, policy, LENET_FASHION, seed, session=session)
     job = run_hpt_job(env, cluster, spec)
     env.process(pdu.process())
     job.add_callback(lambda _event: pdu.stop())  # stop sampling with the job

@@ -14,22 +14,38 @@ Usage::
 
 import sys
 
-from repro import CNN_NEWS20, LSTM_NEWS20, PipeTuneConfig
+from repro import CNN_NEWS20, LSTM_NEWS20
 from repro.scenarios import (
+    Scenario,
+    build_job_spec,
     execute_job,
-    make_pipetune_session,
-    make_pipetune_spec,
+    pipetune,
+    session_for_cluster,
+)
+
+#: both News20 models under PipeTune on the paper's 4-node testbed.
+SCENARIO = (
+    Scenario.builder("nlp-text-classification")
+    .workloads(CNN_NEWS20.name, LSTM_NEWS20.name)
+    .compare(pipetune())
+    .build()
 )
 
 
 def main(seed: int = 0) -> None:
     # Cold session: no warm start. The first job must probe; the
     # second job reuses the first job's stored profiles.
-    session = make_pipetune_session(distributed=True, seed=seed)
+    cluster = SCENARIO.cluster
+    session = session_for_cluster(cluster, seed=seed)
     session.config.min_entries = 4
+    (policy,) = SCENARIO.systems
+
+    def run(workload):
+        spec = build_job_spec(SCENARIO, policy, workload, seed, session=session)
+        return execute_job(spec, cluster)
 
     print("Job 1: CNN on News20 (cold ground truth, probing expected)")
-    cnn = execute_job(make_pipetune_spec(session, CNN_NEWS20, seed=seed))
+    cnn = run(CNN_NEWS20)
     print(
         f"  accuracy {100 * cnn.best_accuracy:.2f}%  "
         f"tuning {cnn.tuning_time_s:.0f}s  "
@@ -38,7 +54,7 @@ def main(seed: int = 0) -> None:
 
     print("\nJob 2: LSTM on News20 (warm ground truth, hits expected)")
     hits_before = session.stats.ground_truth_hits
-    lstm = execute_job(make_pipetune_spec(session, LSTM_NEWS20, seed=seed))
+    lstm = run(LSTM_NEWS20)
     print(
         f"  accuracy {100 * lstm.best_accuracy:.2f}%  "
         f"tuning {lstm.tuning_time_s:.0f}s  "

@@ -14,20 +14,30 @@ Usage::
 
 import sys
 
-from repro import CNN_NEWS20, Environment, paper_distributed_cluster, run_hpt_job
-from repro.scenarios import make_v2_spec
+from repro import CNN_NEWS20, Environment, run_hpt_job
 from repro.report import bar_chart, comparison_summary, convergence_chart
+from repro.scenarios import Scenario, build_job_spec, tune_v2
 from repro.telemetry import MetricsRecorder
+
+#: Tune V2 on CNN/News20 on the paper's 4-node testbed, where
+#: memory-starved trials die with OOM.
+SCENARIO = (
+    Scenario.builder("observability-and-failures")
+    .workloads(CNN_NEWS20.name)
+    .compare(tune_v2())
+    .inject_oom(threshold=1.8)
+    .build()
+)
 
 
 def main(seed: int = 0) -> None:
     env = Environment()
-    cluster = paper_distributed_cluster(env)
+    cluster = SCENARIO.cluster.build(env)
     recorder = MetricsRecorder(env, cluster)
 
-    spec = make_v2_spec(CNN_NEWS20, seed=seed)
+    (policy,) = SCENARIO.systems
+    spec = build_job_spec(SCENARIO, policy, CNN_NEWS20, seed)
     spec.hooks_wrapper = recorder.wrap_hooks      # telemetry for every trial
-    spec.oom_threshold = 1.8                      # starved trials now die
 
     job = run_hpt_job(env, cluster, spec)
     env.run()

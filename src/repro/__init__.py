@@ -5,20 +5,21 @@ inside the epochs of each *hyperparameter*-tuning trial, reusing
 performance-counter profiles of past jobs to skip probing for similar
 workloads.
 
-Quick start::
+Quick start — one PipeTune job on the paper's 4-node testbed (the
+default cluster), warm-started from the Type-I/II campaign::
 
-    from repro import (
-        PipeTuneSession, Environment, paper_distributed_cluster,
-        run_hpt_job, LENET_MNIST, type12_workloads,
+    from repro import Scenario, ScenarioRunner
+    from repro.scenarios import pipetune
+
+    scenario = (
+        Scenario.builder("quick-start")
+        .workloads("lenet-mnist")
+        .compare(pipetune())
+        .build()
     )
-
-    session = PipeTuneSession()
-    session.warm_start(type12_workloads())
-    env = Environment()
-    cluster = paper_distributed_cluster(env)
-    job = run_hpt_job(env, cluster, session.job_spec(LENET_MNIST))
-    env.run()
-    print(job.value.best_hyper, job.value.best_system)
+    runner = ScenarioRunner(scenario)
+    (result,) = runner.execute(runner.plan(seed=0))
+    print(result.best_hyper, result.best_system)
 
 Package map (README.md, "Layout", has the full inventory):
 
@@ -72,8 +73,6 @@ from .simulation import (
     Environment,
     PduSampler,
     SimCluster,
-    paper_distributed_cluster,
-    paper_single_node,
 )
 from .tsdb import Point, TimeSeriesStore
 from .tune import (
@@ -146,9 +145,7 @@ __all__ = [
     "accuracy_per_time_objective",
     "get_workload",
     "joint_space",
-    "paper_distributed_cluster",
     "paper_hyper_space",
-    "paper_single_node",
     "paper_system_space",
     "run_hpt_job",
     "run_scenario",

@@ -48,23 +48,24 @@ from .scenarios import (
     SCENARIO_REGISTRY,
     SWEEP_REGISTRY,
     CacheStats,
+    ChainExecutor,
     NoSweepRuns,
+    Scenario,
     ScenarioError,
+    ScenarioRunner,
     StepExecutionError,
     SweepError,
     SweepRunStore,
     backend_for,
     compare_sweep_runs,
-    execute_job,
     get_definition,
     get_sweep,
-    make_pipetune_session,
-    make_pipetune_spec,
-    make_v1_spec,
-    make_v2_spec,
+    pipetune,
     resolve_cache_dir,
     run_reports,
     run_sweep,
+    tune_v1,
+    tune_v2,
 )
 from .scenarios.views import (
     failure_view,
@@ -74,7 +75,7 @@ from .scenarios.views import (
     sweep_summary,
 )
 from .service.envelope import error_envelope, ok_envelope
-from .workloads.registry import ALL_WORKLOADS, get_workload, type12_workloads
+from .workloads.registry import ALL_WORKLOADS, get_workload
 
 
 def _print_envelope(payload) -> None:
@@ -126,25 +127,25 @@ def _cache_opts(args):
 # ---------------------------------------------------------------------------
 
 
+#: the policy each ``repro tune --system`` choice names.
+_TUNE_POLICIES = {"pipetune": pipetune, "v1": tune_v1, "v2": tune_v2}
+
+
 def _cmd_tune(args) -> int:
     try:
         workload = get_workload(args.workload)
     except KeyError as error:
         return _fail(args, "UnknownWorkload", str(error.args[0]))
-    distributed = workload.workload_type != "III"
-    if args.system == "pipetune":
-        session = make_pipetune_session(distributed=distributed, seed=args.seed)
-        session.warm_start(
-            type12_workloads() if distributed else [workload]
-        )
-        spec = make_pipetune_spec(session, workload, seed=args.seed)
-    elif args.system == "v1":
-        spec = make_v1_spec(workload, seed=args.seed)
-    elif args.system == "v2":
-        spec = make_v2_spec(workload, seed=args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        return 2
-    result = execute_job(spec, distributed=distributed)
+    # one cell on the paper testbed for the workload's type
+    scenario = (
+        Scenario.builder(f"tune-{workload.name}")
+        .paper_cluster(distributed=workload.workload_type != "III")
+        .workloads(workload.name)
+        .compare(_TUNE_POLICIES[args.system]())
+        .build()
+    )
+    (step,) = ScenarioRunner(scenario).plan(seed=args.seed).steps
+    result = ChainExecutor(scenario, scale=1.0, seed=args.seed).run_step(step)
     if args.json:
         return _emit_ok(
             {
@@ -692,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help=f"one of: {', '.join(w.name for w in ALL_WORKLOADS)}"
     )
     tune.add_argument(
-        "--system", choices=("pipetune", "v1", "v2"), default="pipetune"
+        "--system", choices=tuple(_TUNE_POLICIES), default="pipetune"
     )
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--json", action="store_true", help="structured output")

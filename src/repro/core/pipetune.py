@@ -34,8 +34,6 @@ import numpy as np
 
 from ..counters.profiler import EpochProfiler, average_profiles
 from ..hpo.algorithms import SearchAlgorithm
-from ..hpo.hyperband import HyperBand
-from ..hpo.space import paper_hyper_space
 from ..tune.objectives import accuracy_objective, runtime_system_objective
 from ..tune.runner import DEFAULT_SYSTEM, HptJobSpec
 from ..tune.trainer import TrialContext, TrialHooks
@@ -378,22 +376,16 @@ class PipeTuneSession:
     def job_spec(
         self,
         workload: WorkloadSpec,
-        algorithm_factory: Optional[Callable[[], SearchAlgorithm]] = None,
+        algorithm_factory: Callable[[], SearchAlgorithm],
         default_system: SystemParams = DEFAULT_SYSTEM,
-        seed: int = 0,
         name: str = "",
         **kwargs,
     ) -> HptJobSpec:
         """An :class:`HptJobSpec` running this session's pipeline.
 
-        The hyperparameter level mirrors Tune V1: HyperBand scheduler,
-        accuracy objective.
+        The hyperparameter level mirrors Tune V1: ``algorithm_factory``
+        searches the hyperparameters under the accuracy objective.
         """
-        if algorithm_factory is None:
-            space = paper_hyper_space(nlp=workload.uses_embedding)
-            algorithm_factory = lambda: HyperBand(  # noqa: E731
-                space, max_epochs=9, eta=3, seed=seed
-            )
         return HptJobSpec(
             workload=workload,
             algorithm_factory=algorithm_factory,

@@ -77,10 +77,16 @@ class CounterReading:
 
     @property
     def final_count(self) -> float:
-        """Kernel rescaling: ``raw * enabled / running`` (perf wiki)."""
+        """Kernel rescaling: ``raw * enabled / running`` (perf wiki).
+
+        The quotient is taken first: ``enabled / running`` rounds to at
+        least 1.0 whenever ``running <= enabled``, so the estimate never
+        falls below the observed count (``(raw * enabled) / running``
+        can round one ulp under ``raw``).
+        """
         if self.time_running <= 0:
             return 0.0
-        return self.raw_count * self.time_enabled / self.time_running
+        return self.raw_count * (self.time_enabled / self.time_running)
 
 
 def _modifier_vector(config: TrialConfig) -> np.ndarray:
@@ -214,8 +220,8 @@ class Pmu:
         raw, running = self._observe(config, spans, busy_cores, first_row, noisy)
         observed = running > 0.0
         # Same operand order as CounterReading.final_count
-        # ((raw * enabled) / running) so results stay bit-identical.
-        final = raw * spans[:, None] / np.where(observed, running, 1.0)
+        # (raw * (enabled / running)) so results stay bit-identical.
+        final = raw * (spans[:, None] / np.where(observed, running, 1.0))
         final[~observed] = 0.0
         return final
 

@@ -24,22 +24,6 @@ Quick start::
     print(table.format_table())
 """
 
-from .jobs import (
-    HYPERBAND_ETA,
-    HYPERBAND_MAX_EPOCHS,
-    TRIAL_INIT_S,
-    V2_SAMPLE_SCALE,
-    V2_TRIAL_SETUP_S,
-    execute_job,
-    fresh_cluster,
-    make_pipetune_session,
-    make_pipetune_spec,
-    make_v1_spec,
-    make_v2_spec,
-    mean,
-    seeds_for,
-    session_for_cluster,
-)
 from .registry import (
     SCENARIO_REGISTRY,
     ScenarioDefinition,
@@ -58,7 +42,9 @@ from .runner import (
     TraceStep,
     apply_space_overrides,
     build_job_spec,
+    mean,
     metrics_by_system_collector,
+    seeds_for,
     shared_tenancy_collector,
 )
 from .backends import (
@@ -66,6 +52,8 @@ from .backends import (
     ProcessPoolBackend,
     SerialBackend,
     backend_for,
+    execute_job,
+    session_for_cluster,
 )
 from .cache import (
     CODE_VERSION,
@@ -95,6 +83,9 @@ from .spec import (
     OBJECTIVES,
     PAPER_DISTRIBUTED_CLUSTER,
     PAPER_SINGLE_NODE,
+    TRIAL_INIT_S,
+    V2_SAMPLE_SCALE,
+    V2_TRIAL_SETUP_S,
     AlgorithmSpec,
     ClusterSpec,
     FailureSpec,
@@ -144,8 +135,6 @@ __all__ = [
     "ExperimentResult",
     "FailureSpec",
     "FixedTrialStep",
-    "HYPERBAND_ETA",
-    "HYPERBAND_MAX_EPOCHS",
     "JobStep",
     "NoSweepRuns",
     "OBJECTIVES",
@@ -187,16 +176,11 @@ __all__ = [
     "execute_job",
     "failure_view",
     "fixed_trial",
-    "fresh_cluster",
     "get_definition",
     "get_sweep",
     "hostile",
     "is_failure",
     "jsonify",
-    "make_pipetune_session",
-    "make_pipetune_spec",
-    "make_v1_spec",
-    "make_v2_spec",
     "mean",
     "merge_outcomes",
     "run_reports",

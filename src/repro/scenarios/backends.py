@@ -25,7 +25,11 @@ committed golden traces for all 15 exhibits.
 
 Step execution itself lives in :class:`ChainExecutor` — the single
 implementation both backends drive; its inputs are plain picklable
-declarations. :func:`backend_for` builds every backend.
+declarations. It runs every HPT job through :func:`execute_job` (one
+spec on a freshly built :class:`~repro.scenarios.spec.ClusterSpec`)
+and sizes PipeTune sessions with :func:`session_for_cluster`; code
+that needs a custom workload, space or ``PipeTuneConfig`` uses the
+same two. :func:`backend_for` builds every backend.
 
 Whether a failure is contained is a setting, not a second backend. A
 step that raises is wrapped in :class:`~repro.scenarios.containment.
@@ -47,16 +51,16 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..core.pipetune import PipeTuneConfig, PipeTuneSession
 from ..multitenancy.arrivals import generate_arrivals
 from ..multitenancy.scheduler import MultiTenancyResult, run_multi_tenancy
 from ..simulation.des import Environment
 from ..tune.runner import HptJobSpec, HptResult, run_hpt_job
 from ..tune.trainer import run_trial
 from ..workloads.registry import get_workload, type12_workloads, workloads_of_type
-from ..workloads.spec import WorkloadSpec
+from ..workloads.spec import PAPER_CORE_GRID, PAPER_MEMORY_GRID_GB, WorkloadSpec
 from .containment import ChainFailure, StepExecutionError, format_traceback
 from .cache import CachingBackend, OutcomeCache
-from .jobs import session_for_cluster
 from .planner import ExecutionChain
 from .runner import (
     AnalysisStep,
@@ -67,10 +71,46 @@ from .runner import (
     TraceStep,
     build_job_spec,
 )
-from .spec import Scenario, SystemPolicySpec
+from .spec import ClusterSpec, Scenario, SystemPolicySpec
 
 #: one chain of one plan — what every backend's ``run_chains`` takes.
 Task = Tuple[ScenarioPlan, ExecutionChain]
+
+
+def session_for_cluster(
+    cluster: ClusterSpec,
+    config: Optional[PipeTuneConfig] = None,
+    seed: int = 0,
+) -> PipeTuneSession:
+    """A PipeTune session sized for ``cluster``'s nodes.
+
+    Per-trial system limits are the node's cores and (at most) the
+    paper's 32 GB memory cap. Without an explicit ``config`` the
+    probing grids are trimmed to what the node can host: the paper's
+    single 8-core/24 GB node probes cores (4, 8) and memory
+    (4, 8, 16) GB.
+    """
+    max_cores = cluster.cores_per_node
+    max_memory_gb = min(32.0, cluster.memory_gb_per_node)
+    session = PipeTuneSession(
+        config=config, max_cores=max_cores, max_memory_gb=max_memory_gb, seed=seed
+    )
+    if config is None:
+        cores_grid = tuple(c for c in PAPER_CORE_GRID if c <= max_cores)
+        memory_grid = tuple(m for m in PAPER_MEMORY_GRID_GB if m <= max_memory_gb)
+        if cores_grid and cores_grid != tuple(PAPER_CORE_GRID):
+            session.config.cores_grid = cores_grid
+        if memory_grid and memory_grid != tuple(PAPER_MEMORY_GRID_GB):
+            session.config.memory_grid_gb = memory_grid
+    return session
+
+
+def execute_job(spec: HptJobSpec, cluster: ClusterSpec) -> HptResult:
+    """Run one HPT job to completion on a freshly built ``cluster``."""
+    env = Environment()
+    process = run_hpt_job(env, cluster.build(env), spec)
+    env.run()
+    return process.value
 
 
 def _resolve_warm_start(scenario: Scenario, policy: SystemPolicySpec):
@@ -181,13 +221,7 @@ class ChainExecutor:
         return session
 
     def _fresh_session(self, policy: SystemPolicySpec):
-        cluster = self.scenario.cluster
-        session = session_for_cluster(
-            nodes=cluster.nodes,
-            cores_per_node=cluster.cores_per_node,
-            memory_gb_per_node=cluster.memory_gb_per_node,
-            seed=self.seed,
-        )
+        session = session_for_cluster(self.scenario.cluster, seed=self.seed)
         warm = _resolve_warm_start(self.scenario, policy)
         if warm:
             session.warm_start(warm)
@@ -201,11 +235,7 @@ class ChainExecutor:
         spec = build_job_spec(
             self.scenario, step.policy, step.workload, step.seed, session=session
         )
-        env = Environment()
-        cluster = self.scenario.cluster.build(env)
-        process = run_hpt_job(env, cluster, spec)
-        env.run()
-        return process.value
+        return execute_job(spec, self.scenario.cluster)
 
     def _run_fixed_trial(self, step: FixedTrialStep):
         env = Environment()
@@ -425,7 +455,6 @@ class ProcessPoolBackend:
     def __init__(
         self,
         workers: int,
-        start_method: Optional[str] = None,
         chain_timeout_s: Optional[float] = None,
         chain_retries: int = 1,
         stop: Optional[Callable[[], bool]] = None,
@@ -437,7 +466,6 @@ class ProcessPoolBackend:
         if chain_retries < 0:
             raise ValueError("chain_retries must be >= 0")
         self.workers = workers
-        self.start_method = start_method or default_start_method()
         self.chain_timeout_s = chain_timeout_s
         self.chain_retries = chain_retries
         self.stop = stop
@@ -535,7 +563,7 @@ class ProcessPoolBackend:
         if not tasks:
             return []
         pending: List[Pending] = []
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(default_start_method())
         processes = max(1, min(self.workers, len(tasks)))
         executor = futures.ProcessPoolExecutor(
             max_workers=processes, mp_context=context
@@ -608,7 +636,7 @@ class ProcessPoolBackend:
         retried comes back as skipped ``JobCancelled`` outcomes.
         """
         failed: List[Pending] = []
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(default_start_method())
         for position, _, _ in pending:
             if self._stopped():
                 yield position, _cancelled(tasks[position])
@@ -660,7 +688,6 @@ class ProcessPoolBackend:
     def __repr__(self) -> str:
         return (
             f"ProcessPoolBackend(workers={self.workers}, "
-            f"start_method={self.start_method!r}, "
             f"chain_timeout_s={self.chain_timeout_s}, "
             f"chain_retries={self.chain_retries})"
         )

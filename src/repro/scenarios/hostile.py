@@ -21,10 +21,9 @@ from __future__ import annotations
 from typing import List
 
 from .containment import is_failure
-from .jobs import mean
 from .registry import register
 from .result import ExperimentResult
-from .runner import ScenarioPlan, _grouped_jobs, shared_tenancy_collector
+from .runner import ScenarioPlan, _grouped_jobs, mean, shared_tenancy_collector
 from .spec import Scenario, pipetune, tune_v1, tune_v2
 from .sweep import Sweep, SweepAxis, register_sweep
 

@@ -36,7 +36,6 @@ from ..workloads.spec import (
     SystemParams,
     TrialConfig,
 )
-from .jobs import mean
 from .registry import register
 from .result import ExperimentResult
 from .runner import (
@@ -44,6 +43,7 @@ from .runner import (
     ScenarioPlan,
     TraceStep,
     _grouped_jobs,
+    mean,
     metrics_by_system_collector,
 )
 from .spec import Scenario, fixed_trial, pipetune, tune_v1, tune_v2

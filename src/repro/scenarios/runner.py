@@ -22,9 +22,8 @@ into work, in four explicit phases:
   whatever the backend did — into one
   :class:`~repro.scenarios.result.ExperimentResult` table.
 
-Execution reproduces the committed golden traces byte-for-byte: the
-spec builders, spec names and session warm-starts come from
-:mod:`~repro.scenarios.jobs`, and the random streams are
+Execution reproduces the committed golden traces byte-for-byte: every
+job spec comes from :func:`build_job_spec`, and the random streams are
 counter-keyed on spec reprs and trial ids, so they are unchanged
 under any backend and any worker count.
 """
@@ -39,7 +38,6 @@ from ..tune.runner import HptJobSpec
 from ..workloads.registry import get_workload
 from ..workloads.spec import WorkloadSpec
 from .containment import is_failure
-from .jobs import mean, seeds_for
 from .result import ExperimentResult
 from .spec import (
     OBJECTIVES,
@@ -47,6 +45,20 @@ from .spec import (
     ScenarioError,
     SystemPolicySpec,
 )
+
+
+def mean(values: Sequence[float]) -> float:
+    values = list(values)
+    if not values:
+        raise ValueError("mean of empty sequence")
+    return sum(values) / len(values)
+
+
+def seeds_for(scale: float, full: int, minimum: int = 1) -> List[int]:
+    """Seed list shrunk by the experiment's scale factor."""
+    count = max(minimum, int(round(full * scale)))
+    return list(range(count))
+
 
 # ---------------------------------------------------------------------------
 # Plan steps
@@ -202,11 +214,12 @@ def build_job_spec(
 ) -> HptJobSpec:
     """The HptJobSpec one (policy, workload, seed) cell resolves to.
 
-    Byte-compatibility contract: for the paper's hyperband scenarios
-    this constructs exactly the specs of ``make_v1_spec`` /
-    ``make_v2_spec`` / ``make_pipetune_spec`` — same names, spaces,
-    objectives and setup costs — so trial ids and random streams are
-    unchanged.
+    This is the only place a paper job is built. Byte-compatibility
+    contract: the spec's name (``<kind>-<workload>`` unless the policy
+    names it), search space, objective, setup cost and algorithm seed
+    key every trial id and random stream, so changing any of them
+    changes the committed goldens; ``tests/test_harness.py`` pins them
+    for the paper's hyperband scenarios on both testbeds.
     """
     space = _policy_space(policy, workload)
     algorithm = scenario.algorithm
@@ -235,9 +248,7 @@ def build_job_spec(
         kwargs = dict(common)
         if policy.name:
             kwargs["name"] = policy.name
-        return session.job_spec(
-            workload, algorithm_factory=algorithm_factory, seed=seed, **kwargs
-        )
+        return session.job_spec(workload, algorithm_factory, **kwargs)
     return HptJobSpec(
         workload=workload,
         algorithm_factory=algorithm_factory,

@@ -6,8 +6,6 @@ from .cluster import (
     Node,
     NodeSpec,
     SimCluster,
-    paper_distributed_cluster,
-    paper_single_node,
 )
 from .des import (
     AllOf,
@@ -43,6 +41,4 @@ __all__ = [
     "SimCluster",
     "SimulationError",
     "Timeout",
-    "paper_distributed_cluster",
-    "paper_single_node",
 ]

@@ -1,10 +1,14 @@
 """Simulated deep-learning cluster: nodes, allocations, FIFO placement.
 
-Mirrors the paper's testbeds (§7.1.1):
+Mirrors the paper's testbeds (§7.1.1), which are declared as
+:class:`~repro.scenarios.spec.ClusterSpec` values and built with
+``build(env)``:
 
 * the distributed testbed — 4 nodes, 16 usable cores and 64 GiB each —
-  used for Type-I / Type-II workloads, and
-* the single-node testbed (8 cores, 24 GiB) used for Type-III.
+  used for Type-I / Type-II workloads
+  (``PAPER_DISTRIBUTED_CLUSTER``), and
+* the single-node testbed (8 cores, 24 GiB) used for Type-III
+  (``PAPER_SINGLE_NODE``).
 
 An :class:`Allocation` pins a number of cores and GB of memory on one
 node for the lifetime of a training trial; PipeTune resizes it at epoch
@@ -248,22 +252,3 @@ class SimCluster:
         )
         return Allocation(self, node, cores, memory_gb)
 
-
-def paper_distributed_cluster(env: Environment) -> SimCluster:
-    """The 4-node testbed used for Type-I / Type-II experiments (§7.1.1)."""
-    specs = [
-        NodeSpec(name=f"node{i}", cores=16, memory_gb=64.0) for i in range(4)
-    ]
-    return SimCluster(env, specs)
-
-
-def paper_single_node(env: Environment) -> SimCluster:
-    """The single E5-2620 node used for Type-III experiments (§7.1.1)."""
-    return SimCluster(
-        env,
-        [
-            NodeSpec(
-                name="node0", cores=8, memory_gb=24.0, idle_watts=55.0, core_watts=10.0
-            )
-        ],
-    )

@@ -6,7 +6,7 @@ from repro.hpo.algorithms import Observation
 from repro.hpo.asha import Asha
 from repro.hpo.space import Choice, LogUniform, SearchSpace, Uniform
 from repro.tune.runner import HptJobSpec, run_hpt_job
-from repro.simulation.cluster import paper_distributed_cluster
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER
 from repro.simulation.des import Environment
 from repro.workloads.registry import LENET_MNIST
 
@@ -110,7 +110,7 @@ class TestAshaBehaviour:
 
     def test_runs_inside_hpt_job(self):
         env = Environment()
-        cluster = paper_distributed_cluster(env)
+        cluster = PAPER_DISTRIBUTED_CLUSTER.build(env)
         spec = HptJobSpec(
             workload=LENET_MNIST,
             algorithm_factory=lambda: Asha(

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.simulation.cluster import (
-    NodeSpec,
-    SimCluster,
-    paper_distributed_cluster,
-    paper_single_node,
-)
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER, PAPER_SINGLE_NODE
+from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment, SimulationError
 
 
@@ -38,14 +34,14 @@ class TestNodeSpec:
 class TestPaperTestbeds:
     def test_distributed_testbed_shape(self):
         env = Environment()
-        cluster = paper_distributed_cluster(env)
+        cluster = PAPER_DISTRIBUTED_CLUSTER.build(env)
         assert len(cluster.nodes) == 4
         assert cluster.total_cores == 64
         assert cluster.total_memory_gb == 256.0
 
     def test_single_node_testbed_shape(self):
         env = Environment()
-        cluster = paper_single_node(env)
+        cluster = PAPER_SINGLE_NODE.build(env)
         assert len(cluster.nodes) == 1
         assert cluster.total_cores == 8
         assert cluster.total_memory_gb == 24.0

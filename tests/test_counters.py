@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.counters.events import (
@@ -186,6 +186,8 @@ class TestPmu:
         enabled=st.floats(min_value=0.001, max_value=1e6),
         share=st.floats(min_value=0.001, max_value=1.0),
     )
+    # (raw * enabled) / running rounds one ulp under raw here.
+    @example(raw=919658114757.25, enabled=329058.75, share=1.0)
     @settings(max_examples=100, deadline=None)
     def test_rescaling_never_underestimates_observed(self, raw, enabled, share):
         """final = raw * enabled/running >= raw when running <= enabled."""
@@ -349,7 +351,7 @@ def _reference_final_counts(pmu, c, duration_s, busy_cores, row, noisy):
     running = np.full(NUM_EVENTS, duration_s)
     running[generic] = duration_s * share
     observed = running > 0.0
-    final = raw * duration_s / np.where(observed, running, 1.0)
+    final = raw * (duration_s / np.where(observed, running, 1.0))
     final[~observed] = 0.0
     return final
 

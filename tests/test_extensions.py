@@ -13,7 +13,6 @@ from repro.core.clustering import KMeans
 from repro.core.groundtruth import GroundTruth, GroundTruthEntry
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
 from repro.core.probing import ProbeSample, ProbingController
-from repro.scenarios import make_pipetune_session
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.tsdb.store import TimeSeriesStore
@@ -167,9 +166,10 @@ class TestHyperAugmentedSimilarity:
 
     def test_warm_session_still_hits(self):
         config = PipeTuneConfig(similarity_include_hyper=True)
-        session = make_pipetune_session(config=config)
+        from tests.test_pipetune import paper_session, run_pipetune_job
+
+        session = paper_session(config=config)
         session.warm_start(type12_workloads())
-        from tests.test_pipetune import run_pipetune_job
 
         run_pipetune_job(session)
         assert session.stats.ground_truth_hits > 0

@@ -5,11 +5,12 @@ import pytest
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.hyperband import HyperBand
 from repro.hpo.space import Choice, SearchSpace, joint_space
-from repro.simulation.cluster import NodeSpec, SimCluster, paper_distributed_cluster
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER, execute_job
+from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.tune.errors import TrialError, TrialOutOfMemory
 from repro.tune.objectives import accuracy_per_time_objective
-from repro.tune.runner import HptJobSpec, run_hpt_job
+from repro.tune.runner import HptJobSpec
 from repro.tune.trainer import run_trial
 from repro.workloads.perfmodel import working_set_gb
 from repro.workloads.registry import CNN_NEWS20, LENET_MNIST
@@ -95,11 +96,7 @@ class TestRunnerResilience:
         return HptJobSpec(**defaults)
 
     def run(self, spec):
-        env = Environment()
-        cluster = paper_distributed_cluster(env)
-        process = run_hpt_job(env, cluster, spec)
-        env.run()
-        return process.value
+        return execute_job(spec, PAPER_DISTRIBUTED_CLUSTER)
 
     def test_job_survives_oom_trials(self):
         result = self.run(self.job_spec())

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.scenarios import (
     SCENARIO_REGISTRY,
+    PAPER_DISTRIBUTED_CLUSTER,
     ChainFailure,
     FailureSpec,
     ProcessPoolBackend,
@@ -36,13 +37,14 @@ from repro.scenarios import (
     StepExecutionError,
     Sweep,
     SweepAxis,
+    execute_job,
     get_definition,
     register,
     run_sweep,
 )
 from repro.scenarios.result import ExperimentResult
 from repro.scenarios.runner import AnalysisStep
-from repro.simulation.cluster import NodeSpec, SimCluster, paper_distributed_cluster
+from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.tune.errors import (
     NodeDeparted,
@@ -58,7 +60,7 @@ from repro.tune.faults import (
     RetryPolicy,
     StragglerSpec,
 )
-from repro.tune.runner import HptJobSpec, TrialFailure, run_hpt_job
+from repro.tune.runner import HptJobSpec, TrialFailure
 from repro.tune.trainer import run_trial
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.space import joint_space
@@ -161,11 +163,7 @@ class TestJobSurvivesFaults:
         )
 
     def run(self, spec):
-        env = Environment()
-        cluster = paper_distributed_cluster(env)
-        process = run_hpt_job(env, cluster, spec)
-        env.run()
-        return process.value
+        return execute_job(spec, PAPER_DISTRIBUTED_CLUSTER)
 
     def test_unrecoverable_crashes_become_failures(self):
         result = self.run(

@@ -4,7 +4,6 @@ import statistics
 
 import pytest
 
-from repro.scenarios import fresh_cluster, make_v1_spec
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.space import Choice, SearchSpace
 from repro.multitenancy.arrivals import generate_arrivals
@@ -13,8 +12,16 @@ from repro.multitenancy.scheduler import (
     run_multi_tenancy,
     unseen_variant,
 )
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER
+from repro.simulation.des import Environment
 from repro.tune.runner import HptJobSpec
 from repro.workloads.registry import LENET_MNIST, workloads_of_type
+
+
+def fresh_cluster():
+    """A new environment and the paper's 4-node testbed in it."""
+    env = Environment()
+    return env, PAPER_DISTRIBUTED_CLUSTER.build(env)
 
 
 def tiny_spec(workload, arrival=None, seed=0):

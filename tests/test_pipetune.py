@@ -6,25 +6,27 @@ import pytest
 from repro.core import pipetune
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
 from repro.counters.profiler import EpochProfiler
-from repro.scenarios import (
-    execute_job,
-    make_pipetune_session,
-    make_pipetune_spec,
-    make_v1_spec,
-)
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.space import Choice, SearchSpace
-from repro.simulation.cluster import paper_distributed_cluster
-from repro.simulation.des import Environment
-from repro.tune.objectives import runtime_system_objective
-from repro.tune.runner import run_hpt_job
-from repro.workloads.registry import (
-    CNN_NEWS20,
-    LENET_FASHION,
-    LENET_MNIST,
-    type12_workloads,
+from repro.scenarios import (
+    PAPER_DISTRIBUTED_CLUSTER,
+    PAPER_SINGLE_NODE,
+    Scenario,
+    ScenarioRunner,
+    execute_job,
+    session_for_cluster,
+    tune_v1,
 )
+from repro.scenarios import pipetune as pipetune_policy
+from repro.tune.objectives import runtime_system_objective
+from repro.workloads.registry import LENET_FASHION, LENET_MNIST, type12_workloads
 from repro.workloads.spec import HyperParams, SystemParams
+
+
+def paper_session(distributed=True, config=None, seed=0):
+    """A session sized for one of the two paper testbeds."""
+    cluster = PAPER_DISTRIBUTED_CLUSTER if distributed else PAPER_SINGLE_NODE
+    return session_for_cluster(cluster, config=config, seed=seed)
 
 
 def small_space(epochs=8):
@@ -43,20 +45,19 @@ def run_pipetune_job(session, workload=LENET_MNIST, seed=0, num_samples=4, epoch
         algorithm_factory=lambda: RandomSearch(
             small_space(epochs), num_samples=num_samples, seed=seed
         ),
-        seed=seed,
     )
-    return execute_job(spec)
+    return execute_job(spec, PAPER_DISTRIBUTED_CLUSTER)
 
 
 class TestWarmStart:
     def test_warm_start_populates_ground_truth(self):
-        session = make_pipetune_session()
+        session = paper_session()
         added = session.warm_start(type12_workloads())
         assert added == 16  # 4 workloads x 4 batch sizes
         assert len(session.ground_truth) == 16
 
     def test_warm_session_hits_without_probing(self):
-        session = make_pipetune_session()
+        session = paper_session()
         session.warm_start(type12_workloads())
         run_pipetune_job(session)
         assert session.stats.ground_truth_hits > 0
@@ -65,7 +66,7 @@ class TestWarmStart:
 
     def test_warm_best_configs_are_sensible(self):
         """Offline campaign must not pick memory-starved configs."""
-        session = make_pipetune_session()
+        session = paper_session()
         session.warm_start([LENET_MNIST])
         for entry in session.ground_truth.entries:
             assert entry.best_system.memory_gb >= 8.0  # working set > 4 GB
@@ -83,28 +84,28 @@ class TestCampaignMemo:
 
     def test_hit_equals_miss(self):
         pipetune._offline_campaign.cache_clear()
-        missed = make_pipetune_session()
+        missed = paper_session()
         missed.warm_start(type12_workloads())
-        hit = make_pipetune_session()
+        hit = paper_session()
         hit.warm_start(type12_workloads())
         assert pipetune._offline_campaign.cache_info().hits == 16
         pipetune._offline_campaign.cache_clear()
-        fresh = make_pipetune_session()
+        fresh = paper_session()
         fresh.warm_start(type12_workloads())
         assert self.snapshot(hit) == self.snapshot(missed) == self.snapshot(fresh)
 
     def test_stored_features_are_read_only(self):
-        session = make_pipetune_session()
+        session = paper_session()
         session.warm_start([LENET_MNIST])
         with pytest.raises(ValueError):
             session.ground_truth.entries[0].features[0] = 0.0
 
     def test_cluster_shape_is_part_of_the_key(self):
         pipetune._offline_campaign.cache_clear()
-        make_pipetune_session(distributed=True).warm_start([LENET_MNIST])
-        make_pipetune_session(distributed=False).warm_start([LENET_MNIST])
+        paper_session(distributed=True).warm_start([LENET_MNIST])
+        paper_session(distributed=False).warm_start([LENET_MNIST])
         assert pipetune._offline_campaign.cache_info().misses == 8
-        session = make_pipetune_session()
+        session = paper_session()
         session.config.cores_grid = (4, 8)
         session.warm_start([LENET_MNIST])
         assert pipetune._offline_campaign.cache_info().misses == 12
@@ -131,15 +132,15 @@ class TestCampaignMemo:
 
         monkeypatch.setattr(EpochProfiler, "profile_epoch", counted)
         pipetune._offline_campaign.cache_clear()
-        make_pipetune_session(seed=0).warm_start(type12_workloads())
+        paper_session(seed=0).warm_start(type12_workloads())
         assert len(calls) == 16 * 2  # 16 points x 2 repetitions
-        make_pipetune_session(seed=1).warm_start(type12_workloads())
+        paper_session(seed=1).warm_start(type12_workloads())
         assert len(calls) == 16 * 2
 
 
 class TestColdStart:
     def test_cold_session_probes_then_stores(self):
-        session = make_pipetune_session()
+        session = paper_session()
         run_pipetune_job(session, num_samples=4, epochs=10)
         assert session.stats.ground_truth_misses > 0
         assert session.stats.probing_trials > 0
@@ -147,7 +148,7 @@ class TestColdStart:
         assert len(session.ground_truth) == session.stats.entries_stored
 
     def test_second_job_benefits_from_first(self):
-        session = make_pipetune_session()
+        session = paper_session()
         run_pipetune_job(session, workload=LENET_MNIST, seed=0)
         misses_before = session.stats.ground_truth_misses
         run_pipetune_job(session, workload=LENET_MNIST, seed=1)
@@ -158,44 +159,48 @@ class TestColdStart:
 
     def test_short_trials_skip_probing(self):
         """1-epoch trials have no probing budget: run at default."""
-        session = make_pipetune_session()
+        session = paper_session()
         spec = session.job_spec(
             LENET_MNIST,
             algorithm_factory=lambda: RandomSearch(
                 small_space(epochs=2), num_samples=2, seed=0
             ),
         )
-        result = execute_job(spec)
+        result = execute_job(spec, PAPER_DISTRIBUTED_CLUSTER)
         assert session.stats.probing_trials == 0
         assert result.num_trials == 2
 
 
+@pytest.fixture(scope="module")
+def lenet_pair():
+    """Tune V1 and a warm PipeTune job on LeNet/MNIST, seed 0, plus the
+    PipeTune session that ran it."""
+    scenario = (
+        Scenario.builder("pipeline-effects")
+        .workloads("lenet-mnist")
+        .compare(tune_v1(), pipetune_policy())
+        .build()
+    )
+    runner = ScenarioRunner(scenario)
+    v1, result = runner.execute(runner.plan(seed=0))
+    return v1, result, runner.sessions["pipetune"]
+
+
 class TestPipelineEffects:
-    def test_accuracy_parity_with_v1(self):
-        session = make_pipetune_session()
-        session.warm_start(type12_workloads())
-        pipetune = execute_job(make_pipetune_spec(session, LENET_MNIST, seed=0))
-        v1 = execute_job(make_v1_spec(LENET_MNIST, seed=0))
-        assert pipetune.best_accuracy == pytest.approx(v1.best_accuracy, abs=0.03)
+    def test_accuracy_parity_with_v1(self, lenet_pair):
+        v1, result, _ = lenet_pair
+        assert result.best_accuracy == pytest.approx(v1.best_accuracy, abs=0.03)
 
-    def test_tuning_time_below_v1(self):
-        session = make_pipetune_session()
-        session.warm_start(type12_workloads())
-        pipetune = execute_job(make_pipetune_spec(session, LENET_MNIST, seed=0))
-        v1 = execute_job(make_v1_spec(LENET_MNIST, seed=0))
-        assert pipetune.tuning_time_s < v1.tuning_time_s
+    def test_tuning_time_below_v1(self, lenet_pair):
+        v1, result, _ = lenet_pair
+        assert result.tuning_time_s < v1.tuning_time_s
 
-    def test_tuning_energy_below_v1(self):
-        session = make_pipetune_session()
-        session.warm_start(type12_workloads())
-        pipetune = execute_job(make_pipetune_spec(session, LENET_MNIST, seed=0))
-        v1 = execute_job(make_v1_spec(LENET_MNIST, seed=0))
-        assert pipetune.tuning_energy_j < v1.tuning_energy_j
+    def test_tuning_energy_below_v1(self, lenet_pair):
+        v1, result, _ = lenet_pair
+        assert result.tuning_energy_j < v1.tuning_energy_j
 
-    def test_trials_reconfigure_away_from_default(self):
-        session = make_pipetune_session()
-        session.warm_start(type12_workloads())
-        result = execute_job(make_pipetune_spec(session, LENET_MNIST, seed=0))
+    def test_trials_reconfigure_away_from_default(self, lenet_pair):
+        _, result, session = lenet_pair
         assert session.stats.reconfigurations > 0
         assert any(
             t.final_system != spec_default
@@ -207,7 +212,7 @@ class TestPipelineEffects:
 class TestAblations:
     def test_ground_truth_disabled_always_probes(self):
         config = PipeTuneConfig(use_ground_truth=False)
-        session = make_pipetune_session(config=config)
+        session = paper_session(config=config)
         session.warm_start(type12_workloads())
         run_pipetune_job(session, epochs=10)
         assert session.stats.ground_truth_hits == 0
@@ -216,7 +221,7 @@ class TestAblations:
     def test_non_pipelined_variant_is_slower(self):
         def tuning_time(pipelined):
             config = PipeTuneConfig(pipelined=pipelined, decision_delay_s=10.0)
-            session = make_pipetune_session(config=config)
+            session = paper_session(config=config)
             session.warm_start(type12_workloads())
             return run_pipetune_job(session, epochs=10).tuning_time_s
 
@@ -232,14 +237,14 @@ class TestAblations:
 
 class TestStartHints:
     def test_hint_set_after_resolution(self):
-        session = make_pipetune_session()
+        session = paper_session()
         session.warm_start(type12_workloads())
         assert session.start_hint(LENET_MNIST) is None
         run_pipetune_job(session)
         assert session.start_hint(LENET_MNIST) is not None
 
     def test_hint_is_per_workload(self):
-        session = make_pipetune_session()
+        session = paper_session()
         session.warm_start(type12_workloads())
         run_pipetune_job(session, workload=LENET_MNIST)
         assert session.start_hint(LENET_FASHION) is None

@@ -5,7 +5,8 @@ import pytest
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.hyperband import HyperBand
 from repro.hpo.space import Choice, SearchSpace, joint_space, paper_hyper_space
-from repro.simulation.cluster import NodeSpec, SimCluster, paper_distributed_cluster
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER
+from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.tune.objectives import (
     accuracy_objective,
@@ -19,7 +20,7 @@ from repro.workloads.registry import LENET_MNIST
 from repro.workloads.spec import HyperParams, SystemParams
 
 
-def run_job(spec, cluster_factory=paper_distributed_cluster):
+def run_job(spec, cluster_factory=PAPER_DISTRIBUTED_CLUSTER.build):
     env = Environment()
     cluster = cluster_factory(env)
     process = run_hpt_job(env, cluster, spec)
@@ -127,7 +128,7 @@ class TestV2Policy:
             system_policy="v2",
         )
         env = Environment()
-        cluster = paper_distributed_cluster(env)
+        cluster = PAPER_DISTRIBUTED_CLUSTER.build(env)
         process = run_hpt_job(env, cluster, spec)
         env.run()
         with pytest.raises(ValueError):

@@ -11,18 +11,14 @@ from repro.scenarios import (
     ClusterSpec,
     FixedTrialStep,
     JobStep,
-    PAPER_DISTRIBUTED_CLUSTER,
-    PAPER_SINGLE_NODE,
     Scenario,
     ScenarioError,
     ScenarioRunner,
     TraceStep,
     fixed_trial,
-    make_pipetune_session,
     pipetune,
     run_scenario,
     scenario_names,
-    session_for_cluster,
     tune_v1,
     tune_v2,
 )
@@ -485,53 +481,6 @@ class TestRunnerPhases:
 
         spec = build_job_spec(scenario, scenario.systems[0], CNN_NEWS20, seed=0)
         assert spec.oom_threshold == 1.8
-
-
-# ---------------------------------------------------------------------------
-# Spec-construction equivalence with the historical harness builders
-# ---------------------------------------------------------------------------
-
-
-class TestHarnessEquivalence:
-    def test_session_for_cluster_matches_paper_sessions(self):
-        for cluster, distributed in (
-            (PAPER_DISTRIBUTED_CLUSTER, True),
-            (PAPER_SINGLE_NODE, False),
-        ):
-            generic = session_for_cluster(
-                nodes=cluster.nodes,
-                cores_per_node=cluster.cores_per_node,
-                memory_gb_per_node=cluster.memory_gb_per_node,
-                seed=3,
-            )
-            paper = make_pipetune_session(distributed=distributed, seed=3)
-            assert generic.max_cores == paper.max_cores
-            assert generic.max_memory_gb == paper.max_memory_gb
-            assert tuple(generic.config.cores_grid) == tuple(paper.config.cores_grid)
-            assert tuple(generic.config.memory_grid_gb) == tuple(
-                paper.config.memory_grid_gb
-            )
-
-    def test_build_job_spec_matches_make_v1_v2_specs(self):
-        from repro.scenarios import build_job_spec, make_v1_spec, make_v2_spec
-        from repro.workloads.registry import CNN_NEWS20
-
-        scenario = SCENARIO_REGISTRY["fig09"].scenario
-        by_kind = {p.kind: p for p in scenario.systems}
-        for kind, reference in (
-            ("v1", make_v1_spec(CNN_NEWS20, seed=7)),
-            ("v2", make_v2_spec(CNN_NEWS20, seed=7)),
-        ):
-            spec = build_job_spec(scenario, by_kind[kind], CNN_NEWS20, seed=7)
-            assert spec.name == reference.name
-            assert spec.system_policy == reference.system_policy
-            assert spec.objective is reference.objective
-            assert spec.trial_setup_s == reference.trial_setup_s
-            ours, theirs = spec.algorithm_factory(), reference.algorithm_factory()
-            assert ours.space.names == theirs.space.names
-            assert ours.max_epochs == theirs.max_epochs
-            assert ours.eta == theirs.eta
-            assert ours.sample_scale == theirs.sample_scale
 
 
 # ---------------------------------------------------------------------------

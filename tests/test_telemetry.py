@@ -4,7 +4,8 @@ import pytest
 
 from repro.hpo.algorithms import RandomSearch
 from repro.hpo.space import Choice, SearchSpace
-from repro.simulation.cluster import NodeSpec, SimCluster, paper_distributed_cluster
+from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER
+from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.telemetry.recorder import MetricsRecorder
 from repro.tune.runner import HptJobSpec, run_hpt_job
@@ -89,7 +90,7 @@ class TestPowerRecording:
 class TestJobIntegration:
     def test_hooks_wrapper_records_whole_job(self):
         env = Environment()
-        cluster = paper_distributed_cluster(env)
+        cluster = PAPER_DISTRIBUTED_CLUSTER.build(env)
         recorder = MetricsRecorder(env, cluster, record_power=False)
         space = SearchSpace(
             {
