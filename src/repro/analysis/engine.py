@@ -15,6 +15,7 @@ without executing a single draw.
 from __future__ import annotations
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -82,12 +83,24 @@ class SourceModule:
         return ".".join(reversed(parts))
 
 
+@lru_cache(maxsize=128)
+def tree_nodes(tree: ast.AST) -> Tuple[ast.AST, ...]:
+    """Every node of ``tree``, in :func:`ast.walk` order.
+
+    The import map and every rule scan whole module trees; remembering
+    the walk (by tree identity, for more trees than ``src/`` has
+    modules) walks each module once per lint run, not once per scan.
+    """
+
+    return tuple(ast.walk(tree))
+
+
 def _import_origins(tree: ast.Module, *, module_name: str) -> Dict[str, str]:
     """Map local binding -> dotted origin for every import in ``tree``."""
 
     origins: Dict[str, str] = {}
     package_parts = module_name.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:

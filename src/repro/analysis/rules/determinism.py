@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from ..engine import ModuleIndex, Rule, SourceModule
+from ..engine import ModuleIndex, Rule, SourceModule, tree_nodes
 from ..report import Finding
 
 # Fully-qualified callables that are banned everywhere (pragma or bust).
@@ -97,7 +97,7 @@ class BannedNondeterminism(Rule):
     )
 
     def check(self, module: SourceModule, index: ModuleIndex) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
+        for node in tree_nodes(module.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 yield from self._check_import(module, node)
             elif isinstance(node, (ast.Name, ast.Attribute)):
@@ -149,7 +149,7 @@ class BannedNondeterminism(Rule):
         if cache is None:
             cache = {
                 id(inner.value)
-                for inner in ast.walk(module.tree)
+                for inner in tree_nodes(module.tree)
                 if isinstance(inner, ast.Attribute)
             }
             module._attribute_tails = cache  # type: ignore[attr-defined]
@@ -182,7 +182,7 @@ class RngKeyHygiene(Rule):
     def check(self, module: SourceModule, index: ModuleIndex) -> Iterable[Finding]:
         counters = _enumerate_counters(module.tree)
         loop_names = _loop_index_names(module.tree)
-        for node in ast.walk(module.tree):
+        for node in tree_nodes(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             classified = self._constructor_kind(module, node.func)
@@ -299,7 +299,7 @@ def _enumerate_counters(tree: ast.Module) -> Dict[int, Set[str]]:
     """
 
     live: Dict[int, Set[str]] = {}
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         if not isinstance(node, (ast.For, ast.AsyncFor)):
             continue
         call = node.iter
@@ -339,7 +339,7 @@ def _loop_index_names(tree: ast.Module) -> Dict[int, Set[str]]:
         return []
 
     live: Dict[int, Set[str]] = {}
-    for node in ast.walk(tree):
+    for node in tree_nodes(tree):
         names: List[str] = []
         if isinstance(node, (ast.For, ast.AsyncFor)):
             names = target_names(node.target)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import ast
 import builtins
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..engine import ModuleIndex, Rule, SourceModule, in_packages
+from ..engine import ModuleIndex, Rule, SourceModule, in_packages, tree_nodes
 from ..report import Finding
 
 BUILTIN_EXCEPTIONS: Set[str] = {
@@ -42,18 +43,21 @@ def _base_names(node: ast.ClassDef) -> List[str]:
     return names
 
 
-def _exception_classes(index: ModuleIndex) -> Set[str]:
+@lru_cache(maxsize=1)
+def _exception_classes(index: ModuleIndex) -> FrozenSet[str]:
     """Names of classes (anywhere in the index) that are exception types.
 
     Fixpoint over bare class names: a class is exception-like when any
     base resolves (by last segment) to a builtin exception or to a
     class already known to be exception-like.  Name-based, so it works
-    across modules without executing imports.
+    across modules without executing imports.  Memoized on the index
+    (by identity): one lint run walks the whole index once, not once
+    per checked module.
     """
 
     bases_by_name: Dict[str, List[str]] = {}
     for module in index:
-        for node in ast.walk(module.tree):
+        for node in tree_nodes(module.tree):
             if isinstance(node, ast.ClassDef):
                 bases_by_name.setdefault(node.name, []).extend(_base_names(node))
     exception_like: Set[str] = set()
@@ -69,7 +73,7 @@ def _exception_classes(index: ModuleIndex) -> Set[str]:
             ):
                 exception_like.add(name)
                 changed = True
-    return exception_like
+    return frozenset(exception_like)
 
 
 def _init_arity(node: ast.ClassDef) -> Optional[int]:
@@ -108,7 +112,7 @@ class PickleSafeExceptions(Rule):
         if not in_packages(module.name, self.packages):
             return
         exception_like = _exception_classes(index)
-        for node in ast.walk(module.tree):
+        for node in tree_nodes(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             if node.name not in exception_like:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional, Set, Tuple
 
-from ..engine import ModuleIndex, Rule, SourceModule, in_packages
+from ..engine import ModuleIndex, Rule, SourceModule, in_packages, tree_nodes
 from ..report import Finding
 
 DEFAULT_PACKAGES: Tuple[str, ...] = (
@@ -85,7 +85,7 @@ class StrictSpecSchema(Rule):
     def check(self, module: SourceModule, index: ModuleIndex) -> Iterable[Finding]:
         if not in_packages(module.name, self.packages):
             return
-        for node in ast.walk(module.tree):
+        for node in tree_nodes(module.tree):
             if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
                 continue
             from_dict = _method(node, "from_dict")

@@ -12,7 +12,6 @@ with an empty-cluster repair step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -66,10 +65,6 @@ class KMeans:
         self.centroids: Optional[np.ndarray] = None
         self.labels: Optional[np.ndarray] = None
         self.inertia: float = float("inf")
-        #: per-cluster sums of squared distances (length k) and member
-        #: counts of the training assignment.
-        self.cluster_inertias: Optional[np.ndarray] = None
-        self.cluster_sizes: Optional[np.ndarray] = None
 
     # -- fitting ------------------------------------------------------------
     def _init_centroids(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -108,7 +103,7 @@ class KMeans:
         a restart at or above the bound can never win (ties keep the
         earlier restart), so it is dropped before the final
         recomputation; a winner returns the identical
-        (centroids, labels, inertia, per_point) the classic loop
+        (centroids, labels, inertia) the classic loop
         produces — bit-for-bit (tests/test_clustering.py proves it).
         """
         previous_labels = None
@@ -120,11 +115,10 @@ class KMeans:
                 and np.array_equal(labels, previous_labels)
                 and np.bincount(labels, minlength=self.k).all()
             ):
-                per_point = d2[np.arange(len(x)), labels]
-                inertia = float(per_point.sum())
+                inertia = float(d2[np.arange(len(x)), labels].sum())
                 if abandon_above is not None and inertia >= abandon_above:
                     return None
-                return centroids, labels, inertia, per_point
+                return centroids, labels, inertia
             previous_labels = labels
             new_centroids = centroids.copy()
             for j in range(self.k):
@@ -140,8 +134,7 @@ class KMeans:
                 break
         d2 = pairwise_sq_distances(x, centroids)
         labels = d2.argmin(axis=1)
-        per_point = d2[np.arange(len(x)), labels]
-        return centroids, labels, float(per_point.sum()), per_point
+        return centroids, labels, float(d2[np.arange(len(x)), labels].sum())
 
     def fit(self, x) -> "KMeans":
         x = _as_matrix(x)
@@ -160,11 +153,7 @@ class KMeans:
                 continue
             if best is None or result[2] < best[2]:
                 best = result
-        self.centroids, self.labels, self.inertia, per_point = best
-        self.cluster_inertias = np.bincount(
-            self.labels, weights=per_point, minlength=self.k
-        )
-        self.cluster_sizes = np.bincount(self.labels, minlength=self.k)
+        self.centroids, self.labels, self.inertia = best
         return self
 
     # -- inference -----------------------------------------------------------
@@ -182,20 +171,6 @@ class KMeans:
         return np.sqrt(
             pairwise_sq_distances(_as_matrix(x), self.centroids).min(axis=1)
         )
-
-    def cluster_radius(self, label: int) -> float:
-        """RMS distance of the training members of one cluster.
-
-        Serves as the reliability scale PipeTune compares a new
-        profile's centroid distance against (§5.6).
-        """
-        self._require_fit()
-        if not 0 <= label < self.k:
-            return 0.0
-        count = int(self.cluster_sizes[label])
-        if count == 0:
-            return 0.0
-        return float(np.sqrt(self.cluster_inertias[label] / count))
 
 
 class NearestCentroid:

@@ -14,14 +14,11 @@ never used in the lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..counters.events import NUM_EVENTS
-from ..tsdb.point import Point
-from ..tsdb.store import TimeSeriesStore
 from ..workloads.spec import SystemParams
 from .clustering import KMeans, pairwise_sq_distances
 
@@ -51,13 +48,6 @@ class GroundTruthMatch:
     threshold: float
     cluster: int
     source_workload: str
-
-    @property
-    def confidence(self) -> float:
-        """1 at the centroid, 0 at the threshold boundary."""
-        if self.threshold <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.distance / self.threshold)
 
 
 class GroundTruth:
@@ -178,51 +168,3 @@ class GroundTruth:
             cluster=cluster,
             source_workload=entry.workload_name,
         )
-
-    # -- persistence (via the TSDB backend, as the paper uses InfluxDB) ------
-    MEASUREMENT = "ground_truth"
-
-    def to_store(self, store: TimeSeriesStore) -> int:
-        """Write all entries into a :class:`TimeSeriesStore`."""
-        count = 0
-        for i, entry in enumerate(self.entries):
-            fields = {f"f{j}": float(v) for j, v in enumerate(entry.features)}
-            fields["objective_value"] = float(entry.objective_value)
-            fields["cores"] = float(entry.best_system.cores)
-            fields["memory_gb"] = float(entry.best_system.memory_gb)
-            store.write(
-                Point(
-                    measurement=self.MEASUREMENT,
-                    time=entry.created_at or float(i),
-                    tags={"workload": entry.workload_name or "unknown"},
-                    fields=fields,
-                )
-            )
-            count += 1
-        return count
-
-    @classmethod
-    def from_store(cls, store: TimeSeriesStore, **kwargs) -> "GroundTruth":
-        """Rebuild a ground-truth database from persisted points."""
-        ground_truth = cls(**kwargs)
-        for point in store.query(cls.MEASUREMENT):
-            # Feature dimensionality is whatever was stored: 58 for
-            # plain PMU profiles, more when the hyperparameter-
-            # similarity extension appends its dimensions.
-            dims = [k for k in point.fields if k.startswith("f")]
-            features = np.zeros(len(dims))
-            for key in dims:
-                features[int(key[1:])] = point.fields[key]
-            ground_truth.add(
-                GroundTruthEntry(
-                    features=features,
-                    best_system=SystemParams(
-                        cores=int(point.fields["cores"]),
-                        memory_gb=float(point.fields["memory_gb"]),
-                    ),
-                    objective_value=float(point.fields.get("objective_value", 0.0)),
-                    workload_name=point.tags.get("workload", ""),
-                    created_at=point.time,
-                )
-            )
-        return ground_truth

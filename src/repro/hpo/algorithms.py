@@ -18,8 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..workloads.spec import rng_for
 from .space import SearchSpace
 
@@ -93,10 +91,6 @@ class SearchAlgorithm:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    @property
-    def observations(self) -> List[Observation]:
-        return list(self._observations)
 
     def best(self) -> Optional[Observation]:
         if not self._observations:

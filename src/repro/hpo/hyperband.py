@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .algorithms import Observation, SearchAlgorithm, Suggestion
 from .space import SearchSpace
@@ -165,7 +165,3 @@ class HyperBand(SearchAlgorithm):
             self._bracket_cursor >= len(self._brackets)
             or all(b.finished for b in self._brackets)
         ) and not self._pending
-
-    def total_configs(self) -> int:
-        """Number of distinct configurations HyperBand will start."""
-        return sum(b.rungs[0].survivors for b in self._brackets)

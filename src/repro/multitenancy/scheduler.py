@@ -10,7 +10,7 @@ completion — per workload type (paper Figs 13 & 14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
 from ..schema import positional_pickle
 from ..simulation.cluster import SimCluster
@@ -85,12 +85,6 @@ class MultiTenancyResult:
         if not self.records:
             return 0.0
         return sum(r.queue_wait_s for r in self.records) / len(self.records)
-
-    @property
-    def makespan_s(self) -> float:
-        if not self.records:
-            return 0.0
-        return max(r.result.finished_at for r in self.records)
 
 
 class FifoJobScheduler:

@@ -9,11 +9,9 @@ from .cluster import (
 )
 from .des import (
     AllOf,
-    AnyOf,
     Container,
     Environment,
     Event,
-    Interrupt,
     Process,
     Resource,
     SimulationError,
@@ -24,13 +22,11 @@ from .power import EnergyMeter, IntervalEnergyMeter, PduSampler, PowerSample
 __all__ = [
     "AllOf",
     "Allocation",
-    "AnyOf",
     "ClusterStats",
     "Container",
     "EnergyMeter",
     "Environment",
     "Event",
-    "Interrupt",
     "IntervalEnergyMeter",
     "Node",
     "NodeSpec",

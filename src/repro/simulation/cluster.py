@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-from .des import Container, Environment, Event, SimulationError
+from .des import Container, Environment, SimulationError
 
 
 @dataclass(frozen=True)
@@ -95,31 +95,6 @@ class Allocation:
         self.memory_gb = memory_gb
         self.released = False
 
-    def resize(self, cores: int, memory_gb: float) -> Generator:
-        """Process generator: adjust held resources to the new shape.
-
-        Growing may block until the node frees capacity; shrinking is
-        immediate. Yields from inside a trial process.
-        """
-        if self.released:
-            raise SimulationError("resize() on released allocation")
-        if cores < 1 or memory_gb <= 0:
-            raise ValueError("resize target must be positive")
-        if cores > self.node.spec.cores or memory_gb > self.node.spec.memory_gb:
-            raise ValueError("resize target exceeds node capacity")
-        dc = cores - self.cores
-        dm = memory_gb - self.memory_gb
-        if dc > 0:
-            yield self.node.cores.get(dc)
-        elif dc < 0:
-            self.node.cores.put(-dc)
-        if dm > 0:
-            yield self.node.memory.get(dm)
-        elif dm < 0:
-            self.node.memory.put(-dm)
-        self.cores = cores
-        self.memory_gb = memory_gb
-
     def try_resize(self, cores: int, memory_gb: float) -> bool:
         """Best-effort, non-blocking resize; True on success.
 
@@ -192,20 +167,6 @@ class SimCluster:
         self.env = env
         self.nodes = [Node(env, spec) for spec in specs]
         self.stats = ClusterStats()
-
-    @property
-    def total_cores(self) -> int:
-        return sum(n.spec.cores for n in self.nodes)
-
-    @property
-    def total_memory_gb(self) -> float:
-        return sum(n.spec.memory_gb for n in self.nodes)
-
-    def node_by_name(self, name: str) -> Node:
-        for node in self.nodes:
-            if node.spec.name == name:
-                return node
-        raise KeyError(name)
 
     def _feasible(self, cores: int, memory_gb: float) -> bool:
         return any(

@@ -22,7 +22,8 @@ back that ordering:
   same counters the heap would have used, and the deque is drained in
   counter order interleaved with equal-time heap entries, so the
   observable ordering is identical to an all-heap implementation —
-  zero-delay events just skip the O(log n) heap round-trip.
+  zero-delay events just skip the O(log n) heap round-trip. Nothing
+  ever cancels an immediate entry, so draining one never skips.
 
 A process that yields an *already processed* event is resumed through
 an immediate-deque entry referencing that event directly, instead of
@@ -54,18 +55,6 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 class SimulationError(RuntimeError):
     """Raised for structural misuse of the simulation engine."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -100,11 +89,6 @@ class Event:
         self._processed = False
 
     # -- state ------------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has been scheduled to fire."""
-        return self._triggered
-
     @property
     def processed(self) -> bool:
         """Whether the event's callbacks have already run."""
@@ -194,7 +178,7 @@ class Timeout(Event):
         if delay:
             heapq.heappush(env._queue, (env._now + delay, seq, self))
         else:
-            env._immediate.append([seq, self, None])
+            env._immediate.append((seq, self, None))
 
 
 def _bind_timeout(env: "Environment") -> Callable[..., Timeout]:
@@ -225,7 +209,7 @@ def _bind_timeout(env: "Environment") -> Callable[..., Timeout]:
         if delay:
             push(queue, (env._now + delay, seq, t))
         else:
-            immediate.append([seq, t, None])
+            immediate.append((seq, t, None))
         return t
 
     return timeout
@@ -243,8 +227,6 @@ class Process(Event):
         "_generator",
         "_send",
         "_throw",
-        "_target",
-        "_deferred_entry",
         "_resume",
     )
 
@@ -255,7 +237,6 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        self._target: Optional[Event] = None
         # One bound method for the whole lifetime: every yield would
         # otherwise allocate a fresh bound-method object to register.
         self._resume = self._resume_impl
@@ -263,60 +244,7 @@ class Process(Event):
         # already-queued same-time events. The shared _BOOTSTRAP event
         # (value None, no exception) makes the first resume take the
         # ordinary send() path with no special-casing.
-        self._deferred_entry: Optional[list] = env._defer_resume(_BOOTSTRAP, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """Whether the underlying generator has not yet finished."""
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a
-        process blocked on an event detaches it from that event.
-        """
-        if self._triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        self._detach_wait()
-        interrupt_event = Event(self.env)
-        interrupt_event.add_callback(self._on_interrupt)
-        interrupt_event.fail(Interrupt(cause))
-
-    def _detach_wait(self) -> None:
-        """Disconnect the process from whatever it is waiting on."""
-        entry = self._deferred_entry
-        if entry is not None and entry[1] is not None and entry[1] is not _BOOTSTRAP:
-            # Pending deferred resume on an already-processed event:
-            # cancel it (the bootstrap entry stays — the process first
-            # advances to its initial yield, as before).
-            entry[1] = entry[2] = None
-            self._deferred_entry = None
-            self._target = None
-        elif self._target is not None and not self._target._processed:
-            callbacks = self._target.callbacks
-            if callbacks is self._resume:
-                self._target.callbacks = None
-            elif callbacks.__class__ is list:
-                try:
-                    callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            self._target = None
-
-    def _on_interrupt(self, event: Event) -> None:
-        """Deliver a queued interrupt.
-
-        Between :meth:`interrupt` and delivery the process may have run
-        (bootstrap, deferred resume, an equal-time event) and acquired
-        a new wait target — detach again at delivery time so the stale
-        subscription cannot resume the generator twice later. A process
-        that managed to finish in between is left alone.
-        """
-        if self._triggered:
-            return
-        self._detach_wait()
-        self._resume(event)
+        env._defer_resume(_BOOTSTRAP, self)
 
     def _resume_impl(self, event: Event) -> None:
         try:
@@ -328,8 +256,8 @@ class Process(Event):
             self.succeed(stop.value)
             return
         except BaseException as error:  # noqa: BLE001 - fail the process event
-            # The process body raised (including unhandled Interrupt):
-            # the process event fails and waiters receive the exception.
+            # The process body raised: the process event fails and
+            # waiters receive the exception.
             self.fail(error)
             return
         try:
@@ -338,11 +266,10 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded non-event {next_event!r}"
             ) from None
-        self._target = next_event
         if processed:
             # Already processed: defer the resume behind same-time
             # events already in the queue — no proxy Event, no heap.
-            self._deferred_entry = self.env._defer_resume(next_event, self)
+            self.env._defer_resume(next_event, self)
         else:
             callbacks = next_event.callbacks
             if callbacks is None:
@@ -370,12 +297,12 @@ class _Bootstrap(Event):
 _BOOTSTRAP = _Bootstrap()
 
 
-class Condition(Event):
-    """Base for composite events (:class:`AllOf` / :class:`AnyOf`).
+class AllOf(Event):
+    """Fires once every child event has fired; value maps index->value.
 
     A child counts as *done* once it has been processed (its callbacks
     ran) — not merely triggered, since e.g. a Timeout is triggered at
-    construction but fires later.
+    construction but fires later. The first failing child fails it.
     """
 
     __slots__ = ("_events",)
@@ -388,28 +315,6 @@ class Condition(Event):
                 self._on_child(event)
             else:
                 event.add_callback(self._on_child)
-        self._check_initial()
-
-    def _check_initial(self) -> None:
-        raise NotImplementedError
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {
-            i: e._value
-            for i, e in enumerate(self._events)
-            if e.processed and e._exception is None
-        }
-
-
-class AllOf(Condition):
-    """Fires once every child event has fired; value maps index->value."""
-
-    __slots__ = ()
-
-    def _check_initial(self) -> None:
         if not self._triggered and all(e.processed for e in self._events):
             self.succeed(self._collect())
 
@@ -422,23 +327,12 @@ class AllOf(Condition):
         if all(e.processed for e in self._events):
             self.succeed(self._collect())
 
-
-class AnyOf(Condition):
-    """Fires as soon as any child event fires."""
-
-    __slots__ = ()
-
-    def _check_initial(self) -> None:
-        if not self._triggered and any(e.processed for e in self._events):
-            self.succeed(self._collect())
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self.succeed(self._collect())
+    def _collect(self) -> dict:
+        return {
+            i: e._value
+            for i, e in enumerate(self._events)
+            if e.processed and e._exception is None
+        }
 
 
 class Environment:
@@ -446,18 +340,17 @@ class Environment:
 
     Delayed events live on a binary heap keyed ``(time, counter)``;
     zero-delay events and deferred process resumptions live on the
-    *immediate* deque, whose entries are ``[counter, event, process]``:
+    *immediate* deque, whose entries are ``(counter, event, process)``:
 
     * ``process is None``  -> run ``event``'s callbacks;
     * ``process`` set      -> resume it from ``event`` (the shared
       ``_BOOTSTRAP`` sentinel starts a new process with ``send(None)``
-      — the event slot is never ``None`` on a live resume entry);
-    * event and process ``None`` -> cancelled (an interrupt detached it).
+      — the event slot is never ``None`` on a resume entry).
 
-    Immediate entries are created at the current instant and are always
-    drained before the clock advances, in counter order interleaved
-    with equal-time heap entries — byte-for-byte the ordering an
-    all-heap implementation produces.
+    Immediate entries are created at the current instant, are never
+    cancelled, and are always drained before the clock advances, in
+    counter order interleaved with equal-time heap entries —
+    byte-for-byte the ordering an all-heap implementation produces.
     """
 
     __slots__ = (
@@ -496,9 +389,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         seq = self._seq
@@ -506,9 +396,9 @@ class Environment:
         if delay:
             heapq.heappush(self._queue, (self._now + delay, seq, event))
         else:
-            self._immediate.append([seq, event, None])
+            self._immediate.append((seq, event, None))
 
-    def _defer_resume(self, event: Event, process: "Process") -> list:
+    def _defer_resume(self, event: Event, process: "Process") -> None:
         """Queue a process resumption at the current instant.
 
         ``event`` must be a processed event (or the ``_BOOTSTRAP``
@@ -517,34 +407,17 @@ class Environment:
         """
         seq = self._seq
         self._seq = seq + 1
-        entry = [seq, event, process]
-        self._immediate.append(entry)
-        return entry
-
-    def _next_immediate(self) -> Optional[list]:
-        """Head of the immediate deque, dropping cancelled entries."""
-        immediate = self._immediate
-        while immediate:
-            head = immediate[0]
-            if head[1] is None and head[2] is None:
-                immediate.popleft()
-                continue
-            return head
-        return None
+        self._immediate.append((seq, event, process))
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        head = self._next_immediate()
+        immediate = self._immediate
         queue = self._queue
-        if head is not None and (
-            not queue or queue[0][0] > self._now or queue[0][1] > head[0]
+        if immediate and (
+            not queue or queue[0][0] > self._now or queue[0][1] > immediate[0][0]
         ):
-            self._immediate.popleft()
-            _seq, event, process = head
+            _seq, event, process = immediate.popleft()
             if process is not None:
-                # Null the entry: a stale ``_deferred_entry`` reference
-                # on the process must read as consumed to interrupt().
-                head[1] = head[2] = None
                 process._resume(event)
             else:
                 event._run_callbacks()
@@ -557,12 +430,6 @@ class Environment:
         self._now = when
         event._run_callbacks()
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._next_immediate() is not None:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``."""
         if until is not None and until < self._now:
@@ -574,17 +441,11 @@ class Environment:
         while True:
             if immediate:
                 head = immediate[0]
-                if head[1] is None and head[2] is None:
-                    immediate.popleft()
-                    continue
                 # Equal-time heap entries with lower counters go first.
                 if not (queue and queue[0][0] <= self._now and queue[0][1] < head[0]):
                     immediate.popleft()
                     _seq, event, process = head
                     if process is not None:
-                        # Null the entry: a stale ``_deferred_entry``
-                        # reference must read as consumed to interrupt().
-                        head[1] = head[2] = None
                         process._resume(event)
                     else:
                         event._run_callbacks()
@@ -659,10 +520,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class Container:
     """A divisible resource level (cores, GB of memory) with FIFO gets."""
@@ -720,7 +577,3 @@ class Container:
             need, grant = self._waiters.popleft()
             self.level -= need
             grant.succeed(need)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)

@@ -65,10 +65,6 @@ class EnergyMeter:
         t0, w0 = self._last_change[name]
         return self._energy_joules[name] + w0 * (self.env.now - t0)
 
-    def node_energy_joules(self, name: str) -> float:
-        """Energy consumed by one node up to the current sim time."""
-        return self._settled(name)
-
     def total_energy_joules(self) -> float:
         """Energy consumed by the whole cluster up to now."""
         return sum(self._settled(n.spec.name) for n in self.cluster.nodes)

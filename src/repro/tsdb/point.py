@@ -8,7 +8,7 @@ numeric *fields* and a timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping
+from typing import Mapping
 
 
 def _validate_identifier(name: str, kind: str) -> None:
@@ -46,37 +46,3 @@ class Point:
     def matches(self, tags: Mapping[str, str]) -> bool:
         """Whether the point carries all of the given tag values."""
         return all(self.tags.get(k) == v for k, v in tags.items())
-
-    def to_line(self) -> str:
-        """Encode in an InfluxDB-line-protocol-like text form."""
-        tag_part = "".join(
-            f",{k}={v}" for k, v in sorted(self.tags.items())
-        )
-        field_part = ",".join(
-            f"{k}={self.fields[k]!r}" for k in sorted(self.fields)
-        )
-        return f"{self.measurement}{tag_part} {field_part} {self.time!r}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "Point":
-        """Decode a point written by :meth:`to_line`."""
-        try:
-            head, field_part, time_part = line.rsplit(" ", 2)
-        except ValueError:
-            raise ValueError(f"malformed point line: {line!r}") from None
-        pieces = head.split(",")
-        measurement, tag_items = pieces[0], pieces[1:]
-        tags: Dict[str, str] = {}
-        for item in tag_items:
-            key, _, value = item.partition("=")
-            tags[key] = value
-        fields: Dict[str, Any] = {}
-        for item in field_part.split(","):
-            key, _, value = item.partition("=")
-            fields[key] = float(value)
-        return cls(
-            measurement=measurement,
-            time=float(time_part),
-            tags=tags,
-            fields=fields,
-        )

@@ -75,7 +75,6 @@ class HptJobSpec:
     default_system: SystemParams = DEFAULT_SYSTEM
     hooks_factory: Optional[HooksFactory] = None
     contention: float = 1.0
-    noisy: bool = True
     name: str = ""
     #: upper bound on concurrent trials per job; within it, how many
     #: trials actually run in parallel is decided by the cluster's
@@ -86,9 +85,6 @@ class HptJobSpec:
     #: for v1 (all trials share the default shape, executors stay
     #: warm); the v2 policy pays an executor restart per trial.
     trial_setup_s: float = 0.0
-    #: optional decorator applied to every trial's hooks (telemetry
-    #: recording, tracing) regardless of the system policy.
-    hooks_wrapper: Optional[Callable[[TrialHooks], TrialHooks]] = None
     #: failure injection: working-set-to-memory ratio beyond which a
     #: trial dies with OOM. None (default) disables trial failures.
     oom_threshold: Optional[float] = None
@@ -180,14 +176,10 @@ class HptJobRunner:
     ) -> TrialHooks:
         if self.spec.system_policy == "hooks":
             assert self.spec.hooks_factory is not None
-            hooks = self.spec.hooks_factory(
+            return self.spec.hooks_factory(
                 suggestion.trial_id, self.spec.workload, hyper, system
             )
-        else:
-            hooks = TrialHooks()
-        if self.spec.hooks_wrapper is not None:
-            hooks = self.spec.hooks_wrapper(hooks)
-        return hooks
+        return TrialHooks()
 
     def _gated_trial(
         self, slots: Resource, events: List[FaultEvent], **kwargs
@@ -320,7 +312,6 @@ class HptJobRunner:
                                 target_epochs=suggestion.target_epochs,
                                 hooks=hooks,
                                 contention=spec.contention,
-                                noisy=spec.noisy,
                                 setup_cost_s=spec.trial_setup_s,
                                 oom_threshold=spec.oom_threshold,
                             )

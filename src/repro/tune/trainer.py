@@ -123,7 +123,6 @@ def run_trial(
     hooks: Optional[TrialHooks] = None,
     profiler: Optional[EpochProfiler] = None,
     contention: float = 1.0,
-    noisy: bool = True,
     setup_cost_s: float = 0.0,
     oom_threshold: Optional[float] = None,
     faults: Optional[FaultModel] = None,
@@ -198,7 +197,7 @@ def run_trial(
         # floats: the trial's accuracies here, and per system-config
         # segment its config, busy level and epoch durations.
         accuracies = accuracy_curve(
-            workload, hyper, epochs, trial_seed, noisy, start_epoch=start_epoch
+            workload, hyper, epochs, trial_seed, start_epoch=start_epoch
         )
         working_set = working_set_gb(workload, hyper)
         segment_system = None
@@ -224,7 +223,7 @@ def run_trial(
                 segment_start = epoch
                 config = TrialConfig(workload, hyper, segment_system)
                 segment = epoch_cost_batch(
-                    config, range(epoch, epochs + 1), contention, noisy
+                    config, range(epoch, epochs + 1), contention
                 )
                 busy = active_cores(config, segment)
             epoch_s = segment.total_s[epoch - segment_start]
@@ -259,10 +258,8 @@ def run_trial(
                     raise TrialCrashed(trial_id, epoch)
 
             node.notify_busy(busy)
-            try:
-                yield env.timeout(duration)
-            finally:
-                node.notify_busy(-busy)
+            yield env.timeout(duration)
+            node.notify_busy(-busy)
 
             accuracy = accuracies[epoch - start_epoch - 1]
             energy = trial_energy_j(workload, ctx.system, allocation, busy, duration)
@@ -271,9 +268,7 @@ def run_trial(
 
             profile = None
             if profiled:
-                profile = profiler.profile_epoch(
-                    config, epoch, duration, busy, noisy=noisy
-                )
+                profile = profiler.profile_epoch(config, epoch, duration, busy)
             record = EpochRecord(
                 epoch=epoch,
                 duration_s=duration,

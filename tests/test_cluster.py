@@ -36,15 +36,15 @@ class TestPaperTestbeds:
         env = Environment()
         cluster = PAPER_DISTRIBUTED_CLUSTER.build(env)
         assert len(cluster.nodes) == 4
-        assert cluster.total_cores == 64
-        assert cluster.total_memory_gb == 256.0
+        assert sum(n.spec.cores for n in cluster.nodes) == 64
+        assert sum(n.spec.memory_gb for n in cluster.nodes) == 256.0
 
     def test_single_node_testbed_shape(self):
         env = Environment()
         cluster = PAPER_SINGLE_NODE.build(env)
         assert len(cluster.nodes) == 1
-        assert cluster.total_cores == 8
-        assert cluster.total_memory_gb == 24.0
+        assert sum(n.spec.cores for n in cluster.nodes) == 8
+        assert sum(n.spec.memory_gb for n in cluster.nodes) == 24.0
 
 
 class TestAllocation:
@@ -126,14 +126,6 @@ class TestAllocation:
         env.process(waiter())
         env.run()
         assert times == [10.0]
-
-    def test_node_by_name(self):
-        env = Environment()
-        cluster = small_cluster(env)
-        assert cluster.node_by_name("n1").spec.name == "n1"
-        with pytest.raises(KeyError):
-            cluster.node_by_name("missing")
-
 
 class TestResize:
     def test_shrink_is_immediate(self):
@@ -244,22 +236,6 @@ class TestResize:
         env.run()
         with pytest.raises(SimulationError):
             _ = p.value
-
-    def test_blocking_resize_generator(self):
-        """The blocking resize API still works when capacity is free."""
-        env = Environment()
-        cluster = small_cluster(env, nodes=1)
-
-        def proc():
-            alloc = yield from cluster.allocate(2, 8.0)
-            yield from alloc.resize(6, 16.0)
-            assert alloc.cores == 6
-            assert alloc.memory_gb == 16.0
-            alloc.release()
-
-        env.process(proc())
-        env.run()
-
 
 class TestPowerAccounting:
     def test_power_tracks_busy_cores(self):

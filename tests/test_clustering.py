@@ -148,42 +148,6 @@ class TestDBSCAN:
             DBSCAN(min_samples=0)
 
 
-class TestClusterRadius:
-    def test_per_cluster_rms_differs_between_tight_and_wide(self):
-        rng = np.random.default_rng(3)
-        tight = rng.normal(0.0, 0.1, size=(40, 3))
-        wide = rng.normal(20.0, 2.0, size=(40, 3))
-        model = KMeans(k=2, seed=0).fit(np.vstack([tight, wide]))
-        tight_label = model.labels[0]
-        wide_label = model.labels[-1]
-        assert tight_label != wide_label
-        assert model.cluster_radius(wide_label) > 5 * model.cluster_radius(tight_label)
-
-    def test_matches_manual_rms(self):
-        x = two_blobs()
-        model = KMeans(k=2, seed=0).fit(x)
-        for label in (0, 1):
-            members = x[model.labels == label]
-            d2 = ((members - model.centroids[label]) ** 2).sum(axis=1)
-            assert model.cluster_radius(label) == pytest.approx(
-                float(np.sqrt(d2.mean()))
-            )
-
-    def test_radii_decompose_total_inertia(self):
-        x = two_blobs()
-        model = KMeans(k=2, seed=0).fit(x)
-        total = sum(
-            model.cluster_radius(j) ** 2 * int((model.labels == j).sum())
-            for j in range(model.k)
-        )
-        assert total == pytest.approx(model.inertia)
-
-    def test_out_of_range_label_is_zero(self):
-        model = KMeans(k=2, seed=0).fit(two_blobs())
-        assert model.cluster_radius(5) == 0.0
-        assert model.cluster_radius(-1) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Early-abandon equivalence (restart-level optimisation must be exact)
 # ---------------------------------------------------------------------------
@@ -211,8 +175,7 @@ class _ReferenceKMeans(KMeans):
                 break
         d2 = pairwise_sq_distances(x, centroids)
         labels = d2.argmin(axis=1)
-        per_point = d2[np.arange(len(x)), labels]
-        return centroids, labels, float(per_point.sum()), per_point
+        return centroids, labels, float(d2[np.arange(len(x)), labels].sum())
 
 
 def _assert_fits_identical(x, k, n_init, seed, max_iter=100, tol=1e-6):
@@ -223,8 +186,6 @@ def _assert_fits_identical(x, k, n_init, seed, max_iter=100, tol=1e-6):
     assert np.array_equal(fast.centroids, slow.centroids)
     assert np.array_equal(fast.labels, slow.labels)
     assert fast.inertia == slow.inertia  # bit-exact, not approx
-    assert np.array_equal(fast.cluster_inertias, slow.cluster_inertias)
-    assert np.array_equal(fast.cluster_sizes, slow.cluster_sizes)
 
 
 class TestEarlyAbandonEquivalence:

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from repro.simulation.des import (
     AllOf,
-    AnyOf,
     Container,
     Environment,
     Event,
-    Interrupt,
     Process,
     Resource,
     SimulationError,
@@ -109,9 +107,6 @@ class TestTimeoutAndClock:
         env = Environment(initial_time=5.0)
         with pytest.raises(ValueError):
             env.run(until=1.0)
-
-    def test_peek_empty_is_inf(self):
-        assert Environment().peek() == float("inf")
 
     def test_step_empty_raises(self):
         with pytest.raises(SimulationError):
@@ -216,49 +211,6 @@ class TestProcess:
         env.run()
         assert p.value == 5
 
-    def test_interrupt_wakes_process(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        p = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(3.0)
-            p.interrupt("wake up")
-
-        env.process(interrupter())
-        env.run()
-        assert log == [(3.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(0.0)
-
-        p = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_is_alive(self):
-        env = Environment()
-
-        def proc():
-            yield env.timeout(1.0)
-
-        p = env.process(proc())
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
-
-
 class TestConditions:
     def test_all_of_waits_for_all(self):
         env = Environment()
@@ -272,19 +224,6 @@ class TestConditions:
         p = env.process(proc())
         env.run()
         assert p.value == (3.0, ["a", "b"])
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-
-        def proc():
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(9.0, value="slow")
-            result = yield env.any_of([t1, t2])
-            return (env.now, list(result.values()))
-
-        p = env.process(proc())
-        env.run()
-        assert p.value == (1.0, ["fast"])
 
     def test_all_of_empty_fires_immediately(self):
         env = Environment()
@@ -341,25 +280,6 @@ class TestResource:
         env = Environment()
         with pytest.raises(SimulationError):
             Resource(env, 1).release()
-
-    def test_queue_length(self):
-        env = Environment()
-        resource = Resource(env, 1)
-
-        def hog():
-            yield resource.request()
-            yield env.timeout(10.0)
-            resource.release()
-
-        def waiter():
-            yield resource.request()
-            resource.release()
-
-        env.process(hog())
-        env.process(waiter())
-        env.run(until=5.0)
-        assert resource.queue_length == 1
-
 
 class TestContainer:
     def test_validation(self):
@@ -458,4 +378,3 @@ class TestContainer:
             env.process(proc(a))
         env.run()
         assert c.level == pytest.approx(16.0)
-        assert c.queue_length == 0

@@ -12,7 +12,6 @@ import pytest
 
 from repro.simulation.des import (
     Environment,
-    Interrupt,
     SimulationError,
 )
 
@@ -109,72 +108,6 @@ class TestProcessedEventResumeOrdering:
         assert order == ["immediate", "zero-delay", "heap"]
 
 
-class TestInterruptWithDeferredResume:
-    def test_interrupt_cancels_pending_deferred_resume(self):
-        """Interrupting a process that waits on an already-processed
-        event replaces the pending resume with the interrupt."""
-        env = Environment()
-        done = env.event()
-        done.succeed("never delivered")
-        env.run()
-        log = []
-
-        def waiter():
-            try:
-                yield done
-                log.append("resumed normally")
-            except Interrupt as interrupt:
-                log.append(("interrupted", interrupt.cause))
-
-        p = env.process(waiter())
-        # advance only the bootstrap so the process is now blocked on
-        # the deferred resume, then interrupt before it fires.
-        env.step()
-        p.interrupt("cause")
-        env.run()
-        assert log == [("interrupted", "cause")]
-
-    def test_interrupt_before_first_run_still_starts_process(self):
-        """Interrupting a just-created process lets it advance to its
-        first yield before the Interrupt lands (historical behavior)."""
-        env = Environment()
-        log = []
-
-        def proc():
-            log.append("started")
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                log.append("interrupted")
-
-        p = env.process(proc())
-        p.interrupt()
-        env.run()
-        assert log == ["started", "interrupted"]
-
-    def test_interrupt_then_normal_wait_still_works(self):
-        """A process interrupted out of a deferred resume can keep
-        yielding ordinary events afterwards."""
-        env = Environment()
-        done = env.event()
-        done.succeed(1)
-        env.run()
-
-        def waiter():
-            try:
-                yield done
-            except Interrupt:
-                pass
-            yield env.timeout(3.0)
-            return env.now
-
-        p = env.process(waiter())
-        env.step()
-        p.interrupt()
-        env.run()
-        assert p.value == 3.0
-
-
 class TestImmediateQueueMechanics:
     def test_step_processes_immediate_entries(self):
         env = Environment()
@@ -182,14 +115,8 @@ class TestImmediateQueueMechanics:
         event = env.event()
         event.add_callback(lambda e: seen.append(e._value))
         event.succeed("v")
-        assert env.peek() == 0.0
         env.step()
         assert seen == ["v"]
-
-    def test_peek_with_only_immediate_entries_is_now(self):
-        env = Environment(initial_time=4.0)
-        env.event().succeed()
-        assert env.peek() == 4.0
 
     def test_run_until_processes_immediate_at_boundary(self):
         env = Environment()

@@ -54,8 +54,8 @@ class TestExamples:
         assert "runtime objective" in proc.stdout
         assert "PDU estimate" in proc.stdout
 
-    def test_observability_and_failures(self):
-        proc = run_example("observability_and_failures.py", "0")
+    def test_failure_injection(self):
+        proc = run_example("failure_injection.py", "0")
         assert proc.returncode == 0, proc.stderr
         assert "failed trials" in proc.stdout
         assert "out of memory" in proc.stdout

@@ -15,7 +15,6 @@ from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
 from repro.core.probing import ProbeSample, ProbingController
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
-from repro.tsdb.store import TimeSeriesStore
 from repro.tune.trainer import run_trial, trial_energy_j
 from repro.workloads.perfmodel import epoch_time
 from repro.workloads.registry import LENET_MNIST, type12_workloads
@@ -212,11 +211,3 @@ class TestPluggableClustering:
         assert calls == [2]
         assert gt.model is not None
 
-    def test_augmented_entries_persist_roundtrip(self):
-        config = PipeTuneConfig(similarity_include_hyper=True)
-        session = PipeTuneSession(config=config)
-        session.warm_start([LENET_MNIST])
-        store = TimeSeriesStore()
-        session.ground_truth.to_store(store)
-        restored = GroundTruth.from_store(store)
-        assert restored.entries[0].features.shape == (63,)

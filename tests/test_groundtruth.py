@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.groundtruth import GroundTruth, GroundTruthEntry
 from repro.counters.events import NUM_EVENTS
-from repro.tsdb.store import TimeSeriesStore
 from repro.workloads.spec import SystemParams
 
 
@@ -98,7 +97,6 @@ class TestQueries:
         gt = populated()
         match = gt.query(entry(0.0, jitter=0.02, seed=42).features)
         assert match.distance <= match.threshold
-        assert 0.0 <= match.confidence <= 1.0
         assert match.source_workload == "low"
 
     def test_threshold_scales_with_inertia(self):
@@ -117,36 +115,3 @@ class TestQueries:
     def test_len(self):
         assert len(populated()) == 8
 
-
-class TestPersistence:
-    def test_store_roundtrip(self):
-        gt = populated()
-        store = TimeSeriesStore()
-        written = gt.to_store(store)
-        assert written == 8
-        restored = GroundTruth.from_store(store, k=2, min_entries=4)
-        assert len(restored) == 8
-        match = restored.query(entry(0.0, jitter=0.02, seed=7).features)
-        assert match is not None
-        assert match.system.cores == 4
-
-    def test_roundtrip_preserves_systems(self):
-        gt = GroundTruth(min_entries=4)
-        gt.add(
-            GroundTruthEntry(
-                features=np.arange(NUM_EVENTS, dtype=float),
-                best_system=SystemParams(cores=16, memory_gb=32.0),
-                objective_value=-12.5,
-                workload_name="x",
-                created_at=77.0,
-            )
-        )
-        store = TimeSeriesStore()
-        gt.to_store(store)
-        restored = GroundTruth.from_store(store)
-        e = restored.entries[0]
-        assert e.best_system == SystemParams(cores=16, memory_gb=32.0)
-        assert e.objective_value == -12.5
-        assert e.workload_name == "x"
-        assert e.created_at == 77.0
-        np.testing.assert_allclose(e.features, np.arange(NUM_EVENTS, dtype=float))

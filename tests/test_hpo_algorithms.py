@@ -27,6 +27,11 @@ def toy_space():
     )
 
 
+def total_configs(algo):
+    """Number of distinct configurations a HyperBand run starts."""
+    return sum(bracket.rungs[0].survivors for bracket in algo._brackets)
+
+
 def quadratic_score(params):
     """Smooth objective peaked at x=0.7, y=0.1."""
     return -((params["x"] - 0.7) ** 2) - (math.log10(params["y"]) + 1.0) ** 2
@@ -128,11 +133,9 @@ class TestHyperBand:
         assert [r.survivors for r in first.rungs] == [9, 3, 1]
 
     def test_sample_scale_multiplies_configs(self):
-        base = HyperBand(toy_space(), max_epochs=9, eta=3).total_configs()
-        scaled = HyperBand(
-            toy_space(), max_epochs=9, eta=3, sample_scale=1.5
-        ).total_configs()
-        assert scaled > base
+        base = HyperBand(toy_space(), max_epochs=9, eta=3)
+        scaled = HyperBand(toy_space(), max_epochs=9, eta=3, sample_scale=1.5)
+        assert total_configs(scaled) > total_configs(base)
 
     def test_epochs_domain_is_ignored(self):
         algo = HyperBand(toy_space(), max_epochs=9, eta=3)
@@ -170,7 +173,7 @@ class TestHyperBand:
         assert algo.done
         # bracket sizes for R=9, eta=3: 9 + 5 + 3 starts
         starts = {o.trial_id for o in observations}
-        assert len(starts) == algo.total_configs()
+        assert len(starts) == total_configs(algo) == 9 + 5 + 3
 
     def test_waits_for_pending_rung(self):
         algo = HyperBand(toy_space(), max_epochs=9, eta=3)

@@ -166,12 +166,6 @@ class TestScheduler:
         assert min(t1, t2) <= overall <= max(t1, t2)
         assert result.mean_response_time_s("III") == 0.0
 
-    def test_makespan(self):
-        env, cluster = fresh_cluster()
-        arrivals = generate_arrivals([workloads_of_type("I")], 3, 100.0, seed=0)
-        result = run_multi_tenancy(env, cluster, arrivals, tiny_spec)
-        assert result.makespan_s == max(r.result.finished_at for r in result.records)
-
     def test_concurrency_validation(self):
         env, cluster = fresh_cluster()
         with pytest.raises(ValueError):

@@ -49,18 +49,6 @@ class TestEnergyMeter:
         expected = 5 * 60 + 10 * 100 + 5 * 60
         assert meter.total_energy_joules() == pytest.approx(expected)
 
-    def test_node_energy_by_name(self):
-        env = Environment()
-        cluster = one_node(env, idle=40.0)
-        meter = EnergyMeter(env, cluster)
-
-        def proc():
-            yield env.timeout(2.0)
-
-        env.process(proc())
-        env.run()
-        assert meter.node_energy_joules("n0") == pytest.approx(80.0)
-
     def test_kj_conversion(self):
         env = Environment()
         cluster = one_node(env, idle=100.0)

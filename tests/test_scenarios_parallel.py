@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import EXHIBIT_RUNS, golden
+from repro.scenarios import backends
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     AnalysisStep,
@@ -253,6 +254,24 @@ class TestParallelBitIdentity:
         two = definition.runner().run(scale=0.5, seed=0, workers=2)
         five = definition.runner().run(scale=0.5, seed=0, workers=5)
         assert two.format_table() == five.format_table()
+
+    def test_spawn_pool_byte_matches_golden(self, monkeypatch):
+        """The start method is a latency knob only: a ``spawn`` worker
+        is a fresh interpreter that rebuilds every memo and stream from
+        the pickled declarations, so fig09's three chains on a 2-worker
+        spawn pool still give the committed bytes."""
+        run = EXHIBIT_RUNS["fig09"]
+        plan = SCENARIO_REGISTRY["fig09"].runner().plan(scale=run.scale, seed=run.seed)
+        assert len(partition(plan)) >= 2
+        methods = []
+        monkeypatch.setattr(
+            backends,
+            "default_start_method",
+            lambda: methods.append("spawn") or "spawn",
+        )
+        diffs = golden.check(names=["fig09"], workers=2)
+        assert methods, "the pool did not ask for its start method"
+        assert diffs["fig09"].status == "ok", "fig09 on a spawn pool diverged"
 
     def test_worker_count_is_irrelevant_against_golden(self):
         """2- and 5-worker runs at the canonical parameters both

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.cluster import NodeSpec, SimCluster
-from repro.simulation.des import Environment, Interrupt
+from repro.simulation.des import Environment
 from repro.simulation.power import EnergyMeter
 from repro.tune.errors import TrialOutOfMemory
 from repro.tune.trainer import TrialContext, TrialHooks, run_trial, trial_energy_j
@@ -41,41 +41,11 @@ def run(env, cluster, **kwargs):
     return process.value
 
 
-def interrupt_at(env, process, at):
-    def interrupter():
-        yield env.timeout(at)
-        process.interrupt("stop")
-
-    env.process(interrupter())
-
-
 def assert_node_free(node):
     assert node.cores.level == node.spec.cores
     assert node.memory.level == node.spec.memory_gb
     assert node.active_cores == 0.0
     assert node.power_watts == node.spec.idle_watts
-
-
-class ContextCapture(TrialHooks):
-    """Default hooks that also expose the trial context."""
-
-    def __init__(self):
-        self.ctx = None
-
-    def on_start(self, ctx):
-        self.ctx = ctx
-
-
-def record_tuple(record):
-    return (
-        record.epoch,
-        record.duration_s,
-        record.accuracy,
-        record.system,
-        record.energy_j,
-        record.profiled,
-        record.probed,
-    )
 
 
 class TestBasicTraining:
@@ -147,66 +117,8 @@ class TestBasicTraining:
         assert a.training_time_s == b.training_time_s
 
 
-class TestInterrupts:
-    """An interrupted trial hands its node back whole: allocation
-    released and its busy cores no longer drawing power."""
-
+class TestPowerListeners:
     EIGHT_CORES = SystemParams(cores=8, memory_gb=16.0)
-
-    @pytest.mark.parametrize(
-        "workload, epochs, fraction",
-        [
-            (LENET_MNIST, 8, 0.05),
-            (LENET_MNIST, 8, 0.45),
-            (LENET_MNIST, 8, 0.83),
-            (CNN_NEWS20, 6, 0.6),
-        ],
-        ids=["lenet-0.05", "lenet-0.45", "lenet-0.83", "news20-0.6"],
-    )
-    def test_interrupt_mid_trial_frees_node(self, workload, epochs, fraction):
-        kwargs = dict(
-            workload=workload,
-            hyper=HyperParams(batch_size=64, epochs=epochs),
-            system=self.EIGHT_CORES,
-        )
-        full_env, full_cluster = make_env()
-        full = run(full_env, full_cluster, **kwargs)
-        span = full.end_time - full.start_time
-
-        env, cluster = make_env()
-        process = start_trial(env, cluster, **kwargs)
-        interrupt_at(env, process, fraction * span)
-        env.run()
-        assert not process.ok
-        with pytest.raises(Interrupt):
-            _ = process.value
-        assert_node_free(cluster.nodes[0])
-
-    def test_interrupted_records_are_prefix_of_full_run(self):
-        kwargs = dict(
-            hyper=HyperParams(batch_size=64, epochs=8), system=self.EIGHT_CORES
-        )
-        full_env, full_cluster = make_env()
-        full = run(full_env, full_cluster, **kwargs)
-        span = full.end_time - full.start_time
-
-        env, cluster = make_env()
-        hooks = ContextCapture()
-        process = start_trial(env, cluster, hooks=hooks, **kwargs)
-        interrupt_at(env, process, 0.5 * span)
-        env.run()
-        records = [record_tuple(r) for r in hooks.ctx.records]
-        reference = [record_tuple(r) for r in full.records]
-        assert 0 < len(records) < len(reference)
-        assert records == reference[: len(records)]
-
-    def test_interrupt_during_setup_releases_allocation(self):
-        env, cluster = make_env()
-        process = start_trial(env, cluster, system=self.EIGHT_CORES, setup_cost_s=100.0)
-        interrupt_at(env, process, 30.0)
-        env.run()
-        assert not process.ok
-        assert_node_free(cluster.nodes[0])
 
     def test_power_listener_attached_mid_trial_sees_every_epoch(self):
         """A listener attached during epoch 3 of 8 sees that epoch end,

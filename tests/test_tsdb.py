@@ -47,29 +47,6 @@ class TestPoint:
         assert not point.matches({"node": "n1"})
         assert not point.matches({"missing": "x"})
 
-    def test_line_roundtrip(self):
-        point = Point(
-            measurement="watts",
-            time=12.5,
-            tags={"node": "n0", "rack": "r1"},
-            fields={"value": 103.25, "cores": 8.0},
-        )
-        assert Point.from_line(point.to_line()) == point
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
-            Point.from_line("garbage")
-
-    @given(
-        time=st.floats(min_value=0, max_value=1e9),
-        value=st.floats(min_value=-1e6, max_value=1e6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_line_roundtrip_property(self, time, value):
-        point = pt(time=time, value=value)
-        assert Point.from_line(point.to_line()) == point
-
-
 class TestStore:
     def test_write_and_count(self):
         store = TimeSeriesStore()
