@@ -440,6 +440,64 @@ class TestPkl001:
         )
         assert findings == ()
 
+    def index_of(self, sources):
+        return ModuleIndex(
+            [
+                SourceModule.from_source(
+                    textwrap.dedent(source),
+                    name=name,
+                    path=name.replace(".", "/") + ".py",
+                )
+                for name, source in sources.items()
+            ]
+        )
+
+    def test_base_exception_in_another_module(self):
+        index = self.index_of(
+            {
+                "repro.tune.base": "class AppError(Exception):\n    pass\n",
+                "repro.tune.leaf": """
+                from .base import AppError
+
+                class TwoArg(AppError):
+                    def __init__(self, a, b):
+                        super().__init__(a)
+                """,
+            }
+        )
+        findings = run_rules(
+            index, [RULES_BY_ID["PKL001"]], all_rule_ids=ALL_RULE_IDS
+        ).findings
+        assert [(f.rule, f.path) for f in findings] == [
+            ("PKL001", "repro/tune/leaf.py")
+        ]
+
+    def test_exception_classes_computed_once_per_index(self):
+        from repro.analysis.rules.pickling import _exception_classes
+
+        index = self.index_of(
+            {
+                f"repro.tune.m{i}": self.FIXTURE.replace("TwoArg", f"TwoArg{i}")
+                for i in range(4)
+            }
+        )
+        _exception_classes.cache_clear()
+        findings = run_rules(
+            index, [RULES_BY_ID["PKL001"]], all_rule_ids=ALL_RULE_IDS
+        ).findings
+        assert len(findings) == 4
+        assert _exception_classes.cache_info().misses == 1
+
+    def test_new_index_is_not_served_a_stale_class_set(self):
+        assert rules_fired(
+            lint_source(self.FIXTURE, name="repro.tune.fixture", rules=["PKL001"])
+        ) == ["PKL001"]
+        plain_base = self.FIXTURE.replace("AppError(Exception)", "AppError")
+        assert (
+            lint_source(plain_base, name="repro.tune.fixture", rules=["PKL001"])
+            == ()
+        )
+
 
 class TestLock001:
     def test_unlocked_write_fires(self):

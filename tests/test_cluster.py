@@ -127,6 +127,28 @@ class TestAllocation:
         env.run()
         assert times == [10.0]
 
+    def test_request_lands_on_the_only_node_that_fits(self):
+        env = Environment()
+        cluster = SimCluster(
+            env,
+            [
+                NodeSpec(name="small", cores=4, memory_gb=64.0),
+                NodeSpec(name="big", cores=16, memory_gb=64.0),
+            ],
+        )
+        placed = []
+
+        def proc():
+            alloc = yield from cluster.allocate(8, 8.0)
+            placed.append(alloc.node.spec.name)
+            alloc.release()
+
+        env.process(proc())
+        env.run()
+        assert placed == ["big"]
+        assert cluster.stats.per_node_allocations == {"big": 1}
+
+
 class TestResize:
     def test_shrink_is_immediate(self):
         env = Environment()
@@ -145,6 +167,28 @@ class TestResize:
         node = cluster.nodes[0]
         assert node.cores.level == 8
         assert node.memory.level == 32.0
+
+    def test_shrink_admits_a_queued_request(self):
+        env = Environment()
+        cluster = small_cluster(env, nodes=1, cores=8)
+        granted = []
+
+        def holder():
+            alloc = yield from cluster.allocate(8, 8.0)
+            yield env.timeout(3.0)
+            assert alloc.try_resize(4, 8.0)
+            yield env.timeout(10.0)
+            alloc.release()
+
+        def waiter():
+            alloc = yield from cluster.allocate(4, 8.0)
+            granted.append(env.now)
+            alloc.release()
+
+        env.process(holder())
+        env.process(waiter())
+        env.run()
+        assert granted == [3.0]
 
     def test_grow_succeeds_with_capacity(self):
         env = Environment()

@@ -98,6 +98,39 @@ class TestKMeans:
         model = KMeans(k=1, seed=0).fit(x)
         np.testing.assert_allclose(model.centroids[0], x.mean(axis=0), atol=1e-8)
 
+    def test_inertia_is_sum_of_squared_distances_to_own_centroid(self):
+        x = two_blobs()
+        model = KMeans(k=2, seed=0).fit(x)
+        residuals = x - model.centroids[model.labels]
+        assert model.inertia == pytest.approx(float((residuals**2).sum()))
+
+    def test_converged_centroids_are_member_means(self):
+        x = two_blobs()
+        model = KMeans(k=2, seed=0).fit(x)
+        for label in range(model.k):
+            members = x[model.labels == label]
+            np.testing.assert_allclose(
+                model.centroids[label], members.mean(axis=0), atol=1e-8
+            )
+
+    def test_tight_and_wide_blobs_keep_their_spread(self):
+        rng = np.random.default_rng(3)
+        tight = rng.normal(0.0, 0.1, size=(40, 3))
+        wide = rng.normal(20.0, 2.0, size=(40, 3))
+        x = np.vstack([tight, wide])
+        model = KMeans(k=2, seed=0).fit(x)
+        tight_label, wide_label = model.labels[0], model.labels[-1]
+        assert tight_label != wide_label
+        assert (model.labels[:40] == tight_label).all()
+        assert (model.labels[40:] == wide_label).all()
+
+        def rms(label):
+            members = x[model.labels == label]
+            d2 = ((members - model.centroids[label]) ** 2).sum(axis=1)
+            return float(np.sqrt(d2.mean()))
+
+        assert rms(wide_label) > 5 * rms(tight_label)
+
     @given(
         seed=st.integers(min_value=0, max_value=1000),
         separation=st.floats(min_value=5.0, max_value=50.0),

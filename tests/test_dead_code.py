@@ -14,6 +14,7 @@ to reference fails too, so the list never keeps stale excuses.
 """
 
 import ast
+import shutil
 from pathlib import Path
 
 import repro
@@ -120,3 +121,15 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
         "Box().used()\n"
     )
     assert sorted(unreferenced_defs(tmp_path)) == ["dead", "unused"]
+
+
+def test_new_def_in_a_package_copy_is_caught(tmp_path):
+    copy = tmp_path / "repro"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    module = copy / "simulation" / "des.py"
+    module.write_text(
+        module.read_text(encoding="utf-8") + "\n\ndef orphan_helper():\n    pass\n",
+        encoding="utf-8",
+    )
+    dead = unreferenced_defs(copy)
+    assert sorted(set(dead) - set(ALLOWLIST)) == ["orphan_helper"]

@@ -108,6 +108,29 @@ class TestTimeoutAndClock:
         with pytest.raises(ValueError):
             env.run(until=1.0)
 
+    def test_initial_time_offsets_timeouts(self):
+        env = Environment(initial_time=4.0)
+        fired = []
+        env.timeout(1.5).add_callback(lambda e: fired.append(env.now))
+        env.run()
+        assert fired == [5.5]
+
+    def test_run_until_on_empty_queue_advances_clock(self):
+        env = Environment()
+        env.run(until=7.0)
+        assert env.now == 7.0
+
+    def test_timeout_delivers_value(self):
+        env = Environment()
+
+        def proc():
+            got = yield env.timeout(2.0, value="payload")
+            return got
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == "payload"
+
     def test_step_empty_raises(self):
         with pytest.raises(SimulationError):
             Environment().step()
@@ -211,6 +234,36 @@ class TestProcess:
         env.run()
         assert p.value == 5
 
+    def test_process_event_fires_only_on_return(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+            yield env.timeout(1.0)
+
+        p = env.process(proc())
+        env.run(until=1.5)
+        assert not p.processed
+        with pytest.raises(SimulationError):
+            _ = p.value
+        env.run()
+        assert p.processed and p.ok
+        assert p.value is None
+
+    def test_failed_process_value_raises(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+            raise KeyError("lost")
+
+        p = env.process(proc())
+        env.run()
+        assert p.processed and not p.ok
+        with pytest.raises(KeyError):
+            _ = p.value
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self):
         env = Environment()
@@ -252,6 +305,55 @@ class TestConditions:
         assert p.value == "failed"
 
 
+    def test_all_of_values_keyed_by_input_position(self):
+        env = Environment()
+
+        def proc():
+            late = env.timeout(3.0, value="late")
+            early = env.timeout(1.0, value="early")
+            result = yield env.all_of([late, early])
+            return list(result.items())
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == [(0, "late"), (1, "early")]
+
+    def test_all_of_over_processed_children_fires_now(self):
+        env = Environment()
+        done = [env.timeout(1.0, value=i) for i in range(3)]
+        env.run()
+
+        def proc():
+            result = yield env.all_of(done)
+            return (env.now, result)
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == (1.0, {0: 0, 1: 1, 2: 2})
+
+    def test_all_of_first_failure_wins(self):
+        env = Environment()
+        first, second = env.event(), env.event()
+
+        def fail_later():
+            yield env.timeout(1.0)
+            first.fail(ValueError("first"))
+            yield env.timeout(1.0)
+            second.fail(KeyError("second"))
+
+        env.process(fail_later())
+
+        def proc():
+            try:
+                yield env.all_of([second, first])
+            except ValueError as error:
+                return (env.now, str(error))
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == (1.0, "first")
+
+
 class TestResource:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -280,6 +382,47 @@ class TestResource:
         env = Environment()
         with pytest.raises(SimulationError):
             Resource(env, 1).release()
+
+    def test_waiter_granted_when_holder_releases(self):
+        env = Environment()
+        resource = Resource(env, 1)
+        granted = []
+
+        def hog():
+            yield resource.request()
+            yield env.timeout(10.0)
+            resource.release()
+
+        def waiter():
+            yield resource.request()
+            granted.append(env.now)
+            resource.release()
+
+        env.process(hog())
+        env.process(waiter())
+        env.run(until=5.0)
+        assert granted == []
+        assert resource.in_use == 1
+        env.run()
+        assert granted == [10.0]
+        assert resource.in_use == 0
+
+    def test_release_wakes_waiters_fifo(self):
+        env = Environment()
+        resource = Resource(env, 2)
+        order = []
+
+        def worker(name, hold):
+            yield resource.request()
+            order.append((name, env.now))
+            yield env.timeout(hold)
+            resource.release()
+
+        for name, hold in (("a", 4.0), ("b", 1.0), ("c", 1.0), ("d", 1.0)):
+            env.process(worker(name, hold))
+        env.run()
+        assert order == [("a", 0.0), ("b", 0.0), ("c", 1.0), ("d", 2.0)]
+
 
 class TestContainer:
     def test_validation(self):
@@ -378,3 +521,26 @@ class TestContainer:
             env.process(proc(a))
         env.run()
         assert c.level == pytest.approx(16.0)
+
+    def test_put_serves_every_waiter_that_fits(self):
+        env = Environment()
+        c = Container(env, 10.0, init=0.0)
+        served = []
+
+        def taker(name, amount):
+            yield c.get(amount)
+            served.append((name, env.now))
+
+        for name, amount in (("a", 3.0), ("b", 4.0), ("c", 5.0)):
+            env.process(taker(name, amount))
+
+        def producer():
+            yield env.timeout(1.0)
+            c.put(8.0)
+            yield env.timeout(1.0)
+            c.put(4.0)
+
+        env.process(producer())
+        env.run()
+        assert served == [("a", 1.0), ("b", 1.0), ("c", 2.0)]
+        assert c.level == pytest.approx(0.0)

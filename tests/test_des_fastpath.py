@@ -9,11 +9,54 @@ entries exactly as the historical implementation scheduled them.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.des import (
     Environment,
     SimulationError,
 )
+
+# A process program is a list of ops: sleep for a delay (zero delays
+# go through the immediate deque), trigger and yield a fresh event, or
+# yield one event shared by every process (already processed for all
+# but the first to reach it).
+OPS = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])),
+    st.tuples(st.just("signal"), st.none()),
+    st.tuples(st.just("shared"), st.none()),
+)
+PROGRAMS = st.lists(st.lists(OPS, max_size=6), min_size=1, max_size=5)
+
+
+def start_programs(env, programs):
+    """Start one process per program; returns the log they append to."""
+    log = []
+    shared = env.event()
+
+    def proc(pid, ops):
+        for step, (op, arg) in enumerate(ops):
+            if op == "sleep":
+                yield env.timeout(arg)
+            elif op == "signal":
+                event = env.event()
+                event.add_callback(
+                    lambda e, pid=pid, step=step: log.append(
+                        ("callback", pid, step, env.now)
+                    )
+                )
+                event.succeed(step)
+                yield event
+            else:
+                if not shared.ok:
+                    shared.succeed(pid)
+                yield shared
+            log.append(("resumed", pid, step, env.now))
+        return pid
+
+    for pid, ops in enumerate(programs):
+        env.process(proc(pid, ops))
+    return log
 
 
 class TestProcessedEventResumeOrdering:
@@ -186,3 +229,43 @@ class TestImmediateQueueMechanics:
         b = env.process(late(3))
         env.run()
         assert (a.value, b.value) == (18, 27)
+
+
+class TestDriversAgree:
+    """``run()`` inlines its own copy of the scheduling loop; it must
+    fire events in exactly the order repeated ``step()`` calls do, and
+    splitting a run at ``until`` boundaries must change nothing."""
+
+    @given(programs=PROGRAMS)
+    @settings(max_examples=150, deadline=None)
+    def test_run_matches_repeated_step(self, programs):
+        ran = Environment()
+        by_run = start_programs(ran, programs)
+        ran.run()
+
+        stepped = Environment()
+        by_step = start_programs(stepped, programs)
+        while True:
+            try:
+                stepped.step()
+            except SimulationError:
+                break
+        assert by_step == by_run
+        assert stepped.now == ran.now
+
+    @given(
+        programs=PROGRAMS,
+        cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_split_runs_match_one_run(self, programs, cuts):
+        whole = Environment()
+        by_whole = start_programs(whole, programs)
+        whole.run()
+
+        split = Environment()
+        by_split = start_programs(split, programs)
+        for cut in sorted(cuts):
+            split.run(until=cut)
+        split.run()
+        assert by_split == by_whole

@@ -60,6 +60,13 @@ class TestExamples:
         assert "failed trials" in proc.stdout
         assert "out of memory" in proc.stdout
 
+    def test_failure_injection_is_deterministic(self):
+        first = run_example("failure_injection.py", "3")
+        again = run_example("failure_injection.py", "3")
+        assert first.returncode == 0, first.stderr
+        assert "out of memory" in first.stdout
+        assert again.stdout == first.stdout
+
     def test_service_client(self):
         proc = run_example("service_client.py")
         assert proc.returncode == 0, proc.stderr

@@ -166,6 +166,37 @@ class TestScheduler:
         assert min(t1, t2) <= overall <= max(t1, t2)
         assert result.mean_response_time_s("III") == 0.0
 
+    def test_trace_ends_when_last_job_finishes(self):
+        env, cluster = fresh_cluster()
+        arrivals = generate_arrivals([workloads_of_type("I")], 3, 100.0, seed=0)
+        result = run_multi_tenancy(env, cluster, arrivals, tiny_spec)
+        assert env.now == max(r.result.finished_at for r in result.records)
+
+    def test_records_in_completion_order(self):
+        env, cluster = fresh_cluster()
+        arrivals = generate_arrivals(
+            [workloads_of_type("I"), workloads_of_type("II")], 5, 50.0, seed=2
+        )
+        result = run_multi_tenancy(
+            env, cluster, arrivals, tiny_spec, max_concurrent_jobs=2
+        )
+        finished = [r.result.finished_at for r in result.records]
+        assert finished == sorted(finished)
+
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    def test_running_jobs_never_exceed_slots(self, slots):
+        env, cluster = fresh_cluster()
+        arrivals = generate_arrivals(
+            [workloads_of_type("I")], 5, 1.0, seed=0, unseen_fraction=0.0
+        )
+        result = run_multi_tenancy(
+            env, cluster, arrivals, tiny_spec, max_concurrent_jobs=slots
+        )
+        spans = [(r.started_at, r.result.finished_at) for r in result.records]
+        running = [sum(1 for s, f in spans if s <= start < f) for start, _ in spans]
+        # the slots fill up, and never overfill
+        assert max(running) == min(slots, len(spans))
+
     def test_concurrency_validation(self):
         env, cluster = fresh_cluster()
         with pytest.raises(ValueError):

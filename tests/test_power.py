@@ -62,6 +62,49 @@ class TestEnergyMeter:
         assert meter.total_energy_kj() == pytest.approx(10.0)
 
 
+    def test_total_sums_every_node(self):
+        env = Environment()
+        cluster = SimCluster(
+            env,
+            [
+                NodeSpec(name="n0", cores=8, memory_gb=32.0, idle_watts=40.0),
+                NodeSpec(
+                    name="n1",
+                    cores=8,
+                    memory_gb=32.0,
+                    idle_watts=60.0,
+                    core_watts=5.0,
+                ),
+            ],
+        )
+        meter = EnergyMeter(env, cluster)
+        busy = cluster.nodes[1]
+
+        def proc():
+            yield env.timeout(2.0)      # 2 s at 40 W + 60 W
+            busy.notify_busy(4)
+            yield env.timeout(3.0)      # 3 s at 40 W + 80 W
+            busy.notify_busy(-4)
+
+        env.process(proc())
+        env.run()
+        assert meter.total_energy_joules() == pytest.approx(2 * 100 + 3 * 120)
+
+    def test_meter_attached_late_counts_from_attachment(self):
+        env = Environment()
+        cluster = one_node(env, idle=50.0)
+
+        def proc():
+            yield env.timeout(4.0)
+            meters.append(EnergyMeter(env, cluster))
+            yield env.timeout(6.0)
+
+        meters = []
+        env.process(proc())
+        env.run()
+        assert meters[0].total_energy_joules() == pytest.approx(6 * 50.0)
+
+
 class TestIntervalEnergyMeter:
     def test_interval_delta(self):
         env = Environment()

@@ -6,7 +6,13 @@ import pytest
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.simulation.power import EnergyMeter
-from repro.tune.errors import TrialOutOfMemory
+from repro.tune.errors import (
+    NodeDeparted,
+    TrialCrashed,
+    TrialOutOfMemory,
+    TrialPreempted,
+)
+from repro.tune.faults import ChurnSpec, CrashSpec, FaultModel, PreemptionSpec
 from repro.tune.trainer import TrialContext, TrialHooks, run_trial, trial_energy_j
 from repro.tune.trial import EpochRecord
 from repro.workloads.accuracy import accuracy_at_epoch
@@ -145,6 +151,189 @@ class TestPowerListeners:
         assert process.ok
         assert len(watts) == 1 + 2 * 5
         assert watts[-1] == node.spec.idle_watts
+
+
+class ContextCapture(TrialHooks):
+    """Default hooks that also expose the trial context."""
+
+    def __init__(self):
+        self.ctx = None
+
+    def on_start(self, ctx):
+        self.ctx = ctx
+
+
+def record_tuple(record):
+    return (
+        record.epoch,
+        record.duration_s,
+        record.accuracy,
+        record.system,
+        record.energy_j,
+        record.profiled,
+        record.probed,
+    )
+
+
+def first_fault(faults, trial_id, epochs):
+    """``(epoch, kind, fraction)`` of the first fault drawn, or None."""
+    for epoch in range(1, epochs + 1):
+        event = faults.draw_event(trial_id, 0, epoch)
+        if event is not None:
+            return (epoch,) + event
+    return None
+
+
+class TestFailedTrialFreesNode:
+    """A trial that dies mid-run hands its node back whole: allocation
+    released and its busy cores no longer drawing power. What it ran
+    before dying is a prefix of the healthy run, and the simulated
+    clock stops where the failure struck."""
+
+    EIGHT_CORES = SystemParams(cores=8, memory_gb=16.0)
+    FAULTS = {
+        "preemption": (PreemptionSpec, TrialPreempted),
+        "churn": (ChurnSpec, NodeDeparted),
+        "crash": (CrashSpec, TrialCrashed),
+    }
+
+    def healthy_run(self, trial_id, hyper, workload=LENET_MNIST):
+        env, cluster = make_env()
+        return run(
+            env,
+            cluster,
+            trial_id=trial_id,
+            workload=workload,
+            hyper=hyper,
+            system=self.EIGHT_CORES,
+        )
+
+    def failed_run(self, expected, **kwargs):
+        """Run a trial that must fail with ``expected``; returns
+        ``(env, cluster, hooks, error)``."""
+        env, cluster = make_env()
+        hooks = kwargs.pop("hooks", None) or ContextCapture()
+        kwargs.setdefault("system", self.EIGHT_CORES)
+        process = start_trial(env, cluster, hooks=hooks, **kwargs)
+        env.run()
+        assert not process.ok
+        with pytest.raises(expected) as err:
+            _ = process.value
+        return env, cluster, hooks, err.value
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "workload", [LENET_MNIST, CNN_NEWS20], ids=["lenet", "news20"]
+    )
+    def test_certain_fault_charges_struck_fraction_of_first_epoch(self, kind, workload):
+        spec, error = self.FAULTS[kind]
+        faults = FaultModel(**{kind: spec(rate_per_epoch=1.0)})
+        hyper = HyperParams(batch_size=64, epochs=4)
+        env, cluster, hooks, err = self.failed_run(
+            error, workload=workload, hyper=hyper, faults=faults
+        )
+        assert err.trial_id == "t0"
+        assert err.epoch == 1
+        assert hooks.ctx.records == []
+        _, fraction = faults.draw_event("t0", 0, 1)
+        config = TrialConfig(workload, hyper, self.EIGHT_CORES)
+        assert env.now == fraction * epoch_cost(config, epoch=1).total_s
+        assert_node_free(cluster.nodes[0])
+
+    @pytest.mark.parametrize("trial_id", ["t0", "t1", "t2", "t3", "t4"])
+    def test_crash_lands_on_first_drawn_epoch(self, trial_id):
+        faults = FaultModel(crash=CrashSpec(rate_per_epoch=0.25))
+        hyper = HyperParams(batch_size=64, epochs=8)
+        full = self.healthy_run(trial_id, hyper)
+        epoch, kind, fraction = first_fault(faults, trial_id, 8)
+        assert kind == "crash"
+        env, cluster, hooks, err = self.failed_run(
+            TrialCrashed, trial_id=trial_id, hyper=hyper, faults=faults
+        )
+        assert err.epoch == epoch
+        records = [record_tuple(r) for r in hooks.ctx.records]
+        assert records == [record_tuple(r) for r in full.records[: epoch - 1]]
+        done = sum(r.duration_s for r in full.records[: epoch - 1])
+        struck = fraction * full.records[epoch - 1].duration_s
+        assert env.now == pytest.approx(done + struck, rel=1e-12)
+        assert_node_free(cluster.nodes[0])
+
+    @pytest.mark.parametrize(
+        "trial_id, struck_epoch, checkpoint",
+        [("t0", 6, 3), ("t1", 3, 0), ("t3", 5, 3), ("t4", 2, 0)],
+    )
+    def test_preemption_keeps_last_checkpoint(self, trial_id, struck_epoch, checkpoint):
+        spec = PreemptionSpec(rate_per_epoch=0.25, checkpoint_every_epochs=3)
+        faults = FaultModel(preemption=spec)
+        assert first_fault(faults, trial_id, 8)[:2] == (struck_epoch, "preemption")
+        _, cluster, hooks, err = self.failed_run(
+            TrialPreempted,
+            trial_id=trial_id,
+            hyper=HyperParams(batch_size=64, epochs=8),
+            faults=faults,
+        )
+        assert (err.epoch, err.checkpoint_epoch) == (struck_epoch, checkpoint)
+        assert len(hooks.ctx.records) == struck_epoch - 1
+        assert_node_free(cluster.nodes[0])
+
+    @pytest.mark.parametrize("failing_epoch", [1, 4, 8])
+    def test_hook_error_after_epoch_frees_node(self, failing_epoch):
+        class FailAfter(ContextCapture):
+            def after_epoch(self, ctx, record):
+                if record.epoch == failing_epoch:
+                    raise RuntimeError("hook failed")
+
+        hyper = HyperParams(batch_size=64, epochs=8)
+        full = self.healthy_run("t0", hyper)
+        env, cluster, hooks, _ = self.failed_run(
+            RuntimeError, hyper=hyper, hooks=FailAfter()
+        )
+        records = [record_tuple(r) for r in hooks.ctx.records]
+        assert records == [record_tuple(r) for r in full.records[:failing_epoch]]
+        assert env.now == pytest.approx(
+            sum(r.duration_s for r in full.records[:failing_epoch]), rel=1e-12
+        )
+        assert_node_free(cluster.nodes[0])
+
+    def test_hook_error_after_setup_releases_allocation(self):
+        class FailFirstEpoch(ContextCapture):
+            def before_epoch(self, ctx, epoch):
+                raise RuntimeError("hook failed")
+
+        env, cluster, hooks, _ = self.failed_run(
+            RuntimeError, hooks=FailFirstEpoch(), setup_cost_s=100.0
+        )
+        assert env.now == 100.0
+        assert hooks.ctx.records == []
+        assert_node_free(cluster.nodes[0])
+
+    def test_oom_after_mid_trial_shrink(self):
+        """Shrinking memory below the working set at epoch 3 kills the
+        trial there, after half an epoch at the new shape."""
+        small = SystemParams(cores=8, memory_gb=4.0)
+
+        class Shrink(ContextCapture):
+            def before_epoch(self, ctx, epoch):
+                return small if epoch == 3 else None
+
+        hyper = HyperParams(batch_size=1024, embedding_dim=300, epochs=6)
+        full = self.healthy_run("t0", hyper, workload=CNN_NEWS20)
+        env, cluster, hooks, err = self.failed_run(
+            TrialOutOfMemory,
+            workload=CNN_NEWS20,
+            hyper=hyper,
+            hooks=Shrink(),
+            oom_threshold=2.0,
+        )
+        assert err.memory_gb == 4.0
+        records = [record_tuple(r) for r in hooks.ctx.records]
+        assert records == [record_tuple(r) for r in full.records[:2]]
+        shrunk = TrialConfig(CNN_NEWS20, hyper, small)
+        thrash = 0.5 * epoch_cost(shrunk, epoch=3).total_s
+        assert env.now == pytest.approx(
+            sum(r.duration_s for r in full.records[:2]) + thrash, rel=1e-12
+        )
+        assert_node_free(cluster.nodes[0])
 
 
 class TestCostSegments:

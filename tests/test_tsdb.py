@@ -1,6 +1,7 @@
 """Tests for the embedded time-series store."""
 
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,63 @@ class TestStore:
         assert store.field_values("power", "value") == loaded.field_values(
             "power", "value"
         )
+
+    def test_dump_writes_one_json_object_per_line(self):
+        store = TimeSeriesStore()
+        store.write(pt(time=2.0, tags={"node": "n1"}, value=3.5))
+        store.write(pt(measurement="acc", time=1.0, value=0.25))
+        buffer = io.StringIO()
+        store.dump(buffer)
+        lines = buffer.getvalue().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"measurement": "acc", "time": 1.0, "tags": {}, "fields": {"value": 0.25}},
+            {
+                "measurement": "power",
+                "time": 2.0,
+                "tags": {"node": "n1"},
+                "fields": {"value": 3.5},
+            },
+        ]
+
+    def test_load_skips_blank_lines(self):
+        line = json.dumps(
+            {"measurement": "power", "time": 1.0, "fields": {"value": 2.0}}
+        )
+        loaded = TimeSeriesStore.load_stream(io.StringIO(f"\n{line}\n  \n"))
+        assert loaded.query("power") == [pt(time=1.0, value=2.0)]
+
+    def test_malformed_line_rejected(self):
+        with pytest.raises(ValueError):
+            TimeSeriesStore.load_stream(io.StringIO("garbage\n"))
+        no_fields = json.dumps({"measurement": "power", "time": 1.0})
+        with pytest.raises(ValueError):
+            TimeSeriesStore.load_stream(io.StringIO(no_fields))
+
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.sampled_from(["power", "acc"]),
+                st.floats(min_value=0, max_value=1e9),
+                st.sampled_from(["n0", "n1"]),
+                st.floats(min_value=-1e6, max_value=1e6),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_dump_load_roundtrip_property(self, samples):
+        store = TimeSeriesStore()
+        for measurement, time, node, value in samples:
+            store.write(
+                pt(measurement=measurement, time=time, tags={"node": node}, value=value)
+            )
+        buffer = io.StringIO()
+        assert store.dump(buffer) == len(samples)
+        buffer.seek(0)
+        loaded = TimeSeriesStore.load_stream(buffer)
+        assert loaded.measurements() == store.measurements()
+        for measurement in store.measurements():
+            assert loaded.query(measurement) == store.query(measurement)
 
     @given(
         times=st.lists(
