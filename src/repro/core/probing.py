@@ -16,8 +16,8 @@ instead of the full product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from ..tune.objectives import runtime_system_objective
 from ..workloads.spec import (

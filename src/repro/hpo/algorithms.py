@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..workloads.spec import rng_for
 from .space import SearchSpace
@@ -91,11 +91,6 @@ class SearchAlgorithm:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def best(self) -> Optional[Observation]:
-        if not self._observations:
-            return None
-        return max(self._observations, key=lambda o: o.score)
 
 
 class GridSearch(SearchAlgorithm):

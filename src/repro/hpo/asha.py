@@ -16,8 +16,7 @@ configuration at the base rung.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .algorithms import Observation, SearchAlgorithm, Suggestion

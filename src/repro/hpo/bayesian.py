@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algorithms import Observation, SearchAlgorithm, Suggestion
+from .algorithms import SearchAlgorithm, Suggestion
 from .space import SearchSpace
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from .algorithms import Observation, SearchAlgorithm, Suggestion
 from .space import SearchSpace
 

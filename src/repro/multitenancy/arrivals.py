@@ -9,10 +9,8 @@ profiles are not in the ground-truth history).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from ..schema import positional_pickle
 from ..workloads.spec import WorkloadSpec, rng_for

@@ -27,9 +27,6 @@ class ExperimentResult:
     def add_row(self, **values) -> None:
         self.rows.append(values)
 
-    def column(self, name: str) -> List:
-        return [row.get(name) for row in self.rows]
-
     def format_table(self, float_fmt: str = "{:.2f}") -> str:
         """Render rows as an aligned plain-text table."""
 

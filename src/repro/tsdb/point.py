@@ -14,8 +14,6 @@ from typing import Mapping
 def _validate_identifier(name: str, kind: str) -> None:
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} must be a non-empty string")
-    if any(c in name for c in ",= \n"):
-        raise ValueError(f"{kind} {name!r} contains reserved characters")
 
 
 @dataclass(frozen=True)

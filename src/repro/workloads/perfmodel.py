@@ -166,7 +166,7 @@ def _epoch_noise_block(w: WorkloadSpec, hp: HyperParams, sp: SystemParams):
 
 
 def clear_cost_caches() -> None:
-    """Drop the memoized cost terms and noise blocks (tests/benchmarks;
+    """Drop the memoized cost terms and noise windows (tests/benchmarks;
     both are pure in their keys, so clearing cannot change a number)."""
     _cost_terms.cache_clear()
     clear_noise_blocks()

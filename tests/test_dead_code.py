@@ -1,11 +1,13 @@
 """No new code that only tests and examples reach.
 
 An AST pass over the ``repro`` package collects every function, method
-and class whose name no code in the package references: not as a
-``Name``, not as an ``Attribute``, not as an import alias and not as a
-string in an ``__all__``. Dunder methods are protocol hooks and are
-skipped. The pass is by bare name, so a name counts as used once
-anything in the package spells it.
+and class whose name no code in the package references. A function or
+class is referenced as a ``Name``, an ``Attribute``, an import alias or
+a string in an ``__all__``; a method only as an ``Attribute`` or a
+string (``getattr`` names, dotted span targets), so a ``step`` variable
+does not hide an uncalled ``step`` method. Dunder methods are protocol hooks and are
+skipped. The pass is by name, not by binding, so a name counts as used
+once anything in the package spells it in a way its kind allows.
 
 The set it finds is pinned to ``ALLOWLIST``, each entry with the reason
 it stays. A new unreferenced def fails the test: delete it, or use it,
@@ -25,9 +27,8 @@ PAPER_SHAPE = "paper-claim helper the exhibit tests assert with"
 PERFBENCH = "perfbench/spans.py wraps or reads it by name"
 
 ALLOWLIST = {
+    "_respond": "bound as do_GET and do_POST in its class body",
     "aggregate_windows": PERFBENCH,
-    "cache_hits": "perfbench/session.py reads it off a SweepResult",
-    "cache_misses": "perfbench/session.py reads it off a SweepResult",
     "cluster_purity": PAPER_SHAPE,
     "contains": "search-space membership, the oracle of the sampling tests",
     "energy_joules": "examples/energy_aware_tuning.py reads the PDU estimate",
@@ -45,7 +46,9 @@ ALLOWLIST = {
     "metric_by_system": PAPER_SHAPE,
     "multiplexed": "PMU reference oracle of the counter tests",
     "read_interval": PERFBENCH,
+    "row": "single-row read the noise-matrix tests hold rows() to",
     "spawn": "numpy ISeedSequence protocol of _KeyedSeed",
+    "step": "one-event step, the ordering oracle tests/test_des.py holds run() to",
     "submit_inline": "client half of the served inline-run route",
     "surviving": "documented in README",
     "time_to_accuracy": PAPER_SHAPE,
@@ -56,40 +59,51 @@ ALLOWLIST = {
 
 def unreferenced_defs(root):
     """``{name: [path:line, ...]}`` of defs no code under ``root`` names."""
-    defs = {}
-    referenced = set()
+    defs = []
+    names, attributes, strings = set(), set(), set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        methods = {
+            id(member)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for member in node.body
+        }
         for node in ast.walk(tree):
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 where = f"{path.relative_to(root)}:{node.lineno}"
-                defs.setdefault(node.name, []).append(where)
+                defs.append((node.name, where, id(node) in methods))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                referenced.add(node.name.rsplit(".", 1)[-1])
+                names.add(node.name.rsplit(".", 1)[-1])
                 if node.asname:
-                    referenced.add(node.asname)
-            elif isinstance(node, ast.Assign) and any(
+                    names.add(node.asname)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value.rsplit(".", 1)[-1])
+            if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets
             ):
-                referenced.update(
+                names.update(
                     constant.value
                     for constant in ast.walk(node.value)
                     if isinstance(constant, ast.Constant)
                     and isinstance(constant.value, str)
                 )
-    return {
-        name: sites
-        for name, sites in defs.items()
-        if name not in referenced
-        and not (name.startswith("__") and name.endswith("__"))
-    }
+    method_refs, other_refs = attributes | strings, attributes | names
+    dead = {}
+    for name, where, is_method in defs:
+        referenced = method_refs if is_method else other_refs
+        if name not in referenced and not (
+            name.startswith("__") and name.endswith("__")
+        ):
+            dead.setdefault(name, []).append(where)
+    return dead
 
 
 def test_no_new_unreferenced_defs():
@@ -118,9 +132,12 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
         "    def __repr__(self): return ''\n"
         "    def used(self): return called()\n"
         "    def unused(self): pass\n"
+        "    def shadowed(self): pass\n"
+        "    def by_string(self): pass\n"
         "Box().used()\n"
+        "shadowed = getattr(Box(), 'by_string')\n"
     )
-    assert sorted(unreferenced_defs(tmp_path)) == ["dead", "unused"]
+    assert sorted(unreferenced_defs(tmp_path)) == ["dead", "shadowed", "unused"]
 
 
 def test_new_def_in_a_package_copy_is_caught(tmp_path):
@@ -133,3 +150,51 @@ def test_new_def_in_a_package_copy_is_caught(tmp_path):
     )
     dead = unreferenced_defs(copy)
     assert sorted(set(dead) - set(ALLOWLIST)) == ["orphan_helper"]
+
+
+def unused_imports(root):
+    """``["path:line name", ...]`` of imported names their module never
+    uses. A package ``__init__`` imports to re-export, and ``from
+    __future__`` imports are compiler directives, so both are exempt."""
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".", 1)[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [
+            f"{path.relative_to(root)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    return unused
+
+
+def test_no_unused_imports():
+    unused = unused_imports(PACKAGE)
+    assert not unused, f"imports no code in their module uses: {unused}"
+
+
+def test_unused_import_pass_exemptions(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import used\n")
+    (package / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from typing import List, Tuple\n"
+        "def used() -> List[str]:\n"
+        "    return [os.path.sep]\n"
+    )
+    assert unused_imports(tmp_path) == ["pkg/mod.py:3 codec", "pkg/mod.py:4 Tuple"]

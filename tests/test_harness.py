@@ -55,10 +55,11 @@ class TestExperimentResult:
         r.add_row(name="b", value=2.25)
         return r
 
-    def test_add_and_column(self):
-        r = self.result()
-        assert r.column("value") == [1.5, 2.25]
-        assert r.column("missing") == [None, None]
+    def test_add_row(self):
+        assert self.result().rows == [
+            {"name": "a", "value": 1.5},
+            {"name": "b", "value": 2.25},
+        ]
 
     def test_format_table_structure(self):
         text = self.result().format_table()

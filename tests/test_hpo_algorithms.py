@@ -94,11 +94,6 @@ class TestGridSearch:
                 Observation("ghost", {}, 0.0, 0.0, 0.0, 1)
             )
 
-    def test_best(self):
-        algo = GridSearch(SearchSpace({"a": Choice([1, 2, 3])}), epochs=2)
-        drive(algo, lambda p: float(p["a"]))
-        assert algo.best().params["a"] == 3
-
 
 class TestRandomSearch:
     def test_emits_exactly_num_samples(self):

@@ -8,9 +8,10 @@ both properties across the key domain (hypothesis), then hold the
 repro models to the equivalences built on them: scalar ``epoch_cost``
 vs ``epoch_cost_batch``, scalar ``accuracy_at_epoch`` vs
 ``accuracy_curve``, matrix rows vs sequential vector draws, and the
-construction-count bound the whole layer exists to enforce, and
-finally that threads fetching one memoized block or matrix all read
-the keyed stream while they race its construction and growth.
+construction-count bound the whole layer exists to enforce, the window
+and stream memos' keys, bounds and read-only windows, and finally that
+threads reading one block or matrix all read the keyed stream while
+they race its construction and growth.
 """
 
 import sys
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import golden
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
 from repro.tune.trainer import TrialHooks, run_trial
@@ -40,6 +42,8 @@ from repro.workloads import (
 from repro.workloads.noise import (
     NoiseBlock,
     NoiseMatrix,
+    _stream,
+    _window,
     clear_noise_blocks,
     noise_block,
     noise_matrix,
@@ -137,29 +141,95 @@ class TestNoiseBlock:
         ],
     )
     def test_memo_key_identity(self, make, first, second):
-        a, b = make(*first), make(*second)
-        assert make(*first) is a
-        assert a is not b
-        draw = (lambda x: x.row(1)) if make is noise_matrix else (lambda x: x.value(0))
-        assert not np.array_equal(draw(a), draw(b))
+        clear_noise_blocks()
+
+        def read(handle):
+            if make is noise_matrix:
+                return handle.rows(0, 2)
+            return handle.window(0, 2)
+
+        a = read(make(*first))
+        built = philox_construction_count()
+        hits = _window.cache_info().hits
+        # A fresh handle on the same key hits the window memo and
+        # builds no stream.
+        np.testing.assert_array_equal(read(make(*first)), a)
+        assert _window.cache_info().hits == hits + 1
+        assert philox_construction_count() == built
+        # The other key is its own stream, with different draws.
+        b = read(make(*second))
+        assert philox_construction_count() == built + 1
+        assert not np.array_equal(a, b)
 
     def test_eviction_replays_identical_values(self):
         clear_noise_blocks()
         a = noise_block(0.1, "evict-a")
         b = noise_block(0.1, "evict-b")
-        before = b.prefix(10)
-        # More fresh blocks than the memo holds (1024); A is re-read
+        kept, before = a.prefix(10), b.prefix(10)
+        fill = noise_block(0.1, "evict-fill")
+        # More fresh windows than the memo holds; A's window is re-read
         # often enough to stay among the most recently used.
-        for index in range(1100):
-            noise_block(0.1, "evict-fill", index)
-            if index % 100 == 0:
-                assert noise_block(0.1, "evict-a") is a
-        assert noise_block(0.1, "evict-a") is a
-        rebuilt = noise_block(0.1, "evict-b")
-        assert rebuilt is not b
-        assert rebuilt.prefix(10) == before
+        for index in range(_window.cache_info().maxsize + 100):
+            fill.value(index)
+            if index % 1000 == 0:
+                hits = _window.cache_info().hits
+                assert a.prefix(10) == kept
+                assert _window.cache_info().hits == hits + 1
+        assert _window.cache_info().currsize == _window.cache_info().maxsize
+        misses = _window.cache_info().misses
+        assert b.prefix(10) == before
+        assert _window.cache_info().misses == misses + 1
         clear_noise_blocks()
-        assert noise_block(0.1, "evict-b").prefix(10) == before
+        assert b.prefix(10) == before
+
+    def test_stream_eviction_replays_identical_values(self):
+        clear_noise_blocks()
+        b = noise_block(0.1, "evict-stream-b")
+        before = b.prefix(10)
+        # More fresh streams than the stream memo holds evicts B's.
+        for index in range(_stream.cache_info().maxsize + 1):
+            noise_block(0.1, "evict-stream-fill", index).value(0)
+        built = philox_construction_count()
+        # A memoized window still hits; a new one rebuilds the stream.
+        assert b.prefix(10) == before
+        assert philox_construction_count() == built
+        assert b.window(2, 9) == before[2:9]
+        assert philox_construction_count() == built + 1
+
+    def test_reads_cannot_write_into_memoized_windows(self):
+        clear_noise_blocks()
+        block = noise_block(0.1, "write-test")
+        matrix = noise_matrix(0.03, 4, "write-test")
+        reads = (block.prefix(6), block.window(2, 6), matrix.rows(0, 3), matrix.row(1))
+        expected = [np.array(read, copy=True) for read in reads]
+        value = block.value(3)
+        assert type(value) is float
+        for read in reads:
+            read[0] = 99.0
+        assert matrix.row(1).flags.writeable and matrix.rows(0, 3).flags.writeable
+        again = (block.prefix(6), block.window(2, 6), matrix.rows(0, 3), matrix.row(1))
+        for read, want in zip(again, expected):
+            np.testing.assert_array_equal(read, want)
+        assert block.value(3) == value == expected[0][3]
+        memoized = _window(0.03, (4,), matrix._reprs, 0, 3)
+        assert not memoized.flags.writeable
+        assert memoized.base is None  # a copy: it pins no stream prefix
+        with pytest.raises(ValueError):
+            memoized[0, 0] = 0.0
+
+    def test_second_exhibit_render_draws_nothing(self):
+        clear_noise_blocks()
+        golden.render("fig09")
+        streams, windows = _stream.cache_info(), _window.cache_info()
+        text = golden.render("fig09")
+        # Every read hits a window: no stream is fetched, let alone drawn.
+        assert _stream.cache_info() == streams
+        assert _window.cache_info().misses == windows.misses
+        assert _window.cache_info().hits > windows.hits
+        with open(
+            golden.committed_path("fig09"), "r", encoding="utf-8", newline=""
+        ) as handle:
+            assert text == handle.read()
 
 
 class TestNoiseMatrix:
@@ -199,7 +269,7 @@ class TestNoiseMatrix:
 
 class TestConcurrentGrowth:
     """The service runs serial jobs on several threads, so one memoized
-    block can be built and grown under concurrent readers. Every read
+    stream can be built and grown under concurrent readers. Every read
     must still be the keyed stream: a growth step that shares a
     generator or edits the memoized array in place hands some reader
     values from the wrong stream positions (or an IndexError on a
@@ -236,8 +306,8 @@ class TestConcurrentGrowth:
             try:
                 barrier.wait()
                 for length, rows in zip(self.LENGTHS, self.ROWS + (None,)):
-                    # Each read fetches through the memo, so the first
-                    # reads race the block's construction.
+                    # Each read is a new window, so the reads race the
+                    # stream's construction and growth.
                     block = noise_block(self.SIGMA, *key)
                     matrix = noise_matrix(self.SIGMA, self.WIDTH, *key)
                     if block.prefix(length) != expected[:length].tolist():

@@ -29,7 +29,7 @@ class TestPoint:
         with pytest.raises(ValueError):
             Point(measurement="", time=0.0, fields={"v": 1.0})
         with pytest.raises(ValueError):
-            Point(measurement="has space", time=0.0, fields={"v": 1.0})
+            Point(measurement="m", time=0.0, tags={"": "x"}, fields={"v": 1.0})
 
     def test_tag_values_must_be_strings(self):
         with pytest.raises(TypeError):
@@ -156,6 +156,22 @@ class TestStore:
                 "fields": {"value": 3.5},
             },
         ]
+
+    def test_names_with_separators_roundtrip(self):
+        # JSON lines quote every name, so spaces, commas, equals signs
+        # and newlines are plain characters.
+        point = Point(
+            measurement="node power",
+            time=1.0,
+            tags={"host a": "x=1,y", "line\nbreak": "v"},
+            fields={"watts, avg": 2.5},
+        )
+        store = TimeSeriesStore()
+        store.write(point)
+        buffer = io.StringIO()
+        assert store.dump(buffer) == 1
+        buffer.seek(0)
+        assert TimeSeriesStore.load_stream(buffer).query("node power") == [point]
 
     def test_load_skips_blank_lines(self):
         line = json.dumps(
