@@ -353,7 +353,7 @@ def test_hostile_world(benchmark):
     per-epoch fault draws on the trial hot path plus the recovery
     bookkeeping in the job runner. Gates the overhead of the
     fault-injection seam against the committed baseline."""
-    runner = ScenarioRunner(get_definition("churn-and-crashes"))
+    runner = get_definition("churn-and-crashes")
     result = benchmark.pedantic(
         lambda: runner.run(scale=1.0, seed=0), rounds=3, iterations=1
     )

@@ -4,9 +4,11 @@
 Declares one scenario — Tune V1 (accuracy only, fixed system
 parameters), Tune V2 (system parameters as extra hyperparameters) and
 PipeTune (pipelined system tuning) compared on the paper's 4-node
-testbed — and runs it through the scenario API's explicit
-plan -> validate -> execute -> collect phases, printing the accuracy /
-training-time / tuning-time comparison of the paper's Table 2.
+testbed — plans and validates it through the scenario API, then runs
+its steps on a ``ChainExecutor``, which keeps PipeTune's session so
+its ground-truth database can be inspected afterwards. Prints the
+accuracy / training-time / tuning-time comparison of the paper's
+Table 2.
 
 Usage::
 
@@ -15,7 +17,14 @@ Usage::
 
 import sys
 
-from repro.scenarios import Scenario, ScenarioRunner, pipetune, tune_v1, tune_v2
+from repro.scenarios import (
+    ChainExecutor,
+    Scenario,
+    ScenarioRunner,
+    pipetune,
+    tune_v1,
+    tune_v2,
+)
 
 SCENARIO = (
     Scenario.builder("quickstart")
@@ -39,7 +48,8 @@ def main(seed: int = 0) -> None:
     runner = ScenarioRunner(SCENARIO)
     plan = runner.plan(scale=1.0, seed=seed)
     runner.validate(plan)
-    outcomes = runner.execute(plan)
+    executor = ChainExecutor(plan.scenario, plan.scale, plan.seed)
+    outcomes = [executor.run_step(step) for step in plan.steps]
 
     rows = [
         (step.policy.label, result) for step, result in zip(plan.steps, outcomes)
@@ -69,7 +79,7 @@ def main(seed: int = 0) -> None:
         f"PipeTune best system parameters: {pipetune_result.best_system.cores} cores, "
         f"{pipetune_result.best_system.memory_gb:.0f} GB"
     )
-    session = runner.sessions["PipeTune"]
+    (session,) = executor.sessions.values()  # one session per pipetune policy
     print(f"Ground-truth hit rate: {session.stats.hit_rate:.0%}")
     saved = 100 * (1 - pipetune_result.tuning_time_s / v1.tuning_time_s)
     print(f"Tuning time vs Tune V1: {saved:+.1f}% " + ("(saved)" if saved > 0 else ""))

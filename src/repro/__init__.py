@@ -21,6 +21,11 @@ default cluster), warm-started from the Type-I/II campaign::
     (result,) = runner.execute(runner.plan(seed=0))
     print(result.best_hyper, result.best_system)
 
+The runner keeps no run state. To look into the PipeTune session (its
+ground-truth database), run the plan's steps on a
+:class:`~repro.scenarios.backends.ChainExecutor`, the one holder of
+sessions, as ``examples/quickstart.py`` does.
+
 Package map (README.md, "Layout", has the full inventory):
 
 * :mod:`repro.simulation` — discrete-event cluster/power substrate
@@ -33,8 +38,8 @@ Package map (README.md, "Layout", has the full inventory):
 * :mod:`repro.multitenancy` — FIFO multi-job scheduling
 * :mod:`repro.ec2`       — Fig 1 cost model
 * :mod:`repro.scenarios` — declarative scenario API + registry (the
-  front door: every paper exhibit and novel experiment is a declared
-  scenario run by the ScenarioRunner)
+  front door: every paper exhibit and novel experiment is registered
+  as a frozen ScenarioRunner)
 * :mod:`repro.experiments` — canonical exhibit parameters + golden
   traces
 """

@@ -184,27 +184,29 @@ def _cmd_scenario_list(args) -> int:
             [scenario_summary(d) for d in SCENARIO_REGISTRY.values()]
         )
     width = max(len(name) for name in SCENARIO_REGISTRY)
-    for name, definition in SCENARIO_REGISTRY.items():
-        scenario = definition.scenario
+    for name, runner in SCENARIO_REGISTRY.items():
+        scenario = runner.scenario
         title = scenario.title or scenario.description
-        print(f"{name:<{width}}  [{definition.source:<5}]  {title}")
+        print(f"{name:<{width}}  [{runner.source:<5}]  {title}")
     return 0
 
 
 def _cmd_scenario_describe(args) -> int:
     try:
-        definition = get_definition(args.name)
+        runner = get_definition(args.name)
     except KeyError as error:
         return _fail(args, "UnknownScenario", str(error.args[0]))
-    if args.json:
-        return _emit_ok(
-            scenario_describe_payload(definition, scale=args.scale, seed=args.seed)
-        )
-    runner = definition.runner()
-    plan = runner.plan(scale=args.scale, seed=args.seed)
+    try:
+        if args.json:
+            return _emit_ok(
+                scenario_describe_payload(runner, scale=args.scale, seed=args.seed)
+            )
+        plan = runner.plan(scale=args.scale, seed=args.seed)
+    except ScenarioError as error:
+        return _fail(args, "ScenarioError", str(error))
     chains = plan.chains()
-    scenario = definition.scenario
-    print(f"scenario   : {scenario.name} [{definition.source}]")
+    scenario = runner.scenario
+    print(f"scenario   : {scenario.name} [{runner.source}]")
     if scenario.exhibit:
         print(f"exhibit    : {scenario.exhibit}")
     if scenario.title:
@@ -250,7 +252,7 @@ def _cmd_scenario_describe(args) -> int:
 
 def _cmd_scenario_run(args) -> int:
     try:
-        definition = get_definition(args.name)
+        runner = get_definition(args.name)
     except KeyError as error:
         return _fail(args, "UnknownScenario", str(error.args[0]))
     _, cache_dir = _cache_opts(args)
@@ -286,7 +288,6 @@ def _cmd_scenario_run(args) -> int:
                 "(--force)",
                 file=sys.stderr,
             )
-    runner = definition.runner()
     started = time.time()  # repro: allow[DET001] -- CLI elapsed timing
     try:
         plan = runner.plan(scale=scale, seed=seed)
@@ -312,7 +313,7 @@ def _cmd_scenario_run(args) -> int:
     if args.json:
         data = {
             "scenario": args.name,
-            "source": definition.source,
+            "source": runner.source,
             "scale": scale,
             "seed": seed,
             "workers": args.workers or 1,

@@ -129,7 +129,7 @@ def render_many(
     pairs = []
     for name in names:
         run = EXHIBIT_RUNS[name]
-        runner = get_definition(name).runner()
+        runner = get_definition(name)
         plan = runner.plan(scale=run.scale, seed=run.seed)
         runner.validate(plan)
         pairs.append((runner, plan))

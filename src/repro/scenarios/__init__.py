@@ -4,9 +4,10 @@ Declare *what* to run — workload x cluster x HPO algorithm x system
 policy x objective x tenancy x failure injection x repetitions — as a
 validated :class:`Scenario`; the :class:`ScenarioRunner` derives *how*
 (spec construction, session sharing, execution order) through explicit
-``plan -> validate -> execute -> collect`` phases. All 12 paper
-exhibits and every novel experiment are entries in
-:data:`SCENARIO_REGISTRY`; the CLI front end is
+``plan -> validate -> execute -> collect`` phases. A runner is frozen
+and stateless: :data:`SCENARIO_REGISTRY` maps the name of each of the
+12 paper exhibits and every novel experiment to its runner, and one
+runner serves concurrent runs. The CLI front end is
 ``repro scenario list|describe|run``.
 
 Quick start::
@@ -26,7 +27,6 @@ Quick start::
 
 from .registry import (
     SCENARIO_REGISTRY,
-    ScenarioDefinition,
     get_definition,
     register,
     run_scenario,
@@ -147,7 +147,6 @@ __all__ = [
     "SWEEP_REGISTRY",
     "Scenario",
     "ScenarioBuilder",
-    "ScenarioDefinition",
     "ScenarioError",
     "ScenarioPlan",
     "ScenarioRunner",

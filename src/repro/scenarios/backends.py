@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the ScenarioRunner.
+"""Pluggable execution backends for scenario runs.
 
 The scenario *declaration* never changes; *where and how* its steps
 execute is a backend decision (the RAFDA separation of application
@@ -8,9 +8,7 @@ logic from distribution policy). Every backend has one entry point,
 and hands back ``(task position, outcomes)`` as each chain completes
 (:mod:`~repro.scenarios.merge` puts them back in plan order):
 
-* :class:`SerialBackend` — chains in order, in this process; the
-  PipeTune sessions it built stay inspectable via
-  :attr:`~repro.scenarios.runner.ScenarioRunner.sessions`;
+* :class:`SerialBackend` — chains in order, in this process;
 * :class:`ProcessPoolBackend` — chains fanned out over a
   multiprocessing pool: session-sharing chains run in order on one
   worker, independent chains concurrently.
@@ -24,12 +22,14 @@ bytes. ``tests/test_scenarios_parallel.py`` proves it against the
 committed golden traces for all 15 exhibits.
 
 Step execution itself lives in :class:`ChainExecutor` — the single
-implementation both backends drive; its inputs are plain picklable
-declarations. It runs every HPT job through :func:`execute_job` (one
-spec on a freshly built :class:`~repro.scenarios.spec.ClusterSpec`)
-and sizes PipeTune sessions with :func:`session_for_cluster`; code
-that needs a custom workload, space or ``PipeTuneConfig`` uses the
-same two. :func:`backend_for` builds every backend.
+implementation both backends drive, and the one holder of a run's
+PipeTune sessions: code that inspects a session drives an executor
+directly. Its inputs are plain picklable declarations. It runs every
+HPT job through :func:`execute_job` (one spec on a freshly built
+:class:`~repro.scenarios.spec.ClusterSpec`) and sizes PipeTune
+sessions with :func:`session_for_cluster`; code that needs a custom
+workload, space or ``PipeTuneConfig`` uses the same two.
+:func:`backend_for` builds every backend.
 
 Whether a failure is contained is a setting, not a second backend. A
 step that raises is wrapped in :class:`~repro.scenarios.containment.
@@ -342,8 +342,7 @@ class SerialBackend:
 
     A chain starts only when the caller asks for the next result, so a
     caller that collects each finished plan first holds one plan's
-    outcomes at a time. The PipeTune sessions of the latest plan stay
-    inspectable on :attr:`sessions`.
+    outcomes at a time.
 
     ``contain=False`` (default — an interactive run wants the
     traceback) lets the first raising step escape as a
@@ -365,16 +364,13 @@ class SerialBackend:
     ):
         self.contain = contain
         self.stop = stop
-        self.sessions: Dict[SystemPolicySpec, object] = {}
 
     def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
-        self.sessions = {}
         executor = current = None
         for position, (plan, chain) in enumerate(tasks):
             if plan is not current:
                 current = plan
                 executor = ChainExecutor(plan.scenario, plan.scale, plan.seed)
-                self.sessions = executor.sessions
             yield position, executor.run_chain(
                 chain, contain=self.contain, stop=self.stop
             )
@@ -417,10 +413,7 @@ Pending = Tuple[int, str, str]
 class ProcessPoolBackend:
     """Chains fanned out over a process pool, with fault tolerance.
 
-    Sessions live and die inside the workers, so :attr:`sessions` (and
-    :attr:`ScenarioRunner.sessions`) is empty after a pooled execute —
-    use :class:`SerialBackend` when the session object itself is the
-    thing under inspection.
+    Sessions live and die inside the workers.
 
     The harness survives its own failures:
 
@@ -469,7 +462,6 @@ class ProcessPoolBackend:
         self.chain_timeout_s = chain_timeout_s
         self.chain_retries = chain_retries
         self.stop = stop
-        self.sessions: Dict[SystemPolicySpec, object] = {}
 
     def _stopped(self) -> bool:
         return self.stop is not None and self.stop()

@@ -234,9 +234,6 @@ class CachingBackend:
     stored as it comes back. Hits and misses merge into plan order
     alike — indistinguishable bytes either way. :meth:`stats_for`
     reads one plan's hit/miss counts of the last call.
-
-    Like the pooled backend, a fully cached run returns no live
-    sessions (there was nothing to build them for).
     """
 
     def __init__(self, inner, cache: Optional[OutcomeCache] = None):
@@ -250,7 +247,6 @@ class CachingBackend:
         # *empty* cache is falsy and `cache or ...` would silently
         # swap a fresh cache dir for the default root.
         self.cache = OutcomeCache() if cache is None else cache
-        self.sessions: Dict = {}
         self._hits: Dict[int, List[bool]] = {}
 
     def stats_for(self, plan: ScenarioPlan) -> CacheStats:
@@ -260,7 +256,6 @@ class CachingBackend:
 
     def run_chains(self, tasks) -> Iterator[Tuple[int, List]]:
         tasks = list(tasks)
-        self.sessions = {}
         # id(plan) -> hit flags; the task list keeps every plan alive.
         self._hits = {}
         keys: Dict[int, str] = {}
@@ -284,7 +279,6 @@ class CachingBackend:
                 self.cache.store(keys[position], outcomes)
                 yield position, outcomes
                 del outcomes
-            self.sessions = self.inner.sessions
 
     def __repr__(self) -> str:
         return f"CachingBackend(inner={self.inner!r}, cache={self.cache!r})"

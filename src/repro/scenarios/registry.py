@@ -1,11 +1,13 @@
 """Plugin-style scenario registry: the one catalogue of experiments.
 
 Every runnable experiment — the 12 paper exhibits and any number of
-novel scenarios — registers here as a :class:`ScenarioDefinition`:
-a declarative :class:`~repro.scenarios.spec.Scenario` plus (optionally)
-a custom collector and plan function. The CLI (``repro scenario
-list|describe|run``), the service and the golden-trace harness
-(``repro.experiments``) all resolve scenarios through this registry.
+novel scenarios — registers here as a :class:`~repro.scenarios.runner.
+ScenarioRunner`: a declarative :class:`~repro.scenarios.spec.Scenario`
+plus (optionally) a custom collector and plan function. The entry is
+frozen and holds no run state, so every front end — the CLI
+(``repro scenario list|describe|run``), the service and the
+golden-trace harness (``repro.experiments``) — runs the registered
+object itself.
 
 Downstream code extends the catalogue the same way the built-ins do::
 
@@ -22,7 +24,6 @@ Downstream code extends the catalogue the same way the built-ins do::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .result import ExperimentResult
@@ -31,26 +32,8 @@ from .spec import Scenario
 
 SCENARIO_SOURCES = ("paper", "novel", "user")
 
-
-@dataclass(frozen=True)
-class ScenarioDefinition:
-    """One registry entry: the scenario plus its run-time couplings."""
-
-    scenario: Scenario
-    collect: Optional[Collector] = None
-    plan_fn: Optional[PlanFn] = None
-    source: str = "user"
-
-    @property
-    def name(self) -> str:
-        return self.scenario.name
-
-    def runner(self) -> ScenarioRunner:
-        return ScenarioRunner(self)
-
-
-#: name -> definition, in registration order (paper exhibits first).
-SCENARIO_REGISTRY: Dict[str, ScenarioDefinition] = {}
+#: name -> runner, in registration order (paper exhibits first).
+SCENARIO_REGISTRY: Dict[str, ScenarioRunner] = {}
 
 
 def register(
@@ -59,7 +42,7 @@ def register(
     plan_fn: Optional[PlanFn] = None,
     source: str = "user",
     replace: bool = False,
-) -> ScenarioDefinition:
+) -> ScenarioRunner:
     """Validate and add one scenario to the registry."""
     if source not in SCENARIO_SOURCES:
         raise ValueError(f"unknown scenario source {source!r}")
@@ -67,14 +50,12 @@ def register(
         raise ValueError(f"scenario {scenario.name!r} already registered")
     if scenario.kind != "analysis":
         scenario.validate()
-    definition = ScenarioDefinition(
-        scenario=scenario, collect=collect, plan_fn=plan_fn, source=source
-    )
-    SCENARIO_REGISTRY[scenario.name] = definition
-    return definition
+    runner = ScenarioRunner(scenario, collector=collect, plan_fn=plan_fn, source=source)
+    SCENARIO_REGISTRY[scenario.name] = runner
+    return runner
 
 
-def get_definition(name: str) -> ScenarioDefinition:
+def get_definition(name: str) -> ScenarioRunner:
     try:
         return SCENARIO_REGISTRY[name]
     except KeyError:
@@ -85,8 +66,8 @@ def get_definition(name: str) -> ScenarioDefinition:
 def scenario_names(source: Optional[str] = None) -> List[str]:
     return [
         name
-        for name, definition in SCENARIO_REGISTRY.items()
-        if source is None or definition.source == source
+        for name, runner in SCENARIO_REGISTRY.items()
+        if source is None or runner.source == source
     ]
 
 
@@ -102,4 +83,4 @@ def run_scenario(
     e.g. a :class:`~repro.scenarios.cache.CachingBackend` for
     content-addressed reuse; the rendered result is byte-identical
     either way."""
-    return get_definition(name).runner().run(scale=scale, seed=seed, backend=backend)
+    return get_definition(name).run(scale=scale, seed=seed, backend=backend)

@@ -30,6 +30,7 @@ under any backend and any worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -385,70 +386,65 @@ def shared_tenancy_collector(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ScenarioRunner:
-    """Executes one scenario (or registry definition) through the four
-    phases. Accepts either a bare :class:`Scenario` (generic collector
-    chosen by tenancy mode) or a registered definition carrying its own
-    plan/collect functions."""
+    """One scenario and its run-time couplings; the registry entry.
 
-    def __init__(
-        self,
-        scenario,
-        collect: Optional[Collector] = None,
-        plan_fn: Optional[PlanFn] = None,
-    ):
-        # Late import: registry imports this module.
-        from .registry import ScenarioDefinition
+    ``collector`` defaults to the generic table of the scenario's
+    tenancy mode, ``plan_fn`` to the declarative plan. The runner holds
+    no run state, so one instance serves concurrent runs; a run's
+    PipeTune sessions live in the :class:`~repro.scenarios.backends.
+    ChainExecutor` that runs its chains.
+    """
 
-        if isinstance(scenario, ScenarioDefinition):
-            definition = scenario
-            scenario = definition.scenario
-            collect = collect or definition.collect
-            plan_fn = plan_fn or definition.plan_fn
-        self.scenario: Scenario = scenario
-        self._plan_fn = plan_fn
-        if collect is None:
-            collect = (
-                shared_tenancy_collector()
-                if scenario.tenancy.shared
-                else metrics_by_system_collector()
-            )
-        self._collect = collect
-        #: one long-lived PipeTune session per policy, shared across
-        #: every dedicated-tenancy step of one execute() call.
-        self._sessions: Dict[SystemPolicySpec, object] = {}
+    scenario: Scenario
+    collector: Optional[Collector] = None
+    plan_fn: Optional[PlanFn] = None
+    source: str = "user"
 
     # -- phase 1: plan ------------------------------------------------------
     def plan(self, scale: float = 1.0, seed: int = 0) -> ScenarioPlan:
+        """The run's steps; a scale that is not finite and positive, or
+        that sizes a plan past what Python can hold, is a
+        :class:`ScenarioError`."""
         scenario = self.scenario
-        seeds = tuple(seed + s for s in seeds_for(scale, scenario.repetitions))
-        if self._plan_fn is not None:
-            steps = tuple(self._plan_fn(scenario, scale, seed))
-        elif scenario.tenancy.shared:
-            num_jobs = scenario.tenancy.scaled_jobs(scale)
-            steps = tuple(
-                TraceStep(policy=policy, num_jobs=num_jobs, seed=seed)
-                for policy in scenario.systems
-            )
-        else:
-            built: List[Step] = []
-            for name in scenario.workloads:
-                workload = get_workload(name)
-                for policy in scenario.systems:
-                    step_cls = FixedTrialStep if policy.kind == "fixed" else JobStep
-                    built.extend(
-                        step_cls(workload=workload, policy=policy, seed=s)
-                        for s in seeds
-                    )
-            steps = tuple(built)
+        if not 0 < scale < math.inf:  # false for nan too
+            problem = f"scale must be finite and positive, got {scale!r}"
+            raise ScenarioError(scenario.name, [problem])
+        try:
+            seeds = tuple(seed + s for s in seeds_for(scale, scenario.repetitions))
+            steps = tuple(self._steps(scale, seed, seeds))
+        except (OverflowError, MemoryError) as error:
+            problem = f"scale {scale!r} cannot size a plan: {error}"
+            raise ScenarioError(scenario.name, [problem]) from None
         return ScenarioPlan(
             scenario=scenario, scale=scale, seed=seed, seeds=seeds, steps=steps
         )
 
+    def _steps(self, scale: float, seed: int, seeds: Tuple[int, ...]) -> List[Step]:
+        scenario = self.scenario
+        if self.plan_fn is not None:
+            return list(self.plan_fn(scenario, scale, seed))
+        if scenario.tenancy.shared:
+            num_jobs = scenario.tenancy.scaled_jobs(scale)
+            return [
+                TraceStep(policy=policy, num_jobs=num_jobs, seed=seed)
+                for policy in scenario.systems
+            ]
+        steps: List[Step] = []
+        for name in scenario.workloads:
+            workload = get_workload(name)
+            for policy in scenario.systems:
+                step_cls = FixedTrialStep if policy.kind == "fixed" else JobStep
+                steps.extend(
+                    step_cls(workload=workload, policy=policy, seed=s) for s in seeds
+                )
+        return steps
+
     # -- phase 2: validate --------------------------------------------------
     def validate(self, plan: Optional[ScenarioPlan] = None) -> None:
         issues = self.scenario.problems()
-        if self.scenario.kind == "analysis" and self._plan_fn is None:
+        if self.scenario.kind == "analysis" and self.plan_fn is None:
             issues.append("analysis scenario needs a plan function")
         if plan is not None and not plan.steps:
             issues.append("plan resolved to zero steps")
@@ -462,36 +458,28 @@ class ScenarioRunner:
         workers: Optional[int] = None,
         backend=None,
     ) -> List:
-        """Run the plan through an execution backend; its raw outcomes.
-
-        ``workers`` picks the backend (``None``/``0``/``1`` — serial,
-        ``> 1`` — a process pool of that size); an explicit ``backend``
-        object (anything with ``run_chains(tasks)``) overrides it.
-        Outcomes always come back in plan order. :meth:`run` and every
-        front end collect through :func:`~repro.scenarios.merge.
-        run_reports` instead.
+        """The plan's raw outcomes in plan order: the one-plan case of
+        :func:`~repro.scenarios.merge.run_plans`. ``workers`` picks the
+        backend (serial up to 1, else a pool of that size); an explicit
+        ``backend`` (anything with ``run_chains(tasks)``) overrides it.
         """
         from .backends import backend_for  # late import: backends imports us
         from .merge import run_plans
 
         if backend is None:
             backend = backend_for(workers)
-        self._sessions = {}  # a failed run must not expose stale sessions
         ((_, outcomes, _),) = run_plans(backend, [plan])
-        self._sessions = backend.sessions
         return outcomes
-
-    @property
-    def sessions(self):
-        """PipeTune sessions created by the last :meth:`execute`, keyed
-        by policy label (one shared session per pipetune policy).
-        Empty after a pooled execute — sessions then live and die in
-        the workers; use the serial backend to inspect them."""
-        return {policy.label: session for policy, session in self._sessions.items()}
 
     # -- phase 4: collect ---------------------------------------------------
     def collect(self, plan: ScenarioPlan, outcomes: List) -> ExperimentResult:
-        return self._collect(plan, outcomes)
+        collector = self.collector
+        if collector is None:
+            shared = self.scenario.tenancy.shared
+            collector = (
+                shared_tenancy_collector() if shared else metrics_by_system_collector()
+            )
+        return collector(plan, outcomes)
 
     # -- all phases ---------------------------------------------------------
     def run(

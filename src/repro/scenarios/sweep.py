@@ -30,15 +30,15 @@ a ``repro sweep list|run`` CLI front end.
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..schema import Spec
 from .cache import CacheStats
 from .registry import SCENARIO_REGISTRY, get_definition
 from .result import ExperimentResult
-from .runner import ScenarioRunner
 from .spec import Scenario, ScenarioError
 
 
@@ -355,6 +355,9 @@ def run_sweep(
     if isinstance(sweep, str):
         sweep = get_sweep(sweep)
     sweep.validate()
+    if not 0 < scale < math.inf:  # false for nan too
+        problem = f"scale must be finite and positive, got {scale!r}"
+        raise SweepError(sweep.name, [problem])
     backend = backend_for(workers, cache_dir=cache_dir, contain=True, stop=stop)
     cells = list(sweep._grid())
     variants: List[Optional[VariantOutcome]] = [None] * len(cells)
@@ -362,13 +365,9 @@ def run_sweep(
     for k, (variant_name, overrides) in enumerate(cells):
         started = time.perf_counter()
         try:
-            definition = get_definition(sweep.scenario)
-            scenario = apply_overrides(
-                definition.scenario, overrides, name=variant_name
-            )
-            runner = ScenarioRunner(
-                scenario, collect=definition.collect, plan_fn=definition.plan_fn
-            )
+            base = get_definition(sweep.scenario)
+            scenario = apply_overrides(base.scenario, overrides, name=variant_name)
+            runner = replace(base, scenario=scenario)
             plan = runner.plan(scale=scale, seed=seed)
             runner.validate(plan)
         except Exception as error:

@@ -27,12 +27,12 @@ def jsonify(value):
     return value
 
 
-def scenario_summary(definition) -> Dict:
+def scenario_summary(runner) -> Dict:
     """One catalogue line of ``scenario list --json`` / ``GET /v1/scenarios``."""
-    scenario = definition.scenario
+    scenario = runner.scenario
     return {
         "name": scenario.name,
-        "source": definition.source,
+        "source": runner.source,
         "kind": scenario.kind,
         "exhibit": scenario.exhibit,
         "title": scenario.title,
@@ -45,14 +45,14 @@ def scenario_summary(definition) -> Dict:
     }
 
 
-def scenario_describe_payload(definition, scale: float = 1.0, seed: int = 0) -> Dict:
-    """Full declaration + resolved plan, as ``scenario describe --json``."""
-    runner = definition.runner()
+def scenario_describe_payload(runner, scale: float = 1.0, seed: int = 0) -> Dict:
+    """Full declaration + resolved plan, as ``scenario describe --json``.
+    A scale the plan rejects raises its :class:`ScenarioError`."""
     plan = runner.plan(scale=scale, seed=seed)
     chains = plan.chains()
     return {
-        "source": definition.source,
-        "scenario": definition.scenario.as_dict(),
+        "source": runner.source,
+        "scenario": runner.scenario.as_dict(),
         "plan": {
             "scale": plan.scale,
             "seed": plan.seed,

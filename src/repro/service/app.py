@@ -110,8 +110,8 @@ class ServiceApp:
                 200,
                 ok_envelope(
                     [
-                        scenario_summary(definition)
-                        for definition in SCENARIO_REGISTRY.values()
+                        scenario_summary(runner)
+                        for runner in SCENARIO_REGISTRY.values()
                     ]
                 ),
             )
@@ -176,7 +176,7 @@ class ServiceApp:
 
     def _describe_scenario(self, name: str, request: Request) -> Response:
         try:
-            definition = get_definition(name)
+            runner = get_definition(name)
         except KeyError as error:
             return _not_found(str(error.args[0]))
         try:
@@ -184,10 +184,11 @@ class ServiceApp:
             seed = int(request.query.get("seed", 0))
         except ValueError as error:
             return _bad_request(f"bad query parameter: {error}")
-        return Response(
-            200,
-            ok_envelope(scenario_describe_payload(definition, scale, seed)),
-        )
+        try:
+            payload = scenario_describe_payload(runner, scale, seed)
+        except ScenarioError as error:
+            return _bad_request(str(error), error_type="ScenarioError")
+        return Response(200, ok_envelope(payload))
 
     def _describe_sweep(self, name: str) -> Response:
         try:

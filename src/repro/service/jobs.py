@@ -375,7 +375,7 @@ class JobManager:
         if job.scenario is not None:
             runner = ScenarioRunner(Scenario.from_dict(job.scenario))
         else:
-            runner = get_definition(job.name).runner()
+            runner = get_definition(job.name)
         plan = runner.plan(scale=job.scale, seed=job.seed)
         runner.validate(plan)
         backend = backend_for(

@@ -52,10 +52,6 @@ class Node:
         self._power_listeners: List = []
 
     @property
-    def active_cores(self) -> float:
-        return self._active_cores
-
-    @property
     def power_watts(self) -> float:
         """Instantaneous node power: idle draw + per-busy-core draw."""
         return self.spec.idle_watts + self.spec.core_watts * self._active_cores

@@ -49,14 +49,14 @@ from repro.scenarios.sweep import Sweep
 
 def _cached_run(name, backend, scale=1.0, seed=0):
     """(table, CacheStats) of one scenario run through ``backend``."""
-    runner = get_definition(name).runner()
+    runner = get_definition(name)
     plan = runner.plan(scale=scale, seed=seed)
     (report,) = run_reports(backend, [(runner, plan)])
     return report.unwrap(), report.cache_stats
 
 
 def _fig09_plan(scale=0.3, seed=0):
-    runner = get_definition("fig09").runner()
+    runner = get_definition("fig09")
     plan = runner.plan(scale=scale, seed=seed)
     return runner, plan
 
@@ -104,7 +104,7 @@ class TestChainKey:
                 replace=True,
             )
             try:
-                runner = get_definition(name).runner()
+                runner = get_definition(name)
                 return runner.plan(scale=1.0, seed=0)
             finally:
                 SCENARIO_REGISTRY.pop(name, None)

@@ -317,6 +317,25 @@ class TestEnvelope:
         assert envelope["error"]["type"] == "UnknownScenario"
         assert "fig99" in envelope["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["describe", "run"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e308", "0", "-1"])
+    def test_hostile_scale_is_an_error_envelope(self, capsys, command, scale):
+        assert main(["scenario", command, "fig09", "--scale", scale, "--json"]) == 2
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == "ScenarioError"
+        assert "scale" in envelope["error"]["message"]
+
+    def test_hostile_scale_without_json_exits_2(self, capsys):
+        assert main(["scenario", "describe", "fig09", "--scale", "nan"]) == 2
+        assert "scale must be finite and positive" in capsys.readouterr().err
+
+    def test_hostile_sweep_scale_is_an_error_envelope(self, capsys):
+        assert main(["sweep", "run", "arrival-rate", "--scale", "inf", "--json"]) == 2
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "SweepError"
+        assert "scale" in envelope["error"]["message"]
+
     def test_json_unknown_sweep_error(self, capsys):
         assert main(["sweep", "run", "nope", "--json"]) == 2
         envelope = json.loads(capsys.readouterr().out)

@@ -3,9 +3,11 @@
 An AST pass over the ``repro`` package collects every function, method
 and class whose name no code in the package references. A function or
 class is referenced as a ``Name``, an ``Attribute``, an import alias or
-a string in an ``__all__``; a method only as an ``Attribute`` or a
-string (``getattr`` names, dotted span targets), so a ``step`` variable
-does not hide an uncalled ``step`` method. Dunder methods are protocol hooks and are
+a string in an ``__all__``; a method only as an ``Attribute`` or as the
+string name argument of ``getattr``/``hasattr``/``setattr``/``delattr``,
+``attrgetter`` or ``methodcaller``. So a ``step`` variable does not hide
+an uncalled ``step`` method, nor does a dict key or an ``__all__`` entry
+that spells a method's name. Dunder methods are protocol hooks and are
 skipped. The pass is by name, not by binding, so a name counts as used
 once anything in the package spells it in a way its kind allows.
 
@@ -29,10 +31,13 @@ PERFBENCH = "perfbench/spans.py wraps or reads it by name"
 ALLOWLIST = {
     "_respond": "bound as do_GET and do_POST in its class body",
     "aggregate_windows": PERFBENCH,
+    "cache_hits": "perfbench/session.py reads them",
+    "cache_misses": "perfbench/session.py reads them",
     "cluster_purity": PAPER_SHAPE,
     "contains": "search-space membership, the oracle of the sampling tests",
     "energy_joules": "examples/energy_aware_tuning.py reads the PDU estimate",
-    "execute": PERFBENCH + "; the quickstart and multi-tenant examples run it",
+    "execute": PERFBENCH
+    + "; the stateless one-plan run the multi-tenant example calls",
     "exponential_growth_ratio": PAPER_SHAPE,
     "final_count": "PMU reference oracle of the counter tests",
     "final_counts": PERFBENCH,
@@ -46,6 +51,7 @@ ALLOWLIST = {
     "metric_by_system": PAPER_SHAPE,
     "multiplexed": "PMU reference oracle of the counter tests",
     "read_interval": PERFBENCH,
+    "rng": "WorkloadSpec's bound stream, a call shape DET002 lints",
     "row": "single-row read the noise-matrix tests hold rows() to",
     "spawn": "numpy ISeedSequence protocol of _KeyedSeed",
     "step": "one-event step, the ordering oracle tests/test_des.py holds run() to",
@@ -54,13 +60,41 @@ ALLOWLIST = {
     "time_to_accuracy": PAPER_SHAPE,
     "to_json": "documented in README",
     "total_energy_kj": "examples/energy_aware_tuning.py prints it",
+    "variants": "the validated variant list the sweep and spec-dict tests pin",
 }
+
+
+#: callables whose string arguments name attributes: name -> the slice
+#: of its positional arguments that do.
+ATTRIBUTE_NAMERS = {
+    "getattr": slice(1, 2),
+    "hasattr": slice(1, 2),
+    "setattr": slice(1, 2),
+    "delattr": slice(1, 2),
+    "methodcaller": slice(0, 1),
+    "attrgetter": slice(None),
+}
+
+
+def named_attributes(call):
+    """The attribute names a ``getattr``-style call spells as strings
+    (``attrgetter("a.b")`` names both ``a`` and ``b``)."""
+    func = call.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name not in ATTRIBUTE_NAMERS:
+        return []
+    return [
+        part
+        for arg in call.args[ATTRIBUTE_NAMERS[name]]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        for part in arg.value.split(".")
+    ]
 
 
 def unreferenced_defs(root):
     """``{name: [path:line, ...]}`` of defs no code under ``root`` names."""
     defs = []
-    names, attributes, strings = set(), set(), set()
+    names, attributes = set(), set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         methods = {
@@ -83,8 +117,8 @@ def unreferenced_defs(root):
                 names.add(node.name.rsplit(".", 1)[-1])
                 if node.asname:
                     names.add(node.asname)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                strings.add(node.value.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Call):
+                attributes.update(named_attributes(node))
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets
@@ -95,10 +129,10 @@ def unreferenced_defs(root):
                     if isinstance(constant, ast.Constant)
                     and isinstance(constant.value, str)
                 )
-    method_refs, other_refs = attributes | strings, attributes | names
+    other_refs = attributes | names
     dead = {}
     for name, where, is_method in defs:
-        referenced = method_refs if is_method else other_refs
+        referenced = attributes if is_method else other_refs
         if name not in referenced and not (
             name.startswith("__") and name.endswith("__")
         ):
@@ -124,7 +158,7 @@ def test_allowlist_has_no_stale_entries():
 def test_pass_sees_each_kind_of_reference(tmp_path):
     (tmp_path / "mod.py").write_text(
         "from os import path as p\n"
-        "__all__ = ['exported']\n"
+        "__all__ = ['exported', 'listed']\n"
         "def exported(): pass\n"
         "def called(): pass\n"
         "def dead(): pass\n"
@@ -134,10 +168,23 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
         "    def unused(self): pass\n"
         "    def shadowed(self): pass\n"
         "    def by_string(self): pass\n"
+        "    def by_getter(self): pass\n"
+        "    def by_caller(self): pass\n"
+        "    def keyed(self): pass\n"
+        "    def listed(self): pass\n"
         "Box().used()\n"
         "shadowed = getattr(Box(), 'by_string')\n"
+        "getter = operator.attrgetter('inner.by_getter')\n"
+        "caller = methodcaller('by_caller', 'keyed')\n"
+        "table = {'keyed': 1}\n"
     )
-    assert sorted(unreferenced_defs(tmp_path)) == ["dead", "shadowed", "unused"]
+    assert sorted(unreferenced_defs(tmp_path)) == [
+        "dead",
+        "keyed",
+        "listed",
+        "shadowed",
+        "unused",
+    ]
 
 
 def test_new_def_in_a_package_copy_is_caught(tmp_path):

@@ -71,7 +71,7 @@ class TestRegistry:
 
     def test_every_exhibit_has_run(self):
         for name in scenario_names("paper"):
-            assert callable(SCENARIO_REGISTRY[name].runner)
+            assert callable(SCENARIO_REGISTRY[name].run)
 
 
 class TestFig01(object):

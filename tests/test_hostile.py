@@ -261,15 +261,13 @@ class TestFaultDeterminism:
         assert a.tuning_time_s == b.tuning_time_s
 
     def test_hostile_scenario_serial_vs_pooled_bytes(self):
-        runner = ScenarioRunner(get_definition("churn-and-crashes"))
+        runner = get_definition("churn-and-crashes")
         serial = runner.run(scale=1.0, seed=0)
-        pooled = ScenarioRunner(get_definition("churn-and-crashes")).run(
-            scale=1.0, seed=0, workers=4
-        )
+        pooled = runner.run(scale=1.0, seed=0, workers=4)
         assert serial.format_table() == pooled.format_table()
 
     def test_hostile_fault_ledgers_identical_across_backends(self):
-        runner = ScenarioRunner(get_definition("spot-market-lenet"))
+        runner = get_definition("spot-market-lenet")
         plan = runner.plan(scale=1.0, seed=0)
         serial = runner.execute(plan)
         pooled = runner.execute(plan, workers=4)
@@ -322,7 +320,7 @@ def analysis_runner(*fns):
     ]
     return ScenarioRunner(
         scenario,
-        collect=lambda plan, outcomes: outcomes,
+        collector=lambda plan, outcomes: outcomes,
         plan_fn=lambda scenario, scale, seed: steps,
     )
 

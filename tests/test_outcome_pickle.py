@@ -22,7 +22,6 @@ import pytest
 from repro.experiments.golden import render_result
 from repro.scenarios import SCENARIO_REGISTRY, OutcomeCache
 from repro.scenarios.cache import _MAGIC
-from repro.scenarios.runner import ScenarioRunner
 from repro.schema import positional_pickle
 from repro.tune.trial import EpochRecord, TrialResult
 from repro.workloads.spec import HyperParams, SystemParams, WorkloadSpec
@@ -45,7 +44,7 @@ def outcomes():
     """(runner, plan, outcomes) of fig11 and hostile-storm at small scale."""
     runs = {}
     for name in ("fig11", "hostile-storm"):
-        runner = ScenarioRunner(SCENARIO_REGISTRY[name])
+        runner = SCENARIO_REGISTRY[name]
         plan = runner.plan(scale=0.3, seed=0)
         runs[name] = (runner, plan, runner.execute(plan))
     return runs

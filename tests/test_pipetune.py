@@ -11,6 +11,7 @@ from repro.hpo.space import Choice, SearchSpace
 from repro.scenarios import (
     PAPER_DISTRIBUTED_CLUSTER,
     PAPER_SINGLE_NODE,
+    ChainExecutor,
     Scenario,
     ScenarioRunner,
     execute_job,
@@ -181,9 +182,11 @@ def lenet_pair():
         .compare(tune_v1(), pipetune_policy())
         .build()
     )
-    runner = ScenarioRunner(scenario)
-    v1, result = runner.execute(runner.plan(seed=0))
-    return v1, result, runner.sessions["pipetune"]
+    plan = ScenarioRunner(scenario).plan(seed=0)
+    executor = ChainExecutor(scenario, plan.scale, plan.seed)
+    v1, result = (executor.run_step(step) for step in plan.steps)
+    (session,) = executor.sessions.values()
+    return v1, result, session
 
 
 class TestPipelineEffects:

@@ -1,22 +1,30 @@
 """Tests for the declarative scenario API (repro.scenarios)."""
 
+import dataclasses
 import json
 import re
+import sys
+import threading
 
 import pytest
 
+from repro.experiments import EXHIBIT_RUNS, golden
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     AlgorithmSpec,
+    ChainExecutor,
     ClusterSpec,
     FixedTrialStep,
     JobStep,
     Scenario,
     ScenarioError,
     ScenarioRunner,
+    SerialBackend,
     TraceStep,
     fixed_trial,
+    get_definition,
     pipetune,
+    run_reports,
     run_scenario,
     scenario_names,
     tune_v1,
@@ -58,11 +66,43 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown scenario"):
             run_scenario("fig99")
 
-    def test_definitions_expose_runners(self):
-        definition = SCENARIO_REGISTRY["fig09"]
-        runner = definition.runner()
-        assert isinstance(runner, ScenarioRunner)
-        assert runner.scenario.name == "fig09"
+    def test_registry_holds_runners(self):
+        for name, runner in SCENARIO_REGISTRY.items():
+            assert isinstance(runner, ScenarioRunner)
+            assert runner.scenario.name == name
+
+    def test_registry_entries_are_frozen(self):
+        runner = get_definition("fig09")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            runner.source = "user"
+        assert runner.source == "paper"
+
+    def test_one_registered_runner_serves_concurrent_runs(self):
+        """The registry entry holds no run state: two threads running
+        fig09 through it at once each render the committed golden."""
+        run = EXHIBIT_RUNS["fig09"]
+        runner = get_definition("fig09")
+        renders = [None, None]
+
+        def render(slot):
+            plan = runner.plan(scale=run.scale, seed=run.seed)
+            (report,) = run_reports(SerialBackend(), [(runner, plan)])
+            renders[slot] = golden.render_result(report.unwrap())
+
+        threads = [threading.Thread(target=render, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the two runs finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        with open(golden.committed_path("fig09"), encoding="utf-8", newline="") as f:
+            expected = f.read()
+        assert renders == [expected, expected]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +448,7 @@ class TestValidation:
 
 class TestRunnerPhases:
     def test_plan_order_workload_major_then_policy_then_seed(self):
-        plan = SCENARIO_REGISTRY["fig11"].runner().plan(scale=1.0, seed=5)
+        plan = SCENARIO_REGISTRY["fig11"].plan(scale=1.0, seed=5)
         assert plan.seeds == (5, 6, 7)
         steps = plan.steps
         assert len(steps) == 4 * 3 * 3
@@ -420,14 +460,14 @@ class TestRunnerPhases:
         assert [s.seed for s in steps[:3]] == [5, 6, 7]
 
     def test_plan_shared_tenancy_scales_jobs(self):
-        plan = SCENARIO_REGISTRY["fig13"].runner().plan(scale=0.5, seed=0)
+        plan = SCENARIO_REGISTRY["fig13"].plan(scale=0.5, seed=0)
         assert all(isinstance(s, TraceStep) for s in plan.steps)
         assert [s.num_jobs for s in plan.steps] == [6, 6, 6]
-        floor = SCENARIO_REGISTRY["fig13"].runner().plan(scale=0.01, seed=0)
+        floor = SCENARIO_REGISTRY["fig13"].plan(scale=0.01, seed=0)
         assert floor.steps[0].num_jobs == 4  # min_jobs floor
 
     def test_plan_mixes_fixed_and_job_steps(self):
-        plan = SCENARIO_REGISTRY["table2"].runner().plan(scale=0.34, seed=0)
+        plan = SCENARIO_REGISTRY["table2"].plan(scale=0.34, seed=0)
         kinds = [type(s).__name__ for s in plan.steps]
         assert kinds == ["FixedTrialStep", "JobStep", "JobStep", "JobStep"]
         assert isinstance(plan.steps[0], FixedTrialStep)
@@ -446,11 +486,12 @@ class TestRunnerPhases:
             .compare(pipetune())
             .build()
         )
-        runner = ScenarioRunner(scenario)
-        plan = runner.plan(scale=1.0, seed=0)
-        runner.execute(plan)
-        assert len(runner._sessions) == 1
-        (session,) = runner._sessions.values()
+        plan = ScenarioRunner(scenario).plan(scale=1.0, seed=0)
+        executor = ChainExecutor(scenario, plan.scale, plan.seed)
+        for chain in plan.chains():
+            executor.run_chain(chain)
+        assert len(executor.sessions) == 1
+        (session,) = executor.sessions.values()
         # both workloads' trials went through the one session
         assert session.stats.trials > 0
 

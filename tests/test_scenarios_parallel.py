@@ -161,8 +161,8 @@ class TestChainPartition:
         """Every registered scenario's canonical plan partitions into
         chains that tile it; pipetune policies collapse into one chain
         per policy."""
-        for name, definition in SCENARIO_REGISTRY.items():
-            plan = definition.runner().plan(scale=0.34, seed=0)
+        for name, runner in SCENARIO_REGISTRY.items():
+            plan = runner.plan(scale=0.34, seed=0)
             chains = plan.chains()
             seen = sorted(i for chain in chains for i in chain.indices)
             assert seen == list(range(len(plan.steps))), name
@@ -193,21 +193,6 @@ class TestBackends:
         with pytest.raises(ValueError, match="workers"):
             ProcessPoolBackend(workers=0)
 
-    def test_serial_backend_exposes_sessions_pool_does_not(self):
-        scenario = (
-            Scenario.builder("sessions-visibility")
-            .workloads("lenet-mnist")
-            .algorithm("random", num_samples=2, epochs=1)
-            .compare(pipetune(warm_start="none"))
-            .build()
-        )
-        runner = ScenarioRunner(scenario)
-        plan = runner.plan(scale=1.0, seed=0)
-        runner.execute(plan)  # serial default
-        assert list(runner.sessions) == ["pipetune"]
-        runner.execute(plan, workers=2)
-        assert runner.sessions == {}
-
 
 # ---------------------------------------------------------------------------
 # Bit-identity under the process pool
@@ -226,9 +211,9 @@ class TestParallelBitIdentity:
         assert set(diffs) == set(EXHIBIT_RUNS)
 
     def test_novel_scenario_serial_equals_pooled(self):
-        definition = SCENARIO_REGISTRY["asha-distributed-cnn"]
-        serial = definition.runner().run(scale=1.0, seed=0)
-        pooled = definition.runner().run(scale=1.0, seed=0, workers=4)
+        runner = SCENARIO_REGISTRY["asha-distributed-cnn"]
+        serial = runner.run(scale=1.0, seed=0)
+        pooled = runner.run(scale=1.0, seed=0, workers=4)
         assert serial.format_table() == pooled.format_table()
 
     def test_session_chain_scenario_serial_equals_pooled(self):
@@ -250,9 +235,9 @@ class TestParallelBitIdentity:
 
     def test_worker_count_is_irrelevant(self):
         """2 vs 5 workers: scheduling changes, bytes cannot."""
-        definition = SCENARIO_REGISTRY["fig09"]
-        two = definition.runner().run(scale=0.5, seed=0, workers=2)
-        five = definition.runner().run(scale=0.5, seed=0, workers=5)
+        runner = SCENARIO_REGISTRY["fig09"]
+        two = runner.run(scale=0.5, seed=0, workers=2)
+        five = runner.run(scale=0.5, seed=0, workers=5)
         assert two.format_table() == five.format_table()
 
     def test_spawn_pool_byte_matches_golden(self, monkeypatch):
@@ -261,7 +246,7 @@ class TestParallelBitIdentity:
         the pickled declarations, so fig09's three chains on a 2-worker
         spawn pool still give the committed bytes."""
         run = EXHIBIT_RUNS["fig09"]
-        plan = SCENARIO_REGISTRY["fig09"].runner().plan(scale=run.scale, seed=run.seed)
+        plan = SCENARIO_REGISTRY["fig09"].plan(scale=run.scale, seed=run.seed)
         assert len(partition(plan)) >= 2
         methods = []
         monkeypatch.setattr(

@@ -123,6 +123,13 @@ class TestCatalogue:
         assert payload["plan"]["scale"] == 0.5
         assert payload["plan"]["chains"]
 
+    def test_describe_with_hostile_scale_is_400_over_http(self, service):
+        _, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.describe_scenario("fig09", scale=float("nan"))
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "ScenarioError"
+
     def test_sweeps_listing(self, service):
         _, client = service
         names = [entry["name"] for entry in client.sweeps()]
@@ -263,6 +270,40 @@ class TestJobLifecycle:
             assert response.payload["error"]["type"] == "BadRequest"
             assert field in response.payload["error"]["message"]
             assert app.manager.jobs() == []
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize(
+        "query, error_type, message",
+        [
+            ({"scale": "abc"}, "BadRequest", "bad query parameter"),
+            ({"seed": "1.5"}, "BadRequest", "bad query parameter"),
+            ({"scale": "nan"}, "ScenarioError", "finite and positive"),
+            ({"scale": "inf"}, "ScenarioError", "finite and positive"),
+            ({"scale": "-inf"}, "ScenarioError", "finite and positive"),
+            ({"scale": "1e308"}, "ScenarioError", "cannot size a plan"),
+            ({"scale": "0"}, "ScenarioError", "finite and positive"),
+            ({"scale": "-1"}, "ScenarioError", "finite and positive"),
+        ],
+    )
+    def test_malformed_describe_query_is_typed_400(self, query, error_type, message):
+        from repro.service.app import ServiceApp
+        from repro.service.middleware import Request
+
+        app = ServiceApp(quiet_config())
+        try:
+            response = app.handle(
+                Request(
+                    method="GET",
+                    path="/v1/scenarios/fig09",
+                    headers={},
+                    body=None,
+                    query=query,
+                )
+            )
+            assert response.status == 400
+            assert response.payload["error"]["type"] == error_type
+            assert message in response.payload["error"]["message"]
         finally:
             app.close()
 

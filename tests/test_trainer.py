@@ -50,7 +50,6 @@ def run(env, cluster, **kwargs):
 def assert_node_free(node):
     assert node.cores.level == node.spec.cores
     assert node.memory.level == node.spec.memory_gb
-    assert node.active_cores == 0.0
     assert node.power_watts == node.spec.idle_watts
 
 
