@@ -11,7 +11,8 @@ and hands back ``(task position, outcomes)`` as each chain completes
 * :class:`SerialBackend` — chains in order, in this process;
 * :class:`ProcessPoolBackend` — chains fanned out over a
   multiprocessing pool: session-sharing chains run in order on one
-  worker, independent chains concurrently.
+  worker, independent chains concurrently. One pool round runs every
+  chain; each chain it could not finish gets one retry round alone.
 
 Both produce bit-identical outcomes: every step runs on a fresh
 :class:`~repro.simulation.des.Environment`, sessions are rebuilt in
@@ -37,9 +38,9 @@ StepExecutionError` so the error names its scenario, plan position and
 chain; with ``SerialBackend(contain=True)`` and always under the pool
 the failure is *contained* and comes back as
 :class:`~repro.scenarios.containment.ChainFailure` outcomes instead of
-poisoning the run, and a pool worker that dies outright
-(segfault, OOM-kill) triggers bounded isolated retries before the
-affected chain is reported as failed — all other chains still complete.
+poisoning the run, and a chain whose pool worker dies outright
+(segfault, OOM-kill) or hangs is retried once in isolation before it
+is reported as failed — all other chains still complete.
 """
 
 from __future__ import annotations
@@ -405,41 +406,38 @@ def _payload(task: Task):
     return (plan.scenario, plan.scale, plan.seed, chain)
 
 
-#: a chain the shared round could not finish: (task position,
-#: error type, reason), retried in isolation or reported as failed.
+#: a chain a pool round could not finish: (task position, error
+#: type, reason), retried in isolation or reported as failed.
 Pending = Tuple[int, str, str]
 
 
 class ProcessPoolBackend:
     """Chains fanned out over a process pool, with fault tolerance.
 
-    Sessions live and die inside the workers.
-
-    The harness survives its own failures:
+    Sessions live and die inside the workers. Every chain runs in one
+    pool round on ``workers`` processes; each chain that round could
+    not finish gets exactly one retry, alone in a round on a fresh
+    single-worker pool; whatever fails its retry comes back as
+    :class:`ChainFailure` outcomes, so ``run_chains`` hands back every
+    chain either way. The harness survives its own failures:
 
     * a chain that *raises* is contained inside the worker — its plan
       positions come back as :class:`ChainFailure` outcomes and the
       pool keeps serving other chains;
     * a worker that *dies* (segfault, OOM-kill, ``os._exit``) breaks
-      the shared pool for every unfinished chain; each such chain is
-      retried in isolation — a fresh single-worker pool per chain — so
-      a deterministically crashing chain indicts only itself while
-      innocent bystanders complete on retry;
-    * ``chain_timeout_s`` bounds each execution round; hung workers
-      are terminated, their chains retried in isolation;
-    * after ``chain_retries`` isolation rounds, whatever still fails
-      is reported as :class:`ChainFailure` outcomes —
-      ``run_chains`` hands back every chain either way.
+      the round's pool for every unfinished chain; the isolated
+      retries let a deterministically crashing chain indict only
+      itself while innocent bystanders complete;
+    * ``chain_timeout_s`` bounds each round; hung workers are
+      terminated and their chains retried.
 
-    The shared round submits at most ``workers`` chains at a time,
-    topping up as each finishes, and hands its results back when it
-    ends. ``stop`` adds cooperative cancellation at chain granularity
-    (the service's cancel endpoint for pooled jobs): the hook is polled
-    between completions and before each isolated retry, and once it
-    returns True every chain not yet handed to a worker is cancelled
-    into skipped ``JobCancelled`` outcomes while running chains finish
-    and keep their results — the serial executor's between-step
-    semantics one level up.
+    ``stop`` adds cooperative cancellation at chain granularity (the
+    service's cancel endpoint for pooled jobs): a round polls it before
+    it submits anything and between completions, and once it returns
+    True every chain not yet handed to a worker is cancelled into
+    skipped ``JobCancelled`` outcomes while running chains finish and
+    keep their results — the serial executor's between-step semantics
+    one level up.
     """
 
     #: seconds between stop-hook polls while futures are in flight.
@@ -449,219 +447,114 @@ class ProcessPoolBackend:
         self,
         workers: int,
         chain_timeout_s: Optional[float] = None,
-        chain_retries: int = 1,
         stop: Optional[Callable[[], bool]] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if chain_timeout_s is not None and chain_timeout_s <= 0:
             raise ValueError("chain_timeout_s must be positive")
-        if chain_retries < 0:
-            raise ValueError("chain_retries must be >= 0")
         self.workers = workers
         self.chain_timeout_s = chain_timeout_s
-        self.chain_retries = chain_retries
         self.stop = stop
-
-    def _stopped(self) -> bool:
-        return self.stop is not None and self.stop()
 
     def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
         tasks = list(tasks)
-        if self._stopped():
-            for position, task in enumerate(tasks):
-                yield position, _cancelled(task)
-            return
-        results: Dict[int, List] = {}
-        pending = self._shared_round(tasks, results)
-        yield from results.items()
-        for _ in range(self.chain_retries):
-            if not pending:
-                break
-            pending = yield from self._isolated_round(tasks, pending)
-        for position, error_type, reason in pending:
+        pending = yield from self._round(tasks, range(len(tasks)), self.workers)
+        failed: List[Pending] = []
+        for position, _, _ in pending:
+            failed += yield from self._round(tasks, [position], 1)
+        for position, error_type, reason in failed:
             plan, chain = tasks[position]
             yield position, chain_failures(
                 plan.scenario.name, chain, error_type, reason
             )
 
-    # -- execution rounds ---------------------------------------------------
-    def _throttled_round(
-        self,
-        executor: futures.ProcessPoolExecutor,
-        tasks: List[Task],
-        processes: int,
-    ):
-        """At most ``processes`` chains in flight, topped up as soon as
-        any one finishes, polling the stop hook in between.
+    def _round(self, tasks: List[Task], positions: Iterable[int], workers: int):
+        """One round of ``positions`` on a fresh pool of ``workers``.
 
-        ``ProcessPoolExecutor`` eagerly stages submitted items beyond
-        the running set into its internal call queue, where
-        ``Future.cancel()`` silently fails. Throttling keeps unstarted
-        chains on this side of the pool, so a stop deterministically
-        cancels every chain not yet submitted while running chains
-        finish and keep their results.
+        At most ``workers`` chains are in flight, topped up as soon as
+        any one finishes. ``ProcessPoolExecutor`` eagerly stages
+        submitted items beyond the running set into its internal call
+        queue, where ``Future.cancel()`` silently fails; throttling
+        keeps unstarted chains on this side of the pool, so a stop
+        deterministically cancels every chain not yet submitted.
 
-        Returns ``(future_of, done, halt)`` where ``future_of`` maps
-        task positions to futures and ``halt`` explains an early exit
-        (``"stop"``, ``"timeout"`` or ``"broken"``); positions absent
-        from ``future_of`` were never submitted.
+        A generator: once the round has ended and its pool is torn
+        down, it hands back ``(position, outcomes)`` for every finished
+        or cancelled chain — so ``chain_timeout_s`` bounds the pool's
+        own work, never the caller's — and returns the :data:`Pending`
+        entries of the rest, both in position order.
         """
-        remaining = list(range(len(tasks)))
-        future_of: Dict[int, futures.Future] = {}
-        waiting: set = set()
-        done: set = set()
-        halt: Optional[str] = None
-        deadline = (
-            None
-            if self.chain_timeout_s is None
-            else time.monotonic() + self.chain_timeout_s
-        )
-        while remaining or waiting:
-            while halt is None and remaining and len(waiting) < processes:
-                position = remaining[0]
-                try:
-                    future = executor.submit(_run_chain_task, _payload(tasks[position]))
-                except Exception:
-                    # submit refuses once a worker death broke the pool
-                    halt = "broken"
-                    break
-                remaining.pop(0)
-                future_of[position] = future
-                waiting.add(future)
-            if not waiting:
-                break
-            timeout = self._STOP_POLL_S
-            if deadline is not None:
-                slack = deadline - time.monotonic()
-                if slack <= 0:
-                    halt = halt or "timeout"
-                    break
-                timeout = min(timeout, slack)
-            finished, waiting = futures.wait(
-                waiting, timeout=timeout, return_when=futures.FIRST_COMPLETED
-            )
-            done |= finished
-            if halt is None and self._stopped():
-                halt = "stop"
-                for future in waiting:
-                    future.cancel()  # best effort on staged futures
-        return future_of, done, halt
-
-    def _shared_round(
-        self, tasks: List[Task], results: Dict[int, List]
-    ) -> List[Pending]:
-        """All chains on one shared pool; returns those needing retry."""
-        if not tasks:
+        unsent = list(positions)
+        if not unsent:
             return []
-        pending: List[Pending] = []
+        timeout = self.chain_timeout_s
+        deadline = None if timeout is None else time.monotonic() + timeout
         context = multiprocessing.get_context(default_start_method())
-        processes = max(1, min(self.workers, len(tasks)))
         executor = futures.ProcessPoolExecutor(
-            max_workers=processes, mp_context=context
+            max_workers=min(workers, len(unsent)), mp_context=context
         )
+        running: Dict[futures.Future, int] = {}
+        done: Dict[int, List] = {}
+        pending: List[Pending] = []
+        halt: Optional[str] = None
         try:
-            future_of, done, halt = self._throttled_round(executor, tasks, processes)
-            for position, task in enumerate(tasks):
-                future = future_of.get(position)
-                if future is None:
-                    # never submitted: the throttled round halted first.
-                    if halt == "stop":
-                        results[position] = _cancelled(task)
-                    elif halt == "broken":
-                        pending.append(
-                            (
-                                position,
-                                "BrokenProcessPool",
-                                "a worker process died before this chain "
-                                "was submitted",
-                            )
+            while True:
+                if halt is None and self.stop is not None and self.stop():
+                    halt = "stop"
+                    for future in running:
+                        future.cancel()  # best effort on staged futures
+                while halt is None and unsent and len(running) < workers:
+                    try:
+                        future = executor.submit(
+                            _run_chain_task, _payload(tasks[unsent[0]])
                         )
+                    except BrokenProcessPool:
+                        # submit refuses once a worker death broke the pool
+                        halt = "broken"
                     else:
-                        pending.append(
-                            (
-                                position,
-                                "TimeoutError",
-                                f"chain was not submitted within "
-                                f"{self.chain_timeout_s:g}s",
-                            )
-                        )
-                    continue
-                if future.cancelled():
-                    # the stop hook fired before this chain started.
-                    results[position] = _cancelled(task)
-                    continue
-                if future not in done:
-                    pending.append(
-                        (
-                            position,
-                            "TimeoutError",
-                            f"chain did not finish within {self.chain_timeout_s:g}s",
-                        )
-                    )
-                    continue
-                try:
-                    results[position] = future.result()
-                except BrokenProcessPool:
-                    # the dying worker takes the whole pool down; every
-                    # unfinished chain lands here and gets an isolated
-                    # retry — only the true crasher will fail again.
-                    pending.append(
-                        (
-                            position,
-                            "BrokenProcessPool",
-                            "a worker process died while the pool ran this chain",
-                        )
-                    )
-                except Exception as error:
-                    pending.append((position, type(error).__name__, str(error)))
+                        running[future] = unsent.pop(0)
+                if not running:
+                    break
+                wait_s = self._STOP_POLL_S
+                if deadline is not None:
+                    wait_s = min(wait_s, deadline - time.monotonic())
+                    if wait_s <= 0:
+                        break
+                finished, _ = futures.wait(
+                    running, timeout=wait_s, return_when=futures.FIRST_COMPLETED
+                )
+                for future in finished:
+                    position = running.pop(future)
+                    if future.cancelled():
+                        # the stop hook fired before this chain started.
+                        done[position] = _cancelled(tasks[position])
+                        continue
+                    try:
+                        done[position] = future.result()
+                    except BrokenProcessPool:
+                        # the dying worker takes the whole pool down;
+                        # every unfinished chain lands here.
+                        reason = "a worker process died while the pool ran this chain"
+                        pending.append((position, "BrokenProcessPool", reason))
+                    except Exception as error:
+                        pending.append((position, type(error).__name__, str(error)))
         finally:
             self._teardown(executor)
-        return pending
-
-    def _isolated_round(self, tasks: List[Task], pending: List[Pending]):
-        """Each pending chain alone on a fresh single-worker pool.
-
-        A generator: hands back each chain's outcomes as it finishes
-        and returns the chains that failed again. The stop hook is
-        polled before each chain; once it is set, a chain not yet
-        retried comes back as skipped ``JobCancelled`` outcomes.
-        """
-        failed: List[Pending] = []
-        context = multiprocessing.get_context(default_start_method())
-        for position, _, _ in pending:
-            if self._stopped():
-                yield position, _cancelled(tasks[position])
-                continue
-            outcomes = None
-            executor = futures.ProcessPoolExecutor(max_workers=1, mp_context=context)
-            try:
-                future = executor.submit(_run_chain_task, _payload(tasks[position]))
-                outcomes = future.result(timeout=self.chain_timeout_s)
-            except futures.TimeoutError:
-                failed.append(
-                    (
-                        position,
-                        "TimeoutError",
-                        f"chain did not finish within {self.chain_timeout_s:g}s "
-                        f"on an isolated retry",
-                    )
-                )
-            except BrokenProcessPool:
-                failed.append(
-                    (
-                        position,
-                        "BrokenProcessPool",
-                        "worker process died again on an isolated retry",
-                    )
-                )
-            except Exception as error:
-                failed.append((position, type(error).__name__, str(error)))
-            finally:
-                self._teardown(executor)
-            if outcomes is not None:
-                yield position, outcomes
-        return failed
+        for position in running.values():
+            reason = f"chain did not finish within {timeout:g}s"
+            pending.append((position, "TimeoutError", reason))
+        for position in unsent:
+            if halt == "stop":
+                done[position] = _cancelled(tasks[position])
+            elif halt == "broken":
+                reason = "a worker process died before this chain was submitted"
+                pending.append((position, "BrokenProcessPool", reason))
+            else:
+                reason = f"chain was not submitted within {timeout:g}s"
+                pending.append((position, "TimeoutError", reason))
+        yield from sorted(done.items())
+        return sorted(pending)
 
     @staticmethod
     def _teardown(executor: futures.ProcessPoolExecutor) -> None:
@@ -680,8 +573,7 @@ class ProcessPoolBackend:
     def __repr__(self) -> str:
         return (
             f"ProcessPoolBackend(workers={self.workers}, "
-            f"chain_timeout_s={self.chain_timeout_s}, "
-            f"chain_retries={self.chain_retries})"
+            f"chain_timeout_s={self.chain_timeout_s})"
         )
 
 

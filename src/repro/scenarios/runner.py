@@ -30,7 +30,6 @@ under any backend and any worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -59,6 +58,19 @@ def seeds_for(scale: float, full: int, minimum: int = 1) -> List[int]:
     """Seed list shrunk by the experiment's scale factor."""
     count = max(minimum, int(round(full * scale)))
     return list(range(count))
+
+
+#: the largest scale a plan is sized at. Every exhibit, sweep, example
+#: and benchmark runs at scale 1.0 or below, and a plan's size grows
+#: linearly with scale (fig09 plans in about 0.01 s at scale 100).
+MAX_SCALE = 100.0
+
+
+def scale_problem(scale: float) -> Optional[str]:
+    """Why ``scale`` cannot size a plan, or None when it can."""
+    if 0 < scale <= MAX_SCALE:  # false for nan too
+        return None
+    return f"scale must be finite and positive, at most {MAX_SCALE:g}, got {scale!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +416,14 @@ class ScenarioRunner:
 
     # -- phase 1: plan ------------------------------------------------------
     def plan(self, scale: float = 1.0, seed: int = 0) -> ScenarioPlan:
-        """The run's steps; a scale that is not finite and positive, or
-        that sizes a plan past what Python can hold, is a
+        """The run's steps; a scale :func:`scale_problem` rejects is a
         :class:`ScenarioError`."""
         scenario = self.scenario
-        if not 0 < scale < math.inf:  # false for nan too
-            problem = f"scale must be finite and positive, got {scale!r}"
+        problem = scale_problem(scale)
+        if problem:
             raise ScenarioError(scenario.name, [problem])
-        try:
-            seeds = tuple(seed + s for s in seeds_for(scale, scenario.repetitions))
-            steps = tuple(self._steps(scale, seed, seeds))
-        except (OverflowError, MemoryError) as error:
-            problem = f"scale {scale!r} cannot size a plan: {error}"
-            raise ScenarioError(scenario.name, [problem]) from None
+        seeds = tuple(seed + s for s in seeds_for(scale, scenario.repetitions))
+        steps = tuple(self._steps(scale, seed, seeds))
         return ScenarioPlan(
             scenario=scenario, scale=scale, seed=seed, seeds=seeds, steps=steps
         )

@@ -30,7 +30,6 @@ a ``repro sweep list|run`` CLI front end.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -39,6 +38,7 @@ from ..schema import Spec
 from .cache import CacheStats
 from .registry import SCENARIO_REGISTRY, get_definition
 from .result import ExperimentResult
+from .runner import scale_problem
 from .spec import Scenario, ScenarioError
 
 
@@ -355,8 +355,8 @@ def run_sweep(
     if isinstance(sweep, str):
         sweep = get_sweep(sweep)
     sweep.validate()
-    if not 0 < scale < math.inf:  # false for nan too
-        problem = f"scale must be finite and positive, got {scale!r}"
+    problem = scale_problem(scale)
+    if problem:
         raise SweepError(sweep.name, [problem])
     backend = backend_for(workers, cache_dir=cache_dir, contain=True, stop=stop)
     cells = list(sweep._grid())

@@ -28,10 +28,10 @@ Routes (all under ``/v1``)::
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from ..scenarios.registry import SCENARIO_REGISTRY, get_definition
+from ..scenarios.runner import MAX_SCALE, scale_problem
 from ..scenarios.spec import ScenarioError
 from ..scenarios.sweep import SWEEP_REGISTRY, get_sweep
 from ..scenarios.views import (
@@ -59,18 +59,23 @@ def _is_int(value) -> bool:
 
 def _is_scale(value) -> bool:
     number = _is_int(value) or isinstance(value, float)
-    return number and math.isfinite(value) and value > 0
+    return number and not scale_problem(value)
 
 
 #: body fields a run submission accepts (plus "scenario" on /v1/runs):
 #: name -> (default, type check, the expectation a 400 names).
 _RUN_FIELDS = {
-    "scale": (1.0, _is_scale, "a finite positive number"),
+    "scale": (1.0, _is_scale, f"a finite positive number at most {MAX_SCALE:g}"),
     "seed": (0, _is_int, "an integer"),
     "workers": (1, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "cache": (False, lambda v: isinstance(v, bool), "a JSON bool"),
     "cache_dir": (None, lambda v: v is None or isinstance(v, str), "a string path"),
 }
+
+
+#: query parameters a scenario describe reads:
+#: name -> (parse, default, the expectation a 400 names).
+_DESCRIBE_QUERY = {"scale": (float, 1.0, "a number"), "seed": (int, 0, "an integer")}
 
 
 class ServiceApp:
@@ -179,13 +184,17 @@ class ServiceApp:
             runner = get_definition(name)
         except KeyError as error:
             return _not_found(str(error.args[0]))
+        values = {}
+        for key, (parse, default, expected) in _DESCRIBE_QUERY.items():
+            raw = request.query.get(key, default)
+            try:
+                values[key] = parse(raw)
+            except ValueError:
+                return _bad_request(
+                    f"bad query parameter: {key} must be {expected}, got {raw!r}"
+                )
         try:
-            scale = float(request.query.get("scale", 1.0))
-            seed = int(request.query.get("seed", 0))
-        except ValueError as error:
-            return _bad_request(f"bad query parameter: {error}")
-        try:
-            payload = scenario_describe_payload(runner, scale, seed)
+            payload = scenario_describe_payload(runner, **values)
         except ScenarioError as error:
             return _bad_request(str(error), error_type="ScenarioError")
         return Response(200, ok_envelope(payload))

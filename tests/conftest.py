@@ -7,8 +7,13 @@ it would pass on bytes it produced itself. The guard hashes every file
 there when the session starts and fails the session, naming each file,
 if any was modified, added or removed by the time it ends. Goldens
 change only through ``scripts/regenerate_exhibits.py --update``.
+
+A second guard fails any test that leaves a live child process behind
+(a pool worker a round did not tear down, say) and terminates it, so
+one leak cannot slow or break the tests after it.
 """
 
+import multiprocessing
 from typing import Dict, List
 
 import pytest
@@ -30,6 +35,16 @@ def pytest_sessionfinish(session):
     if changed:
         session.config.stash[_CHANGED] = changed
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_processes():
+    yield
+    leaked = [repr(child) for child in multiprocessing.active_children()]
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join(timeout=5.0)
+    assert not leaked, f"the test left live child processes behind: {leaked}"
 
 
 def pytest_terminal_summary(terminalreporter, config):

@@ -20,6 +20,7 @@ import os
 import tempfile
 import threading
 import time
+from concurrent import futures
 
 import pytest
 from hypothesis import given, settings
@@ -358,22 +359,30 @@ class TestContainment:
         assert isinstance(outcomes[1], ExperimentResult)
 
     def test_unsubmitted_chain_completes_on_isolated_retry(self):
-        # two sleepers fill both workers, so the shared round times out
-        # before the third chain is ever submitted; the isolated retry
+        # two sleepers fill both workers, so the first round times out
+        # before the third chain is ever submitted; its isolated retry
         # then runs it to a result while both sleepers time out again.
-        shared_pending = []
+        rounds = []
 
         class Recording(ProcessPoolBackend):
-            def _shared_round(self, tasks, results):
-                pending = super()._shared_round(tasks, results)
-                shared_pending.extend(pending)
+            def _round(self, tasks, positions, workers):
+                pending = yield from super()._round(tasks, positions, workers)
+                rounds.append((list(positions), workers, pending))
                 return pending
 
         runner = analysis_runner(_sleep_analysis, _sleep_analysis, _ok_analysis)
-        backend = Recording(workers=2, chain_timeout_s=2.0, chain_retries=1)
+        backend = Recording(workers=2, chain_timeout_s=2.0)
         outcomes = runner.execute(runner.plan(), backend=backend)
-        reasons = {position: reason for position, _, reason in shared_pending}
+        first_positions, first_workers, first_pending = rounds[0]
+        assert (first_positions, first_workers) == ([0, 1, 2], 2)
+        reasons = {position: reason for position, _, reason in first_pending}
         assert "not submitted" in reasons[2]
+        assert [(positions, workers) for positions, workers, _ in rounds[1:]] == [
+            ([0], 1),
+            ([1], 1),
+            ([2], 1),
+        ]
+        assert rounds[3][2] == []  # the unsubmitted chain's retry finished
         assert isinstance(outcomes[2], ExperimentResult)
         for failure in outcomes[:2]:
             assert isinstance(failure, ChainFailure)
@@ -396,7 +405,7 @@ class TestContainment:
     def test_dying_worker_does_not_poison_the_pool(self):
         runner = analysis_runner(_exit_analysis, _ok_analysis, _ok_analysis)
         plan = runner.plan()
-        backend = ProcessPoolBackend(workers=2, chain_retries=1)
+        backend = ProcessPoolBackend(workers=2)
         outcomes = runner.execute(plan, backend=backend)
         failure = outcomes[0]
         assert isinstance(failure, ChainFailure)
@@ -408,9 +417,7 @@ class TestContainment:
     def test_hung_worker_times_out_and_is_reported(self):
         runner = analysis_runner(_sleep_analysis, _ok_analysis)
         plan = runner.plan()
-        backend = ProcessPoolBackend(
-            workers=2, chain_timeout_s=2.0, chain_retries=0
-        )
+        backend = ProcessPoolBackend(workers=2, chain_timeout_s=2.0)
         started = time.monotonic()
         outcomes = runner.execute(plan, backend=backend)
         assert time.monotonic() - started < 60
@@ -430,11 +437,33 @@ class TestContainment:
         def stop():
             return len(list(tmp_path.glob("exit-*"))) >= 2
 
-        backend = ProcessPoolBackend(workers=3, chain_retries=1, stop=stop)
+        backend = ProcessPoolBackend(workers=3, stop=stop)
         outcomes = runner.execute(runner.plan(), backend=backend)
         assert outcomes[0].error_type == "BrokenProcessPool"
         assert not outcomes[0].skipped
         for cancelled in outcomes[1:]:
+            assert isinstance(cancelled, ChainFailure)
+            assert cancelled.error_type == "JobCancelled"
+            assert cancelled.skipped
+
+    def test_stop_before_the_run_cancels_every_chain_unsubmitted(self, monkeypatch):
+        # a pool whose stop hook is already set hands nothing to a
+        # worker process: every chain, even a crasher, is cancelled.
+        submitted = []
+        real_submit = futures.ProcessPoolExecutor.submit
+
+        def submit(executor, *args, **kwargs):
+            submitted.append(args)
+            return real_submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(futures.ProcessPoolExecutor, "submit", submit)
+        runner = analysis_runner(_ok_analysis, _exit_analysis, _boom_analysis)
+        backend = ProcessPoolBackend(workers=2, stop=lambda: True)
+        outcomes = runner.execute(runner.plan(), backend=backend)
+        assert submitted == []
+        assert multiprocessing.active_children() == []
+        assert len(outcomes) == 3
+        for cancelled in outcomes:
             assert isinstance(cancelled, ChainFailure)
             assert cancelled.error_type == "JobCancelled"
             assert cancelled.skipped
@@ -444,8 +473,6 @@ class TestContainment:
             ProcessPoolBackend(workers=0)
         with pytest.raises(ValueError):
             ProcessPoolBackend(workers=2, chain_timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(workers=2, chain_retries=-1)
 
 
 # ---------------------------------------------------------------------------

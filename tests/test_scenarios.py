@@ -30,6 +30,7 @@ from repro.scenarios import (
     tune_v1,
     tune_v2,
 )
+from repro.scenarios.runner import MAX_SCALE
 
 PAPER_NAMES = [
     "fig01",
@@ -471,6 +472,12 @@ class TestRunnerPhases:
         kinds = [type(s).__name__ for s in plan.steps]
         assert kinds == ["FixedTrialStep", "JobStep", "JobStep", "JobStep"]
         assert isinstance(plan.steps[0], FixedTrialStep)
+
+    def test_plan_scale_bound_is_inclusive(self):
+        runner = SCENARIO_REGISTRY["fig09"]
+        assert runner.plan(scale=MAX_SCALE).scale == MAX_SCALE
+        with pytest.raises(ScenarioError, match="at most 100"):
+            runner.plan(scale=MAX_SCALE * 1.01)
 
     def test_validate_rejects_analysis_without_plan(self):
         runner = ScenarioRunner(

@@ -249,6 +249,7 @@ class TestJobLifecycle:
             ({"scale": -1}, "scale"),
             ({"workers": 0}, "workers"),
             ({"workers": -3}, "workers"),
+            ({"scale": 1e6}, "scale"),
         ],
     )
     def test_malformed_run_field_is_typed_400(self, body, field):
@@ -281,9 +282,13 @@ class TestJobLifecycle:
             ({"scale": "nan"}, "ScenarioError", "finite and positive"),
             ({"scale": "inf"}, "ScenarioError", "finite and positive"),
             ({"scale": "-inf"}, "ScenarioError", "finite and positive"),
-            ({"scale": "1e308"}, "ScenarioError", "cannot size a plan"),
+            ({"scale": "1e308"}, "ScenarioError", "at most 100"),
             ({"scale": "0"}, "ScenarioError", "finite and positive"),
             ({"scale": "-1"}, "ScenarioError", "finite and positive"),
+            ({"scale": "abc"}, "BadRequest", "scale must be a number, got 'abc'"),
+            ({"seed": "abc"}, "BadRequest", "seed must be an integer, got 'abc'"),
+            ({"scale": "1e6"}, "ScenarioError", "at most 100"),
+            ({"scale": "100.5"}, "ScenarioError", "at most 100"),
         ],
     )
     def test_malformed_describe_query_is_typed_400(self, query, error_type, message):
