@@ -42,120 +42,73 @@ Package map (README.md, "Layout", has the full inventory):
   as a frozen ScenarioRunner)
 * :mod:`repro.experiments` — canonical exhibit parameters + golden
   traces
+
+Every name below loads its subpackage on first use (PEP 562), so
+``import repro`` alone loads neither numpy nor the simulator.
 """
 
-from .core import (
-    GroundTruth,
-    GroundTruthEntry,
-    KMeans,
-    PipeTuneConfig,
-    PipeTuneHooks,
-    PipeTuneSession,
-    ProbingController,
-)
-from .scenarios import (
-    SCENARIO_REGISTRY,
-    Scenario,
-    ScenarioBuilder,
-    ScenarioError,
-    ScenarioRunner,
-    run_scenario,
-)
-from .hpo import (
-    BayesianOptimisation,
-    GeneticSearch,
-    GridSearch,
-    HyperBand,
-    PopulationBasedTraining,
-    RandomSearch,
-    SearchSpace,
-    joint_space,
-    paper_hyper_space,
-    paper_system_space,
-)
-from .simulation import (
-    EnergyMeter,
-    Environment,
-    PduSampler,
-    SimCluster,
-)
-from .tsdb import Point, TimeSeriesStore
-from .tune import (
-    DEFAULT_SYSTEM,
-    HptJobSpec,
-    HptResult,
-    TrialHooks,
-    accuracy_objective,
-    accuracy_per_time_objective,
-    run_hpt_job,
-    run_trial,
-)
-from .workloads import (
-    ALL_WORKLOADS,
-    CNN_NEWS20,
-    LENET_FASHION,
-    LENET_MNIST,
-    LSTM_NEWS20,
-    HyperParams,
-    SystemParams,
-    TrialConfig,
-    WorkloadSpec,
-    get_workload,
-    type12_workloads,
-    workloads_of_type,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_WORKLOADS",
-    "BayesianOptimisation",
-    "CNN_NEWS20",
-    "DEFAULT_SYSTEM",
-    "EnergyMeter",
-    "Environment",
-    "GeneticSearch",
-    "GridSearch",
-    "GroundTruth",
-    "GroundTruthEntry",
-    "HptJobSpec",
-    "HptResult",
-    "HyperBand",
-    "HyperParams",
-    "KMeans",
-    "LENET_FASHION",
-    "LENET_MNIST",
-    "LSTM_NEWS20",
-    "PduSampler",
-    "PipeTuneConfig",
-    "PipeTuneHooks",
-    "PipeTuneSession",
-    "Point",
-    "PopulationBasedTraining",
-    "ProbingController",
-    "RandomSearch",
-    "SCENARIO_REGISTRY",
-    "Scenario",
-    "ScenarioBuilder",
-    "ScenarioError",
-    "ScenarioRunner",
-    "SearchSpace",
-    "SimCluster",
-    "SystemParams",
-    "TimeSeriesStore",
-    "TrialConfig",
-    "TrialHooks",
-    "WorkloadSpec",
-    "accuracy_objective",
-    "accuracy_per_time_objective",
-    "get_workload",
-    "joint_space",
-    "paper_hyper_space",
-    "paper_system_space",
-    "run_hpt_job",
-    "run_scenario",
-    "run_trial",
-    "type12_workloads",
-    "workloads_of_type",
-    "__version__",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".core": (
+            "GroundTruth",
+            "GroundTruthEntry",
+            "KMeans",
+            "PipeTuneConfig",
+            "PipeTuneHooks",
+            "PipeTuneSession",
+            "ProbingController",
+        ),
+        ".scenarios": (
+            "SCENARIO_REGISTRY",
+            "Scenario",
+            "ScenarioBuilder",
+            "ScenarioError",
+            "ScenarioRunner",
+            "run_scenario",
+        ),
+        ".hpo": (
+            "BayesianOptimisation",
+            "GeneticSearch",
+            "GridSearch",
+            "HyperBand",
+            "PopulationBasedTraining",
+            "RandomSearch",
+            "SearchSpace",
+            "joint_space",
+            "paper_hyper_space",
+            "paper_system_space",
+        ),
+        ".simulation": ("EnergyMeter", "Environment", "PduSampler", "SimCluster"),
+        ".tsdb": ("Point", "TimeSeriesStore"),
+        ".tune": (
+            "DEFAULT_SYSTEM",
+            "HptJobSpec",
+            "HptResult",
+            "TrialHooks",
+            "accuracy_objective",
+            "accuracy_per_time_objective",
+            "run_hpt_job",
+            "run_trial",
+        ),
+        ".workloads": (
+            "ALL_WORKLOADS",
+            "CNN_NEWS20",
+            "LENET_FASHION",
+            "LENET_MNIST",
+            "LSTM_NEWS20",
+            "HyperParams",
+            "SystemParams",
+            "TrialConfig",
+            "WorkloadSpec",
+            "get_workload",
+            "type12_workloads",
+            "workloads_of_type",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -43,39 +43,28 @@ import sys
 import time
 from typing import List, Optional
 
+# Each command handler imports the modules it runs, so a command loads
+# only those: ``repro client``, ``repro serve --help`` and ``repro lint``
+# never import numpy or the simulator.
 from .experiments import EXHIBIT_RUNS, golden
-from .scenarios import (
-    SCENARIO_REGISTRY,
-    SWEEP_REGISTRY,
-    CacheStats,
-    ChainExecutor,
-    NoSweepRuns,
-    Scenario,
-    ScenarioError,
-    ScenarioRunner,
-    StepExecutionError,
-    SweepError,
-    SweepRunStore,
-    backend_for,
-    compare_sweep_runs,
-    get_definition,
-    get_sweep,
-    pipetune,
-    resolve_cache_dir,
-    run_reports,
-    run_sweep,
-    tune_v1,
-    tune_v2,
-)
-from .scenarios.views import (
-    failure_view,
-    jsonify,
-    scenario_describe_payload,
-    scenario_summary,
-    sweep_summary,
-)
+from .scenarios.options import resolve_cache_dir
+from .scenarios.views import jsonify
 from .service.envelope import error_envelope, ok_envelope
-from .workloads.registry import ALL_WORKLOADS, get_workload
+
+#: ``repro tune`` workload names, spelled out so that building the parser
+#: loads no simulator code (tests pin them to ``ALL_WORKLOADS``).
+WORKLOAD_NAMES = (
+    "lenet-mnist",
+    "lenet-fashion",
+    "cnn-news20",
+    "lstm-news20",
+    "jacobi-rodinia",
+    "spkmeans-rodinia",
+    "bfs-rodinia",
+)
+#: ``repro tune --system`` choice -> the name of its policy builder in
+#: :mod:`repro.scenarios.spec`.
+_TUNE_POLICIES = {"pipetune": "pipetune", "v1": "tune_v1", "v2": "tune_v2"}
 
 
 def _print_envelope(payload) -> None:
@@ -127,21 +116,22 @@ def _cache_opts(args):
 # ---------------------------------------------------------------------------
 
 
-#: the policy each ``repro tune --system`` choice names.
-_TUNE_POLICIES = {"pipetune": pipetune, "v1": tune_v1, "v2": tune_v2}
-
-
 def _cmd_tune(args) -> int:
+    from .scenarios import spec
+    from .scenarios.backends import ChainExecutor
+    from .scenarios.runner import ScenarioRunner
+    from .workloads.registry import get_workload
+
     try:
         workload = get_workload(args.workload)
     except KeyError as error:
         return _fail(args, "UnknownWorkload", str(error.args[0]))
     # one cell on the paper testbed for the workload's type
     scenario = (
-        Scenario.builder(f"tune-{workload.name}")
+        spec.Scenario.builder(f"tune-{workload.name}")
         .paper_cluster(distributed=workload.workload_type != "III")
         .workloads(workload.name)
-        .compare(_TUNE_POLICIES[args.system]())
+        .compare(getattr(spec, _TUNE_POLICIES[args.system])())
         .build()
     )
     (step,) = ScenarioRunner(scenario).plan(seed=args.seed).steps
@@ -179,6 +169,9 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_scenario_list(args) -> int:
+    from .scenarios.registry import SCENARIO_REGISTRY
+    from .scenarios.views import scenario_summary
+
     if args.json:
         return _emit_ok(
             [scenario_summary(d) for d in SCENARIO_REGISTRY.values()]
@@ -192,6 +185,10 @@ def _cmd_scenario_list(args) -> int:
 
 
 def _cmd_scenario_describe(args) -> int:
+    from .scenarios.registry import get_definition
+    from .scenarios.spec import ScenarioError
+    from .scenarios.views import scenario_describe_payload
+
     try:
         runner = get_definition(args.name)
     except KeyError as error:
@@ -251,6 +248,13 @@ def _cmd_scenario_describe(args) -> int:
 
 
 def _cmd_scenario_run(args) -> int:
+    from .scenarios.registry import get_definition
+    from .scenarios.backends import backend_for
+    from .scenarios.containment import StepExecutionError
+    from .scenarios.merge import run_reports
+    from .scenarios.spec import ScenarioError
+    from .scenarios.views import failure_view
+
     try:
         runner = get_definition(args.name)
     except KeyError as error:
@@ -420,6 +424,9 @@ def _scenario_check(
 
 
 def _cmd_sweep_list(args) -> int:
+    from .scenarios.registry import SWEEP_REGISTRY
+    from .scenarios.views import sweep_summary
+
     if args.json:
         return _emit_ok([sweep_summary(s) for s in SWEEP_REGISTRY.values()])
     width = max(len(name) for name in SWEEP_REGISTRY)
@@ -433,6 +440,10 @@ def _cmd_sweep_list(args) -> int:
 
 
 def _cmd_sweep_run(args) -> int:
+    from .scenarios.registry import get_sweep
+    from .scenarios.cache import CacheStats, SweepRunStore
+    from .scenarios.sweep import SweepError, run_sweep
+
     try:
         sweep = get_sweep(args.name)
     except KeyError as error:
@@ -499,6 +510,8 @@ def _cmd_sweep_run(args) -> int:
 
 def _cmd_sweep_compare(args) -> int:
     """Diff two persisted runs of one sweep, field by field."""
+    from .scenarios.cache import NoSweepRuns, SweepRunStore, compare_sweep_runs
+
     cache_dir = resolve_cache_dir(args.cache_dir)
     run_a, run_b = (args.runs or (None, None))
     try:
@@ -690,9 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tune = sub.add_parser("tune", help="tune one workload with one system")
-    tune.add_argument(
-        "workload", help=f"one of: {', '.join(w.name for w in ALL_WORKLOADS)}"
-    )
+    tune.add_argument("workload", help=f"one of: {', '.join(WORKLOAD_NAMES)}")
     tune.add_argument(
         "--system", choices=tuple(_TUNE_POLICIES), default="pipetune"
     )

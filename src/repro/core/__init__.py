@@ -1,34 +1,23 @@
 """PipeTune core: clustering, ground truth, probing, pipelined tuning."""
 
-from .clustering import DBSCAN, KMeans, NearestCentroid, pairwise_sq_distances
-from .groundtruth import GroundTruth, GroundTruthEntry, GroundTruthMatch
-from .pipetune import (
-    PipeTuneConfig,
-    PipeTuneHooks,
-    PipeTuneSession,
-    PipeTuneStats,
-)
-from .probing import (
-    TIE_BAND,
-    ProbeSample,
-    ProbingController,
-    probe_plan_length,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DBSCAN",
-    "GroundTruth",
-    "GroundTruthEntry",
-    "GroundTruthMatch",
-    "KMeans",
-    "NearestCentroid",
-    "PipeTuneConfig",
-    "PipeTuneHooks",
-    "PipeTuneSession",
-    "PipeTuneStats",
-    "ProbeSample",
-    "ProbingController",
-    "TIE_BAND",
-    "probe_plan_length",
-    "pairwise_sq_distances",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".clustering": ("DBSCAN", "KMeans", "NearestCentroid", "pairwise_sq_distances"),
+        ".groundtruth": ("GroundTruth", "GroundTruthEntry", "GroundTruthMatch"),
+        ".pipetune": (
+            "PipeTuneConfig",
+            "PipeTuneHooks",
+            "PipeTuneSession",
+            "PipeTuneStats",
+        ),
+        ".probing": (
+            "TIE_BAND",
+            "ProbeSample",
+            "ProbingController",
+            "probe_plan_length",
+        ),
+    },
+)

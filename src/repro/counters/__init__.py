@@ -1,43 +1,31 @@
 """Simulated hardware performance counters (PMU, events, profiler)."""
 
-from .events import (
-    EVENT_NAMES,
-    FIXED_COUNTER_EVENTS,
-    NUM_EVENTS,
-    event_index,
-    is_compute_side,
-    workload_signature,
-)
-from .pmu import (
-    NUM_FIXED_COUNTERS,
-    NUM_GENERIC_COUNTERS,
-    CounterReading,
-    Pmu,
-    true_counts,
-)
-from .profiler import (
-    PROFILING_OVERHEAD,
-    SAMPLE_PERIOD_S,
-    EpochProfile,
-    EpochProfiler,
-    average_profiles,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CounterReading",
-    "EVENT_NAMES",
-    "EpochProfile",
-    "EpochProfiler",
-    "FIXED_COUNTER_EVENTS",
-    "NUM_EVENTS",
-    "NUM_FIXED_COUNTERS",
-    "NUM_GENERIC_COUNTERS",
-    "PROFILING_OVERHEAD",
-    "Pmu",
-    "SAMPLE_PERIOD_S",
-    "average_profiles",
-    "event_index",
-    "is_compute_side",
-    "true_counts",
-    "workload_signature",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".events": (
+            "EVENT_NAMES",
+            "FIXED_COUNTER_EVENTS",
+            "NUM_EVENTS",
+            "event_index",
+            "is_compute_side",
+            "workload_signature",
+        ),
+        ".pmu": (
+            "NUM_FIXED_COUNTERS",
+            "NUM_GENERIC_COUNTERS",
+            "CounterReading",
+            "Pmu",
+            "true_counts",
+        ),
+        ".profiler": (
+            "PROFILING_OVERHEAD",
+            "SAMPLE_PERIOD_S",
+            "EpochProfile",
+            "EpochProfiler",
+            "average_profiles",
+        ),
+    },
+)

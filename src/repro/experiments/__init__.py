@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..scenarios import run_scenario
-
 if TYPE_CHECKING:
     from ..scenarios.result import ExperimentResult
 
@@ -37,6 +35,8 @@ class ExhibitRun:
         """Regenerate at the canonical parameters through the scenario
         registry, serially (:mod:`repro.experiments.golden` runs many
         exhibits through one backend)."""
+        from ..scenarios.registry import run_scenario
+
         return run_scenario(self.name, scale=self.scale, seed=self.seed)
 
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from ..scenarios.backends import backend_for
-from ..scenarios.cache import CacheStats
-from ..scenarios.merge import run_reports
-from ..scenarios.registry import get_definition
 from . import EXHIBIT_RUNS
+
+if TYPE_CHECKING:
+    from ..scenarios.cache import CacheStats
 
 #: benchmarks/results relative to the repository root (three levels up
 #: from this file: src/repro/experiments -> repo).
@@ -124,6 +123,10 @@ def render_many(
     (:func:`~repro.scenarios.merge.run_reports`). A raising step
     escapes. Seconds are each exhibit's ``RunReport.elapsed_s``.
     """
+    from ..scenarios.registry import get_definition
+    from ..scenarios.backends import backend_for
+    from ..scenarios.merge import run_reports
+
     names = resolve_names(names)
     backend = backend_for(workers, cache_dir=cache_dir)
     pairs = []

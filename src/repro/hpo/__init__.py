@@ -1,51 +1,37 @@
 """Hyperparameter-optimisation algorithms and search spaces."""
 
-from .asha import Asha
-from .algorithms import (
-    GridSearch,
-    Observation,
-    RandomSearch,
-    SearchAlgorithm,
-    Suggestion,
-)
-from .bayesian import BayesianOptimisation, GaussianProcess, expected_improvement
-from .genetic import GeneticSearch
-from .hyperband import HyperBand
-from .pbt import PopulationBasedTraining
-from .space import (
-    Choice,
-    Domain,
-    IntUniform,
-    LogUniform,
-    SearchSpace,
-    Uniform,
-    joint_space,
-    paper_hyper_space,
-    paper_system_space,
-    split_config,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Asha",
-    "BayesianOptimisation",
-    "Choice",
-    "Domain",
-    "GaussianProcess",
-    "GeneticSearch",
-    "GridSearch",
-    "HyperBand",
-    "IntUniform",
-    "LogUniform",
-    "Observation",
-    "PopulationBasedTraining",
-    "RandomSearch",
-    "SearchAlgorithm",
-    "SearchSpace",
-    "Suggestion",
-    "Uniform",
-    "expected_improvement",
-    "joint_space",
-    "paper_hyper_space",
-    "paper_system_space",
-    "split_config",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".asha": ("Asha",),
+        ".algorithms": (
+            "GridSearch",
+            "Observation",
+            "RandomSearch",
+            "SearchAlgorithm",
+            "Suggestion",
+        ),
+        ".bayesian": (
+            "BayesianOptimisation",
+            "GaussianProcess",
+            "expected_improvement",
+        ),
+        ".genetic": ("GeneticSearch",),
+        ".hyperband": ("HyperBand",),
+        ".pbt": ("PopulationBasedTraining",),
+        ".space": (
+            "Choice",
+            "Domain",
+            "IntUniform",
+            "LogUniform",
+            "SearchSpace",
+            "Uniform",
+            "joint_space",
+            "paper_hyper_space",
+            "paper_system_space",
+            "split_config",
+        ),
+    },
+)

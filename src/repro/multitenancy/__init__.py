@@ -1,20 +1,17 @@
 """Multi-tenant FIFO scheduling of HPT jobs (paper §7.4)."""
 
-from .arrivals import JobArrival, generate_arrivals
-from .scheduler import (
-    FifoJobScheduler,
-    JobRecord,
-    MultiTenancyResult,
-    run_multi_tenancy,
-    unseen_variant,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FifoJobScheduler",
-    "JobArrival",
-    "JobRecord",
-    "MultiTenancyResult",
-    "generate_arrivals",
-    "run_multi_tenancy",
-    "unseen_variant",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".arrivals": ("JobArrival", "generate_arrivals"),
+        ".scheduler": (
+            "FifoJobScheduler",
+            "JobRecord",
+            "MultiTenancyResult",
+            "run_multi_tenancy",
+            "unseen_variant",
+        ),
+    },
+)

@@ -45,12 +45,18 @@ is reported as failed — all other chains still complete.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent import futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..core.pipetune import PipeTuneConfig, PipeTuneSession
 from ..multitenancy.arrivals import generate_arrivals
@@ -73,6 +79,9 @@ from .runner import (
     build_job_spec,
 )
 from .spec import ClusterSpec, Scenario, SystemPolicySpec
+
+if TYPE_CHECKING:
+    from concurrent import futures
 
 #: one chain of one plan — what every backend's ``run_chains`` takes.
 Task = Tuple[ScenarioPlan, ExecutionChain]
@@ -397,6 +406,8 @@ def default_start_method() -> str:
     the platform default (``spawn`` on macOS/Windows). Either way the
     workers rebuild all state from the pickled declarations, so the
     choice cannot affect results — only startup latency."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
@@ -485,6 +496,11 @@ class ProcessPoolBackend:
         own work, never the caller's — and returns the :data:`Pending`
         entries of the rest, both in position order.
         """
+        # the pool stack loads when a pool first runs, not for serial runs
+        import multiprocessing
+        from concurrent import futures
+        from concurrent.futures.process import BrokenProcessPool
+
         unsent = list(positions)
         if not unsent:
             return []
@@ -561,14 +577,20 @@ class ProcessPoolBackend:
         # shutdown(wait=True) blocks forever on a hung or dead-locked
         # worker and the stdlib exposes no kill switch, so terminate
         # survivors by hand after a non-blocking shutdown (_processes
-        # is private but stable across 3.10-3.12).
+        # and _executor_manager_thread are private but stable across
+        # 3.10-3.12). The executor's manager thread reaps the workers
+        # too: join it as well, or a worker it reaped may still read as
+        # alive, its exit status not yet recorded, when this returns.
         workers = dict(getattr(executor, "_processes", None) or {})
+        manager = getattr(executor, "_executor_manager_thread", None)
         executor.shutdown(wait=False, cancel_futures=True)
         for worker in workers.values():
             if worker.is_alive():
                 worker.terminate()
         for worker in workers.values():
             worker.join(timeout=5.0)
+        if manager is not None:
+            manager.join(timeout=5.0)
 
     def __repr__(self) -> str:
         return (

@@ -58,6 +58,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..tsdb import Point, TimeSeriesStore
 from .containment import is_failure
+from .options import resolve_cache_dir
 from .planner import ExecutionChain
 from .runner import AnalysisStep, ScenarioPlan, Step
 
@@ -72,18 +73,6 @@ CODE_VERSION = "stateless-rng-v3"
 
 _MAGIC = b"repro-outcome-cache\n"
 _ENTRY_SUFFIX = ".outcome"
-
-
-def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro/outcomes``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "outcomes")
-
-
-def resolve_cache_dir(path: Optional[str] = None) -> str:
-    return path if path else default_cache_dir()
 
 
 def step_cache_repr(step: Step) -> str:

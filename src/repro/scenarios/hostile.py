@@ -21,11 +21,11 @@ from __future__ import annotations
 from typing import List
 
 from .containment import is_failure
-from .registry import register
+from .registry import register, register_sweep
 from .result import ExperimentResult
 from .runner import ScenarioPlan, _grouped_jobs, mean, shared_tenancy_collector
 from .spec import Scenario, pipetune, tune_v1, tune_v2
-from .sweep import Sweep, SweepAxis, register_sweep
+from .sweep import Sweep, SweepAxis
 
 
 def fault_metrics_collector():

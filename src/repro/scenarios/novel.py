@@ -9,6 +9,8 @@ scenario CLI (``repro scenario run <name> --json``).
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from .registry import register
 from .runner import metrics_by_system_collector, shared_tenancy_collector
 from .spec import Scenario, pipetune, tune_v1, tune_v2
@@ -82,3 +84,6 @@ register(
     collect=shared_tenancy_collector(),
     source="novel",
 )
+
+# next in the built-in catalogue chain (see repro.scenarios.registry)
+import_module(".sweep", __package__)

@@ -16,6 +16,7 @@ scenarios whose plan is a single measurement routine defined here.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from importlib import import_module
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -771,3 +772,6 @@ register(
     collect=_collect_fig14,
     source="paper",
 )
+
+# next in the built-in catalogue chain (see repro.scenarios.registry)
+import_module(".novel", __package__)

@@ -7,7 +7,9 @@ plus (optionally) a custom collector and plan function. The entry is
 frozen and holds no run state, so every front end — the CLI
 (``repro scenario list|describe|run``), the service and the
 golden-trace harness (``repro.experiments``) — runs the registered
-object itself.
+object itself. Sweeps (:class:`~repro.scenarios.sweep.Sweep`) register
+here too, in :data:`SWEEP_REGISTRY`. Importing this module registers
+every built-in scenario and sweep (see the chain at its end).
 
 Downstream code extends the catalogue the same way the built-ins do::
 
@@ -24,11 +26,15 @@ Downstream code extends the catalogue the same way the built-ins do::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from .result import ExperimentResult
 from .runner import Collector, PlanFn, ScenarioRunner
 from .spec import Scenario
+
+if TYPE_CHECKING:
+    from .sweep import Sweep
 
 SCENARIO_SOURCES = ("paper", "novel", "user")
 
@@ -84,3 +90,40 @@ def run_scenario(
     content-addressed reuse; the rendered result is byte-identical
     either way."""
     return get_definition(name).run(scale=scale, seed=seed, backend=backend)
+
+
+#: name -> sweep, in registration order (built-ins first).
+SWEEP_REGISTRY: Dict[str, Sweep] = {}
+
+
+def register_sweep(sweep: Sweep, replace: bool = False) -> Sweep:
+    """Validate and add one sweep to the registry."""
+    if sweep.name in SWEEP_REGISTRY and not replace:
+        raise ValueError(f"sweep {sweep.name!r} already registered")
+    sweep.validate()
+    SWEEP_REGISTRY[sweep.name] = sweep
+    return sweep
+
+
+def get_sweep(name: str) -> Sweep:
+    try:
+        return SWEEP_REGISTRY[name]
+    except KeyError:
+        known = ", ".join(SWEEP_REGISTRY)
+        raise KeyError(f"unknown sweep {name!r}; known: {known}") from None
+
+
+def sweep_names() -> List[str]:
+    return list(SWEEP_REGISTRY)
+
+
+# The built-in catalogue loads as one chain, in registration order:
+# this module imports paper, then paper, novel and sweep each import
+# the next module once their own entries are in, and hostile comes
+# last. Each of them imports this module first, so importing any one
+# of them, or this module, registers the whole catalogue in the same
+# order: paper exhibits, novel scenarios, the built-in sweeps (which
+# name registered scenarios), then the hostile-world pack. The chain
+# is an import cycle: threads that may load it at the same time enter
+# it here, as the service does, never at one of the other modules.
+import_module(".paper", __package__)

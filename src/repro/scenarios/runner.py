@@ -38,6 +38,7 @@ from ..tune.runner import HptJobSpec
 from ..workloads.registry import get_workload
 from ..workloads.spec import WorkloadSpec
 from .containment import is_failure
+from .options import scale_problem
 from .result import ExperimentResult
 from .spec import (
     OBJECTIVES,
@@ -58,19 +59,6 @@ def seeds_for(scale: float, full: int, minimum: int = 1) -> List[int]:
     """Seed list shrunk by the experiment's scale factor."""
     count = max(minimum, int(round(full * scale)))
     return list(range(count))
-
-
-#: the largest scale a plan is sized at. Every exhibit, sweep, example
-#: and benchmark runs at scale 1.0 or below, and a plan's size grows
-#: linearly with scale (fig09 plans in about 0.01 s at scale 100).
-MAX_SCALE = 100.0
-
-
-def scale_problem(scale: float) -> Optional[str]:
-    """Why ``scale`` cannot size a plan, or None when it can."""
-    if 0 < scale <= MAX_SCALE:  # false for nan too
-        return None
-    return f"scale must be finite and positive, at most {MAX_SCALE:g}, got {scale!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ chains through one execution backend (with ``workers > 1``, one
 process pool for the chains of every variant), collecting each
 variant as soon as its own chains are back.
 
-Like scenarios, sweeps live in a registry (:data:`SWEEP_REGISTRY`)
+Like scenarios, sweeps live in a registry
+(:data:`~repro.scenarios.registry.SWEEP_REGISTRY`)
 with a handful of built-ins — arrival-rate x admission matrices over
 the multi-tenancy exhibit, cluster sizing over the convergence
 exhibit, an HPO-algorithm matrix over the novel ASHA scenario — and
@@ -32,13 +33,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..schema import Spec
 from .cache import CacheStats
-from .registry import SCENARIO_REGISTRY, get_definition
+from .options import scale_problem
+from .registry import SCENARIO_REGISTRY, get_definition, get_sweep, register_sweep
 from .result import ExperimentResult
-from .runner import scale_problem
 from .spec import Scenario, ScenarioError
 
 
@@ -410,33 +412,8 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Registry + built-ins
+# Built-ins
 # ---------------------------------------------------------------------------
-
-#: name -> sweep, in registration order (built-ins first).
-SWEEP_REGISTRY: Dict[str, Sweep] = {}
-
-
-def register_sweep(sweep: Sweep, replace: bool = False) -> Sweep:
-    """Validate and add one sweep to the registry."""
-    if sweep.name in SWEEP_REGISTRY and not replace:
-        raise ValueError(f"sweep {sweep.name!r} already registered")
-    sweep.validate()
-    SWEEP_REGISTRY[sweep.name] = sweep
-    return sweep
-
-
-def get_sweep(name: str) -> Sweep:
-    try:
-        return SWEEP_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(SWEEP_REGISTRY)
-        raise KeyError(f"unknown sweep {name!r}; known: {known}") from None
-
-
-def sweep_names() -> List[str]:
-    return list(SWEEP_REGISTRY)
-
 
 register_sweep(
     Sweep(
@@ -495,3 +472,6 @@ register_sweep(
         ),
     )
 )
+
+# next in the built-in catalogue chain (see repro.scenarios.registry)
+import_module(".hostile", __package__)

@@ -9,17 +9,20 @@ client can switch between the two without reparsing.
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict
-
-import numpy as np
 
 
 def jsonify(value):
-    """JSON-safe copy: numpy scalars -> Python, containers recursed."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    """JSON-safe copy: numpy scalars -> Python, containers recursed.
+
+    A numpy scalar is told by its type's module, so the CLI and the
+    daemon print envelopes without importing numpy."""
+    if type(value).__module__ == "numpy":
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real):
+            return float(value)
     if isinstance(value, dict):
         return {k: jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -29,49 +29,28 @@ or in-process (tests, notebooks)::
         ...
 """
 
-from .config import DEFAULT_MIDDLEWARE, QueueConfig, ServerConfig
-from .envelope import error_envelope, ok_envelope
-from .jobs import Job, JobManager, JobQueueFull, JobStates
-from .middleware import (
-    MIDDLEWARE_KINDS,
-    AccessLogMiddleware,
-    Middleware,
-    MiddlewareStack,
-    QuotaMiddleware,
-    RateLimitMiddleware,
-    Request,
-    RequestIdMiddleware,
-    Response,
-    TimingMiddleware,
-)
-from .app import ServiceApp
-from .client import ServiceClient, ServiceError
-from .server import make_server, serve, serve_background
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessLogMiddleware",
-    "DEFAULT_MIDDLEWARE",
-    "Job",
-    "JobManager",
-    "JobQueueFull",
-    "JobStates",
-    "MIDDLEWARE_KINDS",
-    "Middleware",
-    "MiddlewareStack",
-    "QueueConfig",
-    "QuotaMiddleware",
-    "RateLimitMiddleware",
-    "Request",
-    "RequestIdMiddleware",
-    "Response",
-    "ServerConfig",
-    "ServiceApp",
-    "ServiceClient",
-    "ServiceError",
-    "TimingMiddleware",
-    "error_envelope",
-    "make_server",
-    "ok_envelope",
-    "serve",
-    "serve_background",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".config": ("DEFAULT_MIDDLEWARE", "QueueConfig", "ServerConfig"),
+        ".envelope": ("error_envelope", "ok_envelope"),
+        ".jobs": ("Job", "JobManager", "JobQueueFull", "JobStates"),
+        ".middleware": (
+            "MIDDLEWARE_KINDS",
+            "AccessLogMiddleware",
+            "Middleware",
+            "MiddlewareStack",
+            "QuotaMiddleware",
+            "RateLimitMiddleware",
+            "Request",
+            "RequestIdMiddleware",
+            "Response",
+            "TimingMiddleware",
+        ),
+        ".app": ("ServiceApp",),
+        ".client": ("ServiceClient", "ServiceError"),
+        ".server": ("make_server", "serve", "serve_background"),
+    },
+)

@@ -30,15 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..scenarios.registry import SCENARIO_REGISTRY, get_definition
-from ..scenarios.runner import MAX_SCALE, scale_problem
-from ..scenarios.spec import ScenarioError
-from ..scenarios.sweep import SWEEP_REGISTRY, get_sweep
-from ..scenarios.views import (
-    scenario_describe_payload,
-    scenario_summary,
-    sweep_summary,
-)
+from ..scenarios.options import MAX_SCALE, scale_problem
 from .config import ServerConfig
 from .envelope import error_envelope, ok_envelope
 from .jobs import JobManager, JobQueueFull, JobStates
@@ -111,15 +103,7 @@ class ServiceApp:
         if parts == ["health"] and method == "GET":
             return self._health()
         if parts == ["scenarios"] and method == "GET":
-            return Response(
-                200,
-                ok_envelope(
-                    [
-                        scenario_summary(runner)
-                        for runner in SCENARIO_REGISTRY.values()
-                    ]
-                ),
-            )
+            return self._list_scenarios()
         if len(parts) == 2 and parts[0] == "scenarios" and method == "GET":
             return self._describe_scenario(parts[1], request)
         if (
@@ -132,12 +116,7 @@ class ServiceApp:
         if parts == ["runs"] and method == "POST":
             return self._submit_inline(request)
         if parts == ["sweeps"] and method == "GET":
-            return Response(
-                200,
-                ok_envelope(
-                    [sweep_summary(sweep) for sweep in SWEEP_REGISTRY.values()]
-                ),
-            )
+            return self._list_sweeps()
         if len(parts) == 2 and parts[0] == "sweeps" and method == "GET":
             return self._describe_sweep(parts[1])
         if (
@@ -163,6 +142,11 @@ class ServiceApp:
         return _not_found(f"no route for {method} {request.path!r}")
 
     # -- handlers -----------------------------------------------------------
+    # The scenario layer loads on the first request that needs it, not at
+    # start-up. A handler reaches the catalogue through the registry
+    # module only: the catalogue modules import one another, and threads
+    # that all enter that cycle at the registry wait on its lock instead
+    # of deadlocking the import system.
     def _health(self) -> Response:
         counts = {state: 0 for state in JobStates.ALL}
         for job in self.manager.jobs():
@@ -179,7 +163,25 @@ class ServiceApp:
             ),
         )
 
+    def _list_scenarios(self) -> Response:
+        from ..scenarios.registry import SCENARIO_REGISTRY
+        from ..scenarios.views import scenario_summary
+
+        summaries = [scenario_summary(runner) for runner in SCENARIO_REGISTRY.values()]
+        return Response(200, ok_envelope(summaries))
+
+    def _list_sweeps(self) -> Response:
+        from ..scenarios.registry import SWEEP_REGISTRY
+        from ..scenarios.views import sweep_summary
+
+        summaries = [sweep_summary(sweep) for sweep in SWEEP_REGISTRY.values()]
+        return Response(200, ok_envelope(summaries))
+
     def _describe_scenario(self, name: str, request: Request) -> Response:
+        from ..scenarios.registry import get_definition
+        from ..scenarios.spec import ScenarioError
+        from ..scenarios.views import scenario_describe_payload
+
         try:
             runner = get_definition(name)
         except KeyError as error:
@@ -200,6 +202,9 @@ class ServiceApp:
         return Response(200, ok_envelope(payload))
 
     def _describe_sweep(self, name: str) -> Response:
+        from ..scenarios.registry import get_sweep
+        from ..scenarios.views import sweep_summary
+
         try:
             sweep = get_sweep(name)
         except KeyError as error:
@@ -227,6 +232,8 @@ class ServiceApp:
         return params
 
     def _submit(self, submit, **kwargs) -> Response:
+        from ..scenarios.spec import ScenarioError
+
         try:
             job = submit(**kwargs)
         except JobQueueFull as error:

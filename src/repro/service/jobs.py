@@ -39,17 +39,14 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..scenarios.backends import backend_for
-from ..scenarios.cache import CacheStats, resolve_cache_dir
-from ..scenarios.merge import run_reports
-from ..scenarios.registry import get_definition
-from ..scenarios.runner import ScenarioRunner
-from ..scenarios.spec import Scenario
-from ..scenarios.sweep import get_sweep, run_sweep
+from ..scenarios.options import resolve_cache_dir
 from ..scenarios.views import failure_view, jsonify
 from .config import QueueConfig
+
+if TYPE_CHECKING:
+    from ..scenarios.cache import CacheStats
 
 
 class JobStates:
@@ -195,6 +192,9 @@ class JobManager:
         ``Scenario.from_dict`` payload. Bad payloads raise here
         (synchronously, so the API can answer 400/404), never inside a
         worker."""
+        from ..scenarios.registry import get_definition
+        from ..scenarios.spec import Scenario
+
         if (name is None) == (scenario is None):
             raise ValueError("submit exactly one of: scenario name, inline payload")
         if name is not None:
@@ -230,6 +230,8 @@ class JobManager:
         cache_dir: Optional[str] = None,
     ) -> Job:
         """Enqueue one registered sweep (validated synchronously)."""
+        from ..scenarios.registry import get_sweep
+
         get_sweep(name)  # raises KeyError on unknown names
         return self._enqueue(
             Job(
@@ -370,7 +372,12 @@ class JobManager:
     def _run_scenario_job(self, job: Job) -> bool:
         """Run one scenario job; returns True iff cancellation was
         observed (at least one step/chain was skipped because of it)."""
-        from ..experiments.golden import render_result  # late: heavy import
+        from ..experiments.golden import render_result
+        from ..scenarios.registry import get_definition
+        from ..scenarios.backends import backend_for
+        from ..scenarios.merge import run_reports
+        from ..scenarios.runner import ScenarioRunner
+        from ..scenarios.spec import Scenario
 
         if job.scenario is not None:
             runner = ScenarioRunner(Scenario.from_dict(job.scenario))
@@ -396,6 +403,8 @@ class JobManager:
     def _run_sweep_job(self, job: Job) -> bool:
         """Run one sweep job; returns True iff cancellation was
         observed (some variant's chains were skipped because of it)."""
+        from ..scenarios.sweep import run_sweep  # submit_sweep loaded the catalogue
+
         outcome = run_sweep(
             job.name,
             scale=job.scale,

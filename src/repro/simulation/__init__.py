@@ -1,40 +1,21 @@
 """Discrete-event simulation substrate (cluster, power, DES engine)."""
 
-from .cluster import (
-    Allocation,
-    ClusterStats,
-    Node,
-    NodeSpec,
-    SimCluster,
-)
-from .des import (
-    AllOf,
-    Container,
-    Environment,
-    Event,
-    Process,
-    Resource,
-    SimulationError,
-    Timeout,
-)
-from .power import EnergyMeter, IntervalEnergyMeter, PduSampler, PowerSample
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "Allocation",
-    "ClusterStats",
-    "Container",
-    "EnergyMeter",
-    "Environment",
-    "Event",
-    "IntervalEnergyMeter",
-    "Node",
-    "NodeSpec",
-    "PduSampler",
-    "PowerSample",
-    "Process",
-    "Resource",
-    "SimCluster",
-    "SimulationError",
-    "Timeout",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".cluster": ("Allocation", "ClusterStats", "Node", "NodeSpec", "SimCluster"),
+        ".des": (
+            "AllOf",
+            "Container",
+            "Environment",
+            "Event",
+            "Process",
+            "Resource",
+            "SimulationError",
+            "Timeout",
+        ),
+        ".power": ("EnergyMeter", "IntervalEnergyMeter", "PduSampler", "PowerSample"),
+    },
+)

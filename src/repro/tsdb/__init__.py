@@ -1,6 +1,11 @@
 """Embedded time-series store (InfluxDB stand-in)."""
 
-from .point import Point
-from .store import TimeSeriesStore
+from .._lazy import lazy_exports
 
-__all__ = ["Point", "TimeSeriesStore"]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".point": ("Point",),
+        ".store": ("TimeSeriesStore",),
+    },
+)

@@ -1,71 +1,44 @@
 """Tune-like HPT-job execution layer (trials, objectives, runner)."""
 
-from .objectives import (
-    OBJECTIVES,
-    Objective,
-    accuracy_objective,
-    accuracy_per_time_objective,
-    energy_system_objective,
-    runtime_system_objective,
-)
-from .errors import (
-    NodeDeparted,
-    TrialCrashed,
-    TrialError,
-    TrialOutOfMemory,
-    TrialPreempted,
-)
-from .faults import (
-    ChurnSpec,
-    CrashSpec,
-    FaultEvent,
-    FaultModel,
-    PreemptionSpec,
-    RetryPolicy,
-    StragglerSpec,
-)
-from .runner import (
-    DEFAULT_SYSTEM,
-    HptJobRunner,
-    HptJobSpec,
-    HptResult,
-    TimelinePoint,
-    TrialFailure,
-    run_hpt_job,
-)
-from .trainer import TrialContext, TrialHooks, run_trial, trial_energy_j
-from .trial import EpochRecord, TrialResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChurnSpec",
-    "CrashSpec",
-    "DEFAULT_SYSTEM",
-    "EpochRecord",
-    "FaultEvent",
-    "FaultModel",
-    "HptJobRunner",
-    "HptJobSpec",
-    "HptResult",
-    "NodeDeparted",
-    "OBJECTIVES",
-    "Objective",
-    "PreemptionSpec",
-    "RetryPolicy",
-    "StragglerSpec",
-    "TimelinePoint",
-    "TrialContext",
-    "TrialCrashed",
-    "TrialError",
-    "TrialFailure",
-    "TrialHooks",
-    "TrialOutOfMemory",
-    "TrialPreempted",
-    "TrialResult",
-    "accuracy_objective",
-    "accuracy_per_time_objective",
-    "energy_system_objective",
-    "run_hpt_job",
-    "run_trial",
-    "runtime_system_objective",
-    "trial_energy_j",
-]
+__all__ = lazy_exports(
+    globals(),
+    {
+        ".objectives": (
+            "OBJECTIVES",
+            "Objective",
+            "accuracy_objective",
+            "accuracy_per_time_objective",
+            "energy_system_objective",
+            "runtime_system_objective",
+        ),
+        ".errors": (
+            "NodeDeparted",
+            "TrialCrashed",
+            "TrialError",
+            "TrialOutOfMemory",
+            "TrialPreempted",
+        ),
+        ".faults": (
+            "ChurnSpec",
+            "CrashSpec",
+            "FaultEvent",
+            "FaultModel",
+            "PreemptionSpec",
+            "RetryPolicy",
+            "StragglerSpec",
+        ),
+        ".runner": (
+            "DEFAULT_SYSTEM",
+            "HptJobRunner",
+            "HptJobSpec",
+            "HptResult",
+            "TimelinePoint",
+            "TrialFailure",
+            "run_hpt_job",
+        ),
+        ".trainer": ("TrialContext", "TrialHooks", "run_trial", "trial_energy_j"),
+        ".trial": ("EpochRecord", "TrialResult"),
+    },
+)

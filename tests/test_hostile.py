@@ -314,6 +314,12 @@ def _slow_ok(scale, seed):
     return _ok_analysis(scale, seed)
 
 
+def _spin(stop: threading.Event) -> None:
+    """Hold the interpreter lock as much as a thread can until ``stop``."""
+    while not stop.is_set():
+        pass
+
+
 def analysis_runner(*fns):
     scenario = Scenario(name="containment-probe", kind="analysis")
     steps = [
@@ -467,6 +473,31 @@ class TestContainment:
             assert isinstance(cancelled, ChainFailure)
             assert cancelled.error_type == "JobCancelled"
             assert cancelled.skipped
+
+    def test_no_worker_outlives_its_round_under_gil_contention(self):
+        # The executor's manager thread reaps workers too. A round that
+        # returned before it had could leave a reaped worker reading as
+        # alive: its exit status not yet recorded while the manager
+        # thread waited for the interpreter lock.
+        runner = analysis_runner(_ok_analysis, _ok_analysis)
+        backend = ProcessPoolBackend(workers=2)
+        stop = threading.Event()
+        spinner = threading.Thread(target=_spin, args=(stop,))
+        spinner.start()
+        try:
+            outlived = 0
+            for _ in range(12):
+                runner.execute(runner.plan(), backend=backend)
+                alive = multiprocessing.active_children()
+                outlived += bool(alive)
+                for child in alive:
+                    child.terminate()
+                    child.join(timeout=5.0)
+        finally:
+            stop.set()
+            spinner.join(timeout=5.0)
+        assert not spinner.is_alive()
+        assert outlived == 0
 
     def test_backend_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from repro.scenarios import (
     tune_v1,
     tune_v2,
 )
-from repro.scenarios.runner import MAX_SCALE
+from repro.scenarios.options import MAX_SCALE
 
 PAPER_NAMES = [
     "fig01",
