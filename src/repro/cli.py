@@ -47,7 +47,7 @@ from typing import List, Optional
 # only those: ``repro client``, ``repro serve --help`` and ``repro lint``
 # never import numpy or the simulator.
 from .experiments import EXHIBIT_RUNS, golden
-from .scenarios.options import resolve_cache_dir
+from .scenarios.options import RunOptions, resolve_cache_dir
 from .scenarios.views import jsonify
 from .service.envelope import error_envelope, ok_envelope
 
@@ -97,18 +97,15 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
-def _cache_opts(args):
-    """Resolve --cache/--no-cache/--cache-dir -> (enabled, dir|None).
-
-    A bare ``--cache-dir`` implies ``--cache`` (unless ``--no-cache``
-    explicitly wins); when caching is on the directory resolves to the
-    default root ($REPRO_CACHE_DIR or ~/.cache/repro/outcomes), and it
-    stays None when caching is off.
-    """
-    cache_dir = getattr(args, "cache_dir", None)
-    flag = getattr(args, "cache", None)
-    enabled = bool(flag) or (flag is None and cache_dir is not None)
-    return enabled, (resolve_cache_dir(cache_dir) if enabled else None)
+def _run_options(args, **defaults) -> RunOptions:
+    """The run options the flags set, over ``defaults``, over
+    :class:`RunOptions`' own."""
+    options = dict(defaults)
+    for option in dataclasses.fields(RunOptions):
+        value = getattr(args, option.name)
+        if value is not None:
+            options[option.name] = value
+    return RunOptions(**options)
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +256,35 @@ def _cmd_scenario_run(args) -> int:
         runner = get_definition(args.name)
     except KeyError as error:
         return _fail(args, "UnknownScenario", str(error.args[0]))
-    _, cache_dir = _cache_opts(args)
+    # unset --scale/--seed of --out on a paper exhibit read its canonical run
+    canonical = EXHIBIT_RUNS.get(args.name) if args.out else None
+    defaults = {}
+    if canonical is not None:
+        defaults = {"scale": canonical.scale, "seed": canonical.seed}
+    options = _run_options(args, **defaults)
+    cache_dir = options.cache_root
     if args.check:
         return _scenario_check(
             args.name,
-            workers=args.workers,
+            workers=options.workers,
             as_json=args.json,
             cache_dir=cache_dir,
         )
-    canonical = EXHIBIT_RUNS.get(args.name)
-    scale, seed = args.scale, args.seed
-    if scale is None:
-        scale = canonical.scale if (args.out and canonical is not None) else 1.0
-    if seed is None:
-        seed = canonical.seed if (args.out and canonical is not None) else 0
-    if args.out:
-        if canonical is not None and (scale, seed) != (
-            canonical.scale,
-            canonical.seed,
-        ):
-            if not args.force:
-                return _fail(
-                    args,
-                    "NonCanonicalOut",
-                    f"refusing --out: {args.name} is a committed exhibit and "
-                    f"(scale {scale}, seed {seed}) differs from its canonical "
-                    f"(scale {canonical.scale}, seed {canonical.seed}); "
-                    "re-run with --force to write anyway.",
-                )
-            print(
-                f"warning: writing {args.name} at non-canonical parameters "
-                "(--force)",
-                file=sys.stderr,
+    scale, seed = options.scale, options.seed
+    if canonical is not None and (scale, seed) != (canonical.scale, canonical.seed):
+        if not args.force:
+            return _fail(
+                args,
+                "NonCanonicalOut",
+                f"refusing --out: {args.name} is a committed exhibit and "
+                f"(scale {scale}, seed {seed}) differs from its canonical "
+                f"(scale {canonical.scale}, seed {canonical.seed}); "
+                "re-run with --force to write anyway.",
             )
+        print(
+            f"warning: writing {args.name} at non-canonical parameters (--force)",
+            file=sys.stderr,
+        )
     started = time.time()  # repro: allow[DET001] -- CLI elapsed timing
     try:
         plan = runner.plan(scale=scale, seed=seed)
@@ -301,7 +294,7 @@ def _cmd_scenario_run(args) -> int:
         # failures arrive as structured outcomes. A cache memoizes chain
         # outcomes around that backend; the bytes are identical, warm
         # or cold.
-        backend = backend_for(args.workers, cache_dir=cache_dir, contain=args.json)
+        backend = backend_for(options.workers, cache_dir=cache_dir, contain=args.json)
         (report,) = run_reports(backend, [(runner, plan)])
         result = report.unwrap()
     except ScenarioError as error:
@@ -320,7 +313,7 @@ def _cmd_scenario_run(args) -> int:
             "source": runner.source,
             "scale": scale,
             "seed": seed,
-            "workers": args.workers or 1,
+            "workers": options.workers,
             "elapsed_s": round(elapsed, 3),
             "cache": (
                 None
@@ -448,14 +441,16 @@ def _cmd_sweep_run(args) -> int:
         sweep = get_sweep(args.name)
     except KeyError as error:
         return _fail(args, "UnknownSweep", str(error.args[0]))
-    cache_enabled, cache_dir = _cache_opts(args)
+    options = _run_options(args)
+    cache_dir = options.cache_root
+    cache_enabled = cache_dir is not None
     started = time.time()  # repro: allow[DET001] -- CLI elapsed timing
     try:
         outcome = run_sweep(
             sweep,
-            scale=args.scale,
-            seed=args.seed,
-            workers=args.workers,
+            scale=options.scale,
+            seed=options.seed,
+            workers=options.workers,
             cache_dir=cache_dir,
         )
     except SweepError as error:
@@ -618,59 +613,54 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _client_output(args, data) -> int:
-    _print_envelope(ok_envelope(data))
-    return 0
+def _client_describe(client, args):
+    options = _run_options(args)
+    return client.describe_scenario(args.name, scale=options.scale, seed=options.seed)
+
+
+def _client_submit(client, args):
+    submit = client.submit_sweep if args.sweep else client.submit_scenario
+    job = submit(args.name, **_run_options(args).as_dict())
+    if not args.wait:
+        return job
+    client.wait(job["id"], timeout_s=args.timeout)
+    return client.result(job["id"])
+
+
+def _client_wait(client, args):
+    client.wait(args.name, timeout_s=args.timeout)
+    return client.job(args.name)
+
+
+#: ``repro client`` action -> (takes a name or job id, call(client, args)).
+_CLIENT_ACTIONS = {
+    "health": (False, lambda client, args: client.health()),
+    "scenarios": (False, lambda client, args: client.scenarios()),
+    "sweeps": (False, lambda client, args: client.sweeps()),
+    "describe": (True, _client_describe),
+    "submit": (True, _client_submit),
+    "status": (True, lambda client, args: client.job(args.name)),
+    "wait": (True, _client_wait),
+    "result": (True, lambda client, args: client.result(args.name)),
+    "cancel": (True, lambda client, args: client.cancel(args.name)),
+    "jobs": (False, lambda client, args: client.jobs()),
+}
 
 
 def _cmd_client(args) -> int:
     from .service.client import ServiceClient, ServiceError
 
+    needs_name, call = _CLIENT_ACTIONS[args.action]
+    if needs_name and not args.name:
+        return _emit_error("BadUsage", f"client {args.action} needs a name/job id")
     client = ServiceClient(args.url, tenant=args.tenant, timeout_s=args.timeout)
     try:
-        if args.action == "health":
-            return _client_output(args, client.health())
-        if args.action == "scenarios":
-            return _client_output(args, client.scenarios())
-        if args.action == "sweeps":
-            return _client_output(args, client.sweeps())
-        if args.action == "describe":
-            return _client_output(
-                args,
-                client.describe_scenario(args.name, scale=args.scale, seed=args.seed),
-            )
-        if args.action == "jobs":
-            return _client_output(args, client.jobs())
-        if args.action == "submit":
-            submit = client.submit_sweep if args.sweep else client.submit_scenario
-            cache_enabled, cache_dir = _cache_opts(args)
-            job = submit(
-                args.name,
-                scale=args.scale,
-                seed=args.seed,
-                workers=args.workers,
-                cache=cache_enabled,
-                cache_dir=cache_dir,
-            )
-            if not args.wait:
-                return _client_output(args, job)
-            client.wait(job["id"], timeout_s=args.timeout)
-            return _client_output(args, client.result(job["id"]))
-        if args.action == "status":
-            return _client_output(args, client.job(args.name))
-        if args.action == "wait":
-            client.wait(args.name, timeout_s=args.timeout)
-            return _client_output(args, client.job(args.name))
-        if args.action == "result":
-            return _client_output(args, client.result(args.name))
-        if args.action == "cancel":
-            return _client_output(args, client.cancel(args.name))
+        return _emit_ok(call(client, args))
     except ServiceError as error:
         _print_envelope(error_envelope(error.error_type, str(error), data=error.data))
         return 2 if error.status in (0, 404) else 1
     except TimeoutError as error:
         return _emit_error("Timeout", str(error), exit_code=1)
-    return 2  # pragma: no cover - argparse choices guard this
 
 
 # ---------------------------------------------------------------------------
@@ -678,21 +668,26 @@ def _cmd_client(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared --cache/--no-cache/--cache-dir trio."""
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The :class:`RunOptions` flags; an unset one reads None."""
+    parser.add_argument("--scale", type=float, help="fidelity factor (default 1.0)")
+    parser.add_argument("--seed", type=int, help="base seed (default 0)")
+    parser.add_argument(
+        "--workers",
+        type=_worker_count,
+        help="run the chains on a process pool of N workers "
+        "(default: serial; results are identical for any N)",
+    )
     parser.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
-        default=None,
         help="memoize chain outcomes in the content-addressed cache "
         "(hits are byte-identical to recomputes; --cache-dir alone "
-        "implies --cache)",
+        "implies --cache, --no-cache wins)",
     )
     parser.add_argument(
         "--cache-dir",
-        default=None,
-        help="cache root (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/outcomes)",
+        help="cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro/outcomes)",
     )
 
 
@@ -731,22 +726,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s_run = scenario_sub.add_parser("run", help="run one scenario")
     s_run.add_argument("name")
-    s_run.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="fidelity factor (default 1.0; with --out on a paper exhibit, "
-        "its canonical scale)",
-    )
-    s_run.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="base seed (default 0; with --out on a paper exhibit, its "
-        "canonical seed)",
-    )
+    _add_run_arguments(s_run)
     s_run.add_argument("--json", action="store_true", help="structured output")
-    s_run.add_argument("--out", help="directory to write the rendered table to")
+    s_run.add_argument(
+        "--out",
+        help="directory to write the rendered table to (unset --scale/--seed "
+        "then default to a paper exhibit's canonical ones)",
+    )
     s_run.add_argument(
         "--force",
         action="store_true",
@@ -758,14 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate at canonical parameters and byte-diff against the "
         "committed golden trace (paper exhibits only)",
     )
-    s_run.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=None,
-        help="execute the plan's chains on a process pool of N workers "
-        "(default: serial; results are identical for any N)",
-    )
-    _add_cache_arguments(s_run)
     s_run.set_defaults(func=_cmd_scenario_run)
 
     sweep = sub.add_parser(
@@ -779,17 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     w_run = sweep_sub.add_parser("run", help="expand one sweep and run every variant")
     w_run.add_argument("name")
-    w_run.add_argument("--scale", type=float, default=1.0)
-    w_run.add_argument("--seed", type=int, default=0)
+    _add_run_arguments(w_run)
     w_run.add_argument("--json", action="store_true", help="structured output")
-    w_run.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=None,
-        help="run every variant's chains on one process pool of N workers "
-        "(default: serial; results are identical for any N)",
-    )
-    _add_cache_arguments(w_run)
     w_run.set_defaults(func=_cmd_sweep_run)
 
     w_cmp = sweep_sub.add_parser(
@@ -865,21 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     client = sub.add_parser(
         "client", help="drive a running scenario service (envelope output)"
     )
-    client.add_argument(
-        "action",
-        choices=(
-            "health",
-            "scenarios",
-            "sweeps",
-            "describe",
-            "submit",
-            "status",
-            "wait",
-            "result",
-            "cancel",
-            "jobs",
-        ),
-    )
+    client.add_argument("action", choices=tuple(_CLIENT_ACTIONS))
     client.add_argument(
         "name",
         nargs="?",
@@ -891,15 +846,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8765", help="service base URL"
     )
     client.add_argument("--tenant", default=None, help="X-Tenant header value")
-    client.add_argument("--scale", type=float, default=1.0)
-    client.add_argument("--seed", type=int, default=0)
-    client.add_argument(
-        "--workers", type=_worker_count, default=1, help="per-job worker processes"
-    )
+    _add_run_arguments(client)
     client.add_argument(
         "--sweep", action="store_true", help="submit a registered sweep instead"
     )
-    _add_cache_arguments(client)
     client.add_argument(
         "--wait",
         action="store_true",
@@ -914,12 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    needs_name = {"describe", "submit", "status", "wait", "result", "cancel"}
-    if getattr(args, "command", None) == "client":
-        if args.action in needs_name and not args.name:
-            return _emit_error(
-                "BadUsage", f"client {args.action} needs a name/job id"
-            )
     return args.func(args)
 
 

@@ -10,27 +10,18 @@ in-process. Every response body is the shared envelope
 :mod:`repro.scenarios.views` renderings the CLI's ``--json`` emits,
 and job results carry the golden-serializer trace.
 
-Routes (all under ``/v1``)::
-
-    GET  /v1/health                      liveness + job counts
-    GET  /v1/scenarios                   catalogue (scenario_summary)
-    GET  /v1/scenarios/{name}            declaration + resolved plan
-    POST /v1/scenarios/{name}/runs       submit a registered scenario
-    POST /v1/runs                        submit an inline Scenario dict
-    GET  /v1/sweeps                      sweep catalogue
-    GET  /v1/sweeps/{name}               full sweep declaration
-    POST /v1/sweeps/{name}/runs          submit a registered sweep
-    GET  /v1/jobs                        all jobs, submission order
-    GET  /v1/jobs/{id}                   one job's status view
-    GET  /v1/jobs/{id}/result            result + trace (409 until done)
-    POST /v1/jobs/{id}/cancel            cooperative cancellation
+The routes (all under ``/v1``) are the table :data:`ROUTES`;
+:func:`routes` lists them for docs and the ``serve`` banner. A path
+segment is percent-decoded after the path is split, so a scenario,
+sweep or job name may hold any character.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
+from urllib.parse import unquote
 
-from ..scenarios.options import MAX_SCALE, scale_problem
+from ..scenarios.options import RunOptions
 from .config import ServerConfig
 from .envelope import error_envelope, ok_envelope
 from .jobs import JobManager, JobQueueFull, JobStates
@@ -43,26 +34,6 @@ def _bad_request(message: str, error_type: str = "BadRequest") -> Response:
 
 def _not_found(message: str) -> Response:
     return Response(404, error_envelope("NotFound", message))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_scale(value) -> bool:
-    number = _is_int(value) or isinstance(value, float)
-    return number and not scale_problem(value)
-
-
-#: body fields a run submission accepts (plus "scenario" on /v1/runs):
-#: name -> (default, type check, the expectation a 400 names).
-_RUN_FIELDS = {
-    "scale": (1.0, _is_scale, f"a finite positive number at most {MAX_SCALE:g}"),
-    "seed": (0, _is_int, "an integer"),
-    "workers": (1, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "cache": (False, lambda v: isinstance(v, bool), "a JSON bool"),
-    "cache_dir": (None, lambda v: v is None or isinstance(v, str), "a string path"),
-}
 
 
 #: query parameters a scenario describe reads:
@@ -94,52 +65,19 @@ class ServiceApp:
 
     # -- routing ------------------------------------------------------------
     def _route(self, request: Request) -> Response:
-        parts = [part for part in request.path.split("/") if part]
-        if not parts or parts[0] != "v1":
-            return _not_found(f"no route {request.path!r}; the API lives under /v1")
-        parts = parts[1:]
-        method = request.method
-
-        if parts == ["health"] and method == "GET":
-            return self._health()
-        if parts == ["scenarios"] and method == "GET":
-            return self._list_scenarios()
-        if len(parts) == 2 and parts[0] == "scenarios" and method == "GET":
-            return self._describe_scenario(parts[1], request)
-        if (
-            len(parts) == 3
-            and parts[0] == "scenarios"
-            and parts[2] == "runs"
-            and method == "POST"
-        ):
-            return self._submit_scenario(parts[1], request)
-        if parts == ["runs"] and method == "POST":
-            return self._submit_inline(request)
-        if parts == ["sweeps"] and method == "GET":
-            return self._list_sweeps()
-        if len(parts) == 2 and parts[0] == "sweeps" and method == "GET":
-            return self._describe_sweep(parts[1])
-        if (
-            len(parts) == 3
-            and parts[0] == "sweeps"
-            and parts[2] == "runs"
-            and method == "POST"
-        ):
-            return self._submit_sweep(parts[1], request)
-        if parts == ["jobs"] and method == "GET":
-            return Response(
-                200,
-                ok_envelope([job.as_dict() for job in self.manager.jobs()]),
-            )
-        if len(parts) == 2 and parts[0] == "jobs" and method == "GET":
-            return self._job_status(parts[1])
-        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-            if method == "GET":
-                return self._job_result(parts[1])
-        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-            if method == "POST":
-                return self._job_cancel(parts[1])
-        return _not_found(f"no route for {method} {request.path!r}")
+        parts = [unquote(part) for part in request.path.split("/") if part]
+        for method, segments, handler in _MATCHERS:
+            if method != request.method or len(segments) != len(parts):
+                continue
+            params = []
+            for segment, part in zip(segments, parts):
+                if segment.startswith("{"):
+                    params.append(part)
+                elif segment != part:
+                    break
+            else:
+                return handler(self, request, *params)
+        return _not_found(f"no route for {request.method} {request.path!r}")
 
     # -- handlers -----------------------------------------------------------
     # The scenario layer loads on the first request that needs it, not at
@@ -147,7 +85,8 @@ class ServiceApp:
     # module only: the catalogue modules import one another, and threads
     # that all enter that cycle at the registry wait on its lock instead
     # of deadlocking the import system.
-    def _health(self) -> Response:
+    def _health(self, request: Request) -> Response:
+        """liveness + job counts"""
         counts = {state: 0 for state in JobStates.ALL}
         for job in self.manager.jobs():
             counts[job.status] += 1
@@ -163,21 +102,24 @@ class ServiceApp:
             ),
         )
 
-    def _list_scenarios(self) -> Response:
+    def _list_scenarios(self, request: Request) -> Response:
+        """catalogue (scenario_summary)"""
         from ..scenarios.registry import SCENARIO_REGISTRY
         from ..scenarios.views import scenario_summary
 
         summaries = [scenario_summary(runner) for runner in SCENARIO_REGISTRY.values()]
         return Response(200, ok_envelope(summaries))
 
-    def _list_sweeps(self) -> Response:
+    def _list_sweeps(self, request: Request) -> Response:
+        """sweep catalogue"""
         from ..scenarios.registry import SWEEP_REGISTRY
         from ..scenarios.views import sweep_summary
 
         summaries = [sweep_summary(sweep) for sweep in SWEEP_REGISTRY.values()]
         return Response(200, ok_envelope(summaries))
 
-    def _describe_scenario(self, name: str, request: Request) -> Response:
+    def _describe_scenario(self, request: Request, name: str) -> Response:
+        """declaration + resolved plan"""
         from ..scenarios.registry import get_definition
         from ..scenarios.spec import ScenarioError
         from ..scenarios.views import scenario_describe_payload
@@ -201,7 +143,8 @@ class ServiceApp:
             return _bad_request(str(error), error_type="ScenarioError")
         return Response(200, ok_envelope(payload))
 
-    def _describe_sweep(self, name: str) -> Response:
+    def _describe_sweep(self, request: Request, name: str) -> Response:
+        """full sweep declaration"""
         from ..scenarios.registry import get_sweep
         from ..scenarios.views import sweep_summary
 
@@ -213,29 +156,14 @@ class ServiceApp:
         payload["sweep"] = sweep.as_dict()
         return Response(200, ok_envelope(payload))
 
-    def _run_params(self, request: Request, extra: tuple = ()) -> Dict:
-        body = request.body or {}
-        if not isinstance(body, dict):
-            raise ValueError("request body must be a JSON object")
-        allowed = tuple(_RUN_FIELDS) + extra
-        unknown = [key for key in body if key not in allowed]
-        if unknown:
-            raise ValueError(
-                f"unknown run field(s) {unknown}; known: {list(allowed)}"
-            )
-        params = {}
-        for key, (default, check, expected) in _RUN_FIELDS.items():
-            params[key] = body.get(key, default)
-            if not check(params[key]):
-                raise ValueError(f"{key} must be {expected}, got {params[key]!r}")
-        params["scale"] = float(params["scale"])
-        return params
-
-    def _submit(self, submit, **kwargs) -> Response:
+    def _submit(self, submit, request: Request, body, **target) -> Response:
+        """Decode ``body`` as :class:`RunOptions` and enqueue ``target``
+        with them; every bad field is a 400 that names it."""
         from ..scenarios.spec import ScenarioError
 
         try:
-            job = submit(**kwargs)
+            options = RunOptions.from_dict(body)
+            job = submit(tenant=request.tenant, **target, **options.as_dict())
         except JobQueueFull as error:
             return Response(503, error_envelope("JobQueueFull", str(error)))
         except KeyError as error:
@@ -246,56 +174,45 @@ class ServiceApp:
             return _bad_request(str(error))
         return Response(202, ok_envelope(job.as_dict()))
 
-    def _submit_scenario(self, name: str, request: Request) -> Response:
-        try:
-            params = self._run_params(request)
-        except ValueError as error:
-            return _bad_request(str(error))
-        return self._submit(
-            self.manager.submit_scenario,
-            name=name,
-            tenant=request.tenant,
-            **params,
-        )
+    def _submit_scenario(self, request: Request, name: str) -> Response:
+        """submit a registered scenario"""
+        submit = self.manager.submit_scenario
+        return self._submit(submit, request, request.body, name=name)
 
     def _submit_inline(self, request: Request) -> Response:
-        body = request.body or {}
+        """submit an inline Scenario dict"""
+        body = request.body
         if not isinstance(body, dict) or "scenario" not in body:
             return _bad_request(
                 'inline submission needs a "scenario" object '
                 "(a Scenario.from_dict payload)"
             )
-        try:
-            params = self._run_params(request, extra=("scenario",))
-        except ValueError as error:
-            return _bad_request(str(error))
+        body = dict(body)
+        scenario = body.pop("scenario")
         return self._submit(
-            self.manager.submit_scenario,
-            scenario=body["scenario"],
-            tenant=request.tenant,
-            **params,
+            self.manager.submit_scenario, request, body, scenario=scenario
         )
 
-    def _submit_sweep(self, name: str, request: Request) -> Response:
-        try:
-            params = self._run_params(request)
-        except ValueError as error:
-            return _bad_request(str(error))
-        return self._submit(
-            self.manager.submit_sweep,
-            name=name,
-            tenant=request.tenant,
-            **params,
-        )
+    def _submit_sweep(self, request: Request, name: str) -> Response:
+        """submit a registered sweep"""
+        submit = self.manager.submit_sweep
+        return self._submit(submit, request, request.body, name=name)
 
-    def _job_status(self, job_id: str) -> Response:
+    def _list_jobs(self, request: Request) -> Response:
+        """all jobs, submission order"""
+        views = [job.as_dict() for job in self.manager.jobs()]
+        return Response(200, ok_envelope(views))
+
+    def _job_status(self, request: Request, job_id: str) -> Response:
+        """one job's status view"""
         try:
             job = self.manager.get(job_id)
         except KeyError as error:
             return _not_found(str(error.args[0]))
         return Response(200, ok_envelope(job.as_dict()))
 
-    def _job_result(self, job_id: str) -> Response:
+    def _job_result(self, request: Request, job_id: str) -> Response:
+        """result + trace (409 until done)"""
         try:
             job = self.manager.get(job_id)
         except KeyError as error:
@@ -321,7 +238,8 @@ class ServiceApp:
             )
         return Response(200, ok_envelope(data))
 
-    def _job_cancel(self, job_id: str) -> Response:
+    def _job_cancel(self, request: Request, job_id: str) -> Response:
+        """cooperative cancellation"""
         try:
             job = self.manager.cancel(job_id)
         except KeyError as error:
@@ -329,12 +247,34 @@ class ServiceApp:
         return Response(202, ok_envelope(job.as_dict()))
 
 
+#: The API: (method, path pattern, handler). A ``{...}`` segment matches
+#: one decoded path segment, which is passed to the handler after the
+#: request; a handler's docstring says what the route answers.
+ROUTES = (
+    ("GET", "/v1/health", ServiceApp._health),
+    ("GET", "/v1/scenarios", ServiceApp._list_scenarios),
+    ("GET", "/v1/scenarios/{name}", ServiceApp._describe_scenario),
+    ("POST", "/v1/scenarios/{name}/runs", ServiceApp._submit_scenario),
+    ("POST", "/v1/runs", ServiceApp._submit_inline),
+    ("GET", "/v1/sweeps", ServiceApp._list_sweeps),
+    ("GET", "/v1/sweeps/{name}", ServiceApp._describe_sweep),
+    ("POST", "/v1/sweeps/{name}/runs", ServiceApp._submit_sweep),
+    ("GET", "/v1/jobs", ServiceApp._list_jobs),
+    ("GET", "/v1/jobs/{id}", ServiceApp._job_status),
+    ("GET", "/v1/jobs/{id}/result", ServiceApp._job_result),
+    ("POST", "/v1/jobs/{id}/cancel", ServiceApp._job_cancel),
+)
+
+#: ROUTES with each pattern split into its segments once.
+_MATCHERS = [
+    (method, pattern.split("/")[1:], handler) for method, pattern, handler in ROUTES
+]
+
+
 def routes() -> List[str]:
-    """The route table (parsed from the module docstring above), for
-    docs and the CLI's ``serve`` banner."""
-    lines = []
-    for line in (__doc__ or "").splitlines():
-        line = line.strip()
-        if line.startswith(("GET", "POST")):
-            lines.append(line)
-    return lines
+    """The route table as aligned lines, for docs and the CLI's
+    ``serve`` banner."""
+    return [
+        f"{method:<4} {pattern:<32}{handler.__doc__}"
+        for method, pattern, handler in ROUTES
+    ]

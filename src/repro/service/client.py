@@ -4,9 +4,11 @@
 ``urllib.request`` — no dependency beyond the standard library, so the
 same class backs ``repro client``, the tests and
 ``examples/service_client.py``. Methods return the envelope's ``data``
-directly; a non-ok envelope raises :class:`ServiceError` carrying the
-HTTP status, the structured error and any partial ``data`` that
-survived (a failed job's result still holds its table fragments).
+directly; a non-ok envelope, or a body that is no envelope, raises
+:class:`ServiceError` carrying the HTTP status, the structured error
+and any partial ``data`` that survived (a failed job's result still
+holds its table fragments). Each name and job id is sent as one
+percent-encoded path segment.
 """
 
 from __future__ import annotations
@@ -18,8 +20,17 @@ from urllib import error as urlerror
 from urllib import parse as urlparse
 from urllib import request as urlrequest
 
+from ..scenarios.options import RunOptions
 from .envelope import is_envelope
 from .jobs import JobStates
+
+#: the submit body a client leaves out: every option at its default.
+_DEFAULT_OPTIONS = RunOptions().as_dict()
+
+
+def _segment(name: str) -> str:
+    """``name`` as one path segment: ``/``, ``?``, ``%`` and spaces quoted."""
+    return urlparse.quote(name, safe="")
 
 
 class ServiceError(RuntimeError):
@@ -64,19 +75,18 @@ class ServiceClient:
         req = urlrequest.Request(url, data=data, headers=headers, method=method)
         try:
             with urlrequest.urlopen(req, timeout=self.timeout_s) as response:
-                status = response.status
-                payload = json.loads(response.read().decode("utf-8"))
+                status, raw = response.status, response.read()
         except urlerror.HTTPError as http_error:
             # 4xx/5xx still carry an envelope body; surface it.
-            status = http_error.code
-            try:
-                payload = json.loads(http_error.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                payload = None
+            status, raw = http_error.code, http_error.read()
         except urlerror.URLError as net_error:
             raise ServiceError(
                 0, {"type": "Unreachable", "message": str(net_error.reason)}
             ) from net_error
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            payload = None
         if not is_envelope(payload):
             raise ServiceError(
                 status,
@@ -97,85 +107,41 @@ class ServiceClient:
         self, name: str, scale: float = 1.0, seed: int = 0
     ) -> Dict:
         return self._call(
-            "GET", f"/v1/scenarios/{name}", query={"scale": scale, "seed": seed}
+            "GET",
+            f"/v1/scenarios/{_segment(name)}",
+            query={"scale": scale, "seed": seed},
         )
 
     def sweeps(self) -> List[Dict]:
         return self._call("GET", "/v1/sweeps")
 
     # -- submission ---------------------------------------------------------
-    @staticmethod
-    def _run_body(
-        scale: float,
-        seed: int,
-        workers: int,
-        cache: bool,
-        cache_dir: Optional[str],
-        **extra,
-    ) -> Dict:
-        body = dict(extra, scale=scale, seed=seed, workers=workers)
-        # only ship the cache knobs when asked — older servers reject
-        # unknown run fields.
-        if cache or cache_dir:
-            body["cache"] = True
-            if cache_dir:
-                body["cache_dir"] = cache_dir
-        return body
+    # ``options`` are RunOptions fields; the body carries the ones that
+    # differ from their defaults.
+    def _submit(self, path: str, options: Dict, **extra) -> Dict:
+        body = {
+            key: value
+            for key, value in RunOptions(**options).as_dict().items()
+            if value != _DEFAULT_OPTIONS[key]
+        }
+        return self._call("POST", path, body=dict(extra, **body))
 
-    def submit_scenario(
-        self,
-        name: str,
-        scale: float = 1.0,
-        seed: int = 0,
-        workers: int = 1,
-        cache: bool = False,
-        cache_dir: Optional[str] = None,
-    ) -> Dict:
-        return self._call(
-            "POST",
-            f"/v1/scenarios/{name}/runs",
-            body=self._run_body(scale, seed, workers, cache, cache_dir),
-        )
+    def submit_scenario(self, name: str, **options) -> Dict:
+        return self._submit(f"/v1/scenarios/{_segment(name)}/runs", options)
 
-    def submit_inline(
-        self,
-        scenario: Dict,
-        scale: float = 1.0,
-        seed: int = 0,
-        workers: int = 1,
-        cache: bool = False,
-        cache_dir: Optional[str] = None,
-    ) -> Dict:
+    def submit_inline(self, scenario: Dict, **options) -> Dict:
         """Submit an ad-hoc ``Scenario.from_dict`` payload."""
-        return self._call(
-            "POST",
-            "/v1/runs",
-            body=self._run_body(
-                scale, seed, workers, cache, cache_dir, scenario=scenario
-            ),
-        )
+        return self._submit("/v1/runs", options, scenario=scenario)
 
-    def submit_sweep(
-        self,
-        name: str,
-        scale: float = 1.0,
-        seed: int = 0,
-        workers: int = 1,
-        cache: bool = False,
-        cache_dir: Optional[str] = None,
-    ) -> Dict:
-        return self._call(
-            "POST",
-            f"/v1/sweeps/{name}/runs",
-            body=self._run_body(scale, seed, workers, cache, cache_dir),
-        )
+    def submit_sweep(self, name: str, **options) -> Dict:
+        return self._submit(f"/v1/sweeps/{_segment(name)}/runs", options)
 
     # -- job lifecycle ------------------------------------------------------
     def jobs(self) -> List[Dict]:
         return self._call("GET", "/v1/jobs")
 
     def job(self, job_id: str) -> Dict:
-        return self._call("GET", f"/v1/jobs/{job_id}")
+        return self._call("GET", f"/v1/jobs/{_segment(job_id)}")
 
     def result(self, job_id: str) -> Dict:
         """The finished job's full payload (result + trace + failures).
@@ -184,10 +150,10 @@ class ServiceClient:
         and for a *failed* job — whose partial payload rides on the
         exception's ``data``.
         """
-        return self._call("GET", f"/v1/jobs/{job_id}/result")
+        return self._call("GET", f"/v1/jobs/{_segment(job_id)}/result")
 
     def cancel(self, job_id: str) -> Dict:
-        return self._call("POST", f"/v1/jobs/{job_id}/cancel")
+        return self._call("POST", f"/v1/jobs/{_segment(job_id)}/cancel")
 
     def wait(
         self, job_id: str, timeout_s: float = 300.0, poll_s: float = 0.2

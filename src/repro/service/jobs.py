@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..scenarios.options import resolve_cache_dir
+from ..scenarios.options import RunOptions
 from ..scenarios.views import failure_view, jsonify
 from .config import QueueConfig
 
@@ -75,9 +75,7 @@ class Job:
     kind: str  # "scenario" | "sweep"
     name: str
     tenant: str
-    scale: float = 1.0
-    seed: int = 0
-    workers: int = 1
+    options: RunOptions = field(default_factory=RunOptions)
     #: inline Scenario.from_dict payload (ad-hoc submissions).
     scenario: Optional[Dict] = None
     status: str = JobStates.QUEUED
@@ -93,9 +91,6 @@ class Job:
     #: structured error when the job itself failed.
     error: Optional[Dict] = None
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: run through the content-addressed outcome cache?
-    cache: bool = False
-    cache_dir: Optional[str] = None
     #: chain-cache counters, filled in after a cached run.
     cache_stats: Optional[CacheStats] = None
     #: guards every mutable field; the manager swaps in its own lock
@@ -130,9 +125,9 @@ class Job:
                 "kind": self.kind,
                 "name": self.name,
                 "tenant": self.tenant,
-                "scale": self.scale,
-                "seed": self.seed,
-                "workers": self.workers,
+                "scale": self.options.scale,
+                "seed": self.options.seed,
+                "workers": self.options.workers,
                 "status": self.status,
                 "submitted_at": self.submitted_at,
                 "started_at": self.started_at,
@@ -141,8 +136,8 @@ class Job:
                 "failure_count": len(self.failures),
                 "error": self.error,
                 "cache": {
-                    "enabled": self.cache,
-                    "dir": self.cache_dir,
+                    "enabled": self.options.cache_root is not None,
+                    "dir": self.options.cache_dir,
                     "hits": self.cache_stats and self.cache_stats.hits,
                     "misses": self.cache_stats and self.cache_stats.misses,
                 },
@@ -181,20 +176,18 @@ class JobManager:
         self,
         name: Optional[str] = None,
         scenario: Optional[Dict] = None,
-        scale: float = 1.0,
-        seed: int = 0,
-        workers: int = 1,
         tenant: str = "anonymous",
-        cache: bool = False,
-        cache_dir: Optional[str] = None,
+        **options,
     ) -> Job:
         """Enqueue one scenario run — registered by name, or an inline
-        ``Scenario.from_dict`` payload. Bad payloads raise here
+        ``Scenario.from_dict`` payload; ``options`` are
+        :class:`RunOptions` fields. Bad payloads raise here
         (synchronously, so the API can answer 400/404), never inside a
         worker."""
         from ..scenarios.registry import get_definition
         from ..scenarios.spec import Scenario
 
+        run = RunOptions(**options).validate()
         if (name is None) == (scenario is None):
             raise ValueError("submit exactly one of: scenario name, inline payload")
         if name is not None:
@@ -210,41 +203,20 @@ class JobManager:
                 kind="scenario",
                 name=job_name,
                 tenant=tenant,
-                scale=scale,
-                seed=seed,
-                workers=workers,
+                options=run,
                 scenario=dict(scenario) if scenario is not None else None,
-                cache=bool(cache or cache_dir),
-                cache_dir=cache_dir,
             )
         )
 
-    def submit_sweep(
-        self,
-        name: str,
-        scale: float = 1.0,
-        seed: int = 0,
-        workers: int = 1,
-        tenant: str = "anonymous",
-        cache: bool = False,
-        cache_dir: Optional[str] = None,
-    ) -> Job:
-        """Enqueue one registered sweep (validated synchronously)."""
+    def submit_sweep(self, name: str, tenant: str = "anonymous", **options) -> Job:
+        """Enqueue one registered sweep (validated synchronously);
+        ``options`` are :class:`RunOptions` fields."""
         from ..scenarios.registry import get_sweep
 
+        run = RunOptions(**options).validate()
         get_sweep(name)  # raises KeyError on unknown names
         return self._enqueue(
-            Job(
-                id=self._next_id(),
-                kind="sweep",
-                name=name,
-                tenant=tenant,
-                scale=scale,
-                seed=seed,
-                workers=workers,
-                cache=bool(cache or cache_dir),
-                cache_dir=cache_dir,
-            )
+            Job(id=self._next_id(), kind="sweep", name=name, tenant=tenant, options=run)
         )
 
     def _next_id(self) -> str:
@@ -383,11 +355,12 @@ class JobManager:
             runner = ScenarioRunner(Scenario.from_dict(job.scenario))
         else:
             runner = get_definition(job.name)
-        plan = runner.plan(scale=job.scale, seed=job.seed)
+        options = job.options
+        plan = runner.plan(scale=options.scale, seed=options.seed)
         runner.validate(plan)
         backend = backend_for(
-            job.workers,
-            cache_dir=resolve_cache_dir(job.cache_dir) if job.cache else None,
+            options.workers,
+            cache_dir=options.cache_root,
             contain=True,
             stop=job.cancel_event.is_set,
         )
@@ -405,12 +378,13 @@ class JobManager:
         observed (some variant's chains were skipped because of it)."""
         from ..scenarios.sweep import run_sweep  # submit_sweep loaded the catalogue
 
+        options = job.options
         outcome = run_sweep(
             job.name,
-            scale=job.scale,
-            seed=job.seed,
-            workers=job.workers,
-            cache_dir=resolve_cache_dir(job.cache_dir) if job.cache else None,
+            scale=options.scale,
+            seed=options.seed,
+            workers=options.workers,
+            cache_dir=options.cache_root,
             stop=job.cancel_event.is_set,
         )
         failures = [
