@@ -37,7 +37,6 @@ def main(seed: int = 0) -> None:
     # second job reuses the first job's stored profiles.
     cluster = SCENARIO.cluster
     session = session_for_cluster(cluster, seed=seed)
-    session.config.min_entries = 4
     (policy,) = SCENARIO.systems
 
     def run(workload):

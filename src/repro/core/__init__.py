@@ -5,7 +5,7 @@ from .._lazy import lazy_exports
 __all__ = lazy_exports(
     globals(),
     {
-        ".clustering": ("DBSCAN", "KMeans", "NearestCentroid", "pairwise_sq_distances"),
+        ".clustering": ("KMeans", "pairwise_sq_distances"),
         ".groundtruth": ("GroundTruth", "GroundTruthEntry", "GroundTruthMatch"),
         ".pipetune": (
             "PipeTuneConfig",
@@ -17,7 +17,6 @@ __all__ = lazy_exports(
             "TIE_BAND",
             "ProbeSample",
             "ProbingController",
-            "probe_plan_length",
         ),
     },
 )

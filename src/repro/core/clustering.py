@@ -1,9 +1,8 @@
-"""Clustering algorithms for the ground-truth similarity function.
+"""k-means, the ground-truth similarity function.
 
-The paper's default similarity function is k-means (§5.4, "battle-
-tested k-means implementation openly available in scikit-learn"); the
-module also provides DBSCAN and a nearest-centroid classifier because
-PipeTune's design keeps the similarity function pluggable.
+The paper's similarity function is k-means (§5.4, "battle-tested
+k-means implementation openly available in scikit-learn") and it
+evaluates k = 2 only; this is the one model the ground truth fits.
 
 Implemented from scratch on numpy (scikit-learn is not available in
 this environment): k-means uses k-means++ seeding and Lloyd iterations
@@ -12,7 +11,7 @@ with an empty-cluster repair step.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -171,77 +170,3 @@ class KMeans:
         return np.sqrt(
             pairwise_sq_distances(_as_matrix(x), self.centroids).min(axis=1)
         )
-
-
-class NearestCentroid:
-    """Supervised nearest-centroid classifier (alternative similarity)."""
-
-    def __init__(self):
-        self.centroids: Optional[np.ndarray] = None
-        self.classes: List = []
-
-    def fit(self, x, labels) -> "NearestCentroid":
-        x = _as_matrix(x)
-        labels = list(labels)
-        if len(labels) != len(x):
-            raise ValueError("labels length mismatch")
-        self.classes = sorted(set(labels))
-        self.centroids = np.array(
-            [
-                x[[i for i, l in enumerate(labels) if l == c]].mean(axis=0)
-                for c in self.classes
-            ]
-        )
-        return self
-
-    def predict(self, x) -> List:
-        if self.centroids is None:
-            raise RuntimeError("NearestCentroid used before fit()")
-        idx = pairwise_sq_distances(_as_matrix(x), self.centroids).argmin(axis=1)
-        return [self.classes[i] for i in idx]
-
-
-class DBSCAN:
-    """Density-based clustering (alternative similarity function).
-
-    Labels of -1 mark noise points, as in scikit-learn.
-    """
-
-    def __init__(self, eps: float = 0.5, min_samples: int = 3):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        self.eps = eps
-        self.min_samples = min_samples
-        self.labels: Optional[np.ndarray] = None
-
-    def fit(self, x) -> "DBSCAN":
-        x = _as_matrix(x)
-        n = len(x)
-        d = np.sqrt(pairwise_sq_distances(x, x))
-        neighbours = [np.flatnonzero(d[i] <= self.eps) for i in range(n)]
-        labels = np.full(n, -1, dtype=int)
-        visited = np.zeros(n, dtype=bool)
-        cluster = 0
-        for i in range(n):
-            if visited[i]:
-                continue
-            visited[i] = True
-            if len(neighbours[i]) < self.min_samples:
-                continue
-            # Grow a new cluster from this core point.
-            labels[i] = cluster
-            frontier = list(neighbours[i])
-            while frontier:
-                j = frontier.pop()
-                if labels[j] == -1:
-                    labels[j] = cluster
-                if visited[j]:
-                    continue
-                visited[j] = True
-                if len(neighbours[j]) >= self.min_samples:
-                    frontier.extend(neighbours[j])
-            cluster += 1
-        self.labels = labels
-        return self

@@ -15,12 +15,18 @@ never used in the lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..workloads.spec import SystemParams
 from .clustering import KMeans, pairwise_sq_distances
+
+#: lower bound on the per-cluster RMS scale: stored profiles of one
+#: workload can be near-identical (zero inertia), but a new profile of
+#: the same workload still carries measurement noise of roughly this
+#: magnitude in feature space.
+DISTANCE_FLOOR = 0.12
 
 
 @dataclass
@@ -51,32 +57,21 @@ class GroundTruthMatch:
 
 
 class GroundTruth:
-    """The profile database plus the pluggable similarity model."""
+    """The profile database plus its k-means similarity model."""
 
     def __init__(
         self,
         k: int = 2,
         threshold_scale: float = 2.5,
         min_entries: int = 4,
-        distance_floor: float = 0.12,
-        clusterer_factory: Optional[Callable[[int], KMeans]] = None,
         seed: int = 0,
     ):
         if min_entries < max(2, k):
             raise ValueError("min_entries must be >= max(2, k)")
-        if distance_floor < 0:
-            raise ValueError("distance_floor must be >= 0")
         self.k = k
         self.threshold_scale = threshold_scale
         self.min_entries = min_entries
-        #: lower bound on the per-cluster RMS scale: stored profiles of
-        #: one workload can be near-identical (zero inertia), but a new
-        #: profile of the same workload still carries measurement noise
-        #: of roughly this magnitude in feature space.
-        self.distance_floor = distance_floor
-        self._clusterer_factory = clusterer_factory or (
-            lambda kk: KMeans(k=kk, seed=seed)
-        )
+        self.seed = seed
         self.entries: List[GroundTruthEntry] = []
         self._model: Optional[KMeans] = None
         self._dirty = False
@@ -110,7 +105,7 @@ class GroundTruth:
             self._cluster_idx = {}
             self._cluster_features = {}
             return
-        model = self._clusterer_factory(self.k)
+        model = KMeans(k=self.k, seed=self.seed)
         matrix = self._feature_matrix()
         model.fit(matrix)
         self._model = model
@@ -137,7 +132,7 @@ class GroundTruth:
         if model is None:
             return 0.0
         rms = np.sqrt(model.inertia / max(1, len(self.entries)))
-        return self.threshold_scale * max(rms, self.distance_floor)
+        return self.threshold_scale * max(rms, DISTANCE_FLOOR)
 
     def query(self, features: np.ndarray) -> Optional[GroundTruthMatch]:
         """Similarity lookup; None means "launch a probing phase"."""

@@ -7,7 +7,7 @@ hook runs the per-trial pipeline at epoch granularity:
 
 1. **profiling** — the first epoch(s) run under the PMU profiler
    (small overhead), producing the trial's feature vector;
-2. **ground truth** — the similarity function (k-means by default) is
+2. **ground truth** — the k-means similarity function is
    applied; a hit applies the stored best system configuration and
    skips probing entirely;
 3. **probing** — on a miss, each candidate system configuration is
@@ -51,25 +51,28 @@ from ..workloads.spec import (
 from .groundtruth import GroundTruth, GroundTruthEntry
 from .probing import ProbeSample, ProbingController, SystemObjective
 
+#: epochs profiled before the ground-truth lookup (paper profiles
+#: "across the first couple of epochs"; one is enough here because the
+#: simulated profile noise is small).
+PROFILE_EPOCHS = 1
+#: hard cap on probe epochs per trial.
+MAX_PROBES = 6
+#: epochs that must remain after probing for it to be worthwhile.
+MIN_EPOCHS_AFTER_PROBE = 1
+#: times the offline campaign trains each (workload, batch) point
+#: (§7.2: every configuration "twice").
+WARM_START_REPETITIONS = 2
+
 
 @dataclass
 class PipeTuneConfig:
-    """Tunables of the PipeTune middleware itself."""
+    """The switches and grids a PipeTune session is run with.
 
-    #: epochs profiled before the ground-truth lookup (paper profiles
-    #: "across the first couple of epochs"; one is enough here because
-    #: the simulated profile noise is small).
-    profile_epochs: int = 1
-    #: hard cap on probe epochs per trial.
-    max_probes: int = 6
-    #: epochs that must remain after probing for it to be worthwhile.
-    min_epochs_after_probe: int = 1
-    #: k of the k-means similarity model (paper uses k=2).
-    similarity_k: int = 2
-    #: multiple of the model's RMS inertia accepted as "similar".
-    threshold_scale: float = 2.5
-    #: minimum stored profiles before the similarity model activates.
-    min_entries: int = 4
+    The pipeline's fixed values are the module constants above; the
+    similarity model is :class:`GroundTruth` with its defaults (k-means
+    with the paper's k = 2).
+    """
+
     #: ablation switch: disable ground-truth reuse (always probe).
     use_ground_truth: bool = True
     #: similarity extension (§5.4 future work): append normalised
@@ -174,7 +177,7 @@ class PipeTuneHooks(TrialHooks):
         if self.state == self.PROBE and self._controller is not None:
             config = self._controller.next_config()
             if config is not None:
-                clipped = self.session.clip_to_cluster(config, ctx)
+                clipped = self.session.clip_to_cluster(config)
                 if clipped != config:
                     # Infeasible on this cluster; skip by recording a
                     # poison sample so it never wins.
@@ -199,7 +202,7 @@ class PipeTuneHooks(TrialHooks):
         self._epochs_seen = record.epoch
         if self.state == self.PROFILE and record.profile is not None:
             self._profiles.append(record.profile)
-            if len(self._profiles) >= self.session.config.profile_epochs:
+            if len(self._profiles) >= PROFILE_EPOCHS:
                 self._features = self.session.augment_features(
                     average_profiles(self._profiles), self.hyper
                 )
@@ -214,10 +217,7 @@ class PipeTuneHooks(TrialHooks):
                     )
                 )
             remaining = self._remaining_epochs(ctx)
-            if (
-                self._controller.exhausted
-                or remaining <= self.session.config.min_epochs_after_probe
-            ):
+            if self._controller.exhausted or remaining <= MIN_EPOCHS_AFTER_PROBE:
                 self._finish_probing(ctx)
 
     def on_end(self, ctx: TrialContext, result: TrialResult) -> None:
@@ -244,16 +244,13 @@ class PipeTuneHooks(TrialHooks):
             match = session.ground_truth.query(self._features)
         if match is not None:
             session.stats.ground_truth_hits += 1
-            self._target_system = session.clip_to_cluster(match.system, ctx)
+            self._target_system = session.clip_to_cluster(match.system)
             session.set_start_hint(self.workload, self._target_system)
             self.state = self.RUN
             return
         session.stats.ground_truth_misses += 1
         remaining = self._remaining_epochs(ctx)
-        budget = min(
-            session.config.max_probes,
-            remaining - session.config.min_epochs_after_probe,
-        )
+        budget = min(MAX_PROBES, remaining - MIN_EPOCHS_AFTER_PROBE)
         if budget < 1:
             # Too few epochs to probe: stay at the current system.
             self.state = self.RUN
@@ -275,7 +272,7 @@ class PipeTuneHooks(TrialHooks):
     def _finish_probing(self, ctx: TrialContext, store: bool = True) -> None:
         assert self._controller is not None
         best = self._controller.best_system()
-        self._target_system = self.session.clip_to_cluster(best, ctx)
+        self._target_system = self.session.clip_to_cluster(best)
         self.session.set_start_hint(self.workload, self._target_system)
         self.state = self.RUN
         if store and self._features is not None:
@@ -318,12 +315,7 @@ class PipeTuneSession:
         self.config = config or PipeTuneConfig()
         self.max_cores = max_cores
         self.max_memory_gb = max_memory_gb
-        self.ground_truth = GroundTruth(
-            k=self.config.similarity_k,
-            threshold_scale=self.config.threshold_scale,
-            min_entries=self.config.min_entries,
-            seed=seed,
-        )
+        self.ground_truth = GroundTruth(seed=seed)
         self.stats = PipeTuneStats()
         #: per-workload cache of the configuration the session resolved
         #: most recently; used only as the *starting* shape of sibling
@@ -357,7 +349,7 @@ class PipeTuneSession:
         self._start_hints[workload.name] = system
 
     # -- plumbing -------------------------------------------------------------
-    def clip_to_cluster(self, system: SystemParams, ctx=None) -> SystemParams:
+    def clip_to_cluster(self, system: SystemParams) -> SystemParams:
         cores = min(system.cores, self.max_cores)
         memory = min(system.memory_gb, self.max_memory_gb)
         if cores == system.cores and memory == system.memory_gb:
@@ -398,12 +390,7 @@ class PipeTuneSession:
         )
 
     # -- warm start --------------------------------------------------------------
-    def warm_start(
-        self,
-        workloads: Sequence[WorkloadSpec],
-        batch_sizes: Sequence[int] = PAPER_BATCH_GRID,
-        repetitions: int = 2,
-    ) -> int:
+    def warm_start(self, workloads: Sequence[WorkloadSpec]) -> int:
         """Seed ground truth from an offline probing campaign (§7.2).
 
         The paper builds its initial similarity model by training every
@@ -417,7 +404,7 @@ class PipeTuneSession:
         """
         # Read now: session_for_cluster trims the grids after construction.
         shape = (
-            repetitions,
+            WARM_START_REPETITIONS,
             self.clip_to_cluster(DEFAULT_SYSTEM),
             tuple(c for c in self.config.cores_grid if c <= self.max_cores),
             tuple(m for m in self.config.memory_grid_gb if m <= self.max_memory_gb),
@@ -426,7 +413,7 @@ class PipeTuneSession:
         )
         added = 0
         for workload in workloads:
-            for batch in batch_sizes:
+            for batch in PAPER_BATCH_GRID:
                 hyper = HyperParams(batch_size=batch)
                 features, best = offline_campaign(workload, hyper, *shape)
                 self.ground_truth.add(

@@ -172,11 +172,3 @@ class ProbingController:
     def best_system(self) -> SystemParams:
         best = self.best_sample()
         return best.system if best is not None else self.initial
-
-
-def probe_plan_length(
-    cores_grid: Sequence[int] = PAPER_CORE_GRID,
-    memory_grid_gb: Sequence[float] = PAPER_MEMORY_GRID_GB,
-) -> int:
-    """Epochs a full two-phase probing sweep consumes."""
-    return len(set(cores_grid)) + len(set(memory_grid_gb)) - 1

@@ -11,14 +11,11 @@ __all__ = lazy_exports(
             "M5_12XLARGE",
             "M5_24XLARGE",
             "PAPER_INSTANCES",
-            "SPOT_DISCOUNT",
             "SPOT_PROVISION_S",
             "InstanceType",
             "cost_table",
             "grid_trial_count",
             "mean_trial_time_s",
-            "spot_price_per_hour",
-            "spot_tuning_cost_usd",
             "tuning_cost_usd",
             "tuning_time_s",
         ),

@@ -46,45 +46,16 @@ PAPER_INSTANCES: Tuple[InstanceType, ...] = (
 
 # -- spot market ------------------------------------------------------------
 # The hostile-world fault model prices preemptible capacity through
-# this seam: spot instances trade a steep discount against the risk of
-# reclamation, and every recovery pays a provision + checkpoint-restore
-# cost. Discount is the long-run m4/m5 us-east-1 average (~70% off
-# on-demand, 2020 pricing); restore covers instance provisioning plus
-# re-loading executor state from the last checkpoint.
+# this seam: every recovery pays a provision + checkpoint-restore
+# cost. Restore covers instance provisioning plus re-loading executor
+# state from the last checkpoint.
 
-#: fraction of the on-demand price a spot instance bills at.
-SPOT_DISCOUNT = 0.30
 #: seconds to provision a replacement spot instance.
 SPOT_PROVISION_S = 90.0
 #: default simulated cost of one checkpoint restore (provisioning the
 #: replacement capacity plus re-loading trial state); the
 #: ``PreemptionSpec.restore_cost_s`` override wins when set.
 CHECKPOINT_RESTORE_S = SPOT_PROVISION_S + 30.0
-
-
-def spot_price_per_hour(instance: InstanceType) -> float:
-    """The hourly spot price of one instance type."""
-    return instance.price_per_hour * SPOT_DISCOUNT
-
-
-def spot_tuning_cost_usd(
-    on_demand_cost_usd: float,
-    restore_events: int = 0,
-    restore_cost_s: float = CHECKPOINT_RESTORE_S,
-    price_per_hour: float = M4_4XLARGE.price_per_hour,
-) -> float:
-    """Spot-market dollar cost of a tuning run priced on-demand.
-
-    Applies the spot discount and bills the replacement capacity's
-    restore time for each preemption recovery — the analytic
-    counterpart of the simulator's per-event restore timeout.
-    """
-    if restore_events < 0:
-        raise ValueError("restore_events must be >= 0")
-    restore_usd = (
-        restore_events * (restore_cost_s / 3600.0) * price_per_hour * SPOT_DISCOUNT
-    )
-    return on_demand_cost_usd * SPOT_DISCOUNT + restore_usd
 
 
 def grid_trial_count(num_parameters: int, values_per_parameter: int = 3) -> int:

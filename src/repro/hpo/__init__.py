@@ -24,7 +24,6 @@ __all__ = lazy_exports(
         ".space": (
             "Choice",
             "Domain",
-            "IntUniform",
             "LogUniform",
             "SearchSpace",
             "Uniform",

@@ -161,41 +161,6 @@ class Choice(Domain):
         return f"Choice({self.values!r})"
 
 
-class IntUniform(Domain):
-    """Integer uniform domain over ``[low, high]`` inclusive."""
-
-    def __init__(self, low: int, high: int):
-        if not low < high:
-            raise ValueError("low must be < high")
-        self.low = int(low)
-        self.high = int(high)
-
-    def sample(self, rng):
-        return int(rng.integers(self.low, self.high + 1))
-
-    def grid(self, points):
-        if points < 1:
-            raise ValueError("grid needs >= 1 point")
-        idx = np.linspace(self.low, self.high, min(points, self.high - self.low + 1))
-        return sorted(set(int(round(x)) for x in idx))
-
-    def contains(self, value):
-        return self.low <= value <= self.high and float(value).is_integer()
-
-    def clip(self, value):
-        return int(min(self.high, max(self.low, round(value))))
-
-    def normalise(self, value):
-        return (self.clip(value) - self.low) / (self.high - self.low)
-
-    def denormalise(self, unit):
-        unit = min(1.0, max(0.0, unit))
-        return int(round(self.low + (self.high - self.low) * unit))
-
-    def __repr__(self):
-        return f"IntUniform({self.low}, {self.high})"
-
-
 class SearchSpace:
     """An ordered mapping of parameter names to domains."""
 

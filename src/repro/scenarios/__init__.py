@@ -40,7 +40,6 @@ __all__ = lazy_exports(
             "register_sweep",
             "run_scenario",
             "scenario_names",
-            "sweep_names",
         ),
         ".result": ("ExperimentResult",),
         ".runner": (
@@ -80,7 +79,6 @@ __all__ = lazy_exports(
         ".containment": ("ChainFailure", "StepExecutionError", "is_failure"),
         ".merge": ("RunReport", "merge_outcomes", "run_reports"),
         ".planner": ("ExecutionChain", "chain_policy", "partition"),
-        ".schema": ("collect_problems",),
         ".views": (
             "failure_view",
             "jsonify",

@@ -113,10 +113,6 @@ def get_sweep(name: str) -> Sweep:
         raise KeyError(f"unknown sweep {name!r}; known: {known}") from None
 
 
-def sweep_names() -> List[str]:
-    return list(SWEEP_REGISTRY)
-
-
 # The built-in catalogue loads as one chain, in registration order:
 # this module imports paper, then paper, novel and sweep each import
 # the next module once their own entries are in, and hostile comes

@@ -55,9 +55,9 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def seeds_for(scale: float, full: int, minimum: int = 1) -> List[int]:
-    """Seed list shrunk by the experiment's scale factor."""
-    count = max(minimum, int(round(full * scale)))
+def seeds_for(scale: float, full: int) -> List[int]:
+    """Seed list shrunk by the experiment's scale factor (at least one)."""
+    count = max(1, int(round(full * scale)))
     return list(range(count))
 
 

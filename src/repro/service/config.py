@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..scenarios.schema import collect_problems
 from ..schema import Spec
 from .middleware import MiddlewareStack
 
@@ -74,9 +73,7 @@ class ServerConfig(Spec):
             issues.append("server: host must be non-empty")
         if not (0 <= self.port <= 65535):
             issues.append(f"server: port {self.port} outside 0..65535")
-        return collect_problems(
-            issues, self.queue.problems(), self.middleware.problems()
-        )
+        return issues + self.queue.problems() + self.middleware.problems()
 
     def validate(self) -> "ServerConfig":
         issues = self.problems()

@@ -109,23 +109,19 @@ class Middleware:
 
 @dataclass
 class RequestIdMiddleware(Middleware):
-    """Tags requests with ``<prefix>-<n>``; echoes ``X-Request-Id``."""
+    """Tags requests with ``req-<n>``; echoes ``X-Request-Id``."""
 
     kind: ClassVar[str] = "request_id"
-    prefix: str = "req"
 
     def __post_init__(self):
         self._counter = itertools.count(1)
 
     def handle(self, request: Request, call_next: CallNext) -> Response:
         if request.request_id is None:
-            request.request_id = f"{self.prefix}-{next(self._counter):06d}"
+            request.request_id = f"req-{next(self._counter):06d}"
         response = call_next(request)
         response.headers.setdefault("X-Request-Id", request.request_id)
         return response
-
-    def problems(self, where: str = "") -> List[str]:
-        return [f"{where}: prefix must be non-empty"] if not self.prefix else []
 
 
 @dataclass
@@ -163,17 +159,13 @@ class TimingMiddleware(Middleware):
     """Measures the downstream chain; echoes ``X-Elapsed-Ms``."""
 
     kind: ClassVar[str] = "timing"
-    header: str = "X-Elapsed-Ms"
 
     def handle(self, request: Request, call_next: CallNext) -> Response:
         started = time.perf_counter()
         response = call_next(request)
         elapsed_ms = 1000.0 * (time.perf_counter() - started)
-        response.headers.setdefault(self.header, f"{elapsed_ms:.3f}")
+        response.headers.setdefault("X-Elapsed-Ms", f"{elapsed_ms:.3f}")
         return response
-
-    def problems(self, where: str = "") -> List[str]:
-        return [f"{where}: header must be non-empty"] if not self.header else []
 
 
 @dataclass

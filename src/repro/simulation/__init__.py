@@ -16,6 +16,6 @@ __all__ = lazy_exports(
             "SimulationError",
             "Timeout",
         ),
-        ".power": ("EnergyMeter", "IntervalEnergyMeter", "PduSampler", "PowerSample"),
+        ".power": ("EnergyMeter", "PduSampler", "PowerSample"),
     },
 )

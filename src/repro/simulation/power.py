@@ -14,6 +14,8 @@ We reproduce both layers:
 
 Keeping both lets tests assert that the PDU estimate converges to the
 ground-truth integral, which is exactly the assumption the paper makes.
+Both meter whole runs: the energy a probe epoch is scored by is
+attributed per epoch by the trainer (``tune.trainer.trial_energy_j``).
 """
 
 from __future__ import annotations
@@ -71,28 +73,6 @@ class EnergyMeter:
 
     def total_energy_kj(self) -> float:
         return self.total_energy_joules() / 1000.0
-
-
-class IntervalEnergyMeter:
-    """Energy within an interval: snapshot at start, diff at end.
-
-    PipeTune's probing phase scores each system configuration by the
-    energy spent during *one epoch*; this helper provides that.
-    """
-
-    def __init__(self, meter: EnergyMeter):
-        self.meter = meter
-        self._mark: Optional[float] = None
-
-    def start(self) -> None:
-        self._mark = self.meter.total_energy_joules()
-
-    def stop(self) -> float:
-        if self._mark is None:
-            raise RuntimeError("IntervalEnergyMeter.stop() before start()")
-        delta = self.meter.total_energy_joules() - self._mark
-        self._mark = None
-        return delta
 
 
 class PduSampler:

@@ -121,7 +121,6 @@ def run_trial(
     start_epoch: int = 0,
     target_epochs: Optional[int] = None,
     hooks: Optional[TrialHooks] = None,
-    profiler: Optional[EpochProfiler] = None,
     contention: float = 1.0,
     setup_cost_s: float = 0.0,
     oom_threshold: Optional[float] = None,
@@ -159,7 +158,7 @@ def run_trial(
     default) injects nothing and leaves every stream untouched.
     """
     hooks = hooks or TrialHooks()
-    profiler = profiler or EpochProfiler()
+    profiler = EpochProfiler()
     epochs = target_epochs if target_epochs is not None else hyper.epochs
     if epochs <= start_epoch:
         raise ValueError("target epochs must exceed start_epoch")

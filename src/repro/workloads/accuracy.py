@@ -149,31 +149,3 @@ def accuracy_curve(
         min(1.0, max(0.0, floor + span * (1.0 - math.exp(-rate * e)) + noise[e]))
         for e in run
     ]
-
-
-def final_accuracy(
-    workload: WorkloadSpec,
-    hyper: HyperParams,
-    trial_seed: int = 0,
-    noisy: bool = True,
-) -> float:
-    """Accuracy after the configured number of epochs."""
-    return accuracy_at_epoch(
-        workload, hyper, hyper.epochs, trial_seed=trial_seed, noisy=noisy
-    )
-
-
-def learning_curve(
-    workload: WorkloadSpec,
-    hyper: HyperParams,
-    trial_seed: int = 0,
-    noisy: bool = True,
-):
-    """List of accuracies after epochs ``1..hyper.epochs``.
-
-    Thin wrapper over :func:`accuracy_curve` (bit-identical to the
-    historical per-epoch loop; the curve synthesis is batched).
-    """
-    return accuracy_curve(
-        workload, hyper, hyper.epochs, trial_seed=trial_seed, noisy=noisy
-    )

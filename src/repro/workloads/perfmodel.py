@@ -264,16 +264,6 @@ def epoch_time(
     return epoch_cost(config, epoch=epoch, contention=contention, noisy=noisy).total_s
 
 
-def training_time(
-    config: TrialConfig, contention: float = 1.0, noisy: bool = True
-) -> float:
-    """Wall-clock of a full training run (all epochs, no tuning)."""
-    return sum(
-        epoch_time(config, epoch=e, contention=contention, noisy=noisy)
-        for e in range(config.hyper.epochs)
-    )
-
-
 def active_cores(config: TrialConfig, cost: "EpochCost | EpochCostBatch") -> float:
     """Average cores actively drawing compute power during an epoch.
 

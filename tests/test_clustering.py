@@ -1,16 +1,11 @@
-"""Tests for k-means, DBSCAN and nearest-centroid."""
+"""Tests for k-means."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clustering import (
-    DBSCAN,
-    KMeans,
-    NearestCentroid,
-    pairwise_sq_distances,
-)
+from repro.core.clustering import KMeans, pairwise_sq_distances
 
 
 def two_blobs(n=30, separation=10.0, seed=0):
@@ -142,43 +137,6 @@ class TestKMeans:
         model = KMeans(k=2, seed=seed).fit(x)
         d = pairwise_sq_distances(x, model.centroids)
         np.testing.assert_array_equal(model.labels, d.argmin(axis=1))
-
-
-class TestNearestCentroid:
-    def test_classifies_blobs(self):
-        x = two_blobs()
-        labels = ["a"] * 30 + ["b"] * 30
-        model = NearestCentroid().fit(x, labels)
-        assert model.predict(np.array([[0.0, 0.0, 0.0]])) == ["a"]
-        assert model.predict(np.array([[10.0, 10.0, 10.0]])) == ["b"]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            NearestCentroid().fit(np.zeros((3, 2)), ["a"])
-
-    def test_use_before_fit(self):
-        with pytest.raises(RuntimeError):
-            NearestCentroid().predict(np.zeros((1, 2)))
-
-
-class TestDBSCAN:
-    def test_finds_two_clusters(self):
-        x = two_blobs()
-        model = DBSCAN(eps=2.0, min_samples=3).fit(x)
-        labels = set(model.labels.tolist())
-        labels.discard(-1)
-        assert len(labels) == 2
-
-    def test_isolated_point_is_noise(self):
-        x = np.vstack([two_blobs(), [[100.0, 100.0, 100.0]]])
-        model = DBSCAN(eps=2.0, min_samples=3).fit(x)
-        assert model.labels[-1] == -1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DBSCAN(eps=0.0)
-        with pytest.raises(ValueError):
-            DBSCAN(min_samples=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 An AST pass over the ``repro`` package collects every function, method
 and class whose name no code in the package references. A function or
-class is referenced as a ``Name``, an ``Attribute``, an import alias or
-a string in an ``__all__``; a method only as an ``Attribute`` or as the
-string name argument of ``getattr``/``hasattr``/``setattr``/``delattr``,
-``attrgetter`` or ``methodcaller``. So a ``step`` variable does not hide
-an uncalled ``step`` method, nor does a dict key or an ``__all__`` entry
-that spells a method's name. Dunder methods are protocol hooks and are
-skipped. The pass is by name, not by binding, so a name counts as used
-once anything in the package spells it in a way its kind allows.
+class is referenced as a ``Name``, an ``Attribute`` or an import alias
+outside a package ``__init__``; a method only as an ``Attribute`` or as
+the string name argument of ``getattr``/``hasattr``/``setattr``/
+``delattr``, ``attrgetter`` or ``methodcaller``. So a ``step`` variable
+does not hide an uncalled ``step`` method, nor does a dict key that
+spells a method's name. Exporting is not using: a name listed in an
+``__all__`` (a ``lazy_exports`` table included) or imported by a
+package ``__init__`` to re-export it counts only when some other code
+names it. Dunder methods are protocol hooks and are skipped. The pass
+is by name, not by binding, so a name counts as used once anything in
+the package spells it in a way its kind allows.
 
 The set it finds is pinned to ``ALLOWLIST``, each entry with the reason
 it stays. A new unreferenced def fails the test: delete it, or use it,
@@ -27,32 +30,44 @@ PACKAGE = Path(repro.__file__).parent
 
 PAPER_SHAPE = "paper-claim helper the exhibit tests assert with"
 PERFBENCH = "perfbench/spans.py wraps or reads it by name"
+PMU_ORACLE = "PMU reference oracle of the counter tests"
 
 ALLOWLIST = {
+    "PduSampler": "examples/energy_aware_tuning.py meters its run with it",
     "_respond": "bound as do_GET and do_POST in its class body",
+    "accuracy_at_epoch": PERFBENCH
+    + "; the scalar oracle tests/test_noise_block.py holds accuracy_curve to",
     "aggregate_windows": PERFBENCH,
     "cache_hits": "perfbench/session.py reads them",
     "cache_misses": "perfbench/session.py reads them",
+    "clear_cost_caches": "benchmarks/test_micro.py times cold epoch costs with it",
     "cluster_purity": PAPER_SHAPE,
     "contains": "search-space membership, the oracle of the sampling tests",
     "energy_joules": "examples/energy_aware_tuning.py reads the PDU estimate",
+    "energy_system_objective": "benchmarks/test_ablations.py and the energy example",
     "execute": PERFBENCH
     + "; the stateless one-plan run the multi-tenant example calls",
     "exponential_growth_ratio": PAPER_SHAPE,
-    "final_count": "PMU reference oracle of the counter tests",
+    "final_count": PMU_ORACLE,
     "final_counts": PERFBENCH,
+    "format_pragma": "the round-trip oracle of the pragma parser tests",
     "from_json": "documented in README",
     "generate_state": "numpy ISeedSequence protocol of _KeyedSeed",
-    "generic_share": "PMU reference oracle of the counter tests",
+    "generic_share": PMU_ORACLE,
     "hit_rate": "the quickstart and custom-workload examples print it",
+    "is_compute_side": PMU_ORACLE,
     "log_message": "BaseHTTPRequestHandler override",
     "max_training_cv": PAPER_SHAPE,
     "mean_trial_time": PAPER_SHAPE,
     "metric_by_system": PAPER_SHAPE,
-    "multiplexed": "PMU reference oracle of the counter tests",
+    "multiplexed": PMU_ORACLE,
+    "paper_system_grid": "benchmarks/test_ablations.py sweeps the paper's grid",
+    "philox_construction_count": "the construction bound in test_noise_block.py",
     "read_interval": PERFBENCH,
     "rng": "WorkloadSpec's bound stream, a call shape DET002 lints",
     "row": "single-row read the noise-matrix tests hold rows() to",
+    "scenario_names": "scripts/generate_experiments_md.py lists each source",
+    "serve_background": "README, examples/service_client.py and perfbench boot it",
     "spawn": "numpy ISeedSequence protocol of _KeyedSeed",
     "step": "one-event step, the ordering oracle tests/test_des.py holds run() to",
     "submit_inline": "client half of the served inline-run route",
@@ -60,6 +75,7 @@ ALLOWLIST = {
     "time_to_accuracy": PAPER_SHAPE,
     "to_json": "documented in README",
     "total_energy_kj": "examples/energy_aware_tuning.py prints it",
+    "true_counts": PMU_ORACLE,
     "variants": "the validated variant list the sweep and spec-dict tests pin",
 }
 
@@ -103,6 +119,8 @@ def unreferenced_defs(root):
             if isinstance(node, ast.ClassDef)
             for member in node.body
         }
+        # a package __init__ imports to re-export, which is not a use
+        exports = path.name == "__init__.py"
         for node in ast.walk(tree):
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -113,22 +131,12 @@ def unreferenced_defs(root):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and not exports:
                 names.add(node.name.rsplit(".", 1)[-1])
                 if node.asname:
                     names.add(node.asname)
             elif isinstance(node, ast.Call):
                 attributes.update(named_attributes(node))
-            if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets
-            ):
-                names.update(
-                    constant.value
-                    for constant in ast.walk(node.value)
-                    if isinstance(constant, ast.Constant)
-                    and isinstance(constant.value, str)
-                )
     other_refs = attributes | names
     dead = {}
     for name, where, is_method in defs:
@@ -156,10 +164,30 @@ def test_allowlist_has_no_stale_entries():
 
 
 def test_pass_sees_each_kind_of_reference(tmp_path):
-    (tmp_path / "mod.py").write_text(
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .mod import reexported, reexported_and_imported\n"
+        "__all__ = lazy_exports(\n"
+        "    globals(), {'.mod': ('lazy_only', 'lazy_and_read')}\n"
+        ")\n"
+    )
+    (package / "user.py").write_text(
+        "import pkg\n"
+        "from . import mod\n"
+        "from .mod import reexported_and_imported\n"
+        "mod.listed_and_called()\n"
+        "pkg.lazy_and_read\n"
+    )
+    (package / "mod.py").write_text(
         "from os import path as p\n"
-        "__all__ = ['exported', 'listed']\n"
-        "def exported(): pass\n"
+        "__all__ = ['listed_only', 'listed_and_called', 'listed']\n"
+        "def listed_only(): pass\n"
+        "def listed_and_called(): pass\n"
+        "def lazy_only(): pass\n"
+        "def lazy_and_read(): pass\n"
+        "def reexported(): pass\n"
+        "def reexported_and_imported(): pass\n"
         "def called(): pass\n"
         "def dead(): pass\n"
         "class Box:\n"
@@ -181,7 +209,10 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
     assert sorted(unreferenced_defs(tmp_path)) == [
         "dead",
         "keyed",
+        "lazy_only",
         "listed",
+        "listed_only",
+        "reexported",
         "shadowed",
         "unused",
     ]
@@ -192,11 +223,20 @@ def test_new_def_in_a_package_copy_is_caught(tmp_path):
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     module = copy / "simulation" / "des.py"
     module.write_text(
-        module.read_text(encoding="utf-8") + "\n\ndef orphan_helper():\n    pass\n",
+        module.read_text(encoding="utf-8")
+        + "\n\ndef orphan_helper():\n    pass\n"
+        + "\n\ndef exported_helper():\n    pass\n",
+        encoding="utf-8",
+    )
+    init = copy / "simulation" / "__init__.py"
+    exports = init.read_text(encoding="utf-8")
+    assert '".des": (\n' in exports
+    init.write_text(
+        exports.replace('".des": (\n', '".des": (\n            "exported_helper",\n'),
         encoding="utf-8",
     )
     dead = unreferenced_defs(copy)
-    assert sorted(set(dead) - set(ALLOWLIST)) == ["orphan_helper"]
+    assert sorted(set(dead) - set(ALLOWLIST)) == ["exported_helper", "orphan_helper"]
 
 
 def unused_imports(root):

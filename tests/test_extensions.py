@@ -3,13 +3,12 @@
 * CPU frequency (DVFS) as a third system parameter (§7.1.4: "the same
   mechanisms can be applied to any other parameter of interest").
 * Hyperparameter-augmented similarity features (§5.4 future work).
-* Pluggable clustering (k != 2, custom clusterer factory — §5.4).
+* A similarity model with k != 2 (the paper evaluates k = 2, §5.4).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.clustering import KMeans
 from repro.core.groundtruth import GroundTruth, GroundTruthEntry
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
 from repro.core.probing import ProbeSample, ProbingController
@@ -174,7 +173,7 @@ class TestHyperAugmentedSimilarity:
         assert session.stats.ground_truth_hits > 0
 
 
-class TestPluggableClustering:
+class TestSimilarityK:
     def test_k3_model(self):
         gt = GroundTruth(k=3, min_entries=6)
         rng = np.random.default_rng(0)
@@ -190,24 +189,3 @@ class TestPluggableClustering:
         match = gt.query(np.full(58, 5.0))
         assert match is not None
         assert match.system.cores == 8
-
-    def test_custom_clusterer_factory(self):
-        calls = []
-
-        def factory(k):
-            calls.append(k)
-            return KMeans(k=k, seed=42, n_init=1)
-
-        gt = GroundTruth(k=2, min_entries=4, clusterer_factory=factory)
-        rng = np.random.default_rng(1)
-        for center in (0.0, 0.0, 6.0, 6.0):
-            gt.add(
-                GroundTruthEntry(
-                    features=np.full(58, center) + rng.normal(0, 0.05, 58),
-                    best_system=SystemParams(cores=4, memory_gb=8.0),
-                )
-            )
-        gt.refit()
-        assert calls == [2]
-        assert gt.model is not None
-

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.groundtruth import GroundTruth, GroundTruthEntry
+from repro.core.clustering import KMeans
+from repro.core.groundtruth import DISTANCE_FLOOR, GroundTruth, GroundTruthEntry
 from repro.counters.events import NUM_EVENTS
 from repro.workloads.spec import SystemParams
 
@@ -115,3 +116,33 @@ class TestQueries:
     def test_len(self):
         assert len(populated()) == 8
 
+
+def two_exact_points():
+    """Two identical profiles at each of two points: zero inertia."""
+    gt = GroundTruth()
+    for center, cores in ((0.0, 4), (0.0, 4), (5.0, 16), (5.0, 16)):
+        gt.add(entry(center, system_cores=cores))
+    return gt
+
+
+class TestFixedSimilarity:
+    """k-means is the one model; the distance floor is a constant."""
+
+    def test_zero_inertia_threshold_is_the_floor(self):
+        gt = two_exact_points()
+        assert gt.model.inertia == 0.0
+        assert gt.threshold_for(0) == pytest.approx(2.5 * DISTANCE_FLOOR)
+
+    @pytest.mark.parametrize("offset, hits", [(0.29, True), (0.31, False)])
+    def test_floor_decides_a_near_profile(self, offset, hits):
+        features = np.zeros(NUM_EVENTS)
+        features[0] = offset
+        assert (two_exact_points().query(features) is not None) is hits
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_model_is_kmeans_of_k_seeded_by_the_ground_truth(self, k):
+        gt = GroundTruth(k=k, min_entries=6, seed=7)
+        for i in range(6):
+            gt.add(entry(5.0 * (i % 3), jitter=0.05, seed=i))
+        assert isinstance(gt.model, KMeans)
+        assert (gt.model.k, gt.model.seed) == (k, 7)

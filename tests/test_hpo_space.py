@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.hpo.space import (
     Choice,
-    IntUniform,
     LogUniform,
     SearchSpace,
     Uniform,
@@ -116,25 +115,6 @@ class TestChoice:
 
     def test_single_value_normalises_to_zero(self):
         assert Choice([7]).normalise(7) == 0.0
-
-
-class TestIntUniform:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IntUniform(5, 5)
-
-    def test_sample_bounds_inclusive(self):
-        dom = IntUniform(1, 3)
-        seen = {dom.sample(RNG) for _ in range(200)}
-        assert seen == {1, 2, 3}
-
-    def test_grid_unique_ints(self):
-        assert IntUniform(0, 10).grid(3) == [0, 5, 10]
-        assert IntUniform(0, 2).grid(10) == [0, 1, 2]
-
-    def test_clip_rounds(self):
-        assert IntUniform(0, 10).clip(3.6) == 4
-        assert IntUniform(0, 10).clip(99) == 10
 
 
 class TestSearchSpace:

@@ -230,6 +230,29 @@ class TestAblations:
 
         assert tuning_time(False) > tuning_time(True)
 
+    def test_session_fits_the_paper_similarity_model(self):
+        ground_truth = PipeTuneSession(seed=5).ground_truth
+        assert ground_truth.k == 2
+        assert (ground_truth.threshold_scale, ground_truth.min_entries) == (2.5, 4)
+        assert ground_truth.seed == 5
+
+    @pytest.mark.parametrize("epochs", [3, 5, 12])
+    def test_cold_trials_profile_then_probe_within_budget(self, epochs):
+        """Profile the first epoch, then probe up to MAX_PROBES epochs
+        while MIN_EPOCHS_AFTER_PROBE still remain to run out."""
+        session = paper_session()
+        result = run_pipetune_job(session, epochs=epochs)
+        first_probe = 1 + pipetune.PROFILE_EPOCHS
+        budget = min(
+            pipetune.MAX_PROBES,
+            epochs - pipetune.PROFILE_EPOCHS - pipetune.MIN_EPOCHS_AFTER_PROBE,
+        )
+        for trial in result.trials:
+            records = trial.records
+            assert [r.epoch for r in records if r.profile is not None] == [1]
+            probed = [r.epoch for r in records if r.probed]
+            assert probed == list(range(first_probe, first_probe + budget))
+
     def test_clip_to_cluster(self):
         session = PipeTuneSession(max_cores=8, max_memory_gb=16.0)
         clipped = session.clip_to_cluster(SystemParams(cores=16, memory_gb=32.0))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
-from repro.simulation.power import EnergyMeter, IntervalEnergyMeter, PduSampler
+from repro.simulation.power import EnergyMeter, PduSampler
 
 
 def one_node(env, idle=60.0, core=10.0):
@@ -103,34 +103,6 @@ class TestEnergyMeter:
         env.process(proc())
         env.run()
         assert meters[0].total_energy_joules() == pytest.approx(6 * 50.0)
-
-
-class TestIntervalEnergyMeter:
-    def test_interval_delta(self):
-        env = Environment()
-        cluster = one_node(env, idle=60.0, core=10.0)
-        meter = EnergyMeter(env, cluster)
-        interval = IntervalEnergyMeter(meter)
-        node = cluster.nodes[0]
-
-        def proc():
-            yield env.timeout(3.0)
-            interval.start()
-            node.notify_busy(2)
-            yield env.timeout(4.0)  # 4 s at 80 W
-            node.notify_busy(-2)
-            deltas.append(interval.stop())
-
-        deltas = []
-        env.process(proc())
-        env.run()
-        assert deltas[0] == pytest.approx(4 * 80.0)
-
-    def test_stop_before_start_raises(self):
-        env = Environment()
-        meter = EnergyMeter(env, one_node(env))
-        with pytest.raises(RuntimeError):
-            IntervalEnergyMeter(meter).stop()
 
 
 class TestPduSampler:

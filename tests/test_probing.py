@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.probing import ProbeSample, ProbingController, probe_plan_length
+from repro.core.probing import ProbeSample, ProbingController
 from repro.tune.objectives import energy_system_objective
 from repro.workloads.spec import SystemParams
 
@@ -45,7 +45,16 @@ class TestPlan:
         assert all(s.cores == 16 for s in memory_probes)
 
     def test_plan_length(self):
-        assert probe_plan_length((4, 8, 16), (4.0, 8.0, 16.0, 32.0)) == 6
+        controller = ProbingController(
+            initial=SystemParams(8, 32.0),
+            cores_grid=(4, 8, 16),
+            memory_grid_gb=(4.0, 8.0, 16.0, 32.0),
+        )
+        drain(controller, lambda config: (10.0, 10.0))
+        # 3 core counts + 4 memory sizes, the best core count at the
+        # largest memory issued once: 3 + 4 - 1 epochs.
+        assert controller.probes_run == 6
+        assert len({s.system for s in controller.samples}) == 6
 
     def test_max_probes_caps_plan(self):
         controller = ProbingController(

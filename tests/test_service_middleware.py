@@ -20,6 +20,7 @@ from repro.service import (
     TimingMiddleware,
     ok_envelope,
 )
+from repro.schema import Malformed
 from repro.service.envelope import error_envelope, is_envelope, unwrap
 
 
@@ -84,6 +85,11 @@ class TestMiddlewareStack:
         assert kinds == ["request_id", "access_log", "timing", "rate_limit", "quota"]
         assert stack.as_config()[3]["capacity"] == 20.0
 
+    @pytest.mark.parametrize("kind", ["request_id", "access_log", "timing"])
+    def test_option_less_kinds_dump_only_their_kind(self, kind):
+        stack = MiddlewareStack.from_config([{"kind": kind}])
+        assert stack.as_config() == [{"kind": kind}]
+
     def test_from_config_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind 'nope'"):
             MiddlewareStack.from_config([{"kind": "nope"}])
@@ -111,12 +117,31 @@ class TestRequestId:
         assert second.headers["X-Request-Id"] == "req-000002"
         assert request.request_id == "req-000002"
 
+    def test_keeps_an_id_set_upstream(self):
+        stack = MiddlewareStack([RequestIdMiddleware()])
+        request = make_request()
+        request.request_id = "upstream-7"
+        assert stack.handle(request, ok_handler).headers["X-Request-Id"] == "upstream-7"
+        # the counter is not spent on it
+        response = stack.handle(make_request(), ok_handler)
+        assert response.headers["X-Request-Id"] == "req-000001"
+
 
 class TestTiming:
     def test_sets_elapsed_header(self):
         stack = MiddlewareStack([TimingMiddleware()])
         response = stack.handle(make_request(), ok_handler)
         assert float(response.headers["X-Elapsed-Ms"]) >= 0.0
+
+    def test_keeps_a_header_the_handler_set(self):
+        def handler(request):
+            response = ok_handler(request)
+            response.headers["X-Elapsed-Ms"] = "7.000"
+            return response
+
+        stack = MiddlewareStack([TimingMiddleware()])
+        response = stack.handle(make_request(), handler)
+        assert response.headers["X-Elapsed-Ms"] == "7.000"
 
 
 class TestAccessLog:
@@ -235,6 +260,14 @@ class TestServerConfig:
             ServerConfig.from_dict({"prot": 9000})
         with pytest.raises(ValueError, match="unknown queue field"):
             ServerConfig.from_dict({"queue": {"worker": 4}})
+        # request_id and timing take no options; an old one is refused
+        # by name, never silently dropped
+        for entry, field in (
+            ({"kind": "request_id", "prefix": "x"}, "prefix"),
+            ({"kind": "timing", "header": "X"}, "header"),
+        ):
+            with pytest.raises(Malformed, match=rf"field\(s\) \['{field}'\]"):
+                ServerConfig.from_dict({"middleware": [entry]})
 
     def test_problems_collects_every_issue_at_once(self):
         config = ServerConfig(
@@ -245,6 +278,13 @@ class TestServerConfig:
         )
         problems = config.problems()
         assert len(problems) == 5
+        assert [problem.split(":")[0] for problem in problems] == [
+            "server",
+            "server",
+            "queue",
+            "queue",
+            "middleware[0] (rate_limit)",
+        ]
         with pytest.raises(ValueError, match="invalid server config"):
             config.validate()
 

@@ -9,21 +9,20 @@ from hypothesis import strategies as st
 
 from repro.workloads.accuracy import (
     accuracy_at_epoch,
+    accuracy_curve,
     asymptotic_accuracy,
     batch_penalty,
     convergence_rate,
     dropout_penalty,
     embedding_penalty,
-    final_accuracy,
-    learning_curve,
     lr_penalty,
 )
 from repro.workloads.perfmodel import (
     MIN_CORE_SLICE,
     epoch_cost,
+    epoch_cost_batch,
     epoch_time,
     memory_penalty,
-    training_time,
     updates_per_epoch,
     working_set_gb,
 )
@@ -253,8 +252,8 @@ class TestPerfModel:
             HyperParams(batch_size=64, epochs=5),
             SystemParams(cores=4, memory_gb=16),
         )
-        total = training_time(cfg, noisy=False)
-        per_epoch = [epoch_time(cfg, epoch=e, noisy=False) for e in range(5)]
+        per_epoch = [epoch_time(cfg, epoch=e) for e in range(5)]
+        total = sum(epoch_cost_batch(cfg, range(5)).total_s)
         assert total == pytest.approx(sum(per_epoch))
 
     def test_noise_deterministic(self):
@@ -302,13 +301,13 @@ class TestAccuracyModel:
         assert embedding_penalty(CNN_NEWS20, 50) < 1.0
 
     def test_curve_monotone_without_noise(self):
-        curve = learning_curve(LENET_MNIST, HyperParams(epochs=30), noisy=False)
+        curve = accuracy_curve(LENET_MNIST, HyperParams(epochs=30), 30, noisy=False)
         assert all(b >= a for a, b in zip(curve, curve[1:]))
 
     def test_curve_approaches_asymptote(self):
         hp = HyperParams(epochs=100)
         a_max = asymptotic_accuracy(LENET_MNIST, hp)
-        final = final_accuracy(LENET_MNIST, hp, noisy=False)
+        final = accuracy_at_epoch(LENET_MNIST, hp, hp.epochs, noisy=False)
         assert final == pytest.approx(a_max, rel=0.01)
 
     def test_epoch_zero_is_floor(self):
@@ -327,16 +326,15 @@ class TestAccuracyModel:
     def test_system_params_do_not_affect_accuracy(self):
         """The core PipeTune premise."""
         hp = HyperParams(epochs=10)
-        assert final_accuracy(LENET_MNIST, hp, noisy=False) == final_accuracy(
-            LENET_MNIST, hp, noisy=False
-        )
+        final = accuracy_at_epoch(LENET_MNIST, hp, hp.epochs, noisy=False)
+        assert final == accuracy_at_epoch(LENET_MNIST, hp, hp.epochs, noisy=False)
         # (accuracy API has no system input at all — by construction)
 
     def test_noise_deterministic_per_seed(self):
         hp = HyperParams(epochs=5)
-        a = final_accuracy(LENET_MNIST, hp, trial_seed=1)
-        b = final_accuracy(LENET_MNIST, hp, trial_seed=1)
-        c = final_accuracy(LENET_MNIST, hp, trial_seed=2)
+        a = accuracy_at_epoch(LENET_MNIST, hp, hp.epochs, trial_seed=1)
+        b = accuracy_at_epoch(LENET_MNIST, hp, hp.epochs, trial_seed=1)
+        c = accuracy_at_epoch(LENET_MNIST, hp, hp.epochs, trial_seed=2)
         assert a == b
         assert a != c
 
