@@ -64,13 +64,14 @@ MIN_EPOCHS_AFTER_PROBE = 1
 WARM_START_REPETITIONS = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class PipeTuneConfig:
     """The switches and grids a PipeTune session is run with.
 
     The pipeline's fixed values are the module constants above; the
     similarity model is :class:`GroundTruth` with its defaults (k-means
-    with the paper's k = 2).
+    with the paper's k = 2). Slotted, so a write to a field that does
+    not exist raises instead of being ignored.
     """
 
     #: ablation switch: disable ground-truth reuse (always probe).

@@ -165,9 +165,10 @@ def run_trial(
     if setup_cost_s < 0:
         raise ValueError("setup_cost_s must be >= 0")
     trial_seed = stable_seed("trial", trial_id, workload.name)
-    slowdown = 1.0
+    slowdown, strike = 1.0, None
     if faults is not None:
-        slowdown = faults.straggler_slowdown(trial_id, attempt)
+        slowdown, strike = faults.schedule(trial_id, attempt, start_epoch + 1, epochs)
+    strike_epoch = strike[0] if strike is not None else 0
 
     start_time = env.now
     allocation = yield from cluster.allocate(system.cores, system.memory_gb)
@@ -238,23 +239,18 @@ def run_trial(
                 duration *= profiler.overhead_factor()
             duration += max(0.0, hooks.epoch_extra_delay_s(ctx, epoch))
 
-            if faults is not None:
-                event = faults.draw_event(trial_id, attempt, epoch)
-                if event is not None:
-                    kind, fraction = event
-                    # the partial epoch is wasted but not free: the
-                    # trial burns simulated time up to the strike.
-                    yield env.timeout(fraction * duration)
-                    if kind == "preemption":
-                        spec = faults.preemption
-                        every = spec.checkpoint_every_epochs
-                        checkpoint = max(
-                            start_epoch, ((epoch - 1) // every) * every
-                        )
-                        raise TrialPreempted(trial_id, epoch, checkpoint)
-                    if kind == "churn":
-                        raise NodeDeparted(trial_id, epoch, node.spec.name)
-                    raise TrialCrashed(trial_id, epoch)
+            if epoch == strike_epoch:
+                _, kind, fraction = strike
+                # the partial epoch is wasted but not free: the
+                # trial burns simulated time up to the strike.
+                yield env.timeout(fraction * duration)
+                if kind == "preemption":
+                    every = faults.preemption.checkpoint_every_epochs
+                    checkpoint = max(start_epoch, ((epoch - 1) // every) * every)
+                    raise TrialPreempted(trial_id, epoch, checkpoint)
+                if kind == "churn":
+                    raise NodeDeparted(trial_id, epoch, node.spec.name)
+                raise TrialCrashed(trial_id, epoch)
 
             node.notify_busy(busy)
             yield env.timeout(duration)

@@ -166,10 +166,14 @@ def _epoch_noise_block(w: WorkloadSpec, hp: HyperParams, sp: SystemParams):
 
 
 def clear_cost_caches() -> None:
-    """Drop the memoized cost terms and noise windows (tests/benchmarks;
-    both are pure in their keys, so clearing cannot change a number)."""
+    """Drop the memoized cost terms, noise windows and fault schedules
+    (tests/benchmarks; all are pure in their keys, so clearing cannot
+    change a number)."""
+    from ..tune.faults import _schedule
+
     _cost_terms.cache_clear()
     clear_noise_blocks()
+    _schedule.cache_clear()
 
 
 def epoch_cost(

@@ -53,6 +53,7 @@ from repro.tune.errors import (
     TrialError,
     TrialPreempted,
 )
+from repro.experiments import golden
 from repro.tune.faults import (
     ChurnSpec,
     CrashSpec,
@@ -60,6 +61,7 @@ from repro.tune.faults import (
     PreemptionSpec,
     RetryPolicy,
     StragglerSpec,
+    _schedule,
 )
 from repro.tune.runner import HptJobSpec, TrialFailure
 from repro.tune.trainer import run_trial
@@ -273,6 +275,104 @@ class TestFaultDeterminism:
         serial = runner.execute(plan)
         pooled = runner.execute(plan, workers=4)
         assert [r.fault_events for r in serial] == [r.fault_events for r in pooled]
+
+
+# ---------------------------------------------------------------------------
+# The memoized per-attempt fault schedule
+# ---------------------------------------------------------------------------
+
+
+def scanned_schedule(model, trial_id, attempt, first, last):
+    """The oracle: ``schedule`` spelled out as the per-epoch draws."""
+    slowdown = model.straggler_slowdown(trial_id, attempt)
+    for epoch in range(first, last + 1):
+        event = model.draw_event(trial_id, attempt, epoch)
+        if event is not None:
+            return slowdown, (epoch, *event)
+    return slowdown, None
+
+
+rates = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+
+
+@st.composite
+def fault_models(draw):
+    def spec(cls, **fields):
+        return None if any(v is None for v in fields.values()) else cls(**fields)
+
+    straggler = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    return FaultModel(
+        preemption=spec(PreemptionSpec, rate_per_epoch=draw(rates)),
+        churn=spec(ChurnSpec, rate_per_epoch=draw(rates)),
+        crash=spec(CrashSpec, rate_per_epoch=draw(rates)),
+        straggler=spec(StragglerSpec, fraction=straggler),
+    )
+
+
+class TestFaultSchedule:
+    MODEL = FaultModel(
+        preemption=PreemptionSpec(rate_per_epoch=0.1),
+        crash=CrashSpec(rate_per_epoch=0.05),
+        straggler=StragglerSpec(fraction=0.5),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=fault_models(),
+        trial=st.integers(0, 50),
+        attempt=st.integers(0, 3),
+        first=st.integers(1, 12),
+        length=st.integers(0, 12),
+    )
+    def test_schedule_equals_scan_of_draws(self, model, trial, attempt, first, length):
+        key = (f"trial-{trial}", attempt, first, first + length)
+        assert model.schedule(*key) == scanned_schedule(model, *key)
+
+    def test_hit_equals_miss_equals_recompute(self):
+        _schedule.cache_clear()
+        keys = [(f"t{i}", a, 1, 20) for i in range(6) for a in range(2)]
+        missed = [self.MODEL.schedule(*key) for key in keys]
+        assert _schedule.cache_info().misses == len(keys)
+        hit = [self.MODEL.schedule(*key) for key in keys]
+        assert _schedule.cache_info().hits == len(keys)
+        _schedule.cache_clear()
+        recomputed = [self.MODEL.schedule(*key) for key in keys]
+        assert missed == hit == recomputed
+        assert any(entry[1] is not None for entry in missed)
+
+    def test_int_and_float_rates_do_not_share_an_entry(self):
+        # 1 == 1.0, but the two reprs key different streams.
+        as_int = FaultModel(crash=CrashSpec(rate_per_epoch=1))
+        as_float = FaultModel(crash=CrashSpec(rate_per_epoch=1.0))
+        assert as_int == as_float
+        _schedule.cache_clear()
+        for model in (as_int, as_float):
+            assert model.schedule("t0", 0, 1, 5) == scanned_schedule(
+                model, "t0", 0, 1, 5
+            )
+        assert _schedule.cache_info().misses == 2
+        assert _schedule.cache_info().hits == 0
+
+    def test_inactive_model_leaves_the_memo_alone(self):
+        before = _schedule.cache_info()
+        assert FaultModel().schedule("t0", 0, 1, 30) == (1.0, None)
+        assert _schedule.cache_info() == before
+
+    def test_second_hostile_render_misses_nothing(self):
+        # The daemon's path: a job recomputed in the same process reads
+        # every schedule from the memo, and the bytes do not move.
+        names = ["spot-market-lenet", "churn-and-crashes", "hostile-storm"]
+        _schedule.cache_clear()
+        for render_pass in range(2):
+            before = _schedule.cache_info().misses
+            for name in names:
+                with open(
+                    golden.committed_path(name), "r", encoding="utf-8", newline=""
+                ) as handle:
+                    assert golden.render(name) == handle.read(), name
+            if render_pass:
+                assert _schedule.cache_info().misses == before
+        assert _schedule.cache_info().hits > 0
 
 
 # ---------------------------------------------------------------------------

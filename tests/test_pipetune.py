@@ -213,6 +213,15 @@ class TestPipelineEffects:
 
 
 class TestAblations:
+    def test_unknown_config_field_raises(self):
+        # max_probes is a module constant, not a setting: the write
+        # must fail rather than be silently ignored.
+        session = paper_session()
+        with pytest.raises(AttributeError):
+            session.config.max_probes = 3
+        session.config.cores_grid = (4, 8)
+        assert session.config.cores_grid == (4, 8)
+
     def test_ground_truth_disabled_always_probes(self):
         config = PipeTuneConfig(use_ground_truth=False)
         session = paper_session(config=config)
