@@ -21,6 +21,10 @@ never lets a job kill the daemon:
   lands after the last step finished leaves the job ``done`` with its
   full result, and cancelling an already-terminal job is a no-op.
 
+The manager keeps the :data:`MAX_FINISHED_JOBS` most recently
+finished jobs; an older job's id answers the typed 404, as an unknown
+one does. Queued and running jobs are never dropped.
+
 Job views are race-free: :meth:`Job.as_dict` and
 :meth:`Job.elapsed_s` snapshot the mutable fields under the manager's
 lock, so a status poll can never observe e.g. ``running`` with a
@@ -34,12 +38,13 @@ rendering of the same (scenario, scale, seed).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from ..scenarios.options import RunOptions
 from ..scenarios.views import failure_view, jsonify
@@ -47,6 +52,11 @@ from .config import QueueConfig
 
 if TYPE_CHECKING:
     from ..scenarios.cache import CacheStats
+
+#: finished (done, failed or cancelled) jobs the manager keeps; each
+#: holds its result and trace, so an unbounded history grows a
+#: long-running daemon by every job it serves.
+MAX_FINISHED_JOBS = 1000
 
 
 class JobStates:
@@ -60,7 +70,6 @@ class JobStates:
 
     ALL = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
     TERMINAL = frozenset((DONE, FAILED, CANCELLED))
-    IN_FLIGHT = frozenset((QUEUED, RUNNING))
 
 
 class JobQueueFull(RuntimeError):
@@ -154,8 +163,12 @@ class JobManager:
 
     def __init__(self, config: Optional[QueueConfig] = None):
         self.config = config or QueueConfig()
+        #: every kept job, in submission order.
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        #: the queued and running jobs.
+        self._live: Dict[str, Job] = {}
+        #: ids of the kept finished jobs, the earliest finished first.
+        self._finished: Deque[str] = collections.deque()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         # re-entrant: Job.as_dict() takes the same lock the status
         # commit holds, and internal helpers may nest acquisitions.
@@ -227,7 +240,7 @@ class JobManager:
             if self._closed:
                 raise JobQueueFull("the job queue is shutting down")
             queued = sum(
-                1 for j in self._jobs.values() if j.status == JobStates.QUEUED
+                1 for j in self._live.values() if j.status == JobStates.QUEUED
             )
             if queued >= self.config.capacity:
                 raise JobQueueFull(
@@ -240,7 +253,7 @@ class JobManager:
             # commits serialise on the same monitor.
             job.lock = self._lock
             self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._live[job.id] = job
         self._queue.put(job.id)
         return job
 
@@ -252,18 +265,14 @@ class JobManager:
             raise KeyError(f"unknown job {job_id!r}") from None
 
     def jobs(self) -> List[Job]:
-        """Every job, in submission order."""
+        """Every kept job, in submission order."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def in_flight_for(self, tenant: str) -> int:
         """Queued + running jobs of one tenant (the quota input)."""
         with self._lock:
-            return sum(
-                1
-                for job in self._jobs.values()
-                if job.tenant == tenant and job.status in JobStates.IN_FLIGHT
-            )
+            return sum(1 for job in self._live.values() if job.tenant == tenant)
 
     def wait(self, job_id: str, timeout_s: float = 60.0) -> Job:
         """Block until a job finishes (in-process convenience)."""
@@ -293,7 +302,17 @@ class JobManager:
                 job.status = JobStates.CANCELLED
                 # repro: allow[DET001] -- wall-clock finish timestamp, client-facing
                 job.finished_at = time.time()
+                self._retire(job)
         return job
+
+    def _retire(self, job: Job) -> None:
+        """Move a job that just finished from the live set to the kept
+        history, dropping the earliest finished past the cap."""
+        with self._lock:
+            del self._live[job.id]
+            self._finished.append(job.id)
+            if len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
 
     def close(self) -> None:
         """Stop accepting work and wake the workers to exit."""
@@ -340,6 +359,7 @@ class JobManager:
             job.status = status
             # repro: allow[DET001] -- wall-clock finish timestamp, client-facing
             job.finished_at = time.time()
+            self._retire(job)
 
     def _run_scenario_job(self, job: Job) -> bool:
         """Run one scenario job; returns True iff cancellation was

@@ -1,11 +1,31 @@
 """HTTP plumbing for the scenario service — stdlib only.
 
-A thin :class:`http.server.ThreadingHTTPServer` front end over
-:class:`~repro.service.app.ServiceApp`: each HTTP request is parsed
-into a :class:`~repro.service.middleware.Request`, handed to the app
-(which runs the middleware chain), and the resulting envelope is
-written back as JSON. No framework, no new dependency — the daemon is
-``python -m`` / ``repro serve`` runnable anywhere the repo is.
+A lean HTTP/1.1 front end over :class:`~repro.service.app.ServiceApp`,
+built on :class:`socketserver.TCPServer`:
+
+* **a bounded handler pool** — the ``serve_forever`` accept loop hands
+  each connection to a queue of at most :data:`PENDING_CONNECTIONS`,
+  and :data:`HANDLER_THREADS` handler threads drain it, so no load
+  starts another thread. A connection that finds the queue full gets a
+  ``503 ServerBusy`` envelope from the accept loop and is closed;
+* **one request per connection** — a handler reads the request line,
+  the headers and the ``Content-Length`` body itself, within the
+  stdlib's limits (a :data:`MAX_LINE_BYTES` line, :data:`MAX_HEADERS`
+  headers, a :data:`MAX_BODY_BYTES` body), hands the parsed
+  :class:`~repro.service.middleware.Request` to the app (which runs the
+  middleware chain) and writes the status line, headers and JSON body
+  in one ``sendall``. Every answer carries ``Connection: close``, so an
+  idle client never holds a handler between requests (``http.client``
+  and ``urllib`` reconnect on their own);
+* **typed rejections** — malformed input is answered by the transport
+  itself, before the chain, with the shared JSON envelope and a 4xx
+  status (400, 411, 413, 414 or 431), never an HTML page.
+
+A client gets :attr:`_ServiceRequestHandler.timeout` seconds to deliver
+its whole request, and as long again to take the answer; one that runs
+out is dropped without an answer. No framework, no new dependency —
+the daemon is ``python -m`` / ``repro serve`` runnable anywhere the
+repo is.
 
 Three entry points:
 
@@ -21,116 +41,301 @@ from __future__ import annotations
 
 import contextlib
 import json
+import queue
+import re
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
-from urllib.parse import parse_qsl, urlsplit
+import time
+from email.utils import formatdate
+from http import HTTPStatus
+from typing import Dict, Optional
+from urllib.parse import parse_qsl
 
 from .app import ServiceApp
 from .config import ServerConfig
 from .envelope import error_envelope
 from .middleware import Request
 
-
+#: threads that serve requests; the daemon never starts more.
+HANDLER_THREADS = 8
+#: accepted connections that may wait for a free handler; the next one
+#: is answered 503 by the accept loop.
+PENDING_CONNECTIONS = 64
+#: longest request or header line, as the stdlib's HTTP server.
+MAX_LINE_BYTES = 65536
+#: most header lines in one request, as the stdlib's HTTP server.
+MAX_HEADERS = 100
 #: largest request body the daemon reads; larger declarations get 413.
 MAX_BODY_BYTES = 1 << 20
+#: seconds a rejected client gets to stop sending before the close:
+#: closing with unread input sends a reset, which can destroy the
+#: rejection still in flight.
+LINGER_S = 1.0
+
+_RECV_BYTES = 65536
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+#: ``name: value``, the value's leading whitespace outside its group;
+#: a name is an RFC 9110 token.
+_HEADER_LINE = re.compile(r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*(.*)")
 
 
-class _PayloadTooLarge(ValueError):
-    pass
+class _Reject(Exception):
+    """A request the transport answers itself, before the chain."""
+
+    def __init__(self, status: int, error_type: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.error_type = error_type
 
 
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """One HTTP exchange -> Request -> app -> JSON envelope."""
+def _response(status: int, payload, headers: Dict[str, str]) -> bytes:
+    """The whole answer — status line, headers, JSON body — as one buffer."""
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Date: {formatdate(usegmt=True)}\r\n"
+        f"Connection: close\r\n"
+    )
+    for key, value in headers.items():
+        head += f"{key}: {value}\r\n"
+    return (head + "\r\n").encode("latin-1") + body
 
-    protocol_version = "HTTP/1.1"
-    # socket read timeout (seconds): a client that declares N body bytes
-    # and sends fewer would otherwise hold a handler thread forever; on
-    # expiry the stdlib handler drops the connection.
+
+def _head_end(buffer: bytearray, start: int) -> int:
+    """Where the blank line ending the head starts (after the last
+    header's ``\\n``), searching from ``start``, or -1; lines may end
+    in CRLF or a bare LF."""
+    crlf, lf = buffer.find(b"\n\r\n", start), buffer.find(b"\n\n", start)
+    if crlf < 0 or 0 <= lf < crlf:
+        return lf
+    return crlf
+
+
+def _check_partial_head(buffer: bytearray, lines: int) -> None:
+    """Reject a head of ``lines`` complete lines so far that already
+    breaks a limit."""
+    if len(buffer) - buffer.rfind(b"\n") - 1 > MAX_LINE_BYTES:
+        if lines == 0:
+            raise _Reject(414, "RequestLineTooLong", "request line too long")
+        raise _Reject(431, "HeadersTooLarge", "header line too long")
+    if lines > MAX_HEADERS + 1:
+        raise _Reject(431, "HeadersTooLarge", f"more than {MAX_HEADERS} headers")
+
+
+def _parse_head(head: str):
+    """-> (method, target, version, lower-cased headers) of a complete head."""
+    lines = head.split("\n")
+    request_line = lines[0]
+    if len(request_line) > MAX_LINE_BYTES:
+        raise _Reject(414, "RequestLineTooLong", "request line too long")
+    words = request_line.split()
+    if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        raise _Reject(400, "BadRequest", f"bad request line {request_line[:80]!r}")
+    if len(lines) - 1 > MAX_HEADERS:
+        raise _Reject(431, "HeadersTooLarge", f"more than {MAX_HEADERS} headers")
+    headers = {}
+    for line in lines[1:]:
+        if len(line) > MAX_LINE_BYTES:
+            raise _Reject(431, "HeadersTooLarge", "header line too long")
+        match = _HEADER_LINE.fullmatch(line)
+        if match is None:
+            raise _Reject(400, "BadRequest", f"malformed header line {line[:80]!r}")
+        name, value = match.groups()
+        headers[name.lower()] = value.rstrip(" \t\r")
+    return words[0], words[1], words[2], headers
+
+
+def _body_length(headers: Dict[str, str]) -> int:
+    if "transfer-encoding" in headers:
+        raise _Reject(411, "LengthRequired", "send the body with a Content-Length")
+    declared = headers.get("content-length") or "0"
+    try:
+        length = int(declared)
+    except ValueError:
+        raise _Reject(
+            400, "BadRequest", f"unreadable body: bad Content-Length {declared!r}"
+        ) from None
+    if length < 0:
+        raise _Reject(400, "BadRequest", f"negative Content-Length {length}")
+    if length > MAX_BODY_BYTES:
+        raise _Reject(
+            413,
+            "PayloadTooLarge",
+            f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes",
+        )
+    return length
+
+
+def _linger(sock: socket.socket) -> None:
+    """Half-close, then read what the client still sends for at most
+    :data:`LINGER_S`, so the close that follows sends no reset."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_WR)
+        end = time.monotonic() + LINGER_S
+        while (left := end - time.monotonic()) > 0:
+            sock.settimeout(left)
+            if not sock.recv(_RECV_BYTES):
+                return
+
+
+class _ServiceRequestHandler(socketserver.BaseRequestHandler):
+    """One connection: read one request, answer it in one write."""
+
+    #: seconds a client gets to deliver its whole request, and again to
+    #: take the answer: a client that declares N body bytes and sends
+    #: fewer would otherwise hold a handler thread forever.
     timeout = 30
-    # _write sends headers and body in separate writes; with Nagle's
-    # algorithm on, a kept-alive connection holds each body until the
-    # client's delayed ACK arrives (~40 ms per request).
-    disable_nagle_algorithm = True
     server: "ServiceHTTPServer"
 
-    # the access_log middleware is the logging surface; the default
-    # per-request stderr lines here would double-log every hit.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _parse_request(self) -> Request:
-        split = urlsplit(self.path)
-        headers = {key.lower(): value for key, value in self.headers.items()}
-        body = None
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0 or length > MAX_BODY_BYTES:
-            # the body stays unread, so the connection cannot be reused
-            # (and rfile.read(-1) would block until the client hangs up)
-            self.close_connection = True
-            if length < 0:
-                raise ValueError(f"negative Content-Length {length}")
-            raise _PayloadTooLarge(
-                f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes"
-            )
-        if length:
-            raw = self.rfile.read(length)
-            body = json.loads(raw.decode("utf-8")) if raw.strip() else None
-        return Request(
-            method=self.command,
-            path=split.path,
-            headers=headers,
-            body=body,
-            query=dict(parse_qsl(split.query)),
-        )
-
-    def _respond(self) -> None:
+    def handle(self) -> None:
+        sock = self.request
         try:
-            request = self._parse_request()
-        except (ValueError, UnicodeDecodeError) as error:
-            headers = {"Connection": "close"} if self.close_connection else {}
-            if isinstance(error, _PayloadTooLarge):
-                envelope = error_envelope("PayloadTooLarge", str(error))
-                self._write(413, envelope, headers)
-            else:
-                envelope = error_envelope("BadRequest", f"unreadable body: {error}")
-                self._write(400, envelope, headers)
+            request = self._read(sock)
+        except _Reject as reject:
+            sock.settimeout(self.timeout)
+            envelope = error_envelope(reject.error_type, str(reject))
+            sock.sendall(_response(reject.status, envelope, {}))
+            _linger(sock)
+            return
+        if request is None:  # the client left, or ran out of time
             return
         response = self.server.app.handle(request)
-        self._write(response.status, response.payload, response.headers)
+        sock.settimeout(self.timeout)
+        sock.sendall(_response(response.status, response.payload, response.headers))
 
-    def _write(self, status: int, payload, headers) -> None:
-        raw = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(raw)
+    def _read(self, sock: socket.socket) -> Optional[Request]:
+        """The request, or None when the client left without sending one.
+        Raises ``TimeoutError`` when it is still incomplete at the
+        deadline."""
+        deadline = time.monotonic() + self.timeout
 
-    do_GET = _respond
-    do_POST = _respond
+        def receive() -> bytes:
+            sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            return sock.recv(_RECV_BYTES)
+
+        # each chunk is searched once, so a large head costs linear time
+        buffer = bytearray()
+        lines = 0
+        while True:
+            chunk = receive()
+            if not chunk:
+                if buffer:
+                    raise _Reject(400, "BadRequest", "request ended in its headers")
+                return None
+            start = max(len(buffer) - 2, 0)
+            buffer += chunk
+            if (end := _head_end(buffer, start)) >= 0:
+                break
+            lines += chunk.count(b"\n")
+            _check_partial_head(buffer, lines)
+        method, target, version, headers = _parse_head(buffer[:end].decode("latin-1"))
+        length = _body_length(headers)
+        body = buffer[end + 2 if buffer[end + 1] == 10 else end + 3 :]
+        if (
+            len(body) < length
+            and version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        while len(body) < length:
+            chunk = receive()
+            if not chunk:
+                raise _Reject(
+                    400, "BadRequest", f"body ended after {len(body)} of {length} bytes"
+                )
+            body += chunk
+        raw = body[:length]
+        try:
+            payload = json.loads(raw.decode("utf-8")) if raw.strip() else None
+        except (ValueError, UnicodeDecodeError) as error:
+            raise _Reject(400, "BadRequest", f"unreadable body: {error}") from None
+        path, _, query = target.partition("?")
+        return Request(
+            method=method,
+            path=path,
+            headers=headers,
+            body=payload,
+            query=dict(parse_qsl(query)) if query else {},
+        )
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """The bound server; owns the app so shutdown can close the queue."""
+class ServiceHTTPServer(socketserver.TCPServer):
+    """The bound server and its handler pool; owns the app so shutdown
+    can close the queue."""
 
-    daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, config: ServerConfig, app: Optional[ServiceApp] = None):
         self.config = config
         self.app = app or ServiceApp(config)
+        self._connections: "queue.Queue" = queue.Queue(PENDING_CONNECTIONS)
+        # the sockets handlers are serving, shut down by close()
+        self._serving: set = set()
+        self._lock = threading.Lock()
+        self._closing = False
         super().__init__((config.host, config.port), _ServiceRequestHandler)
+        self._handlers = [
+            threading.Thread(
+                target=self._handle_connections, name=f"repro-http-{n}", daemon=True
+            )
+            for n in range(HANDLER_THREADS)
+        ]
+        for handler in self._handlers:
+            handler.start()
 
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def process_request(self, request, client_address) -> None:
+        """Queue the connection for a handler; answer 503 if none can
+        take it soon."""
+        try:
+            self._connections.put_nowait((request, client_address))
+        except queue.Full:
+            envelope = error_envelope("ServerBusy", "every handler is busy")
+            with contextlib.suppress(OSError):
+                request.setblocking(False)  # the accept loop never waits
+                request.sendall(_response(503, envelope, {"Retry-After": "1"}))
+            self.shutdown_request(request)
+
+    def _handle_connections(self) -> None:
+        while (item := self._connections.get()) is not None:
+            request, client_address = item
+            with self._lock:
+                if self._closing:
+                    self.shutdown_request(request)
+                    continue
+                self._serving.add(request)
+            try:
+                self.finish_request(request, client_address)
+            except OSError:
+                pass  # the client went away, or stopped reading
+            except Exception:  # a handler bug answers nothing, never kills
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    self._serving.discard(request)
+                self.shutdown_request(request)
+
     def close(self) -> None:
-        self.app.close()
+        """Stop listening, shut down the sockets being served, join every
+        handler thread, then close the job queue."""
         self.server_close()
+        with self._lock:
+            self._closing = True
+            for request in self._serving:
+                with contextlib.suppress(OSError):
+                    request.shutdown(socket.SHUT_RDWR)
+        for _ in self._handlers:
+            self._connections.put(None)
+        for handler in self._handlers:
+            handler.join()
+        self.app.close()
 
 
 def make_server(

@@ -34,7 +34,6 @@ PMU_ORACLE = "PMU reference oracle of the counter tests"
 
 ALLOWLIST = {
     "PduSampler": "examples/energy_aware_tuning.py meters its run with it",
-    "_respond": "bound as do_GET and do_POST in its class body",
     "accuracy_at_epoch": PERFBENCH
     + "; the scalar oracle tests/test_noise_block.py holds accuracy_curve to",
     "aggregate_windows": PERFBENCH,
@@ -56,13 +55,13 @@ ALLOWLIST = {
     "generic_share": PMU_ORACLE,
     "hit_rate": "the quickstart and custom-workload examples print it",
     "is_compute_side": PMU_ORACLE,
-    "log_message": "BaseHTTPRequestHandler override",
     "max_training_cv": PAPER_SHAPE,
     "mean_trial_time": PAPER_SHAPE,
     "metric_by_system": PAPER_SHAPE,
     "multiplexed": PMU_ORACLE,
     "paper_system_grid": "benchmarks/test_ablations.py sweeps the paper's grid",
     "philox_construction_count": "the construction bound in test_noise_block.py",
+    "process_request": "socketserver hook: serve_forever hands it each connection",
     "read_interval": PERFBENCH,
     "rng": "WorkloadSpec's bound stream, a call shape DET002 lints",
     "row": "single-row read the noise-matrix tests hold rows() to",

@@ -35,6 +35,7 @@ from repro.service import (
     JobStates,
     QueueConfig,
     ServerConfig,
+    ServiceApp,
     ServiceClient,
     ServiceError,
     serve_background,
@@ -817,6 +818,54 @@ class TestJobLifecycleRaces:
             SCENARIO_REGISTRY.pop(name, None)
 
 
+class TestJobHistory:
+    def test_keeps_the_most_recent_finished_jobs_and_every_live_one(self):
+        from repro.scenarios.result import ExperimentResult
+        from repro.service.jobs import MAX_FINISHED_JOBS
+        from repro.service.middleware import Request
+
+        def instant(scale, seed):
+            return ExperimentResult(exhibit="x", title="x", columns=["v"])
+
+        register(
+            Scenario.builder("history-instant").kind("analysis").build(),
+            plan_fn=lambda scenario, scale, seed: [AnalysisStep("i", instant)],
+            replace=True,
+        )
+        total = MAX_FINISHED_JOBS + 20
+        config = ServerConfig.from_dict(
+            {"port": 0, "queue": {"workers": 2, "capacity": total}, "middleware": []}
+        )
+        app = ServiceApp(config)
+        manager = app.manager
+        try:
+            with held_scenario("history-held") as (held_name, release):
+                held = manager.submit_scenario(held_name, tenant="held")
+                jobs = [
+                    manager.submit_scenario("history-instant") for _ in range(total)
+                ]
+                for job in jobs:
+                    manager.wait(job.id, timeout_s=60)
+                # the running job outlives every eviction
+                assert manager.get(held.id).status == JobStates.RUNNING
+                assert manager.in_flight_for("held") == 1
+                assert manager.in_flight_for("anonymous") == 0
+                release.set()
+                manager.wait(held.id, timeout_s=60)
+            kept = manager.jobs()
+            assert len(kept) == MAX_FINISHED_JOBS
+            assert held in kept
+            evicted = [job for job in jobs if job not in kept]
+            assert len(evicted) == total + 1 - MAX_FINISHED_JOBS
+            response = app.handle(Request("GET", f"/v1/jobs/{evicted[0].id}"))
+            assert response.status == 404
+            assert response.payload["error"]["type"] == "NotFound"
+            assert app.handle(Request("GET", f"/v1/jobs/{jobs[-1].id}")).status == 200
+        finally:
+            app.close()
+            SCENARIO_REGISTRY.pop("history-instant", None)
+
+
 class TestServerLifecycle:
     def test_request_id_and_timing_headers_round_trip(self, service):
         # raw urllib to look at headers, not just the envelope
@@ -899,9 +948,9 @@ class TestServerLifecycle:
                 assert time.monotonic() - started < 5.0
 
     def test_keep_alive_requests_do_not_stall(self, service):
-        # Headers and body go out in two writes; with Nagle's algorithm
-        # on, each body on a kept-alive connection waited for the
-        # client's delayed ACK (about 40 ms).
+        # A client that asks to keep its connection must not wait: each
+        # answer is one write carrying Connection: close, and
+        # http.client opens a fresh connection for the next request.
         import http.client
         import statistics
 

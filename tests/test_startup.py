@@ -71,6 +71,16 @@ class TestImportBoundary:
     def test_daemon_start_up_loads_no_simulator(self):
         assert fresh(DAEMON + REPORT) == []
 
+    def test_daemon_start_up_loads_no_executor(self):
+        # the handler pool is threading + queue; concurrent.futures
+        # would also load logging, about 8 ms of start-up
+        code = DAEMON + (
+            "import json, sys\n"
+            'print(json.dumps([m for m in ("concurrent.futures", "logging")'
+            " if m in sys.modules]))"
+        )
+        assert fresh(code) == []
+
     @pytest.mark.parametrize(
         "argv", [["client", "--help"], ["serve", "--help"], ["--help"]]
     )
