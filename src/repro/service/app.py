@@ -86,10 +86,8 @@ class ServiceApp:
     # that all enter that cycle at the registry wait on its lock instead
     # of deadlocking the import system.
     def _health(self, request: Request) -> Response:
-        """liveness + job counts"""
-        counts = {state: 0 for state in JobStates.ALL}
-        for job in self.manager.jobs():
-            counts[job.status] += 1
+        """liveness + job counts (finished ones: every one ever served)"""
+        counts = self.manager.counts()
         return Response(
             200,
             ok_envelope(

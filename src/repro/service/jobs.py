@@ -169,6 +169,8 @@ class JobManager:
         self._live: Dict[str, Job] = {}
         #: ids of the kept finished jobs, the earliest finished first.
         self._finished: Deque[str] = collections.deque()
+        #: jobs ever finished, per terminal state, kept or not.
+        self._finished_counts = {state: 0 for state in JobStates.TERMINAL}
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         # re-entrant: Job.as_dict() takes the same lock the status
         # commit holds, and internal helpers may nest acquisitions.
@@ -239,9 +241,7 @@ class JobManager:
         with self._lock:
             if self._closed:
                 raise JobQueueFull("the job queue is shutting down")
-            queued = sum(
-                1 for j in self._live.values() if j.status == JobStates.QUEUED
-            )
+            queued = sum(1 for j in self._live.values() if j.status == JobStates.QUEUED)
             if queued >= self.config.capacity:
                 raise JobQueueFull(
                     f"job queue is full ({queued} queued, "
@@ -268,6 +268,16 @@ class JobManager:
         """Every kept job, in submission order."""
         with self._lock:
             return list(self._jobs.values())
+
+    def counts(self) -> Dict[str, int]:
+        """Jobs per state: the queued and running ones now, and every
+        one ever finished, including those past the kept history."""
+        with self._lock:
+            counts = {state: 0 for state in JobStates.ALL}
+            for job in self._live.values():
+                counts[job.status] += 1
+            counts.update(self._finished_counts)
+            return counts
 
     def in_flight_for(self, tenant: str) -> int:
         """Queued + running jobs of one tenant (the quota input)."""
@@ -310,6 +320,7 @@ class JobManager:
         history, dropping the earliest finished past the cap."""
         with self._lock:
             del self._live[job.id]
+            self._finished_counts[job.status] += 1
             self._finished.append(job.id)
             if len(self._finished) > MAX_FINISHED_JOBS:
                 del self._jobs[self._finished.popleft()]

@@ -1,31 +1,36 @@
 """HTTP plumbing for the scenario service — stdlib only.
 
 A lean HTTP/1.1 front end over :class:`~repro.service.app.ServiceApp`,
-built on :class:`socketserver.TCPServer`:
+built on stdlib sockets and :mod:`selectors`:
 
-* **a bounded handler pool** — the ``serve_forever`` accept loop hands
-  each connection to a queue of at most :data:`PENDING_CONNECTIONS`,
-  and :data:`HANDLER_THREADS` handler threads drain it, so no load
-  starts another thread. A connection that finds the queue full gets a
-  ``503 ServerBusy`` envelope from the accept loop and is closed;
-* **one request per connection** — a handler reads the request line,
-  the headers and the ``Content-Length`` body itself, within the
-  stdlib's limits (a :data:`MAX_LINE_BYTES` line, :data:`MAX_HEADERS`
-  headers, a :data:`MAX_BODY_BYTES` body), hands the parsed
-  :class:`~repro.service.middleware.Request` to the app (which runs the
-  middleware chain) and writes the status line, headers and JSON body
-  in one ``sendall``. Every answer carries ``Connection: close``, so an
-  idle client never holds a handler between requests (``http.client``
-  and ``urllib`` reconnect on their own);
+* **an accept loop that reads** — ``serve_forever`` accepts each
+  connection and reads its request without blocking, until it is whole
+  (or holds :data:`READ_AHEAD_BYTES`, for a request too large to
+  buffer), and only then queues it for a handler. An idle or slow
+  client holds a buffer in the loop, never a handler thread;
+* **a bounded handler pool** — :data:`HANDLER_THREADS` handler threads
+  parse the body, hand the :class:`~repro.service.middleware.Request`
+  to the app (which runs the middleware chain) and write the status
+  line, headers and JSON body in one ``sendall``, so no load starts
+  another thread. Every answer carries ``Connection: close`` and every
+  connection serves one request (``http.client`` and ``urllib``
+  reconnect on their own);
+* **bounded connections** — the daemon holds at most
+  :data:`MAX_CONNECTIONS` connections. A new one past that closes the
+  one that has waited longest for its request, once that one has
+  waited :data:`DISPLACE_AFTER_S`; until then, the loop stops
+  accepting, and new clients wait in the listen backlog;
 * **typed rejections** — malformed input is answered by the transport
   itself, before the chain, with the shared JSON envelope and a 4xx
-  status (400, 411, 413, 414 or 431), never an HTML page.
+  status (400, 411, 413, 414 or 431), never an HTML page. Within
+  :data:`MAX_LINE_BYTES` lines, :data:`MAX_HEADERS` headers and a
+  :data:`MAX_BODY_BYTES` body it accepts what the stdlib's server did.
 
-A client gets :attr:`_ServiceRequestHandler.timeout` seconds to deliver
-its whole request, and as long again to take the answer; one that runs
-out is dropped without an answer. No framework, no new dependency —
-the daemon is ``python -m`` / ``repro serve`` runnable anywhere the
-repo is.
+A client gets :attr:`_ServiceRequestHandler.timeout` seconds from its
+connect to deliver its whole request, and as long again to take the
+answer; one that runs out is dropped without an answer. No framework,
+no new dependency — the daemon is ``python -m`` / ``repro serve``
+runnable anywhere the repo is.
 
 Three entry points:
 
@@ -43,25 +48,35 @@ import contextlib
 import json
 import queue
 import re
+import selectors
 import socket
-import socketserver
 import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Dict, Optional
-from urllib.parse import parse_qsl
+from typing import Dict, Optional, Tuple
+from urllib.parse import parse_qsl, urlsplit
 
 from .app import ServiceApp
 from .config import ServerConfig
 from .envelope import error_envelope
 from .middleware import Request
 
-#: threads that serve requests; the daemon never starts more.
+#: threads that run requests through the app; the daemon never starts
+#: more. They only ever hold a request that has arrived whole (or one
+#: past READ_AHEAD_BYTES), so the pool bounds concurrent app work.
 HANDLER_THREADS = 8
-#: accepted connections that may wait for a free handler; the next one
-#: is answered 503 by the accept loop.
-PENDING_CONNECTIONS = 64
+#: connections the daemon holds at once: reading, queued or served.
+MAX_CONNECTIONS = 512
+#: seconds a connection may wait for its request before one past
+#: MAX_CONNECTIONS may displace it: a client sends its request within a
+#: round trip of its connect, so a burst never displaces a live one.
+DISPLACE_AFTER_S = 1.0
+#: request bytes the accept loop buffers per connection; a request this
+#: small reaches a handler whole.
+READ_AHEAD_BYTES = 16384
+#: connections the kernel completes before the loop accepts them.
+LISTEN_BACKLOG = 128
 #: longest request or header line, as the stdlib's HTTP server.
 MAX_LINE_BYTES = 65536
 #: most header lines in one request, as the stdlib's HTTP server.
@@ -74,6 +89,7 @@ MAX_BODY_BYTES = 1 << 20
 LINGER_S = 1.0
 
 _RECV_BYTES = 65536
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 #: ``name: value``, the value's leading whitespace outside its group;
 #: a name is an RFC 9110 token.
@@ -87,6 +103,10 @@ class _Reject(Exception):
         super().__init__(message)
         self.status = status
         self.error_type = error_type
+
+    def answer(self) -> bytes:
+        envelope = error_envelope(self.error_type, str(self))
+        return _response(self.status, envelope, {})
 
 
 def _response(status: int, payload, headers: Dict[str, str]) -> bytes:
@@ -169,6 +189,121 @@ def _body_length(headers: Dict[str, str]) -> int:
     return length
 
 
+def _split_target(target: str) -> Tuple[str, str]:
+    """-> (path, query) of a request target; an absolute-form target
+    (``http://host/path``) routes by its path, and a fragment is dropped."""
+    if not target.startswith("/"):
+        try:
+            parts = urlsplit(target)
+        except ValueError:  # e.g. an unclosed IPv6 bracket in the host
+            raise _Reject(
+                400, "BadRequest", f"bad request target {target[:80]!r}"
+            ) from None
+        return parts.path, parts.query
+    path, _, query = target.partition("#")[0].partition("?")
+    return path, query
+
+
+class _Incoming:
+    """One connection and as much of its request as has arrived."""
+
+    __slots__ = (
+        "sock",
+        "since",
+        "deadline",
+        "buffer",
+        "lines",
+        "head",
+        "body_at",
+        "length",
+        "continued",
+        "watched",
+    )
+
+    def __init__(self, sock: socket.socket, since: float):
+        self.sock = sock
+        #: monotonic time of the accept.
+        self.since = since
+        #: monotonic time by which the whole request must have arrived
+        #: (once rejected: by which the client must stop sending).
+        self.deadline = since + _ServiceRequestHandler.timeout
+        self.buffer = bytearray()
+        #: complete lines in an incomplete head.
+        self.lines = 0
+        #: ``_parse_head``'s answer, once the head is whole.
+        self.head = None
+        self.body_at = 0
+        self.length = 0
+        #: whether ``100 Continue`` went out.
+        self.continued = False
+        #: whether the accept loop's selector watches the socket.
+        self.watched = False
+
+    def feed(self, chunk: bytes) -> None:
+        """Take the next received bytes; empty ones mean the client
+        ended its sending side. Raises :class:`_Reject`."""
+        buffer = self.buffer
+        if not chunk:
+            if self.head is None:
+                raise _Reject(400, "BadRequest", "request ended in its headers")
+            got = len(buffer) - self.body_at
+            raise _Reject(
+                400, "BadRequest", f"body ended after {got} of {self.length} bytes"
+            )
+        # each chunk is searched once, so a large head costs linear time
+        start = max(len(buffer) - 2, 0)
+        buffer += chunk
+        if self.head is not None:
+            return
+        end = _head_end(buffer, start)
+        if end < 0:
+            self.lines += chunk.count(b"\n")
+            _check_partial_head(buffer, self.lines)
+            return
+        self.head = _parse_head(buffer[:end].decode("latin-1"))
+        self.length = _body_length(self.head[3])
+        self.body_at = end + 2 if buffer[end + 1] == 10 else end + 3
+
+    @property
+    def complete(self) -> bool:
+        return self.head is not None and len(self.buffer) - self.body_at >= self.length
+
+    @property
+    def ready(self) -> bool:
+        """Whether a handler should take it: the request is whole, or
+        more than the loop buffers."""
+        if self.head is None:
+            return len(self.buffer) >= READ_AHEAD_BYTES
+        return self.complete or self.body_at + self.length > READ_AHEAD_BYTES
+
+    @property
+    def wants_continue(self) -> bool:
+        return (
+            self.head is not None
+            and not self.continued
+            and not self.complete
+            and self.head[2] == "HTTP/1.1"
+            and self.head[3].get("expect", "").lower() == "100-continue"
+        )
+
+    def request(self) -> Request:
+        """The whole request, parsed. Raises :class:`_Reject`."""
+        method, target, _, headers = self.head
+        raw = self.buffer[self.body_at : self.body_at + self.length]
+        try:
+            payload = json.loads(raw.decode("utf-8")) if raw.strip() else None
+        except (ValueError, UnicodeDecodeError) as error:
+            raise _Reject(400, "BadRequest", f"unreadable body: {error}") from None
+        path, query = _split_target(target)
+        return Request(
+            method=method,
+            path=path,
+            headers=headers,
+            body=payload,
+            query=dict(parse_qsl(query)) if query else {},
+        )
+
+
 def _linger(sock: socket.socket) -> None:
     """Half-close, then read what the client still sends for at most
     :data:`LINGER_S`, so the close that follows sends no reset."""
@@ -181,102 +316,88 @@ def _linger(sock: socket.socket) -> None:
                 return
 
 
-class _ServiceRequestHandler(socketserver.BaseRequestHandler):
-    """One connection: read one request, answer it in one write."""
+def _close(sock: socket.socket) -> None:
+    """Send the FIN now, then release the socket."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_WR)
+    sock.close()
 
-    #: seconds a client gets to deliver its whole request, and again to
-    #: take the answer: a client that declares N body bytes and sends
-    #: fewer would otherwise hold a handler thread forever.
+
+class _ServiceRequestHandler:
+    """Serves one connection the accept loop queued: reads what is left
+    of its request, runs the app, answers in one write."""
+
+    #: seconds a client gets from its connect to deliver its whole
+    #: request, and again to take the answer: a client that declares N
+    #: body bytes and sends fewer would otherwise hold its connection
+    #: forever.
     timeout = 30
-    server: "ServiceHTTPServer"
+
+    def __init__(self, incoming: _Incoming, app: ServiceApp):
+        self.incoming = incoming
+        self.app = app
 
     def handle(self) -> None:
-        sock = self.request
+        sock = self.incoming.sock
         try:
-            request = self._read(sock)
+            request = self._read()
         except _Reject as reject:
             sock.settimeout(self.timeout)
-            envelope = error_envelope(reject.error_type, str(reject))
-            sock.sendall(_response(reject.status, envelope, {}))
+            sock.sendall(reject.answer())
             _linger(sock)
             return
-        if request is None:  # the client left, or ran out of time
-            return
-        response = self.server.app.handle(request)
+        response = self.app.handle(request)
         sock.settimeout(self.timeout)
         sock.sendall(_response(response.status, response.payload, response.headers))
 
-    def _read(self, sock: socket.socket) -> Optional[Request]:
-        """The request, or None when the client left without sending one.
-        Raises ``TimeoutError`` when it is still incomplete at the
-        deadline."""
-        deadline = time.monotonic() + self.timeout
-
-        def receive() -> bytes:
-            sock.settimeout(max(deadline - time.monotonic(), 1e-3))
-            return sock.recv(_RECV_BYTES)
-
-        # each chunk is searched once, so a large head costs linear time
-        buffer = bytearray()
-        lines = 0
-        while True:
-            chunk = receive()
-            if not chunk:
-                if buffer:
-                    raise _Reject(400, "BadRequest", "request ended in its headers")
-                return None
-            start = max(len(buffer) - 2, 0)
-            buffer += chunk
-            if (end := _head_end(buffer, start)) >= 0:
-                break
-            lines += chunk.count(b"\n")
-            _check_partial_head(buffer, lines)
-        method, target, version, headers = _parse_head(buffer[:end].decode("latin-1"))
-        length = _body_length(headers)
-        body = buffer[end + 2 if buffer[end + 1] == 10 else end + 3 :]
-        if (
-            len(body) < length
-            and version == "HTTP/1.1"
-            and headers.get("expect", "").lower() == "100-continue"
-        ):
-            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-        while len(body) < length:
-            chunk = receive()
-            if not chunk:
-                raise _Reject(
-                    400, "BadRequest", f"body ended after {len(body)} of {length} bytes"
-                )
-            body += chunk
-        raw = body[:length]
-        try:
-            payload = json.loads(raw.decode("utf-8")) if raw.strip() else None
-        except (ValueError, UnicodeDecodeError) as error:
-            raise _Reject(400, "BadRequest", f"unreadable body: {error}") from None
-        path, _, query = target.partition("?")
-        return Request(
-            method=method,
-            path=path,
-            headers=headers,
-            body=payload,
-            query=dict(parse_qsl(query)) if query else {},
-        )
+    def _read(self) -> Request:
+        """The whole request. Raises :class:`_Reject`, or
+        ``TimeoutError`` when it is still incomplete at the deadline."""
+        incoming = self.incoming
+        sock = incoming.sock
+        while not incoming.complete:
+            sock.settimeout(max(incoming.deadline - time.monotonic(), 1e-3))
+            if incoming.wants_continue:
+                incoming.continued = True
+                sock.sendall(_CONTINUE)
+            incoming.feed(sock.recv(_RECV_BYTES))
+        return incoming.request()
 
 
-class ServiceHTTPServer(socketserver.TCPServer):
-    """The bound server and its handler pool; owns the app so shutdown
-    can close the queue."""
-
-    allow_reuse_address = True
+class ServiceHTTPServer:
+    """The bound socket, its accept loop and its handler pool; owns the
+    app so shutdown can close the queue."""
 
     def __init__(self, config: ServerConfig, app: Optional[ServiceApp] = None):
         self.config = config
+        # bind first: a port in use must not leave the app's job threads
+        self._listener = socket.create_server(
+            (config.host, config.port), backlog=LISTEN_BACKLOG
+        )
+        self._listener.setblocking(False)
+        self.server_address = self._listener.getsockname()
         self.app = app or ServiceApp(config)
-        self._connections: "queue.Queue" = queue.Queue(PENDING_CONNECTIONS)
-        # the sockets handlers are serving, shut down by close()
-        self._serving: set = set()
+        # the accept loop's wake-up call: shutdown, or room for one more
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        # ready requests for the handlers; None tells one to exit
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
+        # guarded by _lock: the connections held, whether the loop has
+        # stopped accepting for want of room, the sockets handlers are
+        # serving (shut down by close()), and whether close() began
+        self._open = 0
+        self._paused = False
+        self._serving: set = set()
         self._closing = False
-        super().__init__((config.host, config.port), _ServiceRequestHandler)
+        # the accept loop's own state: the connections it reads, and the
+        # rejected ones it drains, each in deadline order
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._reading: Dict[_Incoming, None] = {}
+        self._draining: Dict[_Incoming, None] = {}
+        self._stop = False
+        self._stopped = threading.Event()
         self._handlers = [
             threading.Thread(
                 target=self._handle_connections, name=f"repro-http-{n}", daemon=True
@@ -291,50 +412,226 @@ class ServiceHTTPServer(socketserver.TCPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def process_request(self, request, client_address) -> None:
-        """Queue the connection for a handler; answer 503 if none can
-        take it soon."""
+    # -- the accept loop -----------------------------------------------------
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections and read their requests until
+        :meth:`shutdown`; ``poll_interval`` caps each wait."""
+        self._stopped.clear()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
         try:
-            self._connections.put_nowait((request, client_address))
-        except queue.Full:
-            envelope = error_envelope("ServerBusy", "every handler is busy")
-            with contextlib.suppress(OSError):
-                request.setblocking(False)  # the accept loop never waits
-                request.sendall(_response(503, envelope, {"Retry-After": "1"}))
-            self.shutdown_request(request)
-
-    def _handle_connections(self) -> None:
-        while (item := self._connections.get()) is not None:
-            request, client_address = item
+            while not self._stop:
+                events = self._selector.select(self._next_wait(poll_interval))
+                for key, _ in events:
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    elif key.fileobj is self._wake_r:
+                        with contextlib.suppress(OSError):
+                            self._wake_r.recv(_RECV_BYTES)
+                    elif key.data in self._draining:
+                        self._drain(key.data)
+                    elif key.data in self._reading:
+                        self._receive(key.data)
+                self._expire()
+                self._resume_accepting()
+        finally:
+            for incoming in [*self._reading, *self._draining]:
+                self._drop(incoming)
+            self._selector.close()
             with self._lock:
-                if self._closing:
-                    self.shutdown_request(request)
-                    continue
-                self._serving.add(request)
+                self._paused = False
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever`` (from another thread) and wait for it."""
+        self._stop = True
+        self._wake()
+        self._stopped.wait()
+
+    def _wake(self) -> None:
+        with contextlib.suppress(OSError):
+            self._wake_w.send(b"\0")
+
+    def _next_wait(self, poll_interval: float) -> float:
+        """Seconds until the earliest deadline the loop keeps (or, while
+        it is not accepting, until a connection becomes displaceable),
+        at most ``poll_interval``."""
+        now = time.monotonic()
+        wait = poll_interval
+        for pending in (self._reading, self._draining):
+            if pending:
+                wait = min(wait, next(iter(pending)).deadline - now)
+        if self._paused and self._reading:
+            oldest = next(iter(self._reading))
+            wait = min(wait, oldest.since + DISPLACE_AFTER_S - now)
+        return max(wait, 0.0)
+
+    def _displaceable(self) -> Optional[_Incoming]:
+        """The connection to drop for a new one past the limit: the one
+        that has waited longest for its request, if it has waited
+        :data:`DISPLACE_AFTER_S`, else a rejected one still draining."""
+        if self._reading:
+            oldest = next(iter(self._reading))
+            if time.monotonic() - oldest.since >= DISPLACE_AFTER_S:
+                return oldest
+        return next(iter(self._draining), None)
+
+    def _accept(self) -> None:
+        with self._lock:
+            displaced = None
+            if self._open >= MAX_CONNECTIONS:
+                displaced = self._displaceable()
+                if displaced is None:
+                    # new clients wait in the listen backlog for room
+                    self._paused = True
+                    self._selector.unregister(self._listener)
+                    return
+        if displaced is not None:
+            self._drop(displaced)
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the client gave up first, or no descriptor is free
+            return
+        sock.setblocking(False)
+        with self._lock:
+            self._open += 1
+        incoming = _Incoming(sock, time.monotonic())
+        self._reading[incoming] = None
+        # the request has often arrived with the connection: read it now
+        self._receive(incoming)
+        if incoming in self._reading:
+            self._watch(incoming)
+
+    def _resume_accepting(self) -> None:
+        with self._lock:
+            if not self._paused:
+                return
+            if self._open >= MAX_CONNECTIONS and self._displaceable() is None:
+                return
+            self._paused = False
+        self._selector.register(self._listener, selectors.EVENT_READ)
+
+    def _receive(self, incoming: _Incoming) -> None:
+        """Read what has arrived; queue the request once it is ready."""
+        try:
+            chunk = incoming.sock.recv(READ_AHEAD_BYTES - len(incoming.buffer))
+            if not chunk and not incoming.buffer:
+                self._drop(incoming)  # the client left without a request
+                return
+            incoming.feed(chunk)
+        except BlockingIOError:
+            return
+        except _Reject as reject:
+            self._reject(incoming, reject)
+            return
+        except OSError:
+            self._drop(incoming)
+            return
+        if incoming.ready:
+            self._forget(incoming)
+            self._connections.put(incoming)
+        elif incoming.wants_continue:
+            incoming.continued = True
+            with contextlib.suppress(OSError):
+                incoming.sock.send(_CONTINUE)
+
+    def _reject(self, incoming: _Incoming, reject: _Reject) -> None:
+        """Answer a malformed request, half-close, and drain the client
+        until it stops sending or :data:`LINGER_S` runs out."""
+        with contextlib.suppress(OSError):
+            # a fresh socket's send buffer takes the short answer whole
+            incoming.sock.send(reject.answer())
+            incoming.sock.shutdown(socket.SHUT_WR)
+        del self._reading[incoming]
+        incoming.deadline = time.monotonic() + LINGER_S
+        self._draining[incoming] = None
+        self._watch(incoming)
+
+    def _drain(self, incoming: _Incoming) -> None:
+        try:
+            if incoming.sock.recv(_RECV_BYTES):
+                return
+        except BlockingIOError:
+            return
+        except OSError:
+            pass
+        self._drop(incoming)
+
+    def _expire(self) -> None:
+        """Drop the connections whose deadline passed: a request not
+        whole in time, a rejected client that kept sending."""
+        now = time.monotonic()
+        for pending in (self._reading, self._draining):
+            while pending and next(iter(pending)).deadline <= now:
+                self._drop(next(iter(pending)))
+
+    def _watch(self, incoming: _Incoming) -> None:
+        if not incoming.watched:
+            self._selector.register(incoming.sock, selectors.EVENT_READ, incoming)
+            incoming.watched = True
+
+    def _forget(self, incoming: _Incoming) -> None:
+        """Take a connection out of the loop's keeping."""
+        self._reading.pop(incoming, None)
+        self._draining.pop(incoming, None)
+        if incoming.watched:
+            self._selector.unregister(incoming.sock)
+            incoming.watched = False
+
+    def _drop(self, incoming: _Incoming) -> None:
+        self._forget(incoming)
+        incoming.sock.close()
+        self._release()
+
+    def _release(self) -> None:
+        """One connection closed: wake the loop if it waits for room."""
+        with self._lock:
+            self._open -= 1
+            paused = self._paused
+        if paused:
+            self._wake()
+
+    # -- the handler pool ----------------------------------------------------
+    def _handle_connections(self) -> None:
+        while (incoming := self._connections.get()) is not None:
+            sock = incoming.sock
+            with self._lock:
+                serve = not self._closing
+                if serve:
+                    self._serving.add(sock)
             try:
-                self.finish_request(request, client_address)
+                if serve:
+                    _ServiceRequestHandler(incoming, self.app).handle()
             except OSError:
-                pass  # the client went away, or stopped reading
+                pass  # the client went away, stopped sending or reading
             except Exception:  # a handler bug answers nothing, never kills
-                self.handle_error(request, client_address)
+                import traceback
+
+                traceback.print_exc()
             finally:
                 with self._lock:
-                    self._serving.discard(request)
-                self.shutdown_request(request)
+                    self._serving.discard(sock)
+                _close(sock)
+                self._release()
 
     def close(self) -> None:
         """Stop listening, shut down the sockets being served, join every
-        handler thread, then close the job queue."""
-        self.server_close()
+        handler thread, then close the job queue. Call it once
+        ``serve_forever`` has returned, or if it never ran."""
+        self._listener.close()
         with self._lock:
             self._closing = True
-            for request in self._serving:
+            for sock in self._serving:
                 with contextlib.suppress(OSError):
-                    request.shutdown(socket.SHUT_RDWR)
+                    sock.shutdown(socket.SHUT_RDWR)
         for _ in self._handlers:
             self._connections.put(None)
         for handler in self._handlers:
             handler.join()
+        self._wake_r.close()
+        self._wake_w.close()
         self.app.close()
 
 

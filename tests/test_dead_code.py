@@ -61,7 +61,6 @@ ALLOWLIST = {
     "multiplexed": PMU_ORACLE,
     "paper_system_grid": "benchmarks/test_ablations.py sweeps the paper's grid",
     "philox_construction_count": "the construction bound in test_noise_block.py",
-    "process_request": "socketserver hook: serve_forever hands it each connection",
     "read_interval": PERFBENCH,
     "rng": "WorkloadSpec's bound stream, a call shape DET002 lints",
     "row": "single-row read the noise-matrix tests hold rows() to",

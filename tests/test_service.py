@@ -861,6 +861,10 @@ class TestJobHistory:
             assert response.status == 404
             assert response.payload["error"]["type"] == "NotFound"
             assert app.handle(Request("GET", f"/v1/jobs/{jobs[-1].id}")).status == 200
+            # health counts every job served, not only the kept ones
+            health = app.handle(Request("GET", "/v1/health")).payload["data"]
+            assert health["jobs"]["done"] == total + 1
+            assert health["jobs"]["queued"] == health["jobs"]["running"] == 0
         finally:
             app.close()
             SCENARIO_REGISTRY.pop("history-instant", None)

@@ -1,5 +1,6 @@
-"""The daemon's HTTP transport: the handler pool, the request reader,
-and what it answers to malformed or hostile input.
+"""The daemon's HTTP transport: the accept loop that reads requests,
+the handler pool, the connection bound, and what it answers to
+malformed or hostile input.
 
 Requests go over raw sockets, so the bytes on the wire are exactly the
 ones under test: nothing a client library would normalise first.
@@ -7,6 +8,7 @@ ones under test: nothing a client library would normalise first.
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -21,6 +23,8 @@ from repro.service import server as transport
 from repro.service.envelope import is_envelope
 
 HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: test\r\n\r\n"
+#: request lines the health route answers 200.
+HEALTH_LINES = (b"GET /v1/health HTTP/1.", b"GET http://test/v1/health HTTP/1.")
 
 
 def config():
@@ -31,6 +35,10 @@ def config():
 def service():
     with serve_background(config()) as (server, _):
         yield server
+
+
+def connect(address) -> socket.socket:
+    return socket.create_connection(address, timeout=10)
 
 
 def exchange(address, raw: bytes, half_close: bool = False) -> bytes:
@@ -103,6 +111,7 @@ class TestMalformedInput:
             (head_with(b"Transfer-Encoding: chunked"), 411, "LengthRequired"),
             (head_with(request_line=b"GET /v1/health HTTP/2.0"), 400, None),
             (head_with(request_line=b"\xff\xfe\x00"), 400, "BadRequest"),
+            (head_with(request_line=b"GET http://[x/v1 HTTP/1.1"), 400, "BadRequest"),
             (b"POST /v1/runs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{no}", 400, None),
         ],
     )
@@ -128,6 +137,18 @@ class TestMalformedInput:
         status, _, envelope = answer(raw)
         assert status == 400
         assert envelope["error"]["message"] == message
+
+    @pytest.mark.parametrize(
+        "request_line",
+        [
+            b"GET http://test/v1/health HTTP/1.1",
+            b"GET /v1/health#fragment HTTP/1.1",
+            b"GET /v1/health?x=1#fragment HTTP/1.1",
+        ],
+    )
+    def test_absolute_form_and_fragments_reach_the_route(self, service, request_line):
+        raw = head_with(b"Host: test", request_line=request_line)
+        assert answer(exchange(service.server_address[:2], raw))[0] == 200
 
     def test_non_ascii_header_value_reaches_the_route(self, service):
         raw = head_with(b"X-Tenant: \xe9t\xe9")
@@ -157,6 +178,8 @@ REQUEST_LINES = st.one_of(
             b"GET /v1/health HTTP/9.9",
             b"GET /v1/health",
             b"GET /v1/\xff\xfe HTTP/1.1",
+            b"GET http://test/v1/health HTTP/1.1",
+            b"GET http://[x/v1/health HTTP/1.1",
             b"",
             b"GET /" + LONG + b" HTTP/1.1",
         ]
@@ -214,7 +237,7 @@ class TestHostileInput:
             raw = exchange(address, head_with(*lines, request_line=request_line) + body)
             status, _, envelope = answer(raw)
             if status == 200:
-                assert request_line.startswith(b"GET /v1/health HTTP/1.")
+                assert request_line.startswith(HEALTH_LINES)
                 assert envelope["ok"] is True
             else:
                 assert 400 <= status < 500, envelope
@@ -225,33 +248,27 @@ class TestHostileInput:
 
 
 class TestHandlerPool:
-    def test_idle_connections_never_start_more_handlers(self):
+    def test_idle_and_slow_clients_hold_no_handler(self):
         before = len(handler_threads())
-        idle_count = transport.HANDLER_THREADS + 4
+        pool = transport.HANDLER_THREADS
         with serve_background(config()) as (server, _):
             address = server.server_address[:2]
-            idle = [
-                socket.create_connection(address, timeout=10)
-                for _ in range(idle_count)
-            ]
-            answers = []
-            asker = threading.Thread(
-                target=lambda: answers.append(exchange(address, HEALTH))
-            )
+            idle = [connect(address) for _ in range(pool + 4)]
+            slow = [connect(address) for _ in range(pool)]
             try:
-                # every idle connection is taken by a handler or queued
-                wait_until(lambda: server._connections.qsize() == 4)
-                assert len(handler_threads()) == before + transport.HANDLER_THREADS
-                asker.start()
-                time.sleep(0.2)
-                assert not answers  # queued behind the idle connections
-                assert len(handler_threads()) == before + transport.HANDLER_THREADS
+                for sock in slow:  # a head that never ends
+                    sock.sendall(b"GET /v1/health HTTP/1.1\r\nHost")
+                wait_until(lambda: len(server._reading) == len(idle) + len(slow))
+                started = time.monotonic()
+                assert answer(exchange(address, HEALTH))[0] == 200
+                assert time.monotonic() - started < 1.0
+                assert len(handler_threads()) == before + pool
             finally:
-                for sock in idle:
+                for sock in idle + slow:
                     sock.close()
-            asker.join(timeout=10)
-            assert answers and not asker.is_alive()
-            assert answer(answers[0])[0] == 200
+            wait_until(lambda: not server._reading)
+            assert answer(exchange(address, HEALTH))[0] == 200
+            assert len(handler_threads()) == before + pool
         assert len(handler_threads()) == before
 
     def test_close_with_idle_connections_is_prompt(self):
@@ -260,41 +277,130 @@ class TestHandlerPool:
         serving = threading.Thread(target=server.serve_forever, daemon=True)
         serving.start()
         address = server.server_address[:2]
-        idle = [socket.create_connection(address, timeout=10) for _ in range(3)]
+        idle = [connect(address) for _ in range(3)]
+        # a head larger than the loop buffers goes to a handler unfinished
+        held = connect(address)
+        held.sendall(
+            b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"x" * transport.READ_AHEAD_BYTES
+        )
         try:
-            wait_until(lambda: len(server._serving) == 3)
+            wait_until(lambda: len(server._reading) == 3 and len(server._serving) == 1)
             server.shutdown()
             started = time.monotonic()
             server.close()
             assert time.monotonic() - started < 2.0
             assert len(handler_threads()) == before
             for sock in idle:
-                assert sock.recv(1) == b""  # shut down, not left hanging
+                assert sock.recv(1) == b""  # closed, not left hanging
+            try:
+                assert held.recv(65536) == b""
+            except ConnectionResetError:
+                pass
         finally:
-            for sock in idle:
+            for sock in idle + [held]:
                 sock.close()
             serving.join(timeout=5)
         assert not serving.is_alive()
 
-    def test_a_full_queue_answers_503(self, monkeypatch):
-        monkeypatch.setattr(transport, "HANDLER_THREADS", 1)
-        monkeypatch.setattr(transport, "PENDING_CONNECTIONS", 1)
+    def test_a_connection_past_the_limit_displaces_the_idlest(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_CONNECTIONS", 4)
+        monkeypatch.setattr(transport, "DISPLACE_AFTER_S", 0.3)
         with serve_background(config()) as (server, _):
             address = server.server_address[:2]
-            held = socket.create_connection(address, timeout=10)
-            wait_until(lambda: len(server._serving) == 1)
-            queued = socket.create_connection(address, timeout=10)
+            idle = [connect(address) for _ in range(4)]
             try:
-                wait_until(lambda: server._connections.qsize() == 1)
-                status, headers, envelope = answer(exchange(address, HEALTH))
-                assert status == 503
-                assert headers["Retry-After"] == "1"
-                assert envelope["error"]["type"] == "ServerBusy"
+                wait_until(lambda: len(server._reading) == 4)
+                started = time.monotonic()
+                # not displaced before it waited DISPLACE_AFTER_S
+                assert answer(exchange(address, HEALTH))[0] == 200
+                assert time.monotonic() - started >= 0.2
+                assert idle[0].recv(1) == b""  # the longest idle went
+                assert len(server._reading) == 3
             finally:
-                held.close()
-                queued.close()
-            wait_until(lambda: server._connections.qsize() == 0)
-            assert answer(exchange(address, HEALTH))[0] == 200
+                for sock in idle:
+                    sock.close()
+
+    def test_a_full_daemon_accepts_again_once_a_connection_closes(self, monkeypatch):
+        monkeypatch.setattr(transport, "HANDLER_THREADS", 1)
+        monkeypatch.setattr(transport, "MAX_CONNECTIONS", 2)
+        before = len(handler_threads())
+        with serve_background(config()) as (server, _):
+            address = server.server_address[:2]
+            release = threading.Event()
+            handle = server.app.handle
+
+            def held_handle(request):
+                release.wait(10)
+                return handle(request)
+
+            monkeypatch.setattr(server.app, "handle", held_handle)
+            answers = []
+
+            def ask():
+                answers.append(answer(exchange(address, HEALTH))[0])
+
+            askers = [threading.Thread(target=ask) for _ in range(3)]
+            try:
+                askers[0].start()
+                wait_until(lambda: len(server._serving) == 1)
+                askers[1].start()  # queued
+                wait_until(lambda: server._open == 2 and not server._reading)
+                askers[2].start()  # waits in the listen backlog
+                wait_until(lambda: server._paused)
+                time.sleep(0.2)
+                assert not answers
+                assert len(handler_threads()) == before + 1
+            finally:
+                release.set()
+                for asker in askers:
+                    if asker.ident is not None:
+                        asker.join(timeout=10)
+            assert answers == [200, 200, 200]
+
+    def test_many_clients_through_a_small_daemon_all_answer(self, monkeypatch):
+        # more clients than connections, handlers and cores, with short
+        # thread switches: a lost update to the open-connection count
+        # would leave it nonzero, or leave the loop waiting for room
+        monkeypatch.setattr(transport, "HANDLER_THREADS", 2)
+        monkeypatch.setattr(transport, "MAX_CONNECTIONS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serve_background(config()) as (server, _):
+                address = server.server_address[:2]
+                statuses = []
+
+                def ask():
+                    for _ in range(8):
+                        statuses.append(answer(exchange(address, HEALTH))[0])
+
+                askers = [threading.Thread(target=ask) for _ in range(12)]
+                for asker in askers:
+                    asker.start()
+                for asker in askers:
+                    asker.join(timeout=20)
+                assert not any(asker.is_alive() for asker in askers)
+                assert statuses == [200] * 96
+                wait_until(lambda: server._open == 0)
+                assert not server._paused
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestLifecycle:
+    def test_a_port_in_use_starts_no_thread(self, service):
+        before = threading.active_count()
+        taken = ServerConfig.from_dict({"port": service.server_address[1]})
+        with pytest.raises(OSError):
+            transport.make_server(taken)
+        assert threading.active_count() == before
+
+    def test_shutdown_wakes_the_accept_loop(self):
+        background = serve_background(config())
+        background.__enter__()
+        started = time.monotonic()
+        background.__exit__(None, None, None)
+        assert time.monotonic() - started < 0.2
 
 
 class TestExpectContinue:
