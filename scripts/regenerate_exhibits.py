@@ -124,15 +124,11 @@ def main() -> None:
         if diff.status == "ok":
             continue
         failed.append(name)
-        if not diff.committed_exists:
+        if diff.committed is None:
             print(f"  no committed file at {golden.committed_path(name)}")
             continue
-        with open(
-            golden.committed_path(name), "r", encoding="utf-8", newline=""
-        ) as handle:
-            committed = handle.read()
         delta = difflib.unified_diff(
-            committed.splitlines(keepends=True),
+            diff.committed.splitlines(keepends=True),
             diff.regenerated.splitlines(keepends=True),
             fromfile=f"committed/{name}.txt",
             tofile=f"regenerated/{name}.txt",

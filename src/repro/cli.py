@@ -20,14 +20,20 @@ drives it (see README, "Running as a service")::
     python -m repro.cli serve --port 8765
     python -m repro.cli client submit fig09 --wait
     python -m repro.cli client scenarios
+    python -m repro.cli client describe cluster-size --sweep
 
 One workload can also be tuned directly, outside any scenario::
 
     python -m repro.cli tune lenet-mnist --system pipetune
 
-Every subcommand accepts ``--json`` and then emits the shared envelope
-``{"ok": bool, "data": ..., "error": ...}`` on stdout — errors exit
-non-zero with a machine-readable body instead of prose on stderr.
+This module holds the argument parser and the text output only. Each
+scenario and sweep command calls one operation of
+:mod:`repro.scenarios.views`, the same function the daemon's route or
+job runs, and prints its view as text, or with ``--json`` as the data
+of the shared envelope ``{"ok": bool, "data": ..., "error": ...}`` on
+stdout. A typed error an operation raises exits with the code
+:data:`repro.scenarios.views.ERRORS` gives it (``NotFound``: 2), as an
+envelope under ``--json`` and as one line on stderr otherwise.
 ``scenario run ... --out`` writes tables through the golden-trace
 serializer and refuses (without ``--force``) to write files named like
 the committed exhibits at non-canonical parameters.
@@ -40,15 +46,14 @@ import dataclasses
 import difflib
 import json
 import sys
-import time
 from typing import List, Optional
 
 # Each command handler imports the modules it runs, so a command loads
 # only those: ``repro client``, ``repro serve --help`` and ``repro lint``
 # never import numpy or the simulator.
 from .experiments import EXHIBIT_RUNS, golden
-from .scenarios.options import RunOptions, resolve_cache_dir
-from .scenarios.views import jsonify
+from .scenarios.options import RunOptions
+from .scenarios.views import error_entry, jsonify
 from .service.envelope import error_envelope, ok_envelope
 
 #: ``repro tune`` workload names, spelled out so that building the parser
@@ -119,10 +124,7 @@ def _cmd_tune(args) -> int:
     from .scenarios.runner import ScenarioRunner
     from .workloads.registry import get_workload
 
-    try:
-        workload = get_workload(args.workload)
-    except KeyError as error:
-        return _fail(args, "UnknownWorkload", str(error.args[0]))
+    workload = get_workload(args.workload)
     # one cell on the paper testbed for the workload's type
     scenario = (
         spec.Scenario.builder(f"tune-{workload.name}")
@@ -161,115 +163,101 @@ def _cmd_tune(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scenario commands
+# Scenario commands: each formats one operation's view
+# (repro.scenarios.views) as text, or emits it as the envelope's data
 # ---------------------------------------------------------------------------
 
 
 def _cmd_scenario_list(args) -> int:
-    from .scenarios.registry import SCENARIO_REGISTRY
-    from .scenarios.views import scenario_summary
+    from .scenarios.views import scenario_catalogue
 
+    catalogue = scenario_catalogue()
     if args.json:
-        return _emit_ok(
-            [scenario_summary(d) for d in SCENARIO_REGISTRY.values()]
-        )
-    width = max(len(name) for name in SCENARIO_REGISTRY)
-    for name, runner in SCENARIO_REGISTRY.items():
-        scenario = runner.scenario
-        title = scenario.title or scenario.description
-        print(f"{name:<{width}}  [{runner.source:<5}]  {title}")
+        return _emit_ok(catalogue)
+    width = max(len(entry["name"]) for entry in catalogue)
+    for entry in catalogue:
+        title = entry["title"] or entry["description"]
+        print(f"{entry['name']:<{width}}  [{entry['source']:<5}]  {title}")
     return 0
 
 
 def _cmd_scenario_describe(args) -> int:
-    from .scenarios.registry import get_definition
-    from .scenarios.spec import ScenarioError
-    from .scenarios.views import scenario_describe_payload
+    from .scenarios.views import describe_scenario
 
-    try:
-        runner = get_definition(args.name)
-    except KeyError as error:
-        return _fail(args, "UnknownScenario", str(error.args[0]))
-    try:
-        if args.json:
-            return _emit_ok(
-                scenario_describe_payload(runner, scale=args.scale, seed=args.seed)
-            )
-        plan = runner.plan(scale=args.scale, seed=args.seed)
-    except ScenarioError as error:
-        return _fail(args, "ScenarioError", str(error))
-    chains = plan.chains()
-    scenario = runner.scenario
-    print(f"scenario   : {scenario.name} [{runner.source}]")
-    if scenario.exhibit:
-        print(f"exhibit    : {scenario.exhibit}")
-    if scenario.title:
-        print(f"title      : {scenario.title}")
-    if scenario.description:
-        print(f"about      : {scenario.description}")
-    print(f"kind       : {scenario.kind}")
+    view = describe_scenario(args.name, scale=args.scale, seed=args.seed)
+    if args.json:
+        return _emit_ok(view)
+    from .scenarios.spec import FailureSpec
+
+    scenario, plan = view["scenario"], view["plan"]
+    print(f"scenario   : {scenario['name']} [{view['source']}]")
+    if scenario["exhibit"]:
+        print(f"exhibit    : {scenario['exhibit']}")
+    if scenario["title"]:
+        print(f"title      : {scenario['title']}")
+    if scenario["description"]:
+        print(f"about      : {scenario['description']}")
+    print(f"kind       : {scenario['kind']}")
+    cluster = scenario["cluster"]
     print(
-        f"cluster    : {scenario.cluster.nodes} node(s), "
-        f"{scenario.cluster.cores_per_node} cores / "
-        f"{scenario.cluster.memory_gb_per_node:g} GB each"
+        f"cluster    : {cluster['nodes']} node(s), "
+        f"{cluster['cores_per_node']} cores / "
+        f"{cluster['memory_gb_per_node']:g} GB each"
     )
-    print(f"workloads  : {', '.join(scenario.workloads) or '-'}")
-    print(f"algorithm  : {scenario.algorithm.name} {dict(scenario.algorithm.params)}")
-    print(f"systems    : {', '.join(p.label for p in scenario.systems) or '-'}")
-    print(f"tenancy    : {scenario.tenancy.mode}")
-    if scenario.tenancy.shared:
-        tenancy = scenario.tenancy
+    print(f"workloads  : {', '.join(scenario['workloads']) or '-'}")
+    algorithm = scenario["algorithm"]
+    print(f"algorithm  : {algorithm['name']} {algorithm['params']}")
+    systems = [policy["label"] for policy in scenario["systems"]]
+    print(f"systems    : {', '.join(systems) or '-'}")
+    tenancy = scenario["tenancy"]
+    print(f"tenancy    : {tenancy['mode']}")
+    if tenancy["mode"] == "shared":
         print(
-            f"arrivals   : {tenancy.num_jobs} jobs, mean interarrival "
-            f"{tenancy.mean_interarrival_s:g}s, {tenancy.unseen_fraction:.0%} "
-            f"unseen, {tenancy.max_concurrent_jobs} concurrent"
+            f"arrivals   : {tenancy['num_jobs']} jobs, mean interarrival "
+            f"{tenancy['mean_interarrival_s']:g}s, {tenancy['unseen_fraction']:.0%} "
+            f"unseen, {tenancy['max_concurrent_jobs']} concurrent"
         )
-    failure_lines = scenario.failures.describe()
+    failure_lines = FailureSpec.from_dict(scenario["failures"]).describe()
     for position, line in enumerate(failure_lines):
         heading = "failures   :" if position == 0 else "            "
         print(f"{heading} {line}")
-    print(f"repetitions: {scenario.repetitions}")
-    print(f"plan       : {len(plan.steps)} step(s) at scale {plan.scale}")
-    for line in plan.describe():
+    print(f"repetitions: {scenario['repetitions']}")
+    print(f"plan       : {len(plan['steps'])} step(s) at scale {plan['scale']}")
+    for line in plan["steps"]:
         print(f"  {line}")
-    shared = sum(1 for chain in chains if chain.shares_session)
+    chains = plan["chains"]
+    shared = sum(1 for chain in chains if chain["shares_session"])
     print(
         f"chains     : {len(chains)} schedulable chain(s) "
         f"({shared} with a shared PipeTune session); --workers N runs "
         "them on a process pool"
     )
     for chain in chains:
-        steps = ", ".join(str(i) for i in chain.indices)
-        print(f"  {chain.label}: steps [{steps}]")
+        kind = "session chain" if chain["shares_session"] else "independent"
+        steps = ", ".join(str(i) for i in chain["steps"])
+        print(
+            f"  chain {chain['index']} ({len(chain['steps'])} step(s), {kind}): "
+            f"steps [{steps}]"
+        )
     return 0
 
 
-def _cmd_scenario_run(args) -> int:
-    from .scenarios.registry import get_definition
-    from .scenarios.backends import backend_for
-    from .scenarios.containment import StepExecutionError
-    from .scenarios.merge import run_reports
-    from .scenarios.spec import ScenarioError
-    from .scenarios.views import failure_view
+def _print_cache_line(cache, suffix: str = "") -> None:
+    print(
+        f"[cache: {cache['hits']} hit(s), {cache['misses']} miss(es)"
+        f"{suffix} in {cache['dir']}]"
+    )
 
-    try:
-        runner = get_definition(args.name)
-    except KeyError as error:
-        return _fail(args, "UnknownScenario", str(error.args[0]))
+
+def _cmd_scenario_run(args) -> int:
+    from .scenarios.views import run_scenario_view
+
     # unset --scale/--seed of --out on a paper exhibit read its canonical run
     canonical = EXHIBIT_RUNS.get(args.name) if args.out else None
-    defaults = {}
-    if canonical is not None:
-        defaults = {"scale": canonical.scale, "seed": canonical.seed}
+    defaults = {"scale": canonical.scale, "seed": canonical.seed} if canonical else {}
     options = _run_options(args, **defaults)
-    cache_dir = options.cache_root
     if args.check:
-        return _scenario_check(
-            args.name,
-            workers=options.workers,
-            as_json=args.json,
-            cache_dir=cache_dir,
-        )
+        return _scenario_check(args, options)
     scale, seed = options.scale, options.seed
     if canonical is not None and (scale, seed) != (canonical.scale, canonical.seed):
         if not args.force:
@@ -285,65 +273,27 @@ def _cmd_scenario_run(args) -> int:
             f"warning: writing {args.name} at non-canonical parameters (--force)",
             file=sys.stderr,
         )
-    started = time.time()  # repro: allow[DET001] -- CLI elapsed timing
-    try:
-        plan = runner.plan(scale=scale, seed=seed)
-        runner.validate(plan)
-        # with --json a raising step must surface in the envelope, not
-        # as a traceback: serial runs contain it (pool semantics) so
-        # failures arrive as structured outcomes. A cache memoizes chain
-        # outcomes around that backend; the bytes are identical, warm
-        # or cold.
-        backend = backend_for(options.workers, cache_dir=cache_dir, contain=args.json)
-        (report,) = run_reports(backend, [(runner, plan)])
-        result = report.unwrap()
-    except ScenarioError as error:
-        return _fail(args, "ScenarioError", str(error))
-    except StepExecutionError as error:
-        # non-json serial runs keep the raise-with-context behaviour.
-        if not args.json:
-            raise
-        return _emit_error("StepExecutionError", str(error), exit_code=1)
-    elapsed = time.time() - started  # repro: allow[DET001] -- CLI elapsed timing
-    failures = [failure_view(failure) for failure in report.failures]
-    cache_stats = report.cache_stats
+    # with --json a raising step comes back as a failure beside the
+    # surviving rows; without it, it raises with its step's context.
+    view = run_scenario_view(options, name=args.name, contain=args.json)
+    trace = view.pop("trace")
+    failures = view["failures"]
     if args.json:
-        data = {
-            "scenario": args.name,
-            "source": runner.source,
-            "scale": scale,
-            "seed": seed,
-            "workers": options.workers,
-            "elapsed_s": round(elapsed, 3),
-            "cache": (
-                None
-                if cache_stats is None
-                else {"dir": cache_dir, **cache_stats.as_dict()}
-            ),
-            "failures": failures,
-            "result": result.as_dict(),
-        }
         if failures:
             # partial table: the envelope carries both the surviving
             # rows and the structured failures, and the exit is non-zero.
-            _print_envelope(
-                error_envelope(
-                    "ChainFailure",
-                    f"{len(failures)} step(s) failed; surviving steps "
-                    "still collected",
-                    data=data,
-                )
+            _emit_error(
+                "ChainFailure",
+                f"{len(failures)} step(s) failed; surviving steps still collected",
+                data=view,
             )
         else:
-            _print_envelope(ok_envelope(data))
+            _emit_ok(view)
     else:
-        print(result.format_table())
-        print(f"[{args.name}: {elapsed:.1f}s]")
-        if cache_stats is not None:
-            print(
-                f"[cache: {cache_stats.hits} hit(s), "
-                f"{cache_stats.misses} miss(es) in {cache_dir}]"
-            )
+        print(trace, end="")
+        print(f"[{args.name}: {view['elapsed_s']:.1f}s]")
+        if view["cache"]["enabled"]:
+            _print_cache_line(view["cache"])
         if failures:
             print(f"{len(failures)} step(s) failed:", file=sys.stderr)
             for failure in failures:
@@ -353,34 +303,32 @@ def _cmd_scenario_run(args) -> int:
                     file=sys.stderr,
                 )
     if args.out:
-        path = golden.write_trace(args.name, golden.render_result(result), args.out)
+        path = golden.write_trace(args.name, trace, args.out)
         if not args.json:
             print(f"wrote {path}")
     return 1 if failures else 0
 
 
-def _scenario_check(
-    name: str,
-    workers: Optional[int] = None,
-    as_json: bool = False,
-    cache_dir: Optional[str] = None,
-) -> int:
+def _scenario_check(args, options: RunOptions) -> int:
     """Re-run a committed exhibit scenario at its canonical parameters
-    and byte-diff the rendered table against the golden trace."""
-    if name not in EXHIBIT_RUNS:
-        message = (
+    and byte-diff its trace against the committed golden trace."""
+    from .scenarios.views import run_scenario_view, scenario_runner
+
+    name = args.name
+    canonical = EXHIBIT_RUNS.get(name)
+    if canonical is None:
+        scenario_runner(name)  # an unknown name is NotFound
+        return _fail(
+            args,
+            "NoGoldenTrace",
             f"{name!r} has no committed golden trace "
-            f"(committed: {', '.join(EXHIBIT_RUNS)})"
+            f"(committed: {', '.join(EXHIBIT_RUNS)})",
         )
-        if as_json:
-            return _emit_error("NoGoldenTrace", message)
-        print(message, file=sys.stderr)
-        return 2
-    diff = golden.check([name], workers=workers, cache_dir=cache_dir)[name]
-    if as_json:
-        data = {"scenario": name, "status": diff.status}
-        if diff.cache_stats is not None:
-            data["cache"] = {"dir": cache_dir, **diff.cache_stats.as_dict()}
+    options = dataclasses.replace(options, scale=canonical.scale, seed=canonical.seed)
+    view = run_scenario_view(options, name=name, contain=False)
+    diff = golden.ExhibitDiff(name, golden.read_committed(name), view["trace"])
+    if args.json:
+        data = {"scenario": name, "status": diff.status, "cache": view["cache"]}
         if diff.status == "ok":
             return _emit_ok(data)
         return _emit_error(
@@ -390,19 +338,13 @@ def _scenario_check(
             exit_code=1,
         )
     print(f"{name}: {diff.status}")
-    if diff.cache_stats is not None:
-        print(
-            f"[cache: {diff.cache_stats.hits} hit(s), {diff.cache_stats.misses} "
-            f"miss(es) in {cache_dir}]"
-        )
+    if view["cache"]["enabled"]:
+        _print_cache_line(view["cache"])
     if diff.status == "ok":
         return 0
-    if diff.committed_exists:
-        committed_path = golden.committed_path(name)
-        with open(committed_path, "r", encoding="utf-8", newline="") as handle:
-            committed = handle.read()
+    if diff.committed is not None:
         for line in difflib.unified_diff(
-            committed.splitlines(keepends=True),
+            diff.committed.splitlines(keepends=True),
             diff.regenerated.splitlines(keepends=True),
             fromfile=f"committed/{name}.txt",
             tofile=f"regenerated/{name}.txt",
@@ -417,68 +359,38 @@ def _scenario_check(
 
 
 def _cmd_sweep_list(args) -> int:
-    from .scenarios.registry import SWEEP_REGISTRY
-    from .scenarios.views import sweep_summary
+    from .scenarios.views import sweep_catalogue
 
+    catalogue = sweep_catalogue()
     if args.json:
-        return _emit_ok([sweep_summary(s) for s in SWEEP_REGISTRY.values()])
-    width = max(len(name) for name in SWEEP_REGISTRY)
-    for name, sweep in SWEEP_REGISTRY.items():
-        axes = " x ".join(f"{axis.path}({len(axis.values)})" for axis in sweep.axes)
+        return _emit_ok(catalogue)
+    width = max(len(entry["name"]) for entry in catalogue)
+    for entry in catalogue:
+        axes = " x ".join(
+            f"{axis['path']}({len(axis['values'])})" for axis in entry["axes"]
+        )
         print(
-            f"{name:<{width}}  {sweep.scenario:<22} "
-            f"{sweep.grid_size:>3} variants  {axes}"
+            f"{entry['name']:<{width}}  {entry['scenario']:<22} "
+            f"{entry['variants']:>3} variants  {axes}"
         )
     return 0
 
 
 def _cmd_sweep_run(args) -> int:
-    from .scenarios.registry import get_sweep
-    from .scenarios.cache import CacheStats, SweepRunStore
-    from .scenarios.sweep import SweepError, run_sweep
+    from .scenarios.views import run_sweep_view
 
-    try:
-        sweep = get_sweep(args.name)
-    except KeyError as error:
-        return _fail(args, "UnknownSweep", str(error.args[0]))
-    options = _run_options(args)
-    cache_dir = options.cache_root
-    cache_enabled = cache_dir is not None
-    started = time.time()  # repro: allow[DET001] -- CLI elapsed timing
-    try:
-        outcome = run_sweep(
-            sweep,
-            scale=options.scale,
-            seed=options.seed,
-            workers=options.workers,
-            cache_dir=cache_dir,
-        )
-    except SweepError as error:
-        return _fail(args, "SweepError", str(error))
-    elapsed = time.time() - started  # repro: allow[DET001] -- CLI elapsed timing
+    outcome, view = run_sweep_view(args.name, _run_options(args))
     failed = len(outcome.failed)
-    run_id = None
-    if cache_enabled:
-        # persist the run's variant tables next to the outcome cache so
-        # `repro sweep compare` can diff this run against the next one.
-        run_id = SweepRunStore(cache_dir).save(outcome)
     if args.json:
-        payload = outcome.as_dict()
-        payload["elapsed_s"] = round(elapsed, 3)
-        if cache_enabled:
-            payload["cache_dir"] = cache_dir
-            payload["run_id"] = run_id
         if failed:
-            _print_envelope(
-                error_envelope(
-                    "VariantFailure",
-                    f"{failed} of {len(outcome.outcomes)} variant(s) failed; "
-                    "surviving variants still carry their tables",
-                    data=payload,
-                )
+            return _emit_error(
+                "VariantFailure",
+                f"{failed} of {len(outcome.outcomes)} variant(s) failed; "
+                "surviving variants still carry their tables",
+                data=view,
+                exit_code=1,
             )
-            return 1
-        return _emit_ok(payload)
+        return _emit_ok(view)
     for variant in outcome.outcomes:
         if variant.ok:
             print(f"=== {variant.name} ({variant.elapsed_s:.1f}s)")
@@ -491,36 +403,27 @@ def _cmd_sweep_run(args) -> int:
     if failed:
         summary += f" ({failed} FAILED)"
     print(
-        f"[{sweep.name}: {summary}, {elapsed:.1f}s "
+        f"[{outcome.sweep.name}: {summary}, {view['elapsed_s']:.1f}s "
         f"wall, workers={outcome.workers}]"
     )
-    if cache_enabled:
-        stats = outcome.cache_stats or CacheStats()
-        print(
-            f"[cache: {stats.hits} hit(s), {stats.misses} miss(es); "
-            f"run {run_id} recorded in {cache_dir}]"
-        )
+    if "run_id" in view:
+        cache = dict(view["cache"] or {"hits": 0, "misses": 0}, dir=view["cache_dir"])
+        _print_cache_line(cache, suffix=f"; run {view['run_id']} recorded")
     return 1 if failed else 0
 
 
 def _cmd_sweep_compare(args) -> int:
     """Diff two persisted runs of one sweep, field by field."""
-    from .scenarios.cache import NoSweepRuns, SweepRunStore, compare_sweep_runs
+    from .scenarios.cache import SweepRunStore, compare_sweep_runs
 
-    cache_dir = resolve_cache_dir(args.cache_dir)
     run_a, run_b = (args.runs or (None, None))
-    try:
-        comparison = compare_sweep_runs(
-            SweepRunStore(cache_dir),
-            args.name,
-            run_a=run_a,
-            run_b=run_b,
-            metric=args.metric,
-        )
-    except NoSweepRuns as error:
-        return _fail(args, "NoSweepRuns", str(error))
-    except KeyError as error:
-        return _fail(args, "UnknownRun", str(error.args[0]))
+    comparison = compare_sweep_runs(
+        SweepRunStore(args.cache_dir),
+        args.name,
+        run_a=run_a,
+        run_b=run_b,
+        metric=args.metric,
+    )
     if args.json:
         return _emit_ok(comparison)
     print(
@@ -549,12 +452,10 @@ def _cmd_sweep_compare(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import UnknownRule, run_lint
+    from .analysis import run_lint
 
     try:
         result = run_lint(paths=args.paths, rules=args.rule)
-    except UnknownRule as error:
-        return _fail(args, "UnknownRule", str(error))
     except (OSError, SyntaxError) as error:
         return _fail(args, "BadPath", str(error))
     if args.json:
@@ -614,6 +515,8 @@ def _cmd_serve(args) -> int:
 
 
 def _client_describe(client, args):
+    if args.sweep:
+        return client.describe_sweep(args.name)
     options = _run_options(args)
     return client.describe_scenario(args.name, scale=options.scale, seed=options.seed)
 
@@ -848,7 +751,9 @@ def build_parser() -> argparse.ArgumentParser:
     client.add_argument("--tenant", default=None, help="X-Tenant header value")
     _add_run_arguments(client)
     client.add_argument(
-        "--sweep", action="store_true", help="submit a registered sweep instead"
+        "--sweep",
+        action="store_true",
+        help="describe or submit a registered sweep instead",
     )
     client.add_argument(
         "--wait",
@@ -864,7 +769,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as error:
+        entry = error_entry(error)
+        if entry is None:
+            raise
+        error_type, _, exit_code = entry
+        return _fail(args, error_type, str(error), exit_code=exit_code)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from ..schema import NotFound
 from . import EXHIBIT_RUNS
 
 if TYPE_CHECKING:
@@ -80,7 +81,7 @@ def resolve_names(names: Optional[Iterable[str]] = None) -> List[str]:
     resolved = list(names)
     unknown = [n for n in resolved if n not in EXHIBIT_RUNS]
     if unknown:
-        raise KeyError(
+        raise NotFound(
             f"unknown exhibits {unknown}; known: {sorted(EXHIBIT_RUNS)}"
         )
     return resolved
@@ -91,8 +92,8 @@ class ExhibitDiff:
     """Outcome of regenerating one exhibit against its committed trace."""
 
     name: str
-    matches: bool
-    committed_exists: bool
+    #: the committed trace (:func:`read_committed`); None when missing.
+    committed: Optional[str]
     regenerated: str
     #: regeneration time of this exhibit (``RunReport.elapsed_s``).
     elapsed_s: float = 0.0
@@ -100,8 +101,12 @@ class ExhibitDiff:
     cache_stats: Optional[CacheStats] = None
 
     @property
+    def matches(self) -> bool:
+        return self.committed == self.regenerated
+
+    @property
     def status(self) -> str:
-        if not self.committed_exists:
+        if self.committed is None:
             return "MISSING"
         return "ok" if self.matches else "DIFF"
 
@@ -154,21 +159,19 @@ def check(
     ``workers``, and a ``cache_dir`` run reports per-exhibit hit/miss
     counters on the diffs without changing a byte.
     """
-    diffs = {}
-    for name, regenerated, elapsed, stats in render_many(
-        names, workers=workers, cache_dir=cache_dir
-    ):
-        path = committed_path(name)
-        committed = None
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8", newline="") as handle:
-                committed = handle.read()
-        diffs[name] = ExhibitDiff(
-            name=name,
-            matches=committed == regenerated,
-            committed_exists=committed is not None,
-            regenerated=regenerated,
-            elapsed_s=elapsed,
-            cache_stats=stats,
+    return {
+        name: ExhibitDiff(name, read_committed(name), regenerated, elapsed, stats)
+        for name, regenerated, elapsed, stats in render_many(
+            names, workers=workers, cache_dir=cache_dir
         )
-    return diffs
+    }
+
+
+def read_committed(name: str) -> Optional[str]:
+    """One exhibit's committed trace bytes, or None when there is none."""
+    path = committed_path(name)
+    if not os.path.exists(path):
+        return None
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        return handle.read()
+

@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..schema import NotFound
 from ..tsdb import Point, TimeSeriesStore
 from .containment import is_failure
 from .options import resolve_cache_dir
@@ -405,7 +406,7 @@ class SweepRunStore:
         directory = self._sweep_dir(sweep_name)
         meta_path = os.path.join(directory, f"{run_id}.meta.json")
         if not os.path.exists(meta_path):
-            raise KeyError(
+            raise NotFound(
                 f"no run {run_id!r} of sweep {sweep_name!r}; "
                 f"known: {self.runs(sweep_name)}"
             )

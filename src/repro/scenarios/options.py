@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..schema import Spec
+from ..schema import Malformed, Spec
 
 #: the largest scale a plan is sized at. Every exhibit, sweep, example
 #: and benchmark runs at scale 1.0 or below, and a plan's size grows
@@ -67,10 +67,10 @@ class RunOptions(Spec):
         return [issue for issue in issues if issue]
 
     def validate(self) -> "RunOptions":
-        """``self``; a ValueError names every bad option."""
+        """``self``; a :class:`Malformed` names every bad option."""
         issues = self.problems()
         if issues:
-            raise ValueError("; ".join(issues))
+            raise Malformed("; ".join(issues))
         return self
 
     @property

@@ -29,6 +29,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..schema import NotFound
 from .result import ExperimentResult
 from .runner import Collector, PlanFn, ScenarioRunner
 from .spec import Scenario
@@ -66,7 +67,7 @@ def get_definition(name: str) -> ScenarioRunner:
         return SCENARIO_REGISTRY[name]
     except KeyError:
         known = ", ".join(SCENARIO_REGISTRY)
-        raise KeyError(f"unknown scenario {name!r}; known: {known}") from None
+        raise NotFound(f"unknown scenario {name!r}; known: {known}") from None
 
 
 def scenario_names(source: Optional[str] = None) -> List[str]:
@@ -110,7 +111,7 @@ def get_sweep(name: str) -> Sweep:
         return SWEEP_REGISTRY[name]
     except KeyError:
         known = ", ".join(SWEEP_REGISTRY)
-        raise KeyError(f"unknown sweep {name!r}; known: {known}") from None
+        raise NotFound(f"unknown sweep {name!r}; known: {known}") from None
 
 
 # The built-in catalogue loads as one chain, in registration order:

@@ -36,7 +36,8 @@ pickles a dataclass as one constructor call on its field values, for
 the outcome records that the outcome cache and the process pool ship
 by the thousand. The module imports nothing but the stdlib, so every
 layer (tune, scenarios, service) can use it while its own classes are
-being defined.
+being defined. For the same reason it holds the two typed errors every
+layer raises: :class:`Malformed` and :class:`NotFound`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 class Malformed(ValueError):
     """A dict form that does not fit its spec; the message names where."""
+
+
+class NotFound(KeyError):
+    """A name that no registry, store or job table holds.
+
+    A ``KeyError``, so ``except KeyError`` still catches it; its
+    ``str()`` is the message itself, not the quoted repr of a bare
+    ``KeyError``."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
 
 
 def unknown_field_message(cls: Type, data: Mapping, where: str) -> Optional[str]:

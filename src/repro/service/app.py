@@ -6,9 +6,11 @@
 :class:`~repro.service.middleware.MiddlewareStack`; the HTTP plumbing
 lives in :mod:`repro.service.server` and tests drive the app directly
 in-process. Every response body is the shared envelope
-(:mod:`repro.service.envelope`), list/describe payloads are the same
-:mod:`repro.scenarios.views` renderings the CLI's ``--json`` emits,
-and job results carry the golden-serializer trace.
+(:mod:`repro.service.envelope`). A handler calls the
+:mod:`repro.scenarios.views` operation the CLI calls, and returns its
+view as a 200's data, or a :class:`Response`; a typed error it raises
+answers with the type and status :data:`~repro.scenarios.views.ERRORS`
+gives it, any other exception with a 500.
 
 The routes (all under ``/v1``) are the table :data:`ROUTES`;
 :func:`routes` lists them for docs and the ``serve`` banner. A path
@@ -21,20 +23,13 @@ from __future__ import annotations
 from typing import List, Optional
 from urllib.parse import unquote
 
+from ..scenarios import views
 from ..scenarios.options import RunOptions
+from ..schema import Malformed
 from .config import ServerConfig
 from .envelope import error_envelope, ok_envelope
-from .jobs import JobManager, JobQueueFull, JobStates
+from .jobs import JobManager, JobStates
 from .middleware import Request, Response
-
-
-def _bad_request(message: str, error_type: str = "BadRequest") -> Response:
-    return Response(400, error_envelope(error_type, message))
-
-
-def _not_found(message: str) -> Response:
-    return Response(404, error_envelope("NotFound", message))
-
 
 #: query parameters a scenario describe reads:
 #: name -> (parse, default, the expectation a 400 names).
@@ -76,100 +71,62 @@ class ServiceApp:
                 elif segment != part:
                     break
             else:
-                return handler(self, request, *params)
-        return _not_found(f"no route for {request.method} {request.path!r}")
+                try:
+                    answer = handler(self, request, *params)
+                except Exception as error:
+                    entry = views.error_entry(error)
+                    if entry is None:
+                        raise
+                    error_type, status, _ = entry
+                    return Response(status, error_envelope(error_type, str(error)))
+                if isinstance(answer, Response):
+                    return answer
+                return Response(200, ok_envelope(answer))
+        message = f"no route for {request.method} {request.path!r}"
+        return Response(404, error_envelope("NotFound", message))
 
     # -- handlers -----------------------------------------------------------
     # The scenario layer loads on the first request that needs it, not at
-    # start-up. A handler reaches the catalogue through the registry
-    # module only: the catalogue modules import one another, and threads
-    # that all enter that cycle at the registry wait on its lock instead
-    # of deadlocking the import system.
-    def _health(self, request: Request) -> Response:
+    # start-up: each operation imports it when it runs.
+    def _health(self, request: Request):
         """liveness + job counts (finished ones: every one ever served)"""
-        counts = self.manager.counts()
-        return Response(
-            200,
-            ok_envelope(
-                {
-                    "status": "ok",
-                    "jobs": counts,
-                    "queue": self.config.queue.as_dict(),
-                    "middleware": [m.kind for m in self.stack.middlewares],
-                }
-            ),
-        )
+        return {
+            "status": "ok",
+            "jobs": self.manager.counts(),
+            "queue": self.config.queue.as_dict(),
+            "middleware": [m.kind for m in self.stack.middlewares],
+        }
 
-    def _list_scenarios(self, request: Request) -> Response:
+    def _list_scenarios(self, request: Request):
         """catalogue (scenario_summary)"""
-        from ..scenarios.registry import SCENARIO_REGISTRY
-        from ..scenarios.views import scenario_summary
+        return views.scenario_catalogue()
 
-        summaries = [scenario_summary(runner) for runner in SCENARIO_REGISTRY.values()]
-        return Response(200, ok_envelope(summaries))
-
-    def _list_sweeps(self, request: Request) -> Response:
+    def _list_sweeps(self, request: Request):
         """sweep catalogue"""
-        from ..scenarios.registry import SWEEP_REGISTRY
-        from ..scenarios.views import sweep_summary
+        return views.sweep_catalogue()
 
-        summaries = [sweep_summary(sweep) for sweep in SWEEP_REGISTRY.values()]
-        return Response(200, ok_envelope(summaries))
-
-    def _describe_scenario(self, request: Request, name: str) -> Response:
+    def _describe_scenario(self, request: Request, name: str):
         """declaration + resolved plan"""
-        from ..scenarios.registry import get_definition
-        from ..scenarios.spec import ScenarioError
-        from ..scenarios.views import scenario_describe_payload
-
-        try:
-            runner = get_definition(name)
-        except KeyError as error:
-            return _not_found(str(error.args[0]))
         values = {}
         for key, (parse, default, expected) in _DESCRIBE_QUERY.items():
             raw = request.query.get(key, default)
             try:
                 values[key] = parse(raw)
             except ValueError:
-                return _bad_request(
+                raise Malformed(
                     f"bad query parameter: {key} must be {expected}, got {raw!r}"
-                )
-        try:
-            payload = scenario_describe_payload(runner, **values)
-        except ScenarioError as error:
-            return _bad_request(str(error), error_type="ScenarioError")
-        return Response(200, ok_envelope(payload))
+                ) from None
+        return views.describe_scenario(name, **values)
 
-    def _describe_sweep(self, request: Request, name: str) -> Response:
+    def _describe_sweep(self, request: Request, name: str):
         """full sweep declaration"""
-        from ..scenarios.registry import get_sweep
-        from ..scenarios.views import sweep_summary
-
-        try:
-            sweep = get_sweep(name)
-        except KeyError as error:
-            return _not_found(str(error.args[0]))
-        payload = sweep_summary(sweep)
-        payload["sweep"] = sweep.as_dict()
-        return Response(200, ok_envelope(payload))
+        return views.describe_sweep(name)
 
     def _submit(self, submit, request: Request, body, **target) -> Response:
         """Decode ``body`` as :class:`RunOptions` and enqueue ``target``
         with them; every bad field is a 400 that names it."""
-        from ..scenarios.spec import ScenarioError
-
-        try:
-            options = RunOptions.from_dict(body)
-            job = submit(tenant=request.tenant, **target, **options.as_dict())
-        except JobQueueFull as error:
-            return Response(503, error_envelope("JobQueueFull", str(error)))
-        except KeyError as error:
-            return _not_found(str(error.args[0]))
-        except ScenarioError as error:
-            return _bad_request(str(error), error_type="ScenarioError")
-        except (TypeError, ValueError) as error:
-            return _bad_request(str(error))
+        options = RunOptions.from_dict(body)
+        job = submit(tenant=request.tenant, **target, **options.as_dict())
         return Response(202, ok_envelope(job.as_dict()))
 
     def _submit_scenario(self, request: Request, name: str) -> Response:
@@ -181,7 +138,7 @@ class ServiceApp:
         """submit an inline Scenario dict"""
         body = request.body
         if not isinstance(body, dict) or "scenario" not in body:
-            return _bad_request(
+            raise Malformed(
                 'inline submission needs a "scenario" object '
                 "(a Scenario.from_dict payload)"
             )
@@ -196,25 +153,17 @@ class ServiceApp:
         submit = self.manager.submit_sweep
         return self._submit(submit, request, request.body, name=name)
 
-    def _list_jobs(self, request: Request) -> Response:
+    def _list_jobs(self, request: Request):
         """all jobs, submission order"""
-        views = [job.as_dict() for job in self.manager.jobs()]
-        return Response(200, ok_envelope(views))
+        return [job.as_dict() for job in self.manager.jobs()]
 
-    def _job_status(self, request: Request, job_id: str) -> Response:
+    def _job_status(self, request: Request, job_id: str):
         """one job's status view"""
-        try:
-            job = self.manager.get(job_id)
-        except KeyError as error:
-            return _not_found(str(error.args[0]))
-        return Response(200, ok_envelope(job.as_dict()))
+        return self.manager.get(job_id).as_dict()
 
-    def _job_result(self, request: Request, job_id: str) -> Response:
+    def _job_result(self, request: Request, job_id: str):
         """result + trace (409 until done)"""
-        try:
-            job = self.manager.get(job_id)
-        except KeyError as error:
-            return _not_found(str(error.args[0]))
+        job = self.manager.get(job_id)
         if not job.finished:
             return Response(
                 409,
@@ -234,15 +183,11 @@ class ServiceApp:
                     job.error["type"], job.error["message"], data=data
                 ),
             )
-        return Response(200, ok_envelope(data))
+        return data
 
     def _job_cancel(self, request: Request, job_id: str) -> Response:
         """cooperative cancellation"""
-        try:
-            job = self.manager.cancel(job_id)
-        except KeyError as error:
-            return _not_found(str(error.args[0]))
-        return Response(202, ok_envelope(job.as_dict()))
+        return Response(202, ok_envelope(self.manager.cancel(job_id).as_dict()))
 
 
 #: The API: (method, path pattern, handler). A ``{...}`` segment matches

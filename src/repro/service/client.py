@@ -115,6 +115,9 @@ class ServiceClient:
     def sweeps(self) -> List[Dict]:
         return self._call("GET", "/v1/sweeps")
 
+    def describe_sweep(self, name: str) -> Dict:
+        return self._call("GET", f"/v1/sweeps/{_segment(name)}")
+
     # -- submission ---------------------------------------------------------
     # ``options`` are RunOptions fields; the body carries the ones that
     # differ from their defaults.

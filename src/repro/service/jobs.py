@@ -25,15 +25,16 @@ The manager keeps the :data:`MAX_FINISHED_JOBS` most recently
 finished jobs; an older job's id answers the typed 404, as an unknown
 one does. Queued and running jobs are never dropped.
 
-Job views are race-free: :meth:`Job.as_dict` and
-:meth:`Job.elapsed_s` snapshot the mutable fields under the manager's
-lock, so a status poll can never observe e.g. ``running`` with a
-non-null ``finished_at``.
+Job views are race-free: :meth:`Job.as_dict` snapshots the mutable
+fields under the manager's lock, so a status poll can never observe
+e.g. ``running`` with a non-null ``finished_at``.
 
-Results are rendered through the golden serializer
-(:func:`repro.experiments.golden.render_result`), so the ``trace`` a
-job reports is byte-identical to ``repro scenario run --check``'s
-rendering of the same (scenario, scale, seed).
+A job runs the same operation as the CLI
+(:func:`repro.scenarios.views.run_scenario_view` or
+:func:`~repro.scenarios.views.run_sweep_view`), so the ``trace`` a job
+reports is byte-identical to ``repro scenario run --check``'s
+rendering of the same (scenario, scale, seed), and a cached sweep job
+records its run for ``repro sweep compare``.
 """
 
 from __future__ import annotations
@@ -44,14 +45,12 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
+from ..scenarios import views
 from ..scenarios.options import RunOptions
-from ..scenarios.views import failure_view, jsonify
+from ..schema import NotFound
 from .config import QueueConfig
-
-if TYPE_CHECKING:
-    from ..scenarios.cache import CacheStats
 
 #: finished (done, failed or cancelled) jobs the manager keeps; each
 #: holds its result and trace, so an unbounded history grows a
@@ -100,19 +99,19 @@ class Job:
     #: structured error when the job itself failed.
     error: Optional[Dict] = None
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: chain-cache counters, filled in after a cached run.
-    cache_stats: Optional[CacheStats] = None
+    #: the run view's cache block; its hits and misses are filled in
+    #: after a cached run.
+    cache: Dict = field(init=False)
     #: guards every mutable field; the manager swaps in its own lock
     #: at enqueue time so views and lifecycle commits serialise.
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
+    def __post_init__(self):
+        self.cache = views.cache_view(self.options)
+
     @property
     def finished(self) -> bool:
         return self.status in JobStates.TERMINAL
-
-    def elapsed_s(self) -> Optional[float]:
-        with self.lock:
-            return self._elapsed_locked()
 
     def _elapsed_locked(self) -> Optional[float]:
         if self.started_at is None:
@@ -144,12 +143,7 @@ class Job:
                 "elapsed_s": self._elapsed_locked(),
                 "failure_count": len(self.failures),
                 "error": self.error,
-                "cache": {
-                    "enabled": self.options.cache_root is not None,
-                    "dir": self.options.cache_dir,
-                    "hits": self.cache_stats and self.cache_stats.hits,
-                    "misses": self.cache_stats and self.cache_stats.misses,
-                },
+                "cache": dict(self.cache),
             }
             if include_result:
                 data["result"] = self.result
@@ -199,24 +193,15 @@ class JobManager:
         :class:`RunOptions` fields. Bad payloads raise here
         (synchronously, so the API can answer 400/404), never inside a
         worker."""
-        from ..scenarios.registry import get_definition
-        from ..scenarios.spec import Scenario
-
         run = RunOptions(**options).validate()
         if (name is None) == (scenario is None):
             raise ValueError("submit exactly one of: scenario name, inline payload")
-        if name is not None:
-            get_definition(name)  # raises KeyError on unknown names
-            job_name = name
-        else:
-            parsed = Scenario.from_dict(scenario)  # raises on bad payloads
-            parsed.validate()
-            job_name = parsed.name
+        runner = views.scenario_runner(name, scenario)  # raises on bad names
         return self._enqueue(
             Job(
                 id=self._next_id(),
                 kind="scenario",
-                name=job_name,
+                name=runner.scenario.name,
                 tenant=tenant,
                 options=run,
                 scenario=dict(scenario) if scenario is not None else None,
@@ -229,7 +214,7 @@ class JobManager:
         from ..scenarios.registry import get_sweep
 
         run = RunOptions(**options).validate()
-        get_sweep(name)  # raises KeyError on unknown names
+        get_sweep(name)  # raises NotFound on unknown names
         return self._enqueue(
             Job(id=self._next_id(), kind="sweep", name=name, tenant=tenant, options=run)
         )
@@ -262,7 +247,7 @@ class JobManager:
         try:
             return self._jobs[job_id]
         except KeyError:
-            raise KeyError(f"unknown job {job_id!r}") from None
+            raise NotFound(f"unknown job {job_id!r}") from None
 
     def jobs(self) -> List[Job]:
         """Every kept job, in submission order."""
@@ -375,48 +360,24 @@ class JobManager:
     def _run_scenario_job(self, job: Job) -> bool:
         """Run one scenario job; returns True iff cancellation was
         observed (at least one step/chain was skipped because of it)."""
-        from ..experiments.golden import render_result
-        from ..scenarios.registry import get_definition
-        from ..scenarios.backends import backend_for
-        from ..scenarios.merge import run_reports
-        from ..scenarios.runner import ScenarioRunner
-        from ..scenarios.spec import Scenario
-
-        if job.scenario is not None:
-            runner = ScenarioRunner(Scenario.from_dict(job.scenario))
-        else:
-            runner = get_definition(job.name)
-        options = job.options
-        plan = runner.plan(scale=options.scale, seed=options.seed)
-        runner.validate(plan)
-        backend = backend_for(
-            options.workers,
-            cache_dir=options.cache_root,
-            contain=True,
+        view = views.run_scenario_view(
+            job.options,
+            name=job.name if job.scenario is None else None,
+            scenario=job.scenario,
             stop=job.cancel_event.is_set,
         )
-        (report,) = run_reports(backend, [(runner, plan)])
-        result = report.unwrap()
         with self._lock:
-            job.failures = [failure_view(failure) for failure in report.failures]
-            job.result = jsonify(result.as_dict())
-            job.trace = render_result(result)
-            job.cache_stats = report.cache_stats
-        return report.cancelled
+            job.failures = view["failures"]
+            job.result = view["result"]
+            job.trace = view["trace"]
+            job.cache = view["cache"]
+        return any(f["error_type"] == "JobCancelled" for f in job.failures)
 
     def _run_sweep_job(self, job: Job) -> bool:
         """Run one sweep job; returns True iff cancellation was
         observed (some variant's chains were skipped because of it)."""
-        from ..scenarios.sweep import run_sweep  # submit_sweep loaded the catalogue
-
-        options = job.options
-        outcome = run_sweep(
-            job.name,
-            scale=options.scale,
-            seed=options.seed,
-            workers=options.workers,
-            cache_dir=options.cache_root,
-            stop=job.cancel_event.is_set,
+        outcome, view = views.run_sweep_view(
+            job.name, job.options, stop=job.cancel_event.is_set
         )
         failures = [
             {
@@ -427,7 +388,7 @@ class JobManager:
             for failed in outcome.failed
         ]
         with self._lock:
-            job.result = jsonify(outcome.as_dict())
+            job.result = view
             job.failures = failures
-            job.cache_stats = outcome.cache_stats
-        return any(failed.error_type == "JobCancelled" for failed in outcome.failed)
+            job.cache = views.cache_view(job.options, outcome.cache_stats)
+        return any(f["error_type"] == "JobCancelled" for f in failures)

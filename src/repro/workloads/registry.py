@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..schema import NotFound
 from .spec import WorkloadSpec
 
 LENET_MNIST = WorkloadSpec(
@@ -217,7 +218,7 @@ def get_workload(name: str) -> WorkloadSpec:
         return _BY_NAME[name]
     except KeyError:
         known = ", ".join(sorted(_BY_NAME))
-        raise KeyError(f"unknown workload {name!r}; known: {known}") from None
+        raise NotFound(f"unknown workload {name!r}; known: {known}") from None
 
 
 def workloads_of_type(workload_type: str) -> List[WorkloadSpec]:

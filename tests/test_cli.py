@@ -314,7 +314,7 @@ class TestEnvelope:
         assert main(["scenario", "run", "fig99", "--json"]) == 2
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["ok"] is False
-        assert envelope["error"]["type"] == "UnknownScenario"
+        assert envelope["error"]["type"] == "NotFound"
         assert "fig99" in envelope["error"]["message"]
 
     @pytest.mark.parametrize("command", ["describe", "run"])
@@ -340,7 +340,7 @@ class TestEnvelope:
         assert main(["sweep", "run", "nope", "--json"]) == 2
         envelope = json.loads(capsys.readouterr().out)
         assert envelope["ok"] is False
-        assert envelope["error"]["type"] == "UnknownSweep"
+        assert envelope["error"]["type"] == "NotFound"
 
     def test_scenario_run_json_reports_chain_failures(self, capsys):
         # satellite fix: a plan containing failing steps must surface
@@ -391,7 +391,7 @@ class TestLint:
         assert envelope["ok"] is True
         assert envelope["error"] is None
         assert envelope["data"]["findings"] == []
-        assert envelope["data"]["suppressed"] >= 11
+        assert envelope["data"]["suppressed"] >= 7
 
     def test_lint_unknown_rule_typed_error(self, capsys):
         assert main(["lint", "--rule", "BOGUS", "--json"]) == 2

@@ -162,6 +162,18 @@ class TestQuotedNames:
         assert envelope["error"]["type"] == "NotFound"
         assert "'job 1'" in envelope["error"]["message"]
 
+    def test_client_describe_sweep(self, service, capsys):
+        url, _ = service
+        argv = ["client", "describe", "cluster-size", "--sweep", "--url", url]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["name"] == "cluster-size"
+        assert data["sweep"]["scenario"] == "fig09"
+        assert main(["client", "describe", "no sweep", "--sweep", "--url", url]) == 2
+        envelope = json.loads(capsys.readouterr().out)
+        assert envelope["error"]["type"] == "NotFound"
+        assert "'no sweep'" in envelope["error"]["message"]
+
 
 class _Html(BaseHTTPRequestHandler):
     def do_GET(self):

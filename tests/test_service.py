@@ -136,6 +136,36 @@ class TestCatalogue:
         names = [entry["name"] for entry in client.sweeps()]
         assert "arrival-rate" in names and "cluster-size" in names
 
+    def test_describe_sweep(self, service):
+        _, client = service
+        payload = client.describe_sweep("cluster-size")
+        assert payload["name"] == "cluster-size"
+        assert payload["sweep"]["axes"][0]["path"] == "cluster.nodes"
+        with pytest.raises(ServiceError) as excinfo:
+            client.describe_sweep("nope")
+        assert excinfo.value.status == 404
+        assert excinfo.value.error_type == "NotFound"
+
+    def test_a_bare_key_error_is_a_500_and_a_cli_traceback(self, monkeypatch):
+        # NotFound is a KeyError; a KeyError from a bug is not NotFound.
+        from repro.cli import main
+        from repro.scenarios import views
+        from repro.service.middleware import Request
+
+        def broken():
+            raise KeyError("bug")
+
+        monkeypatch.setattr(views, "scenario_catalogue", broken)
+        app = ServiceApp(quiet_config())
+        try:
+            response = app.handle(Request("GET", "/v1/scenarios"))
+        finally:
+            app.close()
+        assert response.status == 500
+        assert response.payload["error"]["type"] == "KeyError"
+        with pytest.raises(KeyError, match="bug"):
+            main(["scenario", "list", "--json"])
+
     def test_unknown_routes_and_names_are_404(self, service):
         _, client = service
         with pytest.raises(ServiceError) as excinfo:
@@ -145,6 +175,45 @@ class TestCatalogue:
         with pytest.raises(ServiceError) as excinfo:
             client._call("GET", "/nope")
         assert excinfo.value.status == 404
+
+
+class TestRouteCoverage:
+    def test_every_route_is_reached_by_exactly_one_client_method(self):
+        import inspect
+
+        from repro.service.app import ROUTES
+
+        class Recorder(ServiceClient):
+            def _call(self, method, path, body=None, query=None):
+                self.requests.append((method, path))
+                return {}
+
+        def routes_of(method, path):
+            parts = path.split("/")
+            for verb, pattern, _ in ROUTES:
+                segments = pattern.split("/")
+                if verb == method and len(segments) == len(parts):
+                    if all(s.startswith("{") or s == p for s, p in zip(segments, parts)):
+                        yield verb, pattern
+
+        reached = {}
+        for name, method in inspect.getmembers(ServiceClient, inspect.isfunction):
+            if name.startswith("_") or name == "wait":  # wait polls job()
+                continue
+            client = Recorder("http://127.0.0.1:9")
+            client.requests = []
+            required = [
+                parameter.name
+                for parameter in inspect.signature(method).parameters.values()
+                if parameter.default is inspect.Parameter.empty
+                and parameter.kind is parameter.POSITIONAL_OR_KEYWORD
+            ][1:]
+            method(client, *({} if p == "scenario" else "x" for p in required))
+            (request,) = client.requests
+            (route,) = routes_of(*request)
+            reached.setdefault(route, []).append(name)
+        assert set(reached) == {(verb, pattern) for verb, pattern, _ in ROUTES}
+        assert all(len(names) == 1 for names in reached.values()), reached
 
 
 class TestGoldenOverHttp:
@@ -353,6 +422,30 @@ class TestJobLifecycle:
         with pytest.raises(ServiceError) as excinfo:
             client.submit_inline({"name": "bad", "oops": 1})
         assert excinfo.value.status == 400
+
+    def test_cache_true_reports_the_resolved_cache_dir(self, tmp_path, monkeypatch):
+        # {"cache": true} runs under $REPRO_CACHE_DIR; the job view says
+        # where, as the CLI's run view does, instead of null.
+        from repro.service.middleware import Request
+
+        cache = str(tmp_path / "env-cache")
+        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
+        app = ServiceApp(quiet_config())
+        try:
+            with held_scenario("service-env-cache") as (name, release):
+                response = app.handle(
+                    Request("POST", f"/v1/scenarios/{name}/runs", body={"cache": True})
+                )
+                assert response.status == 202
+                view = response.payload["data"]
+                expected = {"enabled": True, "dir": cache, "hits": None, "misses": None}
+                assert view["cache"] == expected
+                release.set()
+                job = app.manager.wait(view["id"], timeout_s=60)
+                assert job.status == JobStates.DONE
+                assert job.as_dict()["cache"] == dict(expected, hits=0, misses=1)
+        finally:
+            app.close()
 
     def test_jobs_listing_in_submission_order(self, service):
         _, client = service
@@ -600,6 +693,54 @@ class TestSweepJobs:
         with pytest.raises(ServiceError) as excinfo:
             client.submit_sweep("nope")
         assert excinfo.value.status == 404
+
+    def test_cached_sweep_jobs_are_recorded_for_compare(self, service, tmp_path):
+        # a cached sweep job saves its run, as `repro sweep run --cache`
+        # does, so `sweep compare` finds the daemon's runs.
+        from repro.scenarios.cache import SweepRunStore, compare_sweep_runs
+
+        _, client = service
+        cache = str(tmp_path / "cache")
+        for _ in range(2):
+            job = client.submit_sweep("cluster-size", scale=0.3, cache_dir=cache)
+            assert client.wait(job["id"], timeout_s=600)["status"] == JobStates.DONE
+        result = client.result(job["id"])["result"]
+        store = SweepRunStore(cache)
+        assert store.runs("cluster-size")[-1] == result["run_id"]
+        assert result["cache_dir"] == cache
+        comparison = compare_sweep_runs(store, "cluster-size")
+        assert comparison["run_b"] == result["run_id"]
+        assert comparison["identical"] is True
+
+    def test_cli_and_http_give_the_same_sweep_view(self, service, tmp_path, capsys):
+        # a cold cached run on each surface, each into its own cache:
+        # the CLI's --json data is the job's result field for field.
+        # elapsed_s and the wall-clock run_id are the only fields that
+        # may differ.
+        from repro.cli import main
+
+        def normal(data, cache):
+            if isinstance(data, dict):
+                return {
+                    key: normal(value, cache)
+                    for key, value in data.items()
+                    if key not in ("elapsed_s", "run_id")
+                }
+            if isinstance(data, list):
+                return [normal(value, cache) for value in data]
+            return "<cache>" if data == cache else data
+
+        _, client = service
+        cli_cache, http_cache = str(tmp_path / "cli"), str(tmp_path / "http")
+        argv = ["sweep", "run", "cluster-size", "--scale", "0.3", "--json"]
+        assert main(argv + ["--cache-dir", cli_cache]) == 0
+        cli_view = json.loads(capsys.readouterr().out)["data"]
+        job = client.submit_sweep("cluster-size", scale=0.3, cache_dir=http_cache)
+        client.wait(job["id"], timeout_s=600)
+        http_view = client.result(job["id"])["result"]
+        assert http_view.keys() == cli_view.keys()
+        assert normal(http_view, http_cache) == normal(cli_view, cli_cache)
+        assert http_view["cache"] == {"hits": 0, "misses": 9}
 
 
 #: flag directory for the pooled-cancel regression test; process
