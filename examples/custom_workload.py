@@ -6,8 +6,8 @@ Shows the pieces a downstream user combines:
 * defining a new :class:`WorkloadSpec` (a ResNet-ish image model on a
   CIFAR-like dataset) with its cost/accuracy coefficients;
 * building a custom hyperparameter search space;
-* comparing search algorithms (random, Bayesian, genetic, HyperBand)
-  on the same tuning job;
+* comparing search algorithms (random, ASHA, HyperBand) on the same
+  tuning job;
 * running everything under PipeTune's pipelined system tuning.
 
 Usage::
@@ -17,13 +17,8 @@ Usage::
 
 import sys
 
-from repro import (
-    BayesianOptimisation,
-    GeneticSearch,
-    HyperBand,
-    RandomSearch,
-    WorkloadSpec,
-)
+from repro import HyperBand, RandomSearch, WorkloadSpec
+from repro.hpo import Asha
 from repro.hpo.space import Choice, LogUniform, SearchSpace, Uniform
 from repro.scenarios import PAPER_DISTRIBUTED_CLUSTER, execute_job, session_for_cluster
 
@@ -65,11 +60,10 @@ def main(seed: int = 0) -> None:
     # truth; later algorithms reuse it.
     algorithms = {
         "random": lambda: RandomSearch(SPACE, num_samples=16, seed=seed),
-        "bayesian": lambda: BayesianOptimisation(SPACE, num_samples=16, seed=seed),
-        "genetic": lambda: GeneticSearch(SPACE, population=8, generations=2, seed=seed),
+        "asha": lambda: Asha(SPACE, max_epochs=9, eta=3, num_samples=16, seed=seed),
         "hyperband": lambda: HyperBand(SPACE, max_epochs=9, eta=3, seed=seed),
     }
-    print(f"Tuning custom workload {RESNET_CIFAR.name!r} with 4 algorithms\n")
+    print(f"Tuning custom workload {RESNET_CIFAR.name!r} with 3 algorithms\n")
     header = f"{'algorithm':<10} {'accuracy':>9} {'tuning[s]':>10} {'trials':>7}"
     print(header)
     print("-" * len(header))

@@ -72,11 +72,7 @@ __all__ = lazy_exports(
             "run_scenario",
         ),
         ".hpo": (
-            "BayesianOptimisation",
-            "GeneticSearch",
-            "GridSearch",
             "HyperBand",
-            "PopulationBasedTraining",
             "RandomSearch",
             "SearchSpace",
             "joint_space",

@@ -67,13 +67,6 @@ def write_trace(name: str, content: str, results_dir: Optional[str] = None) -> s
     return path
 
 
-def render(name: str, cache_dir: Optional[str] = None) -> str:
-    """Regenerate one exhibit at its canonical (scale, seed) -> bytes,
-    serially; ``cache_dir`` memoizes chain outcomes on disk — same
-    bytes, cold or warm."""
-    return render_many([name], cache_dir=cache_dir)[0][1]
-
-
 def resolve_names(names: Optional[Iterable[str]] = None) -> List[str]:
     """Validate/expand a user-supplied exhibit subset (None = all)."""
     if names is None:
@@ -118,15 +111,14 @@ def render_many(
 ) -> List[Tuple[str, str, float, Optional[CacheStats]]]:
     """Render exhibits -> [(name, bytes, seconds, CacheStats-or-None)].
 
-    The one fan-out behind :func:`render`, :func:`check` and the
-    operator script, in ``names`` order: every exhibit is planned at
-    its canonical (scale, seed), all of their chains run through one
-    backend (``workers > 1`` spreads them over one process pool,
-    ``cache_dir`` recalls and stores them in the outcome cache — the
-    determinism contract extends to hits), and each exhibit is
-    collected as soon as its last chain is back
-    (:func:`~repro.scenarios.merge.run_reports`). A raising step
-    escapes. Seconds are each exhibit's ``RunReport.elapsed_s``.
+    The one fan-out behind :func:`check` and the operator script, in
+    ``names`` order: every exhibit is planned at its canonical (scale,
+    seed), all of their chains run through one backend (``workers > 1``
+    spreads them over one process pool, ``cache_dir`` recalls and
+    stores them in the outcome cache — the determinism contract
+    extends to hits), and each exhibit is collected as soon as its last
+    chain is back (:func:`~repro.scenarios.merge.run_reports`). A
+    raising step escapes. Seconds are each exhibit's ``RunReport.elapsed_s``.
     """
     from ..scenarios.registry import get_definition
     from ..scenarios.backends import backend_for

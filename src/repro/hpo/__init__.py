@@ -7,20 +7,12 @@ __all__ = lazy_exports(
     {
         ".asha": ("Asha",),
         ".algorithms": (
-            "GridSearch",
             "Observation",
             "RandomSearch",
             "SearchAlgorithm",
             "Suggestion",
         ),
-        ".bayesian": (
-            "BayesianOptimisation",
-            "GaussianProcess",
-            "expected_improvement",
-        ),
-        ".genetic": ("GeneticSearch",),
         ".hyperband": ("HyperBand",),
-        ".pbt": ("PopulationBasedTraining",),
         ".space": (
             "Choice",
             "Domain",

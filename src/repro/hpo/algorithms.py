@@ -1,4 +1,4 @@
-"""Search-algorithm interface plus grid and random search.
+"""Search-algorithm interface plus random search.
 
 All algorithms in this package implement the same narrow-waist
 interface (mirroring Tune's scheduler/search split, §2):
@@ -15,7 +15,7 @@ Scores are always *maximised*; the objective functions live in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..workloads.spec import rng_for
@@ -27,7 +27,7 @@ class Suggestion:
     """One unit of work for the trial runner.
 
     ``start_epoch`` > 0 means: resume the trial from a checkpoint
-    (earlier rung of HyperBand / earlier PBT segment) and train until
+    (an earlier rung of HyperBand or ASHA) and train until
     ``target_epochs``.
     """
 
@@ -44,15 +44,12 @@ class Suggestion:
 
 @dataclass
 class Observation:
-    """Feedback for one completed suggestion."""
+    """Feedback for one completed suggestion: its score and the
+    cumulative epochs its checkpoint holds."""
 
     trial_id: str
-    params: Dict
     score: float
-    accuracy: float
-    training_time_s: float
     epochs_run: int
-    extra: Dict = field(default_factory=dict)
 
 
 class SearchAlgorithm:
@@ -62,7 +59,6 @@ class SearchAlgorithm:
         self.space = space
         self.seed = seed
         self._rng = rng_for("hpo-search", seed)
-        self._observations: List[Observation] = []
         self._pending: Dict[str, Suggestion] = {}
         self._ids = itertools.count()
 
@@ -86,59 +82,10 @@ class SearchAlgorithm:
         if observation.trial_id not in self._pending:
             raise KeyError(f"unknown/finished trial {observation.trial_id!r}")
         del self._pending[observation.trial_id]
-        self._observations.append(observation)
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-
-class GridSearch(SearchAlgorithm):
-    """Exhaustive cartesian search (the naive baseline of Fig 1)."""
-
-    def __init__(
-        self,
-        space: SearchSpace,
-        points_per_dim: int = 3,
-        epochs: int = 10,
-        seed: int = 0,
-    ):
-        super().__init__(space, seed=seed)
-        if "epochs" in space:
-            # the epochs axis of the grid drives the trial length
-            self._configs = space.grid(points_per_dim)
-            self._epochs_from_config = True
-        else:
-            self._configs = space.grid(points_per_dim)
-            self._epochs_from_config = False
-        self._default_epochs = epochs
-        self._cursor = 0
-
-    def next_batch(self) -> List[Suggestion]:
-        batch = []
-        while self._cursor < len(self._configs):
-            config = self._configs[self._cursor]
-            self._cursor += 1
-            epochs = (
-                int(config["epochs"])
-                if self._epochs_from_config
-                else self._default_epochs
-            )
-            batch.append(
-                self._issue(
-                    Suggestion(
-                        trial_id=self._new_id("grid"),
-                        params=dict(config),
-                        target_epochs=epochs,
-                        tag="grid",
-                    )
-                )
-            )
-        return batch
-
-    @property
-    def done(self) -> bool:
-        return self._cursor >= len(self._configs) and not self._pending
 
 
 class RandomSearch(SearchAlgorithm):

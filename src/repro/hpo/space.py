@@ -1,15 +1,15 @@
 """Search-space definition for hyper- and system-parameter tuning.
 
 A :class:`SearchSpace` maps parameter names to :class:`Domain` objects.
-Domains know how to sample uniformly, enumerate grid points, clip and
-normalise values — everything the search algorithms in this package
-need, for both continuous and categorical parameters.
+Domains sample uniformly and test membership, for both continuous and
+categorical parameters; sampling is all the search algorithms in this
+package need.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -22,20 +22,7 @@ class Domain:
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def grid(self, points: int) -> List:
-        raise NotImplementedError
-
     def contains(self, value) -> bool:
-        raise NotImplementedError
-
-    def clip(self, value):
-        raise NotImplementedError
-
-    def normalise(self, value) -> float:
-        """Map a value into [0, 1] (for GP kernels / GA crossover)."""
-        raise NotImplementedError
-
-    def denormalise(self, unit: float):
         raise NotImplementedError
 
 
@@ -51,24 +38,8 @@ class Uniform(Domain):
     def sample(self, rng):
         return float(rng.uniform(self.low, self.high))
 
-    def grid(self, points):
-        if points < 1:
-            raise ValueError("grid needs >= 1 point")
-        if points == 1:
-            return [(self.low + self.high) / 2.0]
-        return list(np.linspace(self.low, self.high, points))
-
     def contains(self, value):
         return self.low <= value <= self.high
-
-    def clip(self, value):
-        return min(self.high, max(self.low, float(value)))
-
-    def normalise(self, value):
-        return (self.clip(value) - self.low) / (self.high - self.low)
-
-    def denormalise(self, unit):
-        return self.low + (self.high - self.low) * min(1.0, max(0.0, unit))
 
     def __repr__(self):
         return f"Uniform({self.low}, {self.high})"
@@ -88,27 +59,8 @@ class LogUniform(Domain):
     def sample(self, rng):
         return float(10.0 ** rng.uniform(self._log_low, self._log_high))
 
-    def grid(self, points):
-        if points < 1:
-            raise ValueError("grid needs >= 1 point")
-        if points == 1:
-            return [10.0 ** ((self._log_low + self._log_high) / 2.0)]
-        return [10.0**x for x in np.linspace(self._log_low, self._log_high, points)]
-
     def contains(self, value):
         return self.low <= value <= self.high
-
-    def clip(self, value):
-        return min(self.high, max(self.low, float(value)))
-
-    def normalise(self, value):
-        return (math.log10(self.clip(value)) - self._log_low) / (
-            self._log_high - self._log_low
-        )
-
-    def denormalise(self, unit):
-        unit = min(1.0, max(0.0, unit))
-        return 10.0 ** (self._log_low + (self._log_high - self._log_low) * unit)
 
     def __repr__(self):
         return f"LogUniform({self.low}, {self.high})"
@@ -126,36 +78,8 @@ class Choice(Domain):
     def sample(self, rng):
         return self.values[int(rng.integers(0, len(self.values)))]
 
-    def grid(self, points):
-        if points >= len(self.values):
-            return list(self.values)
-        idx = np.linspace(0, len(self.values) - 1, points).round().astype(int)
-        return [self.values[i] for i in sorted(set(idx.tolist()))]
-
     def contains(self, value):
         return value in self.values
-
-    def clip(self, value):
-        if value in self.values:
-            return value
-        # Nearest by rank for numeric choices, first value otherwise.
-        try:
-            return min(self.values, key=lambda v: abs(v - value))
-        except TypeError:
-            return self.values[0]
-
-    def normalise(self, value):
-        try:
-            index = self.values.index(value)
-        except ValueError:
-            index = self.values.index(self.clip(value))
-        if len(self.values) == 1:
-            return 0.0
-        return index / (len(self.values) - 1)
-
-    def denormalise(self, unit):
-        unit = min(1.0, max(0.0, unit))
-        return self.values[int(round(unit * (len(self.values) - 1)))]
 
     def __repr__(self):
         return f"Choice({self.values!r})"
@@ -186,40 +110,6 @@ class SearchSpace:
 
     def sample(self, rng: np.random.Generator) -> Dict:
         return {name: dom.sample(rng) for name, dom in self.domains.items()}
-
-    def grid(self, points_per_dim: int) -> List[Dict]:
-        """Full cartesian grid with up to ``points_per_dim`` per axis."""
-        axes = [(name, dom.grid(points_per_dim)) for name, dom in self.domains.items()]
-        configs: List[Dict] = [{}]
-        for name, values in axes:
-            configs = [dict(c, **{name: v}) for c in configs for v in values]
-        return configs
-
-    def grid_size(self, points_per_dim: int) -> int:
-        size = 1
-        for dom in self.domains.values():
-            size *= len(dom.grid(points_per_dim))
-        return size
-
-    def clip(self, config: Mapping) -> Dict:
-        return {
-            name: dom.clip(config[name]) if name in config else dom.grid(1)[0]
-            for name, dom in self.domains.items()
-        }
-
-    def normalise(self, config: Mapping) -> np.ndarray:
-        return np.array(
-            [dom.normalise(config[name]) for name, dom in self.domains.items()]
-        )
-
-    def denormalise(self, unit_vector: Iterable[float]) -> Dict:
-        values = list(unit_vector)
-        if len(values) != len(self.domains):
-            raise ValueError("unit vector length mismatch")
-        return {
-            name: dom.denormalise(values[i])
-            for i, (name, dom) in enumerate(self.domains.items())
-        }
 
 
 def paper_hyper_space(nlp: bool = False) -> SearchSpace:

@@ -64,7 +64,7 @@ from ..multitenancy.scheduler import MultiTenancyResult, run_multi_tenancy
 from ..simulation.des import Environment
 from ..tune.runner import HptJobSpec, HptResult, run_hpt_job
 from ..tune.trainer import run_trial
-from ..workloads.registry import get_workload, type12_workloads, workloads_of_type
+from ..workloads.registry import get_workload, type12_workloads
 from ..workloads.spec import PAPER_CORE_GRID, PAPER_MEMORY_GRID_GB, WorkloadSpec
 from .containment import ChainFailure, StepExecutionError, format_traceback
 from .cache import CachingBackend, OutcomeCache
@@ -124,13 +124,8 @@ def execute_job(spec: HptJobSpec, cluster: ClusterSpec) -> HptResult:
 
 
 def _resolve_warm_start(scenario: Scenario, policy: SystemPolicySpec):
-    kind = policy.effective_warm_start(scenario.cluster)
-    if kind == "none":
-        return None
-    if kind == "type12":
+    if policy.effective_warm_start(scenario.cluster) == "type12":
         return type12_workloads()
-    if kind == "type3":
-        return workloads_of_type("III")
     return [get_workload(name) for name in scenario.workloads]
 
 
@@ -232,9 +227,7 @@ class ChainExecutor:
 
     def _fresh_session(self, policy: SystemPolicySpec):
         session = session_for_cluster(self.scenario.cluster, seed=self.seed)
-        warm = _resolve_warm_start(self.scenario, policy)
-        if warm:
-            session.warm_start(warm)
+        session.warm_start(_resolve_warm_start(self.scenario, policy))
         return session
 
     # -- step implementations -----------------------------------------------

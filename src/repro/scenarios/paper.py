@@ -5,8 +5,6 @@ declarative :class:`~repro.scenarios.spec.Scenario` plus a collector
 that folds the step outcomes into the exhibit's table. The committed
 golden traces under ``benchmarks/results/`` regenerate byte-for-byte
 through these definitions (CI's exhibits job proves it on every push).
-A few shape helpers next to the collectors read the paper's claims
-back off a result table (``tests/test_experiments.py`` asserts them).
 
 Four exhibits (Figs 1, 2, 3, 8) are analytic/profiling measurements
 rather than tuning-job comparisons; they register as ``analysis``
@@ -15,9 +13,8 @@ scenarios whose plan is a single measurement routine defined here.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from importlib import import_module
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -72,15 +69,6 @@ def fig01_table(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     for row in cost_table(LENET_MNIST, parameters=parameters):
         result.add_row(**row)
     return result
-
-
-def exponential_growth_ratio(result: ExperimentResult, column: str) -> float:
-    """Mean ratio between consecutive rows of a Fig 1 column (≈3 expected)."""
-    values = [row[column] for row in result.rows]
-    ratios = [b / a for a, b in zip(values, values[1:]) if a > 0]
-    if not ratios:
-        return 1.0
-    return sum(ratios) / len(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +132,6 @@ def fig02_table(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             row[f"log10@{phase}"] = float(np.log10(1.0 + matrix[i, column]))
         result.add_row(**row)
     return result
-
-
-def max_training_cv(result: ExperimentResult) -> float:
-    """Largest epoch-to-epoch variation over all Fig 2 events."""
-    return max(row["cv"] for row in result.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +288,6 @@ def fig08_table(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def cluster_purity(result: ExperimentResult) -> float:
-    """Fraction of Fig 8 points whose cluster matches their majority type."""
-    by_cluster = defaultdict(list)
-    for row in result.rows:
-        by_cluster[row["cluster"]].append(row["type"])
-    agreeing = sum(
-        Counter(types).most_common(1)[0][1] for types in by_cluster.values()
-    )
-    return agreeing / len(result.rows)
-
-
 # ---------------------------------------------------------------------------
 # Collectors for the tuning-job exhibits
 # ---------------------------------------------------------------------------
@@ -393,19 +365,6 @@ def _collect_fig09(plan: ScenarioPlan, outcomes: List) -> ExperimentResult:
     return result
 
 
-def time_to_accuracy(
-    result: ExperimentResult, system: str, accuracy_pct: float
-) -> float:
-    """Fig 9 wall-clock until a system's best accuracy crosses a level."""
-    for row in sorted(
-        (r for r in result.rows if r["system"] == system),
-        key=lambda r: r["wall_time_s"],
-    ):
-        if row["best_accuracy_pct"] >= accuracy_pct:
-            return row["wall_time_s"]
-    return float("inf")
-
-
 def _collect_fig10(plan: ScenarioPlan, outcomes: List) -> ExperimentResult:
     result = ExperimentResult(
         exhibit="Figure 10",
@@ -423,22 +382,6 @@ def _collect_fig10(plan: ScenarioPlan, outcomes: List) -> ExperimentResult:
                     trial_time_s=point.trial_training_time_s,
                 )
     return result
-
-
-def mean_trial_time(result: ExperimentResult, system: str) -> float:
-    """Mean Fig 10 trial time of one system."""
-    return mean(r["trial_time_s"] for r in result.rows if r["system"] == system)
-
-
-def metric_by_system(
-    result: ExperimentResult, workload: str, metric: str
-) -> Dict[str, float]:
-    """{system: value} for one workload and metric column (Figs 11/12)."""
-    return {
-        row["system"]: row[metric]
-        for row in result.rows
-        if row["workload"] == workload
-    }
 
 
 def _collect_fig13(plan: ScenarioPlan, outcomes: List) -> ExperimentResult:

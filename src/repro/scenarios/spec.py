@@ -40,12 +40,9 @@ import json
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..hpo.algorithms import GridSearch, RandomSearch
+from ..hpo.algorithms import RandomSearch
 from ..hpo.asha import Asha
-from ..hpo.bayesian import BayesianOptimisation
-from ..hpo.genetic import GeneticSearch
 from ..hpo.hyperband import HyperBand
-from ..hpo.pbt import PopulationBasedTraining
 from ..hpo.space import SearchSpace, joint_space, paper_hyper_space
 from ..schema import Spec
 from ..simulation.cluster import NodeSpec, SimCluster
@@ -78,10 +75,6 @@ ALGORITHM_BUILDERS = {
     "hyperband": HyperBand,
     "asha": Asha,
     "random": RandomSearch,
-    "grid": GridSearch,
-    "bayesian": BayesianOptimisation,
-    "genetic": GeneticSearch,
-    "pbt": PopulationBasedTraining,
 }
 
 #: trial objectives a scenario/policy can name.
@@ -91,7 +84,7 @@ OBJECTIVES = {
 }
 
 POLICY_KINDS = ("v1", "v2", "pipetune", "fixed")
-WARM_STARTS = ("type12", "type3", "scenario", "none")
+WARM_STARTS = ("type12", "scenario")
 SCENARIO_KINDS = ("tuning", "analysis")
 TENANCY_MODES = ("dedicated", "shared")
 

@@ -14,7 +14,7 @@ table of its completed steps).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 
 def ok_envelope(data) -> Dict:
@@ -32,14 +32,3 @@ def error_envelope(
 def is_envelope(payload) -> bool:
     return isinstance(payload, dict) and {"ok", "data", "error"} <= set(payload)
 
-
-def unwrap(payload: Dict):
-    """The ``data`` of an ok envelope; raises on a non-ok one."""
-    if not is_envelope(payload):
-        raise ValueError(f"not an envelope: {payload!r}")
-    if not payload["ok"]:
-        error: Optional[Dict] = payload.get("error") or {}
-        raise ValueError(
-            f"{error.get('type', 'Error')}: {error.get('message', 'failed')}"
-        )
-    return payload["data"]

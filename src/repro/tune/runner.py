@@ -328,12 +328,8 @@ class HptJobRunner:
                     algorithm.report(
                         Observation(
                             trial_id=suggestion.trial_id,
-                            params=suggestion.params,
                             score=float("-inf"),
-                            accuracy=0.0,
-                            training_time_s=float("inf"),
                             epochs_run=suggestion.target_epochs,
-                            extra={"failed": True},
                         )
                     )
                     continue
@@ -344,10 +340,7 @@ class HptJobRunner:
                 algorithm.report(
                     Observation(
                         trial_id=suggestion.trial_id,
-                        params=suggestion.params,
                         score=score,
-                        accuracy=result.accuracy,
-                        training_time_s=result.full_training_time_estimate(),
                         epochs_run=result.epochs_run,
                     )
                 )

@@ -49,11 +49,6 @@ class TrialResult:
     records: List[EpochRecord] = field(default_factory=list)
 
     @property
-    def segment_epochs(self) -> int:
-        """Epochs actually executed in this segment."""
-        return len(self.records)
-
-    @property
     def wall_time_s(self) -> float:
         return self.end_time - self.start_time
 

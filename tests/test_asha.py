@@ -31,10 +31,7 @@ def drive(algo, score_fn):
         for suggestion in batch:
             obs = Observation(
                 trial_id=suggestion.trial_id,
-                params=suggestion.params,
                 score=score_fn(suggestion.params),
-                accuracy=0.5,
-                training_time_s=1.0,
                 epochs_run=suggestion.target_epochs,
             )
             algo.report(obs)
@@ -85,7 +82,7 @@ class TestAshaBehaviour:
     def test_best_config_reaches_top_rung(self):
         algo = Asha(space(), max_epochs=9, eta=3, num_samples=9, seed=1)
         observations = drive(algo, lambda p: p["dropout"])
-        best_dropout = max(o.params["dropout"] for _, o in observations)
+        best_dropout = max(s.params["dropout"] for s, _ in observations)
         top_rung = [
             s for s, _ in observations if s.target_epochs == 9
         ]
@@ -100,11 +97,7 @@ class TestAshaBehaviour:
         assert len(first) == 9
         # report only 3 of 9: ASHA may already promote the top one
         for suggestion in first[:3]:
-            algo.report(
-                Observation(
-                    suggestion.trial_id, suggestion.params, 1.0, 0.5, 1.0, 1
-                )
-            )
+            algo.report(Observation(suggestion.trial_id, 1.0, 1))
         batch = algo.next_batch()
         assert any(s.start_epoch == 1 for s in batch)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exhibits import render
 from repro.experiments import golden
 from repro.scenarios import (
     SCENARIO_REGISTRY,
@@ -262,7 +263,7 @@ class TestCachingBackend:
             SCENARIO_REGISTRY.pop(name, None)
 
     def test_cold_vs_warm_bytes_identical_for_an_exhibit(self, tmp_path):
-        cold = golden.render("fig09", cache_dir=str(tmp_path))
+        cold = render("fig09", cache_dir=str(tmp_path))
         result, stats = _cached_run("fig09", backend_for(cache_dir=str(tmp_path)))
         warm = golden.render_result(result)
         assert stats.misses == 0 and stats.hits > 0

@@ -1,23 +1,35 @@
 """No new code that only tests and examples reach.
 
 An AST pass over the ``repro`` package collects every function, method
-and class whose name no code in the package references. A function or
-class is referenced as a ``Name``, an ``Attribute`` or an import alias
-outside a package ``__init__``; a method only as an ``Attribute`` or as
-the string name argument of ``getattr``/``hasattr``/``setattr``/
-``delattr``, ``attrgetter`` or ``methodcaller``. So a ``step`` variable
-does not hide an uncalled ``step`` method, nor does a dict key that
-spells a method's name. Exporting is not using: a name listed in an
-``__all__`` (a ``lazy_exports`` table included) or imported by a
-package ``__init__`` to re-export it counts only when some other code
-names it. Dunder methods are protocol hooks and are skipped. The pass
-is by name, not by binding, so a name counts as used once anything in
-the package spells it in a way its kind allows.
+and class that no code in the package references.
+
+A module-level name (a function or class, or a def nested in a
+function) is resolved by binding: it counts as used when its own
+module reads it as a bare name, or when another module imports it
+(``from .mod import f``) or reads it as ``module.f`` on an imported
+module or package. Imports through a package ``__init__`` or a
+``lazy_exports`` table are followed to the defining module. So a
+``x.f()`` call does not hide an uncalled module function ``f``, nor
+does a bare ``f`` in a module that never imports it.
+
+A method is matched by name: it counts as used when anything spells it
+as an ``Attribute``, or as the string name argument of ``getattr``/
+``hasattr``/``setattr``/``delattr``, ``attrgetter`` or
+``methodcaller``. So a ``step`` variable does not hide an uncalled
+``step`` method, nor does a dict key that spells a method's name.
+
+Exporting is not using: a name listed in an ``__all__`` (a
+``lazy_exports`` table included) or imported by a package ``__init__``
+to re-export it counts only when some other code names it. Dunder
+methods are protocol hooks and are skipped.
 
 The set it finds is pinned to ``ALLOWLIST``, each entry with the reason
 it stays. A new unreferenced def fails the test: delete it, or use it,
 or add it here with its reason. An entry whose name the package starts
 to reference fails too, so the list never keeps stale excuses.
+
+The same holds for the scenario vocabulary: an algorithm or warm start
+that no registered run uses fails too.
 """
 
 import ast
@@ -28,7 +40,6 @@ import repro
 
 PACKAGE = Path(repro.__file__).parent
 
-PAPER_SHAPE = "paper-claim helper the exhibit tests assert with"
 PERFBENCH = "perfbench/spans.py wraps or reads it by name"
 PMU_ORACLE = "PMU reference oracle of the counter tests"
 
@@ -39,14 +50,13 @@ ALLOWLIST = {
     "aggregate_windows": PERFBENCH,
     "cache_hits": "perfbench/session.py reads them",
     "cache_misses": "perfbench/session.py reads them",
+    "check": "scripts/regenerate_exhibits.py --check diffs every exhibit with it",
     "clear_cost_caches": "benchmarks/test_micro.py times cold epoch costs with it",
-    "cluster_purity": PAPER_SHAPE,
     "contains": "search-space membership, the oracle of the sampling tests",
     "energy_joules": "examples/energy_aware_tuning.py reads the PDU estimate",
     "energy_system_objective": "benchmarks/test_ablations.py and the energy example",
     "execute": PERFBENCH
     + "; the stateless one-plan run the multi-tenant example calls",
-    "exponential_growth_ratio": PAPER_SHAPE,
     "final_count": PMU_ORACLE,
     "final_counts": PERFBENCH,
     "format_pragma": "the round-trip oracle of the pragma parser tests",
@@ -55,9 +65,6 @@ ALLOWLIST = {
     "generic_share": PMU_ORACLE,
     "hit_rate": "the quickstart and custom-workload examples print it",
     "is_compute_side": PMU_ORACLE,
-    "max_training_cv": PAPER_SHAPE,
-    "mean_trial_time": PAPER_SHAPE,
-    "metric_by_system": PAPER_SHAPE,
     "multiplexed": PMU_ORACLE,
     "paper_system_grid": "benchmarks/test_ablations.py sweeps the paper's grid",
     "philox_construction_count": "the construction bound in test_noise_block.py",
@@ -70,7 +77,6 @@ ALLOWLIST = {
     "step": "one-event step, the ordering oracle tests/test_des.py holds run() to",
     "submit_inline": "client half of the served inline-run route",
     "surviving": "documented in README",
-    "time_to_accuracy": PAPER_SHAPE,
     "to_json": "documented in README",
     "total_energy_kj": "examples/energy_aware_tuning.py prints it",
     "true_counts": PMU_ORACLE,
@@ -105,12 +111,102 @@ def named_attributes(call):
     ]
 
 
+def module_name(root, path):
+    """Dotted module name of ``path``; ``root`` is the package itself
+    when it holds an ``__init__.py``, else the directory above it."""
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    if (root / "__init__.py").exists():
+        parts.insert(0, root.name)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def absolute(module, is_package, level, name):
+    """The absolute module a (possibly relative) import names."""
+    if not level:
+        return name
+    base = module.split(".")
+    if not is_package:
+        base.pop()
+    base = base[: len(base) - (level - 1)]
+    return ".".join(base + [name] if name else base)
+
+
+def import_bindings(module, is_package, tree):
+    """``{local name: target}`` of every import in ``tree`` (at any
+    depth) and of a ``lazy_exports`` table; a target is ``("module",
+    name)`` or ``("symbol", module, attribute)``."""
+    bindings = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bindings[alias.asname] = ("module", alias.name)
+                else:
+                    head = alias.name.split(".", 1)[0]
+                    bindings[head] = ("module", head)
+        elif isinstance(node, ast.ImportFrom):
+            source = absolute(module, is_package, node.level, node.module)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bindings[local] = ("symbol", source, alias.name)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            for key, names in zip(node.args[1].keys, node.args[1].values):
+                submodule = key.value.lstrip(".")
+                level = len(key.value) - len(submodule)
+                source = absolute(module, True, level, submodule)
+                for name in ast.literal_eval(names):
+                    # a name that is the submodule's own exports the submodule
+                    bindings[name] = (
+                        ("module", source)
+                        if name == submodule
+                        else ("symbol", source, name)
+                    )
+    return bindings
+
+
 def unreferenced_defs(root):
     """``{name: [path:line, ...]}`` of defs no code under ``root`` names."""
-    defs = []
-    names, attributes = set(), set()
+    trees = {}
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        trees[module_name(root, path)] = (path, tree)
+    bindings = {
+        module: import_bindings(module, path.name == "__init__.py", tree)
+        for module, (path, tree) in trees.items()
+    }
+
+    def resolve(target, seen=()):
+        """Follow a binding to a module or to the defining module's
+        ``(module, name)``; re-exports are followed, cycles stop."""
+        if target[0] == "module" or target in seen:
+            return target
+        _, module, name = target
+        if f"{module}.{name}" in trees:
+            return ("module", f"{module}.{name}")
+        onward = bindings.get(module, {}).get(name)
+        return resolve(onward, seen + (target,)) if onward else target
+
+    def module_of(expr, module):
+        """The module an expression (``views``, ``repro.hpo``) names."""
+        if isinstance(expr, ast.Name) and expr.id in bindings[module]:
+            target = resolve(bindings[module][expr.id])
+        elif isinstance(expr, ast.Attribute):
+            outer = module_of(expr.value, module)
+            target = outer and resolve(("symbol", outer, expr.attr))
+        else:
+            return None
+        return target[1] if target and target[0] == "module" else None
+
+    defs, used, attributes = [], set(), set()
+    for module, (path, tree) in trees.items():
+        local = bindings[module]
         methods = {
             id(member)
             for node in ast.walk(tree)
@@ -124,24 +220,26 @@ def unreferenced_defs(root):
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 where = f"{path.relative_to(root)}:{node.lineno}"
-                defs.append((node.name, where, id(node) in methods))
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
+                key = None if id(node) in methods else (module, node.name)
+                defs.append((node.name, where, key))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = resolve(local.get(node.id, ("symbol", module, node.id)))
+                used.add(target[1:])
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-            elif isinstance(node, ast.alias) and not exports:
-                names.add(node.name.rsplit(".", 1)[-1])
-                if node.asname:
-                    names.add(node.asname)
+                owner = module_of(node.value, module)
+                if owner:
+                    used.add(resolve(("symbol", owner, node.attr))[1:])
+            elif isinstance(node, ast.ImportFrom) and not exports:
+                source = absolute(module, False, node.level, node.module)
+                for alias in node.names:
+                    used.add(resolve(("symbol", source, alias.name))[1:])
             elif isinstance(node, ast.Call):
                 attributes.update(named_attributes(node))
-    other_refs = attributes | names
     dead = {}
-    for name, where, is_method in defs:
-        referenced = attributes if is_method else other_refs
-        if name not in referenced and not (
-            name.startswith("__") and name.endswith("__")
-        ):
+    for name, where, key in defs:
+        referenced = name in attributes if key is None else key in used
+        if not referenced and not (name.startswith("__") and name.endswith("__")):
             dead.setdefault(name, []).append(where)
     return dead
 
@@ -176,6 +274,7 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
         "from .mod import reexported_and_imported\n"
         "mod.listed_and_called()\n"
         "pkg.lazy_and_read\n"
+        "named_elsewhere()\n"
     )
     (package / "mod.py").write_text(
         "from os import path as p\n"
@@ -188,6 +287,8 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
         "def reexported_and_imported(): pass\n"
         "def called(): pass\n"
         "def dead(): pass\n"
+        "def hidden(): pass\n"
+        "def named_elsewhere(): pass\n"
         "class Box:\n"
         "    def __repr__(self): return ''\n"
         "    def used(self): return called()\n"
@@ -199,17 +300,23 @@ def test_pass_sees_each_kind_of_reference(tmp_path):
         "    def keyed(self): pass\n"
         "    def listed(self): pass\n"
         "Box().used()\n"
+        "Box().hidden()\n"
         "shadowed = getattr(Box(), 'by_string')\n"
         "getter = operator.attrgetter('inner.by_getter')\n"
         "caller = methodcaller('by_caller', 'keyed')\n"
         "table = {'keyed': 1}\n"
     )
+    # a module function is found by binding: neither ``Box().hidden()``
+    # nor a bare ``named_elsewhere`` in a module that never imports it
+    # reaches it
     assert sorted(unreferenced_defs(tmp_path)) == [
         "dead",
+        "hidden",
         "keyed",
         "lazy_only",
         "listed",
         "listed_only",
+        "named_elsewhere",
         "reexported",
         "shadowed",
         "unused",
@@ -235,6 +342,28 @@ def test_new_def_in_a_package_copy_is_caught(tmp_path):
     )
     dead = unreferenced_defs(copy)
     assert sorted(set(dead) - set(ALLOWLIST)) == ["exported_helper", "orphan_helper"]
+
+
+def test_vocabulary_is_what_the_catalogue_reaches():
+    """An algorithm or warm start that no registered tuning scenario or
+    sweep variant uses fails: register a run that uses it, or leave it
+    out."""
+    from repro.scenarios import SCENARIO_REGISTRY, SWEEP_REGISTRY
+    from repro.scenarios.spec import ALGORITHM_BUILDERS, WARM_STARTS
+
+    runs = [runner.scenario for runner in SCENARIO_REGISTRY.values()]
+    for sweep in SWEEP_REGISTRY.values():
+        runs += [variant.scenario for variant in sweep.variants()]
+    runs = [run for run in runs if run.kind == "tuning"]
+    assert set(ALGORITHM_BUILDERS) == {run.algorithm.name for run in runs}
+    # only a PipeTune session is warm-started
+    reached = {
+        policy.effective_warm_start(run.cluster)
+        for run in runs
+        for policy in run.systems
+        if policy.kind == "pipetune"
+    }
+    assert set(WARM_STARTS) <= reached
 
 
 def unused_imports(root):

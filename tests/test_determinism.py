@@ -15,6 +15,7 @@ import shutil
 import pytest
 from golden_guard import changed_files, digest_tree
 
+from exhibits import render
 from repro.experiments import EXHIBIT_RUNS, golden
 from repro.scenarios import scenario_names
 
@@ -60,10 +61,10 @@ class TestGoldenTraces:
         """Two renders in one process must agree byte-for-byte — the
         simulator may not leak state (caches, pools, module globals)
         from one run into the streams of the next."""
-        assert golden.render(name) == golden.render(name)
+        assert render(name) == render(name)
 
     def test_render_appends_exactly_one_newline(self):
-        rendered = golden.render("fig01")
+        rendered = render("fig01")
         assert rendered.endswith("\n") and not rendered.endswith("\n\n")
 
 

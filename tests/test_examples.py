@@ -45,7 +45,7 @@ class TestExamples:
     def test_custom_workload(self):
         proc = run_example("custom_workload.py", "0")
         assert proc.returncode == 0, proc.stderr
-        for algorithm in ("random", "bayesian", "genetic", "hyperband"):
+        for algorithm in ("random", "asha", "hyperband"):
             assert algorithm in proc.stdout
 
     def test_energy_aware_tuning(self):

@@ -8,7 +8,7 @@ rather than absolute numbers (EXPERIMENTS.md records those).
 import pytest
 
 from repro.scenarios import SCENARIO_REGISTRY, run_scenario, scenario_names
-from repro.scenarios.paper import (
+from paper_shape import (
     cluster_purity,
     exponential_growth_ratio,
     max_training_cv,

@@ -53,6 +53,7 @@ from repro.tune.errors import (
     TrialError,
     TrialPreempted,
 )
+from exhibits import render
 from repro.experiments import golden
 from repro.tune.faults import (
     ChurnSpec,
@@ -369,7 +370,7 @@ class TestFaultSchedule:
                 with open(
                     golden.committed_path(name), "r", encoding="utf-8", newline=""
                 ) as handle:
-                    assert golden.render(name) == handle.read(), name
+                    assert render(name) == handle.read(), name
             if render_pass:
                 assert _schedule.cache_info().misses == before
         assert _schedule.cache_info().hits > 0

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exhibits import render
 from repro.experiments import golden
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
@@ -219,9 +220,9 @@ class TestNoiseBlock:
 
     def test_second_exhibit_render_draws_nothing(self):
         clear_noise_blocks()
-        golden.render("fig09")
+        render("fig09")
         streams, windows = _stream.cache_info(), _window.cache_info()
-        text = golden.render("fig09")
+        text = render("fig09")
         # Every read hits a window: no stream is fetched, let alone drawn.
         assert _stream.cache_info() == streams
         assert _window.cache_info().misses == windows.misses

@@ -31,6 +31,7 @@ from repro.scenarios import (
     tune_v2,
 )
 from repro.scenarios.options import MAX_SCALE
+from removed_vocabulary import REMOVED_VOCABULARY, spec_naming
 
 PAPER_NAMES = [
     "fig01",
@@ -348,6 +349,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown algorithm"):
             self.base_builder().algorithm("simulated-annealing").build()
 
+    @pytest.mark.parametrize("field, value", REMOVED_VOCABULARY)
+    def test_removed_name_in_a_spec_dict_is_a_scenario_error(self, field, value):
+        scenario = Scenario.from_dict(spec_naming(field, value))
+        assert any(repr(value) in problem for problem in scenario.problems())
+        with pytest.raises(ScenarioError) as excinfo:
+            scenario.validate()
+        assert any(repr(value) in problem for problem in excinfo.value.problems)
+
     def test_bad_algorithm_params(self):
         with pytest.raises(ScenarioError, match="rejected its params"):
             self.base_builder().algorithm("hyperband", max_epochs=0).build()
@@ -508,7 +517,7 @@ class TestRunnerPhases:
             .title("custom smoke")
             .workloads("lenet-mnist")
             .algorithm("random", num_samples=3, epochs=2)
-            .compare(tune_v1(), pipetune(warm_start="none"))
+            .compare(tune_v1(), pipetune())
             .build()
         )
         result = ScenarioRunner(scenario).run(scale=1.0, seed=0)

@@ -40,6 +40,7 @@ from repro.service import (
     ServiceError,
     serve_background,
 )
+from removed_vocabulary import REMOVED_VOCABULARY, spec_naming
 
 
 def quiet_config(**overrides):
@@ -413,6 +414,30 @@ class TestJobLifecycle:
             assert response.status == 400
             assert response.payload["error"]["type"] == "ScenarioError"
             assert f"{path}: expected" in response.payload["error"]["message"]
+            assert app.manager.jobs() == []
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize("field, value", REMOVED_VOCABULARY)
+    def test_removed_name_in_an_inline_scenario_is_typed_400(self, field, value):
+        from repro.service.app import ServiceApp
+        from repro.service.middleware import Request
+
+        app = ServiceApp(quiet_config())
+        try:
+            response = app.handle(
+                Request(
+                    method="POST",
+                    path="/v1/runs",
+                    headers={},
+                    body={"scenario": spec_naming(field, value)},
+                    query={},
+                )
+            )
+            assert response.status == 400
+            assert response.payload["ok"] is False
+            assert response.payload["error"]["type"] == "ScenarioError"
+            assert repr(value) in response.payload["error"]["message"]
             assert app.manager.jobs() == []
         finally:
             app.close()

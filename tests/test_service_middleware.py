@@ -21,7 +21,7 @@ from repro.service import (
     ok_envelope,
 )
 from repro.schema import Malformed
-from repro.service.envelope import error_envelope, is_envelope, unwrap
+from repro.service.envelope import error_envelope, is_envelope
 
 
 def make_request(method="GET", path="/v1/health", tenant=None, body=None):
@@ -300,11 +300,6 @@ class TestEnvelopeHelpers:
             "retry_after_s": 2,
         }
 
-    def test_unwrap(self):
-        assert unwrap(ok_envelope({"a": 1})) == {"a": 1}
-        with pytest.raises(ValueError, match="Boom: it broke"):
-            unwrap(error_envelope("Boom", "it broke"))
-        with pytest.raises(ValueError, match="not an envelope"):
-            unwrap({"data": 1})
+    def test_is_envelope(self):
         assert is_envelope(ok_envelope(None)) is True
         assert is_envelope({"ok": True}) is False

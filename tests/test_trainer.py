@@ -58,7 +58,7 @@ class TestBasicTraining:
         env, cluster = make_env()
         result = run(env, cluster)
         assert result.epochs_run == 4
-        assert result.segment_epochs == 4
+        assert len(result.records) == 4
         assert [r.epoch for r in result.records] == [1, 2, 3, 4]
 
     def test_training_time_is_sum_of_epochs(self):
@@ -86,7 +86,7 @@ class TestBasicTraining:
     def test_resume_skips_done_epochs(self):
         env, cluster = make_env()
         result = run(env, cluster, start_epoch=2, target_epochs=4)
-        assert result.segment_epochs == 2
+        assert len(result.records) == 2
         assert result.epochs_run == 4
         assert [r.epoch for r in result.records] == [3, 4]
 
