@@ -47,6 +47,10 @@ class TestAshaStructure:
     def test_epochs_domain_ignored(self):
         assert "epochs" not in Asha(space()).space
 
+    def test_budget_off_the_geometric_ladder_is_the_top_rung(self):
+        assert Asha(space(), max_epochs=10, eta=3).rung_epochs == [1, 3, 9, 10]
+        assert Asha(space(), max_epochs=1, eta=3).rung_epochs == [1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Asha(space(), max_epochs=0)
@@ -57,6 +61,23 @@ class TestAshaStructure:
 
 
 class TestAshaBehaviour:
+    def test_report_unknown_trial_raises(self):
+        algo = Asha(space(), num_samples=3)
+        algo.next_batch()
+        with pytest.raises(KeyError):
+            algo.report(Observation("ghost", 0.0, 1))
+
+    def test_seeded_reproducibility(self):
+        def run(seed):
+            algo = Asha(space(), max_epochs=9, eta=3, num_samples=9, seed=seed)
+            return [
+                (s.trial_id, s.params, s.start_epoch, s.target_epochs)
+                for s, _ in drive(algo, lambda p: p["dropout"])
+            ]
+
+        assert run(4) == run(4)
+        assert run(4) != run(5)
+
     def test_samples_all_configs(self):
         algo = Asha(space(), num_samples=9, seed=0)
         observations = drive(algo, lambda p: p["x"] if "x" in p else 0.5)

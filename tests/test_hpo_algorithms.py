@@ -55,6 +55,10 @@ class TestSuggestion:
         with pytest.raises(ValueError):
             Suggestion(trial_id="t", params={}, target_epochs=3, start_epoch=3)
 
+    def test_resume_from_a_checkpoint(self):
+        resumed = Suggestion(trial_id="t", params={}, target_epochs=9, start_epoch=3)
+        assert resumed.start_epoch == 3 and resumed.target_epochs == 9
+
 
 class TestRandomSearch:
     def test_emits_exactly_num_samples(self):
@@ -87,6 +91,34 @@ class TestRandomSearch:
         algo = RandomSearch(toy_space(), num_samples=1)
         with pytest.raises(KeyError):
             algo.report(Observation("ghost", 0.0, 1))
+
+    def test_report_twice_raises(self):
+        algo = RandomSearch(toy_space(), num_samples=1)
+        (suggestion,) = algo.next_batch()
+        algo.report(Observation(suggestion.trial_id, 0.0, 2))
+        with pytest.raises(KeyError):
+            algo.report(Observation(suggestion.trial_id, 0.0, 2))
+
+    def test_epochs_axis_drives_trial_length(self):
+        algo = RandomSearch(toy_space(), num_samples=20)
+        ran = drive(algo, quadratic_score)
+        for suggestion in ran:
+            assert suggestion.target_epochs == suggestion.params["epochs"]
+            assert suggestion.start_epoch == 0
+        assert {s.target_epochs for s in ran} == {2, 4}
+
+    def test_default_epochs_without_an_epochs_axis(self):
+        space = toy_space().without("epochs")
+        algo = RandomSearch(space, num_samples=4, epochs=7)
+        assert [s.target_epochs for s in drive(algo, quadratic_score)] == [7] * 4
+
+    def test_issues_every_sample_in_one_batch(self):
+        algo = RandomSearch(toy_space(), num_samples=6)
+        batch = algo.next_batch()
+        assert len(batch) == 6
+        assert len({s.trial_id for s in batch}) == 6
+        assert algo.next_batch() == []
+        assert algo.pending_count == 6
 
 
 class TestHyperBand:
@@ -141,6 +173,32 @@ class TestHyperBand:
         algo = HyperBand(toy_space(), max_epochs=9, eta=3)
         algo.next_batch()
         assert algo.next_batch() == []  # rung still pending
+
+    def test_done_requires_reports(self):
+        algo = HyperBand(toy_space(), max_epochs=3, eta=3)
+        batch = algo.next_batch()
+        assert not algo.done
+        assert algo.pending_count == len(batch)
+
+    def test_report_unknown_trial_raises(self):
+        algo = HyperBand(toy_space(), max_epochs=9, eta=3)
+        algo.next_batch()
+        with pytest.raises(KeyError):
+            algo.report(Observation("ghost", 0.0, 1))
+
+    def test_promoted_trials_keep_their_params(self):
+        algo = HyperBand(toy_space(), max_epochs=9, eta=3, seed=2)
+        first_seen = {}
+        for suggestion in drive(algo, quadratic_score):
+            params = first_seen.setdefault(suggestion.trial_id, suggestion.params)
+            assert suggestion.params == params
+
+    def test_seeded_reproducibility(self):
+        a = drive(HyperBand(toy_space(), max_epochs=9, eta=3, seed=5), quadratic_score)
+        b = drive(HyperBand(toy_space(), max_epochs=9, eta=3, seed=5), quadratic_score)
+        assert [(s.trial_id, s.params, s.target_epochs) for s in a] == [
+            (s.trial_id, s.params, s.target_epochs) for s in b
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,17 @@ class TestUniform:
         assert dom.contains(0.5)
         assert not dom.contains(1.5)
 
+    def test_contains_includes_both_bounds(self):
+        dom = Uniform(-1.0, 1.0)
+        assert dom.contains(-1.0) and dom.contains(1.0)
+        assert not dom.contains(-1.0001)
+
+    def test_same_seed_same_samples(self):
+        dom = Uniform(0.0, 10.0)
+        a = [dom.sample(np.random.default_rng(7)) for _ in range(3)]
+        b = [dom.sample(np.random.default_rng(7)) for _ in range(3)]
+        assert a == b
+
 
 class TestLogUniform:
     def test_validation(self):
@@ -51,6 +62,18 @@ class TestLogUniform:
         low_decade = sum(1 for s in samples if s < 1e-3)
         assert low_decade > 50  # log-uniform, not uniform
 
+    def test_median_is_near_the_geometric_mean(self):
+        dom = LogUniform(1e-4, 1.0)
+        rng = np.random.default_rng(1)
+        median = float(np.median([dom.sample(rng) for _ in range(1000)]))
+        assert 10**-2.5 < median < 10**-1.5
+
+    def test_contains(self):
+        dom = LogUniform(1e-3, 1e-1)
+        assert dom.contains(1e-3) and dom.contains(1e-2) and dom.contains(1e-1)
+        assert not dom.contains(1e-4)
+        assert not dom.contains(0.5)
+
 
 class TestChoice:
     def test_validation(self):
@@ -60,6 +83,28 @@ class TestChoice:
     def test_sample_from_values(self):
         dom = Choice([32, 64, 128])
         assert all(dom.sample(RNG) in (32, 64, 128) for _ in range(50))
+
+    def test_sample_reaches_every_value(self):
+        dom = Choice(["sgd", "adam", "rmsprop", "adagrad"])
+        rng = np.random.default_rng(2)
+        assert {dom.sample(rng) for _ in range(200)} == set(dom.values)
+
+    def test_single_value_is_always_sampled(self):
+        dom = Choice([9])
+        assert {dom.sample(RNG) for _ in range(20)} == {9}
+
+    def test_contains(self):
+        dom = Choice([4.0, 8.0, "auto"])
+        assert dom.contains(8.0) and dom.contains("auto")
+        assert not dom.contains(16.0)
+        assert not dom.contains("manual")
+
+    def test_values_are_a_private_copy(self):
+        values = [1, 2]
+        dom = Choice(values)
+        values.append(3)
+        assert dom.values == [1, 2]
+        assert Choice(v for v in (5, 6)).values == [5, 6]
 
 
 class TestSearchSpace:
@@ -84,6 +129,33 @@ class TestSearchSpace:
         reduced = self.space().without("b")
         assert "b" not in reduced
         assert set(reduced.names) == {"a", "c"}
+
+    def test_without_leaves_the_original_unchanged(self):
+        space = self.space()
+        space.without("a", "c")
+        assert space.names == ["a", "b", "c"]
+
+    def test_without_every_name_is_rejected(self):
+        with pytest.raises(ValueError):
+            self.space().without("a", "b", "c")
+
+    def test_names_keep_declaration_order(self):
+        space = SearchSpace({"z": Choice([1]), "a": Choice([2]), "m": Choice([3])})
+        assert space.names == ["z", "a", "m"]
+        assert list(space.sample(RNG)) == ["z", "a", "m"]
+
+    def test_samples_lie_in_their_domains(self):
+        space = self.space()
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            config = space.sample(rng)
+            for name, value in config.items():
+                assert space.domains[name].contains(value), (name, value)
+
+    def test_same_seed_same_config(self):
+        a = self.space().sample(np.random.default_rng(11))
+        b = self.space().sample(np.random.default_rng(11))
+        assert a == b
 
 
 class TestPaperSpaces:
@@ -111,6 +183,27 @@ class TestPaperSpaces:
         hyper2, system2 = split_config({"batch_size": 128})
         assert system2 is None
         assert hyper2.batch_size == 128
+
+    def test_hyper_space_samples_build_hyperparams(self):
+        rng = np.random.default_rng(4)
+        space = paper_hyper_space(nlp=True)
+        for _ in range(20):
+            config = space.sample(rng)
+            hyper, system = split_config(config)
+            assert system is None
+            assert hyper.batch_size == config["batch_size"]
+            assert hyper.epochs == config["epochs"]
+            assert hyper.embedding_dim == config["embedding_dim"]
+
+    def test_joint_space_samples_split_into_both_halves(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            config = joint_space().sample(rng)
+            hyper, system = split_config(config)
+            assert hyper.learning_rate == config["learning_rate"]
+            assert system.cores == config["cores"]
+            assert system.memory_gb == config["memory_gb"]
+        assert "embedding_dim" not in joint_space()
 
     def test_split_config_rounds_integers(self):
         hyper, system = split_config(

@@ -525,6 +525,36 @@ class TestRunnerPhases:
         assert [row["system"] for row in result.rows] == ["tune-v1", "pipetune"]
         assert all(0 <= row["accuracy_pct"] <= 100 for row in result.rows)
 
+    def test_default_warm_start_follows_the_cluster(self):
+        from repro.scenarios.backends import _resolve_warm_start
+        from repro.scenarios.spec import PAPER_SINGLE_NODE
+        from repro.workloads.registry import type12_workloads
+
+        distributed = (
+            Scenario.builder("warm-distributed")
+            .workloads("lenet-mnist")
+            .compare(pipetune())
+            .build()
+        )
+        (policy,) = distributed.systems
+        assert policy.effective_warm_start(distributed.cluster) == "type12"
+        assert _resolve_warm_start(distributed, policy) == type12_workloads()
+
+        single = dataclasses.replace(distributed, cluster=PAPER_SINGLE_NODE)
+        assert policy.effective_warm_start(single.cluster) == "scenario"
+        assert [w.name for w in _resolve_warm_start(single, policy)] == [
+            "lenet-mnist"
+        ]
+
+    @pytest.mark.parametrize("warm_start", ["type12", "scenario"])
+    def test_explicit_warm_start_overrides_the_cluster_default(self, warm_start):
+        from repro.scenarios.spec import PAPER_SINGLE_NODE
+
+        policy = pipetune(warm_start=warm_start)
+        assert policy.problems() == []
+        for cluster in (ClusterSpec(), PAPER_SINGLE_NODE):
+            assert policy.effective_warm_start(cluster) == warm_start
+
     def test_failure_injection_reaches_job_specs(self):
         scenario = (
             Scenario.builder("oom-probe")
