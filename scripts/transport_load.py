@@ -4,17 +4,24 @@ slow clients; report latency, failures and the daemon's threads.
 
     python scripts/transport_load.py --clients 16 64 100 --idle 0 16
 
-Each combination of ``--clients``, ``--idle`` and ``--trickle`` boots
-``repro serve`` from ``--src`` (default: this checkout's ``src``) in a
-child process on a free port, then drives it from one asyncio loop for
-``--seconds``:
+Each combination of ``--clients``, ``--idle``, ``--trickle``,
+``--stalled`` and ``--non-reading`` boots ``repro serve`` from ``--src``
+(default: this checkout's ``src``) in a child process on a free port,
+then drives it from one asyncio loop for ``--seconds``:
 
 * ``clients`` closed-loop clients, each sending ``GET --path`` on a
   fresh connection and reading the answer to its close;
 * ``idle`` connections that connect and send nothing, reconnecting
   whenever the daemon drops one;
 * ``trickle`` connections that send the same request one byte every
-  ``--trickle-gap`` seconds, reconnecting whenever the daemon drops one.
+  ``--trickle-gap`` seconds, reconnecting whenever the daemon drops one;
+* ``stalled`` connections that declare a 100,000-byte body, send
+  20,000 bytes of it and then nothing, reconnecting whenever the daemon
+  drops one;
+* ``non_reading`` connections that ask for ``GET /v1/jobs`` and never
+  read the answer. Before such a run the script submits
+  :data:`SEEDED_JOBS` ``fig01`` jobs, so that answer outgrows the
+  daemon's send buffer.
 
 It prints one JSON line per combination: requests answered, ``503``
 answers (a daemon shedding load), other failures by kind (another
@@ -54,6 +61,12 @@ MIDDLEWARE = [
 #: seconds a client waits for a connection or an answer before it
 #: counts a failure; above the daemon's 30 s request timeout.
 CLIENT_TIMEOUT_S = 35.0
+#: a head declaring a 100,000-byte body, and the first 20,000 bytes.
+STALLED = b"POST /v1/runs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + b" " * 20000
+#: jobs listed by ``GET /v1/jobs`` in a run with non-reading clients: at
+#: about 370 bytes each, the list is larger than the send buffer of a
+#: connection with 536-byte segments.
+SEEDED_JOBS = 500
 
 
 def request_bytes(path: str) -> bytes:
@@ -89,6 +102,32 @@ def boot(src: Path, port: int) -> subprocess.Popen:
     daemon.kill()
     os.unlink(handle.name)
     raise SystemExit(f"the daemon from {src} never answered on port {port}")
+
+
+def seed_jobs(port: int, count: int) -> None:
+    """Submit ``count`` cheap analysis jobs, retrying while the daemon
+    sheds load, and wait until none is queued or running."""
+    body = b'{"scale": 0.1}'
+    submit = (
+        b"POST /v1/scenarios/fig01/runs HTTP/1.1\r\nHost: load\r\n"
+        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+    )
+    done = 0
+    while done < count:
+        with socket.create_connection((HOST, port), timeout=30) as sock:
+            sock.sendall(submit)
+            accepted = sock.recv(12).endswith(b"202")
+        done += accepted
+        if not accepted:
+            time.sleep(0.01)
+    while True:
+        with socket.create_connection((HOST, port), timeout=30) as sock:
+            sock.sendall(request_bytes("/v1/health"))
+            raw = b"".join(iter(lambda: sock.recv(65536), b""))
+        counts = json.loads(raw.partition(b"\r\n\r\n")[2])["data"]["jobs"]
+        if not counts["queued"] and not counts["running"]:
+            return
+        time.sleep(0.05)
 
 
 def sample(pid: int):
@@ -136,8 +175,9 @@ async def closed_loop(port: int, request: bytes, end: float, tally: Tally) -> No
 
 
 async def slow(port: int, request: bytes, end: float, gap_s) -> None:
-    """One connection that sends nothing (``gap_s`` None) or trickles
-    ``request`` a byte per ``gap_s``, reconnecting when dropped."""
+    """One connection that sends ``request`` whole, then nothing
+    (``gap_s`` None), or trickles it a byte per ``gap_s``, reconnecting
+    when dropped."""
     loop = asyncio.get_running_loop()
     while loop.time() < end:
         try:
@@ -147,6 +187,8 @@ async def slow(port: int, request: bytes, end: float, gap_s) -> None:
             continue
         try:
             if gap_s is None:
+                writer.write(request)
+                await writer.drain()
                 await asyncio.wait_for(reader.read(), max(end - loop.time(), 0))
             else:
                 for byte in request:
@@ -162,7 +204,27 @@ async def slow(port: int, request: bytes, end: float, gap_s) -> None:
             writer.close()
 
 
-async def drive(port, pid, request, clients, idle, trickle, seconds, gap_s) -> dict:
+async def non_reading(port: int, end: float) -> None:
+    """One connection that asks for the job list and never reads it.
+    Small segments and a small receive buffer keep the daemon's send
+    buffer small, as on a network path rather than loopback."""
+    loop = asyncio.get_running_loop()
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG, 536)
+    sock.setblocking(False)
+    try:
+        await loop.sock_connect(sock, (HOST, port))
+        await loop.sock_sendall(sock, request_bytes("/v1/jobs"))
+        await asyncio.sleep(max(end - loop.time(), 0))
+    except OSError:
+        pass
+    finally:
+        sock.close()
+
+
+async def drive(port, pid, request, kinds, seconds, gap_s) -> dict:
+    clients, idle, trickle, stalled, unread = kinds
     loop = asyncio.get_running_loop()
     end = loop.time() + seconds
     tally = Tally()
@@ -175,8 +237,10 @@ async def drive(port, pid, request, clients, idle, trickle, seconds, gap_s) -> d
             await asyncio.sleep(0.1)
 
     tasks = [closed_loop(port, request, end, tally) for _ in range(clients)]
-    tasks += [slow(port, request, end, None) for _ in range(idle)]
+    tasks += [slow(port, b"", end, None) for _ in range(idle)]
     tasks += [slow(port, request, end, gap_s) for _ in range(trickle)]
+    tasks += [slow(port, STALLED, end, None) for _ in range(stalled)]
+    tasks += [non_reading(port, end) for _ in range(unread)]
     started = time.perf_counter()
     await asyncio.gather(watch(), *tasks)
     wall = time.perf_counter() - started
@@ -186,6 +250,8 @@ async def drive(port, pid, request, clients, idle, trickle, seconds, gap_s) -> d
         "clients": clients,
         "idle": idle,
         "trickle": trickle,
+        "stalled": stalled,
+        "non_reading": unread,
         "answered": len(lat),
         "busy_503": tally.busy,
         "failed": tally.failed,
@@ -207,27 +273,22 @@ def main(argv=None) -> int:
     parser.add_argument("--idle", type=int, nargs="+", default=[0])
     parser.add_argument("--trickle", type=int, nargs="+", default=[0])
     parser.add_argument("--trickle-gap", type=float, default=0.5)
+    parser.add_argument("--stalled", type=int, nargs="+", default=[0])
+    parser.add_argument("--non-reading", type=int, nargs="+", default=[0])
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--path", default="/v1/health")
     args = parser.parse_args(argv)
     request = request_bytes(args.path)
-    for clients, idle, trickle in itertools.product(
-        args.clients, args.idle, args.trickle
+    for kinds in itertools.product(
+        args.clients, args.idle, args.trickle, args.stalled, args.non_reading
     ):
         port = free_port()
         daemon = boot(args.src, port)
         try:
+            if kinds[-1]:
+                seed_jobs(port, SEEDED_JOBS)
             row = asyncio.run(
-                drive(
-                    port,
-                    daemon.pid,
-                    request,
-                    clients,
-                    idle,
-                    trickle,
-                    args.seconds,
-                    args.trickle_gap,
-                )
+                drive(port, daemon.pid, request, kinds, args.seconds, args.trickle_gap)
             )
         finally:
             daemon.terminate()

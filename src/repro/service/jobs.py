@@ -311,11 +311,17 @@ class JobManager:
                 del self._jobs[self._finished.popleft()]
 
     def close(self) -> None:
-        """Stop accepting work and wake the workers to exit."""
+        """Stop accepting work, cancel every queued and running job
+        (a running one stops at its next step), and join the workers."""
         with self._lock:
             self._closed = True
+            live = list(self._live)
+        for job_id in live:
+            self.cancel(job_id)
         for _ in self._workers:
             self._queue.put(None)
+        for worker in self._workers:
+            worker.join()
 
     # -- execution ----------------------------------------------------------
     def _worker_loop(self) -> None:

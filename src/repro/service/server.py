@@ -3,34 +3,36 @@
 A lean HTTP/1.1 front end over :class:`~repro.service.app.ServiceApp`,
 built on stdlib sockets and :mod:`selectors`:
 
-* **an accept loop that reads** — ``serve_forever`` accepts each
-  connection and reads its request without blocking, until it is whole
-  (or holds :data:`READ_AHEAD_BYTES`, for a request too large to
-  buffer), and only then queues it for a handler. An idle or slow
-  client holds a buffer in the loop, never a handler thread;
+* **an accept loop that does all the waiting** — ``serve_forever``
+  accepts each connection, reads its request without blocking until it
+  is whole (all requests held share :data:`BUFFER_BUDGET_BYTES`), and
+  only then queues it for a handler. It writes what a handler could
+  not send at once, then half-closes and drains the client. An idle,
+  slow or non-reading client holds bytes in the loop, never a thread;
 * **a bounded handler pool** — :data:`HANDLER_THREADS` handler threads
   parse the body, hand the :class:`~repro.service.middleware.Request`
-  to the app (which runs the middleware chain) and write the status
-  line, headers and JSON body in one ``sendall``, so no load starts
-  another thread. Every answer carries ``Connection: close`` and every
-  connection serves one request (``http.client`` and ``urllib``
-  reconnect on their own);
+  to the app (which runs the middleware chain) and send the status
+  line, headers and JSON body in one non-blocking ``send``, so no load
+  starts another thread and no handler waits on a socket. Every answer
+  carries ``Connection: close`` and every connection serves one
+  request (``http.client`` and ``urllib`` reconnect on their own);
 * **bounded connections** — the daemon holds at most
   :data:`MAX_CONNECTIONS` connections. A new one past that closes the
   one that has waited longest for its request, once that one has
   waited :data:`DISPLACE_AFTER_S`; until then, the loop stops
-  accepting, and new clients wait in the listen backlog;
+  accepting, and new clients wait in the listen backlog, as they do
+  while the process has no free descriptor;
 * **typed rejections** — malformed input is answered by the transport
   itself, before the chain, with the shared JSON envelope and a 4xx
   status (400, 411, 413, 414 or 431), never an HTML page. Within
   :data:`MAX_LINE_BYTES` lines, :data:`MAX_HEADERS` headers and a
   :data:`MAX_BODY_BYTES` body it accepts what the stdlib's server did.
 
-A client gets :attr:`_ServiceRequestHandler.timeout` seconds from its
-connect to deliver its whole request, and as long again to take the
-answer; one that runs out is dropped without an answer. No framework,
-no new dependency — the daemon is ``python -m`` / ``repro serve``
-runnable anywhere the repo is.
+A client gets :data:`REQUEST_TIMEOUT_S` from its connect to deliver its
+whole request, and as long again to take the answer; one that runs out
+is dropped without an answer; no socket ever blocks. No framework, no
+new dependency — the daemon is ``python -m`` / ``repro serve`` runnable
+anywhere the repo is.
 
 Three entry points:
 
@@ -45,6 +47,7 @@ Three entry points:
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import queue
 import re
@@ -52,6 +55,7 @@ import selectors
 import socket
 import threading
 import time
+import traceback
 from email.utils import formatdate
 from http import HTTPStatus
 from typing import Dict, Optional, Tuple
@@ -63,8 +67,8 @@ from .envelope import error_envelope
 from .middleware import Request
 
 #: threads that run requests through the app; the daemon never starts
-#: more. They only ever hold a request that has arrived whole (or one
-#: past READ_AHEAD_BYTES), so the pool bounds concurrent app work.
+#: more. They only ever hold a request that has arrived whole, and
+#: never wait on a client, so the pool bounds concurrent app work.
 HANDLER_THREADS = 8
 #: connections the daemon holds at once: reading, queued or served.
 MAX_CONNECTIONS = 512
@@ -72,9 +76,14 @@ MAX_CONNECTIONS = 512
 #: MAX_CONNECTIONS may displace it: a client sends its request within a
 #: round trip of its connect, so a burst never displaces a live one.
 DISPLACE_AFTER_S = 1.0
-#: request bytes the accept loop buffers per connection; a request this
-#: small reaches a handler whole.
-READ_AHEAD_BYTES = 16384
+#: request bytes the daemon holds for all connections, reading or
+#: queued; a connection is read only while the total is below it. One
+#: request at every limit below (its head and body) fits alone.
+BUFFER_BUDGET_BYTES = 8 << 20
+#: seconds a client gets from its connect to deliver its whole request,
+#: and again to take the answer: a client that declares N body bytes
+#: and sends fewer would otherwise hold its connection forever.
+REQUEST_TIMEOUT_S = 30
 #: connections the kernel completes before the loop accepts them.
 LISTEN_BACKLOG = 128
 #: longest request or header line, as the stdlib's HTTP server.
@@ -83,9 +92,9 @@ MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
 #: largest request body the daemon reads; larger declarations get 413.
 MAX_BODY_BYTES = 1 << 20
-#: seconds a rejected client gets to stop sending before the close:
-#: closing with unread input sends a reset, which can destroy the
-#: rejection still in flight.
+#: seconds a client gets to stop sending once the loop has written its
+#: answer: closing with unread input sends a reset, which can destroy
+#: the answer still in flight.
 LINGER_S = 1.0
 
 _RECV_BYTES = 65536
@@ -218,6 +227,7 @@ class _Incoming:
         "length",
         "continued",
         "watched",
+        "out",
     )
 
     def __init__(self, sock: socket.socket, since: float):
@@ -225,8 +235,8 @@ class _Incoming:
         #: monotonic time of the accept.
         self.since = since
         #: monotonic time by which the whole request must have arrived
-        #: (once rejected: by which the client must stop sending).
-        self.deadline = since + _ServiceRequestHandler.timeout
+        #: (then: the answer be taken, then the client stop sending).
+        self.deadline = since + REQUEST_TIMEOUT_S
         self.buffer = bytearray()
         #: complete lines in an incomplete head.
         self.lines = 0
@@ -236,8 +246,8 @@ class _Incoming:
         self.length = 0
         #: whether ``100 Continue`` went out.
         self.continued = False
-        #: whether the accept loop's selector watches the socket.
-        self.watched = False
+        #: the events the accept loop's selector watches for (0: none).
+        self.watched = 0
 
     def feed(self, chunk: bytes) -> None:
         """Take the next received bytes; empty ones mean the client
@@ -269,14 +279,6 @@ class _Incoming:
         return self.head is not None and len(self.buffer) - self.body_at >= self.length
 
     @property
-    def ready(self) -> bool:
-        """Whether a handler should take it: the request is whole, or
-        more than the loop buffers."""
-        if self.head is None:
-            return len(self.buffer) >= READ_AHEAD_BYTES
-        return self.complete or self.body_at + self.length > READ_AHEAD_BYTES
-
-    @property
     def wants_continue(self) -> bool:
         return (
             self.head is not None
@@ -304,66 +306,6 @@ class _Incoming:
         )
 
 
-def _linger(sock: socket.socket) -> None:
-    """Half-close, then read what the client still sends for at most
-    :data:`LINGER_S`, so the close that follows sends no reset."""
-    with contextlib.suppress(OSError):
-        sock.shutdown(socket.SHUT_WR)
-        end = time.monotonic() + LINGER_S
-        while (left := end - time.monotonic()) > 0:
-            sock.settimeout(left)
-            if not sock.recv(_RECV_BYTES):
-                return
-
-
-def _close(sock: socket.socket) -> None:
-    """Send the FIN now, then release the socket."""
-    with contextlib.suppress(OSError):
-        sock.shutdown(socket.SHUT_WR)
-    sock.close()
-
-
-class _ServiceRequestHandler:
-    """Serves one connection the accept loop queued: reads what is left
-    of its request, runs the app, answers in one write."""
-
-    #: seconds a client gets from its connect to deliver its whole
-    #: request, and again to take the answer: a client that declares N
-    #: body bytes and sends fewer would otherwise hold its connection
-    #: forever.
-    timeout = 30
-
-    def __init__(self, incoming: _Incoming, app: ServiceApp):
-        self.incoming = incoming
-        self.app = app
-
-    def handle(self) -> None:
-        sock = self.incoming.sock
-        try:
-            request = self._read()
-        except _Reject as reject:
-            sock.settimeout(self.timeout)
-            sock.sendall(reject.answer())
-            _linger(sock)
-            return
-        response = self.app.handle(request)
-        sock.settimeout(self.timeout)
-        sock.sendall(_response(response.status, response.payload, response.headers))
-
-    def _read(self) -> Request:
-        """The whole request. Raises :class:`_Reject`, or
-        ``TimeoutError`` when it is still incomplete at the deadline."""
-        incoming = self.incoming
-        sock = incoming.sock
-        while not incoming.complete:
-            sock.settimeout(max(incoming.deadline - time.monotonic(), 1e-3))
-            if incoming.wants_continue:
-                incoming.continued = True
-                sock.sendall(_CONTINUE)
-            incoming.feed(sock.recv(_RECV_BYTES))
-        return incoming.request()
-
-
 class ServiceHTTPServer:
     """The bound socket, its accept loop and its handler pool; owns the
     app so shutdown can close the queue."""
@@ -377,25 +319,31 @@ class ServiceHTTPServer:
         self._listener.setblocking(False)
         self.server_address = self._listener.getsockname()
         self.app = app or ServiceApp(config)
-        # the accept loop's wake-up call: shutdown, or room for one more
+        # the accept loop's wake-up call: shutdown, an answer handed
+        # back, or room for more connections or request bytes
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        # ready requests for the handlers; None tells one to exit
+        # whole requests for the handlers; None tells one to exit
         self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        # (connection, answer, bytes sent) a handler did not send whole
+        self._handed: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
-        # guarded by _lock: the connections held, whether the loop has
-        # stopped accepting for want of room, the sockets handlers are
-        # serving (shut down by close()), and whether close() began
+        # guarded by _lock: the connections held, the request bytes held
+        # (reading or queued), and whether the loop has stopped accepting
         self._open = 0
+        self._buffered = 0
         self._paused = False
-        self._serving: set = set()
-        self._closing = False
-        # the accept loop's own state: the connections it reads, and the
-        # rejected ones it drains, each in deadline order
+        # the loop's own state: the connections it reads, writes and
+        # drains, each in deadline order; whether the budget stopped its
+        # reading (handlers read it, to wake the loop); and the open
+        # count and time at which an accept short of descriptors retries
         self._selector: Optional[selectors.BaseSelector] = None
         self._reading: Dict[_Incoming, None] = {}
+        self._writing: Dict[_Incoming, None] = {}
         self._draining: Dict[_Incoming, None] = {}
+        self._starved = False
+        self._retry_accept = (0, 0.0)
         self._stop = False
         self._stopped = threading.Event()
         self._handlers = [
@@ -414,8 +362,9 @@ class ServiceHTTPServer:
 
     # -- the accept loop -----------------------------------------------------
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Accept connections and read their requests until
-        :meth:`shutdown`; ``poll_interval`` caps each wait."""
+        """Accept connections, read requests and finish answers until
+        :meth:`shutdown`; ``poll_interval`` caps each wait, and any pause
+        in accepting while no descriptor is free."""
         self._stopped.clear()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
@@ -425,18 +374,26 @@ class ServiceHTTPServer:
                 events = self._selector.select(self._next_wait(poll_interval))
                 for key, _ in events:
                     if key.fileobj is self._listener:
-                        self._accept()
+                        self._accept(poll_interval)
                     elif key.fileobj is self._wake_r:
                         with contextlib.suppress(OSError):
                             self._wake_r.recv(_RECV_BYTES)
-                    elif key.data in self._draining:
-                        self._drain(key.data)
                     elif key.data in self._reading:
                         self._receive(key.data)
+                    elif key.data in self._writing:
+                        self._write(key.data)
+                    elif key.data in self._draining:
+                        self._drain(key.data)
                 self._expire()
+                while not self._handed.empty():
+                    self._answer(*self._handed.get())
+                if self._starved and self._buffered < BUFFER_BUDGET_BYTES:
+                    self._starved = False
+                    for incoming in self._reading:
+                        self._watch(incoming, selectors.EVENT_READ)
                 self._resume_accepting()
         finally:
-            for incoming in [*self._reading, *self._draining]:
+            for incoming in [*self._reading, *self._writing, *self._draining]:
                 self._drop(incoming)
             self._selector.close()
             with self._lock:
@@ -460,7 +417,7 @@ class ServiceHTTPServer:
         at most ``poll_interval``."""
         now = time.monotonic()
         wait = poll_interval
-        for pending in (self._reading, self._draining):
+        for pending in (self._reading, self._writing, self._draining):
             if pending:
                 wait = min(wait, next(iter(pending)).deadline - now)
         if self._paused and self._reading:
@@ -471,14 +428,14 @@ class ServiceHTTPServer:
     def _displaceable(self) -> Optional[_Incoming]:
         """The connection to drop for a new one past the limit: the one
         that has waited longest for its request, if it has waited
-        :data:`DISPLACE_AFTER_S`, else a rejected one still draining."""
+        :data:`DISPLACE_AFTER_S`, else one draining after its answer."""
         if self._reading:
             oldest = next(iter(self._reading))
             if time.monotonic() - oldest.since >= DISPLACE_AFTER_S:
                 return oldest
         return next(iter(self._draining), None)
 
-    def _accept(self) -> None:
+    def _accept(self, poll_interval: float) -> None:
         with self._lock:
             displaced = None
             if self._open >= MAX_CONNECTIONS:
@@ -492,8 +449,14 @@ class ServiceHTTPServer:
             self._drop(displaced)
         try:
             sock, _ = self._listener.accept()
-        except OSError:  # the client gave up first, or no descriptor is free
-            return
+        except OSError as error:
+            if error.errno in (errno.EMFILE, errno.ENFILE):
+                # retry once a connection closes or a poll interval passes
+                self._retry_accept = (self._open, time.monotonic() + poll_interval)
+                with self._lock:
+                    self._paused = True
+                self._selector.unregister(self._listener)
+            return  # else the client gave up first
         sock.setblocking(False)
         with self._lock:
             self._open += 1
@@ -501,8 +464,6 @@ class ServiceHTTPServer:
         self._reading[incoming] = None
         # the request has often arrived with the connection: read it now
         self._receive(incoming)
-        if incoming in self._reading:
-            self._watch(incoming)
 
     def _resume_accepting(self) -> None:
         with self._lock:
@@ -510,44 +471,76 @@ class ServiceHTTPServer:
                 return
             if self._open >= MAX_CONNECTIONS and self._displaceable() is None:
                 return
+            held, retry_at = self._retry_accept
+            if self._open >= held and time.monotonic() < retry_at:
+                return
             self._paused = False
         self._selector.register(self._listener, selectors.EVENT_READ)
 
     def _receive(self, incoming: _Incoming) -> None:
-        """Read what has arrived; queue the request once it is ready."""
-        try:
-            chunk = incoming.sock.recv(READ_AHEAD_BYTES - len(incoming.buffer))
-            if not chunk and not incoming.buffer:
-                self._drop(incoming)  # the client left without a request
-                return
-            incoming.feed(chunk)
-        except BlockingIOError:
+        """Read what has arrived, unless the budget is spent; queue the
+        request once it is whole."""
+        if self._buffered >= BUFFER_BUDGET_BYTES:
+            # read it again once a handler frees bytes
+            self._starved = True
+            self._watch(incoming, 0)
             return
-        except _Reject as reject:
-            self._reject(incoming, reject)
+        try:
+            chunk = incoming.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            self._watch(incoming, selectors.EVENT_READ)
             return
         except OSError:
             self._drop(incoming)
             return
-        if incoming.ready:
-            self._forget(incoming)
+        if not chunk and not incoming.buffer:
+            self._drop(incoming)  # the client left without a request
+            return
+        with self._lock:
+            self._buffered += len(chunk)
+        try:
+            incoming.feed(chunk)
+        except _Reject as reject:
+            self._free(incoming)
+            self._answer(incoming, reject.answer())
+            return
+        if incoming.complete:
+            del self._reading[incoming]
+            self._watch(incoming, 0)
             self._connections.put(incoming)
-        elif incoming.wants_continue:
+            return
+        if incoming.wants_continue:
             incoming.continued = True
             with contextlib.suppress(OSError):
                 incoming.sock.send(_CONTINUE)
+        self._watch(incoming, selectors.EVENT_READ)
 
-    def _reject(self, incoming: _Incoming, reject: _Reject) -> None:
-        """Answer a malformed request, half-close, and drain the client
-        until it stops sending or :data:`LINGER_S` runs out."""
+    def _answer(self, incoming: _Incoming, out: bytes, sent: int = 0) -> None:
+        """Write ``out`` past its first ``sent`` bytes, half-close, and
+        drain the client until it stops sending or :data:`LINGER_S` ends."""
+        self._reading.pop(incoming, None)
+        incoming.out = memoryview(out)[sent:]
+        incoming.deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        self._writing[incoming] = None
+        self._write(incoming)
+
+    def _write(self, incoming: _Incoming) -> None:
+        try:
+            incoming.out = incoming.out[incoming.sock.send(incoming.out) :]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._drop(incoming)
+            return
+        if incoming.out:
+            self._watch(incoming, selectors.EVENT_WRITE)
+            return
         with contextlib.suppress(OSError):
-            # a fresh socket's send buffer takes the short answer whole
-            incoming.sock.send(reject.answer())
             incoming.sock.shutdown(socket.SHUT_WR)
-        del self._reading[incoming]
+        del self._writing[incoming]
         incoming.deadline = time.monotonic() + LINGER_S
         self._draining[incoming] = None
-        self._watch(incoming)
+        self._watch(incoming, selectors.EVENT_READ)
 
     def _drain(self, incoming: _Incoming) -> None:
         try:
@@ -561,75 +554,80 @@ class ServiceHTTPServer:
 
     def _expire(self) -> None:
         """Drop the connections whose deadline passed: a request not
-        whole in time, a rejected client that kept sending."""
+        whole, an answer not taken, a client still sending after it."""
         now = time.monotonic()
-        for pending in (self._reading, self._draining):
+        for pending in (self._reading, self._writing, self._draining):
             while pending and next(iter(pending)).deadline <= now:
                 self._drop(next(iter(pending)))
 
-    def _watch(self, incoming: _Incoming) -> None:
-        if not incoming.watched:
-            self._selector.register(incoming.sock, selectors.EVENT_READ, incoming)
-            incoming.watched = True
-
-    def _forget(self, incoming: _Incoming) -> None:
-        """Take a connection out of the loop's keeping."""
-        self._reading.pop(incoming, None)
-        self._draining.pop(incoming, None)
-        if incoming.watched:
+    def _watch(self, incoming: _Incoming, events: int) -> None:
+        """Have the selector watch the socket for ``events`` (0: not at all)."""
+        if incoming.watched == events:
+            return
+        if not events:
             self._selector.unregister(incoming.sock)
-            incoming.watched = False
+        elif incoming.watched:
+            self._selector.modify(incoming.sock, events, incoming)
+        else:
+            self._selector.register(incoming.sock, events, incoming)
+        incoming.watched = events
 
     def _drop(self, incoming: _Incoming) -> None:
-        self._forget(incoming)
+        for pending in (self._reading, self._writing, self._draining):
+            pending.pop(incoming, None)
+        self._watch(incoming, 0)
         incoming.sock.close()
-        self._release()
+        self._free(incoming, closed=True)
 
-    def _release(self) -> None:
-        """One connection closed: wake the loop if it waits for room."""
+    def _free(self, incoming: _Incoming, closed: bool = False) -> None:
+        """Give back the request bytes a connection holds and, once it
+        is ``closed``, its place; wake the loop if it waits for either."""
         with self._lock:
-            self._open -= 1
-            paused = self._paused
-        if paused:
+            self._buffered -= len(incoming.buffer)
+            self._open -= closed
+            wake = closed and self._paused or self._starved
+        incoming.buffer = bytearray()
+        if wake:
             self._wake()
 
     # -- the handler pool ----------------------------------------------------
     def _handle_connections(self) -> None:
         while (incoming := self._connections.get()) is not None:
-            sock = incoming.sock
-            with self._lock:
-                serve = not self._closing
-                if serve:
-                    self._serving.add(sock)
             try:
-                if serve:
-                    _ServiceRequestHandler(incoming, self.app).handle()
-            except OSError:
-                pass  # the client went away, stopped sending or reading
+                response = self.app.handle(incoming.request())
+                out = _response(response.status, response.payload, response.headers)
+            except _Reject as reject:  # an unreadable body
+                out = reject.answer()
             except Exception:  # a handler bug answers nothing, never kills
-                import traceback
-
                 traceback.print_exc()
-            finally:
-                with self._lock:
-                    self._serving.discard(sock)
-                _close(sock)
-                self._release()
+                out = b""
+            try:
+                sent = incoming.sock.send(out)
+            except BlockingIOError:
+                sent = 0
+            except OSError:  # the client went away
+                sent = len(out)
+            if sent < len(out):
+                self._free(incoming)
+                self._handed.put((incoming, out, sent))
+                self._wake()
+            else:
+                with contextlib.suppress(OSError):  # send the FIN now
+                    incoming.sock.shutdown(socket.SHUT_WR)
+                incoming.sock.close()
+                self._free(incoming, closed=True)
 
     def close(self) -> None:
-        """Stop listening, shut down the sockets being served, join every
-        handler thread, then close the job queue. Call it once
-        ``serve_forever`` has returned, or if it never ran."""
+        """Stop listening, join every handler thread, close the
+        connections they handed back, then close the job queue. Call it
+        once ``serve_forever`` has returned, or if it never ran."""
         self._listener.close()
-        with self._lock:
-            self._closing = True
-            for sock in self._serving:
-                with contextlib.suppress(OSError):
-                    sock.shutdown(socket.SHUT_RDWR)
         for _ in self._handlers:
             self._connections.put(None)
         for handler in self._handlers:
             handler.join()
+        while not self._handed.empty():
+            self._handed.get()[0].sock.close()
         self._wake_r.close()
         self._wake_w.close()
         self.app.close()

@@ -864,6 +864,35 @@ class TestJobLifecycleRaces:
             manager.close()
             SCENARIO_REGISTRY.pop(name, None)
 
+    def test_close_cancels_every_job_and_joins_the_workers(self):
+        before = set(threading.enumerate())
+        manager = JobManager(QueueConfig(workers=2, capacity=4))
+        name = "race-close"
+        started = threading.Event()
+
+        def step(scale, seed):
+            started.set()
+            time.sleep(0.05)
+            return self._result()
+
+        self._register(name, [AnalysisStep(name=f"s{i}", fn=step) for i in range(100)])
+        try:
+            jobs = [manager.submit_scenario(name) for _ in range(4)]
+            assert started.wait(timeout=30)
+            begun = time.monotonic()
+            manager.close()
+            assert time.monotonic() - begun < 1.0
+        finally:
+            SCENARIO_REGISTRY.pop(name, None)
+        # the running ones stopped at a step, the queued ones never ran
+        assert [job.status for job in jobs] == [JobStates.CANCELLED] * 4
+        left = [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-job-worker-") and thread not in before
+        ]
+        assert left == []
+
     def test_job_views_never_tear(self):
         # Hammer as_dict() from poller threads while jobs run: a view
         # must never pair a terminal status with finished_at=None, or
@@ -1099,9 +1128,9 @@ class TestServerLifecycle:
     def test_short_body_times_out_and_closes(self, monkeypatch):
         import socket
 
-        from repro.service.server import _ServiceRequestHandler
+        from repro.service import server as transport
 
-        monkeypatch.setattr(_ServiceRequestHandler, "timeout", 0.5)
+        monkeypatch.setattr(transport, "REQUEST_TIMEOUT_S", 0.5)
         with serve_background(quiet_config()) as (server, _):
             host, port = server.server_address[:2]
             request = (
@@ -1113,7 +1142,7 @@ class TestServerLifecycle:
             with socket.create_connection((host, port), timeout=10) as sock:
                 sock.sendall(request.encode("ascii"))
                 started = time.monotonic()
-                # EOF with no response: the handler gave up on the body
+                # EOF with no response: the loop gave up on the body
                 assert sock.recv(4096) == b""
                 assert time.monotonic() - started < 5.0
 

@@ -1,13 +1,16 @@
-"""The daemon's HTTP transport: the accept loop that reads requests,
-the handler pool, the connection bound, and what it answers to
-malformed or hostile input.
+"""The daemon's HTTP transport: the accept loop that reads requests
+and finishes answers, the handler pool, the byte budget, the
+connection bound, and what it answers to malformed or hostile input.
 
 Requests go over raw sockets, so the bytes on the wire are exactly the
 ones under test: nothing a client library would normalise first.
 """
 
+import contextlib
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -22,6 +25,7 @@ from repro.service import ServerConfig, serve_background
 from repro.service import server as transport
 from repro.service.envelope import is_envelope
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: test\r\n\r\n"
 #: request lines the health route answers 200.
 HEALTH_LINES = (b"GET /v1/health HTTP/1.", b"GET http://test/v1/health HTTP/1.")
@@ -91,6 +95,25 @@ def head_with(*lines: bytes, request_line: bytes = b"GET /v1/health HTTP/1.1"):
 
 def one_line(raw: bytes) -> bytes:
     return raw.replace(b"\r", b"").replace(b"\n", b"")
+
+
+@contextlib.contextmanager
+def instant_scenario(name: str = "transport-instant"):
+    """Register ``name`` as a scenario whose one step returns at once."""
+    from repro.scenarios.result import ExperimentResult
+
+    def instant(scale, seed):
+        return ExperimentResult(exhibit="x", title="x", columns=["v"])
+
+    register(
+        Scenario.builder(name).kind("analysis").build(),
+        plan_fn=lambda scenario, scale, seed: [AnalysisStep("i", instant)],
+        replace=True,
+    )
+    try:
+        yield name
+    finally:
+        SCENARIO_REGISTRY.pop(name, None)
 
 
 LONG = b"x" * (transport.MAX_LINE_BYTES + 1)
@@ -278,13 +301,11 @@ class TestHandlerPool:
         serving.start()
         address = server.server_address[:2]
         idle = [connect(address) for _ in range(3)]
-        # a head larger than the loop buffers goes to a handler unfinished
+        # a head past 16 KiB that never ends stays with the loop, read
         held = connect(address)
-        held.sendall(
-            b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"x" * transport.READ_AHEAD_BYTES
-        )
+        held.sendall(b"GET /v1/health HTTP/1.1\r\nX-Big: " + b"x" * 16384)
         try:
-            wait_until(lambda: len(server._reading) == 3 and len(server._serving) == 1)
+            wait_until(lambda: len(server._reading) == 4 and server._buffered > 16384)
             server.shutdown()
             started = time.monotonic()
             server.close()
@@ -326,10 +347,11 @@ class TestHandlerPool:
         before = len(handler_threads())
         with serve_background(config()) as (server, _):
             address = server.server_address[:2]
-            release = threading.Event()
+            release, holding = threading.Event(), threading.Event()
             handle = server.app.handle
 
             def held_handle(request):
+                holding.set()
                 release.wait(10)
                 return handle(request)
 
@@ -342,7 +364,7 @@ class TestHandlerPool:
             askers = [threading.Thread(target=ask) for _ in range(3)]
             try:
                 askers[0].start()
-                wait_until(lambda: len(server._serving) == 1)
+                wait_until(holding.is_set)
                 askers[1].start()  # queued
                 wait_until(lambda: server._open == 2 and not server._reading)
                 askers[2].start()  # waits in the listen backlog
@@ -357,10 +379,95 @@ class TestHandlerPool:
                         asker.join(timeout=10)
             assert answers == [200, 200, 200]
 
+    def test_stalled_bodies_and_unread_answers_hold_no_handler(self):
+        before = len(handler_threads())
+        pool = transport.HANDLER_THREADS
+        stalled = b"POST /v1/runs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+        jobs = b"GET /v1/jobs HTTP/1.1\r\nHost: test\r\n\r\n"
+        with serve_background(config()) as (server, _), instant_scenario() as name:
+            manager = server.app.manager
+            for _ in range(8):  # within the job queue's capacity
+                for job in [manager.submit_scenario(name) for _ in range(50)]:
+                    manager.wait(job.id, timeout_s=60)
+            address = server.server_address[:2]
+            clients = []
+            try:
+                for _ in range(pool + 1):  # past 16 KiB of a body, then silent
+                    clients.append(connect(address))
+                    clients[-1].sendall(stalled + b" " * 20000)
+                for _ in range(pool + 1):  # never reads its answer
+                    sock = socket.socket()
+                    clients.append(sock)
+                    # small segments, as on a network path and not loopback,
+                    # keep the daemon's send buffer smaller than the job list
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG, 536)
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                    sock.settimeout(10)
+                    sock.connect(address)
+                    sock.sendall(jobs)
+                wait_until(lambda: server._open == len(clients))
+                started = time.monotonic()
+                assert answer(exchange(address, HEALTH))[0] == 200
+                assert time.monotonic() - started < 1.0
+                assert len(handler_threads()) == before + pool
+                # the loop holds every answer, unsent
+                wait_until(lambda: len(server._writing) == pool + 1)
+            finally:
+                for sock in clients:
+                    sock.close()
+
+    def test_a_connection_past_the_budget_waits_for_freed_bytes(self, monkeypatch):
+        monkeypatch.setattr(transport, "BUFFER_BUDGET_BYTES", 4096)
+        with serve_background(config()) as (server, _):
+            address = server.server_address[:2]
+            release, holding = threading.Event(), threading.Event()
+            handle = server.app.handle
+
+            def held_handle(request):
+                holding.set()
+                release.wait(10)
+                return handle(request)
+
+            monkeypatch.setattr(server.app, "handle", held_handle)
+            answers = []
+
+            def ask(raw):
+                answers.append(answer(exchange(address, raw))[0])
+
+            big = head_with(b"X-Pad: " + b"x" * 4096)
+            askers = [
+                threading.Thread(target=ask, args=(raw,)) for raw in (big, HEALTH)
+            ]
+            try:
+                askers[0].start()  # whole, past the budget, held by its handler
+                wait_until(holding.is_set)
+                askers[1].start()
+                wait_until(lambda: server._starved)
+                time.sleep(0.2)
+                assert [len(held.buffer) for held in server._reading] == [0]
+                assert not answers
+            finally:
+                release.set()
+                for asker in askers:
+                    if asker.ident is not None:
+                        asker.join(timeout=10)
+            assert answers == [200, 200]
+
     def test_many_clients_through_a_small_daemon_all_answer(self, monkeypatch):
         # more clients than connections, handlers and cores, with short
-        # thread switches: a lost update to the open-connection count
-        # would leave it nonzero, or leave the loop waiting for room
+        # thread switches: a lost update to the open-connection or the
+        # buffered-byte count would leave it nonzero, or leave the loop
+        # waiting for room
+        self.many_clients_all_answer(monkeypatch)
+
+    def test_many_clients_on_a_small_byte_budget_all_answer(self, monkeypatch):
+        # the loop stops reading, and must be woken to resume, on nearly
+        # every request
+        monkeypatch.setattr(transport, "BUFFER_BUDGET_BYTES", 2 * len(HEALTH))
+        self.many_clients_all_answer(monkeypatch)
+
+    @staticmethod
+    def many_clients_all_answer(monkeypatch):
         monkeypatch.setattr(transport, "HANDLER_THREADS", 2)
         monkeypatch.setattr(transport, "MAX_CONNECTIONS", 3)
         interval = sys.getswitchinterval()
@@ -383,8 +490,42 @@ class TestHandlerPool:
                 assert statuses == [200] * 96
                 wait_until(lambda: server._open == 0)
                 assert not server._paused
+                assert server._buffered == 0
         finally:
             sys.setswitchinterval(interval)
+
+
+#: a daemon in a process that runs out of descriptors while a connect
+#: waits: prints the CPU seconds the process burns over the next second,
+#: then the health answer's status line once descriptors are free.
+NO_DESCRIPTOR = """
+import os, resource, socket, time
+from repro.service import ServerConfig, serve_background
+
+with serve_background(ServerConfig.from_dict({"port": 0})) as (server, _):
+    with socket.create_connection(server.server_address[:2]) as serving:
+        serving.sendall(b"GET /v1/health HTTP/1.1\\r\\n\\r\\n")
+        assert serving.recv(12) == b"HTTP/1.1 200"
+    client = socket.socket()
+    client.settimeout(10)
+    highest = max(map(int, os.listdir("/proc/self/fd")))
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (highest + 16, hard))
+    spare = []
+    try:
+        while True:
+            spare.append(os.open(os.devnull, os.O_RDONLY))
+    except OSError:
+        pass
+    client.connect(server.server_address[:2])
+    started = time.process_time()
+    time.sleep(1.0)
+    print(round(time.process_time() - started, 3))
+    for fd in spare:
+        os.close(fd)
+    client.sendall(b"GET /v1/health HTTP/1.1\\r\\n\\r\\n")
+    print(client.recv(12).decode())
+"""
 
 
 class TestLifecycle:
@@ -394,6 +535,19 @@ class TestLifecycle:
         with pytest.raises(OSError):
             transport.make_server(taken)
         assert threading.active_count() == before
+
+    def test_no_free_descriptor_pauses_accepting_without_spinning(self):
+        out = subprocess.run(
+            [sys.executable, "-c", NO_DESCRIPTOR],
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        cpu_s, status = out.stdout.split("\n")[:2]
+        assert float(cpu_s) < 0.1
+        assert status == "HTTP/1.1 200"
 
     def test_shutdown_wakes_the_accept_loop(self):
         background = serve_background(config())
@@ -405,23 +559,12 @@ class TestLifecycle:
 
 class TestExpectContinue:
     def test_post_gets_100_continue_then_its_202(self, service):
-        from repro.scenarios.result import ExperimentResult
-
-        def instant(scale, seed):
-            return ExperimentResult(exhibit="x", title="x", columns=["v"])
-
-        name = "transport-instant"
-        register(
-            Scenario.builder(name).kind("analysis").build(),
-            plan_fn=lambda scenario, scale, seed: [AnalysisStep("i", instant)],
-            replace=True,
-        )
         body = b'{"scale": 1.0}'
-        head = (
-            f"POST /v1/scenarios/{name}/runs HTTP/1.1\r\nHost: test\r\n"
-            f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii")
-        try:
+        with instant_scenario() as name:
+            head = (
+                f"POST /v1/scenarios/{name}/runs HTTP/1.1\r\nHost: test\r\n"
+                f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode("ascii")
             address = service.server_address[:2]
             with socket.create_connection(address, timeout=10) as sock:
                 sock.sendall(head)
@@ -434,5 +577,3 @@ class TestExpectContinue:
             assert status == 202
             assert envelope["data"]["name"] == name
             service.app.manager.wait(envelope["data"]["id"], timeout_s=60)
-        finally:
-            SCENARIO_REGISTRY.pop(name, None)
