@@ -249,6 +249,17 @@ def _print_cache_line(cache, suffix: str = "") -> None:
     )
 
 
+def _print_failures(failures) -> None:
+    if failures:
+        print(f"{len(failures)} step(s) failed:", file=sys.stderr)
+    for failure in failures:
+        print(
+            f"  step {failure['step_index']} ({failure['step_label']}): "
+            f"{failure['error_type']}: {failure['error']}",
+            file=sys.stderr,
+        )
+
+
 def _cmd_scenario_run(args) -> int:
     from .scenarios.views import run_scenario_view
 
@@ -273,9 +284,8 @@ def _cmd_scenario_run(args) -> int:
             f"warning: writing {args.name} at non-canonical parameters (--force)",
             file=sys.stderr,
         )
-    # with --json a raising step comes back as a failure beside the
-    # surviving rows; without it, it raises with its step's context.
-    view = run_scenario_view(options, name=args.name, contain=args.json)
+    # a raising step comes back as a failure beside the surviving rows
+    view = run_scenario_view(options, name=args.name)
     trace = view.pop("trace")
     failures = view["failures"]
     if args.json:
@@ -294,15 +304,8 @@ def _cmd_scenario_run(args) -> int:
         print(f"[{args.name}: {view['elapsed_s']:.1f}s]")
         if view["cache"]["enabled"]:
             _print_cache_line(view["cache"])
-        if failures:
-            print(f"{len(failures)} step(s) failed:", file=sys.stderr)
-            for failure in failures:
-                print(
-                    f"  step {failure['step_index']} ({failure['step_label']}): "
-                    f"{failure['error_type']}: {failure['error']}",
-                    file=sys.stderr,
-                )
-    if args.out:
+        _print_failures(failures)
+    if args.out and not failures:  # a partial table is no trace
         path = golden.write_trace(args.name, trace, args.out)
         if not args.json:
             print(f"wrote {path}")
@@ -325,7 +328,7 @@ def _scenario_check(args, options: RunOptions) -> int:
             f"(committed: {', '.join(EXHIBIT_RUNS)})",
         )
     options = dataclasses.replace(options, scale=canonical.scale, seed=canonical.seed)
-    view = run_scenario_view(options, name=name, contain=False)
+    view = run_scenario_view(options, name=name)
     diff = golden.ExhibitDiff(name, golden.read_committed(name), view["trace"])
     if args.json:
         data = {"scenario": name, "status": diff.status, "cache": view["cache"]}
@@ -340,6 +343,7 @@ def _scenario_check(args, options: RunOptions) -> int:
     print(f"{name}: {diff.status}")
     if view["cache"]["enabled"]:
         _print_cache_line(view["cache"])
+    _print_failures(view["failures"])
     if diff.status == "ok":
         return 0
     if diff.committed is not None:

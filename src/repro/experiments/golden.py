@@ -118,7 +118,9 @@ def render_many(
     stores them in the outcome cache — the determinism contract
     extends to hits), and each exhibit is collected as soon as its last
     chain is back (:func:`~repro.scenarios.merge.run_reports`). A
-    raising step escapes. Seconds are each exhibit's ``RunReport.elapsed_s``.
+    raising step raises its ``StepExecutionError`` at any ``workers``
+    (``RunReport.unwrap()``). Seconds are each exhibit's
+    ``RunReport.elapsed_s``.
     """
     from ..scenarios.registry import get_definition
     from ..scenarios.backends import backend_for

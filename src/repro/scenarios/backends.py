@@ -32,21 +32,21 @@ sessions with :func:`session_for_cluster`; code that needs a custom
 workload, space or ``PipeTuneConfig`` uses the same two.
 :func:`backend_for` builds every backend.
 
-Whether a failure is contained is a setting, not a second backend. A
-step that raises is wrapped in :class:`~repro.scenarios.containment.
-StepExecutionError` so the error names its scenario, plan position and
-chain; with ``SerialBackend(contain=True)`` and always under the pool
-the failure is *contained* and comes back as
-:class:`~repro.scenarios.containment.ChainFailure` outcomes instead of
+Every backend contains a failure the same way: a step that raises
+comes back as :class:`~repro.scenarios.containment.ChainFailure`
+outcomes naming its scenario, plan position and chain instead of
 poisoning the run, and a chain whose pool worker dies outright
 (segfault, OOM-kill) or hangs is retried once in isolation before it
-is reported as failed — all other chains still complete.
+is reported as failed — all other chains still complete. Whether a
+failure raises is the caller's choice (``RunReport.unwrap()``), never
+the worker count's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from traceback import format_exception
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -66,7 +66,7 @@ from ..tune.runner import HptJobSpec, HptResult, run_hpt_job
 from ..tune.trainer import run_trial
 from ..workloads.registry import get_workload, type12_workloads
 from ..workloads.spec import PAPER_CORE_GRID, PAPER_MEMORY_GRID_GB, WorkloadSpec
-from .containment import ChainFailure, StepExecutionError, format_traceback
+from .containment import ChainFailure
 from .cache import CachingBackend, OutcomeCache
 from .planner import ExecutionChain
 from .runner import (
@@ -160,18 +160,11 @@ class ChainExecutor:
         raise TypeError(f"unknown step type {type(step).__name__}")
 
     def run_chain(
-        self,
-        chain: ExecutionChain,
-        contain: bool = False,
-        stop: Optional[Callable[[], bool]] = None,
+        self, chain: ExecutionChain, stop: Optional[Callable[[], bool]] = None
     ) -> List:
         """Run one chain's steps in order.
 
-        With ``contain=False`` (default) the first raising step
-        escapes as a :class:`StepExecutionError` carrying its
-        execution context (one the step itself raised escapes as is).
-        With ``contain=True`` the failure is turned
-        into outcomes instead: the raising position becomes a
+        A raising step is turned into outcomes: its position becomes a
         :class:`ChainFailure` with the error and traceback, every
         later position of the same chain a skipped one (its session
         state is suspect once an earlier step died), and the list
@@ -199,19 +192,13 @@ class ChainExecutor:
             try:
                 outcomes.append(self.run_step(step))
             except Exception as error:
-                if not contain:
-                    if isinstance(error, StepExecutionError):
-                        raise
-                    raise StepExecutionError(
-                        name, chain.index, position, step.describe(), error
-                    ) from error
                 return outcomes + chain_failures(
                     name,
                     chain,
                     type(error).__name__,
                     str(error),
                     start=offset,
-                    traceback=format_traceback(error),
+                    traceback="".join(format_exception(error)),
                     later=f"skipped: step {position} failed earlier in this chain",
                 )
         return outcomes
@@ -345,27 +332,14 @@ class SerialBackend:
 
     A chain starts only when the caller asks for the next result, so a
     caller that collects each finished plan first holds one plan's
-    outcomes at a time.
-
-    ``contain=False`` (default — an interactive run wants the
-    traceback) lets the first raising step escape as a
-    :class:`StepExecutionError` naming the scenario, plan position,
-    step and chain, with the original chained as its cause; a
-    :class:`StepExecutionError` raised *inside* a step propagates
-    unwrapped. ``contain=True`` instead contains it as
-    :class:`~repro.scenarios.containment.ChainFailure` outcomes (pool
-    semantics): a service job that hits a bad step degrades to a
-    partial table and never kills the serving worker. ``stop`` adds
-    cooperative cancellation: it is polled between steps and turns
-    every step not yet started into a skipped ``JobCancelled`` failure.
-    Results for surviving steps are identical either way (same
-    executor, same streams).
+    outcomes at a time. A raising step comes back as
+    :class:`~repro.scenarios.containment.ChainFailure` outcomes, as
+    under the pool. ``stop`` adds cooperative cancellation: it is
+    polled between steps and turns every step not yet started into a
+    skipped ``JobCancelled`` failure.
     """
 
-    def __init__(
-        self, contain: bool = False, stop: Optional[Callable[[], bool]] = None
-    ):
-        self.contain = contain
+    def __init__(self, stop: Optional[Callable[[], bool]] = None):
         self.stop = stop
 
     def run_chains(self, tasks: Iterable[Task]) -> Iterator[Tuple[int, List]]:
@@ -374,24 +348,22 @@ class SerialBackend:
             if plan is not current:
                 current = plan
                 executor = ChainExecutor(plan.scenario, plan.scale, plan.seed)
-            yield position, executor.run_chain(
-                chain, contain=self.contain, stop=self.stop
-            )
+            yield position, executor.run_chain(chain, stop=self.stop)
 
     def __repr__(self) -> str:
-        return f"SerialBackend(contain={self.contain})"
+        return "SerialBackend()"
 
 
 def _run_chain_task(payload) -> List:
     """Pool task: rebuild the executor in the worker, run one chain.
 
-    Containment is on: a raising chain returns :class:`ChainFailure`
-    outcomes rather than propagating an exception across the process
-    boundary, so one bad chain cannot abort its siblings.
+    A raising chain returns :class:`ChainFailure` outcomes rather than
+    propagating an exception across the process boundary, so one bad
+    chain cannot abort its siblings.
     """
     scenario, scale, seed, chain = payload
     executor = ChainExecutor(scenario=scenario, scale=scale, seed=seed)
-    return executor.run_chain(chain, contain=True)
+    return executor.run_chain(chain)
 
 
 def default_start_method() -> str:
@@ -595,20 +567,18 @@ class ProcessPoolBackend:
 def backend_for(
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    contain: bool = False,
     stop: Optional[Callable[[], bool]] = None,
 ):
     """The one backend builder.
 
-    ``workers`` None/0/1 gives the :class:`SerialBackend` (``contain``
-    decides whether a raising step escapes), more a
-    :class:`ProcessPoolBackend` of that size (always contained);
-    ``stop`` is the cooperative cancel hook of either. A ``cache_dir``
+    ``workers`` None/0/1 gives the :class:`SerialBackend`, more a
+    :class:`ProcessPoolBackend` of that size; ``stop`` is the
+    cooperative cancel hook of either. A ``cache_dir``
     wraps the result in a :class:`~repro.scenarios.cache.CachingBackend`
     over the outcome cache rooted there.
     """
     if workers is None or workers <= 1:
-        backend = SerialBackend(contain=contain, stop=stop)
+        backend = SerialBackend(stop=stop)
     else:
         backend = ProcessPoolBackend(workers=workers, stop=stop)
     if cache_dir is None:

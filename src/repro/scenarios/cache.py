@@ -15,8 +15,8 @@ sha256 of those same bytes:
   entries, atomic writes, and a ``load`` that treats *any* damage
   (truncation, garbage, checksum mismatch) as a miss — corruption can
   cost a recompute, never a crash and never wrong bytes;
-* :class:`CachingBackend` — wraps any execution backend (serial,
-  contained, pooled): cache hits skip execution entirely, misses run
+* :class:`CachingBackend` — wraps any execution backend (serial or
+  pooled): cache hits skip execution entirely, misses run
   on the wrapped backend's ``run_chains`` in one call and are stored,
   and both re-tile through :func:`~repro.scenarios.merge.
   merge_outcomes` so the collect phase cannot tell a hit from a

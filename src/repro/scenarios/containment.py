@@ -1,13 +1,14 @@
 """Structured failure containment for scenario execution.
 
 The execution backends promise that one bad step cannot take the
-whole run down with an anonymous traceback: a step that raises is
-wrapped in :class:`StepExecutionError` carrying its execution context
-(scenario, plan position, chain), and a containing backend turns the
-failure into a :class:`ChainFailure` *outcome* — a plain picklable
-record that flows through :func:`~repro.scenarios.merge.merge_outcomes`
+whole run down with an anonymous traceback: every backend turns a step
+that raises into :class:`ChainFailure` *outcomes* — plain picklable
+records carrying the execution context (scenario, plan position,
+chain) that flow through :func:`~repro.scenarios.merge.merge_outcomes`
 in plan order like any result, so collectors and sweeps can degrade
-gracefully instead of aborting.
+gracefully instead of aborting. A caller that wants the whole table
+gets a :class:`StepExecutionError` from ``RunReport.unwrap()`` instead,
+at any worker count.
 
 This module is imported by both :mod:`~repro.scenarios.runner`
 (collectors skip failed positions) and
@@ -17,62 +18,18 @@ depends on neither.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
-
-
-class StepExecutionError(RuntimeError):
-    """A plan step raised; the message carries the step's context.
-
-    Raised by the serial backend (and by chain execution when
-    containment is off) so an error escaping a scenario run always
-    names the scenario, the plan position, the step label and the
-    chain it ran in — instead of a bare exception from somewhere deep
-    in the simulator. The original exception is chained as
-    ``__cause__`` and kept on ``original``.
-    """
-
-    def __init__(
-        self,
-        scenario: str,
-        chain_index: int,
-        step_index: int,
-        step_label: str,
-        original: BaseException,
-    ):
-        super().__init__(
-            f"scenario {scenario!r}: step {step_index} ({step_label}) in "
-            f"chain {chain_index} failed: "
-            f"{type(original).__name__}: {original}"
-        )
-        self.scenario = scenario
-        self.chain_index = chain_index
-        self.step_index = step_index
-        self.step_label = step_label
-        self.original = original
-
-    def __reduce__(self):
-        # Default pickling rebuilds cls(*self.args) — the formatted
-        # message against a five-argument __init__ — so a contained
-        # step failure would die again crossing the pool boundary.
-        return type(self), (
-            self.scenario,
-            self.chain_index,
-            self.step_index,
-            self.step_label,
-            self.original,
-        )
 
 
 @dataclass(frozen=True)
 class ChainFailure:
     """One failed (or skipped) plan position, as a picklable outcome.
 
-    A containing backend emits one per step of the failed chain: the
-    step that raised carries the error, every later step of the same
-    chain is marked skipped (its session state is suspect once an
-    earlier step died). ``merge_outcomes`` slots these into plan order
-    exactly like results.
+    A backend emits one per step of the failed chain: the step that
+    raised carries the error, every later step of the same chain is
+    marked skipped (its session state is suspect once an earlier step
+    died). ``merge_outcomes`` slots these into plan order exactly like
+    results.
     """
 
     scenario: str
@@ -84,20 +41,31 @@ class ChainFailure:
     traceback: str = ""
     skipped: bool = False
 
-    def describe(self) -> str:
-        state = "skipped" if self.skipped else "failed"
+
+class StepExecutionError(RuntimeError):
+    """A plan step raised; the message carries the step's context.
+
+    Raised by ``RunReport.unwrap()`` for the first step of a run that
+    failed, so an error escaping a scenario run always names the
+    scenario, the plan position, the step label and the chain it ran
+    in — instead of a bare exception from somewhere deep in the
+    simulator. The :class:`ChainFailure` it reports, with the step's
+    traceback, is kept on ``failure``.
+    """
+
+    def __init__(self, failure: ChainFailure):
+        super().__init__(failure)
+        self.failure = failure
+
+    def __str__(self) -> str:
+        failure = self.failure
         return (
-            f"step {self.step_index} ({self.step_label}) {state}: "
-            f"{self.error_type}: {self.error}"
+            f"scenario {failure.scenario!r}: step {failure.step_index} "
+            f"({failure.step_label}) in chain {failure.chain_index} failed: "
+            f"{failure.error_type}: {failure.error}"
         )
 
 
 def is_failure(outcome: object) -> bool:
     """Whether one merged outcome is a contained failure."""
     return isinstance(outcome, ChainFailure)
-
-
-def format_traceback(error: BaseException) -> str:
-    return "".join(
-        traceback.format_exception(type(error), error, error.__traceback__)
-    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cache import CacheStats, CachingBackend
-from .containment import ChainFailure, is_failure
+from .containment import ChainFailure, StepExecutionError, is_failure
 from .planner import ExecutionChain, partition
 from .result import ExperimentResult
 from .runner import ScenarioPlan
@@ -105,20 +105,25 @@ class RunReport:
     None when collect raised, and ``error`` holds that exception.
     ``failures`` are the contained :class:`ChainFailure` outcomes in
     plan order, ``cache_stats`` the plan's chain-cache hits and misses
-    (None when the run is uncached), ``elapsed_s`` the wait on the
-    plan's chains plus its collect, and ``cancelled`` whether the stop
-    hook skipped any of its steps. No raw outcome is kept.
+    (None when the run is uncached) and ``elapsed_s`` the wait on the
+    plan's chains plus its collect. No raw outcome is kept.
     """
 
     result: Optional[ExperimentResult]
     failures: Tuple[ChainFailure, ...]
     cache_stats: Optional[CacheStats]
     elapsed_s: float
-    cancelled: bool
     error: Optional[Exception] = None
 
     def unwrap(self) -> ExperimentResult:
-        """The collected table; re-raises the exception collect raised."""
+        """The whole collected table, the same at any worker count.
+
+        Raises :class:`StepExecutionError` for the first step that
+        raised (not one skipped after it or by a cancel), otherwise
+        re-raises the exception collect raised."""
+        for failure in self.failures:
+            if not failure.skipped:
+                raise StepExecutionError(failure)
         if self.error is not None:
             raise self.error
         return self.result
@@ -128,9 +133,10 @@ def run_reports(backend, pairs: Sequence[Tuple]) -> Iterator[RunReport]:
     """One :class:`RunReport` per ``(runner, plan)`` pair, in pair order.
 
     Each plan is collected as soon as :func:`run_plans` hands back its
-    outcomes. Whether a raising step escapes or comes back as a failure
-    is the backend's ``contain`` setting; what a failure or a collect
-    error means is up to the caller.
+    outcomes. Every backend returns a raising step as failures beside
+    the surviving rows; a caller that wants the whole table or an error
+    calls :meth:`RunReport.unwrap`, one that shows a partial table reads
+    ``result``, ``failures`` and ``error``.
     """
     cached = isinstance(backend, CachingBackend)
     done: Dict[int, RunReport] = {}
@@ -151,7 +157,6 @@ def run_reports(backend, pairs: Sequence[Tuple]) -> Iterator[RunReport]:
             failures=failures,
             cache_stats=backend.stats_for(plan) if cached else None,
             elapsed_s=waited + time.perf_counter() - started,
-            cancelled=any(f.error_type == "JobCancelled" for f in failures),
             error=error,
         )
         while ready in done:

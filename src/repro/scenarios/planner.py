@@ -70,11 +70,6 @@ class ExecutionChain:
         kind = "session chain" if self.shares_session else "independent"
         return f"chain {self.index} ({len(self.steps)} step(s), {kind})"
 
-    def describe(self) -> List[str]:
-        return [f"{self.label}:"] + [
-            f"  [{i}] {step.describe()}" for i, step in zip(self.indices, self.steps)
-        ]
-
 
 def partition(plan: ScenarioPlan) -> Tuple[ExecutionChain, ...]:
     """Split a plan into its execution chains, ordered by first step.

@@ -485,7 +485,9 @@ class ScenarioRunner:
         backend=None,
     ) -> ExperimentResult:
         """All four phases: the one-plan case of :func:`~repro.scenarios.
-        merge.run_reports`, on the backend :meth:`execute` would use."""
+        merge.run_reports`, on the backend :meth:`execute` would use. A
+        step that raised raises its ``StepExecutionError`` at any
+        ``workers``."""
         from .backends import backend_for  # late import: backends imports us
         from .merge import run_reports
 

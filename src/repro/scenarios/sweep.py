@@ -141,9 +141,6 @@ class SweepVariant:
     overrides: Tuple[Tuple[str, object], ...]
     scenario: Scenario
 
-    def describe(self) -> str:
-        return ", ".join(f"{path}={_fmt(value)}" for path, value in self.overrides)
-
 
 @dataclass(frozen=True)
 class Sweep(Spec):
@@ -328,8 +325,8 @@ def run_sweep(
     """Expand a sweep and execute every variant, pooled when asked.
 
     Every variant is planned up front and all of their chains run
-    through one contained backend, so ``workers > 1`` spreads the
-    chains of every variant over one pool. A variant is collected as
+    through one backend, so ``workers > 1`` spreads the chains of every
+    variant over one pool. A variant is collected as
     soon as its last chain is back (:func:`~repro.scenarios.merge.
     run_reports`) — serially, before the next variant's chains run, so
     only one variant's outcomes are held at a time. Results are
@@ -360,7 +357,7 @@ def run_sweep(
     problem = scale_problem(scale)
     if problem:
         raise SweepError(sweep.name, [problem])
-    backend = backend_for(workers, cache_dir=cache_dir, contain=True, stop=stop)
+    backend = backend_for(workers, cache_dir=cache_dir, stop=stop)
     cells = list(sweep._grid())
     variants: List[Optional[VariantOutcome]] = [None] * len(cells)
     planned, pairs = [], []  # (grid cell, planning seconds), (runner, plan)

@@ -195,13 +195,13 @@ def run_scenario_view(
     options: RunOptions,
     name: Optional[str] = None,
     scenario: Optional[Dict] = None,
-    contain: bool = True,
     stop=None,
 ) -> Dict:
     """``scenario run`` / a scenario job: plan, validate and run one
-    scenario (see :func:`scenario_runner`) as ``options`` say.
-    ``contain`` returns a raising step as a failure beside the surviving
-    rows instead of raising; ``stop`` is the cooperative cancel hook."""
+    scenario (see :func:`scenario_runner`) as ``options`` say. A
+    raising step comes back as a failure beside the surviving rows; an
+    exception collect raised is raised. ``stop`` is the cooperative
+    cancel hook."""
     from ..experiments.golden import render_result
     from .backends import backend_for
     from .merge import run_reports
@@ -210,11 +210,10 @@ def run_scenario_view(
     runner = scenario_runner(name, scenario)
     plan = runner.plan(scale=options.scale, seed=options.seed)
     runner.validate(plan)
-    backend = backend_for(
-        options.workers, cache_dir=options.cache_root, contain=contain, stop=stop
-    )
+    backend = backend_for(options.workers, cache_dir=options.cache_root, stop=stop)
     (report,) = run_reports(backend, [(runner, plan)])
-    result = report.unwrap()
+    if report.error is not None:
+        raise report.error
     return {
         "scenario": runner.scenario.name,
         "source": runner.source,
@@ -224,8 +223,8 @@ def run_scenario_view(
         "elapsed_s": round(time.perf_counter() - started, 3),
         "cache": cache_view(options, report.cache_stats),
         "failures": [failure_view(failure) for failure in report.failures],
-        "result": jsonify(result.as_dict()),
-        "trace": render_result(result),
+        "result": jsonify(report.result.as_dict()),
+        "trace": render_result(report.result),
     }
 
 

@@ -3,8 +3,8 @@
 A submission becomes a :class:`Job` on a bounded queue; a small pool of
 worker *threads* drains it, each running one job at a time through the
 existing execution backends (the heavy lifting stays in
-:mod:`repro.scenarios.backends` — serial-with-containment by default,
-a process pool when the job asks for ``workers > 1``). The manager
+:mod:`repro.scenarios.backends` — serial by default, a process pool
+when the job asks for ``workers > 1``). The manager
 never lets a job kill the daemon:
 
 * a raising *step* is contained as

@@ -78,7 +78,8 @@ MAX_CONNECTIONS = 512
 DISPLACE_AFTER_S = 1.0
 #: request bytes the daemon holds for all connections, reading or
 #: queued; a connection is read only while the total is below it. One
-#: request at every limit below (its head and body) fits alone.
+#: request at every limit below (its head and body) fits alone. When
+#: only requests still arriving hold it, the largest of them is dropped.
 BUFFER_BUDGET_BYTES = 8 << 20
 #: seconds a client gets from its connect to deliver its whole request,
 #: and again to take the answer: a client that declares N body bytes
@@ -366,10 +367,10 @@ class ServiceHTTPServer:
         :meth:`shutdown`; ``poll_interval`` caps each wait, and any pause
         in accepting while no descriptor is free."""
         self._stopped.clear()
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ)
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
-        try:
+        try:  # a process short of descriptors raises here: still set _stopped
+            self._selector = selectors.DefaultSelector()
+            self._selector.register(self._listener, selectors.EVENT_READ)
+            self._selector.register(self._wake_r, selectors.EVENT_READ)
             while not self._stop:
                 events = self._selector.select(self._next_wait(poll_interval))
                 for key, _ in events:
@@ -395,7 +396,8 @@ class ServiceHTTPServer:
         finally:
             for incoming in [*self._reading, *self._writing, *self._draining]:
                 self._drop(incoming)
-            self._selector.close()
+            if self._selector is not None:
+                self._selector.close()
             with self._lock:
                 self._paused = False
             self._stop = False
@@ -480,11 +482,16 @@ class ServiceHTTPServer:
     def _receive(self, incoming: _Incoming) -> None:
         """Read what has arrived, unless the budget is spent; queue the
         request once it is whole."""
-        if self._buffered >= BUFFER_BUDGET_BYTES:
-            # read it again once a handler frees bytes
-            self._starved = True
-            self._watch(incoming, 0)
-            return
+        while (buffered := self._buffered) >= BUFFER_BUDGET_BYTES:
+            if sum(len(held.buffer) for held in self._reading) < buffered:
+                self._starved = True  # read again once a handler frees bytes
+                self._watch(incoming, 0)
+                return
+            # no handler holds bytes to free: the largest arriving gives way
+            largest = max(self._reading, key=lambda held: len(held.buffer))
+            self._drop(largest)
+            if largest is incoming:
+                return
         try:
             chunk = incoming.sock.recv(_RECV_BYTES)
         except BlockingIOError:

@@ -766,14 +766,13 @@ class TestPickleRegressions:
         assert clone.problems == ["axis empty"]
 
     def test_step_execution_error(self):
-        from repro.scenarios.containment import StepExecutionError
+        from repro.scenarios.containment import ChainFailure, StepExecutionError
 
-        original = ValueError("boom")
-        error = StepExecutionError("fig11", 2, 1, "warm-start", original)
+        failure = ChainFailure("fig11", 2, 1, "warm-start", "ValueError", "boom")
+        error = StepExecutionError(failure)
         clone = pickle.loads(pickle.dumps(error))
-        assert clone.scenario == "fig11"
-        assert clone.chain_index == 2
-        assert clone.step_index == 1
-        assert clone.step_label == "warm-start"
-        assert isinstance(clone.original, ValueError)
-        assert str(clone) == str(error)
+        assert clone.failure == failure
+        assert str(clone) == str(error) == (
+            "scenario 'fig11': step 1 (warm-start) in chain 2 failed: "
+            "ValueError: boom"
+        )

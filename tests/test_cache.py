@@ -285,9 +285,9 @@ class TestCachingBackend:
 
     def test_contained_backend_also_caches(self, tmp_path):
         cache = OutcomeCache(str(tmp_path))
-        cold = CachingBackend(SerialBackend(contain=True), cache)
+        cold = CachingBackend(SerialBackend(), cache)
         result_cold, cold_stats = _cached_run("fig08", cold, scale=0.3)
-        warm = CachingBackend(SerialBackend(contain=True), cache)
+        warm = CachingBackend(SerialBackend(), cache)
         result_warm, stats = _cached_run("fig08", warm, scale=0.3)
         assert stats.misses == 0 and stats.hits == cold_stats.misses
         assert result_warm.format_table() == result_cold.format_table()

@@ -6,6 +6,9 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import SCENARIO_REGISTRY, Scenario, is_failure, register
+from repro.scenarios.result import ExperimentResult
+from repro.scenarios.runner import AnalysisStep
 
 #: ``repro tune <workload> --system <system> --json`` data objects at
 #: seed 0. A change that alters a tuning result on purpose rewrites
@@ -221,6 +224,67 @@ class TestScenarioCommands:
             == 0
         )
         assert (tmp_path / "tables" / "bursty-tenants-oom.txt").exists()
+
+
+def _table_step(scale, seed):
+    result = ExperimentResult(exhibit="x", title="x", columns=["v"])
+    result.add_row(v=1)
+    return result
+
+
+def _raising_step(scale, seed):
+    raise RuntimeError("deliberate step failure")
+
+
+@pytest.fixture
+def failing_scenario():
+    """A registered scenario whose second of two steps raises."""
+    name = "cli-failing-step"
+    register(
+        Scenario.builder(name).kind("analysis").build(),
+        collect=lambda plan, outcomes: next(o for o in outcomes if not is_failure(o)),
+        plan_fn=lambda scenario, scale, seed: [
+            AnalysisStep("ok", _table_step),
+            AnalysisStep("boom", _raising_step),
+        ],
+        replace=True,
+    )
+    try:
+        yield name
+    finally:
+        SCENARIO_REGISTRY.pop(name, None)
+
+
+class TestFailedStep:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_run_out_exits_1_and_writes_no_trace(
+        self, failing_scenario, workers, as_json, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "tables"
+        argv = ["scenario", "run", failing_scenario, "--workers", workers]
+        argv += ["--out", str(out_dir)] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        assert not out_dir.exists()
+        captured = capsys.readouterr()
+        if as_json:
+            envelope = json.loads(captured.out)
+            assert envelope["error"]["type"] == "ChainFailure"
+            (failure,) = envelope["data"]["failures"]
+            assert failure["step_index"] == 1
+            assert failure["error_type"] == "RuntimeError"
+        else:
+            assert "wrote" not in captured.out
+            assert "step 1 (analysis boom): RuntimeError" in captured.err
+
+    def test_check_names_the_failed_step(self, failing_scenario, monkeypatch, capsys):
+        monkeypatch.setitem(
+            SCENARIO_REGISTRY, "fig01", SCENARIO_REGISTRY[failing_scenario]
+        )
+        assert main(["scenario", "run", "fig01", "--check"]) == 1
+        captured = capsys.readouterr()
+        assert "fig01: DIFF" in captured.out
+        assert "step 1 (analysis boom): RuntimeError" in captured.err
 
 
 class TestParallelCli:

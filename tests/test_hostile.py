@@ -10,7 +10,8 @@ Four concerns, one file:
   property plus end-to-end byte equality);
 * harness containment — a raising chain, a dying worker or a hung
   worker produces structured :class:`ChainFailure` outcomes instead of
-  poisoning the pool, and the serial path attaches step context;
+  poisoning the pool, and a run that unwraps one raises the same
+  step context at any worker count;
 * graceful sweeps — one crashing variant still yields every other
   variant's table.
 """
@@ -21,6 +22,7 @@ import tempfile
 import threading
 import time
 from concurrent import futures
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -434,35 +436,38 @@ def analysis_runner(*fns):
 
 
 class TestContainment:
-    def test_serial_error_carries_step_context(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_step_raises_alike_at_any_worker_count(self, workers):
         runner = analysis_runner(_ok_analysis, _boom_analysis)
-        plan = runner.plan()
         with pytest.raises(StepExecutionError) as err:
-            runner.execute(plan)
-        assert err.value.scenario == "containment-probe"
-        assert err.value.step_index == 1
-        assert err.value.step_label == "analysis step1"
-        assert isinstance(err.value.original, RuntimeError)
-        assert "deliberate chain crash" in str(err.value)
-
-    def test_serial_step_execution_error_propagates_unwrapped(self):
-        inner = StepExecutionError(
-            "nested", 0, 3, "analysis inner", RuntimeError("inner crash")
+            runner.run(workers=workers)
+        failure = err.value.failure
+        assert failure.scenario == "containment-probe"
+        assert failure.step_index == 1
+        assert failure.step_label == "analysis step1"
+        assert failure.error_type == "RuntimeError"
+        assert str(err.value) == (
+            "scenario 'containment-probe': step 1 (analysis step1) in chain 1 "
+            "failed: RuntimeError: deliberate chain crash"
         )
 
-        def _nested_failure(scale, seed):
-            raise inner
+        def untraced(outcomes):
+            return [
+                replace(o, traceback="") if isinstance(o, ChainFailure) else o
+                for o in outcomes
+            ]
 
-        runner = analysis_runner(_ok_analysis, _nested_failure)
-        with pytest.raises(StepExecutionError) as err:
-            runner.execute(runner.plan())
-        assert err.value is inner
+        plan = runner.plan()
+        outcomes = runner.execute(plan, workers=workers)
+        assert isinstance(outcomes[1], ChainFailure)
+        assert untraced(outcomes) == untraced(runner.execute(plan, workers=1))
 
-    def test_serial_contain_turns_failure_into_outcomes(self):
+    def test_serial_backend_turns_failure_into_outcomes(self):
         runner = analysis_runner(_boom_analysis, _ok_analysis)
-        outcomes = runner.execute(runner.plan(), backend=SerialBackend(contain=True))
+        outcomes = runner.execute(runner.plan(), backend=SerialBackend())
         assert isinstance(outcomes[0], ChainFailure)
         assert outcomes[0].error_type == "RuntimeError"
+        assert "deliberate chain crash" in outcomes[0].traceback
         assert isinstance(outcomes[1], ExperimentResult)
 
     def test_unsubmitted_chain_completes_on_isolated_retry(self):

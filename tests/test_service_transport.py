@@ -7,6 +7,7 @@ ones under test: nothing a client library would normalise first.
 """
 
 import contextlib
+import errno
 import json
 import os
 import socket
@@ -453,6 +454,39 @@ class TestHandlerPool:
                         asker.join(timeout=10)
             assert answers == [200, 200]
 
+    def test_bodies_still_arriving_past_the_budget_give_way(self):
+        # nine bodies, each 1,000 bytes short, spend the whole budget and
+        # no handler holds bytes to free: the largest is dropped
+        before = len(handler_threads())
+        pool = transport.HANDLER_THREADS
+        size = 1_000_000
+        short = f"POST /v1/runs HTTP/1.1\r\nContent-Length: {size}\r\n\r\n"
+        short = short.encode("ascii") + b" " * (size - 1000)
+        with serve_background(config()) as (server, _):
+            address = server.server_address[:2]
+            clients = [connect(address) for _ in range(9)]
+            wait_until(lambda: len(server._reading) == 9)
+
+            def send(sock):
+                with contextlib.suppress(OSError):  # dropped, or timed out
+                    sock.sendall(short)
+
+            senders = [threading.Thread(target=send, args=(c,)) for c in clients]
+            try:
+                for sender in senders:
+                    sender.start()
+                for sender in senders:
+                    sender.join(timeout=15)
+                # until the budget is spent: reading stops, or one gives way
+                wait_until(lambda: server._starved or len(server._reading) < 9)
+                started = time.monotonic()
+                assert answer(exchange(address, HEALTH))[0] == 200
+                assert time.monotonic() - started < 2.0
+                assert len(handler_threads()) == before + pool
+            finally:
+                for sock in clients:
+                    sock.close()
+
     def test_many_clients_through_a_small_daemon_all_answer(self, monkeypatch):
         # more clients than connections, handlers and cores, with short
         # thread switches: a lost update to the open-connection or the
@@ -528,6 +562,38 @@ with serve_background(ServerConfig.from_dict({"port": 0})) as (server, _):
 """
 
 
+#: a daemon in a process with no descriptor free for its accept loop's
+#: selector: prints the errno ``serve_forever`` raised, then whether
+#: ``shutdown()`` returned within 2 s.
+NO_SELECTOR = """
+import os, resource, threading
+from repro.service import ServerConfig
+from repro.service import server as transport
+
+server = transport.make_server(ServerConfig.from_dict({"port": 0}))
+lowest_free = os.open(os.devnull, os.O_RDONLY)
+os.close(lowest_free)
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (lowest_free, hard))
+raised = []
+
+def serve():
+    try:
+        server.serve_forever()
+    except OSError as error:
+        raised.append(error.errno)
+
+loop = threading.Thread(target=serve)
+loop.start()
+loop.join(10)
+stopping = threading.Thread(target=server.shutdown, daemon=True)
+stopping.start()
+stopping.join(2.0)
+print(*raised, not stopping.is_alive(), flush=True)
+os._exit(0)
+"""
+
+
 class TestLifecycle:
     def test_a_port_in_use_starts_no_thread(self, service):
         before = threading.active_count()
@@ -548,6 +614,17 @@ class TestLifecycle:
         cpu_s, status = out.stdout.split("\n")[:2]
         assert float(cpu_s) < 0.1
         assert status == "HTTP/1.1 200"
+
+    def test_a_loop_that_cannot_start_still_shuts_down(self):
+        out = subprocess.run(
+            [sys.executable, "-c", NO_SELECTOR],
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(errno.EMFILE), "True"]
 
     def test_shutdown_wakes_the_accept_loop(self):
         background = serve_background(config())
