@@ -21,7 +21,7 @@ from .engine import (
     module_name_for,
     run_rules,
 )
-from .pragmas import PRAGMA_RULE, Pragma, PragmaSheet, format_pragma
+from .pragmas import PRAGMA_RULE, Pragma, PragmaSheet
 from .report import Finding, LintResult, sort_findings
 from .rules import ALL_RULE_IDS, ALL_RULES, RULES_BY_ID
 
@@ -78,7 +78,6 @@ __all__ = [
     "Rule",
     "SourceModule",
     "UnknownRule",
-    "format_pragma",
     "module_name_for",
     "run_lint",
     "run_rules",

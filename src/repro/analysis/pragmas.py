@@ -51,12 +51,6 @@ class Pragma:
         return rule in self.rules
 
 
-def format_pragma(rules: Tuple[str, ...], reason: str) -> str:
-    """Render the canonical comment text (used by tests as the oracle)."""
-
-    return f"# repro: allow[{','.join(rules)}] -- {reason}"
-
-
 def _comment_tokens(source: str) -> List[tokenize.TokenInfo]:
     try:
         return [

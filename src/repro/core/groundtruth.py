@@ -27,6 +27,13 @@ from .clustering import KMeans, pairwise_sq_distances
 #: the same workload still carries measurement noise of roughly this
 #: magnitude in feature space.
 DISTANCE_FLOOR = 0.12
+#: clusters of the similarity model (the paper evaluates k = 2, §5.4).
+K = 2
+#: a query hits within this multiple of the model's per-cluster RMS
+#: distance (floored at :data:`DISTANCE_FLOOR`).
+THRESHOLD_SCALE = 2.5
+#: entries stored before the model is fitted; fewer always miss.
+MIN_ENTRIES = 4
 
 
 @dataclass
@@ -59,18 +66,7 @@ class GroundTruthMatch:
 class GroundTruth:
     """The profile database plus its k-means similarity model."""
 
-    def __init__(
-        self,
-        k: int = 2,
-        threshold_scale: float = 2.5,
-        min_entries: int = 4,
-        seed: int = 0,
-    ):
-        if min_entries < max(2, k):
-            raise ValueError("min_entries must be >= max(2, k)")
-        self.k = k
-        self.threshold_scale = threshold_scale
-        self.min_entries = min_entries
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.entries: List[GroundTruthEntry] = []
         self._model: Optional[KMeans] = None
@@ -99,13 +95,13 @@ class GroundTruth:
 
     def refit(self) -> None:
         """(Re-)cluster the stored profiles (paper's re-clustering, §5.6)."""
-        if len(self.entries) < max(self.min_entries, self.k):
+        if len(self.entries) < MIN_ENTRIES:
             self._model = None
             self._dirty = False
             self._cluster_idx = {}
             self._cluster_features = {}
             return
-        model = KMeans(k=self.k, seed=self.seed)
+        model = KMeans(k=K, seed=self.seed)
         matrix = self._feature_matrix()
         model.fit(matrix)
         self._model = model
@@ -132,7 +128,7 @@ class GroundTruth:
         if model is None:
             return 0.0
         rms = np.sqrt(model.inertia / max(1, len(self.entries)))
-        return self.threshold_scale * max(rms, DISTANCE_FLOOR)
+        return THRESHOLD_SCALE * max(rms, DISTANCE_FLOOR)
 
     def query(self, features: np.ndarray) -> Optional[GroundTruthMatch]:
         """Similarity lookup; None means "launch a probing phase"."""

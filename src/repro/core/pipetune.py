@@ -25,7 +25,6 @@ keeps the accuracy-only objective of Tune V1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -69,20 +68,13 @@ class PipeTuneConfig:
     """The switches and grids a PipeTune session is run with.
 
     The pipeline's fixed values are the module constants above; the
-    similarity model is :class:`GroundTruth` with its defaults (k-means
-    with the paper's k = 2). Slotted, so a write to a field that does
-    not exist raises instead of being ignored.
+    similarity model is :class:`GroundTruth` (k-means with the paper's
+    k = 2). Slotted, so a write to a field that does not exist raises
+    instead of being ignored.
     """
 
     #: ablation switch: disable ground-truth reuse (always probe).
     use_ground_truth: bool = True
-    #: similarity extension (§5.4 future work): append normalised
-    #: hyperparameter dimensions to the profile feature vector, so the
-    #: ground truth can distinguish e.g. batch-size regimes directly.
-    similarity_include_hyper: bool = False
-    #: weight of the appended hyperparameter dimensions relative to
-    #: the (log-scale) PMU dimensions.
-    hyper_feature_weight: float = 1.0
     #: ablation switch: non-pipelined variant makes every tuning
     #: decision on the critical path, costing this many seconds per
     #: profiled/probed epoch.
@@ -91,9 +83,6 @@ class PipeTuneConfig:
     #: system-parameter candidates.
     cores_grid: Sequence[int] = PAPER_CORE_GRID
     memory_grid_gb: Sequence[float] = PAPER_MEMORY_GRID_GB
-    #: optional DVFS sweep (GHz); None disables the frequency phase
-    #: (the paper's evaluation tunes cores and memory only).
-    frequency_grid_ghz: Optional[Sequence[float]] = None
     #: system-level optimisation function (runtime by default).
     system_objective: SystemObjective = runtime_system_objective
 
@@ -123,18 +112,9 @@ class PipeTuneHooks(TrialHooks):
     PROBE = "probe"
     RUN = "run"
 
-    def __init__(
-        self,
-        session: "PipeTuneSession",
-        trial_id: str,
-        workload: WorkloadSpec,
-        hyper: HyperParams,
-        initial_system: SystemParams,
-    ):
+    def __init__(self, session: "PipeTuneSession", workload: WorkloadSpec):
         self.session = session
-        self.trial_id = trial_id
         self.workload = workload
-        self.hyper = hyper
         self.state = self.PROFILE
         self._profiles: List = []
         self._features: Optional[np.ndarray] = None
@@ -204,9 +184,7 @@ class PipeTuneHooks(TrialHooks):
         if self.state == self.PROFILE and record.profile is not None:
             self._profiles.append(record.profile)
             if len(self._profiles) >= PROFILE_EPOCHS:
-                self._features = self.session.augment_features(
-                    average_profiles(self._profiles), self.hyper
-                )
+                self._features = average_profiles(self._profiles)
                 self._decide_after_profiling(ctx, record)
         elif self.state == self.PROBE and self._controller is not None:
             if record.probed:
@@ -264,7 +242,6 @@ class PipeTuneHooks(TrialHooks):
             initial=ctx.system,
             cores_grid=session.config.cores_grid,
             memory_grid_gb=session.config.memory_grid_gb,
-            frequency_grid_ghz=session.config.frequency_grid_ghz,
             max_probes=budget,
             objective=session.config.system_objective,
         )
@@ -323,26 +300,6 @@ class PipeTuneSession:
         #: trials (profiling + ground truth still run and refine it).
         self._start_hints: dict = {}
 
-    def augment_features(self, features: np.ndarray, hyper: HyperParams) -> np.ndarray:
-        """Append normalised hyperparameter dimensions when enabled.
-
-        Implements the paper's §5.4 future-work extension: similarity
-        over hyperparameters in addition to PMU profiles. Dimensions
-        are scaled to roughly the magnitude of the log-rate features.
-        """
-        if not self.config.similarity_include_hyper:
-            return features
-        extra = np.array(
-            [
-                math.log2(hyper.batch_size) / 10.0,
-                hyper.dropout,
-                (math.log10(hyper.learning_rate) + 3.0) / 2.0,
-                hyper.embedding_dim / 300.0,
-                min(hyper.epochs, 100) / 100.0,
-            ]
-        )
-        return np.concatenate([features, self.config.hyper_feature_weight * extra])
-
     def start_hint(self, workload: WorkloadSpec) -> Optional[SystemParams]:
         return self._start_hints.get(workload.name)
 
@@ -364,7 +321,7 @@ class PipeTuneSession:
         hyper: HyperParams,
         system: SystemParams,
     ) -> PipeTuneHooks:
-        return PipeTuneHooks(self, trial_id, workload, hyper, system)
+        return PipeTuneHooks(self, workload)
 
     def job_spec(
         self,
@@ -419,7 +376,7 @@ class PipeTuneSession:
                 features, best = offline_campaign(workload, hyper, *shape)
                 self.ground_truth.add(
                     GroundTruthEntry(
-                        features=self.augment_features(features, hyper),
+                        features=features,
                         best_system=best,
                         workload_name=workload.name,
                         created_at=0.0,

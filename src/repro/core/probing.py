@@ -51,7 +51,6 @@ class ProbingController:
         initial: SystemParams,
         cores_grid: Sequence[int] = PAPER_CORE_GRID,
         memory_grid_gb: Sequence[float] = PAPER_MEMORY_GRID_GB,
-        frequency_grid_ghz: Optional[Sequence[float]] = None,
         max_probes: Optional[int] = None,
         objective: SystemObjective = runtime_system_objective,
     ):
@@ -68,18 +67,10 @@ class ProbingController:
         ]
         self._core_phase_len = len(plan)
         self._memory_grid = sorted(set(memory_grid_gb), reverse=True)
-        #: DVFS extension (paper §7.1.4 "any other parameter of
-        #: interest, e.g. CPU frequency"): optional third sweep phase.
-        self._frequency_grid = (
-            sorted(set(frequency_grid_ghz), reverse=True)
-            if frequency_grid_ghz
-            else []
-        )
         self._plan = plan
         self._memory_planned = False
-        self._frequency_planned = False
         self._max_probes = max_probes if max_probes is not None else (
-            len(plan) + len(self._memory_grid) - 1 + len(self._frequency_grid)
+            len(plan) + len(self._memory_grid) - 1
         )
         if self._max_probes < 1:
             raise ValueError("max_probes must allow at least one probe")
@@ -96,27 +87,12 @@ class ProbingController:
             if candidate not in self._issued and candidate not in self._plan:
                 self._plan.append(candidate)
 
-    def _extend_with_frequency_phase(self) -> None:
-        """After cores+memory, sweep DVFS states at the best of both."""
-        if self._frequency_planned or not self._frequency_grid:
-            return
-        self._frequency_planned = True
-        best = self.best_system()
-        for freq in self._frequency_grid:
-            candidate = SystemParams(
-                cores=best.cores, memory_gb=best.memory_gb, cpu_freq_ghz=freq
-            )
-            if candidate not in self._issued and candidate not in self._plan:
-                self._plan.append(candidate)
-
     def next_config(self) -> Optional[SystemParams]:
         """The next configuration to probe, or None when done."""
         if len(self._issued) >= self._max_probes:
             return None
         if len(self._issued) >= self._core_phase_len:
             self._extend_with_memory_phase()
-            if len(self._issued) >= len(self._plan):
-                self._extend_with_frequency_phase()
         if len(self._issued) >= len(self._plan):
             return None
         config = self._plan[len(self._issued)]
@@ -141,8 +117,6 @@ class ProbingController:
             return True
         if len(self._issued) >= self._core_phase_len:
             self._extend_with_memory_phase()
-            if len(self._issued) >= len(self._plan):
-                self._extend_with_frequency_phase()
         return len(self._issued) >= len(self._plan)
 
     # -- decision ----------------------------------------------------------
@@ -164,7 +138,6 @@ class ProbingController:
             key=lambda s: (
                 s.system.memory_gb,
                 s.system.cores,
-                s.system.cpu_freq_ghz,
                 -self.objective(s.duration_s, s.energy_j),
             ),
         )

@@ -10,7 +10,6 @@ __all__ = lazy_exports(
             "FIXED_COUNTER_EVENTS",
             "NUM_EVENTS",
             "event_index",
-            "is_compute_side",
             "workload_signature",
         ),
         ".pmu": (
@@ -18,7 +17,6 @@ __all__ = lazy_exports(
             "NUM_GENERIC_COUNTERS",
             "CounterReading",
             "Pmu",
-            "true_counts",
         ),
         ".profiler": (
             "PROFILING_OVERHEAD",

@@ -112,11 +112,6 @@ _COMPUTE_SIDE = frozenset(
 _MEMORY_SIDE = frozenset(EVENT_NAMES) - _COMPUTE_SIDE
 
 
-def is_compute_side(event: str) -> bool:
-    """Whether an event's rate is driven by the model (vs the dataset)."""
-    return event in _COMPUTE_SIDE
-
-
 #: boolean mask over :data:`EVENT_NAMES`: True where the event is
 #: compute-side (model-driven); the complement is memory/IO-side.
 COMPUTE_SIDE_MASK: np.ndarray = np.array(

@@ -71,23 +71,6 @@ class CounterReading:
     time_enabled: float
     time_running: float
 
-    @property
-    def multiplexed(self) -> bool:
-        return self.time_running < self.time_enabled
-
-    @property
-    def final_count(self) -> float:
-        """Kernel rescaling: ``raw * enabled / running`` (perf wiki).
-
-        The quotient is taken first: ``enabled / running`` rounds to at
-        least 1.0 whenever ``running <= enabled``, so the estimate never
-        falls below the observed count (``(raw * enabled) / running``
-        can round one ulp under ``raw``).
-        """
-        if self.time_running <= 0:
-            return 0.0
-        return self.raw_count * (self.time_enabled / self.time_running)
-
 
 def _modifier_vector(config: TrialConfig) -> np.ndarray:
     """Configuration-dependent deviation from the base signature rates.
@@ -117,8 +100,14 @@ def _true_count_rows(
     first_row: int,
     noisy: bool,
 ) -> np.ndarray:
-    """:func:`true_counts` for consecutive intervals, shape
-    ``(len(spans), NUM_EVENTS)``; ``spans`` is already validated."""
+    """Ground-truth event counts for consecutive intervals, shape
+    ``(len(spans), NUM_EVENTS)``; ``spans`` is already validated.
+
+    Counts scale with busy-core-seconds; the paper's Fig 2 observation
+    (events repeat across epochs with the same occurrence) holds
+    because the signature is static and only small per-epoch noise is
+    added.
+    """
     core_seconds = spans * max(0.0, busy_cores)
     signature = workload_signature(config.workload)
     counts = signature * core_seconds[:, None] * _modifier_vector(config)
@@ -135,34 +124,11 @@ def _true_count_rows(
     return counts
 
 
-def true_counts(
-    config: TrialConfig,
-    duration_s: float,
-    busy_cores: float,
-    epoch: int = 0,
-    noisy: bool = True,
-) -> np.ndarray:
-    """Ground-truth event counts for an interval of an epoch.
-
-    Counts scale with busy-core-seconds; the paper's Fig 2 observation
-    (events repeat across epochs with the same occurrence) holds
-    because the signature is static and only small per-epoch noise is
-    added.
-    """
-    spans = _spans_array([duration_s])
-    return _true_count_rows(config, spans, busy_cores, epoch, noisy)[0]
-
-
 class Pmu:
     """Reads the 58-event set through the 5 available hardware counters."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
-
-    @property
-    def generic_share(self) -> float:
-        """Fraction of wall time each multiplexed event is measured."""
-        return _GENERIC_SHARE
 
     def _observe(
         self,
@@ -179,7 +145,7 @@ class Pmu:
         (``time_enabled`` is the row's span for every event). Row ``k``
         draws noise row ``first_row + k`` of both noise matrices.
 
-        Multiplexed events observe only ``generic_share`` of the
+        Multiplexed events observe only ``_GENERIC_SHARE`` of the
         interval; their raw counts carry extra sampling error because
         the unobserved windows may not look like the observed ones
         (blind spots, §5.3). The nth generic event consumes the nth
@@ -211,7 +177,7 @@ class Pmu:
         first_row: int = 0,
         noisy: bool = True,
     ) -> np.ndarray:
-        """Rescaled (``final_count``) rows for consecutive intervals.
+        """Rescaled (``raw * enabled / running``) rows for consecutive intervals.
 
         Row ``k`` is bit-identical to ``final_counts(config, spans[k],
         busy_cores, epoch=first_row + k, noisy=noisy)``.
@@ -219,8 +185,10 @@ class Pmu:
         spans = _spans_array(spans)
         raw, running = self._observe(config, spans, busy_cores, first_row, noisy)
         observed = running > 0.0
-        # Same operand order as CounterReading.final_count
-        # (raw * (enabled / running)) so results stay bit-identical.
+        # The quotient is taken first: enabled / running rounds to at
+        # least 1.0 whenever running <= enabled, so the estimate never
+        # falls below the observed count ((raw * enabled) / running can
+        # round one ulp under raw). An unobserved event reads 0.
         final = raw * (spans[:, None] / np.where(observed, running, 1.0))
         final[~observed] = 0.0
         return final
@@ -259,10 +227,9 @@ class Pmu:
         epoch: int = 0,
         noisy: bool = True,
     ) -> np.ndarray:
-        """Rescaled (``final_count``) vector in :data:`EVENT_NAMES` order.
-
-        Fast path equivalent to collecting ``final_count`` from
-        :meth:`read_interval`, without building 58 dataclasses.
+        """The :meth:`read_interval` readings rescaled
+        (``raw * enabled / running``), as one vector in
+        :data:`EVENT_NAMES` order without building 58 dataclasses.
         """
         rows = self.final_counts_batch(config, [duration_s], busy_cores, epoch, noisy)
         return rows[0]

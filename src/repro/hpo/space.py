@@ -1,9 +1,9 @@
 """Search-space definition for hyper- and system-parameter tuning.
 
 A :class:`SearchSpace` maps parameter names to :class:`Domain` objects.
-Domains sample uniformly and test membership, for both continuous and
-categorical parameters; sampling is all the search algorithms in this
-package need.
+Domains sample uniformly, for both continuous and categorical
+parameters; sampling is all the search algorithms in this package
+need.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ class Domain:
     def sample(self, rng: np.random.Generator):
         raise NotImplementedError
 
-    def contains(self, value) -> bool:
-        raise NotImplementedError
-
 
 class Uniform(Domain):
     """Continuous uniform domain over ``[low, high]``."""
@@ -37,9 +34,6 @@ class Uniform(Domain):
 
     def sample(self, rng):
         return float(rng.uniform(self.low, self.high))
-
-    def contains(self, value):
-        return self.low <= value <= self.high
 
     def __repr__(self):
         return f"Uniform({self.low}, {self.high})"
@@ -59,9 +53,6 @@ class LogUniform(Domain):
     def sample(self, rng):
         return float(10.0 ** rng.uniform(self._log_low, self._log_high))
 
-    def contains(self, value):
-        return self.low <= value <= self.high
-
     def __repr__(self):
         return f"LogUniform({self.low}, {self.high})"
 
@@ -77,9 +68,6 @@ class Choice(Domain):
 
     def sample(self, rng):
         return self.values[int(rng.integers(0, len(self.values)))]
-
-    def contains(self, value):
-        return value in self.values
 
     def __repr__(self):
         return f"Choice({self.values!r})"

@@ -52,6 +52,7 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -122,6 +123,27 @@ class CacheStats:
         return {"hits": self.hits, "misses": self.misses}
 
 
+def _write_atomically(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file beside it, renamed
+    into place: a reader sees the old file or the new one, never a torn
+    one. The temp file is named for the writing process and thread, so
+    writers in one process (a daemon's job threads) never share one;
+    its ``.tmp`` suffix is not an entry's. Raises ``OSError``, leaving
+    no temp file.
+    """
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class OutcomeCache:
     """The on-disk content-addressed store of chain outcome lists.
 
@@ -189,16 +211,9 @@ class OutcomeCache:
             + len(payload).to_bytes(8, "big")
             + payload
         )
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            _write_atomically(path, blob)
         except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
             return False
         return True
 
@@ -385,10 +400,8 @@ class SweepRunStore:
         }
         store.save(os.path.join(directory, f"{run_id}.points.jsonl"))
         meta_path = os.path.join(directory, f"{run_id}.meta.json")
-        tmp = f"{meta_path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-        os.replace(tmp, meta_path)
+        text = json.dumps(meta, indent=2, sort_keys=True)
+        _write_atomically(meta_path, text.encode("utf-8"))
         return run_id
 
     def runs(self, sweep_name: str) -> List[str]:

@@ -26,8 +26,8 @@ Composition points:
 
 Every piece is a :class:`~repro.schema.Spec`: ``as_dict``/``from_dict``
 come from its fields and type hints, not from code written per class,
-so scenarios can be stored, diffed and shipped as data
-(``to_json``/``from_json``). Decoding rejects unknown keys and
+so scenarios can be stored, diffed and shipped as data (a dict form
+is plain JSON). Decoding rejects unknown keys and
 wrong-shaped values with a :class:`ScenarioError` naming the dotted
 path (``failures.preemption``, ``systems[0]``). The dict form keeps
 field order, and a round trip keeps the repr that keys every RNG
@@ -36,7 +36,6 @@ stream and cache entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -619,13 +618,6 @@ class Scenario(Spec):
     def malformed(cls, data, problem: str) -> ScenarioError:
         name = data.get("name", "?") if isinstance(data, Mapping) else "?"
         return ScenarioError(str(name), [problem])
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
 
     def replace(self, **changes) -> "Scenario":
         return replace(self, **changes)

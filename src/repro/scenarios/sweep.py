@@ -162,8 +162,11 @@ class Sweep(Spec):
             size *= len(axis.values)
         return size
 
-    # -- validation ---------------------------------------------------------
-    def problems(self) -> List[str]:
+    # -- expansion and validation -------------------------------------------
+    def _expand(self) -> Tuple[List[SweepVariant], List[str]]:
+        """The grid, expanded once: every cell as a validated scenario
+        variant, in deterministic row-major axis order, and every
+        problem found on the way."""
         issues: List[str] = []
         if not self.name:
             issues.append("sweep name must be non-empty")
@@ -172,35 +175,14 @@ class Sweep(Spec):
                 f"unknown scenario {self.scenario!r}; known: "
                 f"{', '.join(SCENARIO_REGISTRY)}"
             )
-            return issues
+            return [], issues
         if not self.axes:
             issues.append("sweep needs at least one axis")
         paths = [axis.path for axis in self.axes]
         if len(set(paths)) != len(paths):
             issues.append(f"duplicate axis paths {sorted(paths)}")
         base = get_definition(self.scenario).scenario
-        for variant_name, overrides in self._grid():
-            try:
-                variant = apply_overrides(base, overrides, name=variant_name)
-                if variant.kind != "analysis":
-                    variant.validate()
-            except KeyError as error:
-                issues.append(str(error.args[0]))
-                break  # a bad path breaks every variant identically
-            except (ScenarioError, TypeError, ValueError) as error:
-                issues.append(f"variant {variant_name!r}: {error}")
-        return issues
-
-    def validate(self) -> "Sweep":
-        issues = self.problems()
-        if issues:
-            raise SweepError(self.name, issues)
-        return self
-
-    # -- expansion ----------------------------------------------------------
-    def _grid(self):
-        """(variant name, ((path, value), ...)) per grid cell, in
-        deterministic row-major axis order."""
+        built: List[SweepVariant] = []
         value_sets = [
             [
                 (axis.path, value, label)
@@ -210,23 +192,35 @@ class Sweep(Spec):
         ]
         for cell in itertools.product(*value_sets):
             tag = ",".join(f"{path}={label}" for path, _, label in cell)
-            yield (
-                f"{self.scenario}[{tag}]",
-                tuple((path, value) for path, value, _ in cell),
-            )
+            name = f"{self.scenario}[{tag}]"
+            overrides = tuple((path, value) for path, value, _ in cell)
+            try:
+                variant = apply_overrides(base, overrides, name=name)
+                if variant.kind != "analysis":
+                    variant.validate()
+            except KeyError as error:
+                issues.append(str(error.args[0]))
+                break  # a bad path breaks every variant identically
+            except (ScenarioError, TypeError, ValueError) as error:
+                issues.append(f"variant {name!r}: {error}")
+            else:
+                built.append(SweepVariant(name, overrides, variant))
+        return built, issues
+
+    def problems(self) -> List[str]:
+        return self._expand()[1]
 
     def variants(self) -> List[SweepVariant]:
-        """Every grid cell as a validated scenario variant."""
-        base = get_definition(self.scenario).scenario
-        built = []
-        for variant_name, overrides in self._grid():
-            scenario = apply_overrides(base, overrides, name=variant_name)
-            if scenario.kind != "analysis":
-                scenario.validate()
-            built.append(
-                SweepVariant(name=variant_name, overrides=overrides, scenario=scenario)
-            )
+        """Every grid cell as a validated scenario variant; a sweep with
+        any problem raises :class:`SweepError` naming them all."""
+        built, issues = self._expand()
+        if issues:
+            raise SweepError(self.name, issues)
         return built
+
+    def validate(self) -> "Sweep":
+        self.variants()
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +327,8 @@ def run_sweep(
     identical for any worker count: each variant's streams are
     counter-keyed on its own specs and seeds.
 
-    The sweep degrades gracefully: a variant whose override, planning,
-    any step or collect raised is reported failed with no table
+    The sweep degrades gracefully: a variant whose planning, any step
+    or collect raised is reported failed with no table
     (``SweepResult.failed``; its error is the exception or the first
     non-skipped :class:`ChainFailure`) while every other variant still
     returns its table. ``stop`` is the cooperative cancel hook: chains
@@ -345,34 +339,32 @@ def run_sweep(
     (:mod:`repro.scenarios.cache`): chains shared with earlier runs
     are recalled from disk instead of re-executed and the per-variant
     hit/miss counts land on the outcomes; the tables are
-    byte-identical either way. ``elapsed_s`` is a variant's override
-    and planning time plus its ``RunReport.elapsed_s``.
+    byte-identical either way. ``elapsed_s`` is a variant's planning
+    time plus its ``RunReport.elapsed_s``.
     """
     from .backends import backend_for  # late import: backends imports runner
     from .merge import run_reports
 
     if isinstance(sweep, str):
         sweep = get_sweep(sweep)
-    sweep.validate()
+    cells = sweep.variants()
     problem = scale_problem(scale)
     if problem:
         raise SweepError(sweep.name, [problem])
     backend = backend_for(workers, cache_dir=cache_dir, stop=stop)
-    cells = list(sweep._grid())
+    base = get_definition(sweep.scenario)
     variants: List[Optional[VariantOutcome]] = [None] * len(cells)
     planned, pairs = [], []  # (grid cell, planning seconds), (runner, plan)
-    for k, (variant_name, overrides) in enumerate(cells):
+    for k, cell in enumerate(cells):
         started = time.perf_counter()
         try:
-            base = get_definition(sweep.scenario)
-            scenario = apply_overrides(base.scenario, overrides, name=variant_name)
-            runner = replace(base, scenario=scenario)
+            runner = replace(base, scenario=cell.scenario)
             plan = runner.plan(scale=scale, seed=seed)
             runner.validate(plan)
         except Exception as error:
             variants[k] = VariantOutcome(
-                name=variant_name,
-                overrides=overrides,
+                name=cell.name,
+                overrides=cell.overrides,
                 result=None,
                 elapsed_s=time.perf_counter() - started,
                 error_type=type(error).__name__,
@@ -391,8 +383,8 @@ def run_sweep(
         elif report.error is not None:
             error_type, error = type(report.error).__name__, str(report.error)
         variants[k] = VariantOutcome(
-            name=cells[k][0],
-            overrides=cells[k][1],
+            name=cells[k].name,
+            overrides=cells[k].overrides,
             result=None if error_type else report.result,
             elapsed_s=seconds + report.elapsed_s,
             error_type=error_type,

@@ -234,29 +234,35 @@ class QuotaMiddleware(Middleware):
     job manager the app placed in ``request.context``. A tenant at its
     cap gets ``429`` with error type ``QuotaExceeded`` and the request
     never reaches the queue — finished/cancelled jobs free the slots.
+    One lock spans the count and the enqueue, so two concurrent
+    submissions cannot both pass a cap that has room for one.
     """
 
     kind: ClassVar[str] = "quota"
     max_in_flight: int = 4
 
+    def __post_init__(self):
+        self._lock = threading.Lock()
+
     def handle(self, request: Request, call_next: CallNext) -> Response:
         if not request.is_submission:
             return call_next(request)
         manager = request.context.get("manager")
-        in_flight = manager.in_flight_for(request.tenant) if manager else 0
-        if in_flight >= self.max_in_flight:
-            return Response(
-                status=429,
-                payload=error_envelope(
-                    "QuotaExceeded",
-                    f"tenant {request.tenant!r} has {in_flight} job(s) in "
-                    f"flight (cap {self.max_in_flight}); wait for one to "
-                    "finish or cancel it",
-                    in_flight=in_flight,
-                    max_in_flight=self.max_in_flight,
-                ),
-            )
-        return call_next(request)
+        with self._lock:
+            in_flight = manager.in_flight_for(request.tenant) if manager else 0
+            if in_flight < self.max_in_flight:
+                return call_next(request)
+        return Response(
+            status=429,
+            payload=error_envelope(
+                "QuotaExceeded",
+                f"tenant {request.tenant!r} has {in_flight} job(s) in "
+                f"flight (cap {self.max_in_flight}); wait for one to "
+                "finish or cancel it",
+                in_flight=in_flight,
+                max_in_flight=self.max_in_flight,
+            ),
+        )
 
     def problems(self, where: str = "") -> List[str]:
         if self.max_in_flight < 1:

@@ -151,9 +151,9 @@ class NoiseMatrix:
 
     The vector analogue of :class:`NoiseBlock` for consumers that draw a
     fixed-width normal vector per epoch (the PMU draws one value per
-    hardware event). ``row(i)`` is bit-identical to the ``i``-th
-    sequential ``normal(0.0, sigma, size=width)`` call on the stream
-    (and :meth:`rows` serves a run of consecutive rows in one slice):
+    hardware event). Row ``i`` is bit-identical to the ``i``-th
+    sequential ``normal(0.0, sigma, size=width)`` call on the stream,
+    and :meth:`rows` serves a run of consecutive rows in one slice:
     numpy fills multi-dimensional draws in C order from the same
     underlying double sequence, so growing by whole rows extends the
     stream exactly like the scalar case. Row indices are positions, not
@@ -171,13 +171,10 @@ class NoiseMatrix:
         self._shape = (width,)
         self._reprs = tuple(map(repr, key_parts))
 
-    def row(self, index: int) -> np.ndarray:
-        """The ``index``-th vector draw of the stream (0-based)."""
-        return self.rows(index, 1)[0]
-
     def rows(self, start: int, count: int) -> np.ndarray:
         """Rows ``start .. start + count - 1`` as one writable
-        ``(count, width)`` copy; row ``k`` equals ``row(start + k)``."""
+        ``(count, width)`` copy; row ``k`` is the stream's vector draw
+        ``start + k`` (0-based)."""
         if start < 0:
             raise ValueError("noise index must be >= 0")
         if count < 1:

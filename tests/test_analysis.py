@@ -24,7 +24,6 @@ from repro.analysis import (
     ModuleIndex,
     SourceModule,
     UnknownRule,
-    format_pragma,
     module_name_for,
     run_rules,
     select_rules,
@@ -126,7 +125,7 @@ class TestPragmas:
     )
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, rules, reason):
-        comment = format_pragma(tuple(rules), reason)
+        comment = f"# repro: allow[{','.join(rules)}] -- {reason}"
         pragmas, malformed = extract_pragmas(f"x = 1  {comment}\n", "f.py")
         assert not malformed
         assert len(pragmas) == 1

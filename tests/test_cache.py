@@ -216,6 +216,38 @@ class TestOutcomeCache:
         assert blob.startswith(_MAGIC)
         assert path.endswith(_ENTRY_SUFFIX)
 
+    def test_concurrent_stores_of_one_chain_both_land(self, tmp_path, monkeypatch):
+        """Two job threads of one daemon storing the same chain each
+        write their own temp file: both renames succeed, no temp file
+        is left, and the entry reads back whole."""
+        cache = OutcomeCache(str(tmp_path))
+        digest = "67" * 32
+        replace = os.replace
+        # both writers have written their temp file before either renames
+        renaming = threading.Barrier(2, timeout=10)
+
+        def held_replace(src, dst):
+            renaming.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", held_replace)
+        stored = []
+        threads = [
+            threading.Thread(target=lambda: stored.append(cache.store(digest, [1.5])))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        monkeypatch.undo()
+        assert stored == [True, True]
+        assert cache.load(digest) == [1.5]
+        assert len(cache) == 1
+        assert os.listdir(os.path.dirname(cache._path(digest))) == [
+            os.path.basename(cache._path(digest))
+        ]
+
     def test_fresh_empty_cache_is_not_replaced_by_the_default(self, tmp_path):
         # OutcomeCache defines __len__, so an empty cache is falsy —
         # the backend must never `or` it away into the default root.

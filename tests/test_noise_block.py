@@ -50,6 +50,12 @@ from repro.workloads.noise import (
     noise_matrix,
 )
 
+
+def row(matrix, index):
+    """The ``index``-th vector draw of ``matrix`` (0-based)."""
+    return matrix.rows(index, 1)[0]
+
+
 KEYS = st.lists(
     st.one_of(st.text(max_size=8), st.integers(-(2**31), 2**31)),
     min_size=1,
@@ -201,14 +207,14 @@ class TestNoiseBlock:
         clear_noise_blocks()
         block = noise_block(0.1, "write-test")
         matrix = noise_matrix(0.03, 4, "write-test")
-        reads = (block.prefix(6), block.window(2, 6), matrix.rows(0, 3), matrix.row(1))
+        reads = (block.prefix(6), block.window(2, 6), matrix.rows(0, 3), row(matrix, 1))
         expected = [np.array(read, copy=True) for read in reads]
         value = block.value(3)
         assert type(value) is float
         for read in reads:
             read[0] = 99.0
-        assert matrix.row(1).flags.writeable and matrix.rows(0, 3).flags.writeable
-        again = (block.prefix(6), block.window(2, 6), matrix.rows(0, 3), matrix.row(1))
+        assert row(matrix, 1).flags.writeable and matrix.rows(0, 3).flags.writeable
+        again = (block.prefix(6), block.window(2, 6), matrix.rows(0, 3), row(matrix, 1))
         for read, want in zip(again, expected):
             np.testing.assert_array_equal(read, want)
         assert block.value(3) == value == expected[0][3]
@@ -239,20 +245,20 @@ class TestNoiseMatrix:
         reference = rng_for("m", "pmu", "block").normal(0.0, sigma, size=(12, width))
         matrix = NoiseMatrix(sigma, width, ("m", "pmu"))
         for index in (0, 9, 2, 11):
-            assert (matrix.row(index) == reference[index]).all()
+            assert (row(matrix, index) == reference[index]).all()
 
     def test_rows_are_copies(self):
         matrix = noise_matrix(0.03, 4, "copy-test")
-        row = matrix.row(1)
-        row[:] = 0.0
-        assert (matrix.row(1) != 0.0).any()
+        first = row(matrix, 1)
+        first[:] = 0.0
+        assert (row(matrix, 1) != 0.0).any()
 
     def test_rows_match_single_row_reads(self):
         matrix = noise_matrix(0.03, 58, "rows-test")
         for start, count in ((0, 1), (0, 8), (3, 5), (40, 8)):
             np.testing.assert_array_equal(
                 matrix.rows(start, count),
-                np.stack([matrix.row(i) for i in range(start, start + count)]),
+                np.stack([row(matrix, i) for i in range(start, start + count)]),
             )
 
     def test_rows_returns_a_copy(self):
@@ -317,7 +323,7 @@ class TestConcurrentGrowth:
                         wrong.append(("value", key, length))
                     if rows is None:
                         continue
-                    if (matrix.row(rows - 1) != expected_rows[rows - 1]).any():
+                    if (row(matrix, rows - 1) != expected_rows[rows - 1]).any():
                         wrong.append(("row", key, rows))
             except Exception as error:
                 errors.append(repr(error))

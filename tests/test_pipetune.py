@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import pipetune
+from repro.core import groundtruth, pipetune
 from repro.core.pipetune import PipeTuneConfig, PipeTuneSession
 from repro.counters.profiler import EpochProfiler
 from repro.hpo.algorithms import RandomSearch
@@ -241,8 +241,8 @@ class TestAblations:
 
     def test_session_fits_the_paper_similarity_model(self):
         ground_truth = PipeTuneSession(seed=5).ground_truth
-        assert ground_truth.k == 2
-        assert (ground_truth.threshold_scale, ground_truth.min_entries) == (2.5, 4)
+        assert (groundtruth.K, groundtruth.THRESHOLD_SCALE) == (2, 2.5)
+        assert groundtruth.MIN_ENTRIES == 4
         assert ground_truth.seed == 5
 
     @pytest.mark.parametrize("epochs", [3, 5, 12])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -228,6 +229,37 @@ class TestQuota:
         request = make_request(path="/v1/jobs/job-000001", tenant="acme")
         request.context["manager"] = manager
         assert stack.handle(request, ok_handler).status == 200
+
+    def test_concurrent_submissions_cannot_both_pass_the_cap(self):
+        """The count and the enqueue are one step: a submission that
+        arrives while another is between them waits, then counts it."""
+        stack = MiddlewareStack([QuotaMiddleware(max_in_flight=1)])
+        manager = FakeManager({})
+        arrived, both_arrived = [], threading.Event()
+
+        def enqueue(request):
+            arrived.append(request)
+            if len(arrived) == 2:
+                both_arrived.set()
+            # hold this one between the count and the enqueue until the
+            # other passed its count too, or 0.5 s
+            both_arrived.wait(timeout=0.5)
+            manager.counts["acme"] = manager.counts.get("acme", 0) + 1
+            return Response(202, ok_envelope({}))
+
+        statuses = []
+
+        def submit():
+            response = stack.handle(self._submission("acme", manager), enqueue)
+            statuses.append(response.status)
+
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert sorted(statuses) == [202, 429]
+        assert manager.counts == {"acme": 1}
 
 
 class TestServerConfig:
