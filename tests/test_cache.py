@@ -248,6 +248,33 @@ class TestOutcomeCache:
             os.path.basename(cache._path(digest))
         ]
 
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = OutcomeCache(str(tmp_path))
+        digest = "89" * 32
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert not cache.store(digest, [1.5])
+        monkeypatch.undo()
+        assert cache.load(digest) is None
+        assert os.listdir(os.path.dirname(cache._path(digest))) == []
+
+    def test_a_stray_temp_file_is_not_an_entry(self, tmp_path):
+        """A writer killed between write and rename leaves its temp
+        file behind; the store neither counts it nor reads it."""
+        cache = OutcomeCache(str(tmp_path))
+        digest = "ab" * 32
+        path = self._entry_path(cache, digest)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        os.remove(path)
+        with open(f"{path}.4242-99.tmp", "wb") as handle:
+            handle.write(blob)
+        assert len(cache) == 0
+        assert cache.load(digest) is None
+
     def test_fresh_empty_cache_is_not_replaced_by_the_default(self, tmp_path):
         # OutcomeCache defines __len__, so an empty cache is falsy —
         # the backend must never `or` it away into the default root.

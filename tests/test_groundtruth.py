@@ -83,6 +83,14 @@ class TestQueries:
         assert gt.model is None
         assert gt.query(np.zeros(NUM_EVENTS)) is None
 
+    def test_model_fits_at_min_entries(self):
+        gt = GroundTruth()
+        for i in range(MIN_ENTRIES):
+            gt.add(entry(5.0 * (i % 2), system_cores=4 + 12 * (i % 2), seed=i))
+        assert gt.model is not None
+        match = gt.query(np.full(NUM_EVENTS, 5.0))
+        assert match is not None and match.system.cores == 16
+
     def test_similar_profile_hits_with_right_config(self):
         gt = populated()
         match = gt.query(entry(0.0, jitter=0.05, seed=99).features)

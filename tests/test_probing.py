@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.probing import ProbeSample, ProbingController
 from repro.tune.objectives import energy_system_objective
-from repro.workloads.spec import SystemParams
+from repro.workloads.spec import BASE_CPU_FREQ_GHZ, SystemParams
 
 
 def drain(controller, cost_fn):
@@ -68,6 +68,21 @@ class TestPlan:
             configs.append(c)
             controller.record(ProbeSample(c, 10.0, 10.0))
         assert len(configs) == 2
+
+    def test_every_probe_runs_at_the_nominal_clock(self):
+        # the clock is no probed dimension: a job started below the
+        # nominal clock is probed, and placed, at the nominal one
+        controller = ProbingController(
+            initial=SystemParams(8, 32.0, cpu_freq_ghz=1.8),
+            cores_grid=(4, 8),
+            memory_grid_gb=(16.0, 32.0),
+        )
+        drain(controller, lambda config: (60.0 / config.cores, 100.0))
+        assert controller.probes_run == 3
+        assert {s.system.cpu_freq_ghz for s in controller.samples} == {
+            BASE_CPU_FREQ_GHZ
+        }
+        assert controller.best_system() == SystemParams(8, 16.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,48 @@ class TestQuota:
         assert sorted(statuses) == [202, 429]
         assert manager.counts == {"acme": 1}
 
+    def test_a_raising_enqueue_frees_the_next_submission(self):
+        stack = MiddlewareStack([QuotaMiddleware(max_in_flight=1)])
+        manager = FakeManager({})
+
+        def broken_enqueue(request):
+            raise RuntimeError("queue gone")
+
+        with pytest.raises(RuntimeError):
+            stack.handle(self._submission("acme", manager), broken_enqueue)
+        statuses = []
+        later = threading.Thread(
+            target=lambda: statuses.append(
+                stack.handle(self._submission("acme", manager), ok_handler).status
+            )
+        )
+        later.start()
+        later.join(timeout=10)
+        assert statuses == [200]
+
+    def test_reads_do_not_wait_on_a_submission_being_enqueued(self):
+        stack = MiddlewareStack([QuotaMiddleware(max_in_flight=1)])
+        manager = FakeManager({})
+        enqueuing, release = threading.Event(), threading.Event()
+
+        def slow_enqueue(request):
+            enqueuing.set()
+            release.wait(timeout=10)
+            return Response(202, ok_envelope({}))
+
+        submission = threading.Thread(
+            target=stack.handle, args=(self._submission("acme", manager), slow_enqueue)
+        )
+        submission.start()
+        try:
+            assert enqueuing.wait(timeout=10)
+            read = make_request(path="/v1/jobs/job-000001", tenant="acme")
+            read.context["manager"] = manager
+            assert stack.handle(read, ok_handler).status == 200
+        finally:
+            release.set()
+            submission.join(timeout=10)
+
 
 class TestServerConfig:
     def test_defaults(self):

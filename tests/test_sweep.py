@@ -124,6 +124,17 @@ class TestSweepModel:
         empty = Sweep(name="empty", scenario="fig09", axes=())
         assert any("at least one axis" in p for p in empty.problems())
 
+    def test_variants_raise_naming_every_problem(self):
+        sweep = Sweep(
+            name="two-bad",
+            scenario="fig13",
+            axes=(SweepAxis("tenancy.max_concurrent_jobs", (0, -1)),),
+        )
+        with pytest.raises(SweepError) as raised:
+            sweep.variants()
+        assert raised.value.problems == sweep.problems()
+        assert len(raised.value.problems) == 2
+
     def test_round_trips_through_dict(self):
         sweep = SWEEP_REGISTRY["arrival-rate"]
         assert Sweep.from_dict(sweep.as_dict()) == sweep
@@ -192,6 +203,30 @@ class TestRunSweep:
         assert variant["name"] == "fig09[cluster.nodes=2]"
         assert variant["overrides"] == {"cluster.nodes": 2}
         assert variant["result"]["rows"]
+
+    def test_each_variant_is_built_once(self, monkeypatch):
+        """run_sweep runs the variants that validation built; it does
+        not rebuild them from the overrides."""
+        built = []
+
+        def counting_apply_overrides(base, overrides, name):
+            built.append(name)
+            return apply_overrides(base, overrides, name=name)
+
+        monkeypatch.setattr(
+            "repro.scenarios.sweep.apply_overrides", counting_apply_overrides
+        )
+        outcome = run_sweep(
+            Sweep(
+                name="two-cells",
+                scenario="fig09",
+                axes=(SweepAxis("cluster.nodes", (2, 4)),),
+            ),
+            scale=0.3,
+            seed=0,
+        )
+        assert built == [variant.name for variant in outcome.outcomes]
+        assert all(variant.ok for variant in outcome.outcomes)
 
     def test_invalid_sweep_refused(self):
         with pytest.raises(SweepError):
