@@ -11,7 +11,7 @@ with an empty-cluster repair step.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +29,9 @@ def _as_matrix(x) -> np.ndarray:
 
 def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between row sets ``a`` and ``b``."""
-    a2 = np.sum(a * a, axis=1)[:, None]
-    b2 = np.sum(b * b, axis=1)[None, :]
+    # np.add.reduce is what np.sum calls, without its Python dispatch.
+    a2 = np.add.reduce(a * a, axis=1)[:, None]
+    b2 = np.add.reduce(b * b, axis=1)[None, :]
     return np.maximum(0.0, a2 + b2 - 2.0 * a @ b.T)
 
 
@@ -160,13 +161,12 @@ class KMeans:
         if self.centroids is None:
             raise RuntimeError("KMeans used before fit()")
 
-    def predict(self, x) -> np.ndarray:
-        self._require_fit()
-        return pairwise_sq_distances(_as_matrix(x), self.centroids).argmin(axis=1)
+    def nearest(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """Nearest-centroid label and Euclidean distance of each sample.
 
-    def distances(self, x) -> np.ndarray:
-        """Euclidean distance from each sample to its nearest centroid."""
+        One squared-distance matrix feeds both: the label is each row's
+        argmin and the distance the square root of the row's minimum.
+        """
         self._require_fit()
-        return np.sqrt(
-            pairwise_sq_distances(_as_matrix(x), self.centroids).min(axis=1)
-        )
+        d2 = pairwise_sq_distances(_as_matrix(x), self.centroids)
+        return d2.argmin(axis=1), np.sqrt(d2.min(axis=1))

@@ -78,6 +78,7 @@ class GroundTruth:
         #: model, so query() stops rebuilding them per lookup.
         self._cluster_idx: Dict[int, np.ndarray] = {}
         self._cluster_features: Dict[int, np.ndarray] = {}
+        self._threshold = 0.0  # of the fitted model; set per refit
 
     # -- maintenance ----------------------------------------------------------
     def add(self, entry: GroundTruthEntry) -> None:
@@ -106,6 +107,8 @@ class GroundTruth:
         model.fit(matrix)
         self._model = model
         self._dirty = False
+        rms = np.sqrt(model.inertia / len(self.entries))
+        self._threshold = THRESHOLD_SCALE * max(rms, DISTANCE_FLOOR)
         labels = np.asarray(model.labels)
         self._cluster_idx = {}
         self._cluster_features = {}
@@ -122,23 +125,24 @@ class GroundTruth:
         return self._model
 
     # -- lookup -----------------------------------------------------------------
-    def threshold_for(self, cluster: int) -> float:
-        """Distance threshold derived from the model's inertia (§5.6)."""
-        model = self.model
-        if model is None:
-            return 0.0
-        rms = np.sqrt(model.inertia / max(1, len(self.entries)))
-        return THRESHOLD_SCALE * max(rms, DISTANCE_FLOOR)
+    @property
+    def threshold(self) -> float:
+        """Hit distance from the model's inertia (§5.6), set per refit."""
+        return 0.0 if self.model is None else self._threshold
 
     def query(self, features: np.ndarray) -> Optional[GroundTruthMatch]:
-        """Similarity lookup; None means "launch a probing phase"."""
+        """Similarity lookup; None means "launch a probing phase".
+
+        One centroid distance row gives both the cluster and distance.
+        """
         model = self.model
         if model is None:
             return None
         features = np.asarray(features, dtype=float)
-        cluster = int(model.predict(features)[0])
-        distance = float(model.distances(features)[0])
-        threshold = self.threshold_for(cluster)
+        labels, distances = model.nearest(features)
+        cluster = int(labels[0])
+        distance = float(distances[0])
+        threshold = self.threshold
         if distance > threshold:
             return None
         # Nearest stored entry within the matched cluster decides the

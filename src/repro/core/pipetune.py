@@ -174,7 +174,7 @@ class PipeTuneHooks(TrialHooks):
                 return config
             # plan exhausted: decide now
             self._finish_probing(ctx)
-        if self._target_system is not None and ctx.system != self._target_system:
+        if self._target_system not in (None, ctx.system):
             self.session.stats.reconfigurations += 1
             return self._target_system
         return None

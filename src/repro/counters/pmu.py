@@ -23,7 +23,7 @@ path and the same IEEE operations per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -83,14 +83,15 @@ def _modifier_vector(config: TrialConfig) -> np.ndarray:
     return np.where(MISSY_MASK, missy_modifier, 1.0)
 
 
-def _spans_array(spans) -> np.ndarray:
-    """``spans`` as a validated float64 vector of interval durations."""
+def _spans_array(spans) -> Tuple[np.ndarray, float]:
+    """``spans`` as a validated float64 vector, and its shortest span."""
     spans = np.asarray(spans, dtype=np.float64)
     if spans.ndim != 1 or spans.size == 0:
         raise ValueError("spans must be a non-empty vector of durations")
-    if spans.min() < 0:
+    shortest = np.minimum.reduce(spans)
+    if shortest < 0:
         raise ValueError("duration must be non-negative")
-    return spans
+    return spans, shortest
 
 
 def _true_count_rows(
@@ -182,13 +183,15 @@ class Pmu:
         Row ``k`` is bit-identical to ``final_counts(config, spans[k],
         busy_cores, epoch=first_row + k, noisy=noisy)``.
         """
-        spans = _spans_array(spans)
+        spans, shortest = _spans_array(spans)
         raw, running = self._observe(config, spans, busy_cores, first_row, noisy)
-        observed = running > 0.0
         # The quotient is taken first: enabled / running rounds to at
         # least 1.0 whenever running <= enabled, so the estimate never
         # falls below the observed count ((raw * enabled) / running can
         # round one ulp under raw). An unobserved event reads 0.
+        if shortest * _GENERIC_SHARE > 0.0:  # min(running) > 0: no mask
+            return raw * (spans[:, None] / running)
+        observed = running > 0.0
         final = raw * (spans[:, None] / np.where(observed, running, 1.0))
         final[~observed] = 0.0
         return final
@@ -207,7 +210,7 @@ class Pmu:
         only need the rescaled vector should use :meth:`final_counts`,
         which shares the same kernel without materializing readings.
         """
-        spans = _spans_array([duration_s])
+        spans, _ = _spans_array([duration_s])
         raw, running = self._observe(config, spans, busy_cores, epoch, noisy)
         return {
             event: CounterReading(

@@ -125,9 +125,8 @@ class EpochProfiler:
         counts = self.pmu.final_counts_batch(
             config, spans, busy_cores, epoch * MAX_STRATA, noisy
         )
-        total = np.zeros(NUM_EVENTS)
-        for row in counts:
-            total += row
+        # Row by row, as a running total from zero (counts are never -0.0).
+        total = np.add.reduce(counts, axis=0)
         return EpochProfile(
             workload=config.workload.name,
             epoch=epoch,
@@ -138,7 +137,9 @@ class EpochProfiler:
 
 
 def average_profiles(profiles: List[EpochProfile]) -> np.ndarray:
-    """Mean feature vector over several epoch profiles."""
+    """Mean feature vector over several epoch profiles: the two ufuncs
+    ``np.mean`` calls, without its Python-level dispatch."""
     if not profiles:
         raise ValueError("need at least one profile")
-    return np.mean([p.feature_vector() for p in profiles], axis=0)
+    stack = np.array([p.feature_vector() for p in profiles])
+    return np.add.reduce(stack, axis=0) / len(profiles)

@@ -60,20 +60,22 @@ class Node:
         """``listener(node, now, watts)`` fires on every power change."""
         self._power_listeners.append(listener)
 
-    def _set_active_cores(self, value: float) -> None:
-        self._active_cores = value
-        watts = self.power_watts
-        for listener in self._power_listeners:
-            listener(self, self.env.now, watts)
-
     def notify_busy(self, delta_cores: float) -> None:
         """Adjust the number of cores actively computing by ``delta``."""
         new = self._active_cores + delta_cores
-        if new < -1e-9 or new > self.spec.cores + 1e-9:
-            raise SimulationError(
-                f"active core count {new} outside [0, {self.spec.cores}]"
-            )
-        self._set_active_cores(max(0.0, min(float(self.spec.cores), new)))
+        cores = self.spec.cores
+        if new < -1e-9 or new > cores + 1e-9:
+            raise SimulationError(f"active core count {new} outside [0, {cores}]")
+        # max(0.0, min(float(cores), new)), without two builtin calls.
+        if not new < cores:
+            new = float(cores)
+        elif not new > 0.0:
+            new = 0.0
+        self._active_cores = new
+        if self._power_listeners:
+            watts = self.power_watts
+            for listener in self._power_listeners:
+                listener(self, self.env.now, watts)
 
 
 class Allocation:
@@ -164,22 +166,20 @@ class SimCluster:
         self.nodes = [Node(env, spec) for spec in specs]
         self.stats = ClusterStats()
 
-    def _feasible(self, cores: int, memory_gb: float) -> bool:
-        return any(
-            cores <= n.spec.cores and memory_gb <= n.spec.memory_gb
-            for n in self.nodes
-        )
-
-    def _pick_node(self, cores: int, memory_gb: float) -> Optional[Node]:
-        """Least-loaded node with immediate free capacity, else None."""
-        candidates = [
-            n
-            for n in self.nodes
-            if n.cores.level >= cores and n.memory.level >= memory_gb
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda n: (n.cores.level, n.memory.level))
+    def _place(self, cores: int, memory_gb: float) -> Optional[Node]:
+        """In one scan, the least-loaded node with free capacity now, else
+        the least-loaded that could ever host the request, else None."""
+        ready = ready_load = fits = fits_load = None
+        for node in self.nodes:
+            if cores > node.spec.cores or memory_gb > node.spec.memory_gb:
+                continue
+            load = (node.cores.level, node.memory.level)
+            if fits is None or load > fits_load:
+                fits, fits_load = node, load
+            if load[0] >= cores and load[1] >= memory_gb:
+                if ready is None or load > ready_load:
+                    ready, ready_load = node, load
+        return fits if ready is None else ready
 
     def allocate(self, cores: int, memory_gb: float) -> Generator:
         """Process generator yielding an :class:`Allocation`.
@@ -187,20 +187,12 @@ class SimCluster:
         Blocks (FIFO per node) until some node can host the request.
         Raises immediately if no node could *ever* host it.
         """
-        if not self._feasible(cores, memory_gb):
+        node = self._place(cores, memory_gb)
+        if node is None:
             self.stats.failed_placements += 1
             raise ValueError(
                 f"request ({cores} cores, {memory_gb} GB) exceeds every node"
             )
-        node = self._pick_node(cores, memory_gb)
-        if node is None:
-            # Queue on the least-loaded feasible node.
-            feasible = [
-                n
-                for n in self.nodes
-                if cores <= n.spec.cores and memory_gb <= n.spec.memory_gb
-            ]
-            node = max(feasible, key=lambda n: (n.cores.level, n.memory.level))
         yield node.cores.get(cores)
         yield node.memory.get(memory_gb)
         self.stats.allocations += 1

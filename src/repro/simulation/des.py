@@ -31,6 +31,13 @@ allocating a proxy :class:`Event` (the historical implementation); the
 resume is still deferred behind already-queued same-time events, which
 keeps seed-for-seed reproducibility.
 
+A :meth:`Resource.request` or :meth:`Container.get` granted at once
+returns its grant already processed, so yielding it takes that resume
+path too, with the counter the grant's trigger would have taken. The
+ordering stays identical *provided the process yields the grant before
+creating any other event*, as every caller does
+(``yield slots.request()``).
+
 Example
 -------
 >>> env = Environment()
@@ -303,28 +310,33 @@ class AllOf(Event):
     A child counts as *done* once it has been processed (its callbacks
     ran) — not merely triggered, since e.g. a Timeout is triggered at
     construction but fires later. The first failing child fails it.
+    A count of pending positions (an event listed twice counts twice)
+    spares a rescan of every child each time one finishes.
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
+        self._pending = sum(not e._processed for e in self._events)
         for event in self._events:
-            if event.processed:
-                self._on_child(event)
+            if event._processed:
+                self._on_child(event, 0)
             else:
                 event.add_callback(self._on_child)
-        if not self._triggered and all(e.processed for e in self._events):
+        if not self._events:
             self.succeed(self._collect())
 
-    def _on_child(self, event: Event) -> None:
+    def _on_child(self, event: Event, finished: int = 1) -> None:
+        # ``finished`` is 0 for a child processed before construction.
         if self._triggered:
             return
         if event._exception is not None:
             self.fail(event._exception)
             return
-        if all(e.processed for e in self._events):
+        self._pending -= finished
+        if not self._pending:
             self.succeed(self._collect())
 
     def _collect(self) -> dict:
@@ -390,13 +402,11 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+    def _schedule(self, event: Event) -> None:
+        """Queue a triggered event's callbacks at the current instant."""
         seq = self._seq
         self._seq = seq + 1
-        if delay:
-            heapq.heappush(self._queue, (self._now + delay, seq, event))
-        else:
-            self._immediate.append((seq, event, None))
+        self._immediate.append((seq, event, None))
 
     def _defer_resume(self, event: Event, process: "Process") -> None:
         """Queue a process resumption at the current instant.
@@ -489,6 +499,13 @@ class Environment:
             self._now = until
 
 
+def _granted(env: Environment, value: Any) -> Event:
+    """An immediate grant: an event already triggered and processed."""
+    grant = Event(env)
+    grant._value, grant._triggered, grant._processed = value, True, True
+    return grant
+
+
 class Resource:
     """A counted resource with a FIFO wait queue (e.g. trial slots)."""
 
@@ -501,13 +518,13 @@ class Resource:
         self._waiters: "deque[Event]" = deque()
 
     def request(self) -> Event:
-        """Return an event that fires once a unit is granted."""
-        grant = self.env.event()
+        """Return an event that fires once a unit is granted; yield it
+        at once (see "Scheduling internals" on immediate grants)."""
         if self.in_use < self.capacity:
             self.in_use += 1
-            grant.succeed(self)
-        else:
-            self._waiters.append(grant)
+            return _granted(self.env, self)
+        grant = self.env.event()
+        self._waiters.append(grant)
         return grant
 
     def release(self) -> None:
@@ -535,19 +552,19 @@ class Container:
         self._waiters: deque = deque()  # (amount, event), FIFO
 
     def get(self, amount: float) -> Event:
-        """Return an event that fires once ``amount`` is available."""
+        """Return an event that fires once ``amount`` is available;
+        yield it at once (see "Scheduling internals" on immediate grants)."""
         if amount <= 0:
             raise ValueError("get amount must be positive")
         if amount > self.capacity:
             raise ValueError(
                 f"requested {amount} exceeds capacity {self.capacity}"
             )
-        grant = self.env.event()
         if not self._waiters and amount <= self.level:
             self.level -= amount
-            grant.succeed(amount)
-        else:
-            self._waiters.append((amount, grant))
+            return _granted(self.env, amount)
+        grant = self.env.event()
+        self._waiters.append((amount, grant))
         return grant
 
     def try_get(self, amount: float) -> bool:

@@ -18,7 +18,7 @@ Three *system policies* cover the paper's three compared systems:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..hpo.algorithms import Observation, SearchAlgorithm, Suggestion
 from ..hpo.space import split_config
@@ -149,11 +149,13 @@ class HptJobRunner:
         self.spec = spec
         #: results per trial id (latest segment wins, for resumed trials)
         self._results: Dict[str, TrialResult] = {}
+        #: the largest node shape, which clips every trial's request.
+        self._max_cores = max(n.spec.cores for n in cluster.nodes)
+        self._max_mem = max(n.spec.memory_gb for n in cluster.nodes)
 
     def _clip_to_cluster(self, system: SystemParams) -> SystemParams:
         """Clamp a system request to what the largest node can host."""
-        max_cores = max(n.spec.cores for n in self.cluster.nodes)
-        max_mem = max(n.spec.memory_gb for n in self.cluster.nodes)
+        max_cores, max_mem = self._max_cores, self._max_mem
         if system.cores <= max_cores and system.memory_gb <= max_mem:
             return system
         return SystemParams(
@@ -161,15 +163,14 @@ class HptJobRunner:
             memory_gb=min(system.memory_gb, max_mem),
         )
 
-    def _system_for(self, suggestion: Suggestion) -> SystemParams:
-        if self.spec.system_policy == "v2":
-            _, system = split_config(suggestion.params)
-            if system is None:
-                raise ValueError(
-                    "v2 policy needs cores/memory_gb in the search space"
-                )
-            return self._clip_to_cluster(system)
-        return self._clip_to_cluster(self.spec.default_system)
+    def _config_for(self, suggestion: Suggestion) -> Tuple[HyperParams, SystemParams]:
+        """The trial's hyperparameters and clipped system, split once."""
+        hyper, system = split_config(suggestion.params)
+        if self.spec.system_policy != "v2":
+            system = self.spec.default_system
+        elif system is None:
+            raise ValueError("v2 policy needs cores/memory_gb in the search space")
+        return hyper, self._clip_to_cluster(system)
 
     def _hooks_for(
         self, suggestion: Suggestion, hyper: HyperParams, system: SystemParams
@@ -290,8 +291,7 @@ class HptJobRunner:
                 break
             processes = []
             for suggestion in batch:
-                hyper, _ = split_config(suggestion.params)
-                system = self._system_for(suggestion)
+                hyper, system = self._config_for(suggestion)
                 hooks = self._hooks_for(suggestion, hyper, system)
                 processes.append(
                     (

@@ -203,7 +203,7 @@ def run_trial(
         segment_system = None
         for epoch in range(start_epoch + 1, epochs + 1):
             desired = hooks.before_epoch(ctx, epoch)
-            if desired is not None and desired != ctx.system:
+            if desired not in (None, ctx.system):  # identity, then equality
                 # Best-effort reshape: a grow the node cannot satisfy
                 # right now is skipped (this epoch runs at the old
                 # shape) rather than blocking training mid-trial.
@@ -216,7 +216,7 @@ def run_trial(
                         cores=allocation.cores, memory_gb=allocation.memory_gb
                     )
 
-            if ctx.system != segment_system:
+            if ctx.system is not segment_system and ctx.system != segment_system:
                 # The epoch durations of the rest of the trial at this
                 # shape, indexed one per epoch below.
                 segment_system = ctx.system

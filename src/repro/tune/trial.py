@@ -56,8 +56,9 @@ class TrialResult:
         """Average epoch duration observed at the final system config."""
         if not self.records:
             return 0.0
+        final = self.final_system
         final_system_records = [
-            r for r in self.records if r.system == self.final_system
+            r for r in self.records if r.system is final or r.system == final
         ] or self.records
         return sum(r.duration_s for r in final_system_records) / len(
             final_system_records
@@ -73,10 +74,4 @@ class TrialResult:
         """
         if not self.records:
             return self.training_time_s
-        final_system_records = [
-            r for r in self.records if r.system == self.final_system
-        ] or self.records
-        mean_epoch = sum(r.duration_s for r in final_system_records) / len(
-            final_system_records
-        )
-        return mean_epoch * self.epochs_run
+        return self.mean_epoch_time_s() * self.epochs_run

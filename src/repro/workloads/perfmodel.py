@@ -60,7 +60,7 @@ class EpochCost:
     utilisation: float  # fraction of allocated cores actively computing
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EpochCostBatch:
     """One trial segment's epoch costs, synthesized in a single pass.
 
@@ -71,7 +71,7 @@ class EpochCostBatch:
     of the trial's :class:`~repro.workloads.noise.NoiseBlock`. Element
     ``i`` is bit-identical to ``epoch_cost(config, epochs[i],
     ...).total_s``: both read the same block position and apply the
-    same float ops.
+    same float ops. Slotted and not frozen (one is built per segment).
     """
 
     compute_s: float

@@ -33,29 +33,36 @@ def repr_seed(reprs: Iterable[str]) -> int:
 
 
 def _cache_repr(cls):
-    """Memoize a frozen dataclass's generated ``repr`` per instance.
+    """Memoize a frozen dataclass's generated ``repr`` and ``hash`` per
+    instance.
 
-    Every RNG derivation builds its :func:`stable_seed` key from the
-    reprs of the participating spec objects, which makes dataclass repr
-    construction a measurable share of simulated-epoch cost. The
-    instances are immutable, so the exact generated string (same bytes,
-    hence same digests and random streams) is computed once and cached.
-    Pickles leave the memo out; old pickles that carry it still load.
+    Every RNG derivation keys its :func:`stable_seed` on spec reprs, and
+    every memoized cost term, campaign and fault schedule hashes specs.
+    The instances are immutable, so the exact generated string (same
+    bytes, hence same digests and random streams) and hash are computed
+    once, kept as attributes (reading ``__dict__`` would build a dict
+    per instance). Pickles leave both memos out (string hashes differ
+    per process); old pickles that carry the repr memo still load.
     """
-    generated = cls.__repr__
 
-    def __repr__(self) -> str:
-        cached = self.__dict__.get("_cached_repr")
-        if cached is None:
-            cached = generated(self)
-            object.__setattr__(self, "_cached_repr", cached)
-        return cached
+    def memoized(generated, slot: str):
+        def method(self):
+            try:
+                return getattr(self, slot)
+            except AttributeError:
+                value = generated(self)
+                object.__setattr__(self, slot, value)
+                return value
+
+        method.__qualname__ = f"{cls.__qualname__}.{generated.__name__}"
+        return method
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_cached_repr"}
+        memos = ("_cached_repr", "_cached_hash")
+        return {k: v for k, v in self.__dict__.items() if k not in memos}
 
-    __repr__.__qualname__ = f"{cls.__qualname__}.__repr__"
-    cls.__repr__ = __repr__
+    cls.__repr__ = memoized(cls.__repr__, "_cached_repr")
+    cls.__hash__ = memoized(cls.__hash__, "_cached_hash")
     cls.__getstate__ = __getstate__
     return cls
 

@@ -298,6 +298,18 @@ class TestPowerAccounting:
         with pytest.raises(SimulationError):
             cluster.nodes[0].notify_busy(5)
 
+    @pytest.mark.parametrize(
+        "deltas, level",
+        [((4 + 5e-10,), "4.0"), ((2.0, -2.0 - 5e-10), "0.0"), ((1.5,), "1.5")],
+    )
+    def test_busy_level_is_clamped_to_the_node(self, deltas, level):
+        # Rounding slack within 1e-9 is clamped to [0, cores], as a float.
+        env = Environment()
+        node = small_cluster(env, nodes=1, cores=4).nodes[0]
+        for delta in deltas:
+            node.notify_busy(delta)
+        assert repr(node._active_cores) == level
+
     def test_power_listener_invoked(self):
         env = Environment()
         cluster = small_cluster(env, nodes=1)

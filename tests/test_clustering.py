@@ -50,7 +50,7 @@ class TestKMeans:
 
     def test_use_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            KMeans(k=2).predict(np.zeros((1, 2)))
+            KMeans(k=2).nearest(np.zeros((1, 2)))
 
     def test_deterministic_with_seed(self):
         x = two_blobs(seed=3)
@@ -69,7 +69,7 @@ class TestKMeans:
         x = two_blobs()
         model = KMeans(k=2, seed=0).fit(x)
         new = np.array([[0.1, 0.0, 0.0], [10.0, 10.0, 10.0]])
-        labels = model.predict(new)
+        labels, _ = model.nearest(new)
         d = pairwise_sq_distances(new, model.centroids)
         np.testing.assert_array_equal(labels, d.argmin(axis=1))
 
@@ -77,7 +77,7 @@ class TestKMeans:
         x = two_blobs()
         model = KMeans(k=2, seed=0).fit(x)
         point = x[:1]
-        dist = model.distances(point)[0]
+        dist = model.nearest(point)[1][0]
         manual = np.sqrt(
             ((point[0] - model.centroids) ** 2).sum(axis=1).min()
         )

@@ -353,6 +353,70 @@ class TestConditions:
         env.run()
         assert p.value == (1.0, "first")
 
+    def test_all_of_waits_for_an_event_listed_twice(self):
+        env = Environment()
+
+        def proc():
+            late = env.timeout(2.0, value="late")
+            result = yield env.all_of([late, env.timeout(1.0, value="early"), late])
+            return (env.now, result)
+
+        p = env.process(proc())
+        env.run()
+        assert p.value == (2.0, {0: "late", 1: "early", 2: "late"})
+
+
+class TestImmediateGrants:
+    """A grant free at once resumes its process behind the entries
+    queued at that instant before the request, and ahead of those
+    queued after it: the place a triggered grant would have taken."""
+
+    @pytest.mark.parametrize("kind", ["request", "get"])
+    def test_resume_keeps_its_place_in_the_instant(self, kind):
+        env = Environment()
+        resource = Resource(env, 1)
+        container = Container(env, 4.0)
+        trace = []
+
+        def log(name):
+            trace.append((env.now, name))
+
+        def early():
+            yield env.timeout(1.0)
+            log("early wakes")
+            yield env.timeout(0)  # queued before the request
+            log("early resumes")
+
+        def requester():
+            yield env.timeout(1.0)
+            log("requests")
+            yield resource.request() if kind == "request" else container.get(1.0)
+            log("granted")
+            yield env.timeout(0)
+            log("requester resumes")
+
+        def late():
+            yield env.timeout(1.0)
+            log("late wakes")
+            yield env.timeout(0)  # queued after the request
+            log("late resumes")
+
+        for body in (early, requester, late):
+            env.process(body())
+        env.run()
+        assert trace == [
+            (1.0, "early wakes"),
+            (1.0, "requests"),
+            (1.0, "late wakes"),
+            (1.0, "early resumes"),
+            (1.0, "granted"),
+            (1.0, "late resumes"),
+            (1.0, "requester resumes"),
+        ]
+        assert (resource.in_use, container.level) == (
+            (1, 4.0) if kind == "request" else (0, 3.0)
+        )
+
 
 class TestResource:
     def test_capacity_validation(self):

@@ -6,11 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.core.clustering import KMeans
+from repro.core.clustering import KMeans, pairwise_sq_distances
 from repro.core.groundtruth import (
     DISTANCE_FLOOR,
     MIN_ENTRIES,
+    THRESHOLD_SCALE,
     GroundTruth,
     GroundTruthEntry,
 )
@@ -113,7 +117,7 @@ class TestQueries:
     def test_threshold_scales_with_inertia(self):
         tight = populated(jitter=0.01)
         loose = populated(jitter=0.5)
-        assert loose.threshold_for(0) > tight.threshold_for(0)
+        assert loose.threshold > tight.threshold
 
     def test_refit_on_add_is_lazy(self):
         gt = populated()
@@ -141,7 +145,7 @@ class TestFixedSimilarity:
     def test_zero_inertia_threshold_is_the_floor(self):
         gt = two_exact_points()
         assert gt.model.inertia == 0.0
-        assert gt.threshold_for(0) == pytest.approx(2.5 * DISTANCE_FLOOR)
+        assert gt.threshold == pytest.approx(2.5 * DISTANCE_FLOOR)
 
     @pytest.mark.parametrize("offset, hits", [(0.29, True), (0.31, False)])
     def test_floor_decides_a_near_profile(self, offset, hits):
@@ -155,3 +159,45 @@ class TestFixedSimilarity:
             gt.add(entry(5.0 * (i % 2), jitter=0.05, seed=i))
         assert isinstance(gt.model, KMeans)
         assert (gt.model.k, gt.model.seed) == (2, 7)
+
+
+#: one tight and one loose database: the distance floor sets the first
+#: one's threshold, the model's inertia the second one's.
+DATABASES = {jitter: populated(jitter) for jitter in (0.05, 0.5)}
+
+
+def three_pass_lookup(gt, features):
+    """The lookup as three passes: the label of one centroid distance
+    matrix, the distance from a second one, and a threshold recomputed
+    from the inertia on every lookup."""
+    model = gt.model
+    x = np.asarray(features, dtype=float)[None, :]
+    cluster = int(pairwise_sq_distances(x, model.centroids).argmin(axis=1)[0])
+    distance = float(np.sqrt(pairwise_sq_distances(x, model.centroids).min(axis=1))[0])
+    rms = np.sqrt(model.inertia / max(1, len(gt.entries)))
+    return cluster, distance, THRESHOLD_SCALE * max(rms, DISTANCE_FLOOR)
+
+
+def bits(value):
+    return type(value), np.float64(value).tobytes()
+
+
+class TestOneDistanceRow:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        jitter=st.sampled_from(sorted(DATABASES)),
+        center=st.sampled_from([0.0, 2.5, 5.0]),
+        scale=st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]),
+        noise=arrays(np.float64, NUM_EVENTS, elements=st.floats(-1.0, 1.0)),
+    )
+    def test_query_matches_the_three_pass_lookup(self, jitter, center, scale, noise):
+        gt = DATABASES[jitter]
+        features = center + scale * noise
+        cluster, distance, threshold = three_pass_lookup(gt, features)
+        match = gt.query(features)
+        assert (match is not None) == bool(distance <= threshold)
+        assert bits(gt.threshold) == bits(threshold)
+        if match is not None:
+            assert match.cluster == cluster
+            assert bits(match.distance) == bits(distance)
+            assert bits(match.threshold) == bits(threshold)

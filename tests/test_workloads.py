@@ -1,5 +1,6 @@
 """Tests for workload specs, the performance model and learning curves."""
 
+import dataclasses
 import math
 import pickle
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.tune.faults import CrashSpec, FaultModel
 from repro.workloads.accuracy import (
     accuracy_at_epoch,
     accuracy_curve,
@@ -112,6 +114,10 @@ SPECS = [
 ]
 
 
+#: the memoized specs, each kind once (``FaultModel`` holds nested specs).
+HASHED = SPECS + [FaultModel(crash=CrashSpec(rate_per_epoch=0.1))]
+
+
 class TestSpecPickle:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
     def test_pickle_leaves_the_repr_memo_out(self, spec):
@@ -143,6 +149,37 @@ class TestSpecPickle:
         assert repr(loaded) == repr(spec)
         assert loaded == spec
         assert hash(loaded) == hash(spec)
+
+    @pytest.mark.parametrize("spec", HASHED, ids=lambda s: type(s).__name__)
+    def test_pickle_leaves_the_hash_memo_out(self, spec):
+        fresh = pickle.loads(pickle.dumps(spec))
+        before = pickle.dumps(fresh)
+        hash(fresh)
+        assert "_cached_hash" in vars(fresh)
+        after = pickle.dumps(fresh)
+        assert b"_cached_hash" not in after
+        assert after == before
+
+    @pytest.mark.parametrize("spec", HASHED, ids=lambda s: type(s).__name__)
+    def test_pickle_carrying_no_memo_loads(self, spec, monkeypatch):
+        fresh = pickle.loads(pickle.dumps(spec))
+        monkeypatch.delattr(type(spec), "__getstate__")
+        data = pickle.dumps(fresh)
+        monkeypatch.undo()
+        assert b"_cached_repr" not in data and b"_cached_hash" not in data
+        loaded = pickle.loads(data)
+        assert type(loaded) is type(spec)
+        assert repr(loaded) == repr(spec)
+        assert loaded == spec
+        assert hash(loaded) == hash(spec)
+
+    @pytest.mark.parametrize("spec", HASHED, ids=lambda s: type(s).__name__)
+    def test_hash_is_the_generated_one(self, spec):
+        # A frozen dataclass hashes the tuple of its fields.
+        fields = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+        fresh = pickle.loads(pickle.dumps(spec))
+        assert hash(fresh) == hash(fields)
+        assert hash(fresh) == hash(fields)  # the memo gives the same
 
 
 class TestRegistry:
