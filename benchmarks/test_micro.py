@@ -32,6 +32,7 @@ from repro.workloads.spec import (
     HyperParams,
     SystemParams,
     TrialConfig,
+    _keyed_draw,
     rng_for,
     stable_seed,
 )
@@ -113,25 +114,30 @@ def test_epoch_time_model(benchmark):
 
 
 @pytest.mark.parametrize(
-    "constructor",
+    "draw",
     [
         pytest.param(
-            lambda i: np.random.default_rng(stable_seed("bench-rng", i)),
+            lambda i: np.random.default_rng(stable_seed("bench-rng", i)).random(),
             id="legacy_pcg64",
         ),
-        pytest.param(lambda i: rng_for("bench-rng", i), id="philox"),
+        pytest.param(lambda i: rng_for("bench-rng", i).random(), id="philox"),
+        pytest.param(
+            lambda i: _keyed_draw(stable_seed("bench-rng", i), "random"),
+            id="rekeyed",
+        ),
     ],
 )
-def test_rng_construction(benchmark, constructor):
-    """Per-stream derivation cost: legacy SeedSequence->PCG64 spin-up
-    vs the keyed Philox adapter (one fresh core per call, no shared
-    state). 200 fresh streams with one draw each — the shape of the
-    simulator's hot path, where construction (not drawing) dominates."""
+def test_rng_construction(benchmark, draw):
+    """Per-stream derivation cost: legacy SeedSequence->PCG64 spin-up,
+    the keyed Philox adapter (one fresh core per call) and the re-keyed
+    draw (one core per thread, re-keyed per call, never returned). 200
+    streams with one draw each — the shape of the simulator's hot path,
+    where starting a stream (not drawing) dominates."""
 
     def run():
         total = 0.0
         for i in range(200):
-            total += constructor(i).random()
+            total += draw(i)
         return total
 
     total = benchmark(run)

@@ -1,11 +1,16 @@
-"""Where a warm exhibit pass spends its time, by layer, from CPU samples.
+"""Where an exhibit pass spends its time, by layer, from CPU samples.
 
     PYTHONPATH=src python scripts/sample_exhibit_layers.py --passes 6
+    PYTHONPATH=src python scripts/sample_exhibit_layers.py --passes 6 --cold
     python scripts/sample_exhibit_layers.py --src <other-checkout>/src
 
 Runs one unsampled pass over every committed exhibit (the cold pass
 fills the in-process memos), then ``--passes`` warm passes under a
-``SIGPROF`` interval timer, which fires per ``--interval-ms`` of CPU
+``SIGPROF`` interval timer. With ``--cold``, the in-process memos (cost
+terms, noise windows and streams, fault schedules, PipeTune's offline
+campaigns and the PMU event signatures) are cleared before each
+sampled pass, so the work a fresh interpreter's first pass does is
+charged to its layers too. The timer fires per ``--interval-ms`` of CPU
 time the process spends. The kernel may round the interval up to its
 tick, so compare two runs by their sample counts, not by the interval
 times the count. Each sample is charged to the innermost frame inside
@@ -38,11 +43,17 @@ def main(argv=None) -> int:
     parser.add_argument("--interval-ms", type=float, default=2.0)
     parser.add_argument("--top", type=int, default=25, help="functions to list")
     parser.add_argument("--src", help="the src/ directory of the checkout to run")
+    parser.add_argument(
+        "--cold", action="store_true", help="clear the memos before each pass"
+    )
     args = parser.parse_args(argv)
     if args.src:
         sys.path.insert(0, os.path.abspath(args.src))
 
+    from repro.core.pipetune import _offline_campaign
+    from repro.counters.events import _signature
     from repro.experiments import EXHIBIT_RUNS, golden
+    from repro.workloads.perfmodel import clear_cost_caches
 
     def one_pass() -> None:
         for run in EXHIBIT_RUNS.values():
@@ -71,6 +82,10 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGPROF, sample)
     interval = args.interval_ms / 1000.0
     for _ in range(args.passes):
+        if args.cold:
+            clear_cost_caches()
+            _offline_campaign.cache_clear()
+            _signature.cache_clear()
         gc.collect()
         signal.setitimer(signal.ITIMER_PROF, interval, interval)
         one_pass()
@@ -78,7 +93,8 @@ def main(argv=None) -> int:
     if not samples:
         print("no samples: raise --passes or lower --interval-ms")
         return 1
-    print(f"{samples} samples over {args.passes} warm passes")
+    kind = "cold" if args.cold else "warm"
+    print(f"{samples} samples over {args.passes} {kind} passes")
     print("self share by layer:")
     for layer, count in layers.most_common():
         print(f"  {100.0 * count / samples:5.1f}%  {layer}")

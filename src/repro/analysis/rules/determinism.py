@@ -7,9 +7,10 @@ that legitimately needs the wall clock (CLI elapsed reporting, job
 lifecycle timestamps, cache run ids) carries a pragma saying why it is
 allowed to differ between runs.
 
-DET002 guards the other half of the contract: ``rng_for`` keys must be
-stable identities (literals, spec reprs, trial/attempt ids) — never
-process-salted values like ``id()``/``hash()`` or draw-order-shaped
+DET002 guards the other half of the contract: ``rng_for`` keys (and
+those of ``_keyed_draw``, and the ``key_reprs`` prefixes keys are built
+from) must be stable identities (literals, spec reprs, trial/attempt
+ids) — never process-salted values like ``id()``/``hash()`` or draw-order-shaped
 counters from ``enumerate``/``next``, which would silently rekey
 streams between runs or worker layouts.
 
@@ -165,6 +166,11 @@ class RngKeyHygiene(Rule):
         "silently rekey streams between runs"
     )
 
+    #: calls whose arguments are stream keys: ``rng_for`` itself, the
+    #: re-keyed draw fed a finished key, and the key prefix (reprs
+    #: hashed later with more parts) that keys are built from.
+    RNG_CONSTRUCTORS: Tuple[str, ...] = ("rng_for", "_keyed_draw", "key_reprs")
+
     #: draw-ahead block constructors -> leading non-key arguments
     #: (sigma, and for matrices the row width) that are scales/shapes,
     #: not stream identity.
@@ -212,7 +218,7 @@ class RngKeyHygiene(Rule):
             name = func.attr
         else:
             return None
-        if name == "rng_for":
+        if name in cls.RNG_CONSTRUCTORS:
             return ("rng", 0)
         # spec.rng(*parts) — WorkloadSpec's bound stream constructor.
         if name == "rng" and isinstance(func, ast.Attribute):

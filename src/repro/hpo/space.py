@@ -33,7 +33,9 @@ class Uniform(Domain):
         self.high = float(high)
 
     def sample(self, rng):
-        return float(rng.uniform(self.low, self.high))
+        # numpy's own uniform arithmetic, bit for bit, without the
+        # argument handling a scalar rng.uniform call pays.
+        return self.low + (self.high - self.low) * rng.random()
 
     def __repr__(self):
         return f"Uniform({self.low}, {self.high})"
@@ -51,7 +53,8 @@ class LogUniform(Domain):
         self._log_high = math.log10(high)
 
     def sample(self, rng):
-        return float(10.0 ** rng.uniform(self._log_low, self._log_high))
+        span = self._log_high - self._log_low
+        return 10.0 ** (self._log_low + span * rng.random())
 
     def __repr__(self):
         return f"LogUniform({self.low}, {self.high})"

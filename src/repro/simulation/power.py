@@ -15,7 +15,7 @@ We reproduce both layers:
 Keeping both lets tests assert that the PDU estimate converges to the
 ground-truth integral, which is exactly the assumption the paper makes.
 Both meter whole runs: the energy a probe epoch is scored by is
-attributed per epoch by the trainer (``tune.trainer.trial_energy_j``).
+attributed per epoch by the trainer (``tune.trainer.run_trial``).
 """
 
 from __future__ import annotations

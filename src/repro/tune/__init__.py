@@ -38,7 +38,7 @@ __all__ = lazy_exports(
             "TrialFailure",
             "run_hpt_job",
         ),
-        ".trainer": ("TrialContext", "TrialHooks", "run_trial", "trial_energy_j"),
+        ".trainer": ("TrialContext", "TrialHooks", "run_trial"),
         ".trial": ("EpochRecord", "TrialResult"),
     },
 )

@@ -4,8 +4,8 @@ Real clusters are not the paper's well-behaved testbed: spot instances
 get preempted, nodes churn, trials crash for transient reasons, and
 some placements simply run slow. This module declares those faults as
 frozen, JSON-round-trippable specs and draws every injection from
-counter-keyed Philox streams (:func:`~repro.workloads.spec.rng_for`)
-keyed on ``(fault spec repr, trial id, attempt, epoch)`` — never on
+counter-keyed Philox streams keyed on ``(fault spec repr, trial id,
+attempt, epoch)`` (:func:`~repro.workloads.spec.stable_seed`) — never on
 draw order or process identity — so an injected fault schedule is
 bit-identical under any execution backend and any worker count. A
 trial reads them once per attempt, via the memoized
@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..schema import Spec, positional_pickle
-from ..workloads.spec import _cache_repr, rng_for
+from ..workloads.spec import _cache_repr, _keyed_draw, key_reprs, repr_seed, rng_for
 
 #: fixed injection precedence within one epoch: at most one fault
 #: fires per epoch, the first matching kind wins.
@@ -186,8 +186,9 @@ class FaultModel:
     Deterministic by construction: every draw is keyed on the spec's
     repr, the trial id, the attempt number and the epoch — identical
     whether the trial runs serially, pooled, or resumed in a different
-    process. :meth:`straggler_slowdown` and :meth:`draw_event` define
-    the draws; :meth:`schedule` is one memoized scan of them per attempt.
+    process. :meth:`straggler_slowdown` and :meth:`schedule`'s
+    per-epoch ``(hit, fraction)`` pairs are the draws; :meth:`schedule`
+    is one memoized scan of them per attempt.
     """
 
     preemption: Optional[PreemptionSpec] = None
@@ -212,35 +213,15 @@ class FaultModel:
             return spec.slowdown
         return 1.0
 
-    def draw_event(
-        self, trial_id: str, attempt: int, epoch: int
-    ) -> Optional[Tuple[str, float]]:
-        """The fault (kind, mid-epoch fraction) firing this epoch, if any.
-
-        At most one fault per epoch, first matching kind in
-        :data:`FAULT_KINDS` order; the fraction is how far into the
-        epoch the fault strikes (partial work is still paid for in
-        simulated time).
-        """
-        for kind in FAULT_KINDS:
-            spec = self.spec_for(kind)
-            if spec is None or spec.rate_per_epoch <= 0.0:
-                continue
-            stream = rng_for(
-                "fault", kind, repr(spec), trial_id, attempt, epoch
-            )
-            hit, fraction = stream.random(2)
-            if hit < spec.rate_per_epoch:
-                return kind, float(fraction)
-        return None
-
     def schedule(
         self, trial_id: str, attempt: int, first: int, last: int
     ) -> Tuple[float, Optional[Tuple[int, str, float]]]:
         """This attempt's straggler slowdown and the first fault firing
         in epochs ``first..last`` as ``(epoch, kind, fraction)``, or
-        None: the scan of :meth:`straggler_slowdown` and
-        :meth:`draw_event` over the range, memoized per process."""
+        None, memoized per process. At most one fault fires per epoch,
+        the first matching kind in :data:`FAULT_KINDS` order; the
+        fraction is how far into the epoch it strikes (partial work is
+        still paid for in simulated time)."""
         if not self.active:
             return 1.0, None
         return _schedule(repr(self), self, trial_id, attempt, first, last)
@@ -269,8 +250,18 @@ def _schedule(
     and a warm exhibit pass builds 163 Philox streams, not 5,352.
     """
     slowdown = model.straggler_slowdown(trial_id, attempt)
+    # Each epoch's draw is keyed on stable_seed("fault", kind, repr(spec),
+    # trial_id, attempt, epoch); the reprs before the epoch are made once.
+    active = []
+    for kind in FAULT_KINDS:
+        spec = model.spec_for(kind)
+        if spec is not None and spec.rate_per_epoch > 0.0:
+            prefix = key_reprs("fault", kind, repr(spec), trial_id, attempt)
+            active.append((kind, spec.rate_per_epoch, prefix))
     for epoch in range(first, last + 1):
-        event = model.draw_event(trial_id, attempt, epoch)
-        if event is not None:
-            return slowdown, (epoch, *event)
+        for kind, rate, prefix in active:
+            key = repr_seed((*prefix, repr(epoch)))
+            hit, fraction = _keyed_draw(key, "random", 2)
+            if hit < rate:
+                return slowdown, (epoch, kind, float(fraction))
     return slowdown, None

@@ -89,28 +89,6 @@ class TrialHooks:
         """Called after the allocation is released."""
 
 
-def trial_energy_j(
-    workload: WorkloadSpec,
-    system: SystemParams,
-    allocation: Allocation,
-    busy_cores: float,
-    duration_s: float,
-) -> float:
-    """Energy attributable to one epoch of one trial.
-
-    Active cores draw the node's per-core power; the trial is also
-    billed its proportional share of the node's idle draw (the paper
-    reports whole-cluster energy, so idle attribution keeps per-trial
-    sums consistent with the cluster meter).
-    """
-    spec = allocation.node.spec
-    idle_share = spec.idle_watts * (allocation.cores / spec.cores)
-    # DVFS: dynamic power scales ~quadratically with clock (P ~ f V^2
-    # with V roughly linear in f over the usable range).
-    dvfs = (system.cpu_freq_ghz / BASE_CPU_FREQ_GHZ) ** 2
-    return (busy_cores * spec.core_watts * dvfs + idle_share) * duration_s
-
-
 def run_trial(
     env: Environment,
     cluster: SimCluster,
@@ -226,6 +204,12 @@ def run_trial(
                     config, range(epoch, epochs + 1), contention
                 )
                 busy = active_cores(config, segment)
+                # Busy cores draw per-core power, ~quadratic in the clock
+                # (DVFS: P ~ f V^2, V ~ f), plus the trial's share of the
+                # node's idle draw, so trial sums match the cluster meter.
+                dvfs = (segment_system.cpu_freq_ghz / BASE_CPU_FREQ_GHZ) ** 2
+                idle_share = node.spec.idle_watts * (allocation.cores / node.spec.cores)
+                watts = busy * node.spec.core_watts * dvfs + idle_share
             epoch_s = segment.total_s[epoch - segment_start]
 
             if oom_threshold is not None:
@@ -257,7 +241,7 @@ def run_trial(
             node.notify_busy(-busy)
 
             accuracy = accuracies[epoch - start_epoch - 1]
-            energy = trial_energy_j(workload, ctx.system, allocation, busy, duration)
+            energy = watts * duration
             total_time += duration
             total_energy += energy
 

@@ -34,13 +34,15 @@ repeated read, such as any read of a second in-process exhibit pass,
 draws and converts nothing. Its bound counts windows, since a window
 is exactly as large as its read. A miss is cut from a small memo of
 *streams*, each one key digest whose draws grow by atomic swap: it
-redraws the whole longer prefix from a fresh generator on its key and
+redraws the whole longer prefix from the start of its key's stream and
 installs the new array in one assignment, so sequential scalar reads
-of a trial cost O(1) constructions. :func:`noise_block` and
+of a trial cost O(1) stream starts. :func:`noise_block` and
 :func:`noise_matrix` return cheap, unmemoized handles that only carry
 the key. ``lru_cache`` is thread-safe, no drawn array is changed in
-place and no generator is shared, so threads that miss one window (or
-grow one stream) at once compute equal values.
+place, and each fill draws from its thread's own generator, re-keyed
+to the stream and never returned (``spec._keyed_draw``), so threads
+that miss one window (or grow one stream) at once compute equal
+values.
 
 The stream key deliberately ends in the literal ``"block"`` and never
 contains an epoch index — the epoch is a *position* in the stream, not
@@ -55,7 +57,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .spec import philox_generator, repr_seed
+from .spec import _keyed_draw, repr_seed
 
 
 class _DrawAhead:
@@ -81,8 +83,8 @@ class _DrawAhead:
         # after one doubling; rows are wide (one value per PMU event),
         # so matrices start smaller.
         grow_to = max(count, 2 * len(draws), 8 if self._shape else 32)
-        stream = philox_generator(self._key)
-        draws = stream.normal(0.0, self._sigma, size=(grow_to, *self._shape))
+        shape = (grow_to, *self._shape)
+        draws = _keyed_draw(self._key, "normal", 0.0, self._sigma, shape)
         self._draws = draws
         return draws
 

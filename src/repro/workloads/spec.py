@@ -9,6 +9,7 @@ machine the trial runs on (cores, memory).
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Tuple
 
@@ -24,6 +25,12 @@ def stable_seed(*parts) -> int:
     numbers (benchmarks/README.md, "Determinism contract").
     """
     return repr_seed(map(repr, parts))
+
+
+def key_reprs(*parts) -> Tuple[str, ...]:
+    """The reprs :func:`stable_seed` hashes for ``parts``: a key prefix
+    that :func:`repr_seed` later hashes with the reprs of more parts."""
+    return tuple(map(repr, parts))
 
 
 def repr_seed(reprs: Iterable[str]) -> int:
@@ -88,15 +95,18 @@ def _cache_repr(cls):
 # minimal ISeedSequence stand-in whose ``generate_state`` hands back
 # the two key words verbatim (no entropy, no hashing).
 #
-# Thread-safety rule: a stream is a pure function of its key. Every
-# call builds its own ``_KeyedSeed`` and its own Philox core, and no
-# state is shared between callers, so concurrent ``rng_for`` calls (the
-# service runs serial jobs on several threads) cannot see each other.
-# The only module-level writes on this path are the construction
-# counter and the ``functools.lru_cache`` memos of ``noise.py``, whose
-# values are pure in their keys. The subsystem is self-verifying: at
-# import, the keyed build is compared word-for-word against the
-# reference constructor and disabled on any mismatch (future numpy
+# Thread-safety rule: a stream is a pure function of its key.
+# ``rng_for``/``philox_generator`` build a fresh Philox core per call,
+# for streams that escape to their caller. Draws that never escape go
+# through ``_keyed_draw``: one generator per thread, re-keyed to the
+# fresh-stream state before each draw and never returned, so threads
+# (the service runs serial jobs on several threads) never share a core
+# and no caller can hold a re-keyed stream. The only module-level
+# writes on this path are the construction counter and the
+# ``functools.lru_cache`` memos of ``noise.py``, whose values are pure
+# in their keys. The subsystem is self-verifying: at import, the keyed
+# build and the re-key are compared word-for-word against the reference
+# constructor and both are disabled on any mismatch (future numpy
 # versions degrade to slow-but-correct, never to different streams).
 
 _MASK64 = (1 << 64) - 1
@@ -136,7 +146,7 @@ def _reference_philox_generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-#: total stream constructions since import (keyed builds and
+#: total streams started since import (keyed builds, re-keys and
 #: reference fallbacks alike). Instrumentation for the batched
 #: draw-ahead contract: the per-run construction count is the metric
 #: the NoiseBlock layer optimises, so it stays measurable
@@ -146,7 +156,8 @@ _CONSTRUCTION_COUNT = 0
 
 
 def philox_construction_count() -> int:
-    """Streams constructed via :func:`philox_generator` since import."""
+    """Streams started since import: each :func:`philox_generator`
+    build and each :func:`_keyed_draw` re-key counts once."""
     return _CONSTRUCTION_COUNT
 
 
@@ -166,20 +177,42 @@ def philox_generator(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=_KeyedSeed(key)))
 
 
+def _rekey(generator: np.random.Generator, key: int) -> None:
+    """Put ``generator`` in the state ``Philox(key=key)`` starts in."""
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (key & _MASK64, key >> 64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _same_state(ours: dict, ref: dict) -> bool:
+    """Whether two Philox state dicts agree word for word."""
+    if ours["bit_generator"] != ref["bit_generator"]:
+        return False
+    pairs = [(ours["state"][f], ref["state"][f]) for f in ("key", "counter")]
+    pairs += [
+        (ours[f], ref[f]) for f in ("buffer", "buffer_pos", "has_uint32", "uinteger")
+    ]
+    return all(np.array_equal(a, b) for a, b in pairs)
+
+
 def _philox_fast_path_ok() -> bool:
-    """Verify the keyed build against the reference, word-for-word."""
+    """Verify the keyed build and the re-key against the reference,
+    word-for-word; the re-keyed pair first draws under another key."""
     try:
+        pair = _reference_philox_generator(7)
         for key in (0, 1, 0x0123456789ABCDEF, (1 << 127) + 12345):
-            ours = np.random.Philox(seed=_KeyedSeed(key)).state
             ref = _reference_philox_generator(key).bit_generator.state
-            if ours["bit_generator"] != ref["bit_generator"]:
+            if not _same_state(np.random.Philox(seed=_KeyedSeed(key)).state, ref):
                 return False
-            pairs = [(ours["state"][f], ref["state"][f]) for f in ("key", "counter")]
-            pairs += [
-                (ours[f], ref[f])
-                for f in ("buffer", "buffer_pos", "has_uint32", "uinteger")
-            ]
-            if not all(np.array_equal(a, b) for a, b in pairs):
+            pair.integers(0, 7, size=3, dtype=np.uint32)
+            pair.random(3)
+            _rekey(pair, key)
+            if not _same_state(pair.bit_generator.state, ref):
                 return False
         return True
     except Exception:
@@ -187,6 +220,26 @@ def _philox_fast_path_ok() -> bool:
 
 
 _FAST_CONSTRUCTION = _philox_fast_path_ok()
+_THREAD = threading.local()
+
+
+def _keyed_draw(key: int, method: str, *args):
+    """``getattr(philox_generator(key), method)(*args)``, drawn without
+    building a stream: this thread's one generator is re-keyed to
+    ``key`` and drawn from. Only the draw is returned, never the
+    generator, so nothing outlives the call on the re-keyed stream."""
+    global _CONSTRUCTION_COUNT
+    if not _FAST_CONSTRUCTION:
+        return getattr(philox_generator(key), method)(*args)
+    if not 0 <= key <= _PHILOX_KEY_MAX:
+        raise ValueError("Philox key must be an integer in [0, 2**128)")
+    _CONSTRUCTION_COUNT += 1
+    try:
+        generator = _THREAD.generator
+    except AttributeError:
+        generator = _THREAD.generator = _reference_philox_generator(0)
+    _rekey(generator, key)
+    return getattr(generator, method)(*args)
 
 
 def rng_for(*parts) -> np.random.Generator:

@@ -277,6 +277,37 @@ class TestDet002:
         )
         assert rules_fired(findings) == ["DET002"]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "_keyed_draw(stable_seed('fault', hash(x)), 'random', 2)",
+            "_keyed_draw(repr_seed(key_reprs('fault', id(x))), 'random')",
+            "key_reprs('fault', kind, next(order))",
+        ],
+    )
+    def test_keyed_draw_and_key_prefix_are_keys(self, call):
+        findings = lint_source(
+            f"""
+            from repro.workloads.spec import _keyed_draw, key_reprs
+            def f(x, kind, order):
+                return {call}
+            """,
+            rules=["DET002"],
+        )
+        assert rules_fired(findings) == ["DET002"]
+
+    def test_enumerate_counter_in_key_prefix_fires(self):
+        findings = lint_source(
+            """
+            from repro.workloads.spec import key_reprs
+            def f(kinds, trial_id):
+                for i, kind in enumerate(kinds):
+                    yield key_reprs("fault", i, trial_id)
+            """,
+            rules=["DET002"],
+        )
+        assert any("enumerate counter" in f.message for f in findings)
+
     def test_stable_keys_clean(self):
         findings = lint_source(
             """

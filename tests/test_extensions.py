@@ -12,7 +12,7 @@ import pytest
 
 from repro.simulation.cluster import NodeSpec, SimCluster
 from repro.simulation.des import Environment
-from repro.tune.trainer import run_trial, trial_energy_j
+from repro.tune.trainer import run_trial
 from repro.workloads.perfmodel import epoch_time
 from repro.workloads.registry import LENET_MNIST
 from repro.workloads.spec import (
@@ -21,6 +21,8 @@ from repro.workloads.spec import (
     SystemParams,
     TrialConfig,
 )
+
+from oracles import trial_energy_j
 
 
 class TestDvfs:
@@ -70,10 +72,10 @@ class TestDvfs:
 
         allocation = alloc_for(3.6)
         full = trial_energy_j(
-            LENET_MNIST, SystemParams(4, 8.0, cpu_freq_ghz=3.6), allocation, 4.0, 10.0
+            SystemParams(4, 8.0, cpu_freq_ghz=3.6), allocation, 4.0, 10.0
         )
         halved = trial_energy_j(
-            LENET_MNIST, SystemParams(4, 8.0, cpu_freq_ghz=1.8), allocation, 4.0, 10.0
+            SystemParams(4, 8.0, cpu_freq_ghz=1.8), allocation, 4.0, 10.0
         )
         assert halved < full
 

@@ -56,6 +56,7 @@ from repro.tune.errors import (
     TrialPreempted,
 )
 from exhibits import render
+from oracles import draw_event, scanned_schedule
 from repro.experiments import golden
 from repro.tune.faults import (
     ChurnSpec,
@@ -224,7 +225,7 @@ class TestJobSurvivesFaults:
 
 def _draw_task(payload):
     model, key = payload
-    return model.draw_event(*key)
+    return draw_event(model, *key)
 
 
 class TestFaultDeterminism:
@@ -248,8 +249,8 @@ class TestFaultDeterminism:
             for attempt in range(2)
             for epoch in range(1, 8)
         ]
-        serial = [model.draw_event(*key) for key in keys]
-        reversed_order = [model.draw_event(*key) for key in reversed(keys)]
+        serial = [draw_event(model, *key) for key in keys]
+        reversed_order = [draw_event(model, *key) for key in reversed(keys)]
         assert serial == list(reversed(reversed_order))
         with multiprocessing.get_context("fork").Pool(2) as pool:
             pooled = pool.map(_draw_task, [(model, key) for key in keys])
@@ -283,16 +284,6 @@ class TestFaultDeterminism:
 # ---------------------------------------------------------------------------
 # The memoized per-attempt fault schedule
 # ---------------------------------------------------------------------------
-
-
-def scanned_schedule(model, trial_id, attempt, first, last):
-    """The oracle: ``schedule`` spelled out as the per-epoch draws."""
-    slowdown = model.straggler_slowdown(trial_id, attempt)
-    for epoch in range(first, last + 1):
-        event = model.draw_event(trial_id, attempt, epoch)
-        if event is not None:
-            return slowdown, (epoch, *event)
-    return slowdown, None
 
 
 rates = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([0, 1]))

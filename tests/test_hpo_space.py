@@ -1,5 +1,7 @@
 """Tests for search-space domains and the SearchSpace container."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.hpo.space import (
     paper_system_space,
     split_config,
 )
+from repro.workloads.spec import philox_generator
 
 RNG = np.random.default_rng(0)
 
@@ -80,6 +83,23 @@ class TestLogUniform:
         assert contains(dom, 1e-3) and contains(dom, 1e-2) and contains(dom, 1e-1)
         assert not contains(dom, 1e-4)
         assert not contains(dom, 0.5)
+
+
+class TestScalarUniformsMatchNumpy:
+    """``Uniform``/``LogUniform`` spell out numpy's uniform arithmetic
+    on one ``random()`` draw; every sampled config keys on the values,
+    so they must equal a scalar ``rng.uniform`` bit for bit."""
+
+    @pytest.mark.parametrize("key", [0, 7, (1 << 127) + 12345])
+    def test_paper_dropout_and_log_learning_rate(self, key):
+        space = paper_hyper_space()
+        dropout, lr = space.domains["dropout"], space.domains["learning_rate"]
+        ours, ref = philox_generator(key), philox_generator(key)
+        log_low, log_high = math.log10(lr.low), math.log10(lr.high)
+        for _ in range(5000):
+            assert dropout.sample(ours) == float(ref.uniform(0.0, 0.5))
+            assert lr.sample(ours) == float(10.0 ** ref.uniform(log_low, log_high))
+        assert ours.random() == ref.random()  # still in step
 
 
 class TestChoice:

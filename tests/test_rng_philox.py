@@ -17,6 +17,7 @@ path. These tests hold the adapter to that contract:
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -126,6 +127,132 @@ class TestPoolSemantics:
         fallback would keep streams correct but forfeit the speedup the
         swap exists for — fail loudly so it gets re-examined."""
         assert spec._FAST_CONSTRUCTION
+
+
+def warm_up(other_key, method):
+    """Leave this thread's re-keyed generator mid-stream on another key,
+    with a half-used 32-bit buffer after ``integers``."""
+    args = {
+        "integers": (0, 7, 5, np.uint32),
+        "random": (3,),
+        "normal": (0.0, 2.0, (3, 2)),
+    }[method]
+    spec._keyed_draw(other_key, method, *args)
+
+
+class TestKeyedDraw:
+    """``_keyed_draw`` re-keys one generator per thread; every draw must
+    equal the same draw from a freshly built stream on the key."""
+
+    @given(
+        key=keys,
+        other=keys,
+        method=st.sampled_from(["integers", "random", "normal"]),
+        rows=st.integers(1, 40),
+        width=st.integers(1, 6),
+        sigma=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_normal_matches_a_fresh_stream(
+        self, key, other, method, rows, width, sigma
+    ):
+        warm_up(other, method)
+        ours = spec._keyed_draw(key, "normal", 0.0, sigma, (rows, width))
+        ref = reference(key).normal(0.0, sigma, (rows, width))
+        assert ours.tobytes() == ref.tobytes()
+
+    @given(
+        key=keys,
+        other=keys,
+        method=st.sampled_from(["integers", "random", "normal"]),
+        count=st.integers(1, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_matches_a_fresh_stream(self, key, other, method, count):
+        warm_up(other, method)
+        ours = spec._keyed_draw(key, "random", count)
+        assert ours.tobytes() == reference(key).random(count).tobytes()
+        assert spec._keyed_draw(key, "random") == reference(key).random()
+
+    def test_threads_re_keying_alternately_keep_their_streams(self):
+        """Two threads take turns re-keying; each draw is its own key's
+        stream, so neither thread ever drew from the other's state."""
+        turns = [threading.Event(), threading.Event()]
+        results = {0: [], 1: []}
+        generators = {}
+
+        def worker(me):
+            for step in range(6):
+                turns[me].wait()
+                turns[me].clear()
+                key = stable_seed("thread", me, step)
+                results[me].append(spec._keyed_draw(key, "random", 4).tobytes())
+                generators[me] = spec._THREAD.generator
+                turns[1 - me].set()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        turns[0].set()
+        for thread in threads:
+            thread.join(timeout=30)
+        for me in (0, 1):
+            expected = [
+                reference(stable_seed("thread", me, step)).random(4).tobytes()
+                for step in range(6)
+            ]
+            assert results[me] == expected
+        assert generators[0] is not generators[1]
+
+    def test_concurrent_draws_stay_on_their_keys(self):
+        mismatches = []
+
+        def worker(me):
+            for step in range(1500):
+                key = stable_seed("race", me, step)
+                ours = spec._keyed_draw(key, "normal", 0.0, 1.0, (4, 3))
+                if ours.tobytes() != reference(key).normal(0.0, 1.0, (4, 3)).tobytes():
+                    mismatches.append((me, step))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert mismatches == []
+
+    def test_failing_self_check_falls_back_to_construction(self, monkeypatch):
+        """A re-key that misses one state word fails the import-time
+        check, and the fallback builds each stream instead."""
+
+        def stale_buffer_rekey(generator, key):
+            state = generator.bit_generator.state
+            state["state"]["key"] = np.array(
+                (key & ((1 << 64) - 1), key >> 64), dtype=np.uint64
+            )
+            state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+            generator.bit_generator.state = state  # buffer left as drawn
+
+        monkeypatch.setattr(spec, "_rekey", stale_buffer_rekey)
+        assert not spec._philox_fast_path_ok()
+        monkeypatch.setattr(spec, "_FAST_CONSTRUCTION", spec._philox_fast_path_ok())
+        built = spec.philox_construction_count()
+        key = (1 << 100) + 3
+        spec._keyed_draw(stable_seed("other"), "integers", 0, 7, 5, np.uint32)
+        ours = spec._keyed_draw(key, "random", 5)
+        assert ours.tobytes() == reference(key).random(5).tobytes()
+        assert spec.philox_construction_count() == built + 2
+
+    def test_a_re_key_counts_as_one_stream_started(self):
+        built = spec.philox_construction_count()
+        spec._keyed_draw(5, "random")
+        spec._keyed_draw(5, "normal", 0.0, 1.0, 3)
+        assert spec.philox_construction_count() == built + 2
+
+    def test_key_domain_enforced(self):
+        for key in (-1, 1 << 128):
+            with pytest.raises(ValueError):
+                spec._keyed_draw(key, "random")
 
 
 #: sha256 of draw_trace(reference(key), n=...) as pinned below. These

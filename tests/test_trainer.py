@@ -1,5 +1,7 @@
 """Tests for the trial trainer (DES training process + hooks)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from repro.tune.errors import (
     TrialPreempted,
 )
 from repro.tune.faults import ChurnSpec, CrashSpec, FaultModel, PreemptionSpec
-from repro.tune.trainer import TrialContext, TrialHooks, run_trial, trial_energy_j
+from repro.tune.trainer import TrialContext, TrialHooks, run_trial
 from repro.tune.trial import EpochRecord
 from repro.workloads.accuracy import accuracy_at_epoch
-from repro.workloads.perfmodel import epoch_cost
+from repro.workloads.perfmodel import active_cores, epoch_cost
 from repro.workloads.registry import CNN_NEWS20, LENET_MNIST
 from repro.workloads.spec import HyperParams, SystemParams, TrialConfig, stable_seed
+
+from oracles import draw_event, trial_energy_j
 
 
 def make_env(nodes=1, cores=16, memory=64.0):
@@ -177,7 +181,7 @@ def record_tuple(record):
 def first_fault(faults, trial_id, epochs):
     """``(epoch, kind, fraction)`` of the first fault drawn, or None."""
     for epoch in range(1, epochs + 1):
-        event = faults.draw_event(trial_id, 0, epoch)
+        event = draw_event(faults, trial_id, 0, epoch)
         if event is not None:
             return (epoch,) + event
     return None
@@ -234,7 +238,7 @@ class TestFailedTrialFreesNode:
         assert err.trial_id == "t0"
         assert err.epoch == 1
         assert hooks.ctx.records == []
-        _, fraction = faults.draw_event("t0", 0, 1)
+        _, fraction = draw_event(faults, "t0", 0, 1)
         config = TrialConfig(workload, hyper, self.EIGHT_CORES)
         assert env.now == fraction * epoch_cost(config, epoch=1).total_s
         assert_node_free(cluster.nodes[0])
@@ -421,7 +425,6 @@ class TestEnergyAccounting:
 
         run(env, cluster, hooks=Grab())
         energy = trial_energy_j(
-            LENET_MNIST,
             SystemParams(cores=4, memory_gb=16.0),
             Grab.allocation,
             4.0,
@@ -430,6 +433,37 @@ class TestEnergyAccounting:
         spec = Grab.allocation.node.spec
         expected = (4.0 * spec.core_watts + spec.idle_watts * 4 / spec.cores) * 10.0
         assert energy == pytest.approx(expected)
+
+
+    def test_record_energy_equals_per_epoch_oracle(self):
+        """One watts figure per system segment gives every epoch the
+        energy the per-epoch formula gives it, bit for bit, across
+        reshapes and clock changes."""
+        plan = {
+            3: SystemParams(cores=8, memory_gb=16.0, cpu_freq_ghz=2.4),
+            5: SystemParams(cores=2, memory_gb=8.0),
+        }
+        shapes = {}
+
+        class Reshape(TrialHooks):
+            def before_epoch(self, ctx, epoch):
+                return plan.get(epoch)
+
+            def after_epoch(self, ctx, record):
+                node, cores = ctx.allocation.node, ctx.allocation.cores
+                shapes[record.epoch] = SimpleNamespace(node=node, cores=cores)
+
+        hyper = HyperParams(batch_size=64, epochs=6)
+        env, cluster = make_env()
+        result = run(env, cluster, hyper=hyper, hooks=Reshape())
+        assert {r.system.cores for r in result.records} == {4, 8, 2}
+        for record in result.records:
+            config = TrialConfig(LENET_MNIST, hyper, record.system)
+            busy = active_cores(config, epoch_cost(config, epoch=record.epoch))
+            expected = trial_energy_j(
+                record.system, shapes[record.epoch], busy, record.duration_s
+            )
+            assert record.energy_j == expected
 
 
 class TestHooks:
